@@ -7,7 +7,8 @@ The package splits into six layers:
 * :mod:`trigpos.trigsums` -- the trigonometric sums under study and their
   exact reductions to algebraic polynomials;
 * :mod:`trigpos.quadrature` -- singular oscillatory integrals
-  int_0^x g(t + eta) t^(mu-1) dt with rigorous error bounds;
+  int_0^x g(t + eta) t^(mu-1) dt, summed as power series whose truncation
+  and rounding errors are bounded under the standard rounding model;
 * :mod:`trigpos.mustar` -- the threshold exponent mu*(rho), enclosed by
   verified sign changes of its defining integral;
 * :mod:`trigpos.bounds` -- the auxiliary inequalities and the composite

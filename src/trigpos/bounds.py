@@ -4,8 +4,9 @@ Each certified case reduces a scaled partial sum to
 
     (main oscillatory integral) + (monotone bracket term) - (tail terms),
 
-where the oscillatory part comes from trigpos.quadrature and the rest are
-elementary closed forms.  This module owns those closed forms:
+where the oscillatory part comes from trigpos.quadrature (a power series
+with an error bound) and the rest are elementary closed forms.  This module
+owns those closed forms:
 
 * wedge(theta), the normalized weight-defect factor;
 * the tail majorants for the three remainder families (A, B, Delta);
@@ -14,9 +15,11 @@ elementary closed forms.  This module owns those closed forms:
   for the rho = 1/3 family, and the single master bound for rho = 2/3.
 
 All composite bounds are evaluated at an *enclosure* of the critical
-exponent: the reported err combines the quadrature error estimate with the
-spread of the formula across the enclosure endpoints, so `positive` means
-positive for every admissible exponent value, not just the midpoint.
+exponent: the reported err combines the series error bound with the spread
+of the formula across the enclosure endpoints, so `positive` means positive
+for every admissible exponent value, not just the midpoint.  The spread
+term is an estimate: it assumes the endpoint spread bounds the variation of
+the formula over the enclosure.
 
 Convention notes (resolved against the working derivation and pinned by
 the exact agreement of two of the five composite values):
@@ -36,6 +39,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from trigpos.exact import Enclosure, _as_fraction
+from trigpos.mustar import mu_star
 from trigpos.precision import working_dps
 from trigpos.quadrature import chi_reference_integral, fractional_osc_integral, frak_K
 
@@ -153,7 +157,7 @@ def q_factor(phi):
 class BoundReport:
     """One evaluated composite bound.
 
-    value/err: the bound and a combined error figure (quadrature estimate
+    value/err: the bound and a combined error figure (series error bound
     plus exponent-enclosure sensitivity).  components holds the named
     sub-terms at the enclosure midpoint, for display and cross-checks.
     """
@@ -169,31 +173,16 @@ class BoundReport:
         return self.value - self.err > 0
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, mp.mpf):
-        # int(man): gmpy-backend mantissas are mpz and must not reach Fraction
-        sign, man, exp, _ = x._mpf_
-        man = int(man)
-        if man == 0:
-            return Fraction(0)
-        v = Fraction(man) * Fraction(2) ** int(exp)
-        return -v if sign else v
-    return _as_fraction(x)
-
-
 def _frac_to_mpf(f: Fraction):
     return mp.mpf(f.numerator) / f.denominator
 
 
 def _nu_enclosure(rho: Fraction, nu) -> Enclosure:
     if nu is None:
-        from trigpos.mustar import mu_star
-
         return mu_star(rho, width=_DEFAULT_NU_WIDTH).enclosure
     if isinstance(nu, Enclosure):
         return nu
-    f = _to_fraction(nu)
-    return Enclosure(f, f)
+    return Enclosure.exact(nu)
 
 
 def _sensitivity_eval(formula, enc: Enclosure):
@@ -214,12 +203,12 @@ def _r_shifted(g, nu, theta, eta):
     return g(nu * (mp.pi - 2 * theta) / 2 + eta)
 
 
-def _region_1(rho_mp, tol):
+def _region_1(rho_mp):
     b = mp.pi / 3
 
     def formula(nu):
-        s_res = fractional_osc_integral("sin", 0, nu, 2 * mp.pi, tol)
-        c_res = fractional_osc_integral("cos", 0, nu, 7 * mp.pi / 4, tol)
+        s_res = fractional_osc_integral("sin", 0, nu, 2 * mp.pi)
+        c_res = fractional_osc_integral("cos", 0, nu, 7 * mp.pi / 4)
         l1 = (mp.cos(rho_mp * b) / mp.sin(b)) * s_res.value + rho_mp * c_res.value
         q0 = mp.sin((nu - 1) * mp.pi / 2)
         r0 = _r_shifted(mp.sin, nu, mp.mpf(0), rho_mp * mp.mpf(0))
@@ -251,10 +240,8 @@ def _region_1(rho_mp, tol):
     return formula
 
 
-def _region_2(rho_mp, tol):
-    del tol  # closed form, no quadrature
-
-    def formula(nu):
+def _region_2(rho_mp):
+    def formula(nu):  # closed form, no quadrature
         main = (2 * mp.sin(2 * mp.pi / 3)) ** (-nu) * mp.sin(
             (mp.pi / 6) * (4 * rho_mp - nu)
         )
@@ -269,7 +256,7 @@ def _region_2(rho_mp, tol):
 # (b for the oscillatory kernel, kernel upper limit factory, theta at which
 # the bracket factors are frozen, X/Y denominators, X/Y power base, Z term
 # factory) per region
-def _region_3x(which: str, rho_mp, tol):
+def _region_3x(which: str, rho_mp):
     if which == "31":
         b_kernel = mp.pi / 12
         x_upper = mp.pi
@@ -301,7 +288,7 @@ def _region_3x(which: str, rho_mp, tol):
             return nu * (1 - nu) * mp.pi * (5 * mp.pi / 3) ** (nu - 2)
 
     def formula(nu):
-        k_res = frak_K(b_kernel, x_upper, rho_mp, nu, tol)
+        k_res = frak_K(b_kernel, x_upper, rho_mp, nu)
         eta0 = rho_mp * theta0 + (mp.mpf(1) / 2 - rho_mp) * mp.pi
         q0 = mp.cos(nu * mp.pi / 2 - rho_mp * mp.pi)
         r_theta = _r_shifted(mp.cos, nu, theta0, eta0)
@@ -327,7 +314,7 @@ def _region_3x(which: str, rho_mp, tol):
     return formula
 
 
-def L_region(region, rho=Fraction(1, 3), nu=None, tol=None) -> BoundReport:
+def L_region(region, rho=Fraction(1, 3), nu=None) -> BoundReport:
     """Composite lower bound L^(region) at the given rho.
 
     region is one of "1", "2", "31", "32", "33".  nu defaults to the
@@ -342,16 +329,16 @@ def L_region(region, rho=Fraction(1, 3), nu=None, tol=None) -> BoundReport:
     with mp.workdps(working_dps() + 10):
         rho_mp = _frac_to_mpf(rho)
         if region == "1":
-            formula = _region_1(rho_mp, tol)
+            formula = _region_1(rho_mp)
         elif region == "2":
-            formula = _region_2(rho_mp, tol)
+            formula = _region_2(rho_mp)
         else:
-            formula = _region_3x(region, rho_mp, tol)
+            formula = _region_3x(region, rho_mp)
         value, err, comps = _sensitivity_eval(formula, enc)
         return BoundReport(f"L({region})", rho, value, err, comps)
 
 
-def two_thirds_master_bound(mu=None, tol=None) -> BoundReport:
+def two_thirds_master_bound(mu=None) -> BoundReport:
     """The single composite bound for the rho = 2/3 middle range:
 
         Gamma(mu) (mu cos(2pi/3 - mu pi/2) - wedge(pi/5))
@@ -367,7 +354,7 @@ def two_thirds_master_bound(mu=None, tol=None) -> BoundReport:
     with mp.workdps(working_dps() + 10):
 
         def formula(m):
-            chi = chi_reference_integral(m, tol)
+            chi = chi_reference_integral(m)
             prop_term = mp.gamma(m) * (
                 m * mp.cos(2 * mp.pi / 3 - m * mp.pi / 2) - wedge(mp.pi / 5, m)
             )
@@ -406,8 +393,6 @@ def scan_neighborhood(
     radius = _as_fraction(radius)
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    from trigpos.mustar import mu_star
-
     reports = []
     for k in range(-steps, steps + 1):
         rho = center + radius * k / max(steps, 1)

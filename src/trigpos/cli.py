@@ -563,7 +563,7 @@ def run_bounds_case(
     return VerificationReport(
         case=f"bounds:{name}",
         inputs={"region": name, "rho": str(rho)},
-        method="adaptive Gauss-Legendre quadrature with enclosure sensitivity",
+        method="power series with proven remainder, plus enclosure-endpoint sensitivity",
         reference="composite lower bounds for the tail-dominated ranges",
         checks=checks,
     )

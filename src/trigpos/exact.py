@@ -39,6 +39,16 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         # Exact binary value of the float; callers who care pass Fractions.
         return Fraction(x)
+    if hasattr(x, "_mpf_"):
+        # Exact binary value of an mpmath mpf.  int(): gmpy-backend fields
+        # are mpz and must not leak into Fraction arithmetic.
+        sign, man, exp, bc = x._mpf_
+        man, exp = (-int(man) if sign else int(man)), int(exp)
+        if man == 0:
+            if bc:  # mpmath encodes inf and nan with a zero mantissa
+                raise ValueError(f"{x!r} has no exact rational value")
+            return Fraction(0)
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "GenFuncReport",
     "ArgBoundReport",
     "arg_bound_check",
-    "nonvanishing_check",
 ]
 
 
@@ -265,9 +264,3 @@ def arg_bound_check(
             worst = (n, x, complex(r * np.exp(1j * thetas[idx])))
     return ArgBoundReport(lam_f, n_max, math.pi / 3, max_arg, min_abs, samples,
                           worst[0], worst[1], worst[2])
-
-
-def nonvanishing_check(lam, n_max: int = 50, **kwargs) -> ArgBoundReport:
-    """Same scan, read through min |sum|; nonvanishing on the sampled disk
-    means min_abs_value is bounded away from zero."""
-    return arg_bound_check(lam, n_max, **kwargs)

@@ -9,11 +9,11 @@ t^(mu-1) concentrates mass near t = 0 where the sine factor is negative)
 and D(rho, 1) = 1 + cos(rho*pi) >= 0, with equality exactly at rho = 1.
 mu*(rho) is the root.  For rho < 1 it is interior and is located by
 bisection whose every accepted bracket endpoint carries a *verified* sign:
-the quadrature value must dominate its own error estimate by a wide margin
-or the step is refused.  A secant candidate is tried first at each step
-(and kept when it lands well inside the bracket), which cuts the number of
-integral evaluations roughly in half without weakening the bracket
-invariant.
+the series value of D must exceed ten times its error bound (see
+trigpos.quadrature) or the step is refused.  A secant candidate is tried
+first at each step (and kept when it lands well inside the bracket), which
+cuts the number of integral evaluations roughly in half without weakening
+the bracket invariant.
 
 rho = 1 is the boundary case: there is no sign change inside (0.01, 1],
 D < 0 on [0.01, 1), and the root sits exactly at mu = 1.
@@ -58,38 +58,25 @@ class MuStarResult:
         return mp.mpf(mid.numerator) / mid.denominator
 
 
-def defect_integral(rho, mu, tol=None) -> QuadResult:
+def defect_integral(rho, mu) -> QuadResult:
     """D(rho, mu) = integral_0^((rho+1)*pi) sin(t - rho*pi) t^(mu-1) dt."""
     rho = _as_fraction(rho)
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
     with mp.workdps(working_dps() + 10):
         rho_mp = mp.mpf(rho.numerator) / rho.denominator
-        return fractional_osc_integral(
-            "sin", -rho_mp * mp.pi, mu, (rho_mp + 1) * mp.pi, tol
-        )
+        return fractional_osc_integral("sin", -rho_mp * mp.pi, mu, (rho_mp + 1) * mp.pi)
 
 
 def _verified_sign(rho: Fraction, mu: Fraction) -> tuple[int, mp.mpf]:
     """(sign, value) of D(rho, mu); the sign is accepted only when the value
-    dominates the quadrature error estimate, otherwise this raises.
-
-    Very tight enclosures probe mu so close to the root that the defect can
-    fall within the default quadrature tolerance; in that case the integral
-    is retried at a tolerance pinned two orders below the observed value
-    (and at extra precision) before giving up.
-    """
+    dominates the series error bound, otherwise this raises."""
     with mp.workdps(working_dps() + 10):
         mu_mp = mp.mpf(mu.numerator) / mu.denominator
         res = defect_integral(rho, mu_mp)
         floor = mp.mpf(10) ** (-(working_dps() + 4))
         if not res.flagged and abs(res.value) > max(10 * res.err, floor):
             return (1 if res.value > 0 else -1), res.value
-        if abs(res.value) > floor:
-            with mp.workdps(working_dps() + 25):
-                res = defect_integral(rho, mu_mp, tol=abs(res.value) / 100)
-                if not res.flagged and abs(res.value) > max(10 * res.err, floor):
-                    return (1 if res.value > 0 else -1), res.value
         raise ArithmeticError(
             f"cannot resolve sign of defect at mu={mu}: "
             f"value {mp.nstr(res.value, 8)} vs err {mp.nstr(res.err, 3)}"
@@ -145,7 +132,7 @@ def mu_star(rho, width=Fraction(1, 10**9), use_secant: bool = True) -> MuStarRes
             # secant candidate, kept only if it lands in the middle half of
             # the bracket so progress per step stays geometric
             t = -val_lo / (val_hi - val_lo)
-            cand = lo + (hi - lo) * _fraction_from_mpf(t)
+            cand = lo + (hi - lo) * _as_fraction(t)
             gap = (hi - lo) / 4
             if lo + gap < cand < hi - gap:
                 mid = cand
@@ -173,12 +160,3 @@ def mu_star(rho, width=Fraction(1, 10**9), use_secant: bool = True) -> MuStarRes
     _CACHE[key] = result
     return result
 
-
-def _fraction_from_mpf(x) -> Fraction:
-    # int(man): gmpy-backend mantissas are mpz and must not reach Fraction
-    sign, man, exp, _ = mp.mpf(x)._mpf_
-    man = int(man)
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man) * Fraction(2) ** int(exp)
-    return -v if sign else v

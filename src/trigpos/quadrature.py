@@ -4,37 +4,30 @@ Everything here evaluates integrals of the form
 
     F(x) = integral_0^x g(t + eta) t^(mu - 1) dt,     g in {sin, cos},
 
-for 0 < mu <= 1.  The integrand blows up (integrably) at t = 0 when mu < 1;
-the substitution t = u^(1/mu) removes the singularity exactly:
+for 0 < mu <= 1 and 0 < x <= 8*pi, by one route: termwise integration of
+the Taylor series of sin and cos,
 
-    F(x) = (1/mu) * integral_0^(x^mu) g(u^(1/mu) + eta) du.
+    integral_0^x sin(t) t^(mu-1) dt = sum_j (-1)^j x^(2j+1+mu) / ((2j+1)! (2j+1+mu)),
+    integral_0^x cos(t) t^(mu-1) dt = sum_j (-1)^j x^(2j+mu) / ((2j)! (2j+mu)).
 
-The transformed integrand is bounded and continuous on [0, x^mu], so
-composite Gauss-Legendre quadrature converges quickly once the panels
-resolve the oscillation.  Panels are laid out so that none spans more than
-pi/4 in the original t variable, and the worst panel (by a two-level
-refinement error estimate) is bisected until the total estimate clears the
-tolerance.
+A nonzero phase is folded in exactly through
+g(t + eta) = cos(eta) g(t) +/- sin(eta) g^(t).  Both series alternate, and
+their terms decrease from the first k = 2j (+1) with x^2 < (k+1)(k+2) on, so
+stopping at such a term below eps leaves a remainder below eps.  The terms
+grow to about e^x before they decay, so the sums run at
+working_dps() + 15 + ceil(x / ln 10) digits, which absorbs the cancellation.
 
-The error field of a QuadResult is the sum of per-panel |fine - coarse|
-differences, where "fine" is the half-width re-evaluation actually used as
-the value.  That difference tracks the error of the *coarse* pass, which
-dominates the error of the returned fine pass, so the reported figure is a
-conservative estimate in practice; results that fail to meet the requested
-tolerance are flagged rather than silently returned.
-
-A power-series evaluator (`series_reference`) provides an independent
-second route for moderate upper limits; it shares no code with the
-quadrature path and carries a proven alternating-series remainder.
+The err field of a QuadResult bounds, at the given inputs, the truncation
+remainder of every base series used plus the floating-point rounding of the
+sums.  The rounding bound is the standard model: each operation rounds with
+relative error at most mp.eps, taking mpmath's pow, sin and cos to be
+accurate to a few ulp.  The tests check this route against mpmath.quad.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 
-import numpy as np
 from mpmath import mp
 
 from trigpos.precision import working_dps
@@ -50,18 +43,14 @@ __all__ = [
 
 _KINDS = ("sin", "cos")
 
-# hard ceiling on adaptive panels; hitting it flags the result instead of
-# looping forever on a hostile integrand
-_MAX_PANELS = 4096
-
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value + error estimate for one integral.
+    """Value + error bound for one integral.
 
-    flagged is True when the error estimate did not reach the requested
-    tolerance (the value is still the best available, but callers must not
-    treat it as certified to tol).
+    flagged is True when the error bound exceeds the requested tolerance
+    (the value is still the best available, but callers must not treat it
+    as accurate to tol).
     """
 
     value: mp.mpf
@@ -73,202 +62,72 @@ class QuadResult:
         return QuadResult(self.value * f, self.err * abs(f), self.flagged)
 
 
-# ---------------------------------------------------------------------------
-# Gauss-Legendre nodes at working precision
-# ---------------------------------------------------------------------------
+def _alternating_sum(offset: int, mu, x, eps):
+    """(sum, error bound) of sum_j (-1)^j x^(k+mu) / (k! (k+mu)), k = 2j + offset.
 
-
-def _legendre_pair(n: int, x):
-    """(P_n(x), P_n'(x)) by the three-term recurrence."""
-    p_prev, p = mp.mpf(1), x
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    dp = n * (x * p - p_prev) / (x * x - 1)
-    return p, dp
-
-
-@lru_cache(maxsize=32)
-def _gl_nodes(order: int, dps: int):
-    """Nodes/weights on [-1, 1], refined to ~dps digits.
-
-    float64 seeds from numpy are polished by Newton iteration on P_n; the
-    cache key includes the precision so changing mp.dps cannot leak
-    low-precision nodes into a high-precision run.
-    """
-    seeds, _ = np.polynomial.legendre.leggauss(order)
-    nodes = []
-    weights = []
-    with mp.workdps(dps + 20):
-        tiny = mp.mpf(10) ** (-(dps + 10))
-        for s in seeds:
-            xk = mp.mpf(float(s))
-            for _ in range(100):
-                p, dp = _legendre_pair(order, xk)
-                step = p / dp
-                xk -= step
-                if abs(step) < tiny:
-                    break
-            _, dp = _legendre_pair(order, xk)
-            nodes.append(xk)
-            weights.append(2 / ((1 - xk * xk) * dp * dp))
-    return tuple(nodes), tuple(weights)
-
-
-def _gl_apply(f, a, b, nodes, weights):
-    half = (b - a) / 2
-    mid = (a + b) / 2
-    return half * mp.fsum(w * f(mid + half * xi) for xi, w in zip(nodes, weights))
-
-
-def _panel(f, a, b, nodes, weights):
-    """(fine value, |fine - coarse|) for one panel."""
-    coarse = _gl_apply(f, a, b, nodes, weights)
-    mid = (a + b) / 2
-    fine = _gl_apply(f, a, mid, nodes, weights) + _gl_apply(f, mid, b, nodes, weights)
-    return fine, abs(fine - coarse)
-
-
-def _adaptive(f, breaks, tol, order):
-    """Composite GL over the given u-breakpoints with worst-panel bisection."""
-    nodes, weights = _gl_nodes(order, mp.dps)
-    heap = []
-    serial = 0
-    total_err = mp.mpf(0)
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        val, err = _panel(f, a, b, nodes, weights)
-        heapq.heappush(heap, (-float(err), serial, a, b, val, err))
-        serial += 1
-        total_err += err
-    while total_err > tol and len(heap) < _MAX_PANELS:
-        _, _, a, b, _, err = heapq.heappop(heap)
-        total_err -= err
-        mid = (a + b) / 2
-        for lo, hi in ((a, mid), (mid, b)):
-            val, perr = _panel(f, lo, hi, nodes, weights)
-            heapq.heappush(heap, (-float(perr), serial, lo, hi, val, perr))
-            serial += 1
-            total_err += perr
-    value = mp.fsum(entry[4] for entry in heap)
-    err = mp.fsum(entry[5] for entry in heap)
-    return value, err, err > tol
-
-
-def _default_tol():
-    return mp.mpf(10) ** (-(working_dps() - 5))
-
-
-def fractional_osc_integral(kind: str, eta, mu, x, tol=None, order: int = 16) -> QuadResult:
-    """integral_0^x g(t + eta) t^(mu-1) dt, g = sin or cos.
-
-    Requires 0 < mu <= 1 and x > 0.  tol defaults to a little under the
-    working precision; the result is flagged when the internal error
-    estimate does not clear it.
-    """
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    with mp.workdps(working_dps() + 10):
-        mu = mp.mpf(mu)
-        x = mp.mpf(x)
-        eta = mp.mpf(eta)
-        if not 0 < mu <= 1:
-            raise ValueError("mu must lie in (0, 1]")
-        if x <= 0:
-            raise ValueError("upper limit must be positive")
-        if tol is None:
-            tol = _default_tol()
-        else:
-            tol = mp.mpf(tol)
-        g = mp.sin if kind == "sin" else mp.cos
-        inv_mu = 1 / mu
-
-        def f(u):
-            t = u ** inv_mu if u > 0 else mp.mpf(0)
-            return g(t + eta)
-
-        # panels capped at pi/4 of t-span, mapped to u = t^mu
-        m = max(1, int(mp.ceil(x / (mp.pi / 4))))
-        breaks = [(x * mp.mpf(j) / m) ** mu for j in range(m + 1)]
-        # the quadrature acts on (1/mu) * integral f(u) du, so the tolerance
-        # handed to the panel loop is pre-scaled by mu
-        value, err, flagged = _adaptive(f, breaks, tol * mu, order)
-        return QuadResult(value / mu, err / mu, flagged)
-
-
-# ---------------------------------------------------------------------------
-# Power-series reference (independent route)
-# ---------------------------------------------------------------------------
-
-
-def _series_sin(mu, x, eps):
-    """sum_j (-1)^j x^(2j+1+mu) / ((2j+1)! (2j+1+mu)), remainder < eps.
-
-    Alternating with eventually decreasing terms; stop once the current
-    term is below eps *and* the term ratio has dropped under 1, at which
-    point the classical remainder bound applies.
+    offset 1 gives the sine series, offset 0 the cosine series.  The error
+    bound is eps for the truncation plus the rounding of n terms: term j
+    carries at most (3j + 5) roundings and each of the n additions one more,
+    relative to the sum of |terms|.
     """
     xx = x * x
-    num = x ** (1 + mu)
+    num = x ** (offset + mu)
     fact = mp.mpf(1)
-    total = mp.mpf(0)
-    sign = 1
+    total = mass = mp.mpf(0)
     for j in range(600):
-        term = num / (fact * (2 * j + 1 + mu))
-        total += sign * term
-        decreasing = xx < (2 * j + 2) * (2 * j + 3)
-        if decreasing and term < eps:
-            return total
-        sign = -sign
+        k = 2 * j + offset
+        term = num / (fact * (k + mu))
+        total += -term if j % 2 else term
+        mass += term
+        if term < eps and xx < (k + 1) * (k + 2):
+            return total, eps + (4 * j + 12) * mp.eps * mass
         num *= xx
-        fact *= (2 * j + 2) * (2 * j + 3)
+        fact *= (k + 1) * (k + 2)
     raise ArithmeticError("series did not converge within iteration budget")
 
 
-def _series_cos(mu, x, eps):
-    """sum_j (-1)^j x^(2j+mu) / ((2j)! (2j+mu)), remainder < eps."""
-    xx = x * x
-    num = x ** mu
-    fact = mp.mpf(1)
-    total = mp.mpf(0)
-    sign = 1
-    for j in range(600):
-        term = num / (fact * (2 * j + mu))
-        total += sign * term
-        decreasing = xx < (2 * j + 1) * (2 * j + 2)
-        if decreasing and term < eps:
-            return total
-        sign = -sign
-        num *= xx
-        fact *= (2 * j + 1) * (2 * j + 2)
-    raise ArithmeticError("series did not converge within iteration budget")
-
-
-def series_reference(kind: str, mu, x, eta=0):
-    """Series evaluation of integral_0^x g(t + eta) t^(mu-1) dt.
-
-    Termwise integration of the Taylor series of sin/cos; valid (and
-    accurate) for 0 < x <= 4*pi.  A nonzero phase is folded in exactly via
-    g(t + eta) = cos(eta) g(t) -/+ sin(eta) g^(t), so the only error is the
-    alternating-series remainder of the two base sums.
-    """
+def _evaluate(kind: str, eta, mu, x):
+    """(value, error bound) of integral_0^x g(t + eta) t^(mu-1) dt."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     with mp.workdps(working_dps() + 15):
+        eps = mp.mpf(10) ** (-(mp.dps - 3))
+        x_in = mp.mpf(x)
+        if not 0 < x_in <= 8 * mp.pi + mp.mpf("1e-12"):
+            raise ValueError("series route requires 0 < x <= 8*pi")
+        dps = mp.dps + int(mp.ceil(x_in / mp.ln(10)))
+    with mp.workdps(dps):
         mu = mp.mpf(mu)
         x = mp.mpf(x)
         eta = mp.mpf(eta)
         if not 0 < mu <= 1:
             raise ValueError("mu must lie in (0, 1]")
-        if not 0 < x <= 4 * mp.pi + mp.mpf("1e-12"):
-            raise ValueError("series route requires 0 < x <= 4*pi")
-        eps = mp.mpf(10) ** (-(mp.dps - 3))
         if eta == 0:
-            base = _series_sin if kind == "sin" else _series_cos
-            return base(mu, x, eps)
-        s = _series_sin(mu, x, eps)
-        c = _series_cos(mu, x, eps)
+            return _alternating_sum(1 if kind == "sin" else 0, mu, x, eps)
+        s, s_err = _alternating_sum(1, mu, x, eps)
+        c, c_err = _alternating_sum(0, mu, x, eps)
         if kind == "sin":  # sin(t + eta) = cos(eta) sin t + sin(eta) cos t
-            return mp.cos(eta) * s + mp.sin(eta) * c
-        return mp.cos(eta) * c - mp.sin(eta) * s
+            value = mp.cos(eta) * s + mp.sin(eta) * c
+        else:
+            value = mp.cos(eta) * c - mp.sin(eta) * s
+        return value, s_err + c_err + 4 * mp.eps * (abs(s) + abs(c))
+
+
+def fractional_osc_integral(kind: str, eta, mu, x, tol=None) -> QuadResult:
+    """integral_0^x g(t + eta) t^(mu-1) dt, g = sin or cos.
+
+    Requires 0 < mu <= 1 and 0 < x <= 8*pi.  tol defaults to a little under
+    the working precision; the result is flagged when the error bound
+    exceeds it.
+    """
+    value, err = _evaluate(kind, eta, mu, x)
+    tol = mp.mpf(10) ** (-(working_dps() - 5)) if tol is None else mp.mpf(tol)
+    return QuadResult(value, err, err > tol)
+
+
+def series_reference(kind: str, mu, x, eta=0):
+    """The value alone of fractional_osc_integral(kind, eta, mu, x)."""
+    return _evaluate(kind, eta, mu, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +135,7 @@ def series_reference(kind: str, mu, x, eta=0):
 # ---------------------------------------------------------------------------
 
 
-def frak_K(b, x, rho, mu, tol=None) -> QuadResult:
+def frak_K(b, x, rho, mu) -> QuadResult:
     """(1/sin b) * integral_0^x cos(t + rho*b - (rho - 1/2)*pi) t^(mu-1) dt.
 
     Requires 0 < b <= pi/2.
@@ -287,11 +146,11 @@ def frak_K(b, x, rho, mu, tol=None) -> QuadResult:
         if not 0 < b <= mp.pi / 2 + mp.mpf("1e-12"):
             raise ValueError("b must lie in (0, pi/2]")
         eta = rho * b - (rho - mp.mpf(1) / 2) * mp.pi
-        base = fractional_osc_integral("cos", eta, mu, x, tol)
+        base = fractional_osc_integral("cos", eta, mu, x)
         return base.scaled(1 / mp.sin(b))
 
 
-def chi_reference_integral(mu, tol=None) -> QuadResult:
+def chi_reference_integral(mu) -> QuadResult:
     """(1/sin(pi/5)) * integral_0^(8pi/5) cos(t - pi/10) t^(mu-1) dt.
 
     The upper limit 8pi/5 is the unique stationary point of the integral
@@ -299,11 +158,11 @@ def chi_reference_integral(mu, tol=None) -> QuadResult:
     over that range; see min_over_upper_limit for the generic search.
     """
     with mp.workdps(working_dps() + 10):
-        base = fractional_osc_integral("cos", -mp.pi / 10, mu, 8 * mp.pi / 5, tol)
+        base = fractional_osc_integral("cos", -mp.pi / 10, mu, 8 * mp.pi / 5)
         return base.scaled(1 / mp.sin(mp.pi / 5))
 
 
-def min_over_upper_limit(kind: str, eta, mu, x_min, tol=None):
+def min_over_upper_limit(kind: str, eta, mu, x_min):
     """Minimize F(x) = integral_0^x g(t+eta) t^(mu-1) dt over x >= x_min.
 
     F'(x) = g(x+eta) x^(mu-1), so interior extrema sit at the zeros of
@@ -334,7 +193,7 @@ def min_over_upper_limit(kind: str, eta, mu, x_min, tol=None):
         best_x = None
         best = None
         for cand in candidates:
-            res = fractional_osc_integral(kind, eta, mu, cand, tol)
+            res = fractional_osc_integral(kind, eta, mu, cand)
             if best is None or res.value < best.value:
                 best, best_x = res, cand
         return best_x, best

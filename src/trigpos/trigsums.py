@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from trigpos.exact import Enclosure, Polynomial, poly_with_interval_coeffs
+from trigpos.exact import Enclosure, Polynomial, _as_fraction, poly_with_interval_coeffs
 from trigpos.precision import working_dps
 
 __all__ = [
@@ -150,7 +150,7 @@ def _as_mu_enclosure(mu) -> Enclosure:
     if isinstance(mu, Enclosure):
         return mu
     if isinstance(mu, mp.mpf):
-        return Enclosure.exact(_fraction_from_mpf(mu))
+        return Enclosure.exact(mu)
     return Enclosure.exact(Fraction(mu))
 
 
@@ -413,21 +413,6 @@ def case_q(n: int) -> Reduction:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_from_mpf(x) -> Fraction:
-    """Exact rational value of an mpf (binary -> Fraction, no rounding).
-
-    The mantissa is coerced to a plain int: under the gmpy backend it is a
-    gmpy2.mpz, and letting that leak into Fraction internals breaks mixed
-    arithmetic much later (reflected operators raise SystemError).
-    """
-    sign, man, exp, _ = mp.mpf(x)._mpf_
-    man = int(man)
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man) * Fraction(2) ** int(exp)
-    return -v if sign else v
-
-
 def _outward(value_fn, below: bool) -> Fraction:
     """Rational bound strictly below/above a computed real.
 
@@ -437,7 +422,7 @@ def _outward(value_fn, below: bool) -> Fraction:
     """
     dps = working_dps() + 15
     with mp.workdps(dps):
-        f = _fraction_from_mpf(value_fn())
+        f = _as_fraction(value_fn())
     pad = Fraction(1, 10 ** (working_dps() + 5))
     return f - pad if below else f + pad
 

@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, JSON shape, config handling."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import trigpos
 from trigpos.cli import main
 
 REPORT_KEYS = {"case", "inputs", "method", "status", "checks", "reference",
@@ -99,9 +102,14 @@ def test_nmax_guard(capsys):
 
 
 def test_module_entry_point_subprocess():
+    # the child imports the same trigpos as this process, also when pytest
+    # put src/ on sys.path itself (pythonpath in pyproject.toml)
+    src = str(Path(trigpos.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "trigpos.cli", "verify", "sturm:q1"],
         capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert "status: PASS" in proc.stdout

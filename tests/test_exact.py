@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from trigpos.exact import (
     Certificate,
     Enclosure,
     Polynomial,
+    _as_fraction,
     certify_positive_poly,
     count_roots_in,
     poly_gcd,
@@ -130,6 +132,27 @@ def test_enclosure_arithmetic():
     assert Enclosure.exact(5).is_exact()
     with pytest.raises(ValueError):
         Enclosure(F(1), F(0))
+
+
+def test_as_fraction_reads_mpf_exactly():
+    assert _as_fraction(mp.mpf(0)) == 0
+    assert _as_fraction(mp.mpf(-0.0)) == 0
+    assert _as_fraction(mp.mpf("-2.5")) == F(-5, 2)
+    assert _as_fraction(mp.mpf(3) * 2**70) == 3 * 2**70
+    # 1/10 is not a binary fraction: the result is the mpf's exact binary
+    # value, which differs from 1/10 by less than half an ulp
+    with mp.workdps(30):
+        tenth = mp.mpf(1) / 10
+        got = _as_fraction(tenth)
+        assert got != F(1, 10)
+        assert got.denominator == 2 ** (got.denominator.bit_length() - 1)
+        assert abs(got - F(1, 10)) < F(1, 10**30)
+        assert mp.mpf(got.numerator) / got.denominator == tenth
+        third = _as_fraction(-mp.mpf(1) / 3)
+        assert third < 0 and abs(third + F(1, 3)) < F(1, 10**30)
+    for special in (mp.inf, mp.nan):
+        with pytest.raises(ValueError):
+            _as_fraction(special)
 
 
 def test_enclosure_sub_contains_difference():

@@ -11,7 +11,6 @@ from trigpos.gegenbauer import (
     gegenbauer_C,
     genfunc_check,
     jacobi_P,
-    nonvanishing_check,
     relation_printed,
     relation_standard,
 )
@@ -108,5 +107,5 @@ def test_arg_bound_fails_above_threshold():
 
 
 def test_nonvanishing_on_sampled_disk():
-    rep = nonvanishing_check(0.24, **QUICK_SCAN)
+    rep = arg_bound_check(0.24, **QUICK_SCAN)
     assert rep.min_abs_value > 0.1

@@ -1,8 +1,8 @@
-"""Singular oscillatory quadrature: dual-route checks and frozen oracles.
+"""Singular oscillatory integrals: dual-route checks and frozen oracles.
 
-Every quadrature value is checked against the termwise-integrated power
-series, which shares no code with the Gauss-Legendre path.  Frozen
-constants below were produced by the series route at mp.dps = 50 and
+Every series value is checked against mpmath.quad on the substituted
+integrand (tests/oracles.py), which shares no code with the series route.
+Frozen constants below were produced by the series route at mp.dps = 50 and
 rounded to the digits shown.
 """
 
@@ -11,6 +11,7 @@ import random
 import pytest
 from mpmath import mp
 
+from oracles import osc_integral
 from trigpos.quadrature import (
     QuadResult,
     chi_reference_integral,
@@ -41,9 +42,9 @@ def test_dual_route_agreement_zero_phase():
         for mu in (mp.mpf("0.3"), NU0, MU23):
             for x in (mp.mpf("0.1"), mp.mpf(1), mp.pi, 2 * mp.pi):
                 quad = fractional_osc_integral(kind, 0, mu, x)
-                ser = series_reference(kind, mu, x)
+                ref = osc_integral(kind, 0, mu, x)
                 assert not quad.flagged
-                assert abs(quad.value - ser) <= quad.err + mp.mpf("1e-24")
+                assert abs(quad.value - ref) <= quad.err + mp.mpf("1e-24")
 
 
 def test_dual_route_agreement_shifted_phase():
@@ -51,8 +52,8 @@ def test_dual_route_agreement_shifted_phase():
     for kind in ("sin", "cos"):
         for x in (mp.mpf("0.5"), mp.pi, 8 * mp.pi / 5):
             quad = fractional_osc_integral(kind, eta, MU23, x)
-            ser = series_reference(kind, MU23, x, eta)
-            assert abs(quad.value - ser) <= quad.err + mp.mpf("1e-24")
+            ref = osc_integral(kind, eta, MU23, x)
+            assert abs(quad.value - ref) <= quad.err + mp.mpf("1e-24")
 
 
 def test_dual_route_randomized():
@@ -63,8 +64,8 @@ def test_dual_route_randomized():
         x = mp.mpf(rng.uniform(0.05, 4 * 3.14159))
         eta = mp.mpf(rng.uniform(-3.14, 3.14))
         quad = fractional_osc_integral(kind, eta, mu, x)
-        ser = series_reference(kind, mu, x, eta)
-        assert abs(quad.value - ser) <= quad.err + mp.mpf("1e-22"), (kind, mu, x, eta)
+        ref = osc_integral(kind, eta, mu, x)
+        assert abs(quad.value - ref) <= quad.err + mp.mpf("1e-22"), (kind, mu, x, eta)
 
 
 def test_frozen_endpoint_values():
@@ -72,7 +73,7 @@ def test_frozen_endpoint_values():
         quad = fractional_osc_integral(kind, 0, mu, x)
         assert abs(quad.value - want) < mp.mpf("1e-11")
         # and the independent route agrees with the same frozen digits
-        assert abs(series_reference(kind, mu, x) - want) < mp.mpf("1e-11")
+        assert abs(osc_integral(kind, 0, mu, x) - want) < mp.mpf("1e-11")
 
 
 def test_mu_one_elementary_antiderivative():
@@ -108,7 +109,9 @@ def test_input_guards():
     with pytest.raises(ValueError):
         fractional_osc_integral("sin", 0, NU0, 0)
     with pytest.raises(ValueError):
-        series_reference("sin", NU0, 4 * mp.pi + mp.mpf("0.1"))
+        series_reference("sin", NU0, 8 * mp.pi + mp.mpf("0.1"))
+    with pytest.raises(ValueError):
+        fractional_osc_integral("sin", 0, NU0, 8 * mp.pi + mp.mpf("0.1"))
     with pytest.raises(ValueError):
         series_reference("cos", mp.mpf(0), 1)
     with pytest.raises(ValueError):
@@ -135,7 +138,10 @@ def test_frak_K_matches_direct_definition():
     eta = rho * b - (rho - mp.mpf(1) / 2) * mp.pi
     direct = fractional_osc_integral("cos", eta, NU0, x)
     viak = frak_K(b, x, rho, NU0)
-    assert abs(viak.value - direct.value / mp.sin(b)) <= viak.err + direct.err
+    # 1e-28 covers the rounding of the 30-digit division by sin(b) here
+    assert abs(viak.value - direct.value / mp.sin(b)) <= (
+        viak.err + direct.err + mp.mpf("1e-28")
+    )
 
 
 def test_chi_reference_value():
@@ -149,8 +155,9 @@ def test_chi_argmin_is_eight_pi_fifths():
     assert abs(argmin - 8 * mp.pi / 5) < mp.mpf("1e-25")
     # the scaled minimum reproduces the chi constant
     chi = chi_reference_integral(MU23)
+    # 1e-28 covers the rounding of the 30-digit division by sin(pi/5) here
     assert abs(best.value / mp.sin(mp.pi / 5) - chi.value) <= (
-        best.err / mp.sin(mp.pi / 5) + chi.err
+        best.err / mp.sin(mp.pi / 5) + chi.err + mp.mpf("1e-28")
     )
 
 
