@@ -2,8 +2,8 @@
 
 The package splits into six layers:
 
-* :mod:`trigpos.exact` -- exact rational polynomials, Sturm chains and
-  positivity certificates;
+* :mod:`trigpos.exact` -- exact rational polynomials, Sturm root counts
+  and rational enclosures;
 * :mod:`trigpos.trigsums` -- the trigonometric sums under study and their
   exact reductions to algebraic polynomials;
 * :mod:`trigpos.quadrature` -- singular oscillatory integrals
@@ -11,8 +11,8 @@ The package splits into six layers:
   and rounding errors are bounded under the standard rounding model;
 * :mod:`trigpos.mustar` -- the threshold exponent mu*(rho), enclosed by
   verified sign changes of its defining integral;
-* :mod:`trigpos.bounds` -- the auxiliary inequalities and the composite
-  region constants;
+* :mod:`trigpos.bounds` -- the wedge factor, the sampling-lemma panel
+  constants and the composite region bounds;
 * :mod:`trigpos.engine` / :mod:`trigpos.gegenbauer` -- grid certification
   on intervals, disk sampling of partial sums, and Gegenbauer spot checks.
 

@@ -9,8 +9,8 @@ with an error bound) and the rest are elementary closed forms.  This module
 owns those closed forms:
 
 * wedge(theta), the normalized weight-defect factor;
-* the tail majorants for the three remainder families (A, B, Delta);
-* the X/Y/Z panel constants of the sampling lemma;
+* the X/Y/Z panel constants of the sampling lemma, which make up the
+  tail block L3 of regions 1, 32 and 33;
 * the five composite region bounds L^(1), L^(2), L^(31), L^(32), L^(33)
   for the rho = 1/3 family, and the single master bound for rho = 2/3.
 
@@ -46,8 +46,6 @@ from trigpos.quadrature import chi_reference_integral, fractional_osc_integral, 
 __all__ = [
     "BoundReport",
     "wedge",
-    "tail_bounds_AB",
-    "delta_tail_bound",
     "lemma_XYZ",
     "p_factor",
     "q_factor",
@@ -77,37 +75,6 @@ def wedge(theta, mu):
     if not 0 < theta < mp.pi:
         raise ValueError("theta must lie in (0, pi)")
     return (1 - (mp.sin(theta) / theta) ** (1 - mu)) / mp.sin(theta)
-
-
-def tail_bounds_AB(mu, n: int, theta):
-    """Majorants for the two integral-remainder families past index n:
-
-        A: (1-mu)/8 * n^(mu-2)
-        B: (theta/sin theta) * (1-mu)/6 * n^(mu-2)
-    """
-    mu = mp.mpf(mu)
-    theta = mp.mpf(theta)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    base = (1 - mu) * mp.mpf(n) ** (mu - 2)
-    return base / 8, (theta / mp.sin(theta)) * base / 6
-
-
-def delta_tail_bound(mu, n: int, a):
-    """mu(1-mu) / (2 sin(a) Gamma(mu) (n+1)^(2-mu)).
-
-    Valid for 1/3 <= mu < 1 and 0 < a < pi/2 (a is a lower cutoff for the
-    angle); both ranges are enforced.
-    """
-    mu = mp.mpf(mu)
-    a = mp.mpf(a)
-    if not mp.mpf(1) / 3 <= mu < 1:
-        raise ValueError("the tail estimate requires 1/3 <= mu < 1")
-    if not 0 < a < mp.pi / 2:
-        raise ValueError("a must lie in (0, pi/2)")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return mu * (1 - mu) / (2 * mp.sin(a) * mp.gamma(mu) * (n + 1) ** (2 - mu))
 
 
 def lemma_XYZ(mu, n: int, a, b):
@@ -215,12 +182,7 @@ def _region_1(rho_mp):
         l2 = mp.gamma(nu) * (
             2 * q0 * mp.sin(nu * b / 2) / mp.sin(b) - r0 * wedge(b, nu)
         )
-        ratio = b / mp.sin(b)
-        l3 = (
-            ratio * (1 - nu) / 12 * (3 * mp.pi / 2) ** (nu - 1)
-            + ratio**2 * (1 - nu) / 9 * (3 * mp.pi / 2) ** (nu - 1)
-            + nu * (1 - nu) * mp.pi * (2 * mp.pi) ** (nu - 2)
-        )
+        l3 = sum(lemma_XYZ(nu, 3, mp.pi / 4, b))
         quad_err = (
             abs(mp.cos(rho_mp * b) / mp.sin(b)) * s_res.err + rho_mp * c_res.err
         )
@@ -253,39 +215,38 @@ def _region_2(rho_mp):
     return formula
 
 
-# (b for the oscillatory kernel, kernel upper limit factory, theta at which
-# the bracket factors are frozen, X/Y denominators, X/Y power base, Z term
-# factory) per region
+# (b for the oscillatory kernel, kernel upper limit, theta at which the
+# bracket factors are frozen, tail block L3) per region
 def _region_3x(which: str, rho_mp):
     if which == "31":
         b_kernel = mp.pi / 12
         x_upper = mp.pi
         theta0 = mp.pi / 8
-        xy_div = (12, 9)
-        xy_base = 2 * mp.pi / 5
 
-        def z_term(nu):
-            return nu * (1 - nu) * mp.pi * (2 * mp.pi / 3) ** (nu - 2)
+        def tail(nu):
+            # explicit: the X/Y panels use a = pi/15, the Z panel a = pi/12
+            ratio = theta0 / mp.sin(theta0)
+            return (
+                ratio * (1 - nu) / 12 * (2 * mp.pi / 5) ** (nu - 1)
+                + ratio**2 * (1 - nu) / 9 * (2 * mp.pi / 5) ** (nu - 1)
+                + nu * (1 - nu) * mp.pi * (2 * mp.pi / 3) ** (nu - 2)
+            )
 
     elif which == "32":
         b_kernel = mp.pi / 6
         x_upper = (1 + 5 * rho_mp / 6) * mp.pi
         theta0 = mp.pi / 6
-        xy_div = (16, 12)
-        xy_base = 4 * mp.pi / 5
 
-        def z_term(nu):
-            return nu * (1 - nu) * mp.pi ** (nu - 1)
+        def tail(nu):
+            return sum(lemma_XYZ(nu, 4, mp.pi / 10, theta0))
 
     else:  # "33"
         b_kernel = mp.pi / 3
         x_upper = 3 * mp.pi / 2
         theta0 = mp.pi / 3
-        xy_div = (16, 12)
-        xy_base = 4 * mp.pi / 3
 
-        def z_term(nu):
-            return nu * (1 - nu) * mp.pi * (5 * mp.pi / 3) ** (nu - 2)
+        def tail(nu):
+            return sum(lemma_XYZ(nu, 4, mp.pi / 6, theta0))
 
     def formula(nu):
         k_res = frak_K(b_kernel, x_upper, rho_mp, nu)
@@ -293,12 +254,7 @@ def _region_3x(which: str, rho_mp):
         q0 = mp.cos(nu * mp.pi / 2 - rho_mp * mp.pi)
         r_theta = _r_shifted(mp.cos, nu, theta0, eta0)
         l2 = mp.gamma(nu) * (nu * q0 - r_theta * wedge(theta0, nu))
-        ratio = theta0 / mp.sin(theta0)
-        l3 = (
-            ratio * (1 - nu) / xy_div[0] * xy_base ** (nu - 1)
-            + ratio**2 * (1 - nu) / xy_div[1] * xy_base ** (nu - 1)
-            + z_term(nu)
-        )
+        l3 = tail(nu)
         comps = {
             "L1": k_res.value,
             "L2": l2,

@@ -22,7 +22,8 @@ CASE is one of
                    conversion in both normalizations
 
 Exit status: 0 when every sub-check passes, 1 when any sub-check fails or is
-inconclusive, 2 for usage errors (unknown case, rho outside (0, 1]).
+inconclusive, 2 for usage errors (unknown case, rho outside (0, 1], a config
+key or value that does not parse).
 
 Reports are deterministic: identical invocations at the same precision print
 byte-identical output apart from the wall-time figure.  The env var
@@ -653,15 +654,15 @@ def run_gegenbauer(nmax: int, lam: float, genfunc_tol: float) -> VerificationRep
 def _parse_rational(text) -> Fraction:
     try:
         return Fraction(str(text))
-    except (ValueError, ZeroDivisionError):
-        pass
-    mant, sep, exp = str(text).lower().partition("e")
-    if sep:
-        try:
-            return Fraction(mant) * Fraction(10) ** int(exp)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise UsageError(f"cannot parse {text!r} as a rational number")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"cannot parse {text!r} as a rational number") from exc
+
+
+def _parse_int(text) -> int:
+    value = _parse_rational(text)
+    if value.denominator != 1:
+        raise UsageError(f"expected an integer, got {text!r}")
+    return int(value)
 
 
 def _parse_rho(text) -> Fraction:
@@ -716,33 +717,44 @@ def _load_config(path) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(cfg) - set(DEFAULTS))
+    if unknown:
+        raise UsageError(f"config {path} has unknown keys: {', '.join(unknown)}")
     return cfg
 
 
+# settings that are not plain floats
+_PARSERS = {"width": _parse_rational, "nmax": _parse_int, "rho": _parse_rho}
+
+
 def _setting(args, config: dict, key: str):
-    """Flag value if given, else config value, else built-in default."""
+    """Flag value if given, else config value, else built-in default,
+    converted to its type; a value that does not convert is a usage error."""
     val = getattr(args, key.replace("-", "_"))
     if val is None:
         val = config.get(key, DEFAULTS[key])
-    return val
+    try:
+        return _PARSERS.get(key, float)(val)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad value {val!r} for {key}") from exc
 
 
 def _dispatch_verify(args, config: dict) -> VerificationReport:
     case = args.case
-    nmax = int(_setting(args, config, "nmax"))
+    nmax = _setting(args, config, "nmax")
     if nmax < 1:
         raise UsageError("--nmax must be at least 1")
-    rho = _parse_rho(_setting(args, config, "rho"))
-    master_min = float(_setting(args, config, "master-min"))
-    master_tol = float(_setting(args, config, "master-tol"))
+    rho = _setting(args, config, "rho")
+    master_min = _setting(args, config, "master-min")
+    master_tol = _setting(args, config, "master-tol")
     if case == "thm-2-3":
         return run_thm_2_3(nmax, master_min, master_tol,
-                           float(_setting(args, config, "chi-tol")))
+                           _setting(args, config, "chi-tol"))
     if case == "thm-1-3":
         return run_thm_1_3(nmax, rho)
     if case == "gegenbauer":
-        return run_gegenbauer(nmax, float(_setting(args, config, "lam")),
-                              float(_setting(args, config, "genfunc-tol")))
+        return run_gegenbauer(nmax, _setting(args, config, "lam"),
+                              _setting(args, config, "genfunc-tol"))
     if case.startswith("sturm:"):
         name = case[len("sturm:"):]
         if name not in STURM_NAMES + ("all",):
@@ -767,11 +779,10 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         if args.command == "mustar":
             rho = _parse_rho(args.rho)
-            width = _parse_rational(_setting(args, config, "width"))
+            width = _setting(args, config, "width")
             if width <= 0:
                 raise UsageError("--width must be positive")
-            report = run_mustar(
-                rho, width, float(_setting(args, config, "residual-tol")))
+            report = run_mustar(rho, width, _setting(args, config, "residual-tol"))
         else:
             report = _dispatch_verify(args, config)
         report.wall_time_s = time.perf_counter() - start

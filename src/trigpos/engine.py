@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _SQRT6 = Fraction(24494897427831780981972840747, 10**28)  # < sqrt(6)
+_INITIAL_POINTS = 4097  # first grid on every chunk
+_MAX_TOTAL_POINTS = 50_000_000  # evaluation budget before "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -122,14 +124,7 @@ def _wedge_prefix(tsum: TrigSum, a: Fraction, b: Fraction):
     return None
 
 
-def certify_positive_trig(
-    tsum: TrigSum,
-    interval,
-    label: str | None = None,
-    initial_points: int = 4097,
-    max_total_points: int = 50_000_000,
-    use_wedge: bool = True,
-) -> GridCertificate:
+def certify_positive_trig(tsum: TrigSum, interval, label: str | None = None) -> GridCertificate:
     """Certify (or refute) positivity of tsum on the closed interval.
 
     interval endpoints may be floats, Fractions, or strings; they are
@@ -150,16 +145,15 @@ def certify_positive_trig(
 
     detail = ""
     grid_start = a
-    if use_wedge:
-        cutoff = _wedge_prefix(tsum, a, b)
-        if cutoff is not None:
-            detail = f"wedge bound certified [{float(a):.6g}, {float(cutoff):.6g}]"
-            if cutoff >= b:
-                return GridCertificate(
-                    label, (float(a), float(b)), 0.0, lip, math.inf,
-                    eval_err, "certified", None, detail,
-                )
-            grid_start = cutoff
+    cutoff = _wedge_prefix(tsum, a, b)
+    if cutoff is not None:
+        detail = f"wedge bound certified [{float(a):.6g}, {float(cutoff):.6g}]"
+        if cutoff >= b:
+            return GridCertificate(
+                label, (float(a), float(b)), 0.0, lip, math.inf,
+                eval_err, "certified", None, detail,
+            )
+        grid_start = cutoff
 
     stack = [(float(grid_start), float(b))]
     total = 0
@@ -168,9 +162,9 @@ def certify_positive_trig(
     while stack:
         lo, hi = stack.pop()
         span = hi - lo
-        n = initial_points
+        n = _INITIAL_POINTS
         while True:
-            if total + n > max_total_points:
+            if total + n > _MAX_TOTAL_POINTS:
                 return GridCertificate(
                     label, (float(a), float(b)), h_max, lip, min_seen,
                     eval_err, "inconclusive", None,

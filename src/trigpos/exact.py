@@ -1,9 +1,9 @@
-"""Exact rational polynomial arithmetic, Sturm chains, and positivity certificates.
+"""Exact rational polynomial arithmetic, Sturm root counts and rational enclosures.
 
 Everything here is exact: coefficients are `fractions.Fraction`, sign
-evaluations go through integer arithmetic, and a `Certificate` with status
-``certified`` is sound by construction -- there is no floating point anywhere
-in this module.
+evaluations go through integer arithmetic, and a root count is the true
+count of distinct real roots -- there is no floating point anywhere in this
+module.
 """
 
 from __future__ import annotations
@@ -13,20 +13,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 __all__ = [
-    "Rational",
     "Polynomial",
     "SturmChain",
     "Enclosure",
-    "Certificate",
     "sturm_chain",
     "count_roots_in",
-    "certify_positive_poly",
     "poly_with_interval_coeffs",
 ]
-
-# Exact scalar type.  fractions.Fraction already maintains the invariants we
-# need (positive denominator, reduced form after every operation).
-Rational = Fraction
 
 
 def _as_fraction(x) -> Fraction:
@@ -382,158 +375,6 @@ class Enclosure:
         return Enclosure(min(products), max(products))
 
     __rmul__ = __mul__
-
-
-# ---------------------------------------------------------------------------
-# Certificates
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Machine-checkable record of a strict-positivity claim.
-
-    status ``certified`` implies margin > 0 and the target provably exceeds
-    the margin on the whole interval; ``refuted`` means a zero or sign change
-    was proven to exist (with a rational witness where one exists -- a zero at
-    an irrational point is still a sound refutation of *strict* positivity,
-    in which case witness is None and detail says so).
-    """
-
-    target: str
-    interval: tuple[Fraction, Fraction]
-    method: str
-    margin: Fraction | None
-    status: str  # certified | refuted | inconclusive
-    witness: Fraction | None = None
-    detail: str = ""
-
-
-def _interval_eval(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Rigorous range bound of a polynomial on [lo, hi] by interval Horner."""
-    rlo, rhi = Fraction(0), Fraction(0)
-    for c in reversed(coeffs):
-        cands = (rlo * lo, rlo * hi, rhi * lo, rhi * hi)
-        rlo, rhi = min(cands) + c, max(cands) + c
-    return rlo, rhi
-
-
-def _find_refutation_witness(p: Polynomial, a: Fraction, b: Fraction) -> Fraction | None:
-    """Search for a rational point in [a, b] where p <= 0.
-
-    Exact-grid scan followed by bisection on a sign change of the squarefree
-    part.  Returns None when no rational witness exists (e.g. an isolated
-    zero at an irrational point with p > 0 elsewhere).
-    """
-    grid = 64
-    pts = [a + (b - a) * Fraction(i, grid) for i in range(grid + 1)]
-    for x in pts:
-        if p.sign_at(x) <= 0:
-            return x
-    p0 = squarefree_part(p)
-    prev = pts[0]
-    sprev = p0.sign_at(prev)
-    for x in pts[1:]:
-        s = p0.sign_at(x)
-        if s == 0:
-            return x if p.sign_at(x) <= 0 else None
-        if s * sprev < 0:
-            lo, hi = prev, x
-            for _ in range(80):
-                mid = (lo + hi) / 2
-                if p.sign_at(mid) <= 0:
-                    return mid
-                if p0.sign_at(mid) * p0.sign_at(lo) < 0:
-                    hi = mid
-                else:
-                    lo = mid
-            for x2 in (lo, hi):
-                if p.sign_at(x2) <= 0:
-                    return x2
-        prev, sprev = x, s
-    return None
-
-
-def _sturm_certify(p: Polynomial, a: Fraction, b: Fraction, target: str) -> Certificate:
-    chain = sturm_chain(p)
-    nroots = count_roots_in(chain, a, b)
-    sign_a = p.sign_at(a)
-    if sign_a > 0 and nroots == 0:
-        # p > 0 on all of [a, b]; now extract a quantitative margin m by
-        # certifying p - m root-free the same way.
-        probe = min(p(a), p(b), p((a + b) / 2))
-        m = probe / 2
-        for _ in range(80):
-            shifted = p - Polynomial([m])
-            if shifted.sign_at(a) > 0 and count_roots_in(sturm_chain(shifted), a, b) == 0:
-                return Certificate(target, (a, b), "sturm", m, "certified")
-            m = m / 2
-        # Enormously unlikely fallback: positivity proven, margin search stalled.
-        return Certificate(target, (a, b), "sturm", None, "inconclusive",
-                           detail="root-free and positive, but no quantitative margin found")
-    witness = _find_refutation_witness(p, a, b)
-    if witness is not None:
-        return Certificate(target, (a, b), "sturm", None, "refuted", witness)
-    if nroots > 0 or sign_a == 0:
-        return Certificate(target, (a, b), "sturm", None, "refuted", None,
-                           detail="a zero exists in the interval but has no rational witness")
-    return Certificate(target, (a, b), "sturm", None, "inconclusive")
-
-
-def _subdivision_certify(p: Polynomial, a: Fraction, b: Fraction, target: str,
-                         max_pieces: int = 1 << 14) -> Certificate:
-    work = [(a, b)]
-    margin: Fraction | None = None
-    pieces = 0
-    while work:
-        lo, hi = work.pop()
-        pieces += 1
-        if pieces > max_pieces:
-            return Certificate(target, (a, b), "interval-subdivision", None,
-                               "inconclusive", detail="subdivision limit reached")
-        rlo, _ = _interval_eval(p.coeffs, lo, hi)
-        if rlo > 0:
-            margin = rlo if margin is None else min(margin, rlo)
-            continue
-        mid = (lo + hi) / 2
-        if p.sign_at(mid) <= 0:
-            return Certificate(target, (a, b), "interval-subdivision", None,
-                               "refuted", mid)
-        if p.sign_at(lo) <= 0:
-            return Certificate(target, (a, b), "interval-subdivision", None,
-                               "refuted", lo)
-        work.append((lo, mid))
-        work.append((mid, hi))
-    assert margin is not None and margin > 0
-    return Certificate(target, (a, b), "interval-subdivision", margin, "certified")
-
-
-def certify_positive_poly(p: Polynomial, interval, method: str = "sturm",
-                          target: str = "poly") -> Certificate:
-    """Certify p > 0 on the closed interval, or refute / give up soundly.
-
-    method "sturm": exact root count of the squarefree part plus an endpoint
-    sign, then a verified quantitative margin.  method "interval-subdivision":
-    rigorous range bounds by interval Horner, bisected until decisive.  A
-    ``certified`` result is sound for every point of [a, b]; ``refuted``
-    carries a rational witness whenever one exists.
-    """
-    a, b = (_as_fraction(interval[0]), _as_fraction(interval[1]))
-    if a > b:
-        raise ValueError("empty interval")
-    if p.is_zero():
-        return Certificate(target, (a, b), method, None, "refuted", a,
-                           detail="zero polynomial")
-    if a == b:
-        v = p(a)
-        if v > 0:
-            return Certificate(target, (a, b), method, v, "certified")
-        return Certificate(target, (a, b), method, None, "refuted", a)
-    if method == "sturm":
-        return _sturm_certify(p, a, b, target)
-    if method == "interval-subdivision":
-        return _subdivision_certify(p, a, b, target)
-    raise ValueError(f"unknown certification method {method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ with g in {sin, cos}, rational frequencies and phases, and coefficients kept
 as rational enclosures.  Angle substitutions clear the fractional frequencies
 exactly, after which Chebyshev identities (cos kt = T_k(cos t),
 sin((k+1)t) = sin t * U_k(cos t)) turn the sum into a polynomial with exact
-(or enclosure) coefficients -- the inputs for the Sturm certificates.
+(or enclosure) coefficients -- the inputs for the Sturm root counts.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "pochhammer_coeff",
     "build_U_n",
     "build_varsigma",
-    "build_ell",
     "build_omega",
     "chebyshev_T",
     "chebyshev_U",
@@ -93,13 +92,7 @@ class TrigSum:
             total += cmax * t.freq
         return total
 
-    def float_terms(self):
-        """(coeff_mid, freq, phase_in_radians-less-pi, kind) floats for vector eval."""
-        return [(float(t.coeff.mid), float(t.freq), float(t.phase_pi), t.kind)
-                for t in self.terms]
-
-    def substitute_theta(self, t_coeff: Fraction, t_shift_pi: Fraction,
-                         label: str | None = None) -> "TrigSum":
+    def substitute_theta(self, t_coeff: Fraction, t_shift_pi: Fraction) -> "TrigSum":
         """Rewrite in a new variable t where theta = t_coeff * t + t_shift_pi * pi.
 
         Exact: frequencies scale by t_coeff, phases absorb freq * t_shift_pi.
@@ -112,7 +105,7 @@ class TrigSum:
             TrigTerm(t.coeff, t.freq * t_coeff, t.phase_pi + t.freq * t_shift_pi, t.kind)
             for t in self.terms
         )
-        return TrigSum(new_terms, label if label is not None else self.label)
+        return TrigSum(new_terms, self.label)
 
 
 # ---------------------------------------------------------------------------
@@ -182,21 +175,6 @@ def build_varsigma(n: int, rho, mu) -> TrigSum:
     return TrigSum(terms, f"varsigma_{n}")
 
 
-def build_ell(n: int, rho, mu) -> TrigSum:
-    """sum_{k<=n} d_k cos((2k + rho) theta - (rho - 1/2) pi).
-
-    Equals build_varsigma evaluated at pi - theta (checked by tests, used by
-    the region bounds in the flipped variable).
-    """
-    rho = Fraction(rho)
-    mu = _as_mu_enclosure(mu)
-    terms = tuple(
-        TrigTerm(pochhammer_coeff(mu, k), 2 * k + rho, HALF - rho, "cos")
-        for k in range(n + 1)
-    )
-    return TrigSum(terms, f"ell_{n}")
-
-
 def build_omega(n: int) -> TrigSum:
     """sum_{k<=n} ((1/2)_k / k!) sin((2k + 1/3) theta) -- the mu = 1/2 sine sum."""
     terms = tuple(
@@ -259,9 +237,6 @@ class Reduction:
 
     def envelopes(self, x_interval) -> tuple[Polynomial, Polynomial]:
         return poly_with_interval_coeffs(self.coeffs, x_interval)
-
-    def midpoint_polynomial(self) -> Polynomial:
-        return Polynomial([c.mid for c in self.coeffs])
 
 
 def _normalized_terms(tsum: TrigSum):

@@ -14,12 +14,10 @@ from trigpos.bounds import (
     BoundReport,
     L_region,
     REGIONS,
-    delta_tail_bound,
     lemma_XYZ,
     p_factor,
     q_factor,
     scan_neighborhood,
-    tail_bounds_AB,
     two_thirds_master_bound,
     wedge,
 )
@@ -54,30 +52,6 @@ def test_wedge_frozen_and_monotone():
         wedge(mp.pi, NU0)
     with pytest.raises(ValueError):
         wedge(0, NU0)
-
-
-def test_tail_bounds_AB():
-    theta = mp.pi / 5
-    a5, b5 = tail_bounds_AB(NU0, 5, theta)
-    a50, b50 = tail_bounds_AB(NU0, 50, theta)
-    assert a5 > a50 > 0 and b5 > b50 > 0
-    # fixed ratio B/A = (4/3) * theta / sin(theta)
-    want = mp.mpf(4) / 3 * theta / mp.sin(theta)
-    assert abs(b5 / a5 - want) < mp.mpf("1e-25")
-    with pytest.raises(ValueError):
-        tail_bounds_AB(NU0, 0, theta)
-
-
-def test_delta_tail_bound():
-    vals = [delta_tail_bound(NU0, n, mp.pi / 5) for n in (1, 5, 50, 500)]
-    assert all(v > 0 for v in vals)
-    assert vals == sorted(vals, reverse=True)
-    with pytest.raises(ValueError):
-        delta_tail_bound(mp.mpf("0.2"), 5, mp.pi / 5)  # mu below 1/3
-    with pytest.raises(ValueError):
-        delta_tail_bound(NU0, 5, mp.pi / 2)  # cutoff not below pi/2
-    with pytest.raises(ValueError):
-        delta_tail_bound(NU0, 0, mp.pi / 5)
 
 
 def test_lemma_XYZ():

@@ -29,6 +29,8 @@ def test_mustar_rejects_bad_rho(capsys):
 def test_mustar_rejects_bad_width(capsys):
     assert main(["mustar", "0.5", "--width=-1e-9"]) == 2
     assert "width" in capsys.readouterr().err
+    assert main(["mustar", "0.5", "--width", "1/2e3"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_case_is_usage_error(capsys):
@@ -93,7 +95,17 @@ def test_config_errors_are_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
     assert main(["verify", "gegenbauer", "--config", str(bad)]) == 2
-    capsys.readouterr()
+    # values that do not convert, a non-integer nmax and an unknown key
+    for argv, cfg in (
+        (["verify", "gegenbauer"], {"nmax": "ten"}),
+        (["verify", "gegenbauer"], {"nmax": 8.9}),
+        (["verify", "gegenbauer"], {"master-min": [1]}),
+        (["verify", "gegenbauer"], {"no-such-key": 1}),
+        (["mustar", "1"], {"residual-tol": "abc"}),
+    ):
+        bad.write_text(json.dumps(cfg))
+        assert main(argv + ["--config", str(bad)]) == 2, cfg
+        assert "error:" in capsys.readouterr().err
 
 
 def test_nmax_guard(capsys):

@@ -44,7 +44,7 @@ def test_certify_obviously_positive():
 def test_certify_refutes_with_witness():
     # sin(theta) - 3/5 dips negative near the interval ends
     s = _sum(_term(1, 1, kind="sin"), _term(F(-3, 5), 0))
-    cert = certify_positive_trig(s, (F(1, 10), 3), use_wedge=False)
+    cert = certify_positive_trig(s, (F(1, 10), 3))
     assert cert.status == "refuted"
     assert cert.witness is not None
     precise = s.eval_mp(mp.mpf(cert.witness))
@@ -59,9 +59,6 @@ def test_certify_wedge_prefix_detail():
     cert = certify_positive_trig(s, (F(1, 1000), F(3, 2)))
     assert cert.certified
     assert "wedge bound certified" in cert.detail
-    plain = certify_positive_trig(s, (F(1, 1000), F(3, 2)), use_wedge=False)
-    assert plain.certified
-    assert "wedge" not in plain.detail
 
 
 def test_certify_wedge_can_cover_whole_interval():
@@ -92,7 +89,7 @@ def test_certified_sums_are_actually_positive():
         # certifier must agree
         terms.append(_term(weight + 1, 0))
         s = _sum(*terms, label=f"random-{trial}")
-        cert = certify_positive_trig(s, (F(1, 10), 3), use_wedge=False)
+        cert = certify_positive_trig(s, (F(1, 10), 3))
         assert cert.certified, trial
         # independent spot check of the certified claim
         xs = [rng.uniform(0.1, 3.0) for _ in range(50)]

@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic, Sturm chains, enclosures, certificates."""
+"""Exact polynomial arithmetic, Sturm chains, enclosures, envelopes."""
 
 import random
 from fractions import Fraction
@@ -7,11 +7,9 @@ import pytest
 from mpmath import mp
 
 from trigpos.exact import (
-    Certificate,
     Enclosure,
     Polynomial,
     _as_fraction,
-    certify_positive_poly,
     count_roots_in,
     poly_gcd,
     poly_with_interval_coeffs,
@@ -166,40 +164,6 @@ def test_enclosure_sub_contains_difference():
         # every pointwise difference must land inside
         for x, y in ((a.lo, b.lo), (a.lo, b.hi), (a.hi, b.lo), (a.hi, b.hi)):
             assert d.lo <= x - y <= d.hi
-
-
-def test_certify_positive_simple():
-    cert = certify_positive_poly(Polynomial([1, 0, 1]), (F(-5), F(5)))
-    assert cert.status == "certified"
-    assert cert.margin is not None and cert.margin > 0
-
-
-def test_certify_refutes_with_witness():
-    # x^2 - 1 is negative inside (-1, 1)
-    cert = certify_positive_poly(Polynomial([-1, 0, 1]), (F(-2), F(2)))
-    assert cert.status == "refuted"
-    assert cert.witness is not None
-    p = Polynomial([-1, 0, 1])
-    assert p(cert.witness) <= 0
-
-
-def test_certify_subdivision_agrees_with_sturm():
-    rng = random.Random(3)
-    for _ in range(25):
-        # build something positive: q^2 + small constant
-        q = Polynomial([F(rng.randint(-4, 4)) for _ in range(4)])
-        p = q * q + Polynomial([F(1, rng.randint(1, 7))])
-        iv = (F(-2), F(2))
-        c1 = certify_positive_poly(p, iv, method="sturm")
-        c2 = certify_positive_poly(p, iv, method="interval-subdivision")
-        assert c1.status == "certified"
-        assert c2.status == "certified"
-
-
-def test_certificate_is_dataclass_record():
-    cert = certify_positive_poly(Polynomial([2]), (F(0), F(1)))
-    assert isinstance(cert, Certificate)
-    assert cert.interval == (F(0), F(1))
 
 
 def test_envelopes_bound_all_choices():

@@ -11,7 +11,6 @@ from trigpos.trigsums import (
     SturmTarget,
     TrigSum,
     TrigTerm,
-    build_ell,
     build_omega,
     build_U_n,
     build_varsigma,
@@ -92,15 +91,6 @@ def test_build_U_n_matches_direct_sum():
             direct += d * mp.cos((2 * k + mp.mpf(1) / 3) * phi - mp.pi / 6)
             d *= (mp.mpf(4) / 5 + k) / (k + 1)
         assert abs(s.eval_mp(phi) - direct) < 1e-25
-
-
-def test_ell_is_varsigma_reflected():
-    rho, mu = F(1, 3), F(1, 2)
-    vs = build_varsigma(4, rho, mu)
-    el = build_ell(4, rho, mu)
-    for j in range(1, 10):
-        theta = mp.pi * j / 10
-        assert abs(el.eval_mp(theta) - vs.eval_mp(mp.pi - theta)) < 1e-25
 
 
 def test_substitute_theta_is_exact():
