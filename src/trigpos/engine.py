@@ -5,7 +5,11 @@ finite trigonometric sums: with L an upper bound for the sum's derivative
 (sum of |coefficient| * frequency, computed exactly from the term data) and
 m the minimum over a grid of step h, the sum exceeds m - L*h/2 between grid
 points.  A chunk is certified once m - L*h/2 - eval_err > 0, where eval_err
-budgets both float64 evaluation noise and coefficient-enclosure width.
+adds two terms.  The coefficient term, the enclosure half-widths, is exact;
+it also covers the outward rounding of interval coefficients.  The float64
+term, sum |c| * 1e-12, is an estimate, not a proven bound: it assumes numpy's
+sin/cos are accurate to a few ulp and that the `linspace` nodes are equally
+spaced up to rounding.
 Chunks that fail are re-gridded at the step the observed minimum calls for,
 or split; a grid point whose value is decisively negative is re-evaluated
 in high precision and, if confirmed, becomes a refutation witness.  The
@@ -62,7 +66,10 @@ class GridCertificate:
     h is the coarsest step used on any certified chunk; min_value the
     smallest grid value seen; witness (refuted only) a point where the sum
     is provably negative.  status "certified" guarantees positivity on the
-    whole closed interval; "inconclusive" guarantees nothing.
+    whole closed interval under the assumptions of eval_err, whose float64
+    part (sum |c| * 1e-12) is an estimate: numpy sin/cos within a few ulp
+    and grid nodes equally spaced up to rounding; "inconclusive" guarantees
+    nothing.
     """
 
     label: str
@@ -139,9 +146,10 @@ def certify_positive_trig(tsum: TrigSum, interval, label: str | None = None) -> 
 
     lip = float(tsum.lipschitz()) * (1 + 1e-9)
     coeffs, freqs, phases, is_sin = _term_arrays(tsum)
-    # float64 noise: ~1ulp per trig call, inflated by four orders for slack,
-    # plus the enclosure half-widths carried by the coefficients themselves
-    eval_err = float(np.sum(np.abs(coeffs))) * 1e-12 + float(tsum.coeff_err())
+    # float64 noise estimate: ~1ulp per trig call, inflated by four orders
+    # for slack, plus the enclosure half-widths carried by the coefficients
+    coeff_err = float(tsum.coeff_err())
+    eval_err = float(np.sum(np.abs(coeffs))) * 1e-12 + coeff_err
 
     detail = ""
     grid_start = a
@@ -185,7 +193,7 @@ def certify_positive_trig(tsum: TrigSum, interval, label: str | None = None) -> 
                 # precision before declaring a refutation
                 with mp.workdps(working_dps() + 10):
                     precise = tsum.eval_mp(mp.mpf(theta[idx]))
-                    cutoff = mp.mpf(float(tsum.coeff_err())) * (1 + mp.mpf("1e-9"))
+                    cutoff = mp.mpf(coeff_err) * (1 + mp.mpf("1e-9"))
                     if precise < -cutoff:
                         return GridCertificate(
                             label, (float(a), float(b)), h_max, lip,

@@ -10,10 +10,11 @@ sin((k+1)t) = sin t * U_k(cos t)) turn the sum into a polynomial with exact
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
+from mpmath import iv, mp
 
 from trigpos.exact import Enclosure, Polynomial, _as_fraction, poly_with_interval_coeffs
 from trigpos.precision import working_dps
@@ -113,30 +114,39 @@ class TrigSum:
 # ---------------------------------------------------------------------------
 
 
-def _poch_fraction(mu: Fraction, k: int) -> Fraction:
-    d = Fraction(1)
-    for i in range(k):
-        d *= (mu + i)
-        d /= (i + 1)
-    return d
+def _poch_table(mu: Enclosure, n: int) -> list[Enclosure]:
+    """[pochhammer_coeff(mu, k) for k = 0..n], built in one pass."""
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    if not mu.is_exact() and mu.lo <= 0:
+        raise ValueError("interval coefficients need mu > 0")
+    bits = math.ceil((working_dps() + 20) * math.log2(10))  # the dyadic grain
+    lo = hi = Fraction(1)
+    table = [Enclosure(lo, hi)]
+    for k in range(n):
+        lo = lo * (mu.lo + k) / (k + 1)
+        hi = hi * (mu.hi + k) / (k + 1)
+        if not mu.is_exact():
+            if lo.denominator >> bits:
+                lo = Fraction((lo.numerator << bits) // lo.denominator, 1 << bits)
+            if hi.denominator >> bits:
+                hi = Fraction(-((-hi.numerator << bits) // hi.denominator), 1 << bits)
+        table.append(Enclosure(lo, hi))
+    return table
 
 
 def pochhammer_coeff(mu, k: int) -> Enclosure:
     """Enclosure of (mu)_k / k!; exact (degenerate) for exact rational mu.
 
-    For interval mu with mu.lo > 0 every factor (mu+i)/(i+1) is positive and
-    increasing in mu, so the product is monotone and the endpoint products
-    enclose it tightly.
+    Built by the recurrence d_{k+1} = d_k (mu+k)/(k+1) on both endpoints of
+    mu.  For interval mu (mu.lo > 0 required) every factor is positive and
+    increasing in mu, so a lower (upper) bound times the lower (upper)
+    factor stays a lower (upper) bound.  That still holds when an endpoint
+    whose denominator outgrows 2^b, b = ceil((working_dps() + 20) log2 10),
+    is rounded outward (lo down, hi up) to a multiple of 2^-b, which keeps
+    endpoints at about b bits.  Exact mu is never rounded.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    mu = _as_mu_enclosure(mu)
-    if mu.is_exact():
-        v = _poch_fraction(mu.lo, k)
-        return Enclosure(v, v)
-    if mu.lo <= 0:
-        raise ValueError("interval coefficients need mu > 0")
-    return Enclosure(_poch_fraction(mu.lo, k), _poch_fraction(mu.hi, k))
+    return _poch_table(_as_mu_enclosure(mu), k)[k]
 
 
 def _as_mu_enclosure(mu) -> Enclosure:
@@ -154,12 +164,9 @@ def _as_mu_enclosure(mu) -> Enclosure:
 
 def build_U_n(n: int, mu) -> TrigSum:
     """sum_{k<=n} d_k cos((2k + 1/3) phi - pi/6) with d_k = (mu)_k / k!."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    mu = _as_mu_enclosure(mu)
     terms = tuple(
-        TrigTerm(pochhammer_coeff(mu, k), 2 * k + Fraction(1, 3), Fraction(-1, 6), "cos")
-        for k in range(n + 1)
+        TrigTerm(d, 2 * k + Fraction(1, 3), Fraction(-1, 6), "cos")
+        for k, d in enumerate(_poch_table(_as_mu_enclosure(mu), n))
     )
     return TrigSum(terms, f"U_{n}")
 
@@ -167,10 +174,9 @@ def build_U_n(n: int, mu) -> TrigSum:
 def build_varsigma(n: int, rho, mu) -> TrigSum:
     """sum_{k<=n} d_k sin((2k + rho) theta)."""
     rho = Fraction(rho)
-    mu = _as_mu_enclosure(mu)
     terms = tuple(
-        TrigTerm(pochhammer_coeff(mu, k), 2 * k + rho, Fraction(0), "sin")
-        for k in range(n + 1)
+        TrigTerm(d, 2 * k + rho, Fraction(0), "sin")
+        for k, d in enumerate(_poch_table(_as_mu_enclosure(mu), n))
     )
     return TrigSum(terms, f"varsigma_{n}")
 
@@ -178,8 +184,8 @@ def build_varsigma(n: int, rho, mu) -> TrigSum:
 def build_omega(n: int) -> TrigSum:
     """sum_{k<=n} ((1/2)_k / k!) sin((2k + 1/3) theta) -- the mu = 1/2 sine sum."""
     terms = tuple(
-        TrigTerm(pochhammer_coeff(HALF, k), 2 * k + Fraction(1, 3), Fraction(0), "sin")
-        for k in range(n + 1)
+        TrigTerm(d, 2 * k + Fraction(1, 3), Fraction(0), "sin")
+        for k, d in enumerate(_poch_table(Enclosure.exact(HALF), n))
     )
     return TrigSum(terms, f"omega_{n}")
 
@@ -355,10 +361,9 @@ def case_P(mu) -> Reduction:
 
 
 def _sine_case(label: str, mu, orders: tuple[int, ...]) -> Reduction:
-    mu = _as_mu_enclosure(mu)
+    d = _poch_table(_as_mu_enclosure(mu), len(orders) - 1)
     terms = tuple(
-        TrigTerm(pochhammer_coeff(mu, k), Fraction(m), Fraction(0), "sin")
-        for k, m in enumerate(orders)
+        TrigTerm(d[k], Fraction(m), Fraction(0), "sin") for k, m in enumerate(orders)
     )
     return reduce_to_polynomial(TrigSum(terms, label), "x = cos t")
 
@@ -389,17 +394,19 @@ def case_q(n: int) -> Reduction:
 
 
 def _outward(value_fn, below: bool) -> Fraction:
-    """Rational bound strictly below/above a computed real.
+    """Rational bound below/above a real that value_fn encloses in mpmath.iv.
 
-    value_fn is evaluated at padded precision; the pad exceeds the mpf
-    rounding error by many orders of magnitude, so the returned rational is
-    certified to lie on the requested side of the true value.
+    value_fn runs with iv at working_dps() + 15 digits; interval arithmetic
+    rounds every operation outward, so the lower (upper) endpoint of its
+    result, read exactly, lies below (above) the true value.
     """
-    dps = working_dps() + 15
-    with mp.workdps(dps):
-        f = _as_fraction(value_fn())
-    pad = Fraction(1, 10 ** (working_dps() + 5))
-    return f - pad if below else f + pad
+    saved = iv.prec
+    iv.dps = working_dps() + 15
+    try:
+        enc = value_fn()
+    finally:
+        iv.prec = saved
+    return _as_fraction(mp.make_mpf(enc._mpi_[0 if below else 1]))
 
 
 @dataclass(frozen=True)
@@ -446,7 +453,7 @@ def sturm_case_plan(mu) -> list[SturmTarget]:
     interval actually claimed.
     """
     q3_stated_lo = Fraction(37059, 100000)
-    q3_derived_lo = _outward(lambda: mp.cos(7 * mp.pi / 24) ** 2, below=True)
+    q3_derived_lo = _outward(lambda: iv.cos(7 * iv.pi / 24) ** 2, below=True)
     targets = [
         SturmTarget("q1", case_q(1), (Fraction(0), Fraction(1)),
                     (("q1(0)", Fraction(0)),), "no zeros in (0,1), positive at 0"),
@@ -457,7 +464,7 @@ def sturm_case_plan(mu) -> list[SturmTarget]:
         SturmTarget(
             "q3-derived", case_q(3),
             (q3_derived_lo,
-             _outward(lambda: mp.cos(2 * mp.pi / 9) ** 2, below=False)),
+             _outward(lambda: iv.cos(2 * iv.pi / 9) ** 2, below=False)),
             (("q3(cos^2(7pi/24))", q3_derived_lo),),
             "interval induced by theta in [2pi/3, 7pi/8]"),
     ]
@@ -469,14 +476,14 @@ def sturm_case_plan(mu) -> list[SturmTarget]:
         targets += [
             SturmTarget(
                 "P-near-0", p_red,
-                (Fraction(1, 2), _outward(lambda: mp.cos(7 * mp.pi / 27), below=False)),
+                (Fraction(1, 2), _outward(lambda: iv.cos(7 * iv.pi / 27), below=False)),
                 (("P(-pi/3)", Fraction(1, 2)),),
                 "t in (-pi/3, -7pi/27]; P(-pi/3) = -mu(mu+1)/4 < 0 exactly, so "
                 "that point check fails for every mu in (0,1]; with zero roots "
                 "P < 0 on the whole interval: root-freeness only, no sign"),
             SturmTarget(
                 "P-mid", p_red,
-                (_outward(lambda: mp.cos(mp.pi / 5), below=True), Fraction(1)),
+                (_outward(lambda: iv.cos(iv.pi / 5), below=True), Fraction(1)),
                 (("P(0)", Fraction(1)),),
                 "t in [-pi/5, 0]; P(0) = 2(1 - mu) at the endpoint x = 1"),
             SturmTarget(

@@ -143,3 +143,14 @@ def test_weak_check_other_rho_has_no_boundary_figure():
     rep = weak_conjecture_check(F(1, 2), 0.85, n_max=4, r_values=(0.9,), n_theta=60)
     assert rep.boundary_max_diff is None
     assert rep.passed
+
+
+def test_hostile_sums_below_eval_err_are_never_certified():
+    # 1 - cos(theta) has a double zero on the grid node theta = 0; shifting
+    # it by 1e-14, far below eval_err, leaves the sign undecidable in float64
+    for shift in (F(0), F(1, 10**14), F(-1, 10**14)):
+        s = _sum(_term(1 + shift, 0), _term(-1, 1), label=f"1+({shift})-cos")
+        cert = certify_positive_trig(s, (F(-1, 2), F(1, 2)))
+        assert cert.status != "certified", shift
+        if shift > 0:
+            assert cert.status != "refuted", shift

@@ -1,12 +1,15 @@
 """Trig sums, Chebyshev reductions, and the named case polynomials."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 from trigpos.exact import Enclosure
+from trigpos.mustar import mu_star
+from trigpos.precision import working_dps
 from trigpos.trigsums import (
     SturmTarget,
     TrigSum,
@@ -25,6 +28,7 @@ from trigpos.trigsums import (
     run_sturm_target,
     sturm_case_plan,
 )
+from trigpos.trigsums import _outward  # private: checked against 80 digits
 
 F = Fraction
 mp.dps = 30
@@ -243,3 +247,49 @@ def test_coeff_err_and_lipschitz():
     ))
     assert s.coeff_err() == (F(3, 5) - F(1, 2)) / 2
     assert s.lipschitz() == F(3, 5) * 7 + F(1, 4) * 2
+
+
+def _direct_poch(mu: Fraction, k: int) -> Fraction:
+    """(mu)_k / k! as one product of integers over q^k k!, mu = p/q."""
+    p, q = mu.numerator, mu.denominator
+    return Fraction(math.prod(p + i * q for i in range(k)), q**k * math.factorial(k))
+
+
+def test_interval_coefficients_enclose_the_direct_product():
+    # oracle for the outward-rounded recurrence: each rounded endpoint lies
+    # outside the exact endpoint product, widens it by a negligible amount
+    # and stays at the dyadic grain instead of growing with k
+    enc = mu_star(F(2, 3), width=F(1, 10**20)).enclosure
+    table = [t.coeff for t in build_U_n(100, enc).terms]
+    assert pochhammer_coeff(enc, 100) == table[100]
+    limit = math.ceil((working_dps() + 20) * math.log2(10)) + 2  # grain + 2
+    for k, c in enumerate(table):
+        lo, hi = _direct_poch(enc.lo, k), _direct_poch(enc.hi, k)
+        assert c.lo <= lo and hi <= c.hi, k
+        assert c.width - (hi - lo) <= F(1, 10**25) * (hi - lo), k
+        for end in (c.lo, c.hi):
+            assert end.numerator.bit_length() <= limit, k
+            assert end.denominator.bit_length() <= limit, k
+
+
+def test_exact_mu_coefficients_are_never_rounded():
+    for mu in (F(1, 2), F(9, 10)):
+        for k, t in enumerate(build_U_n(100, mu).terms):
+            assert t.coeff.is_exact()
+            assert t.coeff.lo == _direct_poch(mu, k), (mu, k)
+
+
+def test_outward_bounds_lie_on_their_side():
+    with mp.workdps(80):
+        for fn, exact, below in (
+            (lambda: iv.cos(7 * iv.pi / 24) ** 2, mp.cos(7 * mp.pi / 24) ** 2, True),
+            (lambda: iv.cos(2 * iv.pi / 9) ** 2, mp.cos(2 * mp.pi / 9) ** 2, False),
+            (lambda: iv.cos(7 * iv.pi / 27), mp.cos(7 * mp.pi / 27), False),
+            (lambda: iv.cos(iv.pi / 5), mp.cos(mp.pi / 5), True),
+        ):
+            saved = iv.prec
+            bound = _outward(fn, below)
+            assert iv.prec == saved
+            gap = mp.mpf(bound.numerator) / bound.denominator - exact
+            assert (gap < 0) if below else (gap > 0)
+            assert abs(gap) < mp.mpf("1e-40")
