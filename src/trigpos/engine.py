@@ -1,27 +1,31 @@
 """Grid certification of trig-sum positivity, plus unit-disk spot checks.
 
-The grid certificate is the workhorse for "positive on [a, b]" claims about
-finite trigonometric sums: with L an upper bound for the sum's derivative
-(sum of |coefficient| * frequency, computed exactly from the term data) and
-m the minimum over a grid of step h, the sum exceeds m - L*h/2 between grid
-points.  A chunk is certified once m - L*h/2 - eval_err > 0, where eval_err
-adds two terms.  The coefficient term, the enclosure half-widths, is exact;
-it also covers the outward rounding of interval coefficients.  The float64
-term, sum |c| * 1e-12, is an estimate, not a proven bound: it assumes numpy's
-sin/cos are accurate to a few ulp and that the `linspace` nodes are equally
-spaced up to rounding.
-Chunks that fail are re-gridded at the step the observed minimum calls for,
-or split; a grid point whose value is decisively negative is re-evaluated
-in high precision and, if confirmed, becomes a refutation witness.  The
-three outcomes (certified / refuted / inconclusive) are explicit - running
-out of budget never silently certifies.
+A trig sum sum_k c_k g(f_k theta + phi_k pi) is Re sum_k c_k P_k with
+P_k = exp(i(f_k theta + phi'_k pi)), g written as a cosine.  The grid pass
+builds P_k = P_{k-1} s_k from one seed array per distinct step between
+terms (U_n and varsigma_n have one, of gap 2), so it makes no trig call per
+term; it accumulates the partial sums S_n in place and records each one's
+grid minimum m_n, so one pass over one grid decides every prefix n.
 
-Near theta = 0 a pure sine sum with nonnegative coefficients admits a
-termwise wedge bound: sin(x) >= x - x^3/6 on [0, sqrt(6)], so the sum
-dominates A*theta - B*theta^3/6 (A, B exact rationals built from the
-coefficient enclosures' conservative ends).  That cubic is concave on the
-admissible range, so positivity at the two endpoints certifies the whole
-leading subinterval without any grid.
+Certificate.  |S_n''| <= M2_n = sum_{k<=n} max|c_k| f_k^2, exact from the
+enclosures, and on a cell of width h a C^2 function lies above its linear
+interpolant minus M2 h^2/8; so S_n > 0 on [a, b] once
+m_n - M2_n h^2/8 - err_n > 0, where err_n bounds |float value - S_n| at
+every node for every coefficient in the enclosures.  err_n adds the exact
+coefficient half-widths, the exact rounding of the midpoints to float64 and
+a standard-model bound (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., ch. 3), u = 2^-53: a seed is off by 8u plus its
+argument's rounding, a complex product adds sqrt(2) gamma_2 (Lemma 3.5),
+so 1 + E_k = (1 + E_{k-1})(1 + e_seed)(1 + sqrt(2) gamma_2) bounds P_k's
+relative error; c_k Re P_k adds u, and term k passes n - k + 1 additions,
+gamma_{n-k+1}.  The one assumption is that numpy's sin and cos of the seed
+arguments are within 4 ulp of the true values (SVML builds are).
+
+The grid starts at 1,025 nodes and doubles, keeping the old nodes and
+evaluating the new ones in fixed-size chunks, until every n is decided.  A
+node value below -4 err_n that a high-precision recheck confirms is a
+refutation witness; m_n - err_n <= 0 without one, or the node budget, ends
+"inconclusive".
 
 The disk checks sample partial sums s_n(z) = sum (mu)_k/k! z^k on circles
 |z| = r < 1 and compare the sector/half-plane conditions against their
@@ -45,6 +49,7 @@ from trigpos.trigsums import TrigSum, build_U_n
 __all__ = [
     "GridCertificate",
     "certify_positive_trig",
+    "certify_partial_sums",
     "partial_sum",
     "closed_form_full_sum",
     "DiskSample",
@@ -54,28 +59,30 @@ __all__ = [
     "weak_conjecture_check",
 ]
 
-_SQRT6 = Fraction(24494897427831780981972840747, 10**28)  # < sqrt(6)
-_INITIAL_POINTS = 4097  # first grid on every chunk
-_MAX_TOTAL_POINTS = 50_000_000  # evaluation budget before "inconclusive"
+_U = 2.0**-53  # float64 unit roundoff
+_SEED_ERR = 8 * _U  # cos and sin within 4 ulp, so |computed - exact| <= 8u
+_MUL_ERR = math.sqrt(2) * 2 * _U / (1 - 2 * _U)  # complex product, Higham 3.5
+_SLACK = 1 + 1e-9  # rounding in the bound's own float sums, for < 10^6 terms
+_INITIAL_NODES = 1025
+_MAX_NODES = (1 << 20) + 1  # node budget before "inconclusive"
+_CHUNK = 1 << 14  # nodes per evaluation chunk
 
 
 @dataclass(frozen=True)
 class GridCertificate:
-    """Outcome of certify_positive_trig.
-
-    h is the coarsest step used on any certified chunk; min_value the
-    smallest grid value seen; witness (refuted only) a point where the sum
-    is provably negative.  status "certified" guarantees positivity on the
-    whole closed interval under the assumptions of eval_err, whose float64
-    part (sum |c| * 1e-12) is an estimate: numpy sin/cos within a few ulp
-    and grid nodes equally spaced up to rounding; "inconclusive" guarantees
-    nothing.
-    """
+    """Outcome of certifying one sum on [a, b]: nodes is the size of the
+    deciding grid, h a bound on its cells, curvature M2 >= |S''|, min_value
+    the smallest node value, eval_err the proven bound on |float node
+    value - S| if numpy sin/cos are within 4 ulp.  "certified" guarantees
+    positivity on the closed interval, as margin = min_value - M2 h^2/8 -
+    eval_err > 0; witness (refuted only) is a point where the sum is
+    provably negative; "inconclusive" guarantees nothing."""
 
     label: str
     interval: tuple[float, float]
+    nodes: int
     h: float
-    lipschitz: float
+    curvature: float
     min_value: float
     eval_err: float
     status: str
@@ -86,143 +93,148 @@ class GridCertificate:
     def certified(self) -> bool:
         return self.status == "certified"
 
-
-def _term_arrays(tsum: TrigSum):
-    coeffs = np.array([float(t.coeff.mid) for t in tsum.terms])
-    freqs = np.array([float(t.freq) for t in tsum.terms])
-    phases = np.array([float(t.phase_pi) * math.pi for t in tsum.terms])
-    is_sin = np.array([t.kind == "sin" for t in tsum.terms])
-    return coeffs, freqs, phases, is_sin
+    @property
+    def margin(self) -> float:
+        return self.min_value - self.curvature * self.h**2 / 8 - self.eval_err
 
 
-def _grid_eval(theta, coeffs, freqs, phases, is_sin):
-    acc = np.zeros_like(theta)
-    for c, f, p, s in zip(coeffs, freqs, phases, is_sin):
-        arg = f * theta + p
-        acc += c * (np.sin(arg) if s else np.cos(arg))
-    return acc
+def _up(x: Fraction) -> float:
+    """The least float >= x."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if Fraction(f) < x else f
 
 
-def _wedge_prefix(tsum: TrigSum, a: Fraction, b: Fraction):
-    """Try to certify a leading subinterval [a, c] termwise.
+class _Prefixes:
+    """The terms of one sum in the order their partial sums are taken, with
+    M2_n, err_n and float_err (the float64 part of err_n) for every n."""
 
-    Only valid for pure sine sums with nonnegative coefficient enclosures
-    and zero phases.  Returns the certified cutoff c (a Fraction) or None.
-    """
-    if not tsum.terms:
-        return None
-    for t in tsum.terms:
-        if t.kind != "sin" or t.phase_pi != 0 or t.coeff.lo < 0:
-            return None
-    f_max = max(t.freq for t in tsum.terms)
-    if f_max == 0:
-        return None
-    limit = _SQRT6 / f_max
-    if a >= limit:
-        return None
-    c = min(b, limit * Fraction(99, 100))
-    # sin(x) >= x - x^3/6 on [0, sqrt(6)]; lower coefficient ends on the
-    # linear part, upper ends on the cubic part, keep everything rational
-    big_a = sum(t.coeff.lo * t.freq for t in tsum.terms)
-    big_b = sum(t.coeff.hi * t.freq**3 for t in tsum.terms)
-    lower = lambda x: big_a * x - big_b * x**3 / 6  # noqa: E731
-    if lower(a) > 0 and lower(c) > 0:  # concave => positive on [a, c]
-        return c
-    return None
+    def __init__(self, terms, interval):
+        self.a, self.b = _as_fraction(interval[0]), _as_fraction(interval[1])
+        if not self.a < self.b:
+            raise ValueError("interval must satisfy a < b")
+        if not terms:
+            raise ValueError("empty trig sum")
+        self.terms = terms
+        self.lo, self.hi = -_up(-self.a), _up(self.b)  # floats around [a, b]
+        self.theta_max = big = max(abs(self.lo), abs(self.hi))
+        self.coeffs = np.array([float(t.coeff.mid) for t in terms])
+        self.seed_of, self.seeds, index = [], [], {}
+        rel, e = np.empty(len(terms)), 0.0  # E_k, relative error of P_k
+        f_prev = ph_prev = Fraction(0)
+        for k, t in enumerate(terms):
+            ph = t.phase_pi - (Fraction(1, 2) if t.kind == "sin" else 0)
+            step = (t.freq - f_prev, (ph - ph_prev + 1) % 2 - 1)
+            f_prev, ph_prev = t.freq, ph
+            if step != (0, 0):
+                if step not in index:
+                    index[step] = len(self.seeds)
+                    self.seeds.append(step)
+                g, d = float(step[0]), float(step[1]) * math.pi
+                es = _SEED_ERR + float(abs(Fraction(g) - step[0])) * big \
+                    + 2.01 * _U * abs(g) * big + 5 * _U * abs(d)
+                e = es if k == 0 else e + (1 + e) * (es + _MUL_ERR + es * _MUL_ERR)
+            self.seed_of.append(index.get(step, -1))
+            rel[k] = e
+        c = np.abs(self.coeffs)
+        adds = _U / (1 - np.arange(1, len(c) + 1) * _U)
+        fp = np.cumsum(np.cumsum(c * (1 + rel) * (1 + _U))) * adds \
+            + np.cumsum(c * (rel + _U * (1 + rel)))
+        m2 = half = rounding = Fraction(0)
+        self.m2, exact, rounded = [], [], []
+        for t, cf in zip(terms, self.coeffs):
+            m2 += max(abs(t.coeff.lo), abs(t.coeff.hi)) * t.freq**2
+            half += t.coeff.width / 2
+            rounding += abs(Fraction(float(cf)) - t.coeff.mid)
+            self.m2.append(_up(m2))
+            exact.append(_up(half))
+            rounded.append(_up(rounding))
+        self.float_err = (fp + np.array(rounded)) * _SLACK
+        self.err = (self.float_err + np.array(exact)) * _SLACK
+
+    def values(self, theta, n_hi: int):
+        """Yield (k, float S_k at theta) for k = 0..n_hi; S_k is overwritten."""
+        seeds = [None] * len(self.seeds)
+        p = np.ones(len(theta), complex)
+        acc = np.zeros(len(theta))
+        for k in range(n_hi + 1):
+            sid = self.seed_of[k]
+            if sid >= 0:
+                s = seeds[sid]
+                if s is None:
+                    x = float(self.seeds[sid][0]) * theta + float(self.seeds[sid][1]) * math.pi
+                    s = seeds[sid] = np.empty(len(theta), complex)
+                    s.real, s.imag = np.cos(x), np.sin(x)
+                p = s.copy() if k == 0 else np.multiply(p, s, out=p)
+            acc += self.coeffs[k] * p.real
+            yield k, acc
+
+    def certify(self, n_min: int, label: str) -> list[GridCertificate]:
+        """Certificates for the prefixes n_min..len(terms)-1, on one grid."""
+        last = len(self.terms) - 1
+        todo = set(range(n_min, last + 1))
+        mins, where, done = np.full(last + 1, np.inf), np.zeros(last + 1), {}
+        nodes, first, stride = _INITIAL_NODES, 0, 1
+        while todo:
+            step = _up((Fraction(self.hi) - Fraction(self.lo)) / (nodes - 1))
+            h = (step + 8 * _U * self.theta_max) * _SLACK  # bounds every cell
+            count = (nodes - first + stride - 1) // stride
+            for start in range(0, count, _CHUNK):
+                j = first + stride * np.arange(start, min(count, start + _CHUNK), dtype=float)
+                theta = self.lo + j * step
+                theta[j == nodes - 1] = self.hi
+                for k, acc in self.values(theta, max(todo)):
+                    if k in todo:
+                        i = int(np.argmin(acc))
+                        if acc[i] < mins[k]:
+                            mins[k], where[k] = acc[i], theta[i]
+            for n in sorted(todo):
+                status, m, witness, detail = self._decide(
+                    n, nodes, mins[n], float(where[n]), h, 2 * nodes - 1 > _MAX_NODES)
+                if status:
+                    done[n] = GridCertificate(
+                        label if n == last else f"{label}, partial sum {n}",
+                        (float(self.a), float(self.b)), nodes, h, self.m2[n], m,
+                        float(self.err[n]), status, witness, detail)
+                    todo.discard(n)
+            nodes, first, stride = 2 * nodes - 1, 1, 2
+        return [done[n] for n in range(n_min, last + 1)]
+
+    def _decide(self, n, nodes, m, theta, h, final):
+        """(status, min value, witness, detail); status None means refine."""
+        err = self.err[n]
+        if not math.isfinite(m):
+            return "inconclusive", m, None, "non-finite grid values"
+        if m > (self.m2[n] * h * h / 8 + err) * (1 + 8 * _U):
+            return "certified", m, None, f"curvature bound on {nodes} nodes"
+        if m - err > 0:
+            return ("inconclusive", m, None, f"node budget exhausted at {nodes} nodes") \
+                if final else (None, m, None, "")
+        witness = min(max(theta, _up(self.a)), -_up(-self.b))  # a float in [a, b]
+        if m < -4 * err and self.a <= Fraction(witness) <= self.b:
+            # decisively negative on the float grid: confirm at high
+            # precision before declaring a refutation
+            prefix = TrigSum(tuple(self.terms[:n + 1]))
+            precise = prefix.eval_mp(witness)
+            if precise < -mp.mpf(float(prefix.coeff_err())) * (1 + mp.mpf("1e-9")):
+                return ("refuted", min(m, float(precise)), witness,
+                        f"value {float(precise):.3e} at witness")
+        return "inconclusive", m, None, \
+            f"grid minimum {m:.3e} at theta={theta:.9g}, eval_err {err:.3e}: no refutation"
 
 
 def certify_positive_trig(tsum: TrigSum, interval, label: str | None = None) -> GridCertificate:
-    """Certify (or refute) positivity of tsum on the closed interval.
+    """Certify (or refute) positivity of tsum on the closed interval, whose
+    ends (floats, Fractions or strings) are read exactly.  The terms are
+    sorted by frequency, so the steps between them stay few."""
+    terms = sorted(tsum.terms, key=lambda t: t.freq)
+    return _Prefixes(terms, interval).certify(len(terms) - 1, label or tsum.label or "trig-sum")[0]
 
-    interval endpoints may be floats, Fractions, or strings; they are
-    handled as exact rationals for the wedge pass and as floats for the
-    grids.
-    """
-    a = _as_fraction(interval[0])
-    b = _as_fraction(interval[1])
-    if not a < b:
-        raise ValueError("interval must satisfy a < b")
-    label = label or tsum.label or "trig-sum"
 
-    lip = float(tsum.lipschitz()) * (1 + 1e-9)
-    coeffs, freqs, phases, is_sin = _term_arrays(tsum)
-    # float64 noise estimate: ~1ulp per trig call, inflated by four orders
-    # for slack, plus the enclosure half-widths carried by the coefficients
-    coeff_err = float(tsum.coeff_err())
-    eval_err = float(np.sum(np.abs(coeffs))) * 1e-12 + coeff_err
-
-    detail = ""
-    grid_start = a
-    cutoff = _wedge_prefix(tsum, a, b)
-    if cutoff is not None:
-        detail = f"wedge bound certified [{float(a):.6g}, {float(cutoff):.6g}]"
-        if cutoff >= b:
-            return GridCertificate(
-                label, (float(a), float(b)), 0.0, lip, math.inf,
-                eval_err, "certified", None, detail,
-            )
-        grid_start = cutoff
-
-    stack = [(float(grid_start), float(b))]
-    total = 0
-    min_seen = math.inf
-    h_max = 0.0
-    while stack:
-        lo, hi = stack.pop()
-        span = hi - lo
-        n = _INITIAL_POINTS
-        while True:
-            if total + n > _MAX_TOTAL_POINTS:
-                return GridCertificate(
-                    label, (float(a), float(b)), h_max, lip, min_seen,
-                    eval_err, "inconclusive", None,
-                    detail + f" point budget exhausted on [{lo:.6g}, {hi:.6g}]",
-                )
-            theta = np.linspace(lo, hi, n)
-            vals = _grid_eval(theta, coeffs, freqs, phases, is_sin)
-            total += n
-            idx = int(np.argmin(vals))
-            m = float(vals[idx])
-            min_seen = min(min_seen, m)
-            h = span / (n - 1)
-            if m - lip * h / 2 - eval_err > 0:
-                h_max = max(h_max, h)
-                break
-            if m < -4 * eval_err:
-                # decisively negative on the float grid: confirm at high
-                # precision before declaring a refutation
-                with mp.workdps(working_dps() + 10):
-                    precise = tsum.eval_mp(mp.mpf(theta[idx]))
-                    cutoff = mp.mpf(coeff_err) * (1 + mp.mpf("1e-9"))
-                    if precise < -cutoff:
-                        return GridCertificate(
-                            label, (float(a), float(b)), h_max, lip,
-                            min(min_seen, float(precise)), eval_err,
-                            "refuted", float(theta[idx]),
-                            detail + f" value {float(precise):.3e} at witness",
-                        )
-            if m - eval_err <= 0:
-                if span < 1e-9:
-                    return GridCertificate(
-                        label, (float(a), float(b)), h_max, lip, min_seen,
-                        eval_err, "inconclusive", None,
-                        detail + f" cannot separate from zero near {lo:.9g}",
-                    )
-                mid = (lo + hi) / 2
-                stack.append((lo, mid))
-                stack.append((mid, hi))
-                break
-            needed = int(span * lip / (2 * (m - eval_err)) * 1.2) + 2
-            if needed > 1 << 22:
-                mid = (lo + hi) / 2
-                stack.append((lo, mid))
-                stack.append((mid, hi))
-                break
-            n = max(needed, n + 1)
-    return GridCertificate(
-        label, (float(a), float(b)), h_max, lip, min_seen, eval_err,
-        "certified", None, detail.strip(),
-    )
+def certify_partial_sums(tsum: TrigSum, interval) -> list[GridCertificate]:
+    """Certificates for every partial sum tsum.terms[:n + 1], from one pass
+    over one grid; each equals certify_positive_trig on its prefix when the
+    terms are sorted by frequency, as U_n and varsigma_n are."""
+    return _Prefixes(tsum.terms, interval).certify(0, tsum.label or "trig-sum")
 
 
 # ---------------------------------------------------------------------------

@@ -213,10 +213,11 @@ def _oracle_roots_float(coeffs: list[int]):
     return sorted(float(r.real) for r in roots if abs(r.imag) < 1e-9)
 
 
-def _oracle_count(coeffs: list[int], a: Fraction, b: Fraction, real_roots):
-    """Brute-force root count in (a, b]: dense sign grid plus bisection
-    refinement of each crossing.  Returns None when the configuration is
-    ambiguous at float precision (caller resamples the interval).
+def _oracle_panels(coeffs: list[int], a: Fraction, b: Fraction, real_roots):
+    """Brute-force root count in (a, b], first half: the panels of a dense
+    sign grid where the sign changes, as (lo, hi) arrays.  Returns None when
+    the configuration is ambiguous at float precision (caller resamples the
+    interval).
 
     Only used on polynomials whose real roots are pairwise >= 0.01 apart, so
     a 2000-panel grid cannot straddle two roots in one panel.
@@ -232,24 +233,28 @@ def _oracle_count(coeffs: list[int], a: Fraction, b: Fraction, real_roots):
         return None
     signs = np.sign(vs)
     crossings = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    count = 0
-    for idx in crossings:
-        lo, hi = xs[idx], xs[idx + 1]
-        flo = float(np.polyval(cf, lo))
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fmid = float(np.polyval(cf, mid))
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if (flo < 0) == (fmid < 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
-        if af < root <= bf:
-            count += 1
-    return count
+    return xs[crossings], xs[crossings + 1]
+
+
+def _oracle_roots(coeffs: list[int], lo, hi):
+    """Second half: refine every panel at once by 60 bisection steps; a
+    panel whose midpoint evaluates to exactly 0 stops there (lo = hi = mid).
+    Returns the root estimates 0.5 (lo + hi)."""
+    cf = np.array(coeffs[::-1], dtype=float)
+    lo, hi = lo.copy(), hi.copy()
+    flo = np.polyval(cf, lo)
+    live = np.ones(len(lo), bool)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fmid = np.polyval(cf, mid)
+        hit = live & (fmid == 0.0)
+        lo[hit] = hi[hit] = mid[hit]
+        live &= ~hit
+        same = live & ((flo < 0) == (fmid < 0))
+        lo[same], flo[same] = mid[same], fmid[same]
+        other = live & ~same
+        hi[other] = mid[other]
+    return 0.5 * (lo + hi)
 
 
 def test_criterion_08_oracle_equivalence():
@@ -265,22 +270,31 @@ def test_criterion_08_oracle_equivalence():
         if any(y - x < 0.01 for x, y in zip(real_roots, real_roots[1:])):
             continue  # regenerate: grid oracle needs separated roots
         chain = sturm_chain(Polynomial([F(c) for c in coeffs]))
-        intervals_done = 0
+        accepted = []
         attempts = 0
-        while intervals_done < 100 and attempts < 2000:
+        while len(accepted) < 100 and attempts < 2000:
             attempts += 1
             ka, kb = sorted(rng.randint(-3500, 3500) for _ in range(2))
             if kb - ka < 20:
                 continue
             a, b = F(ka, 1009), F(kb, 1009)
-            got_oracle = _oracle_count(coeffs, a, b, real_roots)
-            if got_oracle is None:
+            panels = _oracle_panels(coeffs, a, b, real_roots)
+            if panels is None:
                 continue  # ambiguous for the oracle: resample the interval
-            got_sturm = count_roots_in(chain, a, b)
+            accepted.append((ka, kb, panels))
+        assert len(accepted) == 100, "interval resampling budget exhausted"
+        # the panels of all 100 intervals are bisected together
+        roots = _oracle_roots(coeffs, np.concatenate([p[0] for _, _, p in accepted]),
+                              np.concatenate([p[1] for _, _, p in accepted]))
+        start = 0
+        for ka, kb, panels in accepted:
+            mine = roots[start:start + len(panels[0])]
+            start += len(panels[0])
+            af, bf = float(F(ka, 1009)), float(F(kb, 1009))
+            got_oracle = int(np.count_nonzero((af < mine) & (mine <= bf)))
+            got_sturm = count_roots_in(chain, F(ka, 1009), F(kb, 1009))
             if got_sturm != got_oracle:
                 disagreements.append((coeffs, (ka, kb), got_sturm, got_oracle))
-            intervals_done += 1
-        assert intervals_done == 100, "interval resampling budget exhausted"
         polys_done += 1
 
     quad_failures = 0

@@ -9,14 +9,17 @@ from mpmath import mp
 
 from trigpos.engine import (
     GridCertificate,
+    certify_partial_sums,
     certify_positive_trig,
     closed_form_full_sum,
     partial_sum,
     subordination_sector_check,
     weak_conjecture_check,
 )
+from trigpos.engine import _Prefixes
 from trigpos.exact import Enclosure
-from trigpos.trigsums import TrigSum, TrigTerm
+from trigpos.mustar import mu_star
+from trigpos.trigsums import TrigSum, TrigTerm, build_U_n, build_varsigma
 
 F = Fraction
 mp.dps = 30
@@ -52,26 +55,32 @@ def test_certify_refutes_with_witness():
     assert cert.min_value < 0
 
 
-def test_certify_wedge_prefix_detail():
-    # pure sine sum with positive coefficients: the near-zero prefix is
-    # handled termwise and the detail records the certified cutoff
+def test_certify_sine_sum_near_zero_on_the_grid():
+    # pure sine sum with positive coefficients, down to theta = 1/1000: the
+    # curvature bound certifies it on the grid alone, with no termwise wedge
     s = _sum(_term(1, 1, kind="sin"), _term(F(1, 2), 2, kind="sin"))
     cert = certify_positive_trig(s, (F(1, 1000), F(3, 2)))
     assert cert.certified
-    assert "wedge bound certified" in cert.detail
+    assert "curvature bound" in cert.detail
 
 
-def test_certify_wedge_can_cover_whole_interval():
+def test_certify_reports_its_grid():
     s = _sum(_term(1, 1, kind="sin"), _term(F(1, 3), 2, kind="sin"))
     cert = certify_positive_trig(s, (F(1, 1000), F(1, 2)))
     assert cert.certified
-    assert cert.h == 0.0  # no grid was needed
+    assert cert.nodes == 1025 and 0 < cert.h < 1e-3
+    assert cert.curvature == pytest.approx(1 + F(1, 3) * 4)
+    assert cert.margin > 0
+    assert cert.margin == pytest.approx(
+        cert.min_value - cert.curvature * cert.h**2 / 8 - cert.eval_err)
 
 
 def test_certify_interval_guard():
     s = _sum(_term(2, 0))
     with pytest.raises(ValueError):
         certify_positive_trig(s, (1, 1))
+    with pytest.raises(ValueError):
+        certify_positive_trig(_sum(), (0, 1))
 
 
 def test_certified_sums_are_actually_positive():
@@ -154,3 +163,81 @@ def test_hostile_sums_below_eval_err_are_never_certified():
         assert cert.status != "certified", shift
         if shift > 0:
             assert cert.status != "refuted", shift
+
+
+def test_tangency_inside_a_cell():
+    # 1 - cos(theta - pi/7) has a double zero at pi/7, strictly between the
+    # nodes of every dyadic grid on [0, 1]: it must never be certified,
+    # while a shift of 1e-6 either way is decided
+    def shifted(c):
+        return _sum(_term(1 + c, 0), _term(-1, 1, phase_pi=F(-1, 7)),
+                    label=f"1+({c})-cos(theta-pi/7)")
+
+    tangent = certify_positive_trig(shifted(F(0)), (0, 1))
+    assert tangent.status != "certified"
+    up = certify_positive_trig(shifted(F(1, 10**6)), (0, 1))
+    assert up.status == "certified"
+    down = certify_positive_trig(shifted(F(-1, 10**6)), (0, 1))
+    assert down.status == "refuted"
+    with mp.workdps(40):
+        assert shifted(F(-1, 10**6)).eval_mp(mp.mpf(down.witness)) < 0
+        assert 0 <= down.witness <= 1
+
+
+def _critical(rho):
+    return mu_star(rho, width=F(1, 10**20)).enclosure
+
+
+U_INTERVAL = (F(1, 1000), F(np.pi) / 2 + F(1, 10**12))
+VS_INTERVAL = (F(1, 1000), F(np.pi) - F(1, 1000) + F(1, 10**12))
+
+
+def test_all_n_pass_matches_per_n_certificates():
+    families = (
+        (build_U_n(100, _critical(F(2, 3))), U_INTERVAL,
+         lambda n: build_U_n(n, _critical(F(2, 3)))),
+        (build_varsigma(100, F(1, 3), _critical(F(1, 3))), VS_INTERVAL,
+         lambda n: build_varsigma(n, F(1, 3), _critical(F(1, 3)))),
+    )
+    for tsum, interval, build in families:
+        certs = certify_partial_sums(tsum, interval)[1:]
+        assert len(certs) == 100
+        for n, cert in enumerate(certs, 1):
+            one = certify_positive_trig(build(n), interval)
+            assert cert.status == one.status == "certified", (tsum.label, n)
+            assert (cert.nodes, cert.min_value) == (one.nodes, one.min_value)
+
+
+def test_all_n_pass_refutes_above_the_critical_exponent():
+    for tsum, interval, first_bad in (
+        (build_U_n(100, F(9, 10)), U_INTERVAL, 6),
+        (build_varsigma(100, F(1, 3), F(3, 5)), VS_INTERVAL, 2),
+    ):
+        certs = certify_partial_sums(tsum, interval)[1:]
+        statuses = [c.status for c in certs]
+        assert statuses == ["certified"] * (first_bad - 1) \
+            + ["refuted"] * (101 - first_bad), tsum.label
+        for n, cert in enumerate(certs[first_bad - 1:], first_bad):
+            prefix = TrigSum(tsum.terms[:n + 1])
+            assert prefix.eval_mp(mp.mpf(cert.witness)) < 0
+
+
+def test_float_values_stay_within_the_float64_bound(monkeypatch):
+    # about 200 nodes of the 65,537-node grid an N = 1000 pass uses, each
+    # against a 40-digit eval_mp value of one partial sum, n from 1000 down
+    monkeypatch.setenv("TRIGPOS_PRECISION", "40")
+    tsum = build_U_n(1000, _critical(F(2, 3)))
+    prefixes = _Prefixes(tsum.terms, U_INTERVAL)
+    j = np.arange(0, 65537, 328, dtype=float)
+    theta = prefixes.lo + j * ((prefixes.hi - prefixes.lo) / 65536)
+    n_of = 1000 - 5 * np.arange(len(theta))
+    got = np.empty(len(theta))
+    for k, acc in prefixes.values(theta, 1000):
+        got[n_of == k] = acc[n_of == k]
+    worst = 0.0
+    for t, n, value in zip(theta, n_of, got):
+        exact = TrigSum(tsum.terms[:n + 1]).eval_mp(mp.mpf(t))
+        ratio = float(abs(value - exact)) / prefixes.float_err[n]
+        assert ratio <= 1, (t, n)
+        worst = max(worst, ratio)
+    assert len(theta) == 200 and worst > 0
