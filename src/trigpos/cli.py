@@ -22,8 +22,8 @@ CASE is one of
                    conversion in both normalizations
 
 Exit status: 0 when every sub-check passes, 1 when any sub-check fails or is
-inconclusive, 2 for usage errors (unknown case, rho outside (0, 1], a config
-key or value that does not parse).
+inconclusive, 2 for usage errors (unknown case, rho outside (0, 1], a width
+below 10^-precision, a config key or value that does not parse).
 
 Reports are deterministic: identical invocations at the same precision print
 byte-identical output apart from the wall-time figure.  The env var
@@ -61,7 +61,7 @@ from trigpos.gegenbauer import (
     gegenbauer_C,
     genfunc_check,
 )
-from trigpos.mustar import mu_star
+from trigpos.mustar import mu_star, width_floor
 from trigpos.precision import working_dps
 from trigpos.quadrature import chi_reference_integral, min_over_upper_limit
 from trigpos.trigsums import (
@@ -232,7 +232,7 @@ def run_mustar(rho: Fraction, width: Fraction, residual_tol: float) -> Verificat
     return VerificationReport(
         case="mustar",
         inputs={"rho": str(rho), "width": _fmt(float(width), 3)},
-        method="verified-sign bisection on the oscillatory defect integral",
+        method="verified-sign false position (Anderson-Bjorck) on the oscillatory defect integral",
         reference="critical exponent mu*(rho)",
         checks=checks,
     )
@@ -765,8 +765,8 @@ def main(argv=None) -> int:
         if args.command == "mustar":
             rho = _parse_rho(args.rho)
             width = _setting(args, config, "width")
-            if width <= 0:
-                raise UsageError("--width must be positive")
+            if width < width_floor():
+                raise UsageError(f"--width must be at least 1e-{working_dps()}")
             report = run_mustar(rho, width, _setting(args, config, "residual-tol"))
         else:
             report = _dispatch_verify(args, config)

@@ -8,12 +8,13 @@ As a function of mu on (0, 1], D is negative for small mu (the weight
 t^(mu-1) concentrates mass near t = 0 where the sine factor is negative)
 and D(rho, 1) = 1 + cos(rho*pi) >= 0, with equality exactly at rho = 1.
 mu*(rho) is the root.  For rho < 1 it is interior and is located by
-bisection whose every accepted bracket endpoint carries a *verified* sign:
-the series value of D must exceed ten times its error bound (see
-trigpos.quadrature) or the step is refused.  A secant candidate is tried
-first at each step (and kept when it lands well inside the bracket), which
-cuts the number of integral evaluations roughly in half without weakening
-the bracket invariant.
+false position with the Anderson-Bjorck correction (Anderson & Bjorck,
+BIT 13, 1973), which keeps a bracket and converges superlinearly.  The
+bracket invariant: a probe replaces an endpoint only with a *verified*
+sign, the series value of D exceeding ten times its error bound (see
+trigpos.quadrature).  Each probe is the false-position point rounded to a
+dyadic grain and clamped one grain inside the bracket; a probe too close
+to the root to sign is replaced by a quarter point of the bracket.
 
 rho = 1 is the boundary case: there is no sign change inside (0.01, 1],
 D < 0 on [0.01, 1), and the root sits exactly at mu = 1.
@@ -21,6 +22,7 @@ D < 0 on [0.01, 1), and the root sits exactly at mu = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +32,7 @@ from trigpos.exact import Enclosure, _as_fraction
 from trigpos.precision import working_dps
 from trigpos.quadrature import QuadResult, fractional_osc_integral
 
-__all__ = ["MuStarResult", "defect_integral", "mu_star", "BRACKET_LO", "BRACKET_HI"]
+__all__ = ["MuStarResult", "defect_integral", "mu_star", "width_floor", "BRACKET_LO", "BRACKET_HI"]
 
 BRACKET_LO = Fraction(1, 100)
 BRACKET_HI = Fraction(1)
@@ -52,111 +54,109 @@ class MuStarResult:
     enclosure: Enclosure
     residual: mp.mpf
 
-    @property
-    def midpoint(self) -> mp.mpf:
-        mid = self.enclosure.mid
-        return mp.mpf(mid.numerator) / mid.denominator
-
 
 def defect_integral(rho, mu) -> QuadResult:
-    """D(rho, mu) = integral_0^((rho+1)*pi) sin(t - rho*pi) t^(mu-1) dt."""
-    rho = _as_fraction(rho)
+    """D(rho, mu) = integral_0^((rho+1)*pi) sin(t - rho*pi) t^(mu-1) dt,
+    for exact rationals or mpfs rho and mu."""
+    rho, mu = _as_fraction(rho), _as_fraction(mu)
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
     with mp.workdps(working_dps() + 10):
         rho_mp = mp.mpf(rho.numerator) / rho.denominator
-        return fractional_osc_integral("sin", -rho_mp * mp.pi, mu, (rho_mp + 1) * mp.pi)
-
-
-def _verified_sign(rho: Fraction, mu: Fraction) -> tuple[int, mp.mpf]:
-    """(sign, value) of D(rho, mu); the sign is accepted only when the value
-    dominates the series error bound, otherwise this raises."""
-    with mp.workdps(working_dps() + 10):
         mu_mp = mp.mpf(mu.numerator) / mu.denominator
-        res = defect_integral(rho, mu_mp)
-        floor = mp.mpf(10) ** (-(working_dps() + 4))
-        if not res.flagged and abs(res.value) > max(10 * res.err, floor):
-            return (1 if res.value > 0 else -1), res.value
-        raise ArithmeticError(
-            f"cannot resolve sign of defect at mu={mu}: "
-            f"value {mp.nstr(res.value, 8)} vs err {mp.nstr(res.err, 3)}"
-        )
+        return fractional_osc_integral("sin", -rho_mp * mp.pi, mu_mp, (rho_mp + 1) * mp.pi)
 
 
-def mu_star(rho, width=Fraction(1, 10**9), use_secant: bool = True) -> MuStarResult:
+def _verified_sign(rho: Fraction, mu: Fraction) -> mp.mpf:
+    """D(rho, mu), returned only when its value dominates the series error
+    bound, so that its sign is proven; otherwise this raises."""
+    res = defect_integral(rho, mu)
+    floor = mp.mpf(10) ** (-(working_dps() + 4))
+    if not res.flagged and abs(res.value) > max(10 * res.err, floor):
+        return res.value
+    raise ArithmeticError(f"cannot resolve sign of defect at mu={mu}: value "
+                          f"{mp.nstr(res.value, 8)} vs err {mp.nstr(res.err, 3)}")
+
+
+def width_floor() -> Fraction:
+    """Smallest width mu_star accepts, 10^-working_dps(): a finer bracket
+    needs signs of D below the floor that _verified_sign resolves."""
+    return Fraction(1, 10 ** working_dps())
+
+
+def mu_star(rho, width=Fraction(1, 10**9)) -> MuStarResult:
     """Enclose mu*(rho) to the requested width.
 
-    width is an exact rational (or anything Fraction() accepts).  The
-    bisection itself runs to width/4; the returned enclosure is that bracket
-    re-centered and padded out to the full requested width, so the root sits
-    near the middle rather than at an endpoint (enlarging a valid enclosure
-    keeps it valid, and a near-centered one also contains the root's
-    correctly-rounded decimal abbreviations).  Results are cached per
+    width is an exact rational (or anything Fraction() accepts) of at least
+    width_floor().  The bracket is narrowed to width/4, then re-centered,
+    padded out to the full width and clipped to [BRACKET_LO, BRACKET_HI]:
+    the root sits near the middle, so the enclosure also contains its
+    correctly-rounded decimal abbreviations.  Results are cached per
     (rho, width, working precision).
     """
     rho = _as_fraction(rho)
     width = _as_fraction(width)
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
-    if width <= 0:
-        raise ValueError("width must be positive")
+    if width < width_floor():
+        raise ValueError(f"width must be at least 1e-{working_dps()}")
     key = (rho, width, working_dps())
     if key in _CACHE:
         return _CACHE[key]
 
-    if rho == 1:
-        # boundary root: D(1, 1) = 0 exactly, D < 0 on [0.01, 1)
-        for probe in (BRACKET_LO, Fraction(1, 2), Fraction(99, 100)):
-            sign, _ = _verified_sign(rho, probe)
-            if sign >= 0:
-                raise ArithmeticError(
-                    f"defect unexpectedly nonnegative at mu={probe} for rho=1"
-                )
-        residual = defect_integral(rho, mp.mpf(1)).value
-        result = MuStarResult(rho, Enclosure.exact(1), residual)
-        _CACHE[key] = result
-        return result
-
-    lo, hi = BRACKET_LO, BRACKET_HI
-    sign_lo, val_lo = _verified_sign(rho, lo)
-    sign_hi, val_hi = _verified_sign(rho, hi)
-    if sign_lo >= 0 or sign_hi <= 0:
-        raise ArithmeticError(
-            f"bracket [{lo}, {hi}] does not straddle a sign change for rho={rho}"
-        )
-
-    target = width / 4
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        if use_secant and val_hi != val_lo:
-            # secant candidate, kept only if it lands in the middle half of
-            # the bracket so progress per step stays geometric
-            t = -val_lo / (val_hi - val_lo)
-            cand = lo + (hi - lo) * _as_fraction(t)
-            gap = (hi - lo) / 4
-            if lo + gap < cand < hi - gap:
-                mid = cand
-        try:
-            sign_mid, val_mid = _verified_sign(rho, mid)
-        except ArithmeticError:
-            # probe landed too close to the root to sign-check; a quarter
-            # point is at least bracket/4 from it and still shrinks the
-            # bracket geometrically on either outcome
-            mid = (3 * lo + hi) / 4 if mid - lo > hi - mid else (lo + 3 * hi) / 4
-            sign_mid, val_mid = _verified_sign(rho, mid)
-        if sign_mid < 0:
-            lo, val_lo = mid, val_mid
-        else:
-            hi, val_hi = mid, val_mid
-
-    center = (lo + hi) / 2
-    enclosure = Enclosure(
-        min(lo, center - width / 2), max(hi, center + width / 2)
-    )
-    mid = enclosure.mid
+    # the probes and sign tests run at one precision, whatever the caller's
     with mp.workdps(working_dps() + 10):
-        residual = defect_integral(rho, mp.mpf(mid.numerator) / mid.denominator).value
+        if rho == 1:
+            # boundary root: D(1, 1) = 0 exactly, D < 0 on [0.01, 1)
+            for probe in (BRACKET_LO, Fraction(1, 2), Fraction(99, 100)):
+                if _verified_sign(rho, probe) > 0:
+                    raise ArithmeticError(f"defect unexpectedly positive at mu={probe} for rho=1")
+            enclosure = Enclosure.exact(1)
+        else:
+            enclosure = _false_position(rho, width)
+        residual = defect_integral(rho, enclosure.mid).value
     result = MuStarResult(rho, enclosure, residual)
     _CACHE[key] = result
     return result
 
+
+def _false_position(rho: Fraction, width: Fraction) -> Enclosure:
+    """Enclosure of mu*(rho), rho < 1, at most `width` wide."""
+    ends = [BRACKET_LO, BRACKET_HI]
+    vals = [_verified_sign(rho, mu) for mu in ends]
+    if vals[0] > 0 or vals[1] < 0:
+        raise ArithmeticError(f"bracket [{BRACKET_LO}, {BRACKET_HI}] does not straddle "
+                              f"a sign change for rho={rho}")
+    target = width / 4
+    # probes sit on multiples of a power of two below target/64, which
+    # keeps their denominators small; the bracket exceeds 64 grains, so a
+    # probe clamped one grain inside it is interior
+    grain = Fraction(1, 1 << math.ceil(64 / target).bit_length())
+    last = None  # the end the previous probe replaced: 0 = lo, 1 = hi
+    while ends[1] - ends[0] > target:
+        lo, hi = ends
+        c = lo + (hi - lo) * _as_fraction(vals[0] / (vals[0] - vals[1]))
+        c = min(max(round(c / grain) * grain, lo + grain), hi - grain)
+        try:
+            val_c = _verified_sign(rho, c)
+        except ArithmeticError:
+            # probe landed too close to the root to sign-check; a quarter
+            # point is at least bracket/4 from it and still shrinks the
+            # bracket geometrically on either outcome
+            c = (3 * lo + hi) / 4 if c - lo > hi - c else (lo + 3 * hi) / 4
+            val_c = _verified_sign(rho, c)
+        side = int(val_c > 0)  # c replaces the end of its own sign
+        if side == last:
+            # Anderson-Bjorck: the other end survives a second step in a
+            # row, so its stored value is scaled by m = 1 - f(c)/f(replaced
+            # end), or by 1/2 when m <= 0, to pull the next probe its way
+            m = 1 - val_c / vals[side]
+            vals[1 - side] *= m if m > 0 else 0.5
+        ends[side], vals[side], last = c, val_c, side
+
+    lo, hi = ends
+    center = (lo + hi) / 2
+    return Enclosure(
+        max(BRACKET_LO, min(lo, center - width / 2)),
+        min(BRACKET_HI, max(hi, center + width / 2)),
+    )

@@ -317,11 +317,13 @@ def test_criterion_08_oracle_equivalence():
 
 
 def test_criterion_09_subordination_sampling():
-    nu0 = mu_star(F(1, 3)).midpoint
+    mid = mu_star(F(1, 3)).enclosure.mid
+    nu0 = mp.mpf(mid.numerator) / mid.denominator
     sector = subordination_sector_check(
         F(1, 3), mp.mpf("0.999") * nu0, n_max=30, r_values=(0.999, 1 - 1e-6)
     )
-    mu23 = mu_star(F(2, 3)).midpoint
+    mid = mu_star(F(2, 3)).enclosure.mid
+    mu23 = mp.mpf(mid.numerator) / mid.denominator
     weak = weak_conjecture_check(
         F(2, 3), mp.mpf("0.999") * mu23, n_max=30, r_values=(0.999, 1 - 1e-6)
     )

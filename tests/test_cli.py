@@ -31,6 +31,9 @@ def test_mustar_rejects_bad_width(capsys):
     assert "width" in capsys.readouterr().err
     assert main(["mustar", "0.5", "--width", "1/2e3"]) == 2
     assert "error:" in capsys.readouterr().err
+    # below 10^-precision the defect's signs cannot be resolved
+    assert main(["mustar", "2/3", "--width", "1e-36"]) == 2
+    assert "width" in capsys.readouterr().err
 
 
 def test_unknown_case_is_usage_error(capsys):

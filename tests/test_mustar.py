@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from oracles import ORACLE_DPS, osc_integral
 
 from trigpos import mustar
-from trigpos.mustar import MuStarResult, defect_integral, mu_star
+from trigpos.mustar import BRACKET_HI, BRACKET_LO, MuStarResult, defect_integral, mu_star
 
 F = Fraction
 mp.dps = 30
@@ -72,6 +73,9 @@ def test_invalid_inputs():
         mu_star(F(3, 2))
     with pytest.raises(ValueError):
         mu_star(F(1, 2), width=F(0))
+    # below the floor 10^-dps, the signs of D near the root cannot be resolved
+    with pytest.raises(ValueError):
+        mu_star(F(2, 3), width=F(1, 10**36))
     with pytest.raises(ValueError):
         defect_integral(F(-1, 3), mp.mpf("0.5"))
 
@@ -85,14 +89,52 @@ def test_cache_returns_identical_object():
     assert c is not a and c.enclosure.width <= F(1, 10**7)
 
 
-def test_secant_and_pure_bisection_agree():
-    mustar._CACHE.clear()
-    fast = mu_star(F(2, 3), width=F(1, 10**8), use_secant=True)
-    mustar._CACHE.clear()
-    slow = mu_star(F(2, 3), width=F(1, 10**8), use_secant=False)
-    # both enclose the same root, so the intervals must overlap
-    assert fast.enclosure.lo <= slow.enclosure.hi
-    assert slow.enclosure.lo <= fast.enclosure.hi
+@pytest.mark.parametrize("width", [F(1, 10**9), F(1, 10**20)])
+@pytest.mark.parametrize("rho", [F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4),
+                                 F(97, 300), F(103, 300)])
+def test_enclosure_straddles_the_oracle_sign_change(rho, width):
+    # D by mpmath.quad, which shares no code with the series route that
+    # signed the bracket: negative at the lower endpoint, positive at the upper
+    enc = mu_star(rho, width=width).enclosure
+    with mp.workdps(ORACLE_DPS):
+        r = mp.mpf(rho.numerator) / rho.denominator
+        lo, hi = (osc_integral("sin", -r * mp.pi, mp.mpf(mu.numerator) / mu.denominator,
+                               (r + 1) * mp.pi) for mu in (enc.lo, enc.hi))
+        assert lo < 0 < hi
+
+
+@pytest.mark.parametrize("rho", [F(1, 3), F(2, 3)])
+def test_false_position_evaluation_count(monkeypatch, rho):
+    # plain bisection to width 1e-20 takes over 70 integrals; this loop 12 or 13
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return defect_integral(*args)
+
+    monkeypatch.setattr(mustar, "_CACHE", {})
+    monkeypatch.setattr(mustar, "defect_integral", counted)
+    mu_star(rho, width=F(1, 10**20))
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("width", [F(2), F(1, 2), F(1, 10**9), F(1, 10**20)])
+@pytest.mark.parametrize("rho", [F(1, 10), F(2, 3), F(99, 100), F(1)])
+def test_enclosure_stays_inside_the_bracket(rho, width):
+    enc = mu_star(rho, width=width).enclosure
+    assert BRACKET_LO <= enc.lo <= enc.hi <= BRACKET_HI
+    assert enc.width <= width
+
+
+def test_enclosure_ignores_the_callers_precision(monkeypatch):
+    # the cache key holds the working precision only, so mp.dps must not
+    # steer the probes
+    enclosures = []
+    for dps in (15, 30):
+        monkeypatch.setattr(mustar, "_CACHE", {})
+        with mp.workdps(dps):
+            enclosures.append(mu_star(F(2, 3), width=F(1, 10**20)).enclosure)
+    assert enclosures[0] == enclosures[1]
 
 
 def test_half_of_nu0_rounds_to_published_abbreviation():
