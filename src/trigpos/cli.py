@@ -1,6 +1,6 @@
 """Command-line front end: named, scriptable verification cases.
 
-    trigpos mustar RHO [--width W] [--residual-tol T] [--json]
+    trigpos mustar RHO [--width W] [--json]
     trigpos verify CASE [--nmax N] [--rho R] [--json] [...tolerance flags]
 
 CASE is one of
@@ -61,7 +61,7 @@ from trigpos.gegenbauer import (
     gegenbauer_C,
     genfunc_check,
 )
-from trigpos.mustar import mu_star, width_floor
+from trigpos.mustar import _verified_sign, mu_star, width_floor
 from trigpos.precision import working_dps
 from trigpos.quadrature import chi_reference_integral, min_over_upper_limit
 from trigpos.trigsums import (
@@ -93,7 +93,6 @@ MASTER_REFERENCE = "0.207809"
 
 DEFAULTS = {
     "width": "1e-9",
-    "residual-tol": 1e-8,
     "nmax": 100,
     "rho": "1/3",
     "master-min": 0.2078,
@@ -212,9 +211,19 @@ def _status(ok: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def run_mustar(rho: Fraction, width: Fraction, residual_tol: float) -> VerificationReport:
+def run_mustar(rho: Fraction, width: Fraction) -> VerificationReport:
     res = mu_star(rho, width=width)
     enc = res.enclosure
+    if rho == 1:
+        signed, signs = True, "boundary root mu = 1"
+        how = "mu_star verified D(1, mu) < 0 at mu = 1/100, 1/2, 99/100; D(1, 1) = 1 + cos(pi) = 0"
+    else:
+        how = "verified signs D(lo) < 0 < D(hi)"
+        try:
+            d_lo, d_hi = (_verified_sign(rho, mu) for mu in (enc.lo, enc.hi))
+            signed, signs = d_lo < 0 < d_hi, f"D(lo) = {_fmt(d_lo, 3)}, D(hi) = {_fmt(d_hi, 3)}"
+        except ArithmeticError as exc:
+            signed, signs = False, str(exc)
     checks = [
         CheckResult(
             "enclosure-width",
@@ -223,10 +232,10 @@ def run_mustar(rho: Fraction, width: Fraction, residual_tol: float) -> Verificat
             detail=f"width {_fmt(float(enc.width), 3)} <= requested {_fmt(float(width), 3)}",
         ),
         CheckResult(
-            "defect-residual",
-            _status(abs(res.residual) <= residual_tol),
-            value=_fmt(res.residual, 6),
-            detail=f"|defect at midpoint| <= {residual_tol:g}",
+            "sign-change",
+            _status(signed),
+            value=signs,
+            detail=f"{how}; defect at midpoint {_fmt(res.residual, 6)}",
         ),
     ]
     return VerificationReport(
@@ -667,8 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("mustar", help="enclose the critical exponent mu*(rho)")
     m.add_argument("rho", help="rho in (0, 1], rational or decimal")
     m.add_argument("--width", default=None, help="enclosure width (default 1e-9)")
-    m.add_argument("--residual-tol", type=float, default=None,
-                   help="bound on the defect at the midpoint (default 1e-8)")
     m.add_argument("--json", action="store_true", help="emit the report as JSON")
     m.add_argument("--config", default=None, help="JSON file with flag defaults")
 
@@ -767,7 +774,7 @@ def main(argv=None) -> int:
             width = _setting(args, config, "width")
             if width < width_floor():
                 raise UsageError(f"--width must be at least 1e-{working_dps()}")
-            report = run_mustar(rho, width, _setting(args, config, "residual-tol"))
+            report = run_mustar(rho, width)
         else:
             report = _dispatch_verify(args, config)
         report.wall_time_s = time.perf_counter() - start

@@ -7,6 +7,9 @@ variable overrides it (floor of 15, so error accounting stays meaningful).
 """
 
 import os
+from contextlib import contextmanager
+
+from mpmath import iv
 
 DEFAULT_DPS = 30
 _ENV_VAR = "TRIGPOS_PRECISION"
@@ -21,3 +24,14 @@ def working_dps() -> int:
         return max(15, int(raw))
     except ValueError:
         return DEFAULT_DPS
+
+
+@contextmanager
+def iv_dps(dps: int):
+    """mpmath.iv at dps digits inside the block, the caller's precision after."""
+    saved = iv.prec
+    iv.dps = dps
+    try:
+        yield
+    finally:
+        iv.prec = saved

@@ -17,20 +17,21 @@ stopping at such a term below eps leaves a remainder below eps.  The terms
 grow to about e^x before they decay, so the sums run at
 working_dps() + 15 + ceil(x / ln 10) digits, which absorbs the cancellation.
 
-The err field of a QuadResult bounds, at the given inputs, the truncation
-remainder of every base series used plus the floating-point rounding of the
-sums.  The rounding bound is the standard model: each operation rounds with
-relative error at most mp.eps, taking mpmath's pow, sin and cos to be
-accurate to a few ulp.  The tests check this route against mpmath.quad.
+The series without its factor x^mu is summed in Python integers, in fixed
+point (Brent & Zimmermann, Modern Computer Arithmetic, 2010, sec. 4.4):
+every rounding is a floor, and a carried integer bound counts what they
+lose.  mpmath.iv supplies x^mu, cos(eta) and sin(eta) and combines them with
+the sums, so err bounds the truncation and every rounding, assuming only
+that iv rounds outward.  The tests check this route against mpmath.quad.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp
+from mpmath import iv, mp
 
-from trigpos.precision import working_dps
+from trigpos.precision import iv_dps, working_dps
 
 __all__ = [
     "QuadResult",
@@ -46,11 +47,11 @@ _KINDS = ("sin", "cos")
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value + error bound for one integral.
-
-    flagged is True when the error bound exceeds the requested tolerance
-    (the value is still the best available, but callers must not treat it
-    as accurate to tol).
+    """Value + error bound for one integral: value is the midpoint of an
+    mpmath.iv enclosure and err its radius, rounded up (scaled() adds no
+    bound for the rounding of its factor or product).  flagged is True when
+    the error bound exceeds the requested tolerance (the value is still the
+    best available, but callers must not treat it as accurate to tol).
     """
 
     value: mp.mpf
@@ -62,27 +63,27 @@ class QuadResult:
         return QuadResult(self.value * f, self.err * abs(f), self.flagged)
 
 
-def _alternating_sum(offset: int, mu, x, eps):
-    """(sum, error bound) of sum_j (-1)^j x^(k+mu) / (k! (k+mu)), k = 2j + offset.
-
-    offset 1 gives the sine series, offset 0 the cosine series.  The error
-    bound is eps for the truncation plus the rounding of n terms: term j
-    carries at most (3j + 5) roundings and each of the n additions one more,
-    relative to the sum of |terms|.
+def _alternating_sum(offset: int, m: int, xf: int, p: int, eps: int):
+    """(S, E): S = sum_j (-1)^j x^k / (k! (k+mu)), k = 2j + offset (1: sine,
+    0: cosine), in units of 2^-p from the exact integers xf = x 2^p and
+    m = mu 2^p, and E >= |S - sum|.  a is x^k/k! to within e: xx is one ulp
+    low, each step floors twice, e follows a's recurrence rounded up, and a
+    term floors once more.  The sum stops at the first term bounded by eps
+    once x^2 < (k+1)(k+2), where the remainder is below that term.
     """
-    xx = x * x
-    num = x ** (offset + mu)
-    fact = mp.mpf(1)
-    total = mass = mp.mpf(0)
+    xx = xf * xf >> p
+    a = xf if offset else 1 << p
+    e = total = err = 0
     for j in range(600):
         k = 2 * j + offset
-        term = num / (fact * (k + mu))
+        term = (a << p) // ((k << p) + m)  # off by <= e + 1: k + mu >= 1 once e > 0
         total += -term if j % 2 else term
-        mass += term
-        if term < eps and xx < (k + 1) * (k + 2):
-            return total, eps + (4 * j + 12) * mp.eps * mass
-        num *= xx
-        fact *= (k + 1) * (k + 2)
+        err += e + 1
+        d = (k + 1) * (k + 2)
+        if term + e + 1 <= eps and xx < d << p:
+            return total, err + eps
+        e = (((e * (xx + 1) + a) >> p) + 2) // d + 2
+        a = (a * xx >> p) // d
     raise ArithmeticError("series did not converge within iteration budget")
 
 
@@ -91,26 +92,27 @@ def _evaluate(kind: str, eta, mu, x):
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     with mp.workdps(working_dps() + 15):
-        eps = mp.mpf(10) ** (-(mp.dps - 3))
         x_in = mp.mpf(x)
         if not 0 < x_in <= 8 * mp.pi + mp.mpf("1e-12"):
             raise ValueError("series route requires 0 < x <= 8*pi")
         dps = mp.dps + int(mp.ceil(x_in / mp.ln(10)))
     with mp.workdps(dps):
-        mu = mp.mpf(mu)
-        x = mp.mpf(x)
-        eta = mp.mpf(eta)
+        mu, x, eta = mp.mpf(mu), mp.mpf(x), mp.mpf(eta)
         if not 0 < mu <= 1:
             raise ValueError("mu must lie in (0, 1]")
-        if eta == 0:
-            return _alternating_sum(1 if kind == "sin" else 0, mu, x, eps)
-        s, s_err = _alternating_sum(1, mu, x, eps)
-        c, c_err = _alternating_sum(0, mu, x, eps)
-        if kind == "sin":  # sin(t + eta) = cos(eta) sin t + sin(eta) cos t
-            value = mp.cos(eta) * s + mp.sin(eta) * c
-        else:
-            value = mp.cos(eta) * c - mp.sin(eta) * s
-        return value, s_err + c_err + 4 * mp.eps * (abs(s) + abs(c))
+        # at p bits both shifts are non-negative: xf and m are x and mu exactly
+        p = max(mp.prec + 8, -x._mpf_[2], -mu._mpf_[2])
+        xf, m = (v._mpf_[1] << (v._mpf_[2] + p) for v in (x, mu))
+        eps = (1 << p) // 10 ** (working_dps() + 12)
+        with iv_dps(dps):
+            s, c = (iv.ldexp(iv.mpf([t - e, t + e]), -p)
+                    for t, e in (_alternating_sum(k, m, xf, p, eps) for k in (1, 0)))
+            cos_eta, sin_eta = iv.cos_sin(eta)  # g(t + eta) = cos(eta) g(t) +/- sin(eta) g^(t)
+            enc = iv.mpf(x) ** iv.mpf(mu) * (
+                cos_eta * s + sin_eta * c if kind == "sin" else cos_eta * c - sin_eta * s)
+        lo, hi = (mp.make_mpf(end) for end in enc._mpi_)
+        value = (lo + hi) / 2
+        return value, max(mp.fsub(hi, value, rounding="u"), mp.fsub(value, lo, rounding="u"))
 
 
 def fractional_osc_integral(kind: str, eta, mu, x, tol=None) -> QuadResult:

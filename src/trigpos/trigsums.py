@@ -17,7 +17,7 @@ from fractions import Fraction
 from mpmath import iv, mp
 
 from trigpos.exact import Enclosure, Polynomial, _as_fraction, poly_with_interval_coeffs
-from trigpos.precision import working_dps
+from trigpos.precision import iv_dps, working_dps
 
 __all__ = [
     "TrigTerm",
@@ -400,12 +400,8 @@ def _outward(value_fn, below: bool) -> Fraction:
     rounds every operation outward, so the lower (upper) endpoint of its
     result, read exactly, lies below (above) the true value.
     """
-    saved = iv.prec
-    iv.dps = working_dps() + 15
-    try:
+    with iv_dps(working_dps() + 15):
         enc = value_fn()
-    finally:
-        iv.prec = saved
     return _as_fraction(mp.make_mpf(enc._mpi_[0 if below else 1]))
 
 

@@ -6,8 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import trigpos
+from trigpos import cli
 from trigpos.cli import main
+from trigpos.exact import Enclosure
+from trigpos.mustar import MuStarResult, mu_star
 
 REPORT_KEYS = {"case", "inputs", "method", "status", "checks", "reference",
                "wall_time_s"}
@@ -18,6 +23,27 @@ def test_mustar_boundary_passes(capsys):
     out = capsys.readouterr().out
     assert "status: PASS" in out
     assert "enclosure" in out
+
+
+@pytest.mark.parametrize("width", ["1e-2", "1e-4"])
+def test_mustar_loose_widths_pass(capsys, width):
+    # the verdict rests on the verified end signs, not on a residual that
+    # grows with the width
+    assert main(["mustar", "2/3", "--width", width]) == 0
+    assert "[PASS] sign-change" in capsys.readouterr().out
+
+
+def test_mustar_shifted_enclosure_fails(monkeypatch, capsys):
+    # moved by its own width, the enclosure sits wholly above the root, so
+    # D > 0 at both ends
+    def shifted(rho, width):
+        res = mu_star(rho, width=width)
+        enc = Enclosure(res.enclosure.lo + width, res.enclosure.hi + width)
+        return MuStarResult(res.rho, enc, res.residual)
+
+    monkeypatch.setattr(cli, "mu_star", shifted)
+    assert main(["mustar", "2/3", "--width", "1e-4"]) == 1
+    assert "[FAIL] sign-change" in capsys.readouterr().out
 
 
 def test_mustar_rejects_bad_rho(capsys):

@@ -155,8 +155,10 @@ def test_weak_check_other_rho_has_no_boundary_figure():
 
 
 def test_hostile_sums_below_eval_err_are_never_certified():
-    # 1 - cos(theta) has a double zero on the grid node theta = 0; shifting
-    # it by 1e-14, far below eval_err, leaves the sign undecidable in float64
+    # 1 - cos(theta) has a double zero on the grid node theta = 0.  The
+    # proven eval_err there is 1.9e-15, so a shift of 1e-14 is above it, but
+    # the curvature term keeps +1e-14 uncertified until the node budget runs
+    # out (inconclusive); -1e-14 is refuted at its witness
     for shift in (F(0), F(1, 10**14), F(-1, 10**14)):
         s = _sum(_term(1 + shift, 0), _term(-1, 1), label=f"1+({shift})-cos")
         cert = certify_positive_trig(s, (F(-1, 2), F(1, 2)))

@@ -6,6 +6,7 @@ Frozen constants below were produced by the series route at mp.dps = 50 and
 rounded to the digits shown.
 """
 
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from mpmath import mp
 from oracles import osc_integral
 from trigpos.quadrature import (
     QuadResult,
+    _alternating_sum,  # private: its carried bound is checked at coarse precision
     chi_reference_integral,
     fractional_osc_integral,
     frak_K,
@@ -66,6 +68,82 @@ def test_dual_route_randomized():
         quad = fractional_osc_integral(kind, eta, mu, x)
         ref = osc_integral(kind, eta, mu, x)
         assert abs(quad.value - ref) <= quad.err + mp.mpf("1e-22"), (kind, mu, x, eta)
+
+
+def _plain_series(offset, mu, x, scale=True):
+    """sum_j (-1)^j x^(k+mu) / (k! (k+mu)), k = 2j + offset, summed with
+    plain mpmath at 120 digits (without the factor x^mu if not scale)."""
+    with mp.workdps(120):
+        total, j = mp.mpf(0), 0
+        while True:
+            k = 2 * j + offset
+            term = x ** k / (mp.factorial(k) * (k + mu))
+            total += -term if j % 2 else term
+            if term < mp.mpf("1e-110") and x * x < (k + 1) * (k + 2):
+                return total * x ** mu if scale else total
+            j += 1
+
+
+def _bound_draws():
+    """64 seeded (kind, eta, mu, x): both kinds, eta = 0 and random, mu and
+    x at their extremes (0.01, 1; 1e-6, 8 pi) and random in between."""
+    rng = random.Random(2024)
+    mus = (mp.mpf("0.01"), mp.mpf(1), None, None)  # None: a random draw
+    xs = (mp.mpf("1e-6"), 8 * mp.pi, None, None)
+    draws = []
+    for kind, zero_eta, mu, x in itertools.product(("sin", "cos"), (True, False), mus, xs):
+        eta = mp.mpf(0) if zero_eta else mp.mpf(rng.uniform(-3.2, 3.2))
+        mu = mu if mu is not None else mp.mpf(rng.uniform(0.01, 1.0))
+        x = x if x is not None else mp.mpf(rng.uniform(1e-6, 8 * 3.14159))
+        draws.append((kind, eta, mu, x))
+    return draws
+
+
+def test_error_bound_holds_against_a_120_digit_sum():
+    draws = _bound_draws()
+    assert len(draws) >= 60
+    for kind, eta, mu, x in draws:
+        quad = fractional_osc_integral(kind, eta, mu, x)
+        s, c = _plain_series(1, mu, x), _plain_series(0, mu, x)
+        with mp.workdps(120):
+            if kind == "sin":
+                ref = mp.cos(eta) * s + mp.sin(eta) * c
+            else:
+                ref = mp.cos(eta) * c - mp.sin(eta) * s
+            assert abs(quad.value - ref) <= quad.err, (kind, eta, mu, x)
+        assert quad.err <= mp.mpf("1e-40"), (kind, eta, mu, x)
+
+
+def test_carried_floor_bound_at_coarse_precision():
+    # at x = 8 pi the terms reach e^x ~ 2^36 before they cancel.  With p
+    # bits and the stop at eps = 3 ulps, the floors alone move some sums by
+    # more than eps, so only the carried bound E covers them.  (At the
+    # working precision they stay near 1e-57, far below eps.)
+    worst = 0
+    for p in range(12, 52, 4):
+        with mp.workdps(60):
+            xf = int(mp.ldexp(8 * mp.pi, p))
+        for offset, mu in itertools.product((0, 1), ("0.01", "0.5", "1")):
+            m = int(mp.ldexp(mp.mpf(mu), p))
+            s, e = _alternating_sum(offset, m, xf, p, 3)
+            with mp.workdps(120):  # x = xf 2^-p and mu = m 2^-p exactly
+                exact = _plain_series(offset, mp.ldexp(m, -p), mp.ldexp(xf, -p), scale=False)
+                gap = abs(s - mp.ldexp(exact, p))
+            assert gap <= e, (p, offset, mu)
+            worst = max(worst, gap)
+    assert worst > 3
+
+
+def test_result_ignores_the_callers_precision():
+    with mp.workdps(50):
+        args = [(kind, mp.pi / 7 * j, mp.mpf(1) / 3 + j / mp.mpf(10), mp.e * j)
+                for j in (1, 2, 3) for kind in ("sin", "cos")]
+    for kind, eta, mu, x in args:
+        with mp.workdps(15):
+            low = fractional_osc_integral(kind, eta, mu, x)
+        with mp.workdps(50):
+            high = fractional_osc_integral(kind, eta, mu, x)
+        assert low == high
 
 
 def test_frozen_endpoint_values():
