@@ -23,7 +23,8 @@ CASE is one of
 
 Exit status: 0 when every sub-check passes, 1 when any sub-check fails or is
 inconclusive, 2 for usage errors (unknown case, rho outside (0, 1], a width
-below 10^-precision, a config key or value that does not parse).
+below 10^-precision, --nmax outside 1..999998, a config key or value that
+does not parse).
 
 Reports are deterministic: identical invocations at the same precision print
 byte-identical output apart from the wall-time figure.  The env var
@@ -53,7 +54,7 @@ from trigpos.bounds import (
     two_thirds_master_bound,
     wedge,
 )
-from trigpos.engine import certify_partial_sums
+from trigpos.engine import _MAX_TERMS, certify_partial_sums
 from trigpos.exact import Enclosure
 from trigpos.gegenbauer import (
     arg_bound_check,
@@ -734,8 +735,8 @@ def _setting(args, config: dict, key: str):
 def _dispatch_verify(args, config: dict) -> VerificationReport:
     case = args.case
     nmax = _setting(args, config, "nmax")
-    if nmax < 1:
-        raise UsageError("--nmax must be at least 1")
+    if not 1 <= nmax < _MAX_TERMS - 1:  # a grid check takes nmax + 1 terms
+        raise UsageError(f"--nmax must lie in 1..{_MAX_TERMS - 2}")
     rho = _setting(args, config, "rho")
     master_min = _setting(args, config, "master-min")
     master_tol = _setting(args, config, "master-tol")

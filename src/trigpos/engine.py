@@ -7,19 +7,21 @@ terms (U_n and varsigma_n have one, of gap 2), so it makes no trig call per
 term; it accumulates the partial sums S_n in place and records each one's
 grid minimum m_n, so one pass over one grid decides every prefix n.
 
-Certificate.  |S_n''| <= M2_n = sum_{k<=n} max|c_k| f_k^2, exact from the
-enclosures, and on a cell of width h a C^2 function lies above its linear
-interpolant minus M2 h^2/8; so S_n > 0 on [a, b] once
-m_n - M2_n h^2/8 - err_n > 0, where err_n bounds |float value - S_n| at
-every node for every coefficient in the enclosures.  err_n adds the exact
-coefficient half-widths, the exact rounding of the midpoints to float64 and
-a standard-model bound (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., ch. 3), u = 2^-53: a seed is off by 8u plus its
-argument's rounding, a complex product adds sqrt(2) gamma_2 (Lemma 3.5),
-so 1 + E_k = (1 + E_{k-1})(1 + e_seed)(1 + sqrt(2) gamma_2) bounds P_k's
-relative error; c_k Re P_k adds u, and term k passes n - k + 1 additions,
-gamma_{n-k+1}.  The one assumption is that numpy's sin and cos of the seed
-arguments are within 4 ulp of the true values (SVML builds are).
+Certificate.  |S_n''| <= M2_n = sum_{k<=n} max|c_k| f_k^2, and on a cell
+of width h a C^2 function lies above its linear interpolant minus
+M2 h^2/8; so S_n > 0 on [a, b] once m_n - M2_n h^2/8 - err_n > 0, where
+err_n bounds |float value - S_n| at every node for every coefficient in the
+enclosures.  err_n adds the coefficient half-widths, the rounding of the
+midpoints to float64 and a standard-model bound (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., ch. 3), u = 2^-53: a seed is
+off by 8u plus its argument's rounding, a complex product adds
+sqrt(2) gamma_2 (Lemma 3.5), so 1 + E_k = (1 + E_{k-1})(1 + e_seed)
+(1 + sqrt(2) gamma_2) bounds P_k's relative error; c_k Re P_k adds u, and
+term k passes n - k + 1 additions, gamma_{n-k+1}.  M2_n, the half-widths and
+the rounding are float64 sums of per-term upper bounds (each the least float
+above its exact value) times 1 + 1e-9, which covers the sums' own rounding
+below 10^6 terms.  The one assumption is that numpy's sin and cos of the
+seed arguments are within 4 ulp of the true values (SVML builds are).
 
 The grid starts at 1,025 nodes and doubles, keeping the old nodes and
 evaluating the new ones in fixed-size chunks, until every n is decided.  A
@@ -44,7 +46,7 @@ from mpmath import mp
 
 from trigpos.exact import _as_fraction
 from trigpos.precision import working_dps
-from trigpos.trigsums import TrigSum, build_U_n
+from trigpos.trigsums import HALF, TrigSum, build_U_n
 
 __all__ = [
     "GridCertificate",
@@ -63,6 +65,7 @@ _U = 2.0**-53  # float64 unit roundoff
 _SEED_ERR = 8 * _U  # cos and sin within 4 ulp, so |computed - exact| <= 8u
 _MUL_ERR = math.sqrt(2) * 2 * _U / (1 - 2 * _U)  # complex product, Higham 3.5
 _SLACK = 1 + 1e-9  # rounding in the bound's own float sums, for < 10^6 terms
+_MAX_TERMS = 10**6
 _INITIAL_NODES = 1025
 _MAX_NODES = (1 << 20) + 1  # node budget before "inconclusive"
 _CHUNK = 1 << 14  # nodes per evaluation chunk
@@ -98,10 +101,13 @@ class GridCertificate:
         return self.min_value - self.curvature * self.h**2 / 8 - self.eval_err
 
 
-def _up(x: Fraction) -> float:
-    """The least float >= x."""
-    f = float(x)
-    return math.nextafter(f, math.inf) if Fraction(f) < x else f
+def _up(x, d: int = 1) -> float:
+    """The least float >= x/d, for x an int or a Fraction and an int d > 0,
+    decided on integers: n / d of two ints is correctly rounded."""
+    n, d = x.numerator, x.denominator * d
+    f = n / d
+    fn, fd = f.as_integer_ratio()
+    return math.nextafter(f, math.inf) if fn * d < n * fd else f
 
 
 class _Prefixes:
@@ -114,42 +120,49 @@ class _Prefixes:
             raise ValueError("interval must satisfy a < b")
         if not terms:
             raise ValueError("empty trig sum")
+        if len(terms) >= _MAX_TERMS:
+            raise ValueError(f"the float64 bounds hold below {_MAX_TERMS} terms")
         self.terms = terms
         self.lo, self.hi = -_up(-self.a), _up(self.b)  # floats around [a, b]
         self.theta_max = big = max(abs(self.lo), abs(self.hi))
-        self.coeffs = np.array([float(t.coeff.mid) for t in terms])
-        self.seed_of, self.seeds, index = [], [], {}
+        # per term: the float midpoint and upper bounds on max|c_k| f_k^2,
+        # the half-width and |float midpoint - midpoint|, all from integers
+        self.coeffs, m2, half, rounding = (np.empty(len(terms)) for _ in range(4))
+        self.seed_of, self.seeds, grow = [], [], {}
         rel, e = np.empty(len(terms)), 0.0  # E_k, relative error of P_k
         f_prev = ph_prev = Fraction(0)
         for k, t in enumerate(terms):
-            ph = t.phase_pi - (Fraction(1, 2) if t.kind == "sin" else 0)
-            step = (t.freq - f_prev, (ph - ph_prev + 1) % 2 - 1)
+            (ln, ld), (hn, hd) = t.coeff.lo.as_integer_ratio(), t.coeff.hi.as_integer_ratio()
+            den, num = 2 * ld * hd, ln * hd + hn * ld  # midpoint num / den
+            self.coeffs[k] = mid = num / den
+            a, b = mid.as_integer_ratio()
+            fn, fd = t.freq.as_integer_ratio()
+            m2[k] = _up(max(abs(ln) * hd, abs(hn) * ld) * fn * fn, ld * hd * fd * fd)
+            half[k] = _up(hn * ld - ln * hd, den)
+            rounding[k] = _up(abs(a * den - num * b), b * den)
+            ph = t.phase_pi - HALF if t.kind == "sin" else t.phase_pi
+            step = (t.freq - f_prev, 0 if ph == ph_prev else (ph - ph_prev + 1) % 2 - 1)
             f_prev, ph_prev = t.freq, ph
+            sid = -1
             if step != (0, 0):
-                if step not in index:
-                    index[step] = len(self.seeds)
+                if step not in grow:  # each distinct step's seed error, once
+                    g, d = float(step[0]), float(step[1]) * math.pi
+                    es = _SEED_ERR + _up(abs(Fraction(g) - step[0])) * big \
+                        + 2.01 * _U * abs(g) * big + 5 * _U * abs(d)
+                    grow[step] = len(self.seeds), es, es + _MUL_ERR + es * _MUL_ERR
                     self.seeds.append(step)
-                g, d = float(step[0]), float(step[1]) * math.pi
-                es = _SEED_ERR + float(abs(Fraction(g) - step[0])) * big \
-                    + 2.01 * _U * abs(g) * big + 5 * _U * abs(d)
-                e = es if k == 0 else e + (1 + e) * (es + _MUL_ERR + es * _MUL_ERR)
-            self.seed_of.append(index.get(step, -1))
+                sid, es, g_k = grow[step]
+                e = es if k == 0 else e + (1 + e) * g_k
+            self.seed_of.append(sid)
             rel[k] = e
         c = np.abs(self.coeffs)
         adds = _U / (1 - np.arange(1, len(c) + 1) * _U)
         fp = np.cumsum(np.cumsum(c * (1 + rel) * (1 + _U))) * adds \
             + np.cumsum(c * (rel + _U * (1 + rel)))
-        m2 = half = rounding = Fraction(0)
-        self.m2, exact, rounded = [], [], []
-        for t, cf in zip(terms, self.coeffs):
-            m2 += max(abs(t.coeff.lo), abs(t.coeff.hi)) * t.freq**2
-            half += t.coeff.width / 2
-            rounding += abs(Fraction(float(cf)) - t.coeff.mid)
-            self.m2.append(_up(m2))
-            exact.append(_up(half))
-            rounded.append(_up(rounding))
-        self.float_err = (fp + np.array(rounded)) * _SLACK
-        self.err = (self.float_err + np.array(exact)) * _SLACK
+        # float sums of nonnegative upper bounds, their rounding under _SLACK
+        self.m2, half, rounding = (np.cumsum(x) * _SLACK for x in (m2, half, rounding))
+        self.float_err = (fp + rounding) * _SLACK
+        self.err = (self.float_err + half) * _SLACK
 
     def values(self, theta, n_hi: int):
         """Yield (k, float S_k at theta) for k = 0..n_hi; S_k is overwritten."""
@@ -193,7 +206,7 @@ class _Prefixes:
                 if status:
                     done[n] = GridCertificate(
                         label if n == last else f"{label}, partial sum {n}",
-                        (float(self.a), float(self.b)), nodes, h, self.m2[n], m,
+                        (float(self.a), float(self.b)), nodes, h, float(self.m2[n]), m,
                         float(self.err[n]), status, witness, detail)
                     todo.discard(n)
             nodes, first, stride = 2 * nodes - 1, 1, 2

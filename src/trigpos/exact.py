@@ -342,7 +342,7 @@ class Enclosure:
 
     @property
     def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return self.lo if self.lo == self.hi else (self.lo + self.hi) / 2
 
     def is_exact(self) -> bool:
         return self.lo == self.hi

@@ -48,8 +48,7 @@ _KINDS = ("sin", "cos")
 @dataclass(frozen=True)
 class QuadResult:
     """Value + error bound for one integral: value is the midpoint of an
-    mpmath.iv enclosure and err its radius, rounded up (scaled() adds no
-    bound for the rounding of its factor or product).  flagged is True when
+    mpmath.iv enclosure and err its radius, rounded up.  flagged is True when
     the error bound exceeds the requested tolerance (the value is still the
     best available, but callers must not treat it as accurate to tol).
     """
@@ -59,8 +58,19 @@ class QuadResult:
     flagged: bool
 
     def scaled(self, factor) -> "QuadResult":
-        f = mp.mpf(factor)
-        return QuadResult(self.value * f, self.err * abs(f), self.flagged)
+        """This result times factor, a real or an mpmath.iv interval; the
+        product is formed in iv, so err stays an enclosure radius."""
+        dps = working_dps() + 15
+        with mp.workdps(dps), iv_dps(dps):
+            enc = (iv.mpf(self.value) + iv.mpf([-self.err, self.err])) * factor
+            return QuadResult(*_mid_rad(enc), self.flagged)
+
+
+def _mid_rad(enc):
+    """(midpoint, radius rounded up) of an mpmath.iv interval."""
+    lo, hi = (mp.make_mpf(end) for end in enc._mpi_)
+    value = (lo + hi) / 2
+    return value, max(mp.fsub(hi, value, rounding="u"), mp.fsub(value, lo, rounding="u"))
 
 
 def _alternating_sum(offset: int, m: int, xf: int, p: int, eps: int):
@@ -110,9 +120,7 @@ def _evaluate(kind: str, eta, mu, x):
             cos_eta, sin_eta = iv.cos_sin(eta)  # g(t + eta) = cos(eta) g(t) +/- sin(eta) g^(t)
             enc = iv.mpf(x) ** iv.mpf(mu) * (
                 cos_eta * s + sin_eta * c if kind == "sin" else cos_eta * c - sin_eta * s)
-        lo, hi = (mp.make_mpf(end) for end in enc._mpi_)
-        value = (lo + hi) / 2
-        return value, max(mp.fsub(hi, value, rounding="u"), mp.fsub(value, lo, rounding="u"))
+        return _mid_rad(enc)
 
 
 def fractional_osc_integral(kind: str, eta, mu, x, tol=None) -> QuadResult:
@@ -149,7 +157,8 @@ def frak_K(b, x, rho, mu) -> QuadResult:
             raise ValueError("b must lie in (0, pi/2]")
         eta = rho * b - (rho - mp.mpf(1) / 2) * mp.pi
         base = fractional_osc_integral("cos", eta, mu, x)
-        return base.scaled(1 / mp.sin(b))
+    with iv_dps(working_dps() + 15):
+        return base.scaled(1 / iv.sin(b))
 
 
 def chi_reference_integral(mu) -> QuadResult:
@@ -161,7 +170,8 @@ def chi_reference_integral(mu) -> QuadResult:
     """
     with mp.workdps(working_dps() + 10):
         base = fractional_osc_integral("cos", -mp.pi / 10, mu, 8 * mp.pi / 5)
-        return base.scaled(1 / mp.sin(mp.pi / 5))
+    with iv_dps(working_dps() + 15):
+        return base.scaled(1 / iv.sin(iv.pi / 5))
 
 
 def min_over_upper_limit(kind: str, eta, mu, x_min):

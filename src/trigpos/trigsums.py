@@ -78,7 +78,8 @@ class TrigSum:
                 g = mp.sin if t.kind == "sin" else mp.cos
                 arg = mp.mpf(t.freq.numerator) / t.freq.denominator * th \
                     + mp.pi * t.phase_pi.numerator / t.phase_pi.denominator
-                total += mp.mpf(t.coeff.mid.numerator) / t.coeff.mid.denominator * g(arg)
+                c = t.coeff.mid
+                total += mp.mpf(c.numerator) / c.denominator * g(arg)
             return total
 
     def coeff_err(self) -> Fraction:
@@ -125,7 +126,7 @@ def _poch_table(mu: Enclosure, n: int) -> list[Enclosure]:
     table = [Enclosure(lo, hi)]
     for k in range(n):
         lo = lo * (mu.lo + k) / (k + 1)
-        hi = hi * (mu.hi + k) / (k + 1)
+        hi = lo if mu.is_exact() else hi * (mu.hi + k) / (k + 1)  # exact mu: one product
         if not mu.is_exact():
             if lo.denominator >> bits:
                 lo = Fraction((lo.numerator << bits) // lo.denominator, 1 << bits)

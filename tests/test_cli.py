@@ -142,6 +142,15 @@ def test_nmax_guard(capsys):
     capsys.readouterr()
 
 
+def test_nmax_at_a_million_terms_is_a_usage_error(capsys, monkeypatch):
+    # the grid bounds hold below 10^6 terms, and a grid check takes nmax + 1;
+    # the guard fires before any coefficient is built
+    monkeypatch.setattr(cli, "build_U_n", None)
+    for nmax in ("1000000", "999999"):
+        assert main(["verify", "thm-2-3", "--nmax", nmax]) == 2
+        assert "--nmax must lie in 1..999998" in capsys.readouterr().err
+
+
 def test_module_entry_point_subprocess():
     # the child imports the same trigpos as this process, also when pytest
     # put src/ on sys.path itself (pythonpath in pyproject.toml)

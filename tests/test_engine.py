@@ -1,5 +1,6 @@
 """Grid certification and unit-disk scans."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from trigpos.engine import (
     subordination_sector_check,
     weak_conjecture_check,
 )
-from trigpos.engine import _Prefixes
+from trigpos.engine import _MAX_TERMS, _MUL_ERR, _SEED_ERR, _Prefixes, _up
 from trigpos.exact import Enclosure
 from trigpos.mustar import mu_star
 from trigpos.trigsums import TrigSum, TrigTerm, build_U_n, build_varsigma
@@ -243,3 +244,83 @@ def test_float_values_stay_within_the_float64_bound(monkeypatch):
         assert ratio <= 1, (t, n)
         worst = max(worst, ratio)
     assert len(theta) == 200 and worst > 0
+
+
+def test_up_is_the_least_float_above():
+    for x in (F(1, 3**400), F(-1, 3**400), F(2, 3), F(-2, 3), F(10**400, 3**839),
+              F(0.1), F(-2.5), F(0), F(7),
+              1 - F(1, 2**60), 2**70 - F(1, 3), -(1 - F(1, 2**60)),
+              1 + F(1, 2**60), -(1 + F(1, 2**60))):
+        up = _up(x)
+        assert F(up) >= x > F(math.nextafter(up, -math.inf)), x
+    assert _up(F(0.1)) == 0.1 and _up(7) == 7.0 and _up(2, 3) == _up(F(2, 3))
+    assert _up(1 - F(1, 2**60)) == 1.0
+    assert _up(1 + F(1, 2**60)) == math.nextafter(1.0, 2)
+
+
+def _exact_prefix_bounds(prefixes):
+    """M2_n, float_err_n and err_n of the documented bound, summed in exact
+    Fractions: the three sums over the coefficients, and the standard-model
+    float64 term with the engine's float constants read exactly."""
+    u = F(1, 2**53)
+    big = F(prefixes.theta_max)
+    m2 = half = rounding = s1 = s2 = s3 = F(0)
+    e = F(0)
+    f_prev = ph_prev = F(0)
+    out = []
+    for k, t in enumerate(prefixes.terms):
+        c = abs(F(prefixes.coeffs[k]))
+        assert prefixes.coeffs[k] == float(t.coeff.mid)
+        m2 += max(abs(t.coeff.lo), abs(t.coeff.hi)) * t.freq**2
+        half += t.coeff.width / 2
+        rounding += abs(F(float(t.coeff.mid)) - t.coeff.mid)
+        ph = t.phase_pi - (F(1, 2) if t.kind == "sin" else 0)
+        step = (t.freq - f_prev, (ph - ph_prev + 1) % 2 - 1)
+        f_prev, ph_prev = t.freq, ph
+        if step != (0, 0):
+            g, d = float(step[0]), float(step[1]) * math.pi
+            es = F(_SEED_ERR) + abs(F(g) - step[0]) * big \
+                + F(2.01) * u * abs(F(g)) * big + 5 * u * abs(F(d))
+            mul = F(_MUL_ERR)
+            e = es if k == 0 else e + (1 + e) * (es + mul + es * mul)
+        a = c * (1 + e) * (1 + u)  # term k passes n - k + 1 additions
+        s1, s2, s3 = s1 + a, s2 + k * a, s3 + c * (e + u * (1 + e))
+        fp = ((k + 1) * s1 - s2) * u / (1 - (k + 1) * u) + s3
+        out.append((m2, fp + rounding, fp + rounding + half))
+    return out
+
+
+def test_prefix_bounds_cover_their_exact_sums():
+    # the float64 sums of per-term upper bounds against the same sums in
+    # Fractions: never below, and at most 1e-8 above in relative terms
+    mixed = (  # steps: none, then (1, -3/10) twice, (2, 0) twice, two more
+        _term(F(1, 3), 0),
+        TrigTerm(Enclosure(F(-7, 10), F(-2, 3)), F(1), F(1, 5), "sin"),
+        _term(F(-5, 7), 2, phase_pi=F(-3, 5)),
+        _term(F(2, 9), 4, phase_pi=F(-3, 5)),
+        TrigTerm(Enclosure(F(1, 10**9), F(3, 10**9) + F(1, 7)), F(6), F(-3, 5), "cos"),
+        _term(F(-1, 11), 6, phase_pi=F(1, 3)),
+        _term(F(3, 13), 9, phase_pi=F(1, 5), kind="sin"),
+    )
+    cases = (
+        (build_U_n(100, _critical(F(2, 3))).terms, U_INTERVAL),
+        (build_varsigma(100, F(1, 3), F(3, 5)).terms, VS_INTERVAL),
+        (mixed, (F(-1, 3), F(22, 7))),
+    )
+    slack = 1 + F(1, 10**8)
+    for terms, interval in cases:
+        prefixes = _Prefixes(terms, interval)
+        for n, exact in enumerate(_exact_prefix_bounds(prefixes)):
+            got = (prefixes.m2[n], prefixes.float_err[n], prefixes.err[n])
+            for name, bound, want in zip(("m2", "float_err", "err"), got, exact):
+                assert want <= F(bound) <= want * slack, (n, name, float(want), bound)
+    assert len(_Prefixes(mixed, (0, 1)).seeds) == 4
+
+
+def test_prefixes_refuse_a_million_terms():
+    # the float sums' slack holds below 10^6 terms; the guard fires before
+    # any per-term work, so a list of one repeated term is enough
+    term = _term(1, 2)
+    with pytest.raises(ValueError, match="below"):
+        _Prefixes([term] * _MAX_TERMS, (0, 1))
+    assert len(_Prefixes([term] * 3, (0, 1)).err) == 3

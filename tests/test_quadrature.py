@@ -10,7 +10,7 @@ import itertools
 import random
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 from oracles import osc_integral
 from trigpos.quadrature import (
@@ -22,6 +22,7 @@ from trigpos.quadrature import (
     min_over_upper_limit,
     series_reference,
 )
+from trigpos.precision import iv_dps, working_dps
 
 mp.dps = 30
 
@@ -177,6 +178,21 @@ def test_quadresult_scaled():
     r = QuadResult(mp.mpf(2), mp.mpf("0.5"), False)
     s = r.scaled(-3)
     assert s.value == -6 and s.err == mp.mpf("1.5") and s.flagged is False
+
+
+def test_scaled_encloses_the_exact_product():
+    # the factor 1/sin(pi/5) and the product are rounded: err must cover
+    # both, also for an exact input with err = 0
+    base = fractional_osc_integral("cos", -mp.pi / 10, MU23, 8 * mp.pi / 5)
+    with iv_dps(working_dps() + 15):
+        inverse = 1 / iv.sin(iv.pi / 5)
+    for r in (base, QuadResult(mp.mpf(1) / 3, mp.mpf(0), False)):
+        s = r.scaled(inverse)
+        with mp.workdps(100):
+            exact = 1 / mp.sin(mp.pi / 5)
+            for end in (r.value - r.err, r.value + r.err):
+                assert s.value - s.err <= end * exact <= s.value + s.err
+    assert 0 < s.err < mp.mpf("1e-40")
 
 
 def test_input_guards():
