@@ -36,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import mp
+from mpmath import iv, mp
 
 from trigpos.exact import Enclosure, _as_fraction
 from trigpos.mustar import mu_star
-from trigpos.precision import working_dps
+from trigpos.precision import iv_dps, working_dps
 from trigpos.quadrature import chi_reference_integral, fractional_osc_integral, frak_K
 
 __all__ = [
@@ -174,8 +174,9 @@ def _region_1(rho_mp):
     b = mp.pi / 3
 
     def formula(nu):
-        s_res = fractional_osc_integral("sin", 0, nu, 2 * mp.pi)
-        c_res = fractional_osc_integral("cos", 0, nu, 7 * mp.pi / 4)
+        with iv_dps(working_dps() + 15):  # the upper limits, enclosed
+            s_res = fractional_osc_integral("sin", 0, nu, 2 * iv.pi)
+            c_res = fractional_osc_integral("cos", 0, nu, 7 * iv.pi / 4)
         l1 = (mp.cos(rho_mp * b) / mp.sin(b)) * s_res.value + rho_mp * c_res.value
         q0 = mp.sin((nu - 1) * mp.pi / 2)
         r0 = _r_shifted(mp.sin, nu, mp.mpf(0), rho_mp * mp.mpf(0))

@@ -20,8 +20,9 @@ sqrt(2) gamma_2 (Lemma 3.5), so 1 + E_k = (1 + E_{k-1})(1 + e_seed)
 term k passes n - k + 1 additions, gamma_{n-k+1}.  M2_n, the half-widths and
 the rounding are float64 sums of per-term upper bounds (each the least float
 above its exact value) times 1 + 1e-9, which covers the sums' own rounding
-below 10^6 terms.  The one assumption is that numpy's sin and cos of the
-seed arguments are within 4 ulp of the true values (SVML builds are).
+below 10^6 terms; the per-term bounds are memoised on the terms
+(TrigTerm.float_bounds).  The one assumption is that numpy's sin and cos of
+the seed arguments are within 4 ulp of the true values (SVML builds are).
 
 The grid starts at 1,025 nodes and doubles, keeping the old nodes and
 evaluating the new ones in fixed-size chunks, until every n is decided.  A
@@ -46,7 +47,7 @@ from mpmath import mp
 
 from trigpos.exact import _as_fraction
 from trigpos.precision import working_dps
-from trigpos.trigsums import HALF, TrigSum, build_U_n
+from trigpos.trigsums import TrigSum, _up, build_U_n
 
 __all__ = [
     "GridCertificate",
@@ -101,15 +102,6 @@ class GridCertificate:
         return self.min_value - self.curvature * self.h**2 / 8 - self.eval_err
 
 
-def _up(x, d: int = 1) -> float:
-    """The least float >= x/d, for x an int or a Fraction and an int d > 0,
-    decided on integers: n / d of two ints is correctly rounded."""
-    n, d = x.numerator, x.denominator * d
-    f = n / d
-    fn, fd = f.as_integer_ratio()
-    return math.nextafter(f, math.inf) if fn * d < n * fd else f
-
-
 class _Prefixes:
     """The terms of one sum in the order their partial sums are taken, with
     M2_n, err_n and float_err (the float64 part of err_n) for every n."""
@@ -126,35 +118,36 @@ class _Prefixes:
         self.lo, self.hi = -_up(-self.a), _up(self.b)  # floats around [a, b]
         self.theta_max = big = max(abs(self.lo), abs(self.hi))
         # per term: the float midpoint and upper bounds on max|c_k| f_k^2,
-        # the half-width and |float midpoint - midpoint|, all from integers
-        self.coeffs, m2, half, rounding = (np.empty(len(terms)) for _ in range(4))
-        self.seed_of, self.seeds, grow = [], [], {}
-        rel, e = np.empty(len(terms)), 0.0  # E_k, relative error of P_k
-        f_prev = ph_prev = Fraction(0)
+        # the half-width and |float midpoint - midpoint| (TrigTerm.float_bounds)
+        self.coeffs, m2, half, rounding = np.array([t.float_bounds for t in terms]).T
+        self.seed_of, self.seeds, grow, seen = [], [], {}, {}
+        rel, e = [], 0.0  # E_k, relative error of P_k
+        prev = (0, 1, 0, 1)  # frequency and phase (as a cosine) of the last term
         for k, t in enumerate(terms):
-            (ln, ld), (hn, hd) = t.coeff.lo.as_integer_ratio(), t.coeff.hi.as_integer_ratio()
-            den, num = 2 * ld * hd, ln * hd + hn * ld  # midpoint num / den
-            self.coeffs[k] = mid = num / den
-            a, b = mid.as_integer_ratio()
-            fn, fd = t.freq.as_integer_ratio()
-            m2[k] = _up(max(abs(ln) * hd, abs(hn) * ld) * fn * fn, ld * hd * fd * fd)
-            half[k] = _up(hn * ld - ln * hd, den)
-            rounding[k] = _up(abs(a * den - num * b), b * den)
-            ph = t.phase_pi - HALF if t.kind == "sin" else t.phase_pi
-            step = (t.freq - f_prev, 0 if ph == ph_prev else (ph - ph_prev + 1) % 2 - 1)
-            f_prev, ph_prev = t.freq, ph
-            sid = -1
-            if step != (0, 0):
-                if step not in grow:  # each distinct step's seed error, once
+            (fn, fd), (pn, pd) = t.freq.as_integer_ratio(), t.phase_pi.as_integer_ratio()
+            cur = (fn, fd, 2 * pn - pd, 2 * pd) if t.kind == "sin" else (fn, fd, pn, pd)
+            # the step from the last term as unreduced integer ratios: equal
+            # keys are equal steps, so the Fractions are formed once per key
+            key = (fn * prev[1] - prev[0] * fd, fd * prev[1],
+                   cur[2] * prev[3] - prev[2] * cur[3], cur[3] * prev[3])
+            prev, hit = cur, seen.get(key, False)
+            if hit is False:
+                step = (Fraction(key[0], key[1]),
+                        0 if key[2] == 0 else (Fraction(key[2], key[3]) + 1) % 2 - 1)
+                if step != (0, 0) and step not in grow:  # each distinct step's seed error, once
                     g, d = float(step[0]), float(step[1]) * math.pi
                     es = _SEED_ERR + _up(abs(Fraction(g) - step[0])) * big \
                         + 2.01 * _U * abs(g) * big + 5 * _U * abs(d)
                     grow[step] = len(self.seeds), es, es + _MUL_ERR + es * _MUL_ERR
                     self.seeds.append(step)
-                sid, es, g_k = grow[step]
+                hit = seen[key] = grow.get(step)
+            sid = -1
+            if hit is not None:
+                sid, es, g_k = hit
                 e = es if k == 0 else e + (1 + e) * g_k
             self.seed_of.append(sid)
-            rel[k] = e
+            rel.append(e)
+        rel = np.array(rel)
         c = np.abs(self.coeffs)
         adds = _U / (1 - np.arange(1, len(c) + 1) * _U)
         fp = np.cumsum(np.cumsum(c * (1 + rel) * (1 + _U))) * adds \

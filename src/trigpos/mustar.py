@@ -25,11 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from mpmath import mp
+from mpmath import iv, mp
 
 from trigpos.exact import Enclosure, _as_fraction
-from trigpos.precision import working_dps
+from trigpos.precision import iv_dps, working_dps
 from trigpos.quadrature import QuadResult, fractional_osc_integral
 
 __all__ = ["MuStarResult", "defect_integral", "mu_star", "width_floor", "BRACKET_LO", "BRACKET_HI"]
@@ -57,14 +58,24 @@ class MuStarResult:
 
 def defect_integral(rho, mu) -> QuadResult:
     """D(rho, mu) = integral_0^((rho+1)*pi) sin(t - rho*pi) t^(mu-1) dt,
-    for exact rationals or mpfs rho and mu."""
+    for exact rationals or mpfs rho and mu; the arguments are enclosed in
+    mpmath.iv, so the result encloses D at the exact rho and mu."""
     rho, mu = _as_fraction(rho), _as_fraction(mu)
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
-    with mp.workdps(working_dps() + 10):
-        rho_mp = mp.mpf(rho.numerator) / rho.denominator
-        mu_mp = mp.mpf(mu.numerator) / mu.denominator
-        return fractional_osc_integral("sin", -rho_mp * mp.pi, mu_mp, (rho_mp + 1) * mp.pi)
+    dps = working_dps() + 15
+    eta, x = _limits(rho, dps)
+    with iv_dps(dps):
+        return fractional_osc_integral("sin", eta, iv.mpf(mu.numerator) / mu.denominator, x)
+
+
+@lru_cache(maxsize=16)
+def _limits(rho: Fraction, dps: int):
+    """-rho pi and (rho + 1) pi enclosed in mpmath.iv at dps digits, once
+    for all the probes of mu_star at one rho."""
+    with iv_dps(dps):
+        rho_pi = iv.mpf(rho.numerator) / rho.denominator * iv.pi
+        return -rho_pi, rho_pi + iv.pi
 
 
 def _verified_sign(rho: Fraction, mu: Fraction) -> mp.mpf:

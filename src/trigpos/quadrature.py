@@ -22,12 +22,18 @@ point (Brent & Zimmermann, Modern Computer Arithmetic, 2010, sec. 4.4):
 every rounding is a floor, and a carried integer bound counts what they
 lose.  mpmath.iv supplies x^mu, cos(eta) and sin(eta) and combines them with
 the sums, so err bounds the truncation and every rounding, assuming only
-that iv rounds outward.  The tests check this route against mpmath.quad.
+that iv rounds outward.  eta, mu or x may be an iv interval, and the
+result then covers every value in it: cos and sin of an interval eta
+enclose them over it, and for mu and x the sums run at the midpoint and
+err grows by the radius times a bound on the partial derivative.  The
+composites below and the defect integral pass the phases and limits they
+form that way.  The tests check this route against mpmath.quad.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from mpmath import iv, mp
 
@@ -98,17 +104,21 @@ def _alternating_sum(offset: int, m: int, xf: int, p: int, eps: int):
 
 
 def _evaluate(kind: str, eta, mu, x):
-    """(value, error bound) of integral_0^x g(t + eta) t^(mu-1) dt."""
+    """(value, error bound) of integral_0^x g(t + eta) t^(mu-1) dt; where an
+    argument is an mpmath.iv interval, a bound for every value in it."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     with mp.workdps(working_dps() + 15):
+        # an interval mu or x is read as its midpoint and radius
+        (mu, d_mu), (x, d_x) = (_mid_rad(v) if hasattr(v, "_mpi_") else (v, 0) for v in (mu, x))
         x_in = mp.mpf(x)
         if not 0 < x_in <= 8 * mp.pi + mp.mpf("1e-12"):
             raise ValueError("series route requires 0 < x <= 8*pi")
         dps = mp.dps + int(mp.ceil(x_in / mp.ln(10)))
     with mp.workdps(dps):
-        mu, x, eta = mp.mpf(mu), mp.mpf(x), mp.mpf(eta)
-        if not 0 < mu <= 1:
+        mu, x = mp.mpf(mu), mp.mpf(x)
+        eta = eta if hasattr(eta, "_mpi_") else mp.mpf(eta)
+        if not 0 < mu - d_mu <= mu + d_mu <= 1:
             raise ValueError("mu must lie in (0, 1]")
         # at p bits both shifts are non-negative: xf and m are x and mu exactly
         p = max(mp.prec + 8, -x._mpf_[2], -mu._mpf_[2])
@@ -117,10 +127,31 @@ def _evaluate(kind: str, eta, mu, x):
         with iv_dps(dps):
             s, c = (iv.ldexp(iv.mpf([t - e, t + e]), -p)
                     for t, e in (_alternating_sum(k, m, xf, p, eps) for k in (1, 0)))
-            cos_eta, sin_eta = iv.cos_sin(eta)  # g(t + eta) = cos(eta) g(t) +/- sin(eta) g^(t)
+            # g(t + eta) = cos(eta) g(t) +/- sin(eta) g^(t), for every eta in an interval
+            cos_eta, sin_eta = _cos_sin(eta, dps)
             enc = iv.mpf(x) ** iv.mpf(mu) * (
                 cos_eta * s + sin_eta * c if kind == "sin" else cos_eta * c - sin_eta * s)
+        if d_mu or d_x:
+            # moving mu and x moves F by at most |d mu| int_0^x t^(mu-1) |ln t| dt
+            # + |d x| x^(mu-1).  Over the box, with y = x + 1/x and mu <= 1,
+            # x^(mu-1) <= y and the integral is at most 1/mu^2 + |ln x| x^mu / mu
+            # <= (1/mu + y^2) / mu; every operation below rounds the bound up
+            add, mul, div = (partial(f, rounding="u") for f in (mp.fadd, mp.fmul, mp.fdiv))
+            inv_mu = div(1, mp.fsub(mu, d_mu, rounding="d"))
+            y = add(add(x, d_x), div(1, mp.fsub(x, d_x, rounding="d")))
+            r = add(mul(d_x, y), mul(d_mu, mul(inv_mu, add(inv_mu, mul(y, y)))))
+            with iv_dps(dps):
+                enc += iv.mpf([-r, r])
         return _mid_rad(enc)
+
+
+@lru_cache(maxsize=64)
+def _cos_sin(eta, dps: int):
+    """iv.cos_sin(eta) at dps digits, for an mpf or an iv interval eta: the
+    probes of mu_star at one rho share their phase, and so do the three
+    evaluations of a region bound."""
+    with iv_dps(dps):
+        return iv.cos_sin(eta)
 
 
 def fractional_osc_integral(kind: str, eta, mu, x, tol=None) -> QuadResult:
@@ -148,17 +179,17 @@ def series_reference(kind: str, mu, x, eta=0):
 def frak_K(b, x, rho, mu) -> QuadResult:
     """(1/sin b) * integral_0^x cos(t + rho*b - (rho - 1/2)*pi) t^(mu-1) dt.
 
-    Requires 0 < b <= pi/2.
+    Requires 0 < b <= pi/2.  The phase is enclosed in mpmath.iv, so the
+    result encloses the integral at the exact phase of the given b and rho.
     """
-    with mp.workdps(working_dps() + 10):
-        b = mp.mpf(b)
-        rho = mp.mpf(rho)
+    dps = working_dps() + 15
+    with mp.workdps(dps), iv_dps(dps):
+        b, rho = mp.mpf(b), mp.mpf(rho)
         if not 0 < b <= mp.pi / 2 + mp.mpf("1e-12"):
             raise ValueError("b must lie in (0, pi/2]")
-        eta = rho * b - (rho - mp.mpf(1) / 2) * mp.pi
-        base = fractional_osc_integral("cos", eta, mu, x)
-    with iv_dps(working_dps() + 15):
-        return base.scaled(1 / iv.sin(b))
+        b, rho = iv.mpf(b), iv.mpf(rho)
+        eta = rho * b - (rho - iv.mpf(1) / 2) * iv.pi
+        return fractional_osc_integral("cos", eta, mu, x).scaled(1 / iv.sin(b))
 
 
 def chi_reference_integral(mu) -> QuadResult:
@@ -167,10 +198,10 @@ def chi_reference_integral(mu) -> QuadResult:
     The upper limit 8pi/5 is the unique stationary point of the integral
     (as a function of its upper limit) at or beyond pi, hence the minimum
     over that range; see min_over_upper_limit for the generic search.
+    The phase and the upper limit are enclosed in mpmath.iv.
     """
-    with mp.workdps(working_dps() + 10):
-        base = fractional_osc_integral("cos", -mp.pi / 10, mu, 8 * mp.pi / 5)
     with iv_dps(working_dps() + 15):
+        base = fractional_osc_integral("cos", -iv.pi / 10, mu, 8 * iv.pi / 5)
         return base.scaled(1 / iv.sin(iv.pi / 5))
 
 

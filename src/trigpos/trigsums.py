@@ -6,12 +6,19 @@ as rational enclosures.  Angle substitutions clear the fractional frequencies
 exactly, after which Chebyshev identities (cos kt = T_k(cos t),
 sin((k+1)t) = sin t * U_k(cos t)) turn the sum into a polynomial with exact
 (or enclosure) coefficients -- the inputs for the Sturm root counts.
+
+build_U_n, build_varsigma and build_omega share one growing term list per
+(mu, precision, family), which resumes the coefficient recurrence where it
+stopped, and each term memoises the constants derived from it alone, so
+sums that share a mu share that work.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from mpmath import iv, mp
@@ -41,6 +48,10 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
+_ONE = Enclosure(Fraction(1), Fraction(1))
+_MAX_TERM_LISTS = 32
+_TERM_LISTS: dict = {}  # _terms' key -> (coefficients, terms), least recently used first
+_TERM_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +59,23 @@ HALF = Fraction(1, 2)
 # ---------------------------------------------------------------------------
 
 
+def _up(x, d: int = 1) -> float:
+    """The least float >= x/d, for x an int or a Fraction and an int d > 0,
+    decided on integers: n / d of two ints is correctly rounded."""
+    n, d = x.numerator, x.denominator * d
+    f = n / d
+    fn, fd = f.as_integer_ratio()
+    return math.nextafter(f, math.inf) if fn * d < n * fd else f
+
+
 @dataclass(frozen=True)
 class TrigTerm:
-    """coeff * kind(freq * theta + phase_pi * pi), all parameters rational."""
+    """coeff * kind(freq * theta + phase_pi * pi), all parameters rational.
+
+    The constants derived from a term alone are memoised on it (outside the
+    fields, so equality and hashing see only the fields): float_bounds for
+    the grid certificate and mp_parts, per precision, for eval_mp.
+    """
 
     coeff: Enclosure
     freq: Fraction
@@ -62,6 +87,33 @@ class TrigTerm:
             raise ValueError(f"bad kind {self.kind!r}")
         if self.freq < 0:
             raise ValueError("negative frequency")
+
+    @cached_property
+    def float_bounds(self) -> tuple[float, float, float, float]:
+        """The float midpoint of coeff and upper bounds on max|c| freq^2, the
+        half-width and |float midpoint - midpoint|, each the least float
+        above its exact value, decided on integers."""
+        (ln, ld), (hn, hd) = self.coeff.lo.as_integer_ratio(), self.coeff.hi.as_integer_ratio()
+        den, num = 2 * ld * hd, ln * hd + hn * ld  # midpoint num / den
+        mid = num / den
+        a, b = mid.as_integer_ratio()
+        fn, fd = self.freq.as_integer_ratio()
+        return (mid, _up(max(abs(ln) * hd, abs(hn) * ld) * fn * fn, ld * hd * fd * fd),
+                _up(hn * ld - ln * hd, den), _up(abs(a * den - num * b), b * den))
+
+    def mp_parts(self):
+        """(g, freq, phase_pi * pi, coefficient midpoint) as eval_mp forms
+        them at mp's present precision, memoised per precision."""
+        memo = self.__dict__.setdefault("_mp_parts", {})  # beside the fields
+        parts = memo.get(mp.prec)
+        if parts is None:
+            c = self.coeff.mid
+            parts = memo[mp.prec] = (
+                mp.sin if self.kind == "sin" else mp.cos,
+                mp.mpf(self.freq.numerator) / self.freq.denominator,
+                mp.pi * self.phase_pi.numerator / self.phase_pi.denominator,
+                mp.mpf(c.numerator) / c.denominator)
+        return parts
 
 
 @dataclass(frozen=True)
@@ -75,11 +127,8 @@ class TrigSum:
             th = mp.mpf(theta) if not hasattr(theta, "_mpf_") else theta
             total = mp.mpf(0)
             for t in self.terms:
-                g = mp.sin if t.kind == "sin" else mp.cos
-                arg = mp.mpf(t.freq.numerator) / t.freq.denominator * th \
-                    + mp.pi * t.phase_pi.numerator / t.phase_pi.denominator
-                c = t.coeff.mid
-                total += mp.mpf(c.numerator) / c.denominator * g(arg)
+                g, freq, phase, c = t.mp_parts()
+                total += c * g(freq * th + phase)
             return total
 
     def coeff_err(self) -> Fraction:
@@ -115,16 +164,17 @@ class TrigSum:
 # ---------------------------------------------------------------------------
 
 
-def _poch_table(mu: Enclosure, n: int) -> list[Enclosure]:
-    """[pochhammer_coeff(mu, k) for k = 0..n], built in one pass."""
+def _poch_table(mu: Enclosure, n: int, table: list[Enclosure] | None = None) -> list[Enclosure]:
+    """[pochhammer_coeff(mu, k) for k = 0..n], built in one pass; a table
+    of the first entries is extended in place, from its last entry on."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     if not mu.is_exact() and mu.lo <= 0:
         raise ValueError("interval coefficients need mu > 0")
     bits = math.ceil((working_dps() + 20) * math.log2(10))  # the dyadic grain
-    lo = hi = Fraction(1)
-    table = [Enclosure(lo, hi)]
-    for k in range(n):
+    table = [_ONE] if table is None else table
+    lo, hi = table[-1].lo, table[-1].hi
+    for k in range(len(table) - 1, n):
         lo = lo * (mu.lo + k) / (k + 1)
         hi = lo if mu.is_exact() else hi * (mu.hi + k) / (k + 1)  # exact mu: one product
         if not mu.is_exact():
@@ -163,32 +213,36 @@ def _as_mu_enclosure(mu) -> Enclosure:
 # ---------------------------------------------------------------------------
 
 
+def _terms(mu, offset: Fraction, phase_pi: Fraction, kind: str, n: int) -> tuple[TrigTerm, ...]:
+    """The terms d_k kind((2k + offset) theta + phase_pi pi), k = 0..n, with
+    d_k = (mu)_k / k!.  One list per (mu, precision, offset, phase, kind)
+    is kept, the _MAX_TERM_LISTS most recently used, and grown on demand by
+    resuming the recurrence from its last coefficient."""
+    mu = _as_mu_enclosure(mu)
+    key = (mu.lo, mu.hi, working_dps(), offset, phase_pi, kind)
+    with _TERM_LOCK:  # two threads must not grow one list at once
+        coeffs, terms = _TERM_LISTS[key] = _TERM_LISTS.pop(key, None) or ([_ONE], [])
+        if len(_TERM_LISTS) > _MAX_TERM_LISTS:
+            del _TERM_LISTS[next(iter(_TERM_LISTS))]
+        _poch_table(mu, n, coeffs)
+        terms += (TrigTerm(coeffs[k], 2 * k + offset, phase_pi, kind)
+                  for k in range(len(terms), n + 1))
+        return tuple(terms[:n + 1])
+
+
 def build_U_n(n: int, mu) -> TrigSum:
     """sum_{k<=n} d_k cos((2k + 1/3) phi - pi/6) with d_k = (mu)_k / k!."""
-    terms = tuple(
-        TrigTerm(d, 2 * k + Fraction(1, 3), Fraction(-1, 6), "cos")
-        for k, d in enumerate(_poch_table(_as_mu_enclosure(mu), n))
-    )
-    return TrigSum(terms, f"U_{n}")
+    return TrigSum(_terms(mu, Fraction(1, 3), Fraction(-1, 6), "cos", n), f"U_{n}")
 
 
 def build_varsigma(n: int, rho, mu) -> TrigSum:
     """sum_{k<=n} d_k sin((2k + rho) theta)."""
-    rho = Fraction(rho)
-    terms = tuple(
-        TrigTerm(d, 2 * k + rho, Fraction(0), "sin")
-        for k, d in enumerate(_poch_table(_as_mu_enclosure(mu), n))
-    )
-    return TrigSum(terms, f"varsigma_{n}")
+    return TrigSum(_terms(mu, Fraction(rho), Fraction(0), "sin", n), f"varsigma_{n}")
 
 
 def build_omega(n: int) -> TrigSum:
     """sum_{k<=n} ((1/2)_k / k!) sin((2k + 1/3) theta) -- the mu = 1/2 sine sum."""
-    terms = tuple(
-        TrigTerm(d, 2 * k + Fraction(1, 3), Fraction(0), "sin")
-        for k, d in enumerate(_poch_table(Enclosure.exact(HALF), n))
-    )
-    return TrigSum(terms, f"omega_{n}")
+    return TrigSum(_terms(HALF, Fraction(1, 3), Fraction(0), "sin", n), f"omega_{n}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
     osc_integral(kind, eta, mu, x) = integral_0^x g(t + eta) t^(mu-1) dt
 
-by mpmath.quad (tanh-sinh) at 45 digits.  The substitution u = t^mu removes
-the endpoint singularity,
+by mpmath.quad (tanh-sinh) at 45 digits, or at dps digits when given.  The
+substitution u = t^mu removes the endpoint singularity,
 
     integral_0^x g(t + eta) t^(mu-1) dt = (1/mu) integral_0^(x^mu) g(u^(1/mu) + eta) du,
 
@@ -17,9 +17,9 @@ from mpmath import mp
 ORACLE_DPS = 45
 
 
-def osc_integral(kind, eta, mu, x):
+def osc_integral(kind, eta, mu, x, dps=ORACLE_DPS):
     g = {"sin": mp.sin, "cos": mp.cos}[kind]
-    with mp.workdps(ORACLE_DPS):
+    with mp.workdps(dps):
         mu, x, eta = mp.mpf(mu), mp.mpf(x), mp.mpf(eta)
         inv_mu = 1 / mu
         panels = max(1, int(mp.ceil(x / (mp.pi / 4))))

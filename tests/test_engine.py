@@ -317,6 +317,27 @@ def test_prefix_bounds_cover_their_exact_sums():
     assert len(_Prefixes(mixed, (0, 1)).seeds) == 4
 
 
+def test_prefix_steps_from_integer_keys():
+    # a full turn of phase at one frequency is no step; one step written
+    # over different denominators (a sine's phase is shifted by -1/2) keeps
+    # one seed; the bounds still match the exact Fraction sums
+    terms = (
+        _term(F(1, 3), 1, phase_pi=F(1, 5), kind="sin"),
+        _term(F(1, 5), 1, phase_pi=F(11, 5), kind="sin"),  # + 2: no step
+        _term(F(1, 7), 2, phase_pi=F(1), kind="sin"),      # step (1, 4/5)
+        _term(F(1, 9), 3, phase_pi=F(0)),                  # step (1, -1/2)
+        _term(F(1, 11), 4, phase_pi=F(1, 2), kind="sin"),  # step (1, 0)
+        _term(F(1, 13), 5, phase_pi=F(-1, 2)),             # step (1, -1/2)
+    )
+    prefixes = _Prefixes(terms, (F(-1, 3), F(22, 7)))
+    assert prefixes.seed_of[1] == -1 and prefixes.seed_of[3] == prefixes.seed_of[5]
+    assert len(prefixes.seeds) == 4
+    for n, exact in enumerate(_exact_prefix_bounds(prefixes)):
+        got = (prefixes.m2[n], prefixes.float_err[n], prefixes.err[n])
+        for bound, want in zip(got, exact):
+            assert want <= F(bound) <= want * (1 + F(1, 10**8)), n
+
+
 def test_prefixes_refuse_a_million_terms():
     # the float sums' slack holds below 10^6 terms; the guard fires before
     # any per-term work, so a list of one repeated term is enough
@@ -324,3 +345,20 @@ def test_prefixes_refuse_a_million_terms():
     with pytest.raises(ValueError, match="below"):
         _Prefixes([term] * _MAX_TERMS, (0, 1))
     assert len(_Prefixes([term] * 3, (0, 1)).err) == 3
+
+
+def test_prefixes_from_memoised_terms_equal_fresh_ones():
+    # the per-term float bounds memoised on shared terms give the very
+    # arrays that equal terms without a memo give
+    for tsum, interval in (
+        (build_U_n(100, _critical(F(2, 3))), U_INTERVAL),
+        (build_varsigma(100, F(1, 3), _critical(F(1, 3))), VS_INTERVAL),
+        (build_U_n(100, F(9, 10)), U_INTERVAL),
+    ):
+        certify_partial_sums(tsum, interval)  # fills the memos
+        fresh = tuple(TrigTerm(Enclosure(t.coeff.lo, t.coeff.hi), F(t.freq), F(t.phase_pi),
+                               t.kind) for t in tsum.terms)
+        a, b = _Prefixes(tsum.terms, interval), _Prefixes(fresh, interval)
+        for name in ("coeffs", "m2", "float_err", "err"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (tsum.label, name)
+        assert (a.seed_of, a.seeds) == (b.seed_of, b.seeds)

@@ -103,6 +103,19 @@ def test_enclosure_straddles_the_oracle_sign_change(rho, width):
         assert lo < 0 < hi
 
 
+def test_defect_encloses_the_integral_at_exact_arguments():
+    # rho, mu and the limits -rho pi and (rho + 1) pi are enclosed in iv:
+    # D contains a 50-digit mpmath.quad value at the exact rationals
+    for rho, mu in ((F(2, 3), F(84685556829, 10**11)), (F(1, 3), F(1, 2)),
+                    (F(103, 300), BRACKET_LO)):
+        res = defect_integral(rho, mu)
+        with mp.workdps(80):
+            r, m = (mp.mpf(v.numerator) / v.denominator for v in (rho, mu))
+            ref = osc_integral("sin", -r * mp.pi, m, (r + 1) * mp.pi, dps=50)
+            assert res.value - res.err <= ref <= res.value + res.err, (rho, mu)
+        assert res.err < mp.mpf("1e-40")
+
+
 @pytest.mark.parametrize("rho", [F(1, 3), F(2, 3)])
 def test_false_position_evaluation_count(monkeypatch, rho):
     # plain bisection to width 1e-20 takes over 70 integrals; this loop 12 or 13

@@ -238,6 +238,48 @@ def test_frak_K_matches_direct_definition():
     )
 
 
+def _contains(res, ref):
+    with mp.workdps(80):
+        return res.value - res.err <= ref <= res.value + res.err
+
+
+def test_composites_enclose_the_integral_at_exact_arguments():
+    # the phases and limits these functions form are enclosed in iv: each
+    # result contains a 50-digit mpmath.quad value at the exact arguments
+    rho = mp.mpf(1) / 3
+    for b, x in ((mp.pi / 12, mp.pi), (mp.pi / 6, (1 + 5 * rho / 6) * mp.pi),
+                 (mp.pi / 3, 3 * mp.pi / 2)):
+        with mp.workdps(80):
+            eta = rho * b - (rho - mp.mpf(1) / 2) * mp.pi
+            ref = osc_integral("cos", eta, NU0, x, dps=50) / mp.sin(b)
+        assert _contains(frak_K(b, x, rho, NU0), ref), b
+    with mp.workdps(80):
+        ref = osc_integral("cos", -mp.pi / 10, MU23, 8 * mp.pi / 5, dps=50) / mp.sin(mp.pi / 5)
+    assert _contains(chi_reference_integral(MU23), ref)
+    # region 1's limits 2 pi and 7 pi / 4, passed as iv intervals
+    for kind, x in (("sin", 2), ("cos", mp.mpf(7) / 4)):
+        with iv_dps(working_dps() + 15):
+            res = fractional_osc_integral(kind, 0, NU0, iv.pi * x)
+        with mp.workdps(80):
+            ref = osc_integral(kind, 0, NU0, mp.pi * x, dps=50)
+        assert _contains(res, ref) and res.err < mp.mpf("1e-40"), kind
+
+
+def test_interval_arguments_widen_by_the_derivative_bounds():
+    # a wide eta, mu and x: the result covers the integral at their ends
+    with iv_dps(working_dps() + 15):
+        eta, mu, x = iv.mpf(["0.3", "0.3001"]), iv.mpf(["0.6", "0.6001"]), iv.mpf(["2", "2.001"])
+        res = fractional_osc_integral("sin", eta, mu, x)
+    for e, m, y in itertools.product(("0.3", "0.3001"), ("0.6", "0.6001"), ("2", "2.001")):
+        assert _contains(res, osc_integral("sin", e, m, y)), (e, m, y)
+    assert res.err < mp.mpf("1e-2")
+    # an interval phase alone: cos and sin are enclosed over it
+    with iv_dps(working_dps() + 15):
+        res = fractional_osc_integral("cos", iv.mpf(["0.3", "0.31"]), NU0, mp.mpf(2))
+    for e in ("0.3", "0.31"):
+        assert _contains(res, osc_integral("cos", e, NU0, 2)), e
+
+
 def test_chi_reference_value():
     chi = chi_reference_integral(MU23)
     assert abs(chi.value - mp.mpf("-0.32126981902369")) < mp.mpf("1e-13")

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from trigpos.trigsums import (
     run_sturm_target,
     sturm_case_plan,
 )
+from trigpos import trigsums
 from trigpos.trigsums import _outward  # private: checked against 80 digits
 
 F = Fraction
@@ -293,3 +296,148 @@ def test_outward_bounds_lie_on_their_side():
             gap = mp.mpf(bound.numerator) / bound.denominator - exact
             assert (gap < 0) if below else (gap > 0)
             assert abs(gap) < mp.mpf("1e-40")
+
+
+# ---------------------------------------------------------------------------
+# Shared term lists and per-term memos
+# ---------------------------------------------------------------------------
+
+MU_ENC = Enclosure(F(84685556828, 10**11), F(84685556830, 10**11))
+NU_ENC = Enclosure(F(49669136508, 10**11), F(49669136509, 10**11))
+SHARED_BUILDS = {
+    "U interval": lambda n: build_U_n(n, MU_ENC),
+    "U exact": lambda n: build_U_n(n, MU_23),
+    "varsigma interval": lambda n: build_varsigma(n, F(1, 3), NU_ENC),
+    "varsigma exact": lambda n: build_varsigma(n, F(1, 3), F(3, 5)),
+    "omega": build_omega,
+}
+
+
+def _cold(build, n):
+    trigsums._TERM_LISTS.clear()
+    return build(n)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_shared_term_lists_equal_cold_builds(order):
+    ns = list(range(0, 61, 6)) + [1, 59]
+    if order == "descending":
+        ns.sort(reverse=True)
+    elif order == "shuffled":
+        random.Random(7).shuffle(ns)
+    else:
+        ns.sort()
+    cold = {(name, n): _cold(build, n) for name, build in SHARED_BUILDS.items() for n in ns}
+    trigsums._TERM_LISTS.clear()
+    for n in ns:  # the families interleaved, as the proofs and the sweep do
+        for name, build in SHARED_BUILDS.items():
+            warm = build(n)
+            assert warm == cold[name, n] and len(warm.terms) == n + 1, (name, n)
+
+
+def test_shared_term_lists_follow_the_precision(monkeypatch):
+    monkeypatch.setenv("TRIGPOS_PRECISION", "30")
+    at_30 = build_U_n(80, MU_ENC)
+    monkeypatch.setenv("TRIGPOS_PRECISION", "40")
+    at_40 = build_U_n(80, MU_ENC)
+    assert at_40 == _cold(lambda n: build_U_n(n, MU_ENC), 80)
+    assert at_40 != at_30  # the dyadic grain follows the precision
+    monkeypatch.setenv("TRIGPOS_PRECISION", "30")
+    assert build_U_n(80, MU_ENC) == _cold(lambda n: build_U_n(n, MU_ENC), 80) == at_30
+
+
+def test_shared_term_lists_stay_within_their_bound():
+    trigsums._TERM_LISTS.clear()
+    for j in range(2 * trigsums._MAX_TERM_LISTS):
+        build_U_n(3, F(1, 3) + F(j, 1000))
+        assert len(trigsums._TERM_LISTS) <= trigsums._MAX_TERM_LISTS
+    newest = build_U_n(5, F(1, 3))  # evicted long ago: rebuilt, still right
+    assert newest == _cold(lambda n: build_U_n(n, F(1, 3)), 5)
+
+
+def test_shared_term_lists_resume_the_recurrence(monkeypatch):
+    # U_100, U_50, U_100 at one mu: 100 recurrence steps, where rebuilding
+    # every table from k = 0 takes 250
+    steps = []
+
+    class Counted(Enclosure):
+        def __post_init__(self):
+            steps.append(1)
+            super().__post_init__()
+
+    monkeypatch.setattr(trigsums, "Enclosure", Counted)
+    mu = Counted(F(84685556828, 10**11), F(84685556831, 10**11))
+    trigsums._TERM_LISTS.clear()
+    steps.clear()
+    sums = [build_U_n(n, mu) for n in (100, 50, 100)]
+    assert len(steps) == 100
+    assert sums[1].terms == sums[0].terms[:51] and sums[2] == sums[0]
+
+
+def test_shared_term_lists_under_threads():
+    # more threads than cores grow the same lists with a short switch
+    # interval; every sum must still equal its cold build
+    ns = list(range(81))
+    cold = {n: _cold(SHARED_BUILDS["U interval"], n) for n in ns}
+    trigsums._TERM_LISTS.clear()
+    results, saved = [], sys.getswitchinterval()
+
+    def work(seed):
+        order = ns[:]
+        random.Random(seed).shuffle(order)
+        results.extend((n, SHARED_BUILDS["U interval"](n)) for n in order)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads) and len(results) == 6 * len(ns)
+    assert all(tsum == cold[n] for n, tsum in results)
+
+
+def _fresh(terms):
+    """Equal terms that share no object, and so no memo, with the given ones."""
+    return tuple(TrigTerm(Enclosure(t.coeff.lo, t.coeff.hi), F(t.freq), F(t.phase_pi), t.kind)
+                 for t in terms)
+
+
+def _eval_direct(tsum, theta):
+    """TrigSum.eval_mp without the memo, each constant formed in place."""
+    with mp.workdps(working_dps()):
+        th = mp.mpf(theta)
+        total = mp.mpf(0)
+        for t in tsum.terms:
+            g = mp.sin if t.kind == "sin" else mp.cos
+            arg = mp.mpf(t.freq.numerator) / t.freq.denominator * th \
+                + mp.pi * t.phase_pi.numerator / t.phase_pi.denominator
+            c = t.coeff.mid
+            total += mp.mpf(c.numerator) / c.denominator * g(arg)
+        return total
+
+
+def test_memoised_eval_mp_is_bit_identical():
+    for build in SHARED_BUILDS.values():
+        shared = build(40)
+        fresh = TrigSum(_fresh(shared.terms), shared.label)
+        assert fresh == shared and hash(fresh.terms) == hash(shared.terms)
+        for theta in ("0.001", "0.7", "1.5707963", "3.1"):
+            values = {shared.eval_mp(theta), shared.eval_mp(theta), fresh.eval_mp(theta),
+                      _eval_direct(shared, theta)}
+            assert len(values) == 1, (shared.label, theta)
+        assert repr(shared.terms[3]) == repr(fresh.terms[3])  # the memo is no field
+
+
+def test_eval_mp_memo_follows_the_precision(monkeypatch):
+    tsum = build_U_n(30, MU_ENC)
+    monkeypatch.setenv("TRIGPOS_PRECISION", "30")
+    at_30 = tsum.eval_mp("0.3")
+    monkeypatch.setenv("TRIGPOS_PRECISION", "40")
+    at_40 = tsum.eval_mp("0.3")
+    assert at_40 == TrigSum(_fresh(tsum.terms)).eval_mp("0.3") == _eval_direct(tsum, "0.3")
+    with mp.workdps(40):
+        assert at_40 != at_30 and abs(at_40 - at_30) < mp.mpf("1e-28")
