@@ -14,9 +14,11 @@ The package splits into six layers:
 * :mod:`trigpos.bounds` -- the wedge factor, the sampling-lemma panel
   constants and the composite region bounds;
 * :mod:`trigpos.engine` / :mod:`trigpos.gegenbauer` -- grid certification
-  on intervals, disk sampling of partial sums, and Gegenbauer spot checks.
+  on intervals, disk sampling of partial sums, and Gegenbauer spot checks;
+  the only layers that use numpy.
 
-`trigpos.cli` exposes everything as a scriptable `trigpos` command.
+`trigpos.cli` exposes everything as a scriptable `trigpos` command.  Only
+its grid checks and its `gegenbauer` case import those two layers.
 """
 
 from trigpos.precision import working_dps

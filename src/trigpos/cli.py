@@ -43,7 +43,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from mpmath import mp
+from mpmath import iv, mp
 
 from trigpos.bounds import (
     REGIONS,
@@ -54,18 +54,12 @@ from trigpos.bounds import (
     two_thirds_master_bound,
     wedge,
 )
-from trigpos.engine import _MAX_TERMS, certify_partial_sums
 from trigpos.exact import Enclosure
-from trigpos.gegenbauer import (
-    arg_bound_check,
-    check_jacobi_relation,
-    gegenbauer_C,
-    genfunc_check,
-)
 from trigpos.mustar import _verified_sign, mu_star, width_floor
-from trigpos.precision import working_dps
+from trigpos.precision import iv_dps, working_dps
 from trigpos.quadrature import chi_reference_integral, min_over_upper_limit
 from trigpos.trigsums import (
+    _MAX_TERMS,
     build_U_n,
     build_varsigma,
     chebyshev_U,
@@ -277,6 +271,9 @@ def _sturm_check(target, gate_all_points: bool) -> CheckResult:
 
 
 def _grid_check(check_id: str, tsum, interval, var: str) -> CheckResult:
+    # imported here, so that only the cases that run a grid load numpy
+    from trigpos.engine import certify_partial_sums
+
     certs = certify_partial_sums(tsum, interval)[1:]
     bad = [(n, c.status) for n, c in enumerate(certs, 1) if not c.certified]
     a, b = float(interval[0]), float(interval[1])
@@ -384,8 +381,9 @@ def _check_prop_constants(mu_mid, chi_tol: float) -> list[CheckResult]:
         # upper limit; at the critical exponent the first one bottoms out at
         # exactly zero (x = 5pi/3), the second stays strictly positive
         slack = mp.mpf(10) ** (-(working_dps() - 15))
-        arg1, m1 = min_over_upper_limit("cos", -mp.pi / 6, mu_mid, mp.pi / 2)
-        arg2, m2 = min_over_upper_limit("cos", -mp.pi / 3, mu_mid, mp.pi / 2)
+        with iv_dps(working_dps() + 15):
+            arg1, m1 = min_over_upper_limit("cos", -iv.pi / 6, mu_mid, mp.pi / 2)
+            arg2, m2 = min_over_upper_limit("cos", -iv.pi / 3, mu_mid, mp.pi / 2)
         ok1 = m1.value >= -(m1.err + slack)
         ok2 = m2.value - m2.err > 0
         checks.append(
@@ -566,6 +564,9 @@ def run_bounds_case(
 
 
 def run_gegenbauer(nmax: int, lam: float, genfunc_tol: float) -> VerificationReport:
+    from trigpos.gegenbauer import (arg_bound_check, check_jacobi_relation,
+                                    gegenbauer_C, genfunc_check)
+
     checks = []
 
     worst = 0.0

@@ -47,7 +47,7 @@ from mpmath import mp
 
 from trigpos.exact import _as_fraction
 from trigpos.precision import working_dps
-from trigpos.trigsums import TrigSum, _up, build_U_n
+from trigpos.trigsums import _MAX_TERMS, TrigSum, _up, build_U_n
 
 __all__ = [
     "GridCertificate",
@@ -65,8 +65,7 @@ __all__ = [
 _U = 2.0**-53  # float64 unit roundoff
 _SEED_ERR = 8 * _U  # cos and sin within 4 ulp, so |computed - exact| <= 8u
 _MUL_ERR = math.sqrt(2) * 2 * _U / (1 - 2 * _U)  # complex product, Higham 3.5
-_SLACK = 1 + 1e-9  # rounding in the bound's own float sums, for < 10^6 terms
-_MAX_TERMS = 10**6
+_SLACK = 1 + 1e-9  # rounding in the bound's own float sums, below _MAX_TERMS terms
 _INITIAL_NODES = 1025
 _MAX_NODES = (1 << 20) + 1  # node budget before "inconclusive"
 _CHUNK = 1 << 14  # nodes per evaluation chunk

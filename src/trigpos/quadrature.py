@@ -212,31 +212,30 @@ def min_over_upper_limit(kind: str, eta, mu, x_min):
     g(x+eta).  The factor t^(mu-1) is decreasing, which makes successive
     oscillation arches shrink in area; the minimum over [x_min, infinity)
     is therefore attained at x_min itself or at one of the zeros within the
-    first full period.  Returns (argmin, QuadResult at argmin).
+    first full period.  eta may be an mpmath.iv interval.  The candidates
+    are picked at the midpoint of eta, and each zero k*pi + offset - eta is
+    enclosed in mpmath.iv, so the QuadResult encloses F at the zero itself.
+    Returns (argmin as an mpf for display, QuadResult at argmin).
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    with mp.workdps(working_dps() + 10):
-        eta = mp.mpf(eta)
+    with mp.workdps(working_dps() + 10), iv_dps(working_dps() + 15):
+        eta_iv = eta if hasattr(eta, "_mpi_") else iv.mpf(eta)
+        eta = _mid_rad(eta_iv)[0]
         x_min = mp.mpf(x_min)
         if x_min <= 0:
             raise ValueError("x_min must be positive")
         # zeros of g(x + eta): sin -> k*pi - eta, cos -> (k + 1/2)*pi - eta
-        offset = mp.mpf(0) if kind == "sin" else mp.pi / 2
-        k0 = int(mp.ceil((x_min + eta - offset) / mp.pi))
-        candidates = [x_min]
-        k = k0
-        while True:
-            z = k * mp.pi + offset - eta
-            if z > x_min + 2 * mp.pi + mp.mpf("1e-20"):
-                break
+        offset, offset_iv = (0, 0) if kind == "sin" else (mp.pi / 2, iv.pi / 2)
+        k = int(mp.ceil((x_min + eta - offset) / mp.pi))
+        candidates = [(x_min, x_min)]  # (shown, upper limit)
+        while (z := k * mp.pi + offset - eta) <= x_min + 2 * mp.pi + mp.mpf("1e-20"):
             if z > x_min:
-                candidates.append(z)
+                candidates.append((z, k * iv.pi + offset_iv - eta_iv))
             k += 1
-        best_x = None
-        best = None
-        for cand in candidates:
-            res = fractional_osc_integral(kind, eta, mu, cand)
+        best_x = best = None
+        for cand, x in candidates:
+            res = fractional_osc_integral(kind, eta_iv, mu, x)
             if best is None or res.value < best.value:
                 best, best_x = res, cand
         return best_x, best

@@ -49,6 +49,7 @@ __all__ = [
 
 HALF = Fraction(1, 2)
 _ONE = Enclosure(Fraction(1), Fraction(1))
+_MAX_TERMS = 10**6  # the grid certificate's float64 bounds hold below this many terms
 _MAX_TERM_LISTS = 32
 _TERM_LISTS: dict = {}  # _terms' key -> (coefficients, terms), least recently used first
 _TERM_LOCK = threading.Lock()
@@ -503,6 +504,7 @@ def sturm_case_plan(mu) -> list[SturmTarget]:
     certified outward rational bounds, so every interval below *contains* the
     interval actually claimed.
     """
+    q3 = case_q(3)
     q3_stated_lo = Fraction(37059, 100000)
     q3_derived_lo = _outward(lambda: iv.cos(7 * iv.pi / 24) ** 2, below=True)
     targets = [
@@ -510,10 +512,10 @@ def sturm_case_plan(mu) -> list[SturmTarget]:
                     (("q1(0)", Fraction(0)),), "no zeros in (0,1), positive at 0"),
         SturmTarget("q2", case_q(2), (Fraction(0), Fraction(1)),
                     (("q2(0)", Fraction(0)),), "no zeros in (0,1), positive at 0"),
-        SturmTarget("q3", case_q(3), (q3_stated_lo, Fraction(1)),
+        SturmTarget("q3", q3, (q3_stated_lo, Fraction(1)),
                     (("q3(0.37059)", q3_stated_lo),), "stated interval [0.37059, 1]"),
         SturmTarget(
-            "q3-derived", case_q(3),
+            "q3-derived", q3,
             (q3_derived_lo,
              _outward(lambda: iv.cos(2 * iv.pi / 9) ** 2, below=False)),
             (("q3(cos^2(7pi/24))", q3_derived_lo),),

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import trigpos
-from trigpos import cli
+from trigpos import cli, engine, trigsums
 from trigpos.cli import main
 from trigpos.exact import Enclosure
 from trigpos.mustar import MuStarResult, mu_star
@@ -151,15 +151,67 @@ def test_nmax_at_a_million_terms_is_a_usage_error(capsys, monkeypatch):
         assert "--nmax must lie in 1..999998" in capsys.readouterr().err
 
 
-def test_module_entry_point_subprocess():
-    # the child imports the same trigpos as this process, also when pytest
-    # put src/ on sys.path itself (pythonpath in pyproject.toml)
+def test_nmax_cap_is_the_grid_term_cap(capsys, monkeypatch):
+    # one constant in trigsums: the largest nmax the CLI accepts needs
+    # nmax + 1 terms, which engine._Prefixes still takes
+    cap = trigsums._MAX_TERMS
+    assert cli._MAX_TERMS is cap and engine._MAX_TERMS is cap
+    accepted = []
+
+    def record(nmax, *_):
+        accepted.append(nmax)
+        return cli.VerificationReport("gegenbauer", {}, "", "")
+
+    monkeypatch.setattr(cli, "run_gegenbauer", record)
+    assert main(["verify", "gegenbauer", "--nmax", str(cap - 1)]) == 2
+    assert main(["verify", "gegenbauer", "--nmax", str(cap - 2)]) == 0
+    capsys.readouterr()
+    assert accepted == [cap - 2]
+    with pytest.raises(ValueError, match="below"):
+        engine._Prefixes([None] * cap, (0, 1))
+    # nmax + 1 placeholders pass the cap and fail only on their first use
+    with pytest.raises(AttributeError):
+        engine._Prefixes([None] * (accepted[0] + 1), (0, 1))
+
+
+def _run_fresh(args: list[str]) -> subprocess.CompletedProcess:
+    """python args in a fresh interpreter that imports the same trigpos as
+    this process, also when pytest put src/ on sys.path itself (pythonpath
+    in pyproject.toml)."""
     src = str(Path(trigpos.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "trigpos.cli", "verify", "sturm:q1"],
-        capture_output=True, text=True, timeout=300,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point_subprocess():
+    proc = _run_fresh(["-m", "trigpos.cli", "verify", "sturm:q1"])
     assert proc.returncode == 0, proc.stderr
     assert "status: PASS" in proc.stdout
+
+
+_LOADED = """\
+import contextlib, io, sys
+from trigpos import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(sys.argv[1:])
+print(" ".join(m for m in ("numpy", "trigpos.engine", "trigpos.gegenbauer")
+               if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], ""),
+    (["verify", "sturm:q1"], ""),
+    (["verify", "bounds:2"], ""),
+    (["mustar", "1/2"], ""),
+    (["verify", "thm-1-3", "--nmax", "2"], "numpy trigpos.engine"),
+])
+def test_only_grid_cases_load_numpy(argv, loaded):
+    # a fresh process, so the imports of this test session hide nothing
+    proc = _run_fresh(["-c", _LOADED, *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == loaded

@@ -297,6 +297,17 @@ def test_chi_argmin_is_eight_pi_fifths():
     )
 
 
+def test_min_over_upper_limit_encloses_the_exact_zero():
+    # the minimum for eta = -pi/6 sits at the zero 5pi/3 of cos(x - pi/6);
+    # the result encloses F there, not at an upper limit rounded to mp
+    with iv_dps(working_dps() + 15):
+        argmin, best = min_over_upper_limit("cos", -iv.pi / 6, MU23, mp.pi / 2)
+    assert abs(argmin - 5 * mp.pi / 3) < mp.mpf("1e-25")
+    with mp.workdps(50):
+        ref = osc_integral("cos", -mp.pi / 6, MU23, 5 * mp.pi / 3, dps=50)
+    assert _contains(best, ref)
+
+
 def test_min_over_upper_limit_beats_samples():
     rng = random.Random(31)
     for kind, eta, x_min in (
