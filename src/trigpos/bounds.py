@@ -14,12 +14,16 @@ owns those closed forms:
 * the five composite region bounds L^(1), L^(2), L^(31), L^(32), L^(33)
   for the rho = 1/3 family, and the single master bound for rho = 2/3.
 
-All composite bounds are evaluated at an *enclosure* of the critical
-exponent: the reported err combines the series error bound with the spread
-of the formula across the enclosure endpoints, so `positive` means positive
-for every admissible exponent value, not just the midpoint.  The spread
-term is an estimate: it assumes the endpoint spread bounds the variation of
-the formula over the enclosure.
+Every formula is written once, in mpmath.iv, and accepts numbers or iv
+intervals; the elementary factors run at the caller's iv precision and the
+composites at working_dps() + 15 digits.  A composite bound is evaluated once on the enclosure of the
+critical exponent, with rho, the kernel angles and the panel limits
+enclosed too and each oscillatory integral entering as its value +/- its
+error bound: the natural interval extension of the formula (Moore, Kearfott
+& Cloud, Introduction to Interval Analysis, SIAM 2009).  Its interval
+contains the bound at every exponent in the enclosure, assuming only that
+iv rounds outward, so `positive` means positive for every admissible
+exponent value, not just the midpoint.
 
 Convention notes (resolved against the working derivation and pinned by
 the exact agreement of two of the five composite values):
@@ -38,10 +42,11 @@ from fractions import Fraction
 
 from mpmath import iv, mp
 
-from trigpos.exact import Enclosure, _as_fraction
+from trigpos.exact import _as_fraction
 from trigpos.mustar import mu_star
 from trigpos.precision import iv_dps, working_dps
-from trigpos.quadrature import chi_reference_integral, fractional_osc_integral, frak_K
+from trigpos.quadrature import (_as_iv, _mid_rad, chi_reference_integral,
+                                fractional_osc_integral, frak_K)
 
 __all__ = [
     "BoundReport",
@@ -49,6 +54,7 @@ __all__ = [
     "lemma_XYZ",
     "p_factor",
     "q_factor",
+    "small_angle_constant",
     "L_region",
     "two_thirds_master_bound",
     "scan_neighborhood",
@@ -61,20 +67,24 @@ _DEFAULT_NU_WIDTH = Fraction(1, 10**12)
 
 
 # ---------------------------------------------------------------------------
-# Elementary factors
+# Elementary factors: mpmath.iv intervals at the caller's iv precision
 # ---------------------------------------------------------------------------
 
 
 def wedge(theta, mu):
     """(1/sin theta) * (1 - (sin theta / theta)^(1-mu)), for 0 < theta < pi.
 
-    Positive and increasing on (0, pi).
+    Positive and increasing on (0, pi).  An interval theta must lie wholly
+    inside (0, pi), checked against pi rounded down at the working
+    precision, so that mp.pi itself is refused.
     """
-    theta = mp.mpf(theta)
-    mu = mp.mpf(mu)
-    if not 0 < theta < mp.pi:
+    theta, mu = _as_iv(theta), _as_iv(mu)
+    with iv_dps(working_dps()):
+        pi_down = iv.pi.a
+    if not (0 < theta.a and theta.b < pi_down):
         raise ValueError("theta must lie in (0, pi)")
-    return (1 - (mp.sin(theta) / theta) ** (1 - mu)) / mp.sin(theta)
+    sin = iv.sin(theta)
+    return (1 - (sin / theta) ** (1 - mu)) / sin
 
 
 def lemma_XYZ(mu, n: int, a, b):
@@ -83,20 +93,18 @@ def lemma_XYZ(mu, n: int, a, b):
         X = (b/sin b)   * (1-mu)/(4n) * (2 a n)^(mu-1)
         Y = (b/sin b)^2 * (1-mu)/(3n) * (2 a n)^(mu-1)
         Z = pi mu (1-mu) * (2 a (n+1))^(mu-2)
+
+    Interval a and b must satisfy 0 < a < b <= pi/2 at every point.
     """
-    mu = mp.mpf(mu)
-    a = mp.mpf(a)
-    b = mp.mpf(b)
-    if not 0 < a < b <= mp.pi / 2 + mp.mpf("1e-12"):
-        raise ValueError("need 0 < a < b <= pi/2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    ratio = b / mp.sin(b)
+    mu, a, b = (_as_iv(v) for v in (mu, a, b))
+    if not (0 < a.a and a.b < b.a and b.b <= iv.pi / 2 + mp.mpf("1e-12")):
+        raise ValueError("need 0 < a < b <= pi/2")
+    ratio = b / iv.sin(b)
     core = (1 - mu) * (2 * a * n) ** (mu - 1) / n
-    x = ratio * core / 4
-    y = ratio**2 * core / 3
-    z = mp.pi * mu * (1 - mu) * (2 * a * (n + 1)) ** (mu - 2)
-    return x, y, z
+    z = iv.pi * mu * (1 - mu) * (2 * a * (n + 1)) ** (mu - 2)
+    return ratio * core / 4, ratio**2 * core / 3, z
 
 
 def p_factor(phi):
@@ -105,14 +113,21 @@ def p_factor(phi):
     Decreasing on (0, pi/5], the only range the chi minimization samples;
     past phi ~ 1.35 it turns increasing again, so no claim is made there.
     """
-    phi = mp.mpf(phi)
-    return mp.sin(phi / 3 + mp.pi / 6) / mp.sin(phi)
+    phi = _as_iv(phi)
+    return iv.sin(phi / 3 + iv.pi / 6) / iv.sin(phi)
 
 
 def q_factor(phi):
-    """sin(phi) / sin(phi/3): positive, decreasing on (0, pi/2)."""
-    phi = mp.mpf(phi)
-    return mp.sin(phi) / mp.sin(phi / 3)
+    """sin(phi) / sin(phi/3) = 1 + 2 cos(2 phi/3): positive, decreasing on
+    (0, pi/2)."""
+    return 1 + 2 * iv.cos(2 * _as_iv(phi) / 3)
+
+
+def small_angle_constant(mu):
+    """mu cos(2pi/3 - mu pi/2) - wedge(pi/5): the bracket of the rho = 2/3
+    master bound, which the proof needs positive."""
+    mu = _as_iv(mu)
+    return mu * iv.cos(2 * iv.pi / 3 - mu * iv.pi / 2) - wedge(iv.pi / 5, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +139,10 @@ def q_factor(phi):
 class BoundReport:
     """One evaluated composite bound.
 
-    value/err: the bound and a combined error figure (series error bound
-    plus exponent-enclosure sensitivity).  components holds the named
-    sub-terms at the enclosure midpoint, for display and cross-checks.
+    value/err: the midpoint and the upward-rounded radius of the bound's
+    mpmath.iv interval over the exponent enclosure, which covers the error
+    bounds of its integrals.  components holds the named sub-terms, each
+    the midpoint of its own interval, for display and cross-checks.
     """
 
     label: str
@@ -140,135 +156,58 @@ class BoundReport:
         return self.value - self.err > 0
 
 
-def _frac_to_mpf(f: Fraction):
-    return mp.mpf(f.numerator) / f.denominator
+def _report(label: str, rho: Fraction, total, comps: dict) -> BoundReport:
+    value, err = _mid_rad(total)
+    return BoundReport(label, rho, value, err, {k: _mid_rad(v)[0] for k, v in comps.items()})
 
 
-def _nu_enclosure(rho: Fraction, nu) -> Enclosure:
-    if nu is None:
-        return mu_star(rho, width=_DEFAULT_NU_WIDTH).enclosure
-    if isinstance(nu, Enclosure):
-        return nu
-    return Enclosure.exact(nu)
-
-
-def _sensitivity_eval(formula, enc: Enclosure):
-    """formula: nu_mp -> (value, err, components).  Evaluates at the
-    enclosure midpoint and, for a nondegenerate enclosure, folds the
-    endpoint spread into the reported error."""
-    v_mid, e_mid, comps = formula(_frac_to_mpf(enc.mid))
-    if enc.is_exact():
-        return v_mid, e_mid, comps
-    v_lo, e_lo, _ = formula(_frac_to_mpf(enc.lo))
-    v_hi, e_hi, _ = formula(_frac_to_mpf(enc.hi))
-    spread = max(abs(v_lo - v_mid), abs(v_hi - v_mid))
-    return v_mid, e_mid + spread + max(e_lo, e_hi), comps
+def _exponent(rho: Fraction, nu):
+    """nu as an mpmath.iv interval; None stands for the critical-exponent
+    enclosure for rho at the default width."""
+    return _as_iv(mu_star(rho, width=_DEFAULT_NU_WIDTH).enclosure if nu is None else nu)
 
 
 def _r_shifted(g, nu, theta, eta):
     """r(theta) = g(nu (pi - 2 theta)/2 + eta(theta))."""
-    return g(nu * (mp.pi - 2 * theta) / 2 + eta)
+    return g(nu * (iv.pi - 2 * theta) / 2 + eta)
 
 
-def _region_1(rho_mp):
-    b = mp.pi / 3
-
-    def formula(nu):
-        with iv_dps(working_dps() + 15):  # the upper limits, enclosed
-            s_res = fractional_osc_integral("sin", 0, nu, 2 * iv.pi)
-            c_res = fractional_osc_integral("cos", 0, nu, 7 * iv.pi / 4)
-        l1 = (mp.cos(rho_mp * b) / mp.sin(b)) * s_res.value + rho_mp * c_res.value
-        q0 = mp.sin((nu - 1) * mp.pi / 2)
-        r0 = _r_shifted(mp.sin, nu, mp.mpf(0), rho_mp * mp.mpf(0))
-        l2 = mp.gamma(nu) * (
-            2 * q0 * mp.sin(nu * b / 2) / mp.sin(b) - r0 * wedge(b, nu)
-        )
-        l3 = sum(lemma_XYZ(nu, 3, mp.pi / 4, b))
-        quad_err = (
-            abs(mp.cos(rho_mp * b) / mp.sin(b)) * s_res.err + rho_mp * c_res.err
-        )
-        comps = {
-            "L1": l1,
-            "L2": l2,
-            "L3": l3,
-            "S_2pi": s_res.value,
-            "C_7pi4": c_res.value,
-            "q0": q0,
-            "r0": r0,
-            "L_minus_L3": l1 + l2 - l3,
-            "L_plus_L3": l1 + l2 + l3,
-        }
-        return l1 + l2 - l3, quad_err, comps
-
-    return formula
+def _region_1(rho, nu):
+    """(L1, L2, L3, named terms) of region 1."""
+    b = iv.pi / 3
+    s_2pi = _as_iv(fractional_osc_integral("sin", 0, nu, 2 * iv.pi))
+    c_7pi4 = _as_iv(fractional_osc_integral("cos", 0, nu, 7 * iv.pi / 4))
+    l1 = iv.cos(rho * b) / iv.sin(b) * s_2pi + rho * c_7pi4
+    q0 = iv.sin((nu - 1) * iv.pi / 2)
+    r0 = _r_shifted(iv.sin, nu, 0, 0)
+    l2 = iv.gamma(nu) * (2 * q0 * iv.sin(nu * b / 2) / iv.sin(b) - r0 * wedge(b, nu))
+    l3 = sum(lemma_XYZ(nu, 3, iv.pi / 4, b))
+    return l1, l2, l3, {"S_2pi": s_2pi, "C_7pi4": c_7pi4, "q0": q0, "r0": r0}
 
 
-def _region_2(rho_mp):
-    def formula(nu):  # closed form, no quadrature
-        main = (2 * mp.sin(2 * mp.pi / 3)) ** (-nu) * mp.sin(
-            (mp.pi / 6) * (4 * rho_mp - nu)
-        )
-        poch4 = nu * (nu + 1) * (nu + 2) * (nu + 3)
-        tail = poch4 / (24 * mp.sin(mp.pi / 3))
-        comps = {"main": main, "tail": tail}
-        return main - tail, mp.mpf(0), comps
-
-    return formula
-
-
-# (b for the oscillatory kernel, kernel upper limit, theta at which the
-# bracket factors are frozen, tail block L3) per region
-def _region_3x(which: str, rho_mp):
+def _region_3x(which: str, rho, nu):
+    """(L1, L2, L3, named terms) of region 31, 32 or 33: L1 is the kernel
+    frak_K on (b, x), and the bracket factors are frozen at theta0."""
+    pi = iv.pi
     if which == "31":
-        b_kernel = mp.pi / 12
-        x_upper = mp.pi
-        theta0 = mp.pi / 8
-
-        def tail(nu):
-            # explicit: the X/Y panels use a = pi/15, the Z panel a = pi/12
-            ratio = theta0 / mp.sin(theta0)
-            return (
-                ratio * (1 - nu) / 12 * (2 * mp.pi / 5) ** (nu - 1)
-                + ratio**2 * (1 - nu) / 9 * (2 * mp.pi / 5) ** (nu - 1)
-                + nu * (1 - nu) * mp.pi * (2 * mp.pi / 3) ** (nu - 2)
-            )
-
+        b, x, theta0 = pi / 12, pi, pi / 8
+        # explicit: the X/Y panels use a = pi/15, the Z panel a = pi/12
+        ratio = theta0 / iv.sin(theta0)
+        l3 = ((ratio / 12 + ratio**2 / 9) * (1 - nu) * (2 * pi / 5) ** (nu - 1)
+              + nu * (1 - nu) * pi * (2 * pi / 3) ** (nu - 2))
     elif which == "32":
-        b_kernel = mp.pi / 6
-        x_upper = (1 + 5 * rho_mp / 6) * mp.pi
-        theta0 = mp.pi / 6
-
-        def tail(nu):
-            return sum(lemma_XYZ(nu, 4, mp.pi / 10, theta0))
-
+        b, x, theta0 = pi / 6, (1 + 5 * rho / 6) * pi, pi / 6
+        l3 = sum(lemma_XYZ(nu, 4, pi / 10, theta0))
     else:  # "33"
-        b_kernel = mp.pi / 3
-        x_upper = 3 * mp.pi / 2
-        theta0 = mp.pi / 3
-
-        def tail(nu):
-            return sum(lemma_XYZ(nu, 4, mp.pi / 6, theta0))
-
-    def formula(nu):
-        k_res = frak_K(b_kernel, x_upper, rho_mp, nu)
-        eta0 = rho_mp * theta0 + (mp.mpf(1) / 2 - rho_mp) * mp.pi
-        q0 = mp.cos(nu * mp.pi / 2 - rho_mp * mp.pi)
-        r_theta = _r_shifted(mp.cos, nu, theta0, eta0)
-        l2 = mp.gamma(nu) * (nu * q0 - r_theta * wedge(theta0, nu))
-        l3 = tail(nu)
-        comps = {
-            "L1": k_res.value,
-            "L2": l2,
-            "L3": l3,
-            "q0": q0,
-            "r_theta0": r_theta,
-            "wedge_theta0": wedge(theta0, nu),
-            "L_minus_L3": k_res.value + l2 - l3,
-            "L_plus_L3": k_res.value + l2 + l3,
-        }
-        return k_res.value + l2 - l3, k_res.err, comps
-
-    return formula
+        b, x, theta0 = pi / 3, 3 * pi / 2, pi / 3
+        l3 = sum(lemma_XYZ(nu, 4, pi / 6, theta0))
+    eta0 = rho * theta0 + (iv.mpf(1) / 2 - rho) * pi
+    q0 = iv.cos(nu * pi / 2 - rho * pi)
+    r_theta0 = _r_shifted(iv.cos, nu, theta0, eta0)
+    wedge_theta0 = wedge(theta0, nu)
+    l2 = iv.gamma(nu) * (nu * q0 - r_theta0 * wedge_theta0)
+    return _as_iv(frak_K(b, x, rho, nu)), l2, l3, {
+        "q0": q0, "r_theta0": r_theta0, "wedge_theta0": wedge_theta0}
 
 
 def L_region(region, rho=Fraction(1, 3), nu=None) -> BoundReport:
@@ -276,23 +215,26 @@ def L_region(region, rho=Fraction(1, 3), nu=None) -> BoundReport:
 
     region is one of "1", "2", "31", "32", "33".  nu defaults to the
     critical-exponent enclosure for rho (computed on demand); pass an
-    Enclosure or an exact number to override.
+    Enclosure, an mpmath.iv interval or an exact number to override.
     """
     region = str(region)
     if region not in REGIONS:
         raise ValueError(f"region must be one of {REGIONS}, got {region!r}")
     rho = _as_fraction(rho)
-    enc = _nu_enclosure(rho, nu)
-    with mp.workdps(working_dps() + 10):
-        rho_mp = _frac_to_mpf(rho)
+    dps = working_dps() + 15
+    with mp.workdps(dps), iv_dps(dps):
+        rho_iv, nu = _as_iv(rho), _exponent(rho, nu)
+        if region == "2":  # closed form, no quadrature
+            main = (2 * iv.sin(2 * iv.pi / 3)) ** (-nu) * iv.sin(iv.pi / 6 * (4 * rho_iv - nu))
+            tail = nu * (nu + 1) * (nu + 2) * (nu + 3) / (24 * iv.sin(iv.pi / 3))
+            return _report("L(2)", rho, main - tail, {"main": main, "tail": tail})
         if region == "1":
-            formula = _region_1(rho_mp)
-        elif region == "2":
-            formula = _region_2(rho_mp)
+            l1, l2, l3, terms = _region_1(rho_iv, nu)
         else:
-            formula = _region_3x(region, rho_mp)
-        value, err, comps = _sensitivity_eval(formula, enc)
-        return BoundReport(f"L({region})", rho, value, err, comps)
+            l1, l2, l3, terms = _region_3x(region, rho_iv, nu)
+        total = l1 + l2 - l3
+        return _report(f"L({region})", rho, total, {
+            "L1": l1, "L2": l2, "L3": l3, **terms, "L_minus_L3": total, "L_plus_L3": l1 + l2 + l3})
 
 
 def two_thirds_master_bound(mu=None) -> BoundReport:
@@ -307,30 +249,20 @@ def two_thirds_master_bound(mu=None) -> BoundReport:
     enclosure at rho = 2/3.
     """
     rho = Fraction(2, 3)
-    enc = _nu_enclosure(rho, mu)
-    with mp.workdps(working_dps() + 10):
-
-        def formula(m):
-            chi = chi_reference_integral(m)
-            prop_term = mp.gamma(m) * (
-                m * mp.cos(2 * mp.pi / 3 - m * mp.pi / 2) - wedge(mp.pi / 5, m)
-            )
-            s_ratio = mp.pi / mp.sin(mp.pi / 5)
-            sigma_tail = (1 - m) / 80 * s_ratio
-            tau_tail = (1 - m) / 300 * s_ratio**2
-            delta_tail = m * (1 - m) * mp.pi ** (m - 1)
-            value = prop_term + chi.value - sigma_tail - tau_tail - delta_tail
-            comps = {
-                "prop_term": prop_term,
-                "chi": chi.value,
-                "sigma_tail": sigma_tail,
-                "tau_tail": tau_tail,
-                "delta_tail": delta_tail,
-            }
-            return value, chi.err, comps
-
-        value, err, comps = _sensitivity_eval(formula, enc)
-        return BoundReport("master(2/3)", rho, value, err, comps)
+    dps = working_dps() + 15
+    with mp.workdps(dps), iv_dps(dps):
+        mu = _exponent(rho, mu)
+        s_ratio = iv.pi / iv.sin(iv.pi / 5)
+        comps = {
+            "prop_term": iv.gamma(mu) * small_angle_constant(mu),
+            "chi": _as_iv(chi_reference_integral(mu)),
+            "sigma_tail": (1 - mu) / 80 * s_ratio,
+            "tau_tail": (1 - mu) / 300 * s_ratio**2,
+            "delta_tail": mu * (1 - mu) * iv.pi ** (mu - 1),
+        }
+        total = (comps["prop_term"] + comps["chi"] - comps["sigma_tail"]
+                 - comps["tau_tail"] - comps["delta_tail"])
+        return _report("master(2/3)", rho, total, comps)
 
 
 def scan_neighborhood(

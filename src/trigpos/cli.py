@@ -51,13 +51,14 @@ from trigpos.bounds import (
     p_factor,
     q_factor,
     scan_neighborhood,
+    small_angle_constant,
     two_thirds_master_bound,
     wedge,
 )
 from trigpos.exact import Enclosure
 from trigpos.mustar import _verified_sign, mu_star, width_floor
 from trigpos.precision import iv_dps, working_dps
-from trigpos.quadrature import chi_reference_integral, min_over_upper_limit
+from trigpos.quadrature import _mid_rad, chi_reference_integral, min_over_upper_limit
 from trigpos.trigsums import (
     _MAX_TERMS,
     build_U_n,
@@ -328,17 +329,22 @@ def _check_u1(mu_enc: Enclosure) -> CheckResult:
     )
 
 
-def _check_prop_constants(mu_mid, chi_tol: float) -> list[CheckResult]:
+def _check_prop_constants(mu_enc: Enclosure, chi_tol: float) -> list[CheckResult]:
     checks = []
-    with mp.workdps(working_dps()):
-        w = wedge(mp.pi / 5, mu_mid)
-        const = mu_mid * mp.cos(2 * mp.pi / 3 - mu_mid * mp.pi / 2) - w
+    mid = mu_enc.mid
+    with mp.workdps(working_dps()), iv_dps(working_dps()):
+        mu_mid = mp.mpf(mid.numerator) / mid.denominator
+        const = small_angle_constant(mu_enc)
+        value, rad = _mid_rad(const)
+        w = _mid_rad(wedge(iv.pi / 5, mu_enc))[0]
         checks.append(
             CheckResult(
                 "small-angle-constant",
-                _status(const > 0),
-                value=_fmt(const),
-                detail=f"mu cos(2pi/3 - mu pi/2) - wedge(pi/5); wedge(pi/5) = {_fmt(w, 8)}",
+                _status(const.a > 0),
+                value=_fmt(value),
+                error=_fmt(rad, 3),
+                detail="mu cos(2pi/3 - mu pi/2) - wedge(pi/5) in mpmath.iv over the mu "
+                f"enclosure; wedge(pi/5) = {_fmt(w, 8)}",
             )
         )
 
@@ -411,8 +417,8 @@ def _check_prop_constants(mu_mid, chi_tol: float) -> list[CheckResult]:
     return checks
 
 
-def _check_master(master_min: float, master_tol: float) -> CheckResult:
-    rep = two_thirds_master_bound()
+def _check_master(master_min: float, master_tol: float, mu=None) -> CheckResult:
+    rep = two_thirds_master_bound(mu)
     with mp.workdps(working_dps()):
         diff = abs(rep.value - mp.mpf(MASTER_REFERENCE))
         ok = rep.positive and rep.value - rep.err > master_min and diff <= master_tol
@@ -429,16 +435,12 @@ def _check_master(master_min: float, master_tol: float) -> CheckResult:
 def run_thm_2_3(nmax: int, master_min: float, master_tol: float, chi_tol: float) -> VerificationReport:
     rho = Fraction(2, 3)
     tight = mu_star(rho, width=Fraction(1, 10**20)).enclosure
-    mid = tight.mid
-    with mp.workdps(working_dps()):
-        mu_mid = mp.mpf(mid.numerator) / mid.denominator
-
     checks = [_check_u1(tight)]
     plan = {t.name: t for t in sturm_case_plan(tight)}
     for name in ("P-near-0", "P-mid", "Q", "R"):
         checks.append(_sturm_check(plan[name], gate_all_points=False))
-    checks.extend(_check_prop_constants(mu_mid, chi_tol))
-    checks.append(_check_master(master_min, master_tol))
+    checks.extend(_check_prop_constants(tight, chi_tol))
+    checks.append(_check_master(master_min, master_tol, tight))
     checks.append(
         _grid_check("grid-U", build_U_n(nmax, tight), _GRID_U, "phi")
     )
@@ -482,7 +484,7 @@ def run_thm_1_3(nmax: int, rho: Fraction) -> VerificationReport:
     for name in ("q1", "q2", "q3", "q3-derived"):
         checks.append(_sturm_check(plan[name], gate_all_points=True))
     for region in REGIONS:
-        checks.append(_bound_check(f"bound-{region}", L_region(region, rho=rho)))
+        checks.append(_bound_check(f"bound-{region}", L_region(region, rho=rho, nu=tight)))
 
     scans = []
     for region in REGIONS:
@@ -557,7 +559,7 @@ def run_bounds_case(
     return VerificationReport(
         case=f"bounds:{name}",
         inputs={"region": name, "rho": str(rho)},
-        method="power series with proven remainder, plus enclosure-endpoint sensitivity",
+        method="power series with proven remainder, in mpmath.iv over the exponent enclosure",
         reference="composite lower bounds for the tail-dominated ranges",
         checks=checks,
     )

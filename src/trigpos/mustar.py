@@ -31,7 +31,7 @@ from mpmath import iv, mp
 
 from trigpos.exact import Enclosure, _as_fraction
 from trigpos.precision import iv_dps, working_dps
-from trigpos.quadrature import QuadResult, fractional_osc_integral
+from trigpos.quadrature import QuadResult, _as_iv, fractional_osc_integral
 
 __all__ = ["MuStarResult", "defect_integral", "mu_star", "width_floor", "BRACKET_LO", "BRACKET_HI"]
 
@@ -66,7 +66,7 @@ def defect_integral(rho, mu) -> QuadResult:
     dps = working_dps() + 15
     eta, x = _limits(rho, dps)
     with iv_dps(dps):
-        return fractional_osc_integral("sin", eta, iv.mpf(mu.numerator) / mu.denominator, x)
+        return fractional_osc_integral("sin", eta, _as_iv(mu), x)
 
 
 @lru_cache(maxsize=16)
@@ -74,7 +74,7 @@ def _limits(rho: Fraction, dps: int):
     """-rho pi and (rho + 1) pi enclosed in mpmath.iv at dps digits, once
     for all the probes of mu_star at one rho."""
     with iv_dps(dps):
-        rho_pi = iv.mpf(rho.numerator) / rho.denominator * iv.pi
+        rho_pi = _as_iv(rho) * iv.pi
         return -rho_pi, rho_pi + iv.pi
 
 

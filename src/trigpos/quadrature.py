@@ -33,10 +33,12 @@ form that way.  The tests check this route against mpmath.quad.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
 
 from mpmath import iv, mp
 
+from trigpos.exact import Enclosure
 from trigpos.precision import iv_dps, working_dps
 
 __all__ = [
@@ -68,8 +70,21 @@ class QuadResult:
         product is formed in iv, so err stays an enclosure radius."""
         dps = working_dps() + 15
         with mp.workdps(dps), iv_dps(dps):
-            enc = (iv.mpf(self.value) + iv.mpf([-self.err, self.err])) * factor
-            return QuadResult(*_mid_rad(enc), self.flagged)
+            return QuadResult(*_mid_rad(_as_iv(self) * factor), self.flagged)
+
+
+def _as_iv(v):
+    """v enclosed in an mpmath.iv interval at the current iv precision: an
+    Enclosure becomes its hull, a QuadResult value +/- err, a Fraction its
+    quotient in iv; iv.mpf passes an interval through, reads an mpf exactly
+    and rounds an int, float or string outward."""
+    if isinstance(v, QuadResult):
+        return iv.mpf(v.value) + iv.mpf([-v.err, v.err])
+    if isinstance(v, Fraction):
+        v = Enclosure.exact(v)
+    if isinstance(v, Enclosure):
+        return iv.mpf([iv.mpf(f.numerator) / f.denominator for f in (v.lo, v.hi)])
+    return iv.mpf(v)
 
 
 def _mid_rad(enc):
@@ -148,8 +163,7 @@ def _evaluate(kind: str, eta, mu, x):
 @lru_cache(maxsize=64)
 def _cos_sin(eta, dps: int):
     """iv.cos_sin(eta) at dps digits, for an mpf or an iv interval eta: the
-    probes of mu_star at one rho share their phase, and so do the three
-    evaluations of a region bound."""
+    probes of mu_star at one rho share their phase."""
     with iv_dps(dps):
         return iv.cos_sin(eta)
 
@@ -179,15 +193,15 @@ def series_reference(kind: str, mu, x, eta=0):
 def frak_K(b, x, rho, mu) -> QuadResult:
     """(1/sin b) * integral_0^x cos(t + rho*b - (rho - 1/2)*pi) t^(mu-1) dt.
 
-    Requires 0 < b <= pi/2.  The phase is enclosed in mpmath.iv, so the
-    result encloses the integral at the exact phase of the given b and rho.
+    Requires 0 < b <= pi/2; b and rho may be mpmath.iv intervals, and an
+    interval b must lie wholly inside that range.  The phase is enclosed in
+    mpmath.iv, so the result encloses the integral at every b and rho given.
     """
     dps = working_dps() + 15
     with mp.workdps(dps), iv_dps(dps):
-        b, rho = mp.mpf(b), mp.mpf(rho)
-        if not 0 < b <= mp.pi / 2 + mp.mpf("1e-12"):
+        b, rho = _as_iv(b), _as_iv(rho)
+        if not (0 < b.a and b.b <= iv.pi / 2 + mp.mpf("1e-12")):
             raise ValueError("b must lie in (0, pi/2]")
-        b, rho = iv.mpf(b), iv.mpf(rho)
         eta = rho * b - (rho - iv.mpf(1) / 2) * iv.pi
         return fractional_osc_integral("cos", eta, mu, x).scaled(1 / iv.sin(b))
 

@@ -8,8 +8,10 @@ the tests re-derive them from scratch.
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
+from oracles import osc_integral
+from trigpos import bounds, quadrature
 from trigpos.bounds import (
     BoundReport,
     L_region,
@@ -22,6 +24,7 @@ from trigpos.bounds import (
     wedge,
 )
 from trigpos.exact import Enclosure
+from trigpos.quadrature import frak_K
 
 F = Fraction
 mp.dps = 30
@@ -141,3 +144,93 @@ def test_scan_neighborhood_shape():
     assert len(only) == 1 and only[0].rho == F(1, 3)
     with pytest.raises(ValueError):
         scan_neighborhood("2", steps=-1)
+
+
+def test_interval_arguments_outside_the_domain_are_refused():
+    for theta in (iv.mpf([-0.1, 0.1]), iv.mpf([3.1, 3.2]), iv.pi):
+        with pytest.raises(ValueError):
+            wedge(theta, NU0)
+    inside = wedge(iv.mpf([1, 1.01]), NU0)  # accepted, and encloses its points
+    assert inside.a <= wedge(mp.mpf("1.005"), NU0).a <= inside.b
+    with pytest.raises(ValueError):
+        lemma_XYZ(NU0, 4, iv.mpf([0.3, 0.6]), iv.mpf([0.5, 1]))  # a overlaps b
+    with pytest.raises(ValueError):
+        lemma_XYZ(NU0, 4, iv.mpf([0.3, 0.4]), iv.mpf([1.5, 1.6]))  # b beyond pi/2
+    with pytest.raises(ValueError):
+        frak_K(iv.mpf([-0.1, 0.2]), mp.pi, mp.mpf(1) / 3, NU0)
+
+
+# The composites written out in plain mp, with the integrals from the
+# mpmath.quad oracle: shares no code with the iv route it checks.
+
+def _wedge_mp(theta, nu):
+    return (1 - (mp.sin(theta) / theta) ** (1 - nu)) / mp.sin(theta)
+
+
+def _xyz_mp(nu, n, a, b):
+    ratio = b / mp.sin(b)
+    core = (1 - nu) * (2 * a * n) ** (nu - 1) / n
+    return ratio * core / 4 + ratio**2 * core / 3 + mp.pi * nu * (1 - nu) * (2 * a * (n + 1)) ** (nu - 2)
+
+
+def _L1_mp(nu):
+    rho, b = mp.mpf(1) / 3, mp.pi / 3
+    s = osc_integral("sin", 0, nu, 2 * mp.pi, dps=50)
+    c = osc_integral("cos", 0, nu, 7 * mp.pi / 4, dps=50)
+    l2 = mp.gamma(nu) * (2 * mp.sin((nu - 1) * mp.pi / 2) * mp.sin(nu * b / 2) / mp.sin(b)
+                         - mp.sin(nu * mp.pi / 2) * _wedge_mp(b, nu))
+    return mp.cos(rho * b) / mp.sin(b) * s + rho * c + l2 - _xyz_mp(nu, 3, mp.pi / 4, b)
+
+
+def _L32_mp(nu):
+    rho, b = mp.mpf(1) / 3, mp.pi / 6
+    eta = rho * b - (rho - mp.mpf(1) / 2) * mp.pi
+    kernel = osc_integral("cos", eta, nu, (1 + 5 * rho / 6) * mp.pi, dps=50) / mp.sin(b)
+    r = mp.cos(nu * (mp.pi - 2 * b) / 2 + rho * b + (mp.mpf(1) / 2 - rho) * mp.pi)
+    l2 = mp.gamma(nu) * (nu * mp.cos(nu * mp.pi / 2 - rho * mp.pi) - r * _wedge_mp(b, nu))
+    return kernel + l2 - _xyz_mp(nu, 4, mp.pi / 10, b)
+
+
+def _master_mp(mu):
+    ratio = mp.pi / mp.sin(mp.pi / 5)
+    chi = osc_integral("cos", -mp.pi / 10, mu, 8 * mp.pi / 5, dps=50) / mp.sin(mp.pi / 5)
+    return (mp.gamma(mu) * (mu * mp.cos(2 * mp.pi / 3 - mu * mp.pi / 2) - _wedge_mp(mp.pi / 5, mu))
+            + chi - (1 - mu) / 80 * ratio - (1 - mu) / 300 * ratio**2
+            - mu * (1 - mu) * mp.pi ** (mu - 1))
+
+
+@pytest.mark.parametrize("mid, report, formula", [
+    (F(49669136508, 10**11), lambda enc: L_region("1", nu=enc), _L1_mp),
+    (F(49669136508, 10**11), lambda enc: L_region("32", nu=enc), _L32_mp),
+    (F(84685556829, 10**11), lambda enc: two_thirds_master_bound(mu=enc), _master_mp),
+], ids=["L1", "L32", "master"])
+def test_report_contains_the_formula_across_the_enclosure(mid, report, formula):
+    enc = Enclosure(mid - F(1, 2 * 10**6), mid + F(1, 2 * 10**6))
+    rep = report(enc)
+    assert rep.err < mp.mpf("1e-4")
+    with mp.workdps(50):
+        for k in range(9):  # both ends and 7 interior points
+            nu = enc.lo + enc.width * k / 8
+            value = formula(mp.mpf(nu.numerator) / nu.denominator)
+            assert rep.value - rep.err <= value <= rep.value + rep.err, k
+
+
+def test_each_composite_is_evaluated_once(monkeypatch):
+    real = quadrature.fractional_osc_integral
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (bounds, quadrature):
+        monkeypatch.setattr(module, "fractional_osc_integral", counting)
+    mid = F(49669136508, 10**11)
+    enc = Enclosure(mid - F(1, 10**11), mid + F(1, 10**11))
+    for region, expected in (("1", 2), ("2", 0), ("31", 1), ("32", 1), ("33", 1)):
+        calls.clear()
+        L_region(region, nu=enc)
+        assert len(calls) == expected, region
+    calls.clear()
+    two_thirds_master_bound(mu=Enclosure(F(84685556828, 10**11), F(84685556830, 10**11)))
+    assert len(calls) == 1
