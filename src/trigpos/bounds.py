@@ -8,7 +8,9 @@ where the oscillatory part comes from trigpos.quadrature (a power series
 with an error bound) and the rest are elementary closed forms.  This module
 owns those closed forms:
 
-* wedge(theta), the normalized weight-defect factor;
+* wedge(theta), the normalized weight-defect factor, and the rho = 2/3
+  factors p, q and the n = 1 closed form u1_closed_form, with the
+  interval proofs of their monotonicity;
 * the X/Y/Z panel constants of the sampling lemma, which make up the
   tail block L3 of regions 1, 32 and 33;
 * the five composite region bounds L^(1), L^(2), L^(31), L^(32), L^(33)
@@ -54,6 +56,10 @@ __all__ = [
     "lemma_XYZ",
     "p_factor",
     "q_factor",
+    "u1_closed_form",
+    "wedge_increasing",
+    "p_decreasing",
+    "q_decreasing",
     "small_angle_constant",
     "L_region",
     "two_thirds_master_bound",
@@ -74,9 +80,10 @@ _DEFAULT_NU_WIDTH = Fraction(1, 10**12)
 def wedge(theta, mu):
     """(1/sin theta) * (1 - (sin theta / theta)^(1-mu)), for 0 < theta < pi.
 
-    Positive and increasing on (0, pi).  An interval theta must lie wholly
-    inside (0, pi), checked against pi rounded down at the working
-    precision, so that mp.pi itself is refused.
+    Positive and increasing on (0, pi) for 0 < mu < 1, proven in
+    wedge_increasing.  An interval theta must lie wholly inside (0, pi),
+    checked against pi rounded down at the working precision, so that
+    mp.pi itself is refused.
     """
     theta, mu = _as_iv(theta), _as_iv(mu)
     with iv_dps(working_dps()):
@@ -108,10 +115,10 @@ def lemma_XYZ(mu, n: int, a, b):
 
 
 def p_factor(phi):
-    """sin(phi/3 + pi/6) / sin(phi): positive on (0, pi/2).
+    """sin(phi/3 + pi/6) / sin(phi): positive on (0, pi).
 
-    Decreasing on (0, pi/5], the only range the chi minimization samples;
-    past phi ~ 1.35 it turns increasing again, so no claim is made there.
+    Decreasing on (0, pi/5], proven in p_decreasing; past phi ~ 1.35 it
+    turns increasing again, so no claim is made there.
     """
     phi = _as_iv(phi)
     return iv.sin(phi / 3 + iv.pi / 6) / iv.sin(phi)
@@ -119,8 +126,50 @@ def p_factor(phi):
 
 def q_factor(phi):
     """sin(phi) / sin(phi/3) = 1 + 2 cos(2 phi/3): positive, decreasing on
-    (0, pi/2)."""
+    (0, pi/2), proven in q_decreasing."""
     return 1 + 2 * iv.cos(2 * _as_iv(phi) / 3)
+
+
+def u1_closed_form(mu, phi):
+    """(1 - mu) sin(phi/3 + pi/3) + 2 mu sin(4 phi/3 + pi/3) cos(phi), which
+    is U_1 = cos(phi/3 - pi/6) + mu cos(7 phi/3 - pi/6) by the product-to-sum
+    formula; for 0 <= mu < 1 both summands are >= 0 on [0, pi/2]."""
+    mu, phi = _as_iv(mu), _as_iv(phi)
+    return ((1 - mu) * iv.sin(phi / 3 + iv.pi / 3)
+            + 2 * mu * iv.sin(4 * phi / 3 + iv.pi / 3) * iv.cos(phi))
+
+
+def wedge_increasing(mu, theta) -> bool:
+    """Whether wedge(., m) is proven positive and increasing on the interval
+    theta (0 excepted) for every m in mu.  With a = 1 - m, s = sin t / t:
+    s^a < 1 makes wedge > 0, and the numerator of wedge' is
+    a s^(a-1) sin t (sin t - t cos t) / t^2 - (1 - s^a) cos t.  Where cos t
+    <= 0 both parts are >= 0, the first > 0.  Where cos t >= 0, 1 - s^a <=
+    a s^(a-1) (1 - s) bounds it below by a s^(a-1) (sin^2 t - t^2 cos t) / t^2,
+    and the Taylor bounds of sin and cos give sin^2 t - t^2 cos t >= t^4
+    (12 - t^2)/72 > 0.  So 0 < mu < 1 and theta in [0, pi) prove it.
+    """
+    mu, theta = _as_iv(mu), _as_iv(theta)
+    return bool(0 < mu.a and mu.b < 1 and 0 <= theta.a and theta.b < iv.pi.a)
+
+
+def p_decreasing(phi) -> bool:
+    """Whether p_factor is proven positive and decreasing on the interval phi
+    (0 excepted): on (0, pi), p' = N / sin^2 phi with N = cos(phi/3 + pi/6)
+    sin(phi)/3 - sin(phi/3 + pi/6) cos(phi), so N below 0 over the box and p
+    above 0 at its right end prove it; on [0, pi/5], N <= -0.2348."""
+    phi = _as_iv(phi)
+    shifted = phi / 3 + iv.pi / 6
+    slope = iv.cos(shifted) * iv.sin(phi) / 3 - iv.sin(shifted) * iv.cos(phi)
+    return bool(0 <= phi.a and phi.b < iv.pi.a and slope.b < 0 and p_factor(phi.b).a > 0)
+
+
+def q_decreasing(phi) -> bool:
+    """Whether q_factor is proven positive and decreasing on the interval phi
+    (0 excepted): q' = -(4/3) sin(2 phi/3) < 0 while 2 phi/3 lies in (0, pi),
+    and then q is positive where it is at the right end."""
+    phi = _as_iv(phi)
+    return bool(0 <= phi.a and (2 * phi.b / 3).b < iv.pi.a and q_factor(phi.b).a > 0)
 
 
 def small_angle_constant(mu):

@@ -48,12 +48,14 @@ from mpmath import iv, mp
 from trigpos.bounds import (
     REGIONS,
     L_region,
-    p_factor,
-    q_factor,
+    p_decreasing,
+    q_decreasing,
     scan_neighborhood,
     small_angle_constant,
     two_thirds_master_bound,
+    u1_closed_form,
     wedge,
+    wedge_increasing,
 )
 from trigpos.exact import Enclosure
 from trigpos.mustar import _verified_sign, mu_star, width_floor
@@ -61,6 +63,7 @@ from trigpos.precision import iv_dps, working_dps
 from trigpos.quadrature import _mid_rad, chi_reference_integral, min_over_upper_limit
 from trigpos.trigsums import (
     _MAX_TERMS,
+    TrigTerm,
     build_U_n,
     build_varsigma,
     chebyshev_U,
@@ -296,92 +299,34 @@ def _grid_check(check_id: str, tsum, interval, var: str) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _u1_closed_form(mu, phi):
-    """(1 - mu) sin(phi/3 + pi/3) + 2 mu sin(4 phi/3 + pi/3) cos(phi).
-
-    Angle-addition rearrangement of the two-term cosine sum U_1; on
-    (0, pi/2] both summands are nonnegative and the first is bounded away
-    from zero, which settles positivity for n = 1 without any grid.
-    """
-    return (1 - mu) * mp.sin(phi / 3 + mp.pi / 3) + (
-        2 * mu * mp.sin(4 * phi / 3 + mp.pi / 3) * mp.cos(phi)
-    )
-
-
 def _check_u1(mu_enc: Enclosure) -> CheckResult:
-    u1 = build_U_n(1, mu_enc)
-    mid = mu_enc.mid
-    with mp.workdps(working_dps()):
-        mu_mid = mp.mpf(mid.numerator) / mid.denominator
-        worst = mp.mpf(0)
-        low = mp.inf
-        for j in range(1, 202):
-            phi = mp.pi / 2 * j / 201
-            closed = _u1_closed_form(mu_mid, phi)
-            worst = max(worst, abs(u1.eval_mp(phi) - closed))
-            low = min(low, closed)
-        tol = mp.mpf(10) ** (-(working_dps() - 8))
+    # U_1 must be cos(phi/3 - pi/6) + d_1 cos(7 phi/3 - pi/6) with d_1
+    # enclosing mu; that sum is u1_closed_form(d_1, phi) exactly
+    first, second = build_U_n(1, mu_enc).terms
+    d1 = second.coeff
+    terms_ok = (first == TrigTerm(Enclosure.exact(1), Fraction(1, 3), Fraction(-1, 6), "cos")
+                and second == TrigTerm(d1, Fraction(7, 3), Fraction(-1, 6), "cos")
+                and d1.lo <= mu_enc.lo and mu_enc.hi <= d1.hi)
+    with iv_dps(working_dps()):
+        low = u1_closed_form(d1, iv.mpf([0, 1]) * iv.pi / 2).a
     return CheckResult(
         "closed-form-n1",
-        _status(worst <= tol and low > 0),
-        value=f"max residual {_fmt(worst, 3)}",
-        detail=f"termwise-positive closed form, grid min {_fmt(low, 6)}",
+        _status(terms_ok and low > 0),
+        value=f"lower bound {_fmt(low, 6)}",
+        detail="U_1 = (1 - mu) sin(phi/3 + pi/3) + 2 mu sin(4phi/3 + pi/3) cos(phi), "
+        "termwise nonnegative on [0, pi/2]; proved over the mu enclosure by one "
+        "mpmath.iv evaluation on that box" + ("" if terms_ok else "; U_1 has other terms"),
     )
 
 
 def _check_prop_constants(mu_enc: Enclosure, chi_tol: float) -> list[CheckResult]:
-    checks = []
     mid = mu_enc.mid
     with mp.workdps(working_dps()), iv_dps(working_dps()):
         mu_mid = mp.mpf(mid.numerator) / mid.denominator
         const = small_angle_constant(mu_enc)
         value, rad = _mid_rad(const)
         w = _mid_rad(wedge(iv.pi / 5, mu_enc))[0]
-        checks.append(
-            CheckResult(
-                "small-angle-constant",
-                _status(const.a > 0),
-                value=_fmt(value),
-                error=_fmt(rad, 3),
-                detail="mu cos(2pi/3 - mu pi/2) - wedge(pi/5) in mpmath.iv over the mu "
-                f"enclosure; wedge(pi/5) = {_fmt(w, 8)}",
-            )
-        )
-
-        phis = [mp.pi / 5 * (j + 1) / 160 for j in range(160)]
-        wvals = [wedge(p, mu_mid) for p in phis]
-        w_ok = all(v > 0 for v in wvals) and all(
-            wvals[i] < wvals[i + 1] for i in range(len(wvals) - 1)
-        )
-        checks.append(
-            CheckResult(
-                "wedge-monotone",
-                _status(w_ok),
-                detail="wedge positive and increasing on (0, pi/5], 160 samples",
-            )
-        )
-
-        # p, q on the range the chi minimization uses, (0, pi/5]: positive
-        # and decreasing there.  (q keeps decreasing all the way to pi/2;
-        # p does not -- it turns increasing near 1.35 -- which is why the
-        # gate stops at pi/5, the largest angle the bound ever evaluates.)
-        grid = [mp.mpf("0.001") + (mp.pi / 5 - mp.mpf("0.001")) * j / 299 for j in range(300)]
-        pvals = [p_factor(t) for t in grid]
-        qvals = [q_factor(t) for t in grid]
-        pq_ok = (
-            all(v > 0 for v in pvals + qvals)
-            and all(pvals[i] > pvals[i + 1] for i in range(299))
-            and all(qvals[i] > qvals[i + 1] for i in range(299))
-        )
-        checks.append(
-            CheckResult(
-                "pq-factors-decreasing",
-                _status(pq_ok),
-                detail="sin(phi/3 + pi/6)/sin(phi) and sin(phi)/sin(phi/3) "
-                "positive, decreasing on (0, pi/5], 300 samples; p alone "
-                "turns increasing again before pi/2",
-            )
-        )
+        box = iv.mpf([0, 1]) * iv.pi / 5  # the largest range the master bound uses
 
         # minima of the phase-shifted fractional cosine integrals over the
         # upper limit; at the critical exponent the first one bottoms out at
@@ -390,31 +335,46 @@ def _check_prop_constants(mu_enc: Enclosure, chi_tol: float) -> list[CheckResult
         with iv_dps(working_dps() + 15):
             arg1, m1 = min_over_upper_limit("cos", -iv.pi / 6, mu_mid, mp.pi / 2)
             arg2, m2 = min_over_upper_limit("cos", -iv.pi / 3, mu_mid, mp.pi / 2)
-        ok1 = m1.value >= -(m1.err + slack)
-        ok2 = m2.value - m2.err > 0
-        checks.append(
-            CheckResult(
-                "cosine-integral-minima",
-                _status(ok1 and ok2),
-                value=f"{_fmt(m1.value, 4)} at x={_fmt(arg1, 8)}; "
-                f"{_fmt(m2.value, 6)} at x={_fmt(arg2, 8)}",
-                detail="min over upper limits of the two shifted integrals; "
-                "later oscillation arches shrink, so these are global",
-            )
-        )
+        minima_ok = m1.value >= -(m1.err + slack) and m2.value - m2.err > 0
 
         chi = chi_reference_integral(mu_mid)
         diff = abs(chi.value - mp.mpf(CHI_REFERENCE))
-        checks.append(
+        return [
             CheckResult(
-                "chi-integral",
-                _status(diff <= chi_tol and not chi.flagged),
-                value=_fmt(chi.value, 14),
-                error=_fmt(chi.err, 3),
+                "small-angle-constant", _status(const.a > 0),
+                value=_fmt(value), error=_fmt(rad, 3),
+                detail="mu cos(2pi/3 - mu pi/2) - wedge(pi/5) in mpmath.iv over the mu "
+                f"enclosure; wedge(pi/5) = {_fmt(w, 8)}",
+            ),
+            CheckResult(
+                "wedge-monotone", _status(wedge_increasing(mu_enc, box)),
+                detail="wedge positive and increasing on (0, pi/5]: for every mu in (0, 1) "
+                "and t in (0, pi/2], with a = 1 - mu and s = sin t/t, the numerator of "
+                "wedge' is at least a s^(a-1) t^2 (12 - t^2)/72 > 0; proved over the mu "
+                "enclosure when it lies in (0, 1)",
+            ),
+            CheckResult(
+                "pq-factors-decreasing", _status(p_decreasing(box) and q_decreasing(box)),
+                detail="sin(phi/3 + pi/6)/sin(phi) and sin(phi)/sin(phi/3) positive, "
+                "decreasing on (0, pi/5]: q' = -(4/3) sin(2phi/3) < 0, and p' has the sign of "
+                "cos(phi/3 + pi/6) sin(phi)/3 - sin(phi/3 + pi/6) cos(phi) < 0 in one "
+                "mpmath.iv box; neither depends on mu, so proved over the mu enclosure; "
+                "p alone turns increasing again before pi/2",
+            ),
+            CheckResult(
+                "cosine-integral-minima", _status(minima_ok),
+                value=f"{_fmt(m1.value, 4)} at x={_fmt(arg1, 8)}; "
+                f"{_fmt(m2.value, 6)} at x={_fmt(arg2, 8)}",
+                detail="min over upper limits of the two shifted integrals; global, "
+                "since t^(mu-1) decreases and later arches shrink "
+                "(the lemma in quadrature.min_over_upper_limit)",
+            ),
+            CheckResult(
+                "chi-integral", _status(diff <= chi_tol and not chi.flagged),
+                value=_fmt(chi.value, 14), error=_fmt(chi.err, 3),
                 detail=f"reference {CHI_REFERENCE}, diff {_fmt(diff, 3)}",
-            )
-        )
-    return checks
+            ),
+        ]
 
 
 def _check_master(master_min: float, master_tol: float, mu=None) -> CheckResult:
@@ -571,20 +531,16 @@ def run_gegenbauer(nmax: int, lam: float, genfunc_tol: float) -> VerificationRep
 
     checks = []
 
-    worst = 0.0
-    combos = 0
-    for lam_g in (0.24, 0.5, 1.0, 1.7):
-        for x in (-0.9, -0.3, 0.2, 0.8):
-            for z in (0.5, 0.5j, -0.35 + 0.35j, 0.25 - 0.4j):
-                rep = genfunc_check(lam_g, x, z, tol=genfunc_tol / 100)
-                worst = max(worst, rep.diff + rep.tail_bound)
-                combos += 1
+    reps = [genfunc_check(lam_g, x, z, tol=genfunc_tol / 100)
+            for lam_g in (0.24, 0.5, 1.0, 1.7) for x in (-0.9, -0.3, 0.2, 0.8)
+            for z in (0.5, 0.5j, -0.35 + 0.35j, 0.25 - 0.4j)]
+    worst = max(rep.diff + rep.tail_bound for rep in reps)
     checks.append(
         CheckResult(
             "generating-function",
             _status(worst <= genfunc_tol),
             value=f"worst diff {worst:.3e}",
-            detail=f"{combos} (lambda, x, z) combos, |z| <= 0.5, tol {genfunc_tol:g}",
+            detail=f"{len(reps)} (lambda, x, z) combos, |z| <= 0.5, tol {genfunc_tol:g}",
         )
     )
 
@@ -599,13 +555,10 @@ def run_gegenbauer(nmax: int, lam: float, genfunc_tol: float) -> VerificationRep
         )
     )
 
-    cheb_ok = True
-    for n in range(0, 13):
-        un = chebyshev_U(n)
-        for x in (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7),
-                  Fraction(-2, 5), Fraction(1), Fraction(-1)):
-            if gegenbauer_C(n, 1, x) != un(x):
-                cheb_ok = False
+    xs = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7),
+          Fraction(-2, 5), Fraction(1), Fraction(-1))
+    cheb_ok = all(gegenbauer_C(n, 1, x) == un(x)
+                  for n, un in enumerate(map(chebyshev_U, range(13))) for x in xs)
     checks.append(
         CheckResult(
             "chebyshev-specialization",
@@ -615,16 +568,11 @@ def run_gegenbauer(nmax: int, lam: float, genfunc_tol: float) -> VerificationRep
         )
     )
 
-    std_bad = 0
-    printed_ok = 0
-    total = 0
-    for n in (1, 2, 3, 5, 8):
-        for lam_j in (0.24, 0.75, 1.5):
-            for x in (-0.6, 0.3, 0.9):
-                rel = check_jacobi_relation(n, lam_j, x)
-                total += 1
-                std_bad += 0 if rel.standard_agrees else 1
-                printed_ok += 1 if rel.printed_agrees else 0
+    rels = [check_jacobi_relation(n, lam_j, x) for n in (1, 2, 3, 5, 8)
+            for lam_j in (0.24, 0.75, 1.5) for x in (-0.6, 0.3, 0.9)]
+    total = len(rels)
+    std_bad = sum(not rel.standard_agrees for rel in rels)
+    printed_ok = sum(rel.printed_agrees for rel in rels)
     checks.append(
         CheckResult(
             "jacobi-relation",

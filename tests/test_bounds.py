@@ -17,14 +17,19 @@ from trigpos.bounds import (
     L_region,
     REGIONS,
     lemma_XYZ,
+    p_decreasing,
     p_factor,
+    q_decreasing,
     q_factor,
     scan_neighborhood,
     two_thirds_master_bound,
+    u1_closed_form,
     wedge,
+    wedge_increasing,
 )
 from trigpos.exact import Enclosure
 from trigpos.quadrature import frak_K
+from trigpos.trigsums import build_U_n
 
 F = Fraction
 mp.dps = 30
@@ -82,6 +87,34 @@ def test_p_q_factors():
     assert all(a > b for a, b in zip(qv, qv[1:]))
     # p is *not* monotone on the wider interval: it turns increasing
     assert p_factor(mp.mpf("1.55")) > p_factor(mp.mpf("1.35"))
+
+
+def _up_to(x):
+    return iv.mpf([0, 1]) * x
+
+
+def test_monotonicity_proofs_refuse_false_claims():
+    # the sampled checks above are the oracle: p and q decrease on (0, pi/5],
+    # only q on (0, pi/2], and the wedge increases for every mu in (0, 1)
+    assert p_decreasing(_up_to(iv.pi / 5)) and q_decreasing(_up_to(iv.pi / 5))
+    assert not p_decreasing(_up_to(iv.pi / 2))
+    assert q_decreasing(_up_to(iv.pi / 2))
+    assert not q_decreasing(_up_to(iv.pi))  # q(pi) = 0
+    assert wedge_increasing(NU0, _up_to(iv.pi / 2))
+    assert wedge_increasing(iv.mpf(["0.01", "0.99"]), _up_to(iv.pi / 5))
+    for mu in (iv.mpf([0, "0.5"]), iv.mpf(["0.5", 1])):
+        assert not wedge_increasing(mu, _up_to(iv.pi / 5))
+    assert not wedge_increasing(NU0, _up_to(iv.pi))
+
+
+def test_u1_closed_form_is_U_1():
+    mu = F(5, 7)
+    u1 = build_U_n(1, mu)
+    for k in range(9):
+        phi = mp.pi * k / 16
+        assert abs(u1_closed_form(mu, phi).mid - u1.eval_mp(phi)) < mp.mpf("1e-14")
+    low = u1_closed_form(mu, _up_to(iv.pi / 2)).a
+    assert 0 < low <= mp.mpf(2) / 7 * mp.sin(mp.pi / 3)
 
 
 def test_L_regions_frozen_positive():

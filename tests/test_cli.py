@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, JSON shape, config handling."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,9 +15,15 @@ from trigpos import cli, engine, trigsums
 from trigpos.cli import main
 from trigpos.exact import Enclosure
 from trigpos.mustar import MuStarResult, mu_star
+from trigpos.trigsums import TrigSum
 
 REPORT_KEYS = {"case", "inputs", "method", "status", "checks", "reference",
                "wall_time_s"}
+THM_2_3_CHECKS = [
+    "closed-form-n1", "sturm-P-near-0", "sturm-P-mid", "sturm-Q", "sturm-R",
+    "small-angle-constant", "wedge-monotone", "pq-factors-decreasing",
+    "cosine-integral-minima", "chi-integral", "master-bound", "grid-U",
+]
 
 
 def test_mustar_boundary_passes(capsys):
@@ -104,6 +112,51 @@ def test_json_output_is_deterministic(capsys):
         return json.dumps(data, sort_keys=True)
 
     assert run() == run()
+
+
+def test_thm_2_3_passes_every_check(capsys):
+    def run():
+        assert main(["verify", "thm-2-3", "--nmax", "10", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        data.pop("wall_time_s")
+        return data
+
+    first = run()
+    assert [c["check_id"] for c in first["checks"]] == THM_2_3_CHECKS
+    assert all(c["status"] == "pass" for c in first["checks"])
+    assert run() == first
+
+
+def _mu_2_3():
+    return mu_star(Fraction(2, 3), width=Fraction(1, 10**20)).enclosure
+
+
+def test_closed_form_n1_refuses_mu_reaching_1():
+    assert cli._check_u1(_mu_2_3()).status == "pass"
+    assert cli._check_u1(Enclosure(Fraction(9, 10), 1)).status == "fail"
+
+
+@pytest.mark.parametrize("change", [
+    {"phase_pi": Fraction(1, 6)},
+    {"freq": Fraction(5, 3)},
+    {"coeff": Enclosure(Fraction(2, 5), Fraction(2, 5))},
+])
+def test_closed_form_n1_refuses_another_u1(monkeypatch, change):
+    real = cli.build_U_n
+
+    def altered(n, mu):
+        first, second = real(n, mu).terms
+        return TrigSum((first, dataclasses.replace(second, **change)), f"U_{n}")
+
+    monkeypatch.setattr(cli, "build_U_n", altered)
+    assert cli._check_u1(_mu_2_3()).status == "fail"
+
+
+@pytest.mark.parametrize("mu", [Enclosure(0, Fraction(1, 2)), Enclosure(Fraction(1, 2), 1)])
+def test_wedge_monotone_refuses_mu_touching_0_or_1(mu):
+    status = {c.check_id: c.status for c in cli._check_prop_constants(mu, 1e-10)}
+    assert status["wedge-monotone"] == "fail"
+    assert status["pq-factors-decreasing"] == "pass"
 
 
 def test_config_supplies_defaults(tmp_path, capsys):
