@@ -1,9 +1,12 @@
 """Command-line front end: named, scriptable verification cases.
 
-    trigpos mustar RHO [--width W] [--json]
-    trigpos verify CASE [--nmax N] [--rho R] [--json] [...tolerance flags]
+    trigpos mustar RHO [--width W] [--json] [--config FILE]
+    trigpos verify CASE [--SETTING VALUE ...] [--json] [--config FILE]
 
-CASE is one of
+Two tables drive the arguments.  SETTINGS gives each setting its parser
+(which also guards its range), its default and its help; the flags of both
+commands, the accepted config keys and the defaults that --help shows all
+come from it.  CASES maps each CASE name to a runner of the parsed settings:
 
     thm-2-3        full pipeline at rho = 2/3: the n = 1 closed form, exact
                    root counts for the P/Q/R cases, the small-angle constants
@@ -22,9 +25,10 @@ CASE is one of
                    conversion in both normalizations
 
 Exit status: 0 when every sub-check passes, 1 when any sub-check fails or is
-inconclusive, 2 for usage errors (unknown case, rho outside (0, 1], a width
-below 10^-precision, --nmax outside 1..999998, a config key or value that
-does not parse).
+inconclusive, 2 for usage errors: an unknown case or config key, or any
+setting value, from a flag or the config and whether or not the case reads
+it, that does not parse or lies out of range (rho outside (0, 1], a width
+below 10^-precision, nmax outside 1..999998).
 
 Reports are deterministic: identical invocations at the same precision print
 byte-identical output apart from the wall-time figure.  The env var
@@ -42,6 +46,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from mpmath import iv, mp
 
@@ -90,17 +95,8 @@ UNGATED_POINTS = {
 CHI_REFERENCE = "-0.3212698190821"
 MASTER_REFERENCE = "0.207809"
 
-DEFAULTS = {
-    "width": "1e-9",
-    "nmax": 100,
-    "rho": "1/3",
-    "master-min": 0.2078,
-    "master-tol": 1e-4,
-    "chi-tol": 1e-10,
-    "genfunc-tol": 1e-10,
-    "lam": 0.24,
-}
-
+# width of the mu* enclosures the proofs run on
+_PROOF_WIDTH = Fraction(1, 10**20)
 _TINY = Fraction(1, 10**12)
 _GRID_U = (Fraction(1, 1000), Fraction(math.pi) / 2 + _TINY)
 _GRID_VARSIGMA = (Fraction(1, 1000), Fraction(math.pi) - Fraction(1, 1000) + _TINY)
@@ -148,29 +144,15 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "inputs": self.inputs,
-            "method": self.method,
-            "reference": self.reference,
-            "status": self.status,
-            "checks": [asdict(c) for c in self.checks],
-            "wall_time_s": self.wall_time_s,
-        }
+        return {**asdict(self), "status": self.status}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
-        lines = [
-            f"case: {self.case}",
-            f"status: {self.status.upper()}",
-            f"method: {self.method}",
-        ]
+        lines = [f"case: {self.case}", f"status: {self.status.upper()}", f"method: {self.method}"]
         if self.inputs:
-            lines.append(
-                "inputs: " + " ".join(f"{k}={v}" for k, v in self.inputs.items())
-            )
+            lines.append("inputs: " + " ".join(f"{k}={v}" for k, v in self.inputs.items()))
         lines.append("checks:")
         for c in self.checks:
             body = f"  [{c.status.upper()}] {c.check_id}"
@@ -192,13 +174,11 @@ def _fmt(x, digits: int = 12) -> str:
         return mp.nstr(mp.mpf(x), digits, strip_zeros=True)
 
 
-def _fmt_frac(f: Fraction, digits: int = 20) -> str:
-    with mp.workdps(max(working_dps(), digits + 10)):
-        return mp.nstr(mp.mpf(f.numerator) / f.denominator, digits, strip_zeros=True)
-
-
 def _fmt_enclosure(enc: Enclosure, digits: int = 20) -> str:
-    return f"[{_fmt_frac(enc.lo, digits)}, {_fmt_frac(enc.hi, digits)}]"
+    with mp.workdps(max(working_dps(), digits + 10)):
+        lo, hi = (mp.nstr(mp.mpf(f.numerator) / f.denominator, digits, strip_zeros=True)
+                  for f in (enc.lo, enc.hi))
+    return f"[{lo}, {hi}]"
 
 
 def _status(ok: bool) -> str:
@@ -394,16 +374,14 @@ def _check_master(master_min: float, master_tol: float, mu=None) -> CheckResult:
 
 def run_thm_2_3(nmax: int, master_min: float, master_tol: float, chi_tol: float) -> VerificationReport:
     rho = Fraction(2, 3)
-    tight = mu_star(rho, width=Fraction(1, 10**20)).enclosure
+    tight = mu_star(rho, width=_PROOF_WIDTH).enclosure
     checks = [_check_u1(tight)]
     plan = {t.name: t for t in sturm_case_plan(tight)}
     for name in ("P-near-0", "P-mid", "Q", "R"):
         checks.append(_sturm_check(plan[name], gate_all_points=False))
     checks.extend(_check_prop_constants(tight, chi_tol))
     checks.append(_check_master(master_min, master_tol, tight))
-    checks.append(
-        _grid_check("grid-U", build_U_n(nmax, tight), _GRID_U, "phi")
-    )
+    checks.append(_grid_check("grid-U", build_U_n(nmax, tight), _GRID_U, "phi"))
     return VerificationReport(
         case="thm-2-3",
         inputs={
@@ -438,7 +416,7 @@ def _bound_check(check_id: str, rep) -> CheckResult:
 
 
 def run_thm_1_3(nmax: int, rho: Fraction) -> VerificationReport:
-    tight = mu_star(rho, width=Fraction(1, 10**20)).enclosure
+    tight = mu_star(rho, width=_PROOF_WIDTH).enclosure
     checks = []
     plan = {t.name: t for t in sturm_case_plan(None)}
     for name in ("q1", "q2", "q3", "q3-derived"):
@@ -446,25 +424,18 @@ def run_thm_1_3(nmax: int, rho: Fraction) -> VerificationReport:
     for region in REGIONS:
         checks.append(_bound_check(f"bound-{region}", L_region(region, rho=rho, nu=tight)))
 
-    scans = []
-    for region in REGIONS:
-        scans.extend(scan_neighborhood(region, center=rho))
+    scans = [r for region in REGIONS for r in scan_neighborhood(region, center=rho)]
     worst = min(scans, key=lambda r: r.value - r.err)
-    checks.append(
-        CheckResult(
-            "neighborhood-scan",
-            _status(all(r.positive for r in scans)),
-            value=f"{len(scans)} bounds positive"
-            if all(r.positive for r in scans)
-            else f"{sum(1 for r in scans if not r.positive)} of {len(scans)} not positive",
-            detail=f"rho within 1/100 of {rho}; worst margin "
-            f"{_fmt(worst.value - worst.err, 6)} at {worst.label}, rho = {worst.rho}",
-        )
-    )
-    checks.append(
-        _grid_check("grid-varsigma", build_varsigma(nmax, rho, tight), _GRID_VARSIGMA,
-                    "theta")
-    )
+    bad = sum(not r.positive for r in scans)
+    checks.append(CheckResult(
+        "neighborhood-scan",
+        _status(bad == 0),
+        value=f"{bad} of {len(scans)} not positive" if bad else f"{len(scans)} bounds positive",
+        detail=f"rho within 1/100 of {rho}; worst margin "
+        f"{_fmt(worst.value - worst.err, 6)} at {worst.label}, rho = {worst.rho}",
+    ))
+    checks.append(_grid_check("grid-varsigma", build_varsigma(nmax, rho, tight),
+                              _GRID_VARSIGMA, "theta"))
     return VerificationReport(
         case="thm-1-3",
         inputs={
@@ -487,11 +458,7 @@ def run_thm_1_3(nmax: int, rho: Fraction) -> VerificationReport:
 def run_sturm_case(name: str) -> VerificationReport:
     names = STURM_NAMES if name == "all" else (name,)
     needs_mu = any(n in ("P-near-0", "P-mid", "Q", "R") for n in names)
-    mu_enc = (
-        mu_star(Fraction(2, 3), width=Fraction(1, 10**20)).enclosure
-        if needs_mu
-        else None
-    )
+    mu_enc = mu_star(Fraction(2, 3), width=_PROOF_WIDTH).enclosure if needs_mu else None
     plan = {t.name: t for t in sturm_case_plan(mu_enc)}
     checks = [_sturm_check(plan[n], gate_all_points=True) for n in names]
     inputs = {"target": name}
@@ -593,7 +560,7 @@ def run_gegenbauer(nmax: int, lam: float, genfunc_tol: float) -> VerificationRep
 
 
 # ---------------------------------------------------------------------------
-# Argument handling
+# Argument handling: one settings table, one case table
 # ---------------------------------------------------------------------------
 
 
@@ -604,11 +571,19 @@ def _parse_rational(text) -> Fraction:
         raise UsageError(f"cannot parse {text!r} as a rational number") from exc
 
 
-def _parse_int(text) -> int:
-    value = _parse_rational(text)
-    if value.denominator != 1:
-        raise UsageError(f"expected an integer, got {text!r}")
-    return int(value)
+def _parse_width(text) -> Fraction:
+    width = _parse_rational(text)
+    if width < width_floor():
+        raise UsageError(f"--width must be at least 1e-{working_dps()}")
+    return width
+
+
+def _parse_nmax(text) -> int:
+    nmax = _parse_rational(text)
+    # a grid check takes nmax + 1 terms
+    if nmax.denominator != 1 or not 1 <= nmax < _MAX_TERMS - 1:
+        raise UsageError(f"--nmax must lie in 1..{_MAX_TERMS - 2}, got {text!r}")
+    return int(nmax)
 
 
 def _parse_rho(text) -> Fraction:
@@ -618,117 +593,99 @@ def _parse_rho(text) -> Fraction:
     return rho
 
 
+class Setting(NamedTuple):
+    parse: Callable  # text or config value -> value; raises on a bad one
+    default: str
+    help: str
+    command: str = "verify"  # the subcommand that takes it as a flag
+
+
+# every flag and config key; `mustar` takes rho as its positional argument
+SETTINGS = {
+    "width": Setting(_parse_width, "1e-9", "enclosure width", "mustar"),
+    "nmax": Setting(_parse_nmax, "100", "largest partial-sum index for grid cases"),
+    "rho": Setting(_parse_rho, "1/3", "rho for the region bounds"),
+    "master-min": Setting(float, "0.2078", "required master-bound floor"),
+    "master-tol": Setting(float, "1e-4", "allowed distance from the reference master value"),
+    "chi-tol": Setting(float, "1e-10", "allowed distance from the reference chi value"),
+    "genfunc-tol": Setting(float, "1e-10", "generating-function agreement tolerance"),
+    "lam": Setting(float, "0.24", "exponent for the argument-bound scan"),
+}
+
+# case name -> runner of the parsed settings; the lambdas look the runners
+# up when called, so a patched module attribute takes effect
+CASES = {
+    "thm-2-3": lambda s: run_thm_2_3(s["nmax"], s["master-min"], s["master-tol"],
+                                     s["chi-tol"]),
+    "thm-1-3": lambda s: run_thm_1_3(s["nmax"], s["rho"]),
+    **{f"sturm:{name}": lambda s, name=name: run_sturm_case(name)
+       for name in STURM_NAMES + ("all",)},
+    **{f"bounds:{name}": lambda s, name=name: run_bounds_case(
+        name, s["rho"], s["master-min"], s["master-tol"])
+       for name in BOUND_NAMES + ("all",)},
+    "gegenbauer": lambda s: run_gegenbauer(s["nmax"], s["lam"], s["genfunc-tol"]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="trigpos",
         description="verified positivity checks for fractional trigonometric sums",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
     m = sub.add_parser("mustar", help="enclose the critical exponent mu*(rho)")
     m.add_argument("rho", help="rho in (0, 1], rational or decimal")
-    m.add_argument("--width", default=None, help="enclosure width (default 1e-9)")
-    m.add_argument("--json", action="store_true", help="emit the report as JSON")
-    m.add_argument("--config", default=None, help="JSON file with flag defaults")
-
     v = sub.add_parser("verify", help="run a named verification case")
     v.add_argument("case", help="thm-2-3 | thm-1-3 | sturm:<name> | bounds:<name> | gegenbauer")
-    v.add_argument("--nmax", type=int, default=None,
-                   help="largest partial-sum index for grid cases (default 100)")
-    v.add_argument("--rho", default=None, help="rho for the region bounds (default 1/3)")
-    v.add_argument("--master-min", type=float, default=None,
-                   help="required master-bound floor (default 0.2078)")
-    v.add_argument("--master-tol", type=float, default=None,
-                   help="allowed distance from the reference master value (default 1e-4)")
-    v.add_argument("--chi-tol", type=float, default=None,
-                   help="allowed distance from the reference chi value (default 1e-10)")
-    v.add_argument("--genfunc-tol", type=float, default=None,
-                   help="generating-function agreement tolerance (default 1e-10)")
-    v.add_argument("--lam", type=float, default=None,
-                   help="exponent for the argument-bound scan (default 0.24)")
-    v.add_argument("--json", action="store_true", help="emit the report as JSON")
-    v.add_argument("--config", default=None, help="JSON file with flag defaults")
+    for command, p in (("mustar", m), ("verify", v)):
+        for key, setting in SETTINGS.items():
+            if setting.command == command:
+                p.add_argument(f"--{key}", help=f"{setting.help} (default {setting.default})")
+        p.add_argument("--json", action="store_true", help="emit the report as JSON")
+        p.add_argument("--config", help="JSON file with flag defaults")
     return ap
 
 
-def _load_config(path) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(cfg) - set(DEFAULTS))
-    if unknown:
-        raise UsageError(f"config {path} has unknown keys: {', '.join(unknown)}")
-    return cfg
-
-
-# settings that are not plain floats
-_PARSERS = {"width": _parse_rational, "nmax": _parse_int, "rho": _parse_rho}
-
-
-def _setting(args, config: dict, key: str):
-    """Flag value if given, else config value, else built-in default,
-    converted to its type; a value that does not convert is a usage error."""
-    val = getattr(args, key.replace("-", "_"))
-    if val is None:
-        val = config.get(key, DEFAULTS[key])
-    try:
-        return _PARSERS.get(key, float)(val)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad value {val!r} for {key}") from exc
-
-
-def _dispatch_verify(args, config: dict) -> VerificationReport:
-    case = args.case
-    nmax = _setting(args, config, "nmax")
-    if not 1 <= nmax < _MAX_TERMS - 1:  # a grid check takes nmax + 1 terms
-        raise UsageError(f"--nmax must lie in 1..{_MAX_TERMS - 2}")
-    rho = _setting(args, config, "rho")
-    master_min = _setting(args, config, "master-min")
-    master_tol = _setting(args, config, "master-tol")
-    if case == "thm-2-3":
-        return run_thm_2_3(nmax, master_min, master_tol,
-                           _setting(args, config, "chi-tol"))
-    if case == "thm-1-3":
-        return run_thm_1_3(nmax, rho)
-    if case == "gegenbauer":
-        return run_gegenbauer(nmax, _setting(args, config, "lam"),
-                              _setting(args, config, "genfunc-tol"))
-    if case.startswith("sturm:"):
-        name = case[len("sturm:"):]
-        if name not in STURM_NAMES + ("all",):
-            raise UsageError(
-                f"unknown sturm target {name!r}; choose from "
-                f"{', '.join(STURM_NAMES + ('all',))}")
-        return run_sturm_case(name)
-    if case.startswith("bounds:"):
-        name = case[len("bounds:"):]
-        if name not in BOUND_NAMES + ("all",):
-            raise UsageError(
-                f"unknown bound {name!r}; choose from "
-                f"{', '.join(BOUND_NAMES + ('all',))}")
-        return run_bounds_case(name, rho, master_min, master_tol)
-    raise UsageError(f"unknown case {case!r}")
+def _settings(args) -> dict:
+    """Every setting, parsed: the flag if given, else the config value, else
+    the default.  Each value given, used or not, must parse; a config key
+    outside SETTINGS or a value that does not parse is a usage error."""
+    layers = [{key: setting.default for key, setting in SETTINGS.items()}]
+    if args.config:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise UsageError(f"config {args.config} must hold a JSON object")
+        unknown = sorted(set(config) - set(SETTINGS))
+        if unknown:
+            raise UsageError(f"config {args.config} has unknown keys: {', '.join(unknown)}")
+        layers.append(config)
+    layers.append({key: val for key in SETTINGS
+                   if (val := getattr(args, key.replace("-", "_"), None)) is not None})
+    settings = {}
+    for layer in layers:
+        for key, val in layer.items():
+            try:
+                settings[key] = SETTINGS[key].parse(val)
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"bad value {val!r} for {key}") from exc
+    return settings
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
         start = time.perf_counter()
+        settings = _settings(args)
         if args.command == "mustar":
-            rho = _parse_rho(args.rho)
-            width = _setting(args, config, "width")
-            if width < width_floor():
-                raise UsageError(f"--width must be at least 1e-{working_dps()}")
-            report = run_mustar(rho, width)
+            report = run_mustar(settings["rho"], settings["width"])
+        elif args.case in CASES:
+            report = CASES[args.case](settings)
         else:
-            report = _dispatch_verify(args, config)
+            raise UsageError(f"unknown case {args.case!r}; choose from {', '.join(CASES)}")
         report.wall_time_s = time.perf_counter() - start
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

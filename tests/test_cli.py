@@ -190,6 +190,55 @@ def test_config_errors_are_usage_errors(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "gegenbauer", "--nmax", "ten"],
+    ["verify", "gegenbauer", "--master-min", "abc"],
+    ["verify", "bounds:master", "--master-tol", "[1]"],
+    ["verify", "bounds:1", "--rho", "2"],
+    ["mustar", "1", "--width", "zz"],
+])
+def test_bad_flag_values_are_usage_errors(capsys, argv):
+    # a flag value goes through the same parser as a config value
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["verify", "sturm:q1"], {"lam": "abc", "width": "zz"}),
+    (["verify", "sturm:q1"], {"genfunc-tol": "1e-"}),
+    (["mustar", "1"], {"nmax": 0}),
+    (["mustar", "1"], {"rho": "3/2"}),
+    (["verify", "gegenbauer", "--lam", "0.24"], {"lam": "abc"}),
+])
+def test_bad_config_values_are_usage_errors_when_unread(tmp_path, capsys, argv, cfg):
+    # every setting given is parsed, also when the case does not read it or
+    # a flag overrides it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(argv + ["--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mustar", "verify"])
+def test_help_shows_each_default_from_the_settings_table(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    flags = [k for k, s in cli.SETTINGS.items() if s.command == command]
+    assert flags
+    for key in flags:
+        assert f"--{key} {key.upper().replace('-', '_')}" in text
+        assert f"(default {cli.SETTINGS[key].default})" in text
+
+
+def test_unknown_case_error_names_every_case(capsys):
+    assert main(["verify", "sturm:zz"]) == 2
+    err = capsys.readouterr().err
+    assert len(cli.CASES) == 3 + len(cli.STURM_NAMES) + len(cli.BOUND_NAMES) + 2
+    for name in cli.CASES:
+        assert name in err
+
+
 def test_nmax_guard(capsys):
     assert main(["verify", "gegenbauer", "--nmax", "0"]) == 2
     capsys.readouterr()
