@@ -28,7 +28,9 @@ Exit status: 0 when every sub-check passes, 1 when any sub-check fails or is
 inconclusive, 2 for usage errors: an unknown case or config key, or any
 setting value, from a flag or the config and whether or not the case reads
 it, that does not parse or lies out of range (rho outside (0, 1], a width
-below 10^-precision, nmax outside 1..999998).
+below 10^-precision, nmax outside 1..999998, a float setting that is not
+finite or, but for master-min, not above 0).  A flag value that starts with
+'-' goes as --flag=VALUE.
 
 Reports are deterministic: identical invocations at the same precision print
 byte-identical output apart from the wall-time figure.  The env var
@@ -376,9 +378,8 @@ def run_thm_2_3(nmax: int, master_min: float, master_tol: float, chi_tol: float)
     rho = Fraction(2, 3)
     tight = mu_star(rho, width=_PROOF_WIDTH).enclosure
     checks = [_check_u1(tight)]
-    plan = {t.name: t for t in sturm_case_plan(tight)}
-    for name in ("P-near-0", "P-mid", "Q", "R"):
-        checks.append(_sturm_check(plan[name], gate_all_points=False))
+    for target in sturm_case_plan(tight, ("P-near-0", "P-mid", "Q", "R")):
+        checks.append(_sturm_check(target, gate_all_points=False))
     checks.extend(_check_prop_constants(tight, chi_tol))
     checks.append(_check_master(master_min, master_tol, tight))
     checks.append(_grid_check("grid-U", build_U_n(nmax, tight), _GRID_U, "phi"))
@@ -418,9 +419,8 @@ def _bound_check(check_id: str, rep) -> CheckResult:
 def run_thm_1_3(nmax: int, rho: Fraction) -> VerificationReport:
     tight = mu_star(rho, width=_PROOF_WIDTH).enclosure
     checks = []
-    plan = {t.name: t for t in sturm_case_plan(None)}
-    for name in ("q1", "q2", "q3", "q3-derived"):
-        checks.append(_sturm_check(plan[name], gate_all_points=True))
+    for target in sturm_case_plan(None, ("q1", "q2", "q3", "q3-derived")):
+        checks.append(_sturm_check(target, gate_all_points=True))
     for region in REGIONS:
         checks.append(_bound_check(f"bound-{region}", L_region(region, rho=rho, nu=tight)))
 
@@ -459,8 +459,7 @@ def run_sturm_case(name: str) -> VerificationReport:
     names = STURM_NAMES if name == "all" else (name,)
     needs_mu = any(n in ("P-near-0", "P-mid", "Q", "R") for n in names)
     mu_enc = mu_star(Fraction(2, 3), width=_PROOF_WIDTH).enclosure if needs_mu else None
-    plan = {t.name: t for t in sturm_case_plan(mu_enc)}
-    checks = [_sturm_check(plan[n], gate_all_points=True) for n in names]
+    checks = [_sturm_check(t, gate_all_points=True) for t in sturm_case_plan(mu_enc, names)]
     inputs = {"target": name}
     if mu_enc is not None:
         inputs["mu"] = _fmt_enclosure(mu_enc, 24)
@@ -586,6 +585,13 @@ def _parse_nmax(text) -> int:
     return int(nmax)
 
 
+def _parse_float(text, positive: bool = True) -> float:
+    value = float(text)
+    if not math.isfinite(value) or positive and value <= 0:
+        raise ValueError("the value must be finite" + " and above 0" * positive)
+    return value
+
+
 def _parse_rho(text) -> Fraction:
     rho = _parse_rational(text)
     if not 0 < rho <= 1:
@@ -605,11 +611,12 @@ SETTINGS = {
     "width": Setting(_parse_width, "1e-9", "enclosure width", "mustar"),
     "nmax": Setting(_parse_nmax, "100", "largest partial-sum index for grid cases"),
     "rho": Setting(_parse_rho, "1/3", "rho for the region bounds"),
-    "master-min": Setting(float, "0.2078", "required master-bound floor"),
-    "master-tol": Setting(float, "1e-4", "allowed distance from the reference master value"),
-    "chi-tol": Setting(float, "1e-10", "allowed distance from the reference chi value"),
-    "genfunc-tol": Setting(float, "1e-10", "generating-function agreement tolerance"),
-    "lam": Setting(float, "0.24", "exponent for the argument-bound scan"),
+    "master-min": Setting(lambda text: _parse_float(text, positive=False), "0.2078",
+                          "required master-bound floor"),
+    "master-tol": Setting(_parse_float, "1e-4", "allowed distance from the reference master value"),
+    "chi-tol": Setting(_parse_float, "1e-10", "allowed distance from the reference chi value"),
+    "genfunc-tol": Setting(_parse_float, "1e-10", "generating-function agreement tolerance"),
+    "lam": Setting(_parse_float, "0.24", "exponent for the argument-bound scan"),
 }
 
 # case name -> runner of the parsed settings; the lambdas look the runners
@@ -627,8 +634,15 @@ CASES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error, which main returns as 2
+        if "expected one argument" in message:
+            message += " (give a value that starts with '-' as --flag=VALUE)"
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="trigpos",
         description="verified positivity checks for fractional trigonometric sums",
     )
@@ -671,13 +685,13 @@ def _settings(args) -> dict:
             try:
                 settings[key] = SETTINGS[key].parse(val)
             except (TypeError, ValueError) as exc:
-                raise UsageError(f"bad value {val!r} for {key}") from exc
+                raise UsageError(f"bad value {val!r} for {key}: {exc}") from exc
     return settings
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         start = time.perf_counter()
         settings = _settings(args)
         if args.command == "mustar":

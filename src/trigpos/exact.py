@@ -1,13 +1,25 @@
 """Exact rational polynomial arithmetic, Sturm root counts and rational enclosures.
 
-Everything here is exact: coefficients are `fractions.Fraction`, sign
-evaluations go through integer arithmetic, and a root count is the true
+Everything here is exact: coefficients are integers or `fractions.Fraction`,
+sign evaluations go through integer arithmetic, and a root count is the true
 count of distinct real roots -- there is no floating point anywhere in this
 module.
+
+Sturm chains, gcds and squarefree parts run on integer coefficient lists,
+along Collins' primitive polynomial remainder sequence.  A polynomial is
+scaled to integers by the lcm of its denominators.  Each step takes a
+sign-preserving pseudo-remainder: the dividend is scaled by positive factors
+that divide a power of |lc| of the divisor, never by lc itself, before the
+divisor's multiples are subtracted.  The positive content of the result is
+then divided out.  So every element is a positive multiple of the one
+Euclid's algorithm over the rationals gives: its sign at every point, and so
+every sign variation and root count, is the same, while its coefficients
+stay integers with no common factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -51,7 +63,9 @@ def _as_fraction(x) -> Fraction:
 
 
 class Polynomial:
-    """Dense univariate polynomial over Fraction; ``coeffs[k]`` multiplies x^k.
+    """Dense univariate polynomial over the rationals; ``coeffs[k]``
+    multiplies x^k.  Integer coefficients stay ints, the others are read
+    exactly as Fractions.
 
     Immutable.  The zero polynomial has an empty coefficient tuple and, by
     convention, degree -1.
@@ -60,11 +74,11 @@ class Polynomial:
     __slots__ = ("coeffs", "_int_coeffs")
 
     def __init__(self, coeffs: Iterable) -> None:
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-        self._int_coeffs: tuple[int, ...] | None = None
+        self.coeffs: tuple[int | Fraction, ...] = tuple(cs)
+        self._int_coeffs = self.coeffs if all(type(c) is int for c in cs) else None
 
     # -- basic structure ----------------------------------------------------
 
@@ -110,7 +124,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if self.is_zero() or other.is_zero():
                 return Polynomial([])
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:
                     continue
@@ -145,7 +159,7 @@ class Polynomial:
             c = rem[i]
             if c == 0:
                 continue
-            f = c / dlead
+            f = Fraction(c, dlead)
             q[i - ddeg] = f
             for j, dc in enumerate(divisor.coeffs):
                 rem[i - ddeg + j] -= f * dc
@@ -156,15 +170,8 @@ class Polynomial:
     def _ints(self) -> tuple[int, ...]:
         """Integer coefficients of a positive rational multiple of self."""
         if self._int_coeffs is None:
-            if self.is_zero():
-                self._int_coeffs = ()
-            else:
-                lcm = 1
-                for c in self.coeffs:
-                    d = c.denominator
-                    g = _gcd_int(lcm, d)
-                    lcm = lcm // g * d
-                self._int_coeffs = tuple(int(c * lcm) for c in self.coeffs)
+            lcm = math.lcm(*(c.denominator for c in self.coeffs))
+            self._int_coeffs = tuple(c.numerator * (lcm // c.denominator) for c in self.coeffs)
         return self._int_coeffs
 
     def sign_at(self, x) -> int:
@@ -187,32 +194,96 @@ class Polynomial:
         return (acc > 0) - (acc < 0)
 
 
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+# ---------------------------------------------------------------------------
+# Primitive remainder sequences on integer coefficient lists
+# ---------------------------------------------------------------------------
+
+
+def _primitive(cs) -> list[int]:
+    """Nonzero integer coefficients divided by their positive gcd."""
+    g = math.gcd(*cs)
+    return list(cs) if g == 1 else [c // g for c in cs]
+
+
+def _pseudo_remainder(a, b) -> list[int]:
+    """A positive multiple of the remainder of a by b (b nonzero).
+
+    Each step cancels the top coefficient c of the running remainder with the
+    top coefficient lc > 0 of b or -b (the same remainder): the remainder is
+    scaled by lc / g and (c / g) x^s b taken off, g = gcd(c, lc).  Every
+    scale is positive and the product of all of them divides a power of |lc|.
+    """
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lc, n = b[-1], len(b) - 1
+    r = list(a)
+    while len(r) > n:
+        c = r.pop()
+        if c:
+            g = math.gcd(c, lc)
+            if g != lc:
+                s = lc // g
+                r = [s * x for x in r]
+            f, shift = c // g, len(r) - n
+            for j in range(n):
+                r[shift + j] -= f * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _remainder_sequence(a, b) -> list[list[int]]:
+    """a, b (b nonzero), then the negated primitive pseudo-remainder of the
+    last two, up to the last nonzero one.  Element by element a positive
+    multiple of the rational sequence a, b, -rem, ...; the last element is
+    gcd(a, b) up to a nonzero factor."""
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        r = _pseudo_remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        g = -math.gcd(*r)
+        seq.append([c // g for c in r])
+    return seq
+
+
+def _sturm_ints(p: "Polynomial") -> list[list[int]]:
+    """Integer Sturm sequence of a positive multiple of the squarefree part
+    of p (nonzero), ending in a nonzero constant."""
+    p0 = _primitive(p._ints())
+    if len(p0) == 1:
+        return [p0]
+    while True:
+        seq = _remainder_sequence(p0, _primitive([k * c for k, c in enumerate(p0)][1:]))
+        g = seq[-1]
+        if len(g) == 1:
+            return seq
+        # a zero remainder: g is gcd(p0, p0') up to a factor, so p0 has a
+        # multiple root, and p0 over the monic gcd is squarefree
+        q, r = Polynomial(p0).divmod(_monic(g))
+        if not r.is_zero():
+            raise ArithmeticError("gcd does not divide the polynomial")
+        p0 = _primitive(q._ints())
+
+
+def _monic(cs) -> "Polynomial":
+    return Polynomial([Fraction(c, cs[-1]) for c in cs])
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd of two polynomials (exact Euclid)."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a * (1 / a.leading())
+    """Monic gcd of two polynomials, from their primitive remainder sequence."""
+    if b.is_zero():
+        a, b = b, a
+    if b.is_zero():
+        return b
+    return _monic(_remainder_sequence(a._ints(), b._ints())[-1])
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """p divided by gcd(p, p'): same distinct roots, all simple."""
+    """A positive multiple of p / gcd(p, p'): same distinct roots, all simple."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    q, r = p.divmod(g)
-    assert r.is_zero(), "gcd must divide p exactly"
-    return q
+    return Polynomial(_sturm_ints(p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +293,13 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 
 @dataclass(frozen=True)
 class SturmChain:
-    """Sturm chain of the squarefree part of a polynomial.
+    """Sturm chain of the squarefree part of a polynomial, on integers.
 
-    chain[0] is the squarefree part p0, chain[1] = p0', and each further
-    element is the negated Euclidean remainder of the two before it.  The
-    last element is a nonzero constant, so sign variation counts are defined
-    everywhere.
+    chain[0] is a positive multiple of the squarefree part p0, chain[1] of
+    p0', and each further element of the negated Euclidean remainder of the
+    two before it; the positive factors leave every sign variation as it is.
+    The last element is a nonzero constant, so sign variation counts are
+    defined everywhere.
     """
 
     chain: tuple[Polynomial, ...]
@@ -251,66 +323,24 @@ def sturm_chain(p: Polynomial) -> SturmChain:
     """
     if p.is_zero():
         raise ValueError("Sturm chain of the zero polynomial is undefined")
-    p0 = squarefree_part(p)
-    if p0.degree == 0:
-        return SturmChain((p0,))
-    chain = [p0, p0.derivative()]
-    while chain[-1].degree > 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero():
-            # cannot happen for a squarefree p0, but fail loudly if it does
-            raise ArithmeticError("unexpected zero remainder in Sturm chain")
-        chain.append(-r)
-    return SturmChain(tuple(chain))
-
-
-def _cauchy_bound(p: Polynomial) -> Fraction:
-    """All real roots of p lie in [-B, B]."""
-    lead = abs(p.leading())
-    m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return 1 + m / lead
-
-
-def _endpoint_nudge(p0: Polynomial, a: Fraction, room: Fraction) -> Fraction:
-    """A positive rational delta such that p0 has no root in (a, a + delta]
-    other than possibly a itself, given p0(a) = 0.
-
-    a is rational, so (x - a) divides p0 exactly; the bound comes from the
-    deflated polynomial h: |h(a)| = |lc| * prod |a - r_i| over the remaining
-    roots, each of which is at most |a| + CauchyBound(h) away.
-    """
-    q, r = p0.divmod(Polynomial([-a, 1]))
-    assert r.is_zero(), "endpoint was not an exact root"
-    h = q
-    if h.degree <= 0:
-        return room / 2
-    ha = abs(h(a))
-    assert ha != 0, "input polynomial was not squarefree"
-    bound = abs(h.leading()) * (abs(a) + _cauchy_bound(h)) ** (h.degree)
-    dist = ha / bound  # strictly below the distance to the nearest other root
-    return min(dist / 2, room / 2)
+    return SturmChain(tuple(map(Polynomial, _sturm_ints(p))))
 
 
 def count_roots_in(chain: SturmChain, a, b) -> int:
-    """Exact number of distinct real roots of chain.p0 in (a, b].
+    """Exact number of distinct real roots of chain.p0 in (a, b], also when a
+    or b is a root: V(a) - V(b), V the sign variations at a point.
 
-    Rational endpoints that happen to be roots are handled by exact inward
-    nudges (the nudge provably skips no other root), so the returned count is
-    always the true count for the half-open interval.
+    Two neighbours in the chain of a squarefree p0 never vanish together,
+    and where an inner element vanishes its neighbours have opposite signs,
+    so V changes only at a root r of p0.  Just left of r, p0 and p0' have
+    opposite signs and at and right of r they do not (p0 = 0 is dropped), so
+    V falls by one as x reaches r and stays there: r counts for the interval
+    it closes on the right.
     """
     af, bf = _as_fraction(a), _as_fraction(b)
     if af >= bf:
         raise ValueError(f"empty interval: [{af}, {bf}]")
-    p0 = chain.p0
-    if p0.degree <= 0:
-        return 0
-    extra = 0
-    if p0.sign_at(bf) == 0:
-        extra = 1  # b itself is a root and belongs to (a, b]
-        bf = bf - _endpoint_nudge(p0, bf, bf - af)
-    if p0.sign_at(af) == 0:
-        af = af + _endpoint_nudge(p0, af, bf - af)
-    return chain.variations(af) - chain.variations(bf) + extra
+    return chain.variations(af) - chain.variations(bf)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +400,12 @@ class Enclosure:
         return (-self) + other
 
     def __mul__(self, other) -> "Enclosure":
-        o = other if isinstance(other, Enclosure) else Enclosure.exact(other)
-        products = [self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi]
+        if not isinstance(other, Enclosure):  # an exact scalar: two products
+            s = other if isinstance(other, (int, Fraction)) else _as_fraction(other)
+            lo, hi = self.lo * s, self.hi * s
+            return Enclosure(lo, hi) if s >= 0 else Enclosure(hi, lo)
+        products = [self.lo * other.lo, self.lo * other.hi,
+                    self.hi * other.lo, self.hi * other.hi]
         return Enclosure(min(products), max(products))
 
     __rmul__ = __mul__

@@ -49,10 +49,14 @@ __all__ = [
 
 HALF = Fraction(1, 2)
 _ONE = Enclosure(Fraction(1), Fraction(1))
+_ZERO = Enclosure(Fraction(0), Fraction(0))
 _MAX_TERMS = 10**6  # the grid certificate's float64 bounds hold below this many terms
 _MAX_TERM_LISTS = 32
 _TERM_LISTS: dict = {}  # _terms' key -> (coefficients, terms), least recently used first
 _TERM_LOCK = threading.Lock()
+# T_0, T_1 and U_0, U_1; _chebyshev grows each list on first use of a higher order
+_CHEBYSHEV_T = [Polynomial([1]), Polynomial([0, 1])]
+_CHEBYSHEV_U = [Polynomial([1]), Polynomial([0, 2])]
 
 
 # ---------------------------------------------------------------------------
@@ -251,28 +255,25 @@ def build_omega(n: int) -> TrigSum:
 # ---------------------------------------------------------------------------
 
 
-def chebyshev_T(k: int) -> Polynomial:
+def _chebyshev(table: list[Polynomial], k: int) -> Polynomial:
+    """table[k], the table grown on integers by P_{j+1} = 2x P_j - P_{j-1}."""
     if k < 0:
         raise ValueError("negative order")
-    t0, t1 = Polynomial([1]), Polynomial([0, 1])
-    if k == 0:
-        return t0
-    x2 = Polynomial([0, 2])
-    for _ in range(k - 1):
-        t0, t1 = t1, x2 * t1 - t0
-    return t1
+    with _TERM_LOCK:  # two threads must not grow one table at once
+        while len(table) <= k:
+            following = [0] + [2 * c for c in table[-1].coeffs]
+            for j, c in enumerate(table[-2].coeffs):
+                following[j] -= c
+            table.append(Polynomial(following))
+    return table[k]
+
+
+def chebyshev_T(k: int) -> Polynomial:
+    return _chebyshev(_CHEBYSHEV_T, k)
 
 
 def chebyshev_U(k: int) -> Polynomial:
-    if k < 0:
-        raise ValueError("negative order")
-    u0, u1 = Polynomial([1]), Polynomial([0, 2])
-    if k == 0:
-        return u0
-    x2 = Polynomial([0, 2])
-    for _ in range(k - 1):
-        u0, u1 = u1, x2 * u1 - u0
-    return u1
+    return _chebyshev(_CHEBYSHEV_U, k)
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +357,14 @@ def reduce_to_polynomial(tsum: TrigSum, substitution: str) -> Reduction:
     # sin(0*t) terms are identically zero and force no flavor
     kinds_nonzero = {k for _, m, k, _ in norm if not (k == "sin" and m == 0)}
     if kinds_nonzero == {"cos"} or not kinds_nonzero:
-        acc: list[Enclosure] = [Enclosure.exact(0)]
+        acc: list[Enclosure] = [_ZERO]
         for sign, m, kind, coeff in norm:
             if kind == "sin":
                 continue
             acc = _axpy(acc, coeff * sign, chebyshev_T(m))
         return Reduction(tsum.label, "1", substitution, tuple(acc))
     if kinds_nonzero == {"sin"}:
-        acc = [Enclosure.exact(0)]
+        acc = [_ZERO]
         for sign, m, kind, coeff in norm:
             if m == 0:
                 continue
@@ -374,13 +375,10 @@ def reduce_to_polynomial(tsum: TrigSum, substitution: str) -> Reduction:
 
 def _axpy(acc: list[Enclosure], scale: Enclosure, poly: Polynomial) -> list[Enclosure]:
     """acc += scale * poly, in enclosure arithmetic."""
-    out = list(acc)
+    out = acc + [_ZERO] * (len(poly.coeffs) - len(acc))
     for i, c in enumerate(poly.coeffs):
-        term = scale * c
-        if i < len(out):
-            out[i] = out[i] + term
-        else:
-            out.append(term)
+        if c:
+            out[i] = out[i] + scale * c
     return out
 
 
@@ -495,8 +493,10 @@ class SturmTarget:
         return self.reduction.envelopes(self.x_interval)
 
 
-def sturm_case_plan(mu) -> list[SturmTarget]:
-    """All root-freeness obligations behind the finite proof cases.
+def sturm_case_plan(mu, names=None) -> list[SturmTarget]:
+    """The root-freeness obligations behind the finite proof cases, in the
+    order of `names` (default: all of them, or the q_n ones when mu is None).
+    Only the reductions the named targets read are built.
 
     mu is the exponent enclosure used by the P/Q/R cases (the q_n cases have
     exact half-integer coefficients and ignore it).  Interval endpoints that
@@ -504,50 +504,43 @@ def sturm_case_plan(mu) -> list[SturmTarget]:
     certified outward rational bounds, so every interval below *contains* the
     interval actually claimed.
     """
-    q3 = case_q(3)
-    q3_stated_lo = Fraction(37059, 100000)
-    q3_derived_lo = _outward(lambda: iv.cos(7 * iv.pi / 24) ** 2, below=True)
-    targets = [
-        SturmTarget("q1", case_q(1), (Fraction(0), Fraction(1)),
-                    (("q1(0)", Fraction(0)),), "no zeros in (0,1), positive at 0"),
-        SturmTarget("q2", case_q(2), (Fraction(0), Fraction(1)),
-                    (("q2(0)", Fraction(0)),), "no zeros in (0,1), positive at 0"),
-        SturmTarget("q3", q3, (q3_stated_lo, Fraction(1)),
-                    (("q3(0.37059)", q3_stated_lo),), "stated interval [0.37059, 1]"),
-        SturmTarget(
-            "q3-derived", q3,
-            (q3_derived_lo,
-             _outward(lambda: iv.cos(2 * iv.pi / 9) ** 2, below=False)),
-            (("q3(cos^2(7pi/24))", q3_derived_lo),),
-            "interval induced by theta in [2pi/3, 7pi/8]"),
-    ]
-    if mu is not None:
-        mu = _as_mu_enclosure(mu)
-        p_red = case_P(mu)
-        q_red = case_Q(mu)
-        r_red = case_R(mu)
-        targets += [
-            SturmTarget(
-                "P-near-0", p_red,
-                (Fraction(1, 2), _outward(lambda: iv.cos(7 * iv.pi / 27), below=False)),
-                (("P(-pi/3)", Fraction(1, 2)),),
-                "t in (-pi/3, -7pi/27]; P(-pi/3) = -mu(mu+1)/4 < 0 exactly, so "
-                "that point check fails for every mu in (0,1]; with zero roots "
-                "P < 0 on the whole interval: root-freeness only, no sign"),
-            SturmTarget(
-                "P-mid", p_red,
-                (_outward(lambda: iv.cos(iv.pi / 5), below=True), Fraction(1)),
-                (("P(0)", Fraction(1)),),
-                "t in [-pi/5, 0]; P(0) = 2(1 - mu) at the endpoint x = 1"),
-            SturmTarget(
-                "Q", q_red, (Fraction(0), Fraction(1, 2)),
-                (("Q(pi/2)/sin", Fraction(0)),),
-                "t in (pi/3, pi/2]; point x=0 is Q(pi/2) up to the positive sin t"),
-            SturmTarget(
-                "R", r_red, (Fraction(0), Fraction(1, 2)),
-                (("R(pi/2)/sin", Fraction(0)),),
-                "t in (pi/3, pi/2]; point x=0 is R(pi/2) up to the positive sin t"),
-        ]
+    q3_lo = Fraction(37059, 100000)
+    derived_lo = _outward(lambda: iv.cos(7 * iv.pi / 24) ** 2, below=True)
+    plan = {  # name -> (case, x interval, anchor point, note)
+        "q1": (1, (Fraction(0), Fraction(1)), ("q1(0)", Fraction(0)),
+               "no zeros in (0,1), positive at 0"),
+        "q2": (2, (Fraction(0), Fraction(1)), ("q2(0)", Fraction(0)),
+               "no zeros in (0,1), positive at 0"),
+        "q3": (3, (q3_lo, Fraction(1)), ("q3(0.37059)", q3_lo), "stated interval [0.37059, 1]"),
+        "q3-derived": (
+            3, (derived_lo, _outward(lambda: iv.cos(2 * iv.pi / 9) ** 2, below=False)),
+            ("q3(cos^2(7pi/24))", derived_lo), "interval induced by theta in [2pi/3, 7pi/8]"),
+        "P-near-0": (
+            "P", (Fraction(1, 2), _outward(lambda: iv.cos(7 * iv.pi / 27), below=False)),
+            ("P(-pi/3)", Fraction(1, 2)),
+            "t in (-pi/3, -7pi/27]; P(-pi/3) = -mu(mu+1)/4 < 0 exactly, so "
+            "that point check fails for every mu in (0,1]; with zero roots "
+            "P < 0 on the whole interval: root-freeness only, no sign"),
+        "P-mid": (
+            "P", (_outward(lambda: iv.cos(iv.pi / 5), below=True), Fraction(1)),
+            ("P(0)", Fraction(1)), "t in [-pi/5, 0]; P(0) = 2(1 - mu) at the endpoint x = 1"),
+        "Q": ("Q", (Fraction(0), Fraction(1, 2)), ("Q(pi/2)/sin", Fraction(0)),
+              "t in (pi/3, pi/2]; point x=0 is Q(pi/2) up to the positive sin t"),
+        "R": ("R", (Fraction(0), Fraction(1, 2)), ("R(pi/2)/sin", Fraction(0)),
+              "t in (pi/3, pi/2]; point x=0 is R(pi/2) up to the positive sin t"),
+    }
+    if names is None:
+        names = [n for n in plan if mu is not None or n.startswith("q")]
+    reductions = {}  # one per case, shared by the targets that read it
+    targets = []
+    for name in names:
+        case, interval, anchor, note = plan[name]
+        if case not in reductions:
+            if mu is None and not isinstance(case, int):
+                raise ValueError(f"target {name} needs an exponent mu")
+            reductions[case] = (case_q(case) if isinstance(case, int) else
+                                {"P": case_P, "Q": case_Q, "R": case_R}[case](mu))
+        targets.append(SturmTarget(name, reductions[case], interval, (anchor,), note))
     return targets
 
 
@@ -577,7 +570,13 @@ def run_sturm_target(target: SturmTarget) -> SturmOutcome:
 
     polys = target.polynomials()
     a, b = target.x_interval
-    counts = tuple(count_roots_in(sturm_chain(p), a, b) for p in polys)
+    # one chain per distinct polynomial, kept beside the reduction's fields:
+    # P-near-0 and P-mid share both envelopes, q3 and q3-derived share q3
+    chains = target.reduction.__dict__.setdefault("_chains", {})
+    for p in polys:
+        if p not in chains:
+            chains[p] = sturm_chain(p)
+    counts = tuple(count_roots_in(chains[p], a, b) for p in polys)
     # point positivity on the lower envelope holds for every admissible
     # coefficient choice (the lower envelope minorizes all of them)
     points = tuple(

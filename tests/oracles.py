@@ -1,4 +1,6 @@
-"""Independent reference for the oscillatory integrals of trigpos.quadrature.
+"""Independent references for the checks that production routes are tested against.
+
+osc_integral -- the oscillatory integrals of trigpos.quadrature,
 
     osc_integral(kind, eta, mu, x) = integral_0^x g(t + eta) t^(mu-1) dt
 
@@ -10,7 +12,16 @@ substitution u = t^mu removes the endpoint singularity,
 and the u-range is split at the images of a pi/4 grid in t so that no panel
 spans more than an eighth of an oscillation.  This shares no code with the
 series route it checks.
+
+rational_sturm_chain, rational_gcd, rational_root_count -- the Sturm layer of
+trigpos.exact the classical way: Euclid's algorithm over Fraction coefficient
+lists (coeffs[k] multiplies x^k), with a monic gcd, the squarefree part
+p / gcd(p, p'), and root counts as plain sign-variation differences.  The
+integer primitive remainder sequence it checks must give, element by
+element, positive multiples of this chain.
 """
+
+from fractions import Fraction
 
 from mpmath import mp
 
@@ -25,3 +36,62 @@ def osc_integral(kind, eta, mu, x, dps=ORACLE_DPS):
         panels = max(1, int(mp.ceil(x / (mp.pi / 4))))
         breaks = [(x * j / panels) ** mu for j in range(panels + 1)]
         return mp.quad(lambda u: g(u**inv_mu + eta), breaks) / mu
+
+
+def _trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _divmod(a, b):
+    """(quotient, remainder) of a by b over the rationals."""
+    r, n = _trim(a), len(b) - 1
+    q = [Fraction(0)] * max(0, len(r) - n)
+    for i in range(len(r) - 1, n - 1, -1):
+        f = q[i - n] = r[i] / b[-1]
+        for j, c in enumerate(b):
+            r[i - n + j] -= f * c
+    return _trim(q), _trim(r[:n])
+
+
+def _derivative(cs):
+    return _trim([k * c for k, c in enumerate(cs)][1:])
+
+
+def rational_gcd(a, b):
+    """Monic gcd by Euclid's algorithm over the rationals ([] when both are 0)."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def rational_sturm_chain(coeffs):
+    """p0 = p / gcd(p, p') for nonzero p, p0', then each negated Euclidean
+    remainder of the two before it, down to a nonzero constant."""
+    p = _trim(coeffs)
+    p0 = _divmod(p, rational_gcd(p, _derivative(p)))[0]
+    chain = [p0] if len(p0) == 1 else [p0, _derivative(p0)]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
+    assert chain[-1], "zero remainder: p0 was not squarefree"
+    return chain
+
+
+def rational_root_count(chain, a, b):
+    """Distinct roots of chain[0] in (a, b], a < b: V(a) - V(b), with V the
+    sign variations after dropping zeros.  V steps down just after a root of
+    chain[0] and is continuous elsewhere, so no endpoint needs a nudge."""
+    def variations(x):
+        signs = []
+        for cs in chain:
+            v = Fraction(0)
+            for c in reversed(cs):
+                v = v * x + c
+            if v:
+                signs.append(v > 0)
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(Fraction(a)) - variations(Fraction(b))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import trigpos
-from trigpos import cli, engine, trigsums
+from trigpos import cli, engine, exact, trigsums
 from trigpos.cli import main
 from trigpos.exact import Enclosure
 from trigpos.mustar import MuStarResult, mu_star
@@ -201,6 +201,54 @@ def test_bad_flag_values_are_usage_errors(capsys, argv):
     # a flag value goes through the same parser as a config value
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "gegenbauer", "--lam", "nan"],
+    ["verify", "gegenbauer", "--lam", "0"],
+    ["verify", "gegenbauer", "--genfunc-tol", "0"],
+    ["verify", "gegenbauer", "--genfunc-tol", "inf"],
+    ["verify", "gegenbauer", "--genfunc-tol=-1"],
+    ["verify", "thm-2-3", "--chi-tol", "nan"],
+    ["verify", "bounds:master", "--master-tol", "0"],
+    ["verify", "bounds:master", "--master-min", "nan"],
+    ["verify", "bounds:master", "--master-min=-inf"],
+])
+def test_float_settings_must_be_finite_and_positive(capsys, monkeypatch, argv):
+    # a hostile value ends as a usage error before any case runs, never as
+    # a PASS or a run that does not finish
+    def refuse(*args):
+        raise AssertionError("a case ran")
+
+    for runner in ("run_thm_2_3", "run_bounds_case", "run_gegenbauer"):
+        monkeypatch.setattr(cli, runner, refuse)
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_parser_errors_return_2_and_help_exits_0(capsys, monkeypatch):
+    assert main(["verify", "bounds:master", "--master-min", "-1e-3"]) == 2
+    assert "--flag=VALUE" in capsys.readouterr().err
+    seen = []
+    monkeypatch.setattr(cli, "run_bounds_case", lambda name, rho, master_min, master_tol:
+                        seen.append(master_min) or cli.VerificationReport(name, {}, "", ""))
+    assert main(["verify", "bounds:master", "--master-min=-1e-3"]) == 0
+    assert seen == [-1e-3]
+    assert main(["verify"]) == 2
+    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("case, chains", [("thm-2-3", 6), ("thm-1-3", 3), ("sturm:all", 9)])
+def test_each_case_builds_one_chain_per_distinct_polynomial(capsys, monkeypatch, case, chains):
+    # P-near-0 and P-mid share both envelopes, q3 and q3-derived share q3
+    built = []
+    real = exact.sturm_chain
+    monkeypatch.setattr(exact, "sturm_chain", lambda p: built.append(p) or real(p))
+    main(["verify", case, "--nmax", "2", "--json"])
+    assert len(built) == len(set(built)) == chains
 
 
 @pytest.mark.parametrize("argv, cfg", [

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from oracles import rational_gcd, rational_root_count, rational_sturm_chain
 from trigpos.exact import (
     Enclosure,
     Polynomial,
@@ -194,3 +195,69 @@ def test_envelopes_negative_interval_flips_odd_terms():
 def test_envelopes_straddling_interval_rejected():
     with pytest.raises(ValueError):
         poly_with_interval_coeffs([Enclosure(F(0), F(1))], (F(-1), F(1)))
+
+
+# ---------------------------------------------------------------------------
+# The integer remainder sequence against the rational Euclid oracle
+# ---------------------------------------------------------------------------
+
+
+def _repeated_roots(rng):
+    # a few rational roots of multiplicity up to 3 times a quadratic with no
+    # real root, so the roots are known; two of the roots, or a root and a
+    # nearby rational, are the interval ends
+    roots = list({F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))})
+    p = Polynomial([rng.choice((-3, -1, 1, 2))])
+    for r in roots:
+        for _ in range(rng.randint(1, 3)):
+            p = p * Polynomial([-r, 1])
+    p = p * Polynomial([rng.randint(2, 5), rng.randint(-2, 2), 1])
+    ends = roots + [roots[0] + F(rng.randint(1, 9), 5), roots[-1] - F(rng.randint(1, 9), 5)]
+    a, b = sorted(rng.sample(ends, 2))
+    return p, a, b, roots
+
+
+def _small(rng):
+    deg = rng.randint(1, 8)
+    p = Polynomial([F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(deg)]
+                   + [rng.choice((-7, -1, 1, 4))])
+    a = F(rng.randint(-40, 30), 9)
+    return p, a, a + F(rng.randint(1, 60), 9), None
+
+
+def _envelope_like(rng):
+    # like the Q and R envelopes over a 1e-20 exponent enclosure: even, of
+    # degree 12..18, coefficients of about 300 bits over one dyadic denominator
+    deg, den = rng.choice((12, 14, 16, 18)), 2 ** rng.randint(280, 320)
+    p = Polynomial([F(rng.getrandbits(300) - 2**299, den) if k % 2 == 0 else 0
+                    for k in range(deg + 1)])
+    a = F(rng.randint(-24, 20), 16)
+    return p, a, a + F(rng.randint(1, 16), 16), None
+
+
+def _positive_multiple(got, ref):
+    if len(got) != len(ref) or not ref:
+        return False
+    lam = F(got[-1]) / ref[-1]
+    return lam > 0 and all(g == lam * r for g, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("family, count, seed", [
+    (_repeated_roots, 90, 31), (_small, 80, 32), (_envelope_like, 40, 33),
+], ids=["repeated-roots", "small", "envelope-like"])
+def test_integer_chain_is_a_positive_multiple_of_the_rational_chain(family, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        p, a, b, roots = family(rng)
+        want = rational_sturm_chain(p.coeffs)
+        chain = sturm_chain(p)
+        assert all(type(c) is int for q in chain.chain for c in q.coeffs)
+        assert len(chain.chain) == len(want), p
+        for got, ref in zip(chain.chain, want):
+            assert _positive_multiple(got.coeffs, ref), p
+        count = count_roots_in(chain, a, b)
+        assert count == rational_root_count(want, a, b), (p, a, b)
+        if roots is not None:  # the half-open (a, b], ends included or not by hand
+            assert count == sum(a < r <= b for r in roots), (p, a, b)
+        assert _positive_multiple(squarefree_part(p).coeffs, want[0])
+        assert poly_gcd(p, p.derivative()) == Polynomial(rational_gcd(p.coeffs, p.derivative().coeffs))
