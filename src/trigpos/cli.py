@@ -506,7 +506,7 @@ def run_gegenbauer(nmax: int, lam: float, genfunc_tol: float) -> VerificationRep
             "generating-function",
             _status(worst <= genfunc_tol),
             value=f"worst diff {worst:.3e}",
-            detail=f"{len(reps)} (lambda, x, z) combos, |z| <= 0.5, tol {genfunc_tol:g}",
+            detail=f"sampled: {len(reps)} (lambda, x, z) combos, |z| <= 0.5, tol {genfunc_tol:g}",
         )
     )
 
@@ -516,7 +516,7 @@ def run_gegenbauer(nmax: int, lam: float, genfunc_tol: float) -> VerificationRep
             "argument-bound",
             _status(rep.passed),
             value=f"max |arg| {rep.max_abs_arg:.6f}",
-            detail=f"lambda = {lam:g}, n <= {rep.n_max}, threshold pi/3 = "
+            detail=f"sampled disk: lambda = {lam:g}, n <= {rep.n_max}, threshold pi/3 = "
             f"{rep.threshold:.6f}; worst at n={rep.worst_n}, x={rep.worst_x:g}",
         )
     )
@@ -530,7 +530,7 @@ def run_gegenbauer(nmax: int, lam: float, genfunc_tol: float) -> VerificationRep
             "chebyshev-specialization",
             _status(cheb_ok),
             detail="C_n^1 equals the degree-n second-kind Chebyshev polynomial "
-            "exactly on rational inputs, n <= 12",
+            f"exactly at {len(xs)} sampled rational inputs, n <= 12",
         )
     )
 
@@ -544,8 +544,8 @@ def run_gegenbauer(nmax: int, lam: float, genfunc_tol: float) -> VerificationRep
             "jacobi-relation",
             _status(std_bad == 0),
             value=f"{total - std_bad}/{total} agree",
-            detail="ratio-normalized conversion; the alternative normalization "
-            f"agrees on {printed_ok}/{total} (it reproduces C^(lambda+1/2))",
+            detail=f"sampled: {total} (n, lambda, x), ratio-normalized; the alternative "
+            f"normalization agrees on {printed_ok}/{total} (it reproduces C^(lambda+1/2))",
         )
     )
 

@@ -22,13 +22,19 @@ the rounding are float64 sums of per-term upper bounds (each the least float
 above its exact value) times 1 + 1e-9, which covers the sums' own rounding
 below 10^6 terms; the per-term bounds are memoised on the terms
 (TrigTerm.float_bounds).  The one assumption is that numpy's sin and cos of
-the seed arguments are within 4 ulp of the true values (SVML builds are).
+the seed arguments are within 4 ulp of the true values (SVML builds are);
+it covers certification only.
 
 The grid starts at 1,025 nodes and doubles, keeping the old nodes and
 evaluating the new ones in fixed-size chunks, until every n is decided.  A
-node value below -4 err_n that a high-precision recheck confirms is a
-refutation witness; m_n - err_n <= 0 without one, or the node budget, ends
-"inconclusive".
+node value below -4 err_n is a refutation witness once a fixed-point bound
+proves S_n negative there, for every coefficient in the enclosures: the
+same recurrence on integers scaled by 2^p (p = working precision + 40 bits)
+from seeds enclosed by mpmath.iv, with an integer error bound carried per
+term and each term's coefficient endpoint chosen to maximise c_k Re P_k
+(Brent and Zimmermann, Modern Computer Arithmetic, 4.4).  It rests on no
+float assumption and no slack.  m_n - err_n <= 0 without a witness, or the
+node budget, ends "inconclusive".
 
 The disk checks sample partial sums s_n(z) = sum (mu)_k/k! z^k on circles
 |z| = r < 1 and compare the sector/half-plane conditions against their
@@ -43,10 +49,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
+from mpmath import iv, mp
+from mpmath.libmp import dps_to_prec, mpf_shift, to_int
 
 from trigpos.exact import _as_fraction
-from trigpos.precision import working_dps
+from trigpos.precision import iv_dps, working_dps
 from trigpos.trigsums import _MAX_TERMS, TrigSum, _up, build_U_n
 
 __all__ = [
@@ -78,8 +85,9 @@ class GridCertificate:
     the smallest node value, eval_err the proven bound on |float node
     value - S| if numpy sin/cos are within 4 ulp.  "certified" guarantees
     positivity on the closed interval, as margin = min_value - M2 h^2/8 -
-    eval_err > 0; witness (refuted only) is a point where the sum is
-    provably negative; "inconclusive" guarantees nothing."""
+    eval_err > 0, under that assumption; witness (refuted only) is a point
+    where the fixed-point bound proves the sum negative, with no float
+    assumption; "inconclusive" guarantees nothing."""
 
     label: str
     interval: tuple[float, float]
@@ -216,15 +224,52 @@ class _Prefixes:
                 if final else (None, m, None, "")
         witness = min(max(theta, _up(self.a)), -_up(-self.b))  # a float in [a, b]
         if m < -4 * err and self.a <= Fraction(witness) <= self.b:
-            # decisively negative on the float grid: confirm at high
-            # precision before declaring a refutation
-            prefix = TrigSum(tuple(self.terms[:n + 1]))
-            precise = prefix.eval_mp(witness)
-            if precise < -mp.mpf(float(prefix.coeff_err())) * (1 + mp.mpf("1e-9")):
-                return ("refuted", min(m, float(precise)), witness,
-                        f"value {float(precise):.3e} at witness")
+            # decisively negative on the float grid: prove it in fixed point
+            bound, p = self.upper_bound(n, witness)
+            if bound < 0:
+                value = bound / (1 << p)
+                return "refuted", min(m, value), witness, f"value {value:.3e} at witness"
         return "inconclusive", m, None, \
             f"grid minimum {m:.3e} at theta={theta:.9g}, eval_err {err:.3e}: no refutation"
+
+    def upper_bound(self, n: int, theta: float) -> tuple[int, int]:
+        """(B, p) with B 2^-p >= S_n(theta) for every coefficient in the
+        enclosures: term k adds the ceiling of max(lo_k X_k, hi_k X_k) +
+        max|c_k| E_k, with X_k and E_k from fixed_point."""
+        p, total = dps_to_prec(working_dps()) + 40, 0
+        for t, (x, e) in zip(self.terms[:n + 1], self.fixed_point(theta, n, p)):
+            c, big = t.coeff.hi if x > 0 else t.coeff.lo, max(-t.coeff.lo, t.coeff.hi)
+            total -= (-c.numerator * x) // c.denominator + (-big.numerator * e) // big.denominator
+        return total, p
+
+    def fixed_point(self, theta: float, n: int, p: int):
+        """Yield (X_k, E_k), k = 0..n, integers with |X_k - 2^p Re P_k(theta)|
+        <= E_k: the grid's recurrence on integers scaled by 2^p.  A seed is
+        within r of 2^p s (_seed_box); a product floors both parts (error
+        below 2) and scales the earlier error by |seed| <= 2^p + r, so
+        E_k = E_(k-1) + ceil(E_(k-1) r 2^-p) + r + 2."""
+        boxes = [self._seed_box(step, theta, p) for step in self.seeds]
+        x, y, e = 1 << p, 0, 0
+        for k in range(n + 1):
+            if self.seed_of[k] >= 0:
+                c, s, r = boxes[self.seed_of[k]]
+                x, y = (x * c - y * s) >> p, (x * s + y * c) >> p
+                e += (e * r >> p) + r + 3
+            yield x, e
+
+    @staticmethod
+    def _seed_box(step, theta: float, p: int) -> tuple[int, int, int]:
+        """(C, S, r) with |C + iS - 2^p exp(i(f theta + phase pi))| <= r for
+        the step (f, phase): one iv.cos_sin finer than 2^-p, its endpoints
+        read exactly and rounded outward to integers."""
+        f, phase = step
+        with iv_dps(working_dps() + 15):
+            arg = iv.mpf(theta) * f.numerator / f.denominator \
+                + iv.pi * phase.numerator / phase.denominator
+            (cl, ch), (sl, sh) = ([int(to_int(mpf_shift(end, p), rnd))
+                                   for end, rnd in zip(v._mpi_, "fc")] for v in iv.cos_sin(arg))
+        c, s = (cl + ch) >> 1, (sl + sh) >> 1
+        return c, s, ch - c + sh - s
 
 
 def certify_positive_trig(tsum: TrigSum, interval, label: str | None = None) -> GridCertificate:

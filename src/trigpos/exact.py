@@ -103,38 +103,7 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
 
-    # -- arithmetic (exact) -------------------------------------------------
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
-                return Polynomial([])
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        s = _as_fraction(other)
-        return Polynomial([c * s for c in self.coeffs])
-
-    __rmul__ = __mul__
+    # -- exact evaluation and division ---------------------------------------
 
     def __call__(self, x) -> Fraction:
         """Exact Horner evaluation at a rational point."""
@@ -143,9 +112,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * xf + c
         return acc
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def divmod(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Exact polynomial division: self = q * divisor + r, deg r < deg divisor."""
@@ -260,30 +226,10 @@ def _sturm_ints(p: "Polynomial") -> list[list[int]]:
             return seq
         # a zero remainder: g is gcd(p0, p0') up to a factor, so p0 has a
         # multiple root, and p0 over the monic gcd is squarefree
-        q, r = Polynomial(p0).divmod(_monic(g))
+        q, r = Polynomial(p0).divmod(Polynomial([Fraction(c, g[-1]) for c in g]))
         if not r.is_zero():
             raise ArithmeticError("gcd does not divide the polynomial")
         p0 = _primitive(q._ints())
-
-
-def _monic(cs) -> "Polynomial":
-    return Polynomial([Fraction(c, cs[-1]) for c in cs])
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd of two polynomials, from their primitive remainder sequence."""
-    if b.is_zero():
-        a, b = b, a
-    if b.is_zero():
-        return b
-    return _monic(_remainder_sequence(a._ints(), b._ints())[-1])
-
-
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """A positive multiple of p / gcd(p, p'): same distinct roots, all simple."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    return Polynomial(_sturm_ints(p)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -171,23 +171,30 @@ class TrigSum:
 
 def _poch_table(mu: Enclosure, n: int, table: list[Enclosure] | None = None) -> list[Enclosure]:
     """[pochhammer_coeff(mu, k) for k = 0..n], built in one pass; a table
-    of the first entries is extended in place, from its last entry on."""
+    of the first entries is extended in place, from its last entry on, with
+    the scaled integers each entry carries (see pochhammer_coeff)."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if not mu.is_exact() and mu.lo <= 0:
+    exact = mu.is_exact()
+    if not exact and mu.lo <= 0:
         raise ValueError("interval coefficients need mu > 0")
     bits = math.ceil((working_dps() + 20) * math.log2(10))  # the dyadic grain
     table = [_ONE] if table is None else table
-    lo, hi = table[-1].lo, table[-1].hi
+    ends = [table[-1].lo, table[-1].hi]
+    scaled = list(table[-1].__dict__.get("_scaled", (None, None)))  # L, H once rounded
     for k in range(len(table) - 1, n):
-        lo = lo * (mu.lo + k) / (k + 1)
-        hi = lo if mu.is_exact() else hi * (mu.hi + k) / (k + 1)  # exact mu: one product
-        if not mu.is_exact():
-            if lo.denominator >> bits:
-                lo = Fraction((lo.numerator << bits) // lo.denominator, 1 << bits)
-            if hi.denominator >> bits:
-                hi = Fraction(-((-hi.numerator << bits) // hi.denominator), 1 << bits)
-        table.append(Enclosure(lo, hi))
+        for i, m, s in ((0, mu.lo, 1),) if exact else ((0, mu.lo, 1), (1, mu.hi, -1)):
+            num, den = m.numerator + k * m.denominator, m.denominator * (k + 1)
+            if scaled[i] is not None:  # s = 1 floors lo, s = -1 ceils hi
+                scaled[i] = s * (s * scaled[i] * num // den)
+            else:  # exact until the denominator reaches 2^b; exact mu is never rounded
+                v = ends[i] = Fraction(ends[i].numerator * num, ends[i].denominator * den)
+                if not exact and v.denominator >> bits:
+                    scaled[i] = s * ((s * v.numerator << bits) // v.denominator)
+            if scaled[i] is not None:
+                ends[i] = Fraction(scaled[i], 1 << bits)
+        table.append(Enclosure(ends[0], ends[0] if exact else ends[1]))
+        table[-1].__dict__["_scaled"] = tuple(scaled)  # beside the fields, as a memo
     return table
 
 
@@ -199,8 +206,10 @@ def pochhammer_coeff(mu, k: int) -> Enclosure:
     increasing in mu, so a lower (upper) bound times the lower (upper)
     factor stays a lower (upper) bound.  That still holds when an endpoint
     whose denominator outgrows 2^b, b = ceil((working_dps() + 20) log2 10),
-    is rounded outward (lo down, hi up) to a multiple of 2^-b, which keeps
-    endpoints at about b bits.  Exact mu is never rounded.
+    is rounded outward (lo down, hi up) to a multiple L 2^-b and from then
+    on carried as the integer L, with floor (lo) or ceiling (hi) division
+    (fixed point: Brent and Zimmermann, Modern Computer Arithmetic, 4.4), so
+    endpoints stay at about b bits.  Exact mu is never rounded.
     """
     return _poch_table(_as_mu_enclosure(mu), k)[k]
 

@@ -13,12 +13,20 @@ and the u-range is split at the images of a pi/4 grid in t so that no panel
 spans more than an eighth of an oscillation.  This shares no code with the
 series route it checks.
 
+poly_add, poly_mul -- sums and products of coefficient lists, for tests that
+build polynomials.
+
 rational_sturm_chain, rational_gcd, rational_root_count -- the Sturm layer of
 trigpos.exact the classical way: Euclid's algorithm over Fraction coefficient
 lists (coeffs[k] multiplies x^k), with a monic gcd, the squarefree part
 p / gcd(p, p'), and root counts as plain sign-variation differences.  The
 integer primitive remainder sequence it checks must give, element by
 element, positive multiples of this chain.
+
+rational_poch_table -- the (mu)_k / k! recurrence of trigsums._poch_table in
+Fractions, every step exact and then rounded outward to a 2^-bits grain
+whenever its denominator reaches 2^bits; the production route carries an
+endpoint as an integer instead once it is first rounded.
 """
 
 from fractions import Fraction
@@ -54,6 +62,24 @@ def _divmod(a, b):
         for j, c in enumerate(b):
             r[i - n + j] -= f * c
     return _trim(q), _trim(r[:n])
+
+
+def poly_add(a, b):
+    """a + b on coefficient lists."""
+    out = [Fraction(0)] * max(len(a), len(b))
+    for cs in (a, b):
+        for i, c in enumerate(cs):
+            out[i] += c
+    return _trim(out)
+
+
+def poly_mul(a, b):
+    """a * b on coefficient lists."""
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
 
 
 def _derivative(cs):
@@ -95,3 +121,22 @@ def rational_root_count(chain, a, b):
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
     return variations(Fraction(a)) - variations(Fraction(b))
+
+
+def rational_poch_table(lo, hi, n, bits):
+    """[(lo_k, hi_k)] for k = 0..n: (mu)_k / k! on both ends of [lo, hi] by
+    d_(k+1) = d_k (mu + k) / (k + 1) in Fractions, an endpoint whose
+    denominator reaches 2^bits rounded outward (lo down, hi up) to a
+    multiple of 2^-bits; exact mu (lo == hi) is never rounded."""
+    table = [(Fraction(1), Fraction(1))]
+    a, b = table[0]
+    for k in range(n):
+        a = a * (lo + k) / (k + 1)
+        b = a if lo == hi else b * (hi + k) / (k + 1)
+        if lo != hi:
+            if a.denominator >> bits:
+                a = Fraction((a.numerator << bits) // a.denominator, 1 << bits)
+            if b.denominator >> bits:
+                b = Fraction(-((-b.numerator << bits) // b.denominator), 1 << bits)
+        table.append((a, b))
+    return table

@@ -1,12 +1,14 @@
 """Grid certification and unit-disk scans."""
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 from trigpos.engine import (
     GridCertificate,
@@ -362,3 +364,128 @@ def test_prefixes_from_memoised_terms_equal_fresh_ones():
         for name in ("coeffs", "m2", "float_err", "err"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), (tsum.label, name)
         assert (a.seed_of, a.seeds) == (b.seed_of, b.seeds)
+
+
+# ---------------------------------------------------------------------------
+# The fixed-point proof of a refutation
+# ---------------------------------------------------------------------------
+
+
+def _exact_P(term, theta):
+    """Re P_k at theta in mp: the term's g(freq theta + phase pi)."""
+    g = mp.sin if term.kind == "sin" else mp.cos
+    return g(mp.mpf(term.freq.numerator) / term.freq.denominator * mp.mpf(theta)
+             + mp.pi * term.phase_pi.numerator / term.phase_pi.denominator)
+
+
+def _recheck_cases():
+    return (
+        (build_U_n(100, F(9, 10)), U_INTERVAL),
+        (build_varsigma(100, F(1, 3), F(3, 5)), VS_INTERVAL),
+        (build_U_n(100, mu_star(F(2, 3), width=F(1, 10**9)).enclosure), U_INTERVAL),
+    )
+
+
+def test_fixed_point_bound_brackets_the_oracle():
+    # B 2^-p against sum_k max(lo_k Re P_k, hi_k Re P_k) at 60 digits: never
+    # below it, and within 1e-25 above it
+    for tsum, interval in _recheck_cases():
+        prefixes = _Prefixes(tsum.terms, interval)
+        for theta in (0.001, 0.0123, 0.5, 1.1, 1.5707963):
+            for n in (1, 37, 100):
+                bound, p = prefixes.upper_bound(n, theta)
+                with mp.workdps(60):
+                    ref = mp.fsum(max(t.coeff.lo * v, t.coeff.hi * v)
+                                  for t in tsum.terms[:n + 1]
+                                  for v in [_exact_P(t, theta)])
+                    got = mp.mpf(bound) / 2**p
+                    assert ref <= got <= ref + mp.mpf("1e-25"), (tsum.label, theta, n)
+
+
+def test_seed_boxes_enclose_the_true_seed():
+    rng = random.Random(23)
+    p = 143
+    for _ in range(40):
+        step = (F(rng.randint(1, 40), rng.randint(1, 6)), F(rng.randint(-11, 12), 12))
+        theta = rng.uniform(0.001, 3.2)
+        c, s, r = _Prefixes._seed_box(step, theta, p)
+        with mp.workdps(60):
+            arg = mp.mpf(step[0].numerator) / step[0].denominator * mp.mpf(theta) \
+                + mp.pi * step[1].numerator / step[1].denominator
+            assert abs(mp.mpc(c, s) - 2**p * mp.expj(arg)) <= r, (step, theta)
+        assert r <= 4
+
+
+def _assert_terms_within_their_errors(tsum, interval, thetas):
+    prefixes, n, p = _Prefixes(tsum.terms, interval), len(tsum.terms) - 1, 143
+    for theta in thetas:
+        for t, (x, e) in zip(tsum.terms, prefixes.fixed_point(theta, n, p)):
+            with mp.workdps(80):
+                assert abs(x - 2**p * _exact_P(t, theta)) <= e, (tsum.label, theta)
+
+
+def test_fixed_point_errors_cover_the_true_terms():
+    for tsum, interval in _recheck_cases()[:2]:
+        _assert_terms_within_their_errors(tsum, interval, (0.001, 0.3, 1.2, 1.5707963))
+
+
+def test_fixed_point_errors_cover_wide_off_centre_seeds(monkeypatch):
+    # seed boxes of half-width 1/20 whose centres sit 0.9/20 outward of the
+    # true seed: the radius and its growth per step must carry the error,
+    # which grows like 1.045^k
+    true_cos_sin = iv.cos_sin
+
+    def wide(arg):
+        delta = iv.mpf(1) / 20
+        return tuple(iv.mpf([(v * (1 + delta * 9 / 10) - delta).a,
+                             (v * (1 + delta * 9 / 10) + delta).b])
+                     for v in true_cos_sin(arg))
+
+    monkeypatch.setattr(iv, "cos_sin", wide)
+    for tsum, interval in _recheck_cases()[:2]:
+        _assert_terms_within_their_errors(tsum, interval, (0.3, 1.2))
+
+
+def test_a_lying_float_grid_refutes_nothing(monkeypatch):
+    # every node reads 1 too low, so the float gate passes everywhere; the
+    # fixed-point bound at the witness must still keep positive sums
+    # from being refuted
+    true_values = _Prefixes.values
+
+    def lying(self, theta, n_hi):
+        for k, acc in true_values(self, theta, n_hi):
+            yield k, acc - 1
+
+    monkeypatch.setattr(_Prefixes, "values", lying)
+    for tsum, interval in (
+        (_sum(_term(F(11, 10), 0), _term(-1, 1)), (F(-1, 2), F(1, 2))),
+        (build_U_n(40, _critical(F(2, 3))), U_INTERVAL),
+        (build_varsigma(40, F(1, 3), _critical(F(1, 3))), VS_INTERVAL),
+    ):
+        cert = certify_positive_trig(tsum, interval)
+        assert cert.status == "inconclusive", tsum.label
+        assert all(c.status != "refuted" for c in certify_partial_sums(tsum, interval))
+
+
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
+
+
+def test_pinned_grid_sweep_verdicts(monkeypatch):
+    # the 600 (family, mu, n) verdicts the grid-sweep benchmark pins, in one
+    # process; each refuted witness is also negative at 50 digits
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+    mus = {name: Enclosure(F(lo), F(hi)) for name, (lo, hi) in pinned["enclosures"].items()}
+    refuted = []
+    for key, letters in pinned["verdicts"].items():
+        family, name = key.split()
+        mu = mus.get(name) or F(name)
+        for n, want in enumerate(letters, 1):
+            tsum = build_U_n(n, mu) if family == "U" else build_varsigma(n, F(1, 3), mu)
+            cert = certify_positive_trig(tsum, U_INTERVAL if family == "U" else VS_INTERVAL)
+            assert cert.status[0] == want, (key, n, cert.status)
+            if cert.status == "refuted":
+                refuted.append((tsum, cert.witness))
+    assert len(refuted) == sum(v.count("r") for v in pinned["verdicts"].values()) > 0
+    monkeypatch.setenv("TRIGPOS_PRECISION", "50")
+    for tsum, witness in refuted:
+        assert tsum.eval_mp(mp.mpf(witness)) < 0, (tsum.label, witness)

@@ -1,14 +1,17 @@
 """Trig sums, Chebyshev reductions, and the named case polynomials."""
 
+import json
 import math
 import random
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import iv, mp
 
+from oracles import rational_poch_table
 from trigpos.exact import Enclosure
 from trigpos.mustar import mu_star
 from trigpos.precision import working_dps
@@ -273,6 +276,43 @@ def test_interval_coefficients_enclose_the_direct_product():
         for end in (c.lo, c.hi):
             assert end.numerator.bit_length() <= limit, k
             assert end.denominator.bit_length() <= limit, k
+
+
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
+GRAIN_BITS = math.ceil((working_dps() + 20) * math.log2(10))
+
+
+def test_poch_table_equals_the_fraction_oracle_on_the_pinned_enclosures():
+    # on the four enclosures the grid-sweep benchmark pins, the integer
+    # recurrence gives the Fraction recurrence's table entry for entry
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))["enclosures"]
+    assert len(pinned) == 4
+    for name, (lo, hi) in pinned.items():
+        lo, hi = F(lo), F(hi)
+        got = trigsums._poch_table(Enclosure(lo, hi), 1000)
+        want = rational_poch_table(lo, hi, 1000, GRAIN_BITS)
+        assert [(c.lo, c.hi) for c in got] == want, name
+
+
+def test_poch_table_brackets_small_exact_endpoints():
+    # on [2/5, 1/2] every entry brackets the exact endpoint values and is one
+    # outward rounding, within one 2^-b grain, of the exact step from the
+    # entry before it; the Fraction oracle keeps a small exact denominator
+    # after its first rounding now and then, which the integers round, so
+    # the two tables are within a few grains, not equal
+    lo, hi, grain = F(2, 5), F(1, 2), F(1, 2**GRAIN_BITS)
+    got = trigsums._poch_table(Enclosure(lo, hi), 1000)
+    want = rational_poch_table(lo, hi, 1000, GRAIN_BITS)
+    exact_lo = exact_hi = F(1)
+    for k, (c, (w_lo, w_hi)) in enumerate(zip(got, want)):
+        assert c.lo <= exact_lo and exact_hi <= c.hi, k
+        assert abs(c.lo - w_lo) <= 4 * grain and abs(c.hi - w_hi) <= 4 * grain, k
+        if k:
+            step_lo = got[k - 1].lo * (lo + k - 1) / k
+            step_hi = got[k - 1].hi * (hi + k - 1) / k
+            assert c.lo <= step_lo < c.lo + grain and c.hi - grain < step_hi <= c.hi, k
+        exact_lo, exact_hi = exact_lo * (lo + k) / (k + 1), exact_hi * (hi + k) / (k + 1)
+    assert got[:60] == [Enclosure(a, b) for a, b in want[:60]]
 
 
 def test_exact_mu_coefficients_are_never_rounded():
