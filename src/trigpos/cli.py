@@ -67,7 +67,8 @@ from trigpos.bounds import (
 from trigpos.exact import Enclosure
 from trigpos.mustar import _verified_sign, mu_star, width_floor
 from trigpos.precision import iv_dps, working_dps
-from trigpos.quadrature import _mid_rad, chi_reference_integral, min_over_upper_limit
+from trigpos.quadrature import (
+    QuadResult, _as_iv, _mid_rad, chi_reference_integral, min_over_upper_limit)
 from trigpos.trigsums import (
     _MAX_TERMS,
     TrigTerm,
@@ -216,7 +217,8 @@ def run_mustar(rho: Fraction, width: Fraction) -> VerificationReport:
             "sign-change",
             _status(signed),
             value=signs,
-            detail=f"{how}; defect at midpoint {_fmt(res.residual, 6)}",
+            detail=f"{how}; defect at midpoint {_fmt(res.residual, 6)}; "
+            f"{res.route} search, {res.probes} verified probes",
         ),
     ]
     return VerificationReport(
@@ -302,24 +304,25 @@ def _check_u1(mu_enc: Enclosure) -> CheckResult:
 
 
 def _check_prop_constants(mu_enc: Enclosure, chi_tol: float) -> list[CheckResult]:
-    mid = mu_enc.mid
     with mp.workdps(working_dps()), iv_dps(working_dps()):
-        mu_mid = mp.mpf(mid.numerator) / mid.denominator
         const = small_angle_constant(mu_enc)
         value, rad = _mid_rad(const)
         w = _mid_rad(wedge(iv.pi / 5, mu_enc))[0]
         box = iv.mpf([0, 1]) * iv.pi / 5  # the largest range the master bound uses
 
-        # minima of the phase-shifted fractional cosine integrals over the
-        # upper limit; at the critical exponent the first one bottoms out at
-        # exactly zero (x = 5pi/3), the second stays strictly positive
-        slack = mp.mpf(10) ** (-(working_dps() - 15))
-        with iv_dps(working_dps() + 15):
-            arg1, m1 = min_over_upper_limit("cos", -iv.pi / 6, mu_mid, mp.pi / 2)
-            arg2, m2 = min_over_upper_limit("cos", -iv.pi / 3, mu_mid, mp.pi / 2)
-        minima_ok = m1.value >= -(m1.err + slack) and m2.value - m2.err > 0
-
-        chi = chi_reference_integral(mu_mid)
+        # minima over the upper limit, over the mu enclosure: the first (x = 5pi/3)
+        # is -D(2/3, mu), as cos(t - pi/6) = -sin(t - 2pi/3), zero at mu*
+        try:
+            with iv_dps(working_dps() + 15):
+                mu = _as_iv(mu_enc)
+                arg1, m1 = min_over_upper_limit("cos", -iv.pi / 6, mu, mp.pi / 2)
+                arg2, m2 = min_over_upper_limit("cos", -iv.pi / 3, mu, mp.pi / 2)
+                chi = chi_reference_integral(mu)
+        except ValueError:  # an enclosure reaching mu = 0: no finite integrals, both fail
+            arg1 = arg2 = mp.nan
+            m1 = m2 = chi = QuadResult(mp.nan, mp.inf, True)
+        minima_ok = (mp.almosteq(arg1, 5 * mp.pi / 3) and abs(m1.value) <= m1.err
+                     and m2.value - m2.err > 0)
         diff = abs(chi.value - mp.mpf(CHI_REFERENCE))
         return [
             CheckResult(
@@ -345,16 +348,18 @@ def _check_prop_constants(mu_enc: Enclosure, chi_tol: float) -> list[CheckResult
             ),
             CheckResult(
                 "cosine-integral-minima", _status(minima_ok),
-                value=f"{_fmt(m1.value, 4)} at x={_fmt(arg1, 8)}; "
-                f"{_fmt(m2.value, 6)} at x={_fmt(arg2, 8)}",
-                detail="min over upper limits of the two shifted integrals; global, "
-                "since t^(mu-1) decreases and later arches shrink "
-                "(the lemma in quadrature.min_over_upper_limit)",
+                value=f"-D(2/3, mu) = {_fmt(m1.value, 4)} +/- {_fmt(m1.err, 3)} at "
+                f"x={_fmt(arg1, 8)}; {_fmt(m2.value, 6)} at x={_fmt(arg2, 8)}",
+                detail="min over upper limits of the two shifted integrals, over the mu "
+                "enclosure in mpmath.iv; global, since t^(mu-1) decreases and later arches "
+                "shrink (the lemma in quadrature.min_over_upper_limit); the first is "
+                "-D(2/3, mu), zero at mu* by definition",
             ),
             CheckResult(
-                "chi-integral", _status(diff <= chi_tol and not chi.flagged),
+                "chi-integral", _status(diff + chi.err <= chi_tol),
                 value=_fmt(chi.value, 14), error=_fmt(chi.err, 3),
-                detail=f"reference {CHI_REFERENCE}, diff {_fmt(diff, 3)}",
+                detail=f"over the mu enclosure in mpmath.iv; reference {CHI_REFERENCE}, "
+                f"diff {_fmt(diff, 3)}",
             ),
         ]
 

@@ -7,14 +7,14 @@ For rho in (0, 1], define
 As a function of mu on (0, 1], D is negative for small mu (the weight
 t^(mu-1) concentrates mass near t = 0 where the sine factor is negative)
 and D(rho, 1) = 1 + cos(rho*pi) >= 0, with equality exactly at rho = 1.
-mu*(rho) is the root.  For rho < 1 it is interior and is located by
-false position with the Anderson-Bjorck correction (Anderson & Bjorck,
-BIT 13, 1973), which keeps a bracket and converges superlinearly.  The
-bracket invariant: a probe replaces an endpoint only with a *verified*
-sign, the series value of D exceeding ten times its error bound (see
-trigpos.quadrature).  Each probe is the false-position point rounded to a
-dyadic grain and clamped one grain inside the bracket; a probe too close
-to the root to sign is replaced by a quarter point of the bracket.
+mu*(rho) is the root.  For rho < 1 it is interior, and false position with
+the Anderson-Bjorck correction (Anderson & Bjorck, BIT 13, 1973) narrows a
+bracket of it: first on a float64 estimate of D (no error bound) down to
+1e-12, then, from that bracket padded, on verified signs, where the series
+enclosure value +/- err of D (see trigpos.quadrature) excludes 0.  An end
+is only ever replaced by a probe with a verified sign; when the estimate
+finds no sign change or the padded bracket does not verify, the search
+starts over from [1/100, 1] (Rump, Acta Numerica 19, 2010).
 
 rho = 1 is the boundary case: there is no sign change inside (0.01, 1],
 D < 0 on [0.01, 1), and the root sits exactly at mu = 1.
@@ -25,18 +25,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from mpmath import iv, mp
 
 from trigpos.exact import Enclosure, _as_fraction
 from trigpos.precision import iv_dps, working_dps
-from trigpos.quadrature import QuadResult, _as_iv, fractional_osc_integral
+from trigpos.quadrature import QuadResult, _as_iv, _estimate, fractional_osc_integral
 
 __all__ = ["MuStarResult", "defect_integral", "mu_star", "width_floor", "BRACKET_LO", "BRACKET_HI"]
 
 BRACKET_LO = Fraction(1, 100)
 BRACKET_HI = Fraction(1)
+_ESTIMATE_WIDTH = Fraction(1, 10**12)  # float64 estimates of D err by about 1e-16
 
 _CACHE: dict = {}
 
@@ -48,12 +49,16 @@ class MuStarResult:
     enclosure endpoints are exact rationals; the true root lies strictly
     inside (or equals the endpoint for the boundary case rho = 1).
     residual is the defect value at the enclosure midpoint, a direct
-    quality check on the localization.
+    quality check on the localization.  route ("estimate-seeded", "full
+    bracket", or "boundary" at rho = 1) and probes, the verified signs of D
+    taken besides the residual, say how it was found; empty when hand-built.
     """
 
     rho: Fraction
     enclosure: Enclosure
     residual: mp.mpf
+    route: str = ""
+    probes: int = 0
 
 
 def defect_integral(rho, mu) -> QuadResult:
@@ -79,19 +84,19 @@ def _limits(rho: Fraction, dps: int):
 
 
 def _verified_sign(rho: Fraction, mu: Fraction) -> mp.mpf:
-    """D(rho, mu), returned only when its value dominates the series error
-    bound, so that its sign is proven; otherwise this raises."""
+    """D(rho, mu), returned only when its sign is proven, the result not
+    flagged and 0 outside [value - err, value + err]; otherwise this raises."""
     res = defect_integral(rho, mu)
-    floor = mp.mpf(10) ** (-(working_dps() + 4))
-    if not res.flagged and abs(res.value) > max(10 * res.err, floor):
+    if not res.flagged and abs(res.value) > res.err:
         return res.value
     raise ArithmeticError(f"cannot resolve sign of defect at mu={mu}: value "
                           f"{mp.nstr(res.value, 8)} vs err {mp.nstr(res.err, 3)}")
 
 
 def width_floor() -> Fraction:
-    """Smallest width mu_star accepts, 10^-working_dps(): a finer bracket
-    needs signs of D below the floor that _verified_sign resolves."""
+    """Smallest width mu_star accepts, 10^-working_dps(): D's error radius is
+    below 10^-(working_dps() + 10) and |D'| ~ 1 near the root, so a probe a
+    grain (width/256) or more from it has a sign _verified_sign proves."""
     return Fraction(1, 10 ** working_dps())
 
 
@@ -122,40 +127,68 @@ def mu_star(rho, width=Fraction(1, 10**9)) -> MuStarResult:
             for probe in (BRACKET_LO, Fraction(1, 2), Fraction(99, 100)):
                 if _verified_sign(rho, probe) > 0:
                     raise ArithmeticError(f"defect unexpectedly positive at mu={probe} for rho=1")
-            enclosure = Enclosure.exact(1)
+            enclosure, route, probes = Enclosure.exact(1), "boundary", 3
         else:
-            enclosure = _false_position(rho, width)
+            enclosure, route, probes = _false_position(rho, width)
         residual = defect_integral(rho, enclosure.mid).value
-    result = MuStarResult(rho, enclosure, residual)
+    result = MuStarResult(rho, enclosure, residual, route, probes)
     _CACHE[key] = result
     return result
 
 
-def _false_position(rho: Fraction, width: Fraction) -> Enclosure:
-    """Enclosure of mu*(rho), rho < 1, at most `width` wide."""
-    ends = [BRACKET_LO, BRACKET_HI]
-    vals = [_verified_sign(rho, mu) for mu in ends]
-    if vals[0] > 0 or vals[1] < 0:
-        raise ArithmeticError(f"bracket [{BRACKET_LO}, {BRACKET_HI}] does not straddle "
-                              f"a sign change for rho={rho}")
-    target = width / 4
+def _false_position(rho: Fraction, width: Fraction):
+    """(enclosure at most `width` wide, route, verified probes), rho < 1."""
+    target, probes = width / 4, []
+
+    def verified(mu):
+        probes.append(mu)
+        return _verified_sign(rho, mu)
+
+    try:
+        route, (lo, hi) = "estimate-seeded", _narrow(verified, _seeded_bracket(rho, target), target)
+    except (ArithmeticError, ValueError):
+        route, (lo, hi) = "full bracket", _narrow(verified, [BRACKET_LO, BRACKET_HI], target)
+    center, half = (lo + hi) / 2, width / 2
+    return Enclosure(max(BRACKET_LO, min(lo, center - half)),
+                     min(BRACKET_HI, max(hi, center + half))), route, len(probes)
+
+
+def _seeded_bracket(rho: Fraction, target: Fraction) -> list:
+    """[lo, hi] around mu*(rho), unverified: the bracket of the estimate of
+    D, padded by _ESTIMATE_WIDTH, or out to target when that is wider."""
+    estimate = partial(_estimate, -float(rho) * math.pi, x=(float(rho) + 1) * math.pi)
+    lo, hi = _narrow(estimate, [BRACKET_LO, BRACKET_HI], _ESTIMATE_WIDTH)
+    pad = max(_ESTIMATE_WIDTH, (target - (hi - lo)) / 2)
+    return [max(BRACKET_LO, lo - pad), min(BRACKET_HI, hi + pad)]
+
+
+def _narrow(sign, ends: list, target: Fraction) -> list:
+    """Anderson-Bjorck false position: shrink ends = [lo, hi], where
+    sign(lo) < 0 < sign(hi), to at most target wide.  sign(mu) returns a
+    value of the sign of D at mu, or raises ArithmeticError when it cannot
+    tell."""
+    ends, vals = list(ends), [sign(mu) for mu in ends]
+    if not vals[0] < 0 < vals[1]:
+        raise ArithmeticError(f"[{ends[0]}, {ends[1]}] does not straddle a sign change")
     # probes sit on multiples of a power of two below target/64, which
     # keeps their denominators small; the bracket exceeds 64 grains, so a
     # probe clamped one grain inside it is interior
     grain = Fraction(1, 1 << math.ceil(64 / target).bit_length())
     last = None  # the end the previous probe replaced: 0 = lo, 1 = hi
-    while ends[1] - ends[0] > target:
+    for _ in range(100):  # a cap for a sign function that stalls
         lo, hi = ends
+        if hi - lo <= target:
+            return ends
         c = lo + (hi - lo) * _as_fraction(vals[0] / (vals[0] - vals[1]))
         c = min(max(round(c / grain) * grain, lo + grain), hi - grain)
         try:
-            val_c = _verified_sign(rho, c)
+            val_c = sign(c)
         except ArithmeticError:
             # probe landed too close to the root to sign-check; a quarter
             # point is at least bracket/4 from it and still shrinks the
             # bracket geometrically on either outcome
             c = (3 * lo + hi) / 4 if c - lo > hi - c else (lo + 3 * hi) / 4
-            val_c = _verified_sign(rho, c)
+            val_c = sign(c)
         side = int(val_c > 0)  # c replaces the end of its own sign
         if side == last:
             # Anderson-Bjorck: the other end survives a second step in a
@@ -164,10 +197,4 @@ def _false_position(rho: Fraction, width: Fraction) -> Enclosure:
             m = 1 - val_c / vals[side]
             vals[1 - side] *= m if m > 0 else 0.5
         ends[side], vals[side], last = c, val_c, side
-
-    lo, hi = ends
-    center = (lo + hi) / 2
-    return Enclosure(
-        max(BRACKET_LO, min(lo, center - width / 2)),
-        min(BRACKET_HI, max(hi, center + width / 2)),
-    )
+    raise ArithmeticError(f"bracket not within {target} after 100 probes")

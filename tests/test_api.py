@@ -1,11 +1,14 @@
-"""Public surface: every exported name has a user inside the package.
+"""Public surface: every name the package defines has a user inside it.
 
-A name in a module's `__all__` that nothing in `src/trigpos` reads is a
-second route kept alive by tests alone.  The allowlist names the few public
-names whose only users sit outside the package, each with its reason.
+A name in a module's `__all__`, a module-level function or a method (dunder
+methods aside, which operators and the runtime call) that nothing in
+`src/trigpos` reads is a second route kept alive by tests alone.  The
+allowlist names the few whose only users sit outside the package, each with
+its reason; methods are keyed as `Class.method`.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import trigpos
@@ -20,7 +23,11 @@ ALLOWED_UNUSED = {
     "certify_positive_trig": "perfbench's grid sweep and acceptance criterion 07 run it",
     "subordination_sector_check": "acceptance criterion 09 runs it",
     "weak_conjecture_check": "acceptance criterion 09 runs it",
+    "TrigSum.lipschitz": "perfbench's tracer wraps it by name; delete after ROADMAP item 1",
+    "TrigSum.coeff_err": "perfbench's tracer wraps it by name; delete after ROADMAP item 1",
 }
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _exports(tree) -> list[str]:
@@ -31,31 +38,49 @@ def _exports(tree) -> list[str]:
     return []
 
 
-def _references(node, name: str) -> int:
-    """Loads of `name` (bare or as an attribute) outside its own definition;
-    import statements and the `__all__` string do not count."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-            and node.name == name:
-        return 0
-    here = isinstance(getattr(node, "ctx", None), ast.Load) and (
-        (isinstance(node, ast.Name) and node.id == name)
-        or (isinstance(node, ast.Attribute) and node.attr == name))
-    return here + sum(_references(child, name) for child in ast.iter_child_nodes(node))
+def _defined(tree) -> dict[str, str]:
+    """Qualified name -> bare name of every `__all__` entry, module-level
+    function and non-dunder method of one module."""
+    names = {name: name for name in _exports(tree)}
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            names[node.name] = node.name
+        elif isinstance(node, ast.ClassDef):
+            names.update((f"{node.name}.{sub.name}", sub.name) for sub in node.body
+                         if isinstance(sub, _DEFS) and not sub.name.startswith("__"))
+    return names
+
+
+def _count_loads(node, enclosing: frozenset, counts: Counter) -> Counter:
+    """Loads of each name (bare or as an attribute) outside a definition of
+    that name; import statements and the `__all__` strings do not count."""
+    if isinstance(node, (*_DEFS, ast.ClassDef)):
+        enclosing = enclosing | {node.name}
+    if isinstance(getattr(node, "ctx", None), ast.Load):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name is not None and name not in enclosing:
+            counts[name] += 1
+    for child in ast.iter_child_nodes(node):
+        _count_loads(child, enclosing, counts)
+    return counts
+
+
+LOADS = Counter()
+for _tree in TREES.values():
+    _count_loads(_tree, frozenset(), LOADS)
+DEFINED = {f"{module}.{qual}": (qual, name) for module, tree in TREES.items()
+           for qual, name in _defined(tree).items()}
 
 
 def test_every_export_is_used_in_the_package():
-    unused = []
-    for module, tree in TREES.items():
-        for name in _exports(tree):
-            refs = sum(_references(t, name) for t in TREES.values())
-            if refs == 0 and name not in ALLOWED_UNUSED:
-                unused.append(f"{module}.{name}")
-    assert not unused, f"exported but unused inside trigpos: {unused}"
+    unused = [key for key, (qual, name) in DEFINED.items()
+              if LOADS[name] == 0 and qual not in ALLOWED_UNUSED]
+    assert not unused, f"defined but unused inside trigpos: {unused}"
 
 
 def test_allowlist_is_current():
-    exported = {name for tree in TREES.values() for name in _exports(tree)}
-    for name in ALLOWED_UNUSED:
-        assert name in exported, f"{name} is no longer exported"
-        assert sum(_references(t, name) for t in TREES.values()) == 0, (
-            f"{name} now has a user in the package; drop it from the allowlist")
+    defined = {qual: name for qual, name in DEFINED.values()}
+    for qual in ALLOWED_UNUSED:
+        assert qual in defined, f"{qual} is no longer defined"
+        assert LOADS[defined[qual]] == 0, (
+            f"{qual} now has a user in the package; drop it from the allowlist")

@@ -54,6 +54,13 @@ def test_mustar_shifted_enclosure_fails(monkeypatch, capsys):
     assert "[FAIL] sign-change" in capsys.readouterr().out
 
 
+def test_mustar_reports_its_search(capsys):
+    assert main(["mustar", "2/3"]) == 0
+    assert "estimate-seeded search, 2 verified probes" in capsys.readouterr().out
+    assert main(["mustar", "1"]) == 0
+    assert "boundary search, 3 verified probes" in capsys.readouterr().out
+
+
 def test_mustar_rejects_bad_rho(capsys):
     for bad in ("1.5", "0", "-0.3", "abc"):
         assert main(["mustar", bad]) == 2
@@ -150,6 +157,17 @@ def test_closed_form_n1_refuses_another_u1(monkeypatch, change):
 
     monkeypatch.setattr(cli, "build_U_n", altered)
     assert cli._check_u1(_mu_2_3()).status == "fail"
+
+
+def test_integral_checks_need_mu_star_in_the_enclosure():
+    # the first cosine minimum is -D(2/3, mu): over an enclosure 1e-16 above
+    # mu* it is about -4e-16, which no slack may forgive
+    enc = _mu_2_3()
+    above = Enclosure(enc.hi + Fraction(1, 10**16), enc.hi + Fraction(101, 10**18))
+    for mu, expected in ((enc, "pass"), (above, "fail")):
+        status = {c.check_id: c.status for c in cli._check_prop_constants(mu, 1e-10)}
+        assert status["cosine-integral-minima"] == expected
+        assert status["chi-integral"] == "pass"
 
 
 @pytest.mark.parametrize("mu", [Enclosure(0, Fraction(1, 2)), Enclosure(Fraction(1, 2), 1)])

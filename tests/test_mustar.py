@@ -13,6 +13,7 @@ from oracles import ORACLE_DPS, osc_integral
 
 from trigpos import mustar
 from trigpos.mustar import BRACKET_HI, BRACKET_LO, MuStarResult, defect_integral, mu_star
+from trigpos.quadrature import QuadResult
 
 F = Fraction
 mp.dps = 30
@@ -89,18 +90,76 @@ def test_cache_returns_identical_object():
     assert c is not a and c.enclosure.width <= F(1, 10**7)
 
 
-@pytest.mark.parametrize("width", [F(1, 10**9), F(1, 10**20)])
-@pytest.mark.parametrize("rho", [F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4),
-                                 F(97, 300), F(103, 300)])
-def test_enclosure_straddles_the_oracle_sign_change(rho, width):
+ORACLE_RHOS = [F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(97, 300), F(103, 300)]
+
+
+def assert_straddles_the_oracle(rho, enc):
     # D by mpmath.quad, which shares no code with the series route that
     # signed the bracket: negative at the lower endpoint, positive at the upper
-    enc = mu_star(rho, width=width).enclosure
     with mp.workdps(ORACLE_DPS):
         r = mp.mpf(rho.numerator) / rho.denominator
         lo, hi = (osc_integral("sin", -r * mp.pi, mp.mpf(mu.numerator) / mu.denominator,
                                (r + 1) * mp.pi) for mu in (enc.lo, enc.hi))
         assert lo < 0 < hi
+
+
+@pytest.mark.parametrize("width", [F(1, 10**9), F(1, 10**20)])
+@pytest.mark.parametrize("rho", ORACLE_RHOS)
+def test_enclosure_straddles_the_oracle_sign_change(rho, width):
+    assert_straddles_the_oracle(rho, mu_star(rho, width=width).enclosure)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda eta, mu, x: float(mu) - 0.3,  # a root far from mu*
+    lambda eta, mu, x: float("nan"),
+    lambda eta, mu, x: 1.0,  # no sign change
+], ids=["far-off-root", "nan", "no-sign-change"])
+@pytest.mark.parametrize("width", [F(1, 10**9), F(1, 10**20)])
+def test_a_wrong_estimate_falls_back_to_the_full_bracket(monkeypatch, estimate, width):
+    # the seeded bracket is kept only when both its ends have verified signs
+    monkeypatch.setattr(mustar, "_CACHE", {})
+    monkeypatch.setattr(mustar, "_estimate", estimate)
+    res = mu_star(F(2, 3), width=width)
+    assert res.route == "full bracket"
+    assert res.enclosure.width <= width
+    assert_straddles_the_oracle(F(2, 3), res.enclosure)
+
+
+@pytest.mark.parametrize("width, most", [(F(1, 10**9), 3), (F(1, 10**20), 6)])
+@pytest.mark.parametrize("rho", ORACLE_RHOS)
+def test_seeded_search_takes_few_integrals(monkeypatch, rho, width, most):
+    # the verified ends of the seeded bracket, any probes between them and
+    # the residual; the full bracket takes 12 or 13 plus the residual
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return defect_integral(*args)
+
+    monkeypatch.setattr(mustar, "_CACHE", {})
+    monkeypatch.setattr(mustar, "defect_integral", counted)
+    res = mu_star(rho, width=width)
+    assert res.route == "estimate-seeded"
+    assert len(calls) <= most
+    assert res.probes == len(calls) - 1
+
+
+@pytest.mark.parametrize("value, err, flagged, proven", [
+    ("3e-30", "2e-30", False, True),
+    ("-3e-30", "2e-30", False, True),
+    ("1e-30", "2e-30", False, False),
+    ("-1e-30", "2e-30", False, False),
+    ("2e-30", "2e-30", False, False),  # 0 is the lower end of value +/- err
+    ("0.5", "1e-40", True, False),
+])
+def test_verified_sign_needs_zero_outside_the_enclosure(monkeypatch, value, err, flagged, proven):
+    res = QuadResult(mp.mpf(value), mp.mpf(err), flagged)
+    monkeypatch.setattr(mustar, "defect_integral", lambda rho, mu: res)
+    if proven:
+        assert mustar._verified_sign(F(2, 3), F(1, 2)) == res.value
+    else:
+        with pytest.raises(ArithmeticError):
+            mustar._verified_sign(F(2, 3), F(1, 2))
 
 
 def test_defect_encloses_the_integral_at_exact_arguments():
@@ -118,7 +177,8 @@ def test_defect_encloses_the_integral_at_exact_arguments():
 
 @pytest.mark.parametrize("rho", [F(1, 3), F(2, 3)])
 def test_false_position_evaluation_count(monkeypatch, rho):
-    # plain bisection to width 1e-20 takes over 70 integrals; this loop 12 or 13
+    # plain bisection to width 1e-20 takes over 70 integrals; the loop from
+    # the full bracket 12 or 13, from the seeded bracket about 5
     calls = []
 
     def counted(*args):

@@ -16,6 +16,7 @@ from oracles import osc_integral
 from trigpos.quadrature import (
     QuadResult,
     _alternating_sum,  # private: its carried bound is checked at coarse precision
+    _estimate,  # private: mu_star's unverified seed
     chi_reference_integral,
     fractional_osc_integral,
     frak_K,
@@ -328,3 +329,13 @@ def test_min_over_upper_limit_guard():
         min_over_upper_limit("sin", 0, NU0, 0)
     with pytest.raises(ValueError):
         min_over_upper_limit("cot", 0, NU0, 1)
+
+
+def test_estimate_is_close_to_the_enclosure():
+    # an estimate with no error bound: float64 x^mu, cos and sin leave about
+    # 1e-16 times the size of the sums
+    rng = random.Random(11)
+    for _ in range(40):
+        eta, mu, x = rng.uniform(-3, 3), rng.uniform(0.01, 1), rng.uniform(0.1, 2 * 3.14159)
+        res = fractional_osc_integral("sin", eta, mu, x)
+        assert abs(_estimate(eta, mu, x) - res.value) < 1e-13 * max(1, abs(res.value))
