@@ -4,8 +4,8 @@ The package splits into six layers:
 
 * :mod:`trigpos.exact` -- exact rational polynomials, Sturm root counts
   and rational enclosures;
-* :mod:`trigpos.trigsums` -- the trigonometric sums under study and their
-  exact reductions to algebraic polynomials;
+* :mod:`trigpos.trigsums` -- the trigonometric sums under study and the
+  proof cases' polynomials, written as Chebyshev sums;
 * :mod:`trigpos.quadrature` -- singular oscillatory integrals
   int_0^x g(t + eta) t^(mu-1) dt, summed as power series whose truncation
   and rounding errors are bounded under the standard rounding model;

@@ -30,7 +30,10 @@ setting value, from a flag or the config and whether or not the case reads
 it, that does not parse or lies out of range (rho outside (0, 1], a width
 below 10^-precision, nmax outside 1..999998, a float setting that is not
 finite or, but for master-min, not above 0).  A flag value that starts with
-'-' goes as --flag=VALUE.
+'-' goes as --flag=VALUE.  A computation that cannot decide at all (an
+ArithmeticError, such as mu*(rho) below the search bracket [1/100, 1] for
+rho under about 1/150) is inconclusive too: it exits 1 with one "error:"
+line in place of the report.
 
 Reports are deterministic: identical invocations at the same precision print
 byte-identical output apart from the wall-time figure.  The env var
@@ -709,6 +712,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # undecided: inconclusive
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(report.to_json() if args.json else report.to_text())
     return 0 if report.passed else 1
 

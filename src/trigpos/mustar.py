@@ -147,7 +147,10 @@ def _false_position(rho: Fraction, width: Fraction):
     try:
         route, (lo, hi) = "estimate-seeded", _narrow(verified, _seeded_bracket(rho, target), target)
     except (ArithmeticError, ValueError):
-        route, (lo, hi) = "full bracket", _narrow(verified, [BRACKET_LO, BRACKET_HI], target)
+        try:
+            route, (lo, hi) = "full bracket", _narrow(verified, [BRACKET_LO, BRACKET_HI], target)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"cannot enclose mu*(rho) at rho = {rho}: {exc}") from None
     center, half = (lo + hi) / 2, width / 2
     return Enclosure(max(BRACKET_LO, min(lo, center - half)),
                      min(BRACKET_HI, max(hi, center + half))), route, len(probes)

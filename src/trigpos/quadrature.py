@@ -58,8 +58,11 @@ _KINDS = ("sin", "cos")
 class QuadResult:
     """Value + error bound for one integral: value is the midpoint of an
     mpmath.iv enclosure and err its radius, rounded up.  flagged is True when
-    the error bound exceeds the requested tolerance (the value is still the
-    best available, but callers must not treat it as accurate to tol).
+    err exceeds 10^-(working_dps() - 5), a little under the working
+    precision.  err also carries the spread of an interval argument, so an
+    integral over a wider interval is flagged as well (the value is still
+    the best available, but callers must not treat it as accurate to that
+    level).
     """
 
     value: mp.mpf
@@ -177,16 +180,13 @@ def _cos_sin(eta, dps: int):
         return iv.cos_sin(eta)
 
 
-def fractional_osc_integral(kind: str, eta, mu, x, tol=None) -> QuadResult:
+def fractional_osc_integral(kind: str, eta, mu, x) -> QuadResult:
     """integral_0^x g(t + eta) t^(mu-1) dt, g = sin or cos.
 
-    Requires 0 < mu <= 1 and 0 < x <= 8*pi.  tol defaults to a little under
-    the working precision; the result is flagged when the error bound
-    exceeds it.
+    Requires 0 < mu <= 1 and 0 < x <= 8*pi; see QuadResult for the flag.
     """
     value, err = _evaluate(kind, eta, mu, x)
-    tol = mp.mpf(10) ** (-(working_dps() - 5)) if tol is None else mp.mpf(tol)
-    return QuadResult(value, err, err > tol)
+    return QuadResult(value, err, err > mp.mpf(10) ** (-(working_dps() - 5)))
 
 
 def series_reference(kind: str, mu, x, eta=0):

@@ -1,11 +1,12 @@
-"""The trigonometric sums under study and their exact polynomial reductions.
+"""The trigonometric sums under study and the case polynomials of the proofs.
 
 A `TrigSum` is a finite sum  sum_k  c_k * g(freq_k * theta + phase_k * pi)
 with g in {sin, cos}, rational frequencies and phases, and coefficients kept
-as rational enclosures.  Angle substitutions clear the fractional frequencies
-exactly, after which Chebyshev identities (cos kt = T_k(cos t),
-sin((k+1)t) = sin t * U_k(cos t)) turn the sum into a polynomial with exact
-(or enclosure) coefficients -- the inputs for the Sturm root counts.
+as rational enclosures.  The case polynomials that the Sturm root counts take
+are written directly as Chebyshev sums in x = cos t: a sum of c_m cos(m t)
+is  sum c_m T_m(x)  and a sum of c_m sin(m t) is  sin t * sum c_m U_(m-1)(x)
+(cos mt = T_m(cos t), sin(mt) = sin t * U_(m-1)(cos t)), with exact (or
+enclosure) coefficients.
 
 build_U_n, build_varsigma and build_omega share one growing term list per
 (mu, precision, family), which resumes the coefficient recurrence where it
@@ -36,7 +37,6 @@ __all__ = [
     "chebyshev_T",
     "chebyshev_U",
     "Reduction",
-    "reduce_to_polynomial",
     "case_P",
     "case_Q",
     "case_R",
@@ -77,9 +77,9 @@ def _up(x, d: int = 1) -> float:
 class TrigTerm:
     """coeff * kind(freq * theta + phase_pi * pi), all parameters rational.
 
-    The constants derived from a term alone are memoised on it (outside the
-    fields, so equality and hashing see only the fields): float_bounds for
-    the grid certificate and mp_parts, per precision, for eval_mp.
+    float_bounds, the constants the grid certificate derives from a term
+    alone, is memoised on it (outside the fields, so equality and hashing
+    see only the fields).
     """
 
     coeff: Enclosure
@@ -106,20 +106,6 @@ class TrigTerm:
         return (mid, _up(max(abs(ln) * hd, abs(hn) * ld) * fn * fn, ld * hd * fd * fd),
                 _up(hn * ld - ln * hd, den), _up(abs(a * den - num * b), b * den))
 
-    def mp_parts(self):
-        """(g, freq, phase_pi * pi, coefficient midpoint) as eval_mp forms
-        them at mp's present precision, memoised per precision."""
-        memo = self.__dict__.setdefault("_mp_parts", {})  # beside the fields
-        parts = memo.get(mp.prec)
-        if parts is None:
-            c = self.coeff.mid
-            parts = memo[mp.prec] = (
-                mp.sin if self.kind == "sin" else mp.cos,
-                mp.mpf(self.freq.numerator) / self.freq.denominator,
-                mp.pi * self.phase_pi.numerator / self.phase_pi.denominator,
-                mp.mpf(c.numerator) / c.denominator)
-        return parts
-
 
 @dataclass(frozen=True)
 class TrigSum:
@@ -132,8 +118,11 @@ class TrigSum:
             th = mp.mpf(theta) if not hasattr(theta, "_mpf_") else theta
             total = mp.mpf(0)
             for t in self.terms:
-                g, freq, phase, c = t.mp_parts()
-                total += c * g(freq * th + phase)
+                g = mp.sin if t.kind == "sin" else mp.cos
+                arg = (mp.mpf(t.freq.numerator) / t.freq.denominator * th
+                       + mp.pi * t.phase_pi.numerator / t.phase_pi.denominator)
+                c = t.coeff.mid
+                total += mp.mpf(c.numerator) / c.denominator * g(arg)
             return total
 
     def coeff_err(self) -> Fraction:
@@ -147,21 +136,6 @@ class TrigSum:
             cmax = max(abs(t.coeff.lo), abs(t.coeff.hi))
             total += cmax * t.freq
         return total
-
-    def substitute_theta(self, t_coeff: Fraction, t_shift_pi: Fraction) -> "TrigSum":
-        """Rewrite in a new variable t where theta = t_coeff * t + t_shift_pi * pi.
-
-        Exact: frequencies scale by t_coeff, phases absorb freq * t_shift_pi.
-        """
-        t_coeff = Fraction(t_coeff)
-        t_shift_pi = Fraction(t_shift_pi)
-        if t_coeff <= 0:
-            raise ValueError("variable change must preserve orientation")
-        new_terms = tuple(
-            TrigTerm(t.coeff, t.freq * t_coeff, t.phase_pi + t.freq * t_shift_pi, t.kind)
-            for t in self.terms
-        )
-        return TrigSum(new_terms, self.label)
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +260,22 @@ def chebyshev_U(k: int) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Reduction to polynomials
+# Named proof cases
 # ---------------------------------------------------------------------------
+#
+# The certification targets are fixed trigonometric expressions in a shifted
+# angle t; each constructor writes its polynomial in x = cos t (or cos^2 t)
+# directly as a Chebyshev sum, so the case is reproducible by label.
 
 
 @dataclass(frozen=True)
 class Reduction:
-    """Result of rewriting a TrigSum as prefactor(t) * poly(x(t)).
+    """A case polynomial, coeffs[k] multiplying x^k.
 
     coeffs are Enclosures (degenerate when the input coefficients were exact).
     """
 
     label: str
-    prefactor: str  # "1" | "sin(t)" | "sin(theta/3)"
-    substitution: str
     coeffs: tuple[Enclosure, ...]
 
     def exact_polynomial(self) -> Polynomial:
@@ -311,97 +287,22 @@ class Reduction:
         return poly_with_interval_coeffs(self.coeffs, x_interval)
 
 
-def _normalized_terms(tsum: TrigSum):
-    """Split phases into quarter-turn multiples: returns (sign, m, kind) per term.
-
-    Requires every frequency to be a nonnegative integer and every phase an
-    integer multiple of pi/2; raises otherwise.
-    """
-    out = []
-    for t in tsum.terms:
-        if t.freq.denominator != 1:
-            raise ValueError(
-                f"frequency {t.freq} is not an integer; apply substitute_theta first")
-        quarter = t.phase_pi * 2
-        if quarter.denominator != 1:
-            raise ValueError(f"phase {t.phase_pi}*pi is not a multiple of pi/2")
-        q = int(quarter) % 4  # g(x + q*pi/2)
-        kind, sign = t.kind, 1
-        for _ in range(q):  # advance by pi/2: sin->cos->-sin->-cos->sin
-            if kind == "sin":
-                kind = "cos"
-            else:
-                kind = "sin"
-                sign = -sign
-        out.append((sign, int(t.freq), kind, t.coeff))
-    return out
-
-
-def reduce_to_polynomial(tsum: TrigSum, substitution: str) -> Reduction:
-    """Rewrite tsum(t) as prefactor(t) * poly(x) exactly.
-
-    substitution "x = cos t": terms must share the trig flavor after phase
-    normalization; cosines map through T_m, sines through sin t * U_(m-1).
-    substitution "x = cos^2(theta/3)": the sum is first rewritten in
-    t = theta/3; the resulting odd sine harmonics give an even polynomial in
-    cos t, which is compressed into x = cos^2 t.
-    """
-    if substitution == "x = cos^2(theta/3)":
-        inner = tsum.substitute_theta(Fraction(3), Fraction(0))  # theta = 3 t
-        red = reduce_to_polynomial(inner, "x = cos t")
-        if red.prefactor != "sin(t)":
-            raise ValueError("squared-cosine substitution expects a pure sine sum")
-        # compress even polynomial: only even powers of c may appear
-        coeffs = red.coeffs
-        for i in range(1, len(coeffs), 2):
-            if coeffs[i].lo != 0 or coeffs[i].hi != 0:
-                raise ValueError("polynomial is not even; cannot substitute x = cos^2")
-        squished = tuple(coeffs[i] for i in range(0, len(coeffs), 2))
-        return Reduction(tsum.label, "sin(theta/3)", substitution, squished)
-
-    if substitution != "x = cos t":
-        raise ValueError(f"unknown substitution {substitution!r}")
-
-    norm = _normalized_terms(tsum)
-    # sin(0*t) terms are identically zero and force no flavor
-    kinds_nonzero = {k for _, m, k, _ in norm if not (k == "sin" and m == 0)}
-    if kinds_nonzero == {"cos"} or not kinds_nonzero:
-        acc: list[Enclosure] = [_ZERO]
-        for sign, m, kind, coeff in norm:
-            if kind == "sin":
-                continue
-            acc = _axpy(acc, coeff * sign, chebyshev_T(m))
-        return Reduction(tsum.label, "1", substitution, tuple(acc))
-    if kinds_nonzero == {"sin"}:
-        acc = [_ZERO]
-        for sign, m, kind, coeff in norm:
-            if m == 0:
-                continue
-            acc = _axpy(acc, coeff * sign, chebyshev_U(m - 1))
-        return Reduction(tsum.label, "sin(t)", substitution, tuple(acc))
-    raise ValueError("mixed sine/cosine terms after normalization; no single prefactor")
-
-
-def _axpy(acc: list[Enclosure], scale: Enclosure, poly: Polynomial) -> list[Enclosure]:
-    """acc += scale * poly, in enclosure arithmetic."""
-    out = acc + [_ZERO] * (len(poly.coeffs) - len(acc))
-    for i, c in enumerate(poly.coeffs):
-        if c:
-            out[i] = out[i] + scale * c
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Named proof cases
-# ---------------------------------------------------------------------------
-#
-# The certification targets are fixed trigonometric expressions in a shifted
-# angle t; each constructor builds the t-domain sum explicitly so the case is
-# reproducible by label.
+def _chebyshev_sum(basis, pairs) -> tuple[Enclosure, ...]:
+    """The coefficients of sum c * basis(m) over the (c, m) pairs, in
+    enclosure arithmetic; basis is chebyshev_T or chebyshev_U."""
+    out = [_ZERO]
+    for c, m in pairs:
+        poly = basis(m)
+        out += [_ZERO] * (len(poly.coeffs) - len(out))
+        for i, a in enumerate(poly.coeffs):
+            if a:
+                out[i] = out[i] + c * a
+    return tuple(out)
 
 
 def case_P(mu) -> Reduction:
-    """-d2 + cos t + (1 - d1) cos 2t + (d2 - d1) cos 5t, reduced in x = cos t.
+    """-d2 + cos t + (1 - d1) cos 2t + (d2 - d1) cos 5t, in x = cos t:
+    -d2 + T_1 + (1 - d1) T_2 + (d2 - d1) T_5.
 
     Lower bound for 2 sin(phi) * U_n(phi) under t = (2 phi - pi)/3; relevant
     t ranges: (-pi/3, -7pi/27] and [-pi/5, 0], i.e. x in (1/2, cos(7pi/27)]
@@ -413,22 +314,14 @@ def case_P(mu) -> Reduction:
     mu = _as_mu_enclosure(mu)
     d1 = pochhammer_coeff(mu, 1)
     d2 = pochhammer_coeff(mu, 2)
-    one = Enclosure.exact(1)
-    terms = (
-        TrigTerm(-d2, Fraction(0), Fraction(0), "cos"),
-        TrigTerm(one, Fraction(1), Fraction(0), "cos"),
-        TrigTerm(one - d1, Fraction(2), Fraction(0), "cos"),
-        TrigTerm(d2 - d1, Fraction(5), Fraction(0), "cos"),
-    )
-    return reduce_to_polynomial(TrigSum(terms, "P"), "x = cos t")
+    return Reduction("P", _chebyshev_sum(
+        chebyshev_T, ((-d2, 0), (1, 1), (1 - d1, 2), (d2 - d1, 5))))
 
 
 def _sine_case(label: str, mu, orders: tuple[int, ...]) -> Reduction:
+    """sum_k d_k sin(m_k t) = sin t * sum_k d_k U_(m_k - 1)(cos t)."""
     d = _poch_table(_as_mu_enclosure(mu), len(orders) - 1)
-    terms = tuple(
-        TrigTerm(d[k], Fraction(m), Fraction(0), "sin") for k, m in enumerate(orders)
-    )
-    return reduce_to_polynomial(TrigSum(terms, label), "x = cos t")
+    return Reduction(label, _chebyshev_sum(chebyshev_U, zip(d, (m - 1 for m in orders))))
 
 
 def case_Q(mu) -> Reduction:
@@ -446,9 +339,14 @@ def case_R(mu) -> Reduction:
 
 
 def case_q(n: int) -> Reduction:
-    """omega_n(theta) = sin(theta/3) * q_n(cos^2(theta/3)): returns q_n exactly."""
-    red = reduce_to_polynomial(build_omega(n), "x = cos^2(theta/3)")
-    return Reduction(f"q{n}", red.prefactor, red.substitution, red.coeffs)
+    """omega_n(theta) = sin(theta/3) * q_n(cos^2(theta/3)): returns q_n exactly.
+
+    At theta = 3t the k-th term of omega_n is d_k sin((6k + 1) t) =
+    d_k sin t * U_6k(cos t), and U_6k is even, so q_n takes the even-index
+    coefficients of sum d_k U_6k.
+    """
+    pairs = ((term.coeff, 6 * k) for k, term in enumerate(build_omega(n).terms))
+    return Reduction(f"q{n}", _chebyshev_sum(chebyshev_U, pairs)[::2])
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +383,6 @@ class SturmTarget:
     reduction: Reduction
     x_interval: tuple[Fraction, Fraction]
     positive_points: tuple[tuple[str, Fraction], ...] = ()
-    note: str = ""
 
     def __post_init__(self):
         a, b = self.x_interval
@@ -515,41 +412,39 @@ def sturm_case_plan(mu, names=None) -> list[SturmTarget]:
     """
     q3_lo = Fraction(37059, 100000)
     derived_lo = _outward(lambda: iv.cos(7 * iv.pi / 24) ** 2, below=True)
-    plan = {  # name -> (case, x interval, anchor point, note)
-        "q1": (1, (Fraction(0), Fraction(1)), ("q1(0)", Fraction(0)),
-               "no zeros in (0,1), positive at 0"),
-        "q2": (2, (Fraction(0), Fraction(1)), ("q2(0)", Fraction(0)),
-               "no zeros in (0,1), positive at 0"),
-        "q3": (3, (q3_lo, Fraction(1)), ("q3(0.37059)", q3_lo), "stated interval [0.37059, 1]"),
+    plan = {  # name -> (case, x interval, anchor point)
+        "q1": (1, (Fraction(0), Fraction(1)), ("q1(0)", Fraction(0))),
+        "q2": (2, (Fraction(0), Fraction(1)), ("q2(0)", Fraction(0))),
+        "q3": (3, (q3_lo, Fraction(1)), ("q3(0.37059)", q3_lo)),  # the stated interval
+        # the interval that theta in [2pi/3, 7pi/8] induces
         "q3-derived": (
             3, (derived_lo, _outward(lambda: iv.cos(2 * iv.pi / 9) ** 2, below=False)),
-            ("q3(cos^2(7pi/24))", derived_lo), "interval induced by theta in [2pi/3, 7pi/8]"),
+            ("q3(cos^2(7pi/24))", derived_lo)),
+        # t in (-pi/3, -7pi/27]; the anchor fails for every mu in (0, 1] (see
+        # case_P and cli.UNGATED_POINTS)
         "P-near-0": (
             "P", (Fraction(1, 2), _outward(lambda: iv.cos(7 * iv.pi / 27), below=False)),
-            ("P(-pi/3)", Fraction(1, 2)),
-            "t in (-pi/3, -7pi/27]; P(-pi/3) = -mu(mu+1)/4 < 0 exactly, so "
-            "that point check fails for every mu in (0,1]; with zero roots "
-            "P < 0 on the whole interval: root-freeness only, no sign"),
+            ("P(-pi/3)", Fraction(1, 2))),
+        # t in [-pi/5, 0]; P(0) = 2(1 - mu) at the endpoint x = 1
         "P-mid": (
             "P", (_outward(lambda: iv.cos(iv.pi / 5), below=True), Fraction(1)),
-            ("P(0)", Fraction(1)), "t in [-pi/5, 0]; P(0) = 2(1 - mu) at the endpoint x = 1"),
-        "Q": ("Q", (Fraction(0), Fraction(1, 2)), ("Q(pi/2)/sin", Fraction(0)),
-              "t in (pi/3, pi/2]; point x=0 is Q(pi/2) up to the positive sin t"),
-        "R": ("R", (Fraction(0), Fraction(1, 2)), ("R(pi/2)/sin", Fraction(0)),
-              "t in (pi/3, pi/2]; point x=0 is R(pi/2) up to the positive sin t"),
+            ("P(0)", Fraction(1))),
+        # t in (pi/3, pi/2]; x = 0 is Q(pi/2) and R(pi/2) up to the positive sin t
+        "Q": ("Q", (Fraction(0), Fraction(1, 2)), ("Q(pi/2)/sin", Fraction(0))),
+        "R": ("R", (Fraction(0), Fraction(1, 2)), ("R(pi/2)/sin", Fraction(0))),
     }
     if names is None:
         names = [n for n in plan if mu is not None or n.startswith("q")]
     reductions = {}  # one per case, shared by the targets that read it
     targets = []
     for name in names:
-        case, interval, anchor, note = plan[name]
+        case, interval, anchor = plan[name]
         if case not in reductions:
             if mu is None and not isinstance(case, int):
                 raise ValueError(f"target {name} needs an exponent mu")
             reductions[case] = (case_q(case) if isinstance(case, int) else
                                 {"P": case_P, "Q": case_Q, "R": case_R}[case](mu))
-        targets.append(SturmTarget(name, reductions[case], interval, (anchor,), note))
+        targets.append(SturmTarget(name, reductions[case], interval, (anchor,)))
     return targets
 
 
@@ -562,15 +457,10 @@ class SturmOutcome:
     interval: tuple[Fraction, Fraction]
     root_counts: tuple[int, ...]
     point_results: tuple[tuple[str, bool], ...]
-    note: str = ""
-
-    @property
-    def points_ok(self) -> bool:
-        return all(ok for _, ok in self.point_results)
 
     @property
     def passed(self) -> bool:
-        return self.points_ok and all(c == 0 for c in self.root_counts)
+        return all(ok for _, ok in self.point_results) and all(c == 0 for c in self.root_counts)
 
 
 def run_sturm_target(target: SturmTarget) -> SturmOutcome:
@@ -591,4 +481,4 @@ def run_sturm_target(target: SturmTarget) -> SturmOutcome:
     points = tuple(
         (label, polys[0].sign_at(x) > 0) for label, x in target.positive_points
     )
-    return SturmOutcome(target.name, (a, b), counts, points, target.note)
+    return SturmOutcome(target.name, (a, b), counts, points)

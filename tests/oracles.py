@@ -23,6 +23,15 @@ p / gcd(p, p'), and root counts as plain sign-variation differences.  The
 integer primitive remainder sequence it checks must give, element by
 element, positive multiples of this chain.
 
+chebyshev_T_coeffs, chebyshev_U_coeffs -- the Chebyshev polynomials as
+Fraction coefficient lists from their explicit binomial sums (Mason and
+Handscomb, Chebyshev Polynomials, 2003), with no recurrence:
+
+    U_n(x) = sum_k (-1)^k C(n - k, k) (2x)^(n - 2k),
+    T_n(x) = (n/2) sum_k (-1)^k C(n - k, k) / (n - k) (2x)^(n - 2k),  n >= 1,
+
+k = 0..floor(n/2), and T_0 = 1.
+
 rational_poch_table -- the (mu)_k / k! recurrence of trigsums._poch_table in
 Fractions, every step exact and then rounded outward to a 2^-bits grain
 whenever its denominator reaches 2^bits; the production route carries an
@@ -30,6 +39,7 @@ endpoint as an integer instead once it is first rounded.
 """
 
 from fractions import Fraction
+from math import comb
 
 from mpmath import mp
 
@@ -121,6 +131,22 @@ def rational_root_count(chain, a, b):
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
     return variations(Fraction(a)) - variations(Fraction(b))
+
+
+def _binomial_sum(n, weight):
+    """sum_k weight(k) (-1)^k C(n - k, k) (2x)^(n - 2k) as a coefficient list."""
+    cs = [Fraction(0)] * (n + 1)
+    for k in range(n // 2 + 1):
+        cs[n - 2 * k] = weight(k) * (-1) ** k * comb(n - k, k) * 2 ** (n - 2 * k)
+    return cs
+
+
+def chebyshev_U_coeffs(n):
+    return _binomial_sum(n, lambda k: Fraction(1))
+
+
+def chebyshev_T_coeffs(n):
+    return [Fraction(1)] if n == 0 else _binomial_sum(n, lambda k: Fraction(n, 2 * (n - k)))
 
 
 def rational_poch_table(lo, hi, n, bits):

@@ -98,6 +98,53 @@ def test_sturm_p_near_0_reports_failure(capsys):
     assert "status: FAIL" in out
 
 
+# each check of `verify sturm:all` as (status, value, detail): the root
+# counts, the rational x intervals and the anchor signs of every case
+# polynomial, on the 1e-20 enclosure of mu*(2/3)
+STURM_ALL = {
+    "sturm-q1": ("pass", "root counts [0]", "0 roots in (0, 1] expected; q1(0) >0"),
+    "sturm-q2": ("pass", "root counts [0]", "0 roots in (0, 1] expected; q2(0) >0"),
+    "sturm-q3": ("pass", "root counts [0]",
+                 "0 roots in (0.37059, 1] expected; q3(0.37059) >0"),
+    "sturm-q3-derived": ("pass", "root counts [0]",
+                         "0 roots in (0.3705904774, 0.5868240888] expected; "
+                         "q3(cos^2(7pi/24)) >0"),
+    "sturm-P-near-0": ("fail", "root counts [0, 0]",
+                       "0 roots in (0.5, 0.6862416379] expected; P(-pi/3) <=0"),
+    "sturm-P-mid": ("pass", "root counts [0, 0]",
+                    "0 roots in (0.8090169944, 1] expected; P(0) >0"),
+    "sturm-Q": ("pass", "root counts [0, 0]",
+                "0 roots in (0, 0.5] expected; Q(pi/2)/sin >0"),
+    "sturm-R": ("pass", "root counts [0, 0]",
+                "0 roots in (0, 0.5] expected; R(pi/2)/sin >0"),
+}
+
+
+def test_sturm_all_report_is_pinned(capsys):
+    assert main(["verify", "sturm:all", "--json"]) == 1  # P-near-0's anchor, by design
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["inputs"]["mu"] == ("[0.846855568289528699862039, "
+                                       "0.846855568289528699872039]")
+    assert {c["check_id"]: (c["status"], c["value"], c["detail"])
+            for c in payload["checks"]} == STURM_ALL
+    assert [c["check_id"] for c in payload["checks"]] == list(STURM_ALL)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mustar", "0.005"],
+    ["verify", "thm-1-3", "--rho", "0.005"],
+    ["verify", "bounds:1", "--rho", "0.005"],
+    ["verify", "bounds:2", "--rho", "0.005"],
+])
+def test_mu_star_below_the_bracket_is_inconclusive(capsys, argv):
+    # mu*(1/200) lies under BRACKET_LO = 1/100: no report, one error line
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "rho = 1/200" in err and "[1/100, 1]" in err
+
+
 def test_bounds_master_json_shape(capsys):
     assert main(["verify", "bounds:master", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -167,14 +167,6 @@ def test_mu_one_elementary_antiderivative():
             assert abs(c.value - (mp.sin(x + eta) - mp.sin(eta))) < mp.mpf("1e-24")
 
 
-def test_tolerance_is_honored():
-    loose = fractional_osc_integral("sin", 0, NU0, 2 * mp.pi, tol=mp.mpf("1e-8"))
-    tight = fractional_osc_integral("sin", 0, NU0, 2 * mp.pi, tol=mp.mpf("1e-20"))
-    assert loose.err <= mp.mpf("1e-8") and not loose.flagged
-    assert tight.err <= mp.mpf("1e-20") and not tight.flagged
-    assert abs(loose.value - tight.value) <= loose.err + tight.err
-
-
 def test_quadresult_scaled():
     r = QuadResult(mp.mpf(2), mp.mpf("0.5"), False)
     s = r.scaled(-3)

@@ -1,4 +1,4 @@
-"""Trig sums, Chebyshev reductions, and the named case polynomials."""
+"""Trig sums, Chebyshev polynomials, and the named case polynomials."""
 
 import json
 import math
@@ -6,12 +6,13 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
 from mpmath import iv, mp
 
-from oracles import rational_poch_table
+from oracles import chebyshev_T_coeffs, chebyshev_U_coeffs, poly_add, poly_mul, rational_poch_table
 from trigpos.exact import Enclosure
 from trigpos.mustar import mu_star
 from trigpos.precision import working_dps
@@ -29,7 +30,6 @@ from trigpos.trigsums import (
     chebyshev_T,
     chebyshev_U,
     pochhammer_coeff,
-    reduce_to_polynomial,
     run_sturm_target,
     sturm_case_plan,
 )
@@ -103,50 +103,10 @@ def test_build_U_n_matches_direct_sum():
         assert abs(s.eval_mp(phi) - direct) < 1e-25
 
 
-def test_substitute_theta_is_exact():
-    s = build_varsigma(2, F(1, 3), F(1, 2))
-    inner = s.substitute_theta(F(3), F(0))  # theta = 3 t
-    for j in range(1, 6):
-        t = mp.mpf(j) / 7
-        assert abs(inner.eval_mp(t) - s.eval_mp(3 * t)) < 1e-25
-
-
-def test_reduce_pure_sine_sum():
-    s = TrigSum((
-        TrigTerm(Enclosure.exact(1), F(1), F(0), "sin"),
-        TrigTerm(Enclosure.exact(F(1, 3)), F(3), F(0), "sin"),
-    ))
-    red = reduce_to_polynomial(s, "x = cos t")
-    assert red.prefactor == "sin(t)"
-    poly = red.exact_polynomial()
-    for j in range(1, 8):
-        t = mp.mpf(j) / 3
-        x = mp.cos(t)
-        pv = _poly_mp(poly, x)
-        assert abs(mp.sin(t) * pv - s.eval_mp(t)) < 1e-24
-
-
-def test_reduce_mixed_flavors_rejected():
-    s = TrigSum((
-        TrigTerm(Enclosure.exact(1), F(1), F(0), "sin"),
-        TrigTerm(Enclosure.exact(1), F(2), F(0), "cos"),
-    ))
-    with pytest.raises(ValueError):
-        reduce_to_polynomial(s, "x = cos t")
-
-
-def test_reduce_fractional_frequency_rejected():
-    s = TrigSum((TrigTerm(Enclosure.exact(1), F(1, 3), F(0), "sin"),))
-    with pytest.raises(ValueError):
-        reduce_to_polynomial(s, "x = cos t")
-
-
 def test_omega_reduction_in_squared_cosine():
     # omega_n = sin(theta/3) q_n(cos^2(theta/3)) for n = 1, 2
     for n in (1, 2, 3):
-        red = case_q(n)
-        assert red.prefactor == "sin(theta/3)"
-        qn = red.exact_polynomial()
+        qn = case_q(n).exact_polynomial()
         om = build_omega(n)
         for j in range(1, 9):
             theta = 3 * mp.mpf(j) / 10
@@ -184,6 +144,62 @@ def test_case_Q_R_match_their_sums():
                 direct += d * mp.sin(m * t)
                 d *= (mp.mpf(4) / 5 + k) / (k + 1)
             assert abs(mp.sin(t) * pv - direct) < 1e-24
+
+
+def _oracle_sum(basis, pairs):
+    """sum c * basis(m) over the (c, m) pairs, on Fraction coefficient lists."""
+    return reduce(poly_add, (poly_mul([c], basis(m)) for c, m in pairs), [])
+
+
+def _oracle_case(name, mu):
+    """The case polynomial `name` at exact mu, from the binomial formulas."""
+    d = [_direct_poch(mu, k) for k in range(4)]
+    if name == "P":
+        return _oracle_sum(chebyshev_T_coeffs,
+                           ((-d[2], 0), (1, 1), (1 - d[1], 2), (d[2] - d[1], 5)))
+    orders = {"Q": (1, 7, 13), "R": (1, 7, 13, 19)}[name]
+    return _oracle_sum(chebyshev_U_coeffs, ((d[k], m - 1) for k, m in enumerate(orders)))
+
+
+CASES = {"P": case_P, "Q": case_Q, "R": case_R}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_case_polynomials_equal_the_binomial_oracle(name):
+    for mu in (F(1, 2), F(4, 5), MU_23):
+        red = CASES[name](mu)
+        assert all(c.is_exact() for c in red.coeffs)
+        assert [c.lo for c in red.coeffs] == _oracle_case(name, mu), mu
+    # over the proof's enclosure every coefficient interval holds the exact
+    # coefficients at both of its ends
+    enc = mu_star(F(2, 3), width=F(1, 10**20)).enclosure
+    red = CASES[name](enc)
+    for end in (enc.lo, enc.hi):
+        want = _oracle_case(name, end)
+        assert len(want) == len(red.coeffs)
+        assert all(w in c for w, c in zip(want, red.coeffs)), end
+
+
+def test_q_polynomials_equal_the_binomial_oracle():
+    # omega_n at theta = 3t is sum d_k sin t U_6k(cos t); q_n keeps the
+    # coefficients of the even powers of cos t
+    for n in range(1, 7):
+        d = [_direct_poch(F(1, 2), k) for k in range(n + 1)]
+        want = _oracle_sum(chebyshev_U_coeffs, ((d[k], 6 * k) for k in range(n + 1)))
+        assert [c.lo for c in case_q(n).coeffs] == want[::2], n
+        assert all(w == 0 for w in want[1::2]), n
+
+
+def test_case_P_matches_its_cosine_sum():
+    rng = random.Random(11)
+    for mu in (F(1, 2), F(4, 5), MU_23):
+        poly = case_P(mu).exact_polynomial()
+        d1, d2 = _direct_poch(mu, 1), _direct_poch(mu, 2)
+        terms = ((-d2, 0), (F(1), 1), (1 - d1, 2), (d2 - d1, 5))  # c cos(m t)
+        for _ in range(12):
+            t = (2 * mp.mpf(rng.random()) - 1) * mp.pi
+            direct = sum(mp.mpf(c.numerator) / c.denominator * mp.cos(m * t) for c, m in terms)
+            assert abs(_poly_mp(poly, mp.cos(t)) - direct) < 1e-24, (mu, t)
 
 
 def test_sturm_plan_counts_are_all_zero():
