@@ -38,15 +38,17 @@ node budget, ends "inconclusive".
 
 The disk checks sample partial sums s_n(z) = sum (mu)_k/k! z^k on circles
 |z| = r < 1 and compare the sector/half-plane conditions against their
-thresholds; the rho = 2/3 variant cross-checks the boundary factorization
-Re((1-z)^(1/3) s_n(z)) = (2 sin phi)^(1/3) * (cosine-sum) at |z| = 1.
+thresholds, a sampled estimate, not a proof; the rho = 2/3 variant
+cross-checks the boundary factorization Re((1-z)^(1/3) s_n(z)) =
+(2 sin phi)^(1/3) * (cosine-sum) at |z| = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count, islice
 
 import numpy as np
 from mpmath import iv, mp
@@ -292,19 +294,24 @@ def certify_partial_sums(tsum: TrigSum, interval) -> list[GridCertificate]:
 # ---------------------------------------------------------------------------
 
 
+def _ratios(a):
+    """Yield (a)_k / k! for k = 0, 1, ... in the arithmetic of a (float, mpf,
+    or Fraction for an int) by c_{k+1} = c_k (a + k) / (k + 1) from one."""
+    c = Fraction(1) if isinstance(a, int) else a - a + 1
+    for k in count():
+        yield c
+        c = c * (a + k) / (k + 1)
+
+
 def partial_sum(mu, n: int, z):
     """s_n(z) = sum_{k=0}^n (mu)_k / k! * z^k by forward recurrence."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    mu = mp.mpf(mu)
     z = mp.mpc(z)
-    coeff = mp.mpf(1)
-    total = mp.mpc(1)
-    power = mp.mpc(1)
-    for k in range(n):
-        coeff = coeff * (mu + k) / (k + 1)
-        power = power * z
+    total, power = mp.mpc(0), mp.mpc(1)
+    for coeff in islice(_ratios(mp.mpf(mu)), n + 1):
         total += coeff * power
+        power *= z
     return total
 
 
@@ -335,6 +342,7 @@ class SectorReport:
 
     @property
     def passed(self) -> bool:
+        """max_abs_arg below threshold: a sampled estimate, not a proof."""
         return self.max_abs_arg < self.threshold
 
 
@@ -351,62 +359,66 @@ class WeakFormReport:
 
     @property
     def passed(self) -> bool:
+        """min_real above 0: a sampled estimate, not a proof."""
         return self.min_real > 0
 
 
-def _coeff_table(mu: float, n_max: int) -> np.ndarray:
-    c = np.empty(n_max + 1)
-    c[0] = 1.0
-    for k in range(n_max):
-        c[k + 1] = c[k] * (mu + k) / (k + 1)
-    return c
-
-
-def _disk_scan(power_exponent: float, mu: float, n_max: int, r_values, n_theta: int):
-    """Yields (n, r, theta array, w values) where w = (1-z)^e * s_n(z)."""
-    thetas = np.linspace(1e-4, math.pi, n_theta)
-    coeffs = _coeff_table(mu, n_max)
+def _circle_sums(coeffs, exponent, r_values, thetas):
+    """Yield (n, r, w) for n = 1..len(coeffs) - 1 and r in r_values, with w =
+    (1 - z)^exponent s_n(z) at z = r e^(i thetas), s_n(z) = sum_{k<=n}
+    coeffs[k] z^k; coeffs[k] may be an array that broadcasts against thetas.
+    ValueError when the scan would take no samples."""
+    if len(coeffs) < 2 or not len(r_values) or not np.broadcast(coeffs[0], thetas).size:
+        raise ValueError("the disk scan takes no samples")
     for r in r_values:
         z = r * np.exp(1j * thetas)
-        pref = np.power(1 - z, power_exponent)
-        term = np.ones_like(z)
-        s = np.ones_like(z)
-        for n in range(1, n_max + 1):
-            term = term * z
-            s = s + coeffs[n] * term
-            yield n, r, thetas, pref * s
+        pref = np.power(1 - z, exponent)
+        s, zk = 0, 1
+        for n, c in enumerate(coeffs):
+            s = s + c * zk
+            zk = zk * z
+            if n:
+                yield n, r, pref * s
+
+
+def _worst(mu: float, exponent: float, n_max: int, r_values, n_theta: int, score):
+    """(largest score, its DiskSample with arg = that score, samples) over
+    the _circle_sums of s_n(z) = sum (mu)_k/k! z^k at n_theta angles in
+    [1e-4, pi]; the first sample wins a tie."""
+    thetas = np.linspace(1e-4, math.pi, n_theta)
+    top, worst, samples = None, None, 0
+    for n, r, w in _circle_sums(list(islice(_ratios(mu), n_max + 1)), exponent, r_values,
+                                thetas):
+        scores = score(w)
+        i = int(np.argmax(scores))
+        samples += w.size
+        if top is None or scores[i] > top:
+            top = float(scores[i])
+            worst = DiskSample(n, float(r), float(thetas[i]), complex(w[i]), top)
+    return top, worst, samples
 
 
 def subordination_sector_check(
     rho, mu, n_max: int = 30, r_values=(0.999, 1 - 1e-6), n_theta: int = 720
 ) -> SectorReport:
-    """max |arg((1-z)^rho s_n(z))| over n <= n_max and sample circles.
+    """max |arg((1-z)^rho s_n(z))| over n <= n_max and sample circles: a
+    sampled estimate, not a proof.
 
     Passing threshold is rho*pi.  Conjugation symmetry makes the upper
     half-circle sufficient.
     """
-    rho_f = float(rho)
-    mu_f = float(mu)
-    threshold = rho_f * math.pi
-    max_arg = -1.0
-    worst = None
-    samples = 0
-    for n, r, thetas, w in _disk_scan(rho_f, mu_f, n_max, r_values, n_theta):
-        args = np.abs(np.angle(w))
-        samples += len(thetas)
-        idx = int(np.argmax(args))
-        if args[idx] > max_arg:
-            max_arg = float(args[idx])
-            worst = DiskSample(n, float(r), float(thetas[idx]),
-                               complex(w[idx]), float(args[idx]))
+    rho_f, mu_f = float(rho), float(mu)
+    max_arg, worst, samples = _worst(mu_f, rho_f, n_max, r_values, n_theta,
+                                     lambda w: np.abs(np.angle(w)))
     return SectorReport(rho_f, mu_f, n_max, tuple(float(r) for r in r_values),
-                        threshold, max_arg, worst, samples)
+                        rho_f * math.pi, max_arg, worst, samples)
 
 
 def weak_conjecture_check(
     rho, mu, n_max: int = 30, r_values=(1 - 1e-3, 1 - 1e-6), n_theta: int = 720
 ) -> WeakFormReport:
-    """min Re((1-z)^(2 rho - 1) s_n(z)) over n <= n_max and sample circles.
+    """min Re((1-z)^(2 rho - 1) s_n(z)) over n <= n_max and sample circles:
+    a sampled estimate, not a proof.
 
     For rho = 2/3 the boundary values factor through a cosine sum:
     Re((1-z)^(1/3) s_n(z)) at z = e^(2 i phi) equals
@@ -414,20 +426,10 @@ def weak_conjecture_check(
     carries the maximum discrepancy of that identity over a sample grid for
     n <= 10 as an independent consistency figure.
     """
-    rho_f = float(rho)
-    mu_f = float(mu)
-    exponent = 2 * rho_f - 1
-    min_re = math.inf
-    worst = None
-    samples = 0
-    for n, r, thetas, w in _disk_scan(exponent, mu_f, n_max, r_values, n_theta):
-        res = w.real
-        samples += len(thetas)
-        idx = int(np.argmin(res))
-        if res[idx] < min_re:
-            min_re = float(res[idx])
-            worst = DiskSample(n, float(r), float(thetas[idx]),
-                               complex(w[idx]), float(np.angle(w[idx])))
+    rho_f, mu_f = float(rho), float(mu)
+    top, worst, samples = _worst(mu_f, 2 * rho_f - 1, n_max, r_values, n_theta,
+                                 lambda w: -w.real)
+    worst = replace(worst, arg=float(np.angle(worst.value)))  # the signed arg of w
 
     boundary_diff = None
     if _as_fraction(rho) == Fraction(2, 3):
@@ -444,4 +446,4 @@ def weak_conjecture_check(
                     rhs = (2 * mp.sin(phi)) ** (mp.mpf(1) / 3) * cos_sum.eval_mp(phi)
                     boundary_diff = max(boundary_diff, float(abs(lhs - rhs)))
     return WeakFormReport(rho_f, mu_f, n_max, tuple(float(r) for r in r_values),
-                          min_re, worst, samples, boundary_diff)
+                          -top, worst, samples, boundary_diff)

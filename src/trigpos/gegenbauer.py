@@ -25,10 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
 import numpy as np
 from mpmath import mp
 
+from trigpos.engine import _circle_sums, _ratios
 from trigpos.precision import working_dps
 
 __all__ = [
@@ -45,27 +47,28 @@ __all__ = [
 ]
 
 
-def _poch(a, n: int):
-    out = a - a + 1 if not isinstance(a, (int, float)) else 1
-    for i in range(n):
-        out = out * (a + i)
-    return out
+def _nth(terms, n: int):
+    return next(islice(terms, n, None))
+
+
+def _gegenbauer_terms(lam, x):
+    """Yield C_0^lambda(x), C_1^lambda(x), ... by the three-term recurrence,
+    in the arithmetic of the inputs."""
+    prev, cur = x - x + 1, 2 * lam * x  # one, in the arithmetic of x
+    yield prev
+    for k in count(2):
+        yield cur
+        prev, cur = cur, (2 * x * (k + lam - 1) * cur - (k + 2 * lam - 2) * prev) / k
 
 
 def gegenbauer_C(n: int, lam, x):
-    """C_n^lambda(x) by the three-term recurrence.
+    """C_n^lambda(x), term n of the three-term recurrence.
 
     Arithmetic follows the input types; pass Fractions for exact values.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return x - x + 1  # one, in the arithmetic of x
-    prev = x - x + 1
-    cur = 2 * lam * x
-    for k in range(2, n + 1):
-        prev, cur = cur, (2 * x * (k + lam - 1) * cur - (k + 2 * lam - 2) * prev) / k
-    return cur
+    return _nth(_gegenbauer_terms(lam, x), n)
 
 
 def jacobi_P(n: int, a, b, x):
@@ -91,9 +94,8 @@ def jacobi_P(n: int, a, b, x):
 def relation_standard(n: int, lam, x):
     """C_n^lambda(x) = ((2 lam)_n / (lam + 1/2)_n) * P_n^(lam-1/2, lam-1/2)(x)."""
     half = Fraction(1, 2) if isinstance(lam, (int, Fraction)) else type(lam)(0.5)
-    return (_poch(2 * lam, n) / _poch(lam + half, n)) * jacobi_P(
-        n, lam - half, lam - half, x
-    )
+    return _nth(_ratios(2 * lam), n) / _nth(_ratios(lam + half), n) * jacobi_P(
+        n, lam - half, lam - half, x)
 
 
 def relation_printed(n: int, lam, x):
@@ -104,7 +106,7 @@ def relation_printed(n: int, lam, x):
     """
     num = jacobi_P(n, lam, lam, x)
     den = jacobi_P(n, lam, lam, x - x + 1)
-    return (_poch(2 * lam + 1, n) / _poch(1, n)) * num / den
+    return _nth(_ratios(2 * lam + 1), n) * num / den
 
 
 @dataclass(frozen=True)
@@ -173,16 +175,11 @@ def genfunc_check(lam, x, z, tol: float = 1e-14) -> GenFuncReport:
         if abs(x_mp) > 1:
             raise ValueError("x must lie in [-1, 1]")
         closed = mp.power(1 - 2 * x_mp * z_mp + z_mp * z_mp, -lam_mp)
-        total = mp.mpc(0)
-        zk = mp.mpc(1)
-        c_k = mp.mpf(1)  # C_k, starting at C_0
-        c_next = 2 * lam_mp * x_mp  # C_{k+1}
-        coeff_one = mp.mpf(1)  # (2 lam)_k / k!
-        k = 0
-        tail = mp.inf
-        while k < 5000:
+        total, zk, tail = mp.mpc(0), mp.mpc(1), mp.inf
+        # C_k, and the majorant C_{k+1}(1) = (2 lam)_{k+1} / (k+1)!
+        for k, c_k, coeff_one_next in zip(range(5000), _gegenbauer_terms(lam_mp, x_mp),
+                                          islice(_ratios(2 * lam_mp), 1, None)):
             total += c_k * zk
-            coeff_one_next = coeff_one * (2 * lam_mp + k) / (k + 1)
             # ratio of consecutive majorant terms is r*(2lam+j)/(j+1),
             # decreasing in j; bound the tail geometrically once it is < 1
             ratio = r * (2 * lam_mp + k + 1) / (k + 2) if 2 * lam_mp > 1 else r
@@ -190,12 +187,7 @@ def genfunc_check(lam, x, z, tol: float = 1e-14) -> GenFuncReport:
                 tail = coeff_one_next * r ** (k + 1) / (1 - ratio)
                 if tail < tol:
                     break
-            k += 1
             zk *= z_mp
-            coeff_one = coeff_one_next
-            c_k, c_next = c_next, (
-                2 * x_mp * (lam_mp + k) * c_next - (2 * lam_mp + k - 1) * c_k
-            ) / (k + 1)
         return GenFuncReport(float(lam), float(x), complex(z_mp), complex(total),
                              complex(closed), float(tail), k + 1)
 
@@ -217,29 +209,6 @@ class ArgBoundReport:
         return self.max_abs_arg < self.threshold
 
 
-def _partial_sum_scan(lam: float, n_max: int, x_values, r_values, n_theta: int):
-    thetas = np.linspace(1e-3, math.pi, n_theta)
-    for x in x_values:
-        # Gegenbauer coefficients at this x, up to n_max
-        coeffs = np.empty(n_max + 1)
-        coeffs[0] = 1.0
-        if n_max >= 1:
-            coeffs[1] = 2 * lam * x
-        for k in range(2, n_max + 1):
-            coeffs[k] = (
-                2 * x * (k + lam - 1) * coeffs[k - 1]
-                - (k + 2 * lam - 2) * coeffs[k - 2]
-            ) / k
-        for r in r_values:
-            z = r * np.exp(1j * thetas)
-            s = np.full_like(z, coeffs[0])
-            zk = np.ones_like(z)
-            for n in range(1, n_max + 1):
-                zk = zk * z
-                s = s + coeffs[n] * zk
-                yield n, x, r, thetas, s
-
-
 def arg_bound_check(
     lam,
     n_max: int = 50,
@@ -247,20 +216,23 @@ def arg_bound_check(
     r_values=(0.5, 0.9, 0.999),
     n_theta: int = 240,
 ) -> ArgBoundReport:
-    """Sampled check of |arg sum_{k<=n} C_k^lambda(x) z^k| < pi/3."""
+    """Sampled check of |arg sum_{k<=n} C_k^lambda(x) z^k| < pi/3: a sampled
+    estimate, not a proof."""
     lam_f = float(lam)
-    max_arg = -1.0
-    min_abs = math.inf
-    worst = (0, 0.0, 0j)
-    samples = 0
-    for n, x, r, thetas, s in _partial_sum_scan(lam_f, n_max, x_values, r_values, n_theta):
+    thetas = np.linspace(1e-3, math.pi, n_theta)
+    # C_k^lambda(x), shaped (n_max + 1, len(x_values), 1) against the circle
+    coeffs = np.array([list(islice(_gegenbauer_terms(lam_f, x), n_max + 1))
+                       for x in x_values]).T[..., None]
+    top, at = np.full(len(x_values), -1.0), [(0, 0.0, 0)] * len(x_values)
+    min_abs, samples = math.inf, 0
+    for n, r, s in _circle_sums(coeffs, 0, r_values, thetas):
         args = np.abs(np.angle(s))
-        mags = np.abs(s)
-        samples += len(thetas)
-        idx = int(np.argmax(args))
-        min_abs = min(min_abs, float(mags.min()))
-        if args[idx] > max_arg:
-            max_arg = float(args[idx])
-            worst = (n, x, complex(r * np.exp(1j * thetas[idx])))
-    return ArgBoundReport(lam_f, n_max, math.pi / 3, max_arg, min_abs, samples,
-                          worst[0], worst[1], worst[2])
+        samples += s.size
+        min_abs = min(min_abs, float(np.abs(s).min()))
+        for i, j in enumerate(np.argmax(args, axis=1)):  # per x, its first largest
+            if args[i, j] > top[i]:
+                top[i], at[i] = args[i, j], (n, r, j)
+    i = int(np.argmax(top))  # the first x with the largest, as in (x, r, n, theta) order
+    n, r, j = at[i]
+    return ArgBoundReport(lam_f, n_max, math.pi / 3, float(top[i]), min_abs, samples,
+                          n, x_values[i], complex(r * np.exp(1j * thetas[j])))

@@ -458,10 +458,6 @@ class SturmOutcome:
     root_counts: tuple[int, ...]
     point_results: tuple[tuple[str, bool], ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.point_results) and all(c == 0 for c in self.root_counts)
-
 
 def run_sturm_target(target: SturmTarget) -> SturmOutcome:
     """Run the exact root count (and point checks) for one obligation."""

@@ -36,10 +36,18 @@ rational_poch_table -- the (mu)_k / k! recurrence of trigsums._poch_table in
 Fractions, every step exact and then rounded outward to a 2^-bits grain
 whenever its denominator reaches 2^bits; the production route carries an
 endpoint as an integer instead once it is first rounded.
+
+rising, gegenbauer_C_explicit -- the Pochhammer symbol (a)_k as a plain
+product, and the Gegenbauer polynomials from their explicit sum (Abramowitz
+and Stegun, Handbook of Mathematical Functions, 22.3.4), with no recurrence:
+
+    C_n^lam(x) = sum_k (-1)^k (lam)_(n-k) / (k! (n - 2k)!) (2x)^(n - 2k),
+
+k = 0..floor(n/2).
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from mpmath import mp
 
@@ -166,3 +174,15 @@ def rational_poch_table(lo, hi, n, bits):
                 b = Fraction(-((-b.numerator << bits) // b.denominator), 1 << bits)
         table.append((a, b))
     return table
+
+
+def rising(a, k):
+    out = Fraction(1)
+    for j in range(k):
+        out *= a + j
+    return out
+
+
+def gegenbauer_C_explicit(n, lam, x):
+    return sum((-1) ** k * rising(lam, n - k) / (factorial(k) * factorial(n - 2 * k))
+               * (2 * x) ** (n - 2 * k) for k in range(n // 2 + 1))

@@ -120,9 +120,17 @@ STURM_ALL = {
 }
 
 
+def _json_report(capsys, argv, code):
+    """The `--json` report of `trigpos verify ARGV` without wall_time_s, the
+    one field that differs between runs, after checking the exit code."""
+    assert main(["verify", *argv, "--json"]) == code
+    data = json.loads(capsys.readouterr().out)
+    data.pop("wall_time_s")
+    return data
+
+
 def test_sturm_all_report_is_pinned(capsys):
-    assert main(["verify", "sturm:all", "--json"]) == 1  # P-near-0's anchor, by design
-    payload = json.loads(capsys.readouterr().out)
+    payload = _json_report(capsys, ["sturm:all"], 1)  # P-near-0's anchor, by design
     assert payload["inputs"]["mu"] == ("[0.846855568289528699862039, "
                                        "0.846855568289528699872039]")
     assert {c["check_id"]: (c["status"], c["value"], c["detail"])
@@ -160,25 +168,56 @@ def test_bounds_master_json_shape(capsys):
 
 def test_json_output_is_deterministic(capsys):
     def run():
-        assert main(["verify", "bounds:master", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        data.pop("wall_time_s")
-        return json.dumps(data, sort_keys=True)
+        return json.dumps(_json_report(capsys, ["bounds:master"], 0), sort_keys=True)
 
     assert run() == run()
 
 
 def test_thm_2_3_passes_every_check(capsys):
-    def run():
-        assert main(["verify", "thm-2-3", "--nmax", "10", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        data.pop("wall_time_s")
-        return data
-
-    first = run()
+    argv = ["thm-2-3", "--nmax", "10"]
+    first = _json_report(capsys, argv, 0)
     assert [c["check_id"] for c in first["checks"]] == THM_2_3_CHECKS
     assert all(c["status"] == "pass" for c in first["checks"])
-    assert run() == first
+    assert _json_report(capsys, argv, 0) == first
+
+
+def _gegenbauer_report(lam, nmax, status, arg_check):
+    """The `verify gegenbauer` report: only the argument-bound check reads
+    --lam and --nmax."""
+    def check(check_id, status, value, detail):
+        return {"check_id": check_id, "status": status, "value": value, "error": "",
+                "detail": detail}
+
+    return {
+        "case": "gegenbauer",
+        "inputs": {"lambda": lam, "nmax": nmax},
+        "method": "three-term recurrences against closed forms and sampling",
+        "reference": "ultraspherical coefficient cross-checks",
+        "status": status,
+        "checks": [
+            check("generating-function", "pass", "worst diff 9.944e-13",
+                  "sampled: 64 (lambda, x, z) combos, |z| <= 0.5, tol 1e-10"),
+            check("argument-bound", *arg_check),
+            check("chebyshev-specialization", "pass", "",
+                  "C_n^1 equals the degree-n second-kind Chebyshev polynomial exactly "
+                  "at 7 sampled rational inputs, n <= 12"),
+            check("jacobi-relation", "pass", "45/45 agree",
+                  "sampled: 45 (n, lambda, x), ratio-normalized; the alternative "
+                  "normalization agrees on 0/45 (it reproduces C^(lambda+1/2))"),
+        ],
+    }
+
+
+@pytest.mark.parametrize("argv, code, want", [
+    ([], 0, _gegenbauer_report("0.24", 50, "pass", (
+        "pass", "max |arg| 0.721112", "sampled disk: lambda = 0.24, n <= 50, "
+        "threshold pi/3 = 1.047198; worst at n=49, x=-0.9"))),
+    (["--lam", "0.5", "--nmax", "8"], 1, _gegenbauer_report("0.5", 8, "fail", (
+        "fail", "max |arg| 1.556733", "sampled disk: lambda = 0.5, n <= 8, "
+        "threshold pi/3 = 1.047198; worst at n=8, x=0.9"))),
+])
+def test_gegenbauer_report_is_pinned(capsys, argv, code, want):
+    assert _json_report(capsys, ["gegenbauer", *argv], code) == want
 
 
 def _mu_2_3():

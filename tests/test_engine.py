@@ -4,6 +4,8 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import islice
+from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +21,12 @@ from trigpos.engine import (
     subordination_sector_check,
     weak_conjecture_check,
 )
-from trigpos.engine import _MAX_TERMS, _MUL_ERR, _SEED_ERR, _Prefixes, _up
+from oracles import rising
+from trigpos.engine import _MAX_TERMS, _MUL_ERR, _SEED_ERR, _Prefixes, _ratios, _up
 from trigpos.exact import Enclosure
+from trigpos.gegenbauer import arg_bound_check
 from trigpos.mustar import mu_star
-from trigpos.trigsums import TrigSum, TrigTerm, build_U_n, build_varsigma
+from trigpos.trigsums import TrigSum, TrigTerm, build_U_n, build_varsigma, pochhammer_coeff
 
 F = Fraction
 mp.dps = 30
@@ -155,6 +159,81 @@ def test_weak_check_other_rho_has_no_boundary_figure():
     rep = weak_conjecture_check(F(1, 2), 0.85, n_max=4, r_values=(0.9,), n_theta=60)
     assert rep.boundary_max_diff is None
     assert rep.passed
+
+
+@pytest.mark.parametrize("mu", [F(1, 3), F(1, 2), F(84685556829, 10**11)])
+def test_ratios_are_exact_pochhammer_ratios(mu):
+    got = list(islice(_ratios(mu), 41))
+    assert got == [pochhammer_coeff(mu, k).lo for k in range(41)]
+    assert got == [rising(mu, k) / factorial(k) for k in range(41)]
+
+
+@pytest.mark.parametrize("scan", [
+    lambda: subordination_sector_check(F(1, 3), 0.49, n_max=0),
+    lambda: subordination_sector_check(F(1, 3), 0.49, r_values=()),
+    lambda: weak_conjecture_check(F(1, 2), 0.85, n_max=0),
+    lambda: arg_bound_check(0.9, n_max=0),
+    lambda: arg_bound_check(0.9, x_values=()),
+    lambda: arg_bound_check(0.9, n_theta=0),
+], ids=["sector-n0", "sector-no-r", "weak-n0", "arg-n0", "arg-no-x", "arg-no-theta"])
+def test_a_scan_with_no_samples_is_an_error(scan):
+    with pytest.raises(ValueError, match="no samples"):
+        scan()
+
+
+def test_a_nan_exponent_never_passes_a_scan():
+    # a NaN score is the first sample's and no later one beats it
+    assert math.isnan(subordination_sector_check(F(1, 3), math.nan, n_max=3).max_abs_arg)
+    assert not weak_conjecture_check(F(1, 2), math.nan, n_max=3).passed
+
+
+EXACT_FIELDS = {"worst.r", "worst.theta", "worst_x", "worst_z"}  # where the worst sample is
+
+
+def assert_report_is(report, want):
+    """Every field of a disk-scan report against its pinned value: ints,
+    tuples and the worst sample's position exactly, every other float and
+    complex to a relative 1e-12."""
+    fields = dict(vars(report), type=type(report).__name__)
+    if "worst" in fields:
+        fields.update({f"worst.{k}": v for k, v in vars(fields.pop("worst")).items()})
+    assert set(fields) == set(want)
+    for name, value in want.items():
+        if isinstance(value, (float, complex)) and name not in EXACT_FIELDS:
+            assert fields[name] == pytest.approx(value, rel=1e-12, abs=0), name
+        else:
+            assert fields[name] == value, name
+
+
+def test_criterion_09_and_10_scan_reports_are_pinned():
+    # criterion 09's scans, with mu = 0.999 times the midpoint of the mu*
+    # enclosure at rho = 1/3 and rho = 2/3, as the floats the scans read
+    sector = subordination_sector_check(F(1, 3), 0.4961946737162157, n_max=30,
+                                        r_values=(0.999, 1 - 1e-6))
+    assert_report_is(sector, {
+        "type": "SectorReport", "rho": 1 / 3, "mu": 0.4961946737162157, "n_max": 30,
+        "r_values": (0.999, 0.999999), "threshold": math.pi / 3,
+        "max_abs_arg": 0.5212971456534469, "samples": 43200,
+        "worst.n": 1, "worst.r": 0.999999, "worst.theta": 0.004469252647551868,
+        "worst.value": 0.21371646813709747 - 0.12273426800671003j,
+        "worst.arg": 0.5212971456534469,
+    })
+    weak = weak_conjecture_check(F(2, 3), 0.8460087127212447, n_max=30,
+                                 r_values=(0.999, 1 - 1e-6))
+    assert_report_is(weak, {
+        "type": "WeakFormReport", "rho": 2 / 3, "mu": 0.8460087127212447, "n_max": 30,
+        "r_values": (0.999, 0.999999), "min_real": 0.0743508810723783, "samples": 43200,
+        "boundary_max_diff": 6.310887241768095e-30,
+        "worst.n": 1, "worst.r": 0.999999, "worst.theta": 0.0001,
+        "worst.value": 0.0743508810723783 - 0.04259052560391572j,
+        "worst.arg": -0.5202030559890847,  # the signed arg of w, not a score
+    })
+    # and criterion 10's argument-bound scan
+    assert_report_is(arg_bound_check(0.24, n_max=50), {
+        "type": "ArgBoundReport", "lam": 0.24, "n_max": 50, "threshold": math.pi / 3,
+        "max_abs_arg": 0.7211117953136131, "min_abs_value": 0.568432, "samples": 360000,
+        "worst_n": 49, "worst_x": -0.9, "worst_z": -0.8641469067738811 + 0.5012495621076722j,
+    })
 
 
 def test_hostile_sums_below_eval_err_are_never_certified():

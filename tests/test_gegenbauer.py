@@ -1,11 +1,14 @@
 """Ultraspherical recurrences, conversion formulas, disk scans."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from mpmath import mp
 
+from oracles import gegenbauer_C_explicit
 from trigpos.gegenbauer import (
+    _gegenbauer_terms,
     arg_bound_check,
     check_jacobi_relation,
     gegenbauer_C,
@@ -29,6 +32,13 @@ def test_lambda_one_is_chebyshev_U_exactly():
             assert gegenbauer_C(n, F(1), x) == poly(x), (n, x)
 
 
+@pytest.mark.parametrize("lam", [F(1, 4), F(3, 4), F(3, 2)])
+def test_gegenbauer_terms_match_the_explicit_sum(lam):
+    for x in XS:
+        want = [gegenbauer_C_explicit(n, lam, x) for n in range(13)]
+        assert list(islice(_gegenbauer_terms(lam, x), 13)) == want, x
+
+
 def test_lambda_half_is_legendre_exactly():
     # C_n^(1/2) = P_n = P_n^(0,0); both sides in exact rational arithmetic
     for n in range(11):
@@ -38,7 +48,7 @@ def test_lambda_half_is_legendre_exactly():
 
 def test_standard_relation_exact():
     for n in (0, 1, 2, 3, 5, 8):
-        for lam in (F(1, 4), F(3, 4), F(3, 2)):
+        for lam in (F(1, 4), F(3, 4), F(3, 2), 1):
             for x in (F(-3, 5), F(3, 10), F(9, 10)):
                 assert relation_standard(n, lam, x) == gegenbauer_C(n, lam, x)
 
@@ -76,6 +86,13 @@ def test_genfunc_agreement_and_tail():
                 assert rep.tail_bound < 1e-12
                 assert rep.diff <= rep.tail_bound + 1e-18, (lam, x, z)
                 assert rep.terms >= 1
+
+
+def test_genfunc_counts_the_terms_it_sums_at_the_cap():
+    # at |z| = 0.999 the proven tail stays above 1e-30 for 5000 terms
+    rep = genfunc_check(0.24, 0.3, 0.999, tol=1e-30)
+    assert rep.terms == 5000
+    assert rep.tail_bound > 1e-30
 
 
 def test_genfunc_guards():

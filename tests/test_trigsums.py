@@ -222,9 +222,14 @@ def test_sturm_plan_point_results():
                 assert not ok
             else:
                 assert ok, (out.name, label)
-    assert not outcomes["P-near-0"].passed
-    assert outcomes["P-mid"].passed
-    assert outcomes["q3"].passed
+    # at mu = 4/5, P crosses zero once near 0 and is negative at its anchor;
+    # P-mid and q3 have no root and are positive at their anchors
+    assert outcomes["P-near-0"].root_counts == (1,)
+    assert outcomes["P-near-0"].point_results == (("P(-pi/3)", False),)
+    assert outcomes["P-mid"].root_counts == (0,)
+    assert all(ok for _, ok in outcomes["P-mid"].point_results)
+    assert outcomes["q3"].root_counts == (0,)
+    assert all(ok for _, ok in outcomes["q3"].point_results)
 
 
 def test_sturm_plan_with_enclosure_mu_gives_envelope_pairs():
