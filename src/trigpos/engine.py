@@ -295,8 +295,8 @@ def certify_partial_sums(tsum: TrigSum, interval) -> list[GridCertificate]:
 
 
 def _ratios(a):
-    """Yield (a)_k / k! for k = 0, 1, ... in the arithmetic of a (float, mpf,
-    or Fraction for an int) by c_{k+1} = c_k (a + k) / (k + 1) from one."""
+    """Yield (a)_k / k! for k = 0, 1, ... in the arithmetic of a (float, mpf
+    or Fraction; an int gives Fractions), by c_{k+1} = c_k (a + k) / (k + 1)."""
     c = Fraction(1) if isinstance(a, int) else a - a + 1
     for k in count():
         yield c
