@@ -1,12 +1,12 @@
 """Command-line front end: named, scriptable verification cases.
 
-    trigpos mustar RHO [--width W] [--json] [--config FILE]
-    trigpos verify CASE [--SETTING VALUE ...] [--json] [--config FILE]
+    trigpos mustar RHO [--width W] [--json]
+    trigpos verify CASE [--SETTING VALUE ...] [--json]
 
 Two tables drive the arguments.  SETTINGS gives each setting its parser
 (which also guards its range), its default and its help; the flags of both
-commands, the accepted config keys and the defaults that --help shows all
-come from it.  CASES maps each CASE name to a runner of the parsed settings:
+commands and the defaults that --help shows come from it.  CASES maps each
+CASE name to a runner of the parsed settings:
 
     thm-2-3        full pipeline at rho = 2/3: the n = 1 closed form, exact
                    root counts for the P/Q/R cases, the small-angle constants
@@ -25,21 +25,19 @@ come from it.  CASES maps each CASE name to a runner of the parsed settings:
                    conversion in both normalizations
 
 Exit status: 0 when every sub-check passes, 1 when any sub-check fails or is
-inconclusive, 2 for usage errors: an unknown case or config key, or any
-setting value, from a flag or the config and whether or not the case reads
-it, that does not parse or lies out of range (rho outside (0, 1], a width
-below 10^-precision, nmax outside 1..999998, a float setting that is not
-finite or, but for master-min, not above 0).  A flag value that starts with
-'-' goes as --flag=VALUE.  A computation that cannot decide at all (an
-ArithmeticError, such as mu*(rho) below the search bracket [1/100, 1] for
-rho under about 1/150) is inconclusive too: it exits 1 with one "error:"
-line in place of the report.
+inconclusive, 2 for usage errors: an unknown case or flag, or any setting
+value, whether or not the case reads it, that does not parse or lies out of
+range (rho outside (0, 1], a width below 10^-precision, nmax outside
+1..999998, lam not a finite number above 0).  A computation that cannot
+decide at all (an ArithmeticError, such as mu*(rho) below the search bracket
+[1/100, 1] for rho under about 1/150) is inconclusive too: it exits 1 with
+one "error:" line in place of the report.
 
 Reports are deterministic: identical invocations at the same precision print
 byte-identical output apart from the wall-time figure.  The env var
 TRIGPOS_PRECISION (decimal digits, default 30) sets the working precision.
-A JSON config file (--config FILE, keys named like the long flags) supplies
-defaults; explicit flags win.
+The gates on the paper's printed figures (MASTER_MIN, MASTER_TOL, CHI_TOL)
+and GENFUNC_TOL are module constants, not settings.
 """
 
 from __future__ import annotations
@@ -99,7 +97,11 @@ UNGATED_POINTS = {
 }
 
 CHI_REFERENCE = "-0.3212698190821"
+CHI_TOL = 1e-10
 MASTER_REFERENCE = "0.207809"
+MASTER_TOL = 1e-4
+MASTER_MIN = 0.2078  # the floor the master bound must clear
+GENFUNC_TOL = 1e-10
 
 # width of the mu* enclosures the proofs run on
 _PROOF_WIDTH = Fraction(1, 10**20)
@@ -306,7 +308,7 @@ def _check_u1(mu_enc: Enclosure) -> CheckResult:
     )
 
 
-def _check_prop_constants(mu_enc: Enclosure, chi_tol: float) -> list[CheckResult]:
+def _check_prop_constants(mu_enc: Enclosure) -> list[CheckResult]:
     with mp.workdps(working_dps()), iv_dps(working_dps()):
         const = small_angle_constant(mu_enc)
         value, rad = _mid_rad(const)
@@ -359,7 +361,7 @@ def _check_prop_constants(mu_enc: Enclosure, chi_tol: float) -> list[CheckResult
                 "-D(2/3, mu), zero at mu* by definition",
             ),
             CheckResult(
-                "chi-integral", _status(diff + chi.err <= chi_tol),
+                "chi-integral", _status(diff + chi.err <= CHI_TOL),
                 value=_fmt(chi.value, 14), error=_fmt(chi.err, 3),
                 detail=f"over the mu enclosure in mpmath.iv; reference {CHI_REFERENCE}, "
                 f"diff {_fmt(diff, 3)}",
@@ -367,29 +369,29 @@ def _check_prop_constants(mu_enc: Enclosure, chi_tol: float) -> list[CheckResult
         ]
 
 
-def _check_master(master_min: float, master_tol: float, mu=None) -> CheckResult:
+def _check_master(mu=None) -> CheckResult:
     rep = two_thirds_master_bound(mu)
     with mp.workdps(working_dps()):
         diff = abs(rep.value - mp.mpf(MASTER_REFERENCE))
-        ok = rep.positive and rep.value - rep.err > master_min and diff <= master_tol
+        ok = rep.positive and rep.value - rep.err > MASTER_MIN and diff <= MASTER_TOL
         comps = ", ".join(f"{k}={_fmt(v, 8)}" for k, v in rep.components.items())
     return CheckResult(
         "master-bound",
         _status(ok),
         value=_fmt(rep.value, 12),
         error=_fmt(rep.err, 3),
-        detail=f"> {master_min:g} required, reference {MASTER_REFERENCE}; {comps}",
+        detail=f"> {MASTER_MIN:g} required, reference {MASTER_REFERENCE}; {comps}",
     )
 
 
-def run_thm_2_3(nmax: int, master_min: float, master_tol: float, chi_tol: float) -> VerificationReport:
+def run_thm_2_3(nmax: int) -> VerificationReport:
     rho = Fraction(2, 3)
     tight = mu_star(rho, width=_PROOF_WIDTH).enclosure
     checks = [_check_u1(tight)]
     for target in sturm_case_plan(tight, ("P-near-0", "P-mid", "Q", "R")):
         checks.append(_sturm_check(target, gate_all_points=False))
-    checks.extend(_check_prop_constants(tight, chi_tol))
-    checks.append(_check_master(master_min, master_tol, tight))
+    checks.extend(_check_prop_constants(tight))
+    checks.append(_check_master(tight))
     checks.append(_grid_check("grid-U", build_U_n(nmax, tight), _GRID_U, "phi"))
     return VerificationReport(
         case="thm-2-3",
@@ -480,14 +482,12 @@ def run_sturm_case(name: str) -> VerificationReport:
     )
 
 
-def run_bounds_case(
-    name: str, rho: Fraction, master_min: float, master_tol: float
-) -> VerificationReport:
+def run_bounds_case(name: str, rho: Fraction) -> VerificationReport:
     checks = []
     names = BOUND_NAMES if name == "all" else (name,)
     for n in names:
         if n == "master":
-            checks.append(_check_master(master_min, master_tol))
+            checks.append(_check_master())
         else:
             checks.append(_bound_check(f"bound-{n}", L_region(n, rho=rho)))
     return VerificationReport(
@@ -499,22 +499,22 @@ def run_bounds_case(
     )
 
 
-def run_gegenbauer(nmax: int, lam: float, genfunc_tol: float) -> VerificationReport:
+def run_gegenbauer(nmax: int, lam: float) -> VerificationReport:
     from trigpos.gegenbauer import (arg_bound_check, check_jacobi_relation,
                                     gegenbauer_C, genfunc_check)
 
     checks = []
 
-    reps = [genfunc_check(lam_g, x, z, tol=genfunc_tol / 100)
+    reps = [genfunc_check(lam_g, x, z, tol=GENFUNC_TOL / 100)
             for lam_g in (0.24, 0.5, 1.0, 1.7) for x in (-0.9, -0.3, 0.2, 0.8)
             for z in (0.5, 0.5j, -0.35 + 0.35j, 0.25 - 0.4j)]
     worst = max(rep.diff + rep.tail_bound for rep in reps)
     checks.append(
         CheckResult(
             "generating-function",
-            _status(worst <= genfunc_tol),
+            _status(worst <= GENFUNC_TOL),
             value=f"worst diff {worst:.3e}",
-            detail=f"sampled: {len(reps)} (lambda, x, z) combos, |z| <= 0.5, tol {genfunc_tol:g}",
+            detail=f"sampled: {len(reps)} (lambda, x, z) combos, |z| <= 0.5, tol {GENFUNC_TOL:g}",
         )
     )
 
@@ -593,10 +593,10 @@ def _parse_nmax(text) -> int:
     return int(nmax)
 
 
-def _parse_float(text, positive: bool = True) -> float:
+def _parse_float(text) -> float:
     value = float(text)
-    if not math.isfinite(value) or positive and value <= 0:
-        raise ValueError("the value must be finite" + " and above 0" * positive)
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError("the value must be finite and above 0")
     return value
 
 
@@ -608,44 +608,35 @@ def _parse_rho(text) -> Fraction:
 
 
 class Setting(NamedTuple):
-    parse: Callable  # text or config value -> value; raises on a bad one
+    parse: Callable  # flag text -> value; raises on a bad one
     default: str
     help: str
     command: str = "verify"  # the subcommand that takes it as a flag
 
 
-# every flag and config key; `mustar` takes rho as its positional argument
+# every setting flag; `mustar` takes rho as its positional argument
 SETTINGS = {
     "width": Setting(_parse_width, "1e-9", "enclosure width", "mustar"),
     "nmax": Setting(_parse_nmax, "100", "largest partial-sum index for grid cases"),
     "rho": Setting(_parse_rho, "1/3", "rho for the region bounds"),
-    "master-min": Setting(lambda text: _parse_float(text, positive=False), "0.2078",
-                          "required master-bound floor"),
-    "master-tol": Setting(_parse_float, "1e-4", "allowed distance from the reference master value"),
-    "chi-tol": Setting(_parse_float, "1e-10", "allowed distance from the reference chi value"),
-    "genfunc-tol": Setting(_parse_float, "1e-10", "generating-function agreement tolerance"),
     "lam": Setting(_parse_float, "0.24", "exponent for the argument-bound scan"),
 }
 
 # case name -> runner of the parsed settings; the lambdas look the runners
 # up when called, so a patched module attribute takes effect
 CASES = {
-    "thm-2-3": lambda s: run_thm_2_3(s["nmax"], s["master-min"], s["master-tol"],
-                                     s["chi-tol"]),
+    "thm-2-3": lambda s: run_thm_2_3(s["nmax"]),
     "thm-1-3": lambda s: run_thm_1_3(s["nmax"], s["rho"]),
     **{f"sturm:{name}": lambda s, name=name: run_sturm_case(name)
        for name in STURM_NAMES + ("all",)},
-    **{f"bounds:{name}": lambda s, name=name: run_bounds_case(
-        name, s["rho"], s["master-min"], s["master-tol"])
+    **{f"bounds:{name}": lambda s, name=name: run_bounds_case(name, s["rho"])
        for name in BOUND_NAMES + ("all",)},
-    "gegenbauer": lambda s: run_gegenbauer(s["nmax"], s["lam"], s["genfunc-tol"]),
+    "gegenbauer": lambda s: run_gegenbauer(s["nmax"], s["lam"]),
 }
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error, which main returns as 2
-        if "expected one argument" in message:
-            message += " (give a value that starts with '-' as --flag=VALUE)"
         raise UsageError(message)
 
 
@@ -662,38 +653,22 @@ def build_parser() -> argparse.ArgumentParser:
     for command, p in (("mustar", m), ("verify", v)):
         for key, setting in SETTINGS.items():
             if setting.command == command:
-                p.add_argument(f"--{key}", help=f"{setting.help} (default {setting.default})")
+                p.add_argument(f"--{key}", default=setting.default,
+                               help=f"{setting.help} (default {setting.default})")
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
-        p.add_argument("--config", help="JSON file with flag defaults")
     return ap
 
 
 def _settings(args) -> dict:
-    """Every setting, parsed: the flag if given, else the config value, else
-    the default.  Each value given, used or not, must parse; a config key
-    outside SETTINGS or a value that does not parse is a usage error."""
-    layers = [{key: setting.default for key, setting in SETTINGS.items()}]
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(config, dict):
-            raise UsageError(f"config {args.config} must hold a JSON object")
-        unknown = sorted(set(config) - set(SETTINGS))
-        if unknown:
-            raise UsageError(f"config {args.config} has unknown keys: {', '.join(unknown)}")
-        layers.append(config)
-    layers.append({key: val for key in SETTINGS
-                   if (val := getattr(args, key.replace("-", "_"), None)) is not None})
+    """Every setting, parsed: the flag if given, else the default.  A value
+    given, used or not, that does not parse is a usage error."""
     settings = {}
-    for layer in layers:
-        for key, val in layer.items():
-            try:
-                settings[key] = SETTINGS[key].parse(val)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"bad value {val!r} for {key}: {exc}") from exc
+    for key, setting in SETTINGS.items():
+        val = getattr(args, key, setting.default)  # absent where the command has no such flag
+        try:
+            settings[key] = setting.parse(val)
+        except ValueError as exc:
+            raise UsageError(f"bad value {val!r} for {key}: {exc}") from exc
     return settings
 
 

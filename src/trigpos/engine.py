@@ -404,14 +404,15 @@ def subordination_sector_check(
     """max |arg((1-z)^rho s_n(z))| over n <= n_max and sample circles: a
     sampled estimate, not a proof.
 
-    Passing threshold is rho*pi.  Conjugation symmetry makes the upper
+    Passing threshold is rho*pi/2: ((1+z)/(1-z))^rho maps the disk onto
+    the sector |arg w| < rho*pi/2.  Conjugation symmetry makes the upper
     half-circle sufficient.
     """
     rho_f, mu_f = float(rho), float(mu)
     max_arg, worst, samples = _worst(mu_f, rho_f, n_max, r_values, n_theta,
                                      lambda w: np.abs(np.angle(w)))
     return SectorReport(rho_f, mu_f, n_max, tuple(float(r) for r in r_values),
-                        rho_f * math.pi, max_arg, worst, samples)
+                        rho_f * math.pi / 2, max_arg, worst, samples)
 
 
 def weak_conjecture_check(

@@ -219,6 +219,8 @@ def arg_bound_check(
     """Sampled check of |arg sum_{k<=n} C_k^lambda(x) z^k| < pi/3: a sampled
     estimate, not a proof."""
     lam_f = float(lam)
+    if not math.isfinite(lam_f):
+        raise ValueError("lam must be finite")
     thetas = np.linspace(1e-3, math.pi, n_theta)
     # C_k^lambda(x), shaped (n_max + 1, len(x_values), 1) against the circle
     coeffs = np.array([list(islice(_gegenbauer_terms(lam_f, x), n_max + 1))

@@ -330,7 +330,7 @@ def test_criterion_09_subordination_sampling():
     ok = sector.passed and weak.passed
     _line(9, ok, f"max|arg|={sector.max_abs_arg:.6f} (< {sector.threshold:.6f}), "
                  f"min Re={weak.min_real:.6f}")
-    assert sector.passed and sector.max_abs_arg < np.pi / 3
+    assert sector.passed and sector.max_abs_arg < np.pi / 6
     assert weak.passed and weak.min_real > 0
     assert weak.boundary_max_diff is not None and weak.boundary_max_diff < 1e-20
 

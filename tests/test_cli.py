@@ -1,4 +1,4 @@
-"""Command-line interface: exit codes, JSON shape, config handling."""
+"""Command-line interface: exit codes, JSON shape, settings handling."""
 
 import dataclasses
 import json
@@ -138,6 +138,50 @@ def test_sturm_all_report_is_pinned(capsys):
     assert [c["check_id"] for c in payload["checks"]] == list(STURM_ALL)
 
 
+# `verify bounds:all`, whose master-bound detail renders the fixed gates
+BOUNDS_ALL = {
+    "case": "bounds:all",
+    "inputs": {"region": "all", "rho": "1/3"},
+    "method": "power series with proven remainder, in mpmath.iv over the exponent enclosure",
+    "reference": "composite lower bounds for the tail-dominated ranges",
+    "status": "pass",
+    "checks": [
+        {"check_id": "bound-1", "status": "pass", "value": "0.259448166766",
+         "error": "6.17e-11",
+         "detail": "rho = 1/3; margin 0.259448; L1=1.2548941, L2=-0.88516425, "
+                   "L3=0.11028172, S_2pi=0.86487899, C_7pi4=0.94933633, q0=-0.71077218, "
+                   "r0=0.70342228, L_minus_L3=0.25944817, L_plus_L3=0.4800116"},
+        {"check_id": "bound-2", "status": "pass", "value": "0.0106516529274",
+         "error": "7.95e-13",
+         "detail": "rho = 1/3; margin 0.0106517; main=0.32289928, tail=0.31224763"},
+        {"check_id": "bound-31", "status": "pass", "value": "0.764115524303",
+         "error": "5.7e-11",
+         "detail": "rho = 1/3; margin 0.764116; L1=0.27830482, L2=0.83514514, "
+                   "L3=0.34933444, q0=0.96456765, r_theta0=0.32512805, "
+                   "wedge_theta0=0.033759144, L_minus_L3=0.76411552, L_plus_L3=1.4627844"},
+        {"check_id": "bound-32", "status": "pass", "value": "0.00620342326723",
+         "error": "4.3e-11",
+         "detail": "rho = 1/3; margin 0.00620342; L1=-0.63010884, L2=0.82646048, "
+                   "L3=0.19014822, q0=0.96456765, r_theta0=0.34527393, "
+                   "wedge_theta0=0.045888146, L_minus_L3=0.0062034233, L_plus_L3=0.38649987"},
+        {"check_id": "bound-33", "status": "pass", "value": "0.123104696089",
+         "error": "3.27e-11",
+         "detail": "rho = 1/3; margin 0.123105; L1=-0.53843324, L2=0.77504993, "
+                   "L3=0.11351199, q0=0.96456765, r_theta0=0.42418771, "
+                   "wedge_theta0=0.10528517, L_minus_L3=0.1231047, L_plus_L3=0.35012868"},
+        {"check_id": "master-bound", "status": "pass", "value": "0.207808570447",
+         "error": "3.04e-11",
+         "detail": "> 0.2078 required, reference 0.207809; prop_term=0.66272937, "
+                   "chi=-0.32126982, sigma_tail=0.010231573, tau_tail=0.014582847, "
+                   "delta_tail=0.10883656"},
+    ],
+}
+
+
+def test_bounds_all_report_is_pinned(capsys):
+    assert _json_report(capsys, ["bounds:all"], 0) == BOUNDS_ALL
+
+
 @pytest.mark.parametrize("argv", [
     ["mustar", "0.005"],
     ["verify", "thm-1-3", "--rho", "0.005"],
@@ -251,93 +295,79 @@ def test_integral_checks_need_mu_star_in_the_enclosure():
     enc = _mu_2_3()
     above = Enclosure(enc.hi + Fraction(1, 10**16), enc.hi + Fraction(101, 10**18))
     for mu, expected in ((enc, "pass"), (above, "fail")):
-        status = {c.check_id: c.status for c in cli._check_prop_constants(mu, 1e-10)}
+        status = {c.check_id: c.status for c in cli._check_prop_constants(mu)}
         assert status["cosine-integral-minima"] == expected
         assert status["chi-integral"] == "pass"
 
 
 @pytest.mark.parametrize("mu", [Enclosure(0, Fraction(1, 2)), Enclosure(Fraction(1, 2), 1)])
 def test_wedge_monotone_refuses_mu_touching_0_or_1(mu):
-    status = {c.check_id: c.status for c in cli._check_prop_constants(mu, 1e-10)}
+    status = {c.check_id: c.status for c in cli._check_prop_constants(mu)}
     assert status["wedge-monotone"] == "fail"
     assert status["pq-factors-decreasing"] == "pass"
 
 
-def test_config_supplies_defaults(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"lam": 0.5, "nmax": 8}))
-    # config alone pushes the scan past the valid exponent range -> failure
-    assert main(["verify", "gegenbauer", "--config", str(cfg)]) == 1
-    capsys.readouterr()
-    # an explicit flag beats the config value
-    assert main(["verify", "gegenbauer", "--config", str(cfg),
-                 "--lam", "0.24"]) == 0
-    capsys.readouterr()
-
-
-def test_config_errors_are_usage_errors(tmp_path, capsys):
-    assert main(["verify", "gegenbauer", "--config",
-                 str(tmp_path / "missing.json")]) == 2
-    bad = tmp_path / "bad.json"
-    bad.write_text("[1, 2]")
-    assert main(["verify", "gegenbauer", "--config", str(bad)]) == 2
-    # values that do not convert, a non-integer nmax and an unknown key
-    for argv, cfg in (
-        (["verify", "gegenbauer"], {"nmax": "ten"}),
-        (["verify", "gegenbauer"], {"nmax": 8.9}),
-        (["verify", "gegenbauer"], {"master-min": [1]}),
-        (["verify", "gegenbauer"], {"no-such-key": 1}),
-        (["mustar", "1"], {"residual-tol": "abc"}),
-    ):
-        bad.write_text(json.dumps(cfg))
-        assert main(argv + ["--config", str(bad)]) == 2, cfg
-        assert "error:" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", [
     ["verify", "gegenbauer", "--nmax", "ten"],
-    ["verify", "gegenbauer", "--master-min", "abc"],
-    ["verify", "bounds:master", "--master-tol", "[1]"],
+    ["verify", "gegenbauer", "--lam", "abc"],
+    ["verify", "gegenbauer", "--lam", "[1]"],
     ["verify", "bounds:1", "--rho", "2"],
     ["mustar", "1", "--width", "zz"],
 ])
 def test_bad_flag_values_are_usage_errors(capsys, argv):
-    # a flag value goes through the same parser as a config value
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _refuse_every_case(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a case ran")
+
+    for runner in ("run_mustar", "run_thm_2_3", "run_thm_1_3", "run_sturm_case",
+                   "run_bounds_case", "run_gegenbauer"):
+        monkeypatch.setattr(cli, runner, refuse)
 
 
 @pytest.mark.parametrize("argv", [
     ["verify", "gegenbauer", "--lam", "nan"],
     ["verify", "gegenbauer", "--lam", "0"],
-    ["verify", "gegenbauer", "--genfunc-tol", "0"],
-    ["verify", "gegenbauer", "--genfunc-tol", "inf"],
-    ["verify", "gegenbauer", "--genfunc-tol=-1"],
-    ["verify", "thm-2-3", "--chi-tol", "nan"],
-    ["verify", "bounds:master", "--master-tol", "0"],
-    ["verify", "bounds:master", "--master-min", "nan"],
-    ["verify", "bounds:master", "--master-min=-inf"],
+    ["verify", "gegenbauer", "--lam", "inf"],
+    ["verify", "gegenbauer", "--lam=-inf"],
+    ["verify", "gegenbauer", "--lam=-1"],
+    ["verify", "gegenbauer", "--lam", "1e-400"],  # rounds to 0.0
+    ["verify", "gegenbauer", "--lam", "1e400"],  # rounds to inf
+    ["verify", "thm-2-3", "--lam", "nan"],
+    ["verify", "bounds:master", "--lam", "0"],
 ])
 def test_float_settings_must_be_finite_and_positive(capsys, monkeypatch, argv):
     # a hostile value ends as a usage error before any case runs, never as
     # a PASS or a run that does not finish
-    def refuse(*args):
-        raise AssertionError("a case ran")
-
-    for runner in ("run_thm_2_3", "run_bounds_case", "run_gegenbauer"):
-        monkeypatch.setattr(cli, runner, refuse)
+    _refuse_every_case(monkeypatch)
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 
 
-def test_parser_errors_return_2_and_help_exits_0(capsys, monkeypatch):
-    assert main(["verify", "bounds:master", "--master-min", "-1e-3"]) == 2
-    assert "--flag=VALUE" in capsys.readouterr().err
-    seen = []
-    monkeypatch.setattr(cli, "run_bounds_case", lambda name, rho, master_min, master_tol:
-                        seen.append(master_min) or cli.VerificationReport(name, {}, "", ""))
-    assert main(["verify", "bounds:master", "--master-min=-1e-3"]) == 0
-    assert seen == [-1e-3]
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm-2-3", "--master-min", "0.2"],
+    ["verify", "bounds:master", "--master-min=-1e300"],
+    ["verify", "thm-2-3", "--master-tol", "1e300"],
+    ["verify", "bounds:all", "--master-tol", "1e300"],
+    ["verify", "thm-2-3", "--chi-tol", "1e300"],
+    ["verify", "gegenbauer", "--genfunc-tol", "1e300"],
+    ["verify", "gegenbauer", "--config", "cfg.json"],
+    ["mustar", "1", "--config", "cfg.json"],
+])
+def test_the_reference_gates_are_not_settings(capsys, monkeypatch, tmp_path, argv):
+    # the gates on the paper's figures are constants: no flag or config file
+    # loosens them, and trying is a usage error before any case runs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text("{}")
+    _refuse_every_case(monkeypatch)
+    assert main(argv) == 2
+    assert "error: unrecognized arguments: " + argv[2] in capsys.readouterr().err
+
+
+def test_parser_errors_return_2_and_help_exits_0(capsys):
     assert main(["verify"]) == 2
     assert "error:" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
@@ -355,20 +385,19 @@ def test_each_case_builds_one_chain_per_distinct_polynomial(capsys, monkeypatch,
     assert len(built) == len(set(built)) == chains
 
 
-@pytest.mark.parametrize("argv, cfg", [
-    (["verify", "sturm:q1"], {"lam": "abc", "width": "zz"}),
-    (["verify", "sturm:q1"], {"genfunc-tol": "1e-"}),
-    (["mustar", "1"], {"nmax": 0}),
-    (["mustar", "1"], {"rho": "3/2"}),
-    (["verify", "gegenbauer", "--lam", "0.24"], {"lam": "abc"}),
+@pytest.mark.parametrize("argv", [
+    ["verify", "sturm:q1", "--lam", "abc"],
+    ["verify", "sturm:q1", "--nmax", "0"],
+    ["verify", "thm-2-3", "--rho", "3/2"],
+    ["verify", "bounds:master", "--nmax", "1/2"],
+    ["verify", "gegenbauer", "--rho", "0"],
 ])
-def test_bad_config_values_are_usage_errors_when_unread(tmp_path, capsys, argv, cfg):
-    # every setting given is parsed, also when the case does not read it or
-    # a flag overrides it
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert main(argv + ["--config", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_bad_values_are_usage_errors_when_unread(capsys, monkeypatch, argv):
+    # every setting given is parsed, also when the case does not read it
+    _refuse_every_case(monkeypatch)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and argv[2].lstrip("-") in err
 
 
 @pytest.mark.parametrize("command", ["mustar", "verify"])

@@ -137,7 +137,7 @@ def test_sector_check_quick():
         F(1, 3), 0.49, n_max=8, r_values=(0.9,), n_theta=120
     )
     assert rep.passed
-    assert rep.threshold == pytest.approx(np.pi / 3)
+    assert rep.threshold == pytest.approx(np.pi / 6)
     assert rep.max_abs_arg < rep.threshold
     assert rep.samples == 8 * 120
     assert rep.worst.arg == rep.max_abs_arg
@@ -212,7 +212,7 @@ def test_criterion_09_and_10_scan_reports_are_pinned():
                                         r_values=(0.999, 1 - 1e-6))
     assert_report_is(sector, {
         "type": "SectorReport", "rho": 1 / 3, "mu": 0.4961946737162157, "n_max": 30,
-        "r_values": (0.999, 0.999999), "threshold": math.pi / 3,
+        "r_values": (0.999, 0.999999), "threshold": math.pi / 6,
         "max_abs_arg": 0.5212971456534469, "samples": 43200,
         "worst.n": 1, "worst.r": 0.999999, "worst.theta": 0.004469252647551868,
         "worst.value": 0.21371646813709747 - 0.12273426800671003j,

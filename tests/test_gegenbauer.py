@@ -115,6 +115,13 @@ def test_arg_bound_holds_below_threshold():
     assert rep.max_abs_arg < rep.threshold
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+def test_arg_bound_refuses_a_non_finite_lambda(lam):
+    # a NaN |arg| beats no running maximum, so such a scan would pass
+    with pytest.raises(ValueError, match="finite"):
+        arg_bound_check(lam, n_max=3)
+
+
 def test_arg_bound_fails_above_threshold():
     # negative control: lambda = 1/2 exceeds the critical exponent range and
     # the sampled sums leave the sector
