@@ -45,7 +45,7 @@ from fractions import Fraction
 from mpmath import iv, mp
 
 from trigpos.exact import _as_fraction
-from trigpos.mustar import mu_star
+from trigpos.mustar import PROOF_WIDTH, mu_star
 from trigpos.precision import iv_dps, working_dps
 from trigpos.quadrature import (_as_iv, _mid_rad, chi_reference_integral,
                                 fractional_osc_integral, frak_K)
@@ -68,8 +68,6 @@ __all__ = [
 ]
 
 REGIONS = ("1", "2", "31", "32", "33")
-
-_DEFAULT_NU_WIDTH = Fraction(1, 10**12)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +210,8 @@ def _report(label: str, rho: Fraction, total, comps: dict) -> BoundReport:
 
 def _exponent(rho: Fraction, nu):
     """nu as an mpmath.iv interval; None stands for the critical-exponent
-    enclosure for rho at the default width."""
-    return _as_iv(mu_star(rho, width=_DEFAULT_NU_WIDTH).enclosure if nu is None else nu)
+    enclosure for rho at PROOF_WIDTH, the one the proofs run on."""
+    return _as_iv(mu_star(rho, width=PROOF_WIDTH).enclosure if nu is None else nu)
 
 
 def _r_shifted(g, nu, theta, eta):
@@ -263,8 +261,8 @@ def L_region(region, rho=Fraction(1, 3), nu=None) -> BoundReport:
     """Composite lower bound L^(region) at the given rho.
 
     region is one of "1", "2", "31", "32", "33".  nu defaults to the
-    critical-exponent enclosure for rho (computed on demand); pass an
-    Enclosure, an mpmath.iv interval or an exact number to override.
+    critical-exponent enclosure for rho at PROOF_WIDTH (computed on demand);
+    pass an Enclosure, an mpmath.iv interval or an exact number to override.
     """
     region = str(region)
     if region not in REGIONS:
@@ -295,7 +293,7 @@ def two_thirds_master_bound(mu=None) -> BoundReport:
 
     with chi the minimized oscillatory integral from
     chi_reference_integral.  mu defaults to the critical-exponent
-    enclosure at rho = 2/3.
+    enclosure at rho = 2/3 and PROOF_WIDTH.
     """
     rho = Fraction(2, 3)
     dps = working_dps() + 15
@@ -314,26 +312,18 @@ def two_thirds_master_bound(mu=None) -> BoundReport:
         return _report("master(2/3)", rho, total, comps)
 
 
-def scan_neighborhood(
-    region,
-    center=Fraction(1, 3),
-    radius=Fraction(1, 100),
-    steps: int = 2,
-    width=Fraction(1, 10**9),
-) -> list[BoundReport]:
-    """Evaluate L_region on a symmetric rho-grid around center.
+def scan_neighborhood(region, center=Fraction(1, 3), radius=Fraction(1, 100),
+                      steps: int = 2) -> list[BoundReport]:
+    """L_region on a symmetric rho-grid around center, in ascending rho.
 
     Exhibits the continuity-in-rho behaviour of the composite bounds: each
-    grid point gets its own critical-exponent enclosure (at the given
-    width) and a full report.  steps is the number of points on each side.
+    grid point gets L_region's default exponent, its own critical-exponent
+    enclosure at PROOF_WIDTH, so the report at center itself is
+    L_region(region, center).  steps is the number of points on each side.
     """
     center = _as_fraction(center)
     radius = _as_fraction(radius)
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    reports = []
-    for k in range(-steps, steps + 1):
-        rho = center + radius * k / max(steps, 1)
-        enc = mu_star(rho, width=width).enclosure
-        reports.append(L_region(region, rho=rho, nu=enc))
-    return reports
+    return [L_region(region, rho=center + radius * k / max(steps, 1))
+            for k in range(-steps, steps + 1)]

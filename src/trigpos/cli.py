@@ -12,14 +12,14 @@ CASE name to a runner of the parsed settings:
                    root counts for the P/Q/R cases, the small-angle constants
                    and cosine-integral minima, the composite master bound,
                    and grid certificates for U_n up to --nmax
-    thm-1-3        full pipeline at rho = 1/3: q_n root counts, the five
-                   composite region bounds, a rho-neighborhood scan, and grid
-                   certificates for varsigma_n up to --nmax
+    thm-1-3        full pipeline at rho = 1/3: q_n root counts, a
+                   rho-neighborhood scan whose centre gives the five region
+                   bounds, and grid certificates for varsigma_n up to --nmax
     sturm:NAME     one root-counting obligation (q1, q2, q3, q3-derived,
                    P-near-0, P-mid, Q, R, or all); gates on every literal
                    point claim, including the one the theorem pipelines
                    cannot use (see sturm_case_plan)
-    bounds:NAME    one composite bound (1, 2, 31, 32, 33, master, or all)
+    bounds:NAME    one composite bound (1, 2, 31, 32, 33 at --rho, master, or all)
     gegenbauer     ultraspherical cross-checks: generating function,
                    argument bound, Chebyshev specialization, and the Jacobi
                    conversion in both normalizations
@@ -33,11 +33,13 @@ decide at all (an ArithmeticError, such as mu*(rho) below the search bracket
 [1/100, 1] for rho under about 1/150) is inconclusive too: it exits 1 with
 one "error:" line in place of the report.
 
-Reports are deterministic: identical invocations at the same precision print
+Every proof and bound check runs on one mu*(rho) enclosure per rho, of
+width mustar.PROOF_WIDTH; only `mustar --width` asks for another.  Reports
+are deterministic: identical invocations at the same precision print
 byte-identical output apart from the wall-time figure.  The env var
-TRIGPOS_PRECISION (decimal digits, default 30) sets the working precision.
-The gates on the paper's printed figures (MASTER_MIN, MASTER_TOL, CHI_TOL)
-and GENFUNC_TOL are module constants, not settings.
+TRIGPOS_PRECISION (decimal digits, default 30, at least 20) sets the working
+precision.  The gates on the paper's printed figures (MASTER_MIN,
+MASTER_TOL, CHI_TOL) and GENFUNC_TOL are module constants, not settings.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -66,7 +69,7 @@ from trigpos.bounds import (
     wedge_increasing,
 )
 from trigpos.exact import Enclosure
-from trigpos.mustar import _verified_sign, mu_star, width_floor
+from trigpos.mustar import PROOF_WIDTH, _verified_sign, mu_star, width_floor
 from trigpos.precision import iv_dps, working_dps
 from trigpos.quadrature import (
     QuadResult, _as_iv, _mid_rad, chi_reference_integral, min_over_upper_limit)
@@ -103,8 +106,6 @@ MASTER_TOL = 1e-4
 MASTER_MIN = 0.2078  # the floor the master bound must clear
 GENFUNC_TOL = 1e-10
 
-# width of the mu* enclosures the proofs run on
-_PROOF_WIDTH = Fraction(1, 10**20)
 _TINY = Fraction(1, 10**12)
 _GRID_U = (Fraction(1, 1000), Fraction(math.pi) / 2 + _TINY)
 _GRID_VARSIGMA = (Fraction(1, 1000), Fraction(math.pi) - Fraction(1, 1000) + _TINY)
@@ -369,7 +370,7 @@ def _check_prop_constants(mu_enc: Enclosure) -> list[CheckResult]:
         ]
 
 
-def _check_master(mu=None) -> CheckResult:
+def _check_master(mu: Enclosure) -> CheckResult:
     rep = two_thirds_master_bound(mu)
     with mp.workdps(working_dps()):
         diff = abs(rep.value - mp.mpf(MASTER_REFERENCE))
@@ -386,7 +387,7 @@ def _check_master(mu=None) -> CheckResult:
 
 def run_thm_2_3(nmax: int) -> VerificationReport:
     rho = Fraction(2, 3)
-    tight = mu_star(rho, width=_PROOF_WIDTH).enclosure
+    tight = mu_star(rho, width=PROOF_WIDTH).enclosure
     checks = [_check_u1(tight)]
     for target in sturm_case_plan(tight, ("P-near-0", "P-mid", "Q", "R")):
         checks.append(_sturm_check(target, gate_all_points=False))
@@ -426,15 +427,18 @@ def _bound_check(check_id: str, rep) -> CheckResult:
     )
 
 
-def run_thm_1_3(nmax: int, rho: Fraction) -> VerificationReport:
-    tight = mu_star(rho, width=_PROOF_WIDTH).enclosure
+def run_thm_1_3(nmax: int) -> VerificationReport:
+    rho = Fraction(1, 3)
+    tight = mu_star(rho, width=PROOF_WIDTH).enclosure
     checks = []
     for target in sturm_case_plan(None, ("q1", "q2", "q3", "q3-derived")):
         checks.append(_sturm_check(target, gate_all_points=True))
-    for region in REGIONS:
-        checks.append(_bound_check(f"bound-{region}", L_region(region, rho=rho, nu=tight)))
+    # each region's bound at rho is the centre report of its scan
+    scanned = [scan_neighborhood(region, center=rho) for region in REGIONS]
+    for region, reports in zip(REGIONS, scanned):
+        checks.append(_bound_check(f"bound-{region}", reports[len(reports) // 2]))
 
-    scans = [r for region in REGIONS for r in scan_neighborhood(region, center=rho)]
+    scans = [r for reports in scanned for r in reports]
     worst = min(scans, key=lambda r: r.value - r.err)
     bad = sum(not r.positive for r in scans)
     checks.append(CheckResult(
@@ -468,7 +472,7 @@ def run_thm_1_3(nmax: int, rho: Fraction) -> VerificationReport:
 def run_sturm_case(name: str) -> VerificationReport:
     names = STURM_NAMES if name == "all" else (name,)
     needs_mu = any(n in ("P-near-0", "P-mid", "Q", "R") for n in names)
-    mu_enc = mu_star(Fraction(2, 3), width=_PROOF_WIDTH).enclosure if needs_mu else None
+    mu_enc = mu_star(Fraction(2, 3), width=PROOF_WIDTH).enclosure if needs_mu else None
     checks = [_sturm_check(t, gate_all_points=True) for t in sturm_case_plan(mu_enc, names)]
     inputs = {"target": name}
     if mu_enc is not None:
@@ -487,7 +491,7 @@ def run_bounds_case(name: str, rho: Fraction) -> VerificationReport:
     names = BOUND_NAMES if name == "all" else (name,)
     for n in names:
         if n == "master":
-            checks.append(_check_master())
+            checks.append(_check_master(mu_star(Fraction(2, 3), width=PROOF_WIDTH).enclosure))
         else:
             checks.append(_bound_check(f"bound-{n}", L_region(n, rho=rho)))
     return VerificationReport(
@@ -618,7 +622,7 @@ class Setting(NamedTuple):
 SETTINGS = {
     "width": Setting(_parse_width, "1e-9", "enclosure width", "mustar"),
     "nmax": Setting(_parse_nmax, "100", "largest partial-sum index for grid cases"),
-    "rho": Setting(_parse_rho, "1/3", "rho for the region bounds"),
+    "rho": Setting(_parse_rho, "1/3", "rho for the region bounds of bounds:*"),
     "lam": Setting(_parse_float, "0.24", "exponent for the argument-bound scan"),
 }
 
@@ -626,7 +630,7 @@ SETTINGS = {
 # up when called, so a patched module attribute takes effect
 CASES = {
     "thm-2-3": lambda s: run_thm_2_3(s["nmax"]),
-    "thm-1-3": lambda s: run_thm_1_3(s["nmax"], s["rho"]),
+    "thm-1-3": lambda s: run_thm_1_3(s["nmax"]),
     **{f"sturm:{name}": lambda s, name=name: run_sturm_case(name)
        for name in STURM_NAMES + ("all",)},
     **{f"bounds:{name}": lambda s, name=name: run_bounds_case(name, s["rho"])
@@ -690,7 +694,14 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # undecided: inconclusive
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(report.to_json() if args.json else report.to_text())
+    try:
+        print(report.to_json() if args.json else report.to_text(), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head`): send what is left to
+        # devnull, so that the flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if report.passed else 1
 
 

@@ -89,11 +89,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
@@ -103,7 +98,7 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
 
-    # -- exact evaluation and division ---------------------------------------
+    # -- exact evaluation ----------------------------------------------------
 
     def __call__(self, x) -> Fraction:
         """Exact Horner evaluation at a rational point."""
@@ -112,24 +107,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * xf + c
         return acc
-
-    def divmod(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact polynomial division: self = q * divisor + r, deg r < deg divisor."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead = divisor.leading()
-        ddeg = divisor.degree
-        q = [Fraction(0)] * max(0, len(rem) - ddeg)
-        for i in range(len(rem) - 1, ddeg - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            f = Fraction(c, dlead)
-            q[i - ddeg] = f
-            for j, dc in enumerate(divisor.coeffs):
-                rem[i - ddeg + j] -= f * dc
-        return Polynomial(q), Polynomial(rem)
 
     # -- sign evaluation without Fraction overhead --------------------------
 
@@ -198,6 +175,23 @@ def _pseudo_remainder(a, b) -> list[int]:
     return r
 
 
+def _exact_quotient(a, b) -> list[int]:
+    """a / b for integer coefficient lists where b divides a over the
+    integers; raises ArithmeticError where it does not."""
+    r, q, n = list(a), [], len(b) - 1
+    while len(r) > n:
+        f, m = divmod(r.pop(), b[-1])
+        if m:
+            raise ArithmeticError("gcd does not divide the polynomial")
+        shift = len(r) - n
+        for j in range(n):
+            r[shift + j] -= f * b[j]
+        q.append(f)
+    if any(r):
+        raise ArithmeticError("gcd does not divide the polynomial")
+    return q[::-1]
+
+
 def _remainder_sequence(a, b) -> list[list[int]]:
     """a, b (b nonzero), then the negated primitive pseudo-remainder of the
     last two, up to the last nonzero one.  Element by element a positive
@@ -225,11 +219,10 @@ def _sturm_ints(p: "Polynomial") -> list[list[int]]:
         if len(g) == 1:
             return seq
         # a zero remainder: g is gcd(p0, p0') up to a factor, so p0 has a
-        # multiple root, and p0 over the monic gcd is squarefree
-        q, r = Polynomial(p0).divmod(Polynomial([Fraction(c, g[-1]) for c in g]))
-        if not r.is_zero():
-            raise ArithmeticError("gcd does not divide the polynomial")
-        p0 = _primitive(q._ints())
+        # multiple root.  g is primitive, so with its lead made positive,
+        # p0 / g is integral (Gauss's lemma), squarefree and a positive
+        # multiple of p0 over the monic gcd
+        p0 = _exact_quotient(p0, g if g[-1] > 0 else [-c for c in g])
 
 
 # ---------------------------------------------------------------------------

@@ -216,11 +216,11 @@ def arg_bound_check(
     r_values=(0.5, 0.9, 0.999),
     n_theta: int = 240,
 ) -> ArgBoundReport:
-    """Sampled check of |arg sum_{k<=n} C_k^lambda(x) z^k| < pi/3: a sampled
-    estimate, not a proof."""
+    """Sampled check of |arg sum_{k<=n} C_k^lambda(x) z^k| < pi/3 for a
+    finite lam > 0: a sampled estimate, not a proof."""
     lam_f = float(lam)
-    if not math.isfinite(lam_f):
-        raise ValueError("lam must be finite")
+    if not (math.isfinite(lam_f) and lam_f > 0):
+        raise ValueError("lam must be finite and positive")
     thetas = np.linspace(1e-3, math.pi, n_theta)
     # C_k^lambda(x), shaped (n_max + 1, len(x_values), 1) against the circle
     coeffs = np.array([list(islice(_gegenbauer_terms(lam_f, x), n_max + 1))

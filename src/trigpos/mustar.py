@@ -33,10 +33,12 @@ from trigpos.exact import Enclosure, _as_fraction
 from trigpos.precision import iv_dps, working_dps
 from trigpos.quadrature import QuadResult, _as_iv, _estimate, fractional_osc_integral
 
-__all__ = ["MuStarResult", "defect_integral", "mu_star", "width_floor", "BRACKET_LO", "BRACKET_HI"]
+__all__ = ["MuStarResult", "defect_integral", "mu_star", "width_floor", "BRACKET_LO", "BRACKET_HI",
+           "PROOF_WIDTH"]
 
 BRACKET_LO = Fraction(1, 100)
 BRACKET_HI = Fraction(1)
+PROOF_WIDTH = Fraction(1, 10**20)  # the one enclosure width every proof and bound check runs on
 _ESTIMATE_WIDTH = Fraction(1, 10**12)  # float64 estimates of D err by about 1e-16
 
 _CACHE: dict = {}

@@ -3,7 +3,7 @@
 All mpmath computations run at ``working_dps()`` significant digits.  The
 default of 30 keeps roughly 15 guard digits beyond the 10--13 digits the
 certified constants are quoted to; the ``TRIGPOS_PRECISION`` environment
-variable overrides it (floor of 15, so error accounting stays meaningful).
+variable overrides it (floor of 20, the digits mustar.PROOF_WIDTH needs).
 """
 
 import os
@@ -21,7 +21,7 @@ def working_dps() -> int:
     if raw is None:
         return DEFAULT_DPS
     try:
-        return max(15, int(raw))
+        return max(20, int(raw))
     except ValueError:
         return DEFAULT_DPS
 

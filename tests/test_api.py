@@ -25,6 +25,7 @@ ALLOWED_UNUSED = {
     "weak_conjecture_check": "acceptance criterion 09 runs it",
     "TrigSum.lipschitz": "perfbench's tracer wraps it by name; delete after ROADMAP item 1",
     "TrigSum.coeff_err": "perfbench's tracer wraps it by name; delete after ROADMAP item 1",
+    "Polynomial.degree": "perfbench's tracer reads chain.p0.degree for its exact.degree_max counter",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -1,8 +1,8 @@
 """Composite lower bounds and their ingredients.
 
-Frozen values were computed once with the default critical-exponent
-enclosure (width 1e-9) at mp.dps = 30 and are pinned to the digits shown;
-the tests re-derive them from scratch.
+Frozen values were computed once with a critical-exponent enclosure at
+mp.dps = 30 and are pinned to the digits shown, which the default enclosure
+(width mustar.PROOF_WIDTH) reproduces; the tests re-derive them from scratch.
 """
 
 from fractions import Fraction
@@ -166,14 +166,14 @@ def test_master_bound_with_exact_mu_override():
 
 
 def test_scan_neighborhood_shape():
-    reports = scan_neighborhood("32", steps=1, width=F(1, 10**6))
+    reports = scan_neighborhood("32", steps=1)
     assert len(reports) == 3
     rhos = [r.rho for r in reports]
     assert rhos == sorted(rhos)
     assert rhos[1] == F(1, 3)
     assert rhos[0] + rhos[2] == 2 * F(1, 3)
     assert all(r.positive for r in reports)
-    only = scan_neighborhood("2", steps=0, width=F(1, 10**6))
+    only = scan_neighborhood("2", steps=0)
     assert len(only) == 1 and only[0].rho == F(1, 3)
     with pytest.raises(ValueError):
         scan_neighborhood("2", steps=-1)

@@ -138,7 +138,8 @@ def test_sturm_all_report_is_pinned(capsys):
     assert [c["check_id"] for c in payload["checks"]] == list(STURM_ALL)
 
 
-# `verify bounds:all`, whose master-bound detail renders the fixed gates
+# `verify bounds:all`, whose master-bound detail renders the fixed gates; its
+# checks are the proof cases' own (test_bounds_cases_match_the_proof_checks)
 BOUNDS_ALL = {
     "case": "bounds:all",
     "inputs": {"region": "all", "rho": "1/3"},
@@ -147,30 +148,30 @@ BOUNDS_ALL = {
     "status": "pass",
     "checks": [
         {"check_id": "bound-1", "status": "pass", "value": "0.259448166766",
-         "error": "6.17e-11",
+         "error": "6.17e-19",
          "detail": "rho = 1/3; margin 0.259448; L1=1.2548941, L2=-0.88516425, "
                    "L3=0.11028172, S_2pi=0.86487899, C_7pi4=0.94933633, q0=-0.71077218, "
                    "r0=0.70342228, L_minus_L3=0.25944817, L_plus_L3=0.4800116"},
         {"check_id": "bound-2", "status": "pass", "value": "0.0106516529274",
-         "error": "7.95e-13",
+         "error": "7.95e-21",
          "detail": "rho = 1/3; margin 0.0106517; main=0.32289928, tail=0.31224763"},
         {"check_id": "bound-31", "status": "pass", "value": "0.764115524303",
-         "error": "5.7e-11",
+         "error": "5.7e-19",
          "detail": "rho = 1/3; margin 0.764116; L1=0.27830482, L2=0.83514514, "
                    "L3=0.34933444, q0=0.96456765, r_theta0=0.32512805, "
                    "wedge_theta0=0.033759144, L_minus_L3=0.76411552, L_plus_L3=1.4627844"},
-        {"check_id": "bound-32", "status": "pass", "value": "0.00620342326723",
-         "error": "4.3e-11",
+        {"check_id": "bound-32", "status": "pass", "value": "0.00620342326722",
+         "error": "4.3e-19",
          "detail": "rho = 1/3; margin 0.00620342; L1=-0.63010884, L2=0.82646048, "
                    "L3=0.19014822, q0=0.96456765, r_theta0=0.34527393, "
                    "wedge_theta0=0.045888146, L_minus_L3=0.0062034233, L_plus_L3=0.38649987"},
         {"check_id": "bound-33", "status": "pass", "value": "0.123104696089",
-         "error": "3.27e-11",
+         "error": "3.27e-19",
          "detail": "rho = 1/3; margin 0.123105; L1=-0.53843324, L2=0.77504993, "
                    "L3=0.11351199, q0=0.96456765, r_theta0=0.42418771, "
                    "wedge_theta0=0.10528517, L_minus_L3=0.1231047, L_plus_L3=0.35012868"},
         {"check_id": "master-bound", "status": "pass", "value": "0.207808570447",
-         "error": "3.04e-11",
+         "error": "3.04e-19",
          "detail": "> 0.2078 required, reference 0.207809; prop_term=0.66272937, "
                    "chi=-0.32126982, sigma_tail=0.010231573, tau_tail=0.014582847, "
                    "delta_tail=0.10883656"},
@@ -178,13 +179,33 @@ BOUNDS_ALL = {
 }
 
 
+@pytest.mark.parametrize("case", ["sturm:Q", "bounds:2"])
+def test_lowest_precision_still_reaches_the_proof_width(capsys, monkeypatch, case):
+    # the precision floor admits a mu* enclosure PROOF_WIDTH wide
+    monkeypatch.setenv("TRIGPOS_PRECISION", "15")
+    assert main(["verify", case]) == 0
+    assert "status: PASS" in capsys.readouterr().out
+
+
 def test_bounds_all_report_is_pinned(capsys):
     assert _json_report(capsys, ["bounds:all"], 0) == BOUNDS_ALL
 
 
+def test_bounds_cases_match_the_proof_checks(capsys):
+    # one mu* enclosure per rho: each bound prints what the proof prints
+    def checks(argv):
+        return {c["check_id"]: c for c in _json_report(capsys, argv, 0)["checks"]}
+
+    bounds = checks(["bounds:all"])
+    proofs = {**checks(["thm-1-3", "--nmax", "10"]), **checks(["thm-2-3", "--nmax", "10"])}
+    ids = ["bound-1", "bound-2", "bound-31", "bound-32", "bound-33", "master-bound"]
+    assert list(bounds) == ids
+    for check_id in ids:
+        assert bounds[check_id] == proofs[check_id]
+
+
 @pytest.mark.parametrize("argv", [
     ["mustar", "0.005"],
-    ["verify", "thm-1-3", "--rho", "0.005"],
     ["verify", "bounds:1", "--rho", "0.005"],
     ["verify", "bounds:2", "--rho", "0.005"],
 ])
@@ -457,22 +478,36 @@ def test_nmax_cap_is_the_grid_term_cap(capsys, monkeypatch):
         engine._Prefixes([None] * (accepted[0] + 1), (0, 1))
 
 
-def _run_fresh(args: list[str]) -> subprocess.CompletedProcess:
-    """python args in a fresh interpreter that imports the same trigpos as
-    this process, also when pytest put src/ on sys.path itself (pythonpath
-    in pyproject.toml)."""
+def _fresh_env() -> dict:
+    """os.environ with PYTHONPATH leading to the same trigpos as this
+    process, also when pytest put src/ on sys.path itself (pythonpath in
+    pyproject.toml)."""
     src = str(Path(trigpos.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def _run_fresh(args: list[str]) -> subprocess.CompletedProcess:
+    """python args in a fresh interpreter that imports the same trigpos."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=300, env=_fresh_env())
 
 
 def test_module_entry_point_subprocess():
     proc = _run_fresh(["-m", "trigpos.cli", "verify", "sturm:q1"])
     assert proc.returncode == 0, proc.stderr
     assert "status: PASS" in proc.stdout
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader goes away before the report is printed, as `| head` may
+    proc = subprocess.Popen([sys.executable, "-m", "trigpos.cli", "verify", "sturm:q3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=_fresh_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 0
+    assert err == ""  # no Traceback, not even an "Exception ignored" line
 
 
 _LOADED = """\

@@ -115,9 +115,10 @@ def test_arg_bound_holds_below_threshold():
     assert rep.max_abs_arg < rep.threshold
 
 
-@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
-def test_arg_bound_refuses_a_non_finite_lambda(lam):
-    # a NaN |arg| beats no running maximum, so such a scan would pass
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9])
+def test_arg_bound_refuses_a_non_finite_or_non_positive_lambda(lam):
+    # a NaN |arg| beats no running maximum, and near lambda = 0 every partial
+    # sum stays close to C_0 = 1 (C_k^0 = 0 for k >= 1): either scan would pass
     with pytest.raises(ValueError, match="finite"):
         arg_bound_check(lam, n_max=3)
 
