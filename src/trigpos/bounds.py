@@ -68,6 +68,8 @@ __all__ = [
 ]
 
 REGIONS = ("1", "2", "31", "32", "33")
+# the rho scan_neighborhood samples: 1/3 + k/200 for k = -2..2
+_SCAN_RHOS = tuple(Fraction(1, 3) + Fraction(k, 200) for k in range(-2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +314,12 @@ def two_thirds_master_bound(mu=None) -> BoundReport:
         return _report("master(2/3)", rho, total, comps)
 
 
-def scan_neighborhood(region, center=Fraction(1, 3), radius=Fraction(1, 100),
-                      steps: int = 2) -> list[BoundReport]:
-    """L_region on a symmetric rho-grid around center, in ascending rho.
+def scan_neighborhood(region) -> list[BoundReport]:
+    """L_region at each rho of _SCAN_RHOS, in ascending rho.
 
-    Exhibits the continuity-in-rho behaviour of the composite bounds: each
-    grid point gets L_region's default exponent, its own critical-exponent
-    enclosure at PROOF_WIDTH, so the report at center itself is
-    L_region(region, center).  steps is the number of points on each side.
+    Samples the continuity-in-rho behaviour of the composite bounds at five
+    points and proves nothing between them.  Each point gets L_region's
+    default exponent, its own critical-exponent enclosure at PROOF_WIDTH,
+    so the middle report is L_region(region) at rho = 1/3.
     """
-    center = _as_fraction(center)
-    radius = _as_fraction(radius)
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    return [L_region(region, rho=center + radius * k / max(steps, 1))
-            for k in range(-steps, steps + 1)]
+    return [L_region(region, rho=rho) for rho in _SCAN_RHOS]

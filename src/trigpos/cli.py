@@ -1,12 +1,10 @@
 """Command-line front end: named, scriptable verification cases.
 
-    trigpos mustar RHO [--width W] [--json]
-    trigpos verify CASE [--SETTING VALUE ...] [--json]
+    trigpos mustar RHO [--json]
+    trigpos verify CASE [--nmax N] [--rho RHO] [--lam LAM] [--json]
 
-Two tables drive the arguments.  SETTINGS gives each setting its parser
-(which also guards its range), its default and its help; the flags of both
-commands and the defaults that --help shows come from it.  CASES maps each
-CASE name to a runner of the parsed settings:
+argparse parses every flag, its `type` guarding the range; CASES maps each
+CASE name to a runner of the parsed flags:
 
     thm-2-3        full pipeline at rho = 2/3: the n = 1 closed form, exact
                    root counts for the P/Q/R cases, the small-angle constants
@@ -21,20 +19,21 @@ CASE name to a runner of the parsed settings:
                    cannot use (see sturm_case_plan)
     bounds:NAME    one composite bound (1, 2, 31, 32, 33 at --rho, master, or all)
     gegenbauer     ultraspherical cross-checks: generating function,
-                   argument bound, Chebyshev specialization, and the Jacobi
-                   conversion in both normalizations
+                   argument bound (n up to --nmax, capped at 50), Chebyshev
+                   specialization, and the Jacobi conversion in both
+                   normalizations
 
 Exit status: 0 when every sub-check passes, 1 when any sub-check fails or is
-inconclusive, 2 for usage errors: an unknown case or flag, or any setting
+inconclusive, 2 for usage errors: an unknown case or flag, or any flag
 value, whether or not the case reads it, that does not parse or lies out of
-range (rho outside (0, 1], a width below 10^-precision, nmax outside
-1..999998, lam not a finite number above 0).  A computation that cannot
-decide at all (an ArithmeticError, such as mu*(rho) below the search bracket
-[1/100, 1] for rho under about 1/150) is inconclusive too: it exits 1 with
-one "error:" line in place of the report.
+range (rho outside (0, 1], nmax outside 1..999998, lam not a finite number
+above 0).  A computation that cannot decide at all (an ArithmeticError, such
+as mu*(rho) below the search bracket [1/100, 1] for rho under about 1/150)
+is inconclusive too: it exits 1 with one "error:" line in place of the
+report.
 
 Every proof and bound check runs on one mu*(rho) enclosure per rho, of
-width mustar.PROOF_WIDTH; only `mustar --width` asks for another.  Reports
+width mustar.PROOF_WIDTH, and `mustar` prints that enclosure.  Reports
 are deterministic: identical invocations at the same precision print
 byte-identical output apart from the wall-time figure.  The env var
 TRIGPOS_PRECISION (decimal digits, default 30, at least 20) sets the working
@@ -52,7 +51,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 from mpmath import iv, mp
 
@@ -69,7 +67,7 @@ from trigpos.bounds import (
     wedge_increasing,
 )
 from trigpos.exact import Enclosure
-from trigpos.mustar import PROOF_WIDTH, _verified_sign, mu_star, width_floor
+from trigpos.mustar import PROOF_WIDTH, _verified_sign, mu_star
 from trigpos.precision import iv_dps, working_dps
 from trigpos.quadrature import (
     QuadResult, _as_iv, _mid_rad, chi_reference_integral, min_over_upper_limit)
@@ -85,7 +83,9 @@ from trigpos.trigsums import (
 
 __all__ = ["CheckResult", "VerificationReport", "main"]
 
-STURM_NAMES = ("q1", "q2", "q3", "q3-derived", "P-near-0", "P-mid", "Q", "R")
+_Q_STURM = ("q1", "q2", "q3", "q3-derived")  # rho = 1/3, no exponent
+_MU_STURM = ("P-near-0", "P-mid", "Q", "R")  # rho = 2/3, on the mu*(2/3) enclosure
+STURM_NAMES = _Q_STURM + _MU_STURM
 BOUND_NAMES = REGIONS + ("master",)
 
 # The one literal point claim in the Sturm plan that is false for every
@@ -105,6 +105,7 @@ MASTER_REFERENCE = "0.207809"
 MASTER_TOL = 1e-4
 MASTER_MIN = 0.2078  # the floor the master bound must clear
 GENFUNC_TOL = 1e-10
+_GEGENBAUER_NMAX = 50  # the argument-bound scan's largest n, whatever --nmax
 
 _TINY = Fraction(1, 10**12)
 _GRID_U = (Fraction(1, 1000), Fraction(math.pi) / 2 + _TINY)
@@ -183,9 +184,10 @@ def _fmt(x, digits: int = 12) -> str:
         return mp.nstr(mp.mpf(x), digits, strip_zeros=True)
 
 
-def _fmt_enclosure(enc: Enclosure, digits: int = 20) -> str:
-    with mp.workdps(max(working_dps(), digits + 10)):
-        lo, hi = (mp.nstr(mp.mpf(f.numerator) / f.denominator, digits, strip_zeros=True)
+def _fmt_enclosure(enc: Enclosure) -> str:
+    """[lo, hi] at 24 digits, which tell the ends of a PROOF_WIDTH enclosure apart."""
+    with mp.workdps(max(working_dps(), 34)):
+        lo, hi = (mp.nstr(mp.mpf(f.numerator) / f.denominator, 24, strip_zeros=True)
                   for f in (enc.lo, enc.hi))
     return f"[{lo}, {hi}]"
 
@@ -199,8 +201,8 @@ def _status(ok: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def run_mustar(rho: Fraction, width: Fraction) -> VerificationReport:
-    res = mu_star(rho, width=width)
+def run_mustar(rho: Fraction) -> VerificationReport:
+    res = mu_star(rho, width=PROOF_WIDTH)
     enc = res.enclosure
     if rho == 1:
         signed, signs = True, "boundary root mu = 1"
@@ -215,9 +217,10 @@ def run_mustar(rho: Fraction, width: Fraction) -> VerificationReport:
     checks = [
         CheckResult(
             "enclosure-width",
-            _status(enc.width <= width),
+            _status(enc.width <= PROOF_WIDTH),
             value=_fmt_enclosure(enc),
-            detail=f"width {_fmt(float(enc.width), 3)} <= requested {_fmt(float(width), 3)}",
+            detail=f"width {_fmt(float(enc.width), 3)} <= PROOF_WIDTH "
+            f"{_fmt(float(PROOF_WIDTH), 3)}",
         ),
         CheckResult(
             "sign-change",
@@ -229,7 +232,7 @@ def run_mustar(rho: Fraction, width: Fraction) -> VerificationReport:
     ]
     return VerificationReport(
         case="mustar",
-        inputs={"rho": str(rho), "width": _fmt(float(width), 3)},
+        inputs={"rho": str(rho), "width": _fmt(float(PROOF_WIDTH), 3)},
         method="verified-sign false position (Anderson-Bjorck) on the oscillatory defect integral",
         reference="critical exponent mu*(rho)",
         checks=checks,
@@ -370,8 +373,8 @@ def _check_prop_constants(mu_enc: Enclosure) -> list[CheckResult]:
         ]
 
 
-def _check_master(mu: Enclosure) -> CheckResult:
-    rep = two_thirds_master_bound(mu)
+def _check_master() -> CheckResult:
+    rep = two_thirds_master_bound()  # on the PROOF_WIDTH enclosure of mu*(2/3)
     with mp.workdps(working_dps()):
         diff = abs(rep.value - mp.mpf(MASTER_REFERENCE))
         ok = rep.positive and rep.value - rep.err > MASTER_MIN and diff <= MASTER_TOL
@@ -389,16 +392,16 @@ def run_thm_2_3(nmax: int) -> VerificationReport:
     rho = Fraction(2, 3)
     tight = mu_star(rho, width=PROOF_WIDTH).enclosure
     checks = [_check_u1(tight)]
-    for target in sturm_case_plan(tight, ("P-near-0", "P-mid", "Q", "R")):
+    for target in sturm_case_plan(tight, _MU_STURM):
         checks.append(_sturm_check(target, gate_all_points=False))
     checks.extend(_check_prop_constants(tight))
-    checks.append(_check_master(tight))
+    checks.append(_check_master())
     checks.append(_grid_check("grid-U", build_U_n(nmax, tight), _GRID_U, "phi"))
     return VerificationReport(
         case="thm-2-3",
         inputs={
             "rho": "2/3",
-            "mu": _fmt_enclosure(tight, 24),
+            "mu": _fmt_enclosure(tight),
             "nmax": nmax,
             "interval": f"[{float(_GRID_U[0]):.6g}, {float(_GRID_U[1]):.6g}]",
         },
@@ -431,10 +434,10 @@ def run_thm_1_3(nmax: int) -> VerificationReport:
     rho = Fraction(1, 3)
     tight = mu_star(rho, width=PROOF_WIDTH).enclosure
     checks = []
-    for target in sturm_case_plan(None, ("q1", "q2", "q3", "q3-derived")):
+    for target in sturm_case_plan(None, _Q_STURM):
         checks.append(_sturm_check(target, gate_all_points=True))
     # each region's bound at rho is the centre report of its scan
-    scanned = [scan_neighborhood(region, center=rho) for region in REGIONS]
+    scanned = [scan_neighborhood(region) for region in REGIONS]
     for region, reports in zip(REGIONS, scanned):
         checks.append(_bound_check(f"bound-{region}", reports[len(reports) // 2]))
 
@@ -445,7 +448,8 @@ def run_thm_1_3(nmax: int) -> VerificationReport:
         "neighborhood-scan",
         _status(bad == 0),
         value=f"{bad} of {len(scans)} not positive" if bad else f"{len(scans)} bounds positive",
-        detail=f"rho within 1/100 of {rho}; worst margin "
+        detail=f"sampled at rho = {', '.join(str(r.rho) for r in scanned[0])} only, "
+        f"nothing between them proved; worst margin "
         f"{_fmt(worst.value - worst.err, 6)} at {worst.label}, rho = {worst.rho}",
     ))
     checks.append(_grid_check("grid-varsigma", build_varsigma(nmax, rho, tight),
@@ -454,7 +458,7 @@ def run_thm_1_3(nmax: int) -> VerificationReport:
         case="thm-1-3",
         inputs={
             "rho": str(rho),
-            "nu": _fmt_enclosure(tight, 24),
+            "nu": _fmt_enclosure(tight),
             "nmax": nmax,
             "interval": f"[{float(_GRID_VARSIGMA[0]):.6g}, {float(_GRID_VARSIGMA[1]):.6g}]",
         },
@@ -471,12 +475,12 @@ def run_thm_1_3(nmax: int) -> VerificationReport:
 
 def run_sturm_case(name: str) -> VerificationReport:
     names = STURM_NAMES if name == "all" else (name,)
-    needs_mu = any(n in ("P-near-0", "P-mid", "Q", "R") for n in names)
+    needs_mu = any(n in _MU_STURM for n in names)
     mu_enc = mu_star(Fraction(2, 3), width=PROOF_WIDTH).enclosure if needs_mu else None
     checks = [_sturm_check(t, gate_all_points=True) for t in sturm_case_plan(mu_enc, names)]
     inputs = {"target": name}
     if mu_enc is not None:
-        inputs["mu"] = _fmt_enclosure(mu_enc, 24)
+        inputs["mu"] = _fmt_enclosure(mu_enc)
     return VerificationReport(
         case=f"sturm:{name}",
         inputs=inputs,
@@ -491,7 +495,7 @@ def run_bounds_case(name: str, rho: Fraction) -> VerificationReport:
     names = BOUND_NAMES if name == "all" else (name,)
     for n in names:
         if n == "master":
-            checks.append(_check_master(mu_star(Fraction(2, 3), width=PROOF_WIDTH).enclosure))
+            checks.append(_check_master())
         else:
             checks.append(_bound_check(f"bound-{n}", L_region(n, rho=rho)))
     return VerificationReport(
@@ -507,7 +511,7 @@ def run_gegenbauer(nmax: int, lam: float) -> VerificationReport:
     from trigpos.gegenbauer import (arg_bound_check, check_jacobi_relation,
                                     gegenbauer_C, genfunc_check)
 
-    checks = []
+    nmax, checks = min(nmax, _GEGENBAUER_NMAX), []
 
     reps = [genfunc_check(lam_g, x, z, tol=GENFUNC_TOL / 100)
             for lam_g in (0.24, 0.5, 1.0, 1.7) for x in (-0.9, -0.3, 0.2, 0.8)
@@ -522,7 +526,7 @@ def run_gegenbauer(nmax: int, lam: float) -> VerificationReport:
         )
     )
 
-    rep = arg_bound_check(lam, n_max=min(nmax, 50))
+    rep = arg_bound_check(lam, n_max=nmax)
     checks.append(
         CheckResult(
             "argument-bound",
@@ -563,7 +567,7 @@ def run_gegenbauer(nmax: int, lam: float) -> VerificationReport:
 
     return VerificationReport(
         case="gegenbauer",
-        inputs={"nmax": min(nmax, 50), "lambda": f"{lam:g}"},
+        inputs={"nmax": nmax, "lambda": f"{lam:g}"},
         method="three-term recurrences against closed forms and sampling",
         reference="ultraspherical coefficient cross-checks",
         checks=checks,
@@ -571,7 +575,7 @@ def run_gegenbauer(nmax: int, lam: float) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Argument handling: one settings table, one case table
+# Argument handling: argparse parses the flags, one table maps the cases
 # ---------------------------------------------------------------------------
 
 
@@ -582,13 +586,6 @@ def _parse_rational(text) -> Fraction:
         raise UsageError(f"cannot parse {text!r} as a rational number") from exc
 
 
-def _parse_width(text) -> Fraction:
-    width = _parse_rational(text)
-    if width < width_floor():
-        raise UsageError(f"--width must be at least 1e-{working_dps()}")
-    return width
-
-
 def _parse_nmax(text) -> int:
     nmax = _parse_rational(text)
     # a grid check takes nmax + 1 terms
@@ -597,11 +594,14 @@ def _parse_nmax(text) -> int:
     return int(nmax)
 
 
-def _parse_float(text) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value <= 0:
-        raise ValueError("the value must be finite and above 0")
-    return value
+def _parse_lam(text) -> float:
+    try:
+        lam = float(text)
+        if not math.isfinite(lam) or lam <= 0:
+            raise ValueError("the value must be finite and above 0")
+    except ValueError as exc:
+        raise UsageError(f"bad value {text!r} for lam: {exc}") from exc
+    return lam
 
 
 def _parse_rho(text) -> Fraction:
@@ -611,31 +611,16 @@ def _parse_rho(text) -> Fraction:
     return rho
 
 
-class Setting(NamedTuple):
-    parse: Callable  # flag text -> value; raises on a bad one
-    default: str
-    help: str
-    command: str = "verify"  # the subcommand that takes it as a flag
-
-
-# every setting flag; `mustar` takes rho as its positional argument
-SETTINGS = {
-    "width": Setting(_parse_width, "1e-9", "enclosure width", "mustar"),
-    "nmax": Setting(_parse_nmax, "100", "largest partial-sum index for grid cases"),
-    "rho": Setting(_parse_rho, "1/3", "rho for the region bounds of bounds:*"),
-    "lam": Setting(_parse_float, "0.24", "exponent for the argument-bound scan"),
-}
-
-# case name -> runner of the parsed settings; the lambdas look the runners
-# up when called, so a patched module attribute takes effect
+# case name -> runner of the parsed flags; the lambdas look the runners up
+# when called, so a patched module attribute takes effect
 CASES = {
-    "thm-2-3": lambda s: run_thm_2_3(s["nmax"]),
-    "thm-1-3": lambda s: run_thm_1_3(s["nmax"]),
-    **{f"sturm:{name}": lambda s, name=name: run_sturm_case(name)
+    "thm-2-3": lambda a: run_thm_2_3(a.nmax),
+    "thm-1-3": lambda a: run_thm_1_3(a.nmax),
+    **{f"sturm:{name}": lambda a, name=name: run_sturm_case(name)
        for name in STURM_NAMES + ("all",)},
-    **{f"bounds:{name}": lambda s, name=name: run_bounds_case(name, s["rho"])
+    **{f"bounds:{name}": lambda a, name=name: run_bounds_case(name, a.rho)
        for name in BOUND_NAMES + ("all",)},
-    "gegenbauer": lambda s: run_gegenbauer(s["nmax"], s["lam"]),
+    "gegenbauer": lambda a: run_gegenbauer(a.nmax, a.lam),
 }
 
 
@@ -645,46 +630,38 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The two commands.  argparse runs each `type` on every value given and
+    on the string defaults, so a bad value is a usage error also where the
+    case does not read it; it lets the UsageError of a guard through."""
     ap = _Parser(
         prog="trigpos",
         description="verified positivity checks for fractional trigonometric sums",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    m = sub.add_parser("mustar", help="enclose the critical exponent mu*(rho)")
-    m.add_argument("rho", help="rho in (0, 1], rational or decimal")
+    m = sub.add_parser("mustar", help="enclose the critical exponent mu*(rho) at PROOF_WIDTH")
+    m.add_argument("rho", type=_parse_rho, help="rho in (0, 1], rational or decimal")
     v = sub.add_parser("verify", help="run a named verification case")
     v.add_argument("case", help="thm-2-3 | thm-1-3 | sturm:<name> | bounds:<name> | gegenbauer")
-    for command, p in (("mustar", m), ("verify", v)):
-        for key, setting in SETTINGS.items():
-            if setting.command == command:
-                p.add_argument(f"--{key}", default=setting.default,
-                               help=f"{setting.help} (default {setting.default})")
+    v.add_argument("--nmax", type=_parse_nmax, default="100",
+                   help="largest partial-sum index for grid cases; gegenbauer caps it at "
+                   f"{_GEGENBAUER_NMAX} (default %(default)s)")
+    v.add_argument("--rho", type=_parse_rho, default="1/3",
+                   help="rho for the region bounds of bounds:* (default %(default)s)")
+    v.add_argument("--lam", type=_parse_lam, default="0.24",
+                   help="exponent for the argument-bound scan (default %(default)s)")
+    for p in (m, v):
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
     return ap
-
-
-def _settings(args) -> dict:
-    """Every setting, parsed: the flag if given, else the default.  A value
-    given, used or not, that does not parse is a usage error."""
-    settings = {}
-    for key, setting in SETTINGS.items():
-        val = getattr(args, key, setting.default)  # absent where the command has no such flag
-        try:
-            settings[key] = setting.parse(val)
-        except ValueError as exc:
-            raise UsageError(f"bad value {val!r} for {key}: {exc}") from exc
-    return settings
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         start = time.perf_counter()
-        settings = _settings(args)
         if args.command == "mustar":
-            report = run_mustar(settings["rho"], settings["width"])
+            report = run_mustar(args.rho)
         elif args.case in CASES:
-            report = CASES[args.case](settings)
+            report = CASES[args.case](args)
         else:
             raise UsageError(f"unknown case {args.case!r}; choose from {', '.join(CASES)}")
         report.wall_time_s = time.perf_counter() - start

@@ -63,7 +63,6 @@ __all__ = [
     "certify_positive_trig",
     "certify_partial_sums",
     "partial_sum",
-    "closed_form_full_sum",
     "DiskSample",
     "SectorReport",
     "WeakFormReport",
@@ -313,11 +312,6 @@ def partial_sum(mu, n: int, z):
         total += coeff * power
         power *= z
     return total
-
-
-def closed_form_full_sum(mu, z):
-    """(1 - z)^(-mu), principal branch: the n -> infinity limit of s_n."""
-    return mp.power(1 - mp.mpc(z), -mp.mpf(mu))
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,9 @@ and Stegun, Handbook of Mathematical Functions, 22.3.4), with no recurrence:
     C_n^lam(x) = sum_k (-1)^k (lam)_(n-k) / (k! (n - 2k)!) (2x)^(n - 2k),
 
 k = 0..floor(n/2).
+
+closed_form_full_sum -- (1 - z)^(-mu) on the principal branch, the
+n -> infinity limit of the disk partial sums s_n(z) of engine.partial_sum.
 """
 
 from fractions import Fraction
@@ -186,3 +189,7 @@ def rising(a, k):
 def gegenbauer_C_explicit(n, lam, x):
     return sum((-1) ** k * rising(lam, n - k) / (factorial(k) * factorial(n - 2 * k))
                * (2 * x) ** (n - 2 * k) for k in range(n // 2 + 1))
+
+
+def closed_form_full_sum(mu, z):
+    return mp.power(1 - mp.mpc(z), -mp.mpf(mu))

@@ -19,7 +19,6 @@ TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
 
 ALLOWED_UNUSED = {
     "series_reference": "perfbench imports it to build its pinned references",
-    "closed_form_full_sum": "the independent oracle for engine.partial_sum",
     "certify_positive_trig": "perfbench's grid sweep and acceptance criterion 07 run it",
     "subordination_sector_check": "acceptance criterion 09 runs it",
     "weak_conjecture_check": "acceptance criterion 09 runs it",

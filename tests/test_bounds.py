@@ -166,17 +166,12 @@ def test_master_bound_with_exact_mu_override():
 
 
 def test_scan_neighborhood_shape():
-    reports = scan_neighborhood("32", steps=1)
-    assert len(reports) == 3
-    rhos = [r.rho for r in reports]
-    assert rhos == sorted(rhos)
-    assert rhos[1] == F(1, 3)
-    assert rhos[0] + rhos[2] == 2 * F(1, 3)
+    # five fixed points, 1/3 + k/200 for k = -2..2; the middle one is L(32) at 1/3
+    reports = scan_neighborhood("32")
+    assert [r.rho for r in reports] == [F(97, 300), F(197, 600), F(1, 3), F(203, 600), F(103, 300)]
     assert all(r.positive for r in reports)
-    only = scan_neighborhood("2", steps=0)
-    assert len(only) == 1 and only[0].rho == F(1, 3)
-    with pytest.raises(ValueError):
-        scan_neighborhood("2", steps=-1)
+    centre = L_region("32")
+    assert (reports[2].value, reports[2].err) == (centre.value, centre.err)
 
 
 def test_interval_arguments_outside_the_domain_are_refused():

@@ -16,12 +16,11 @@ from trigpos.engine import (
     GridCertificate,
     certify_partial_sums,
     certify_positive_trig,
-    closed_form_full_sum,
     partial_sum,
     subordination_sector_check,
     weak_conjecture_check,
 )
-from oracles import rising
+from oracles import closed_form_full_sum, rising
 from trigpos.engine import _MAX_TERMS, _MUL_ERR, _SEED_ERR, _Prefixes, _ratios, _up
 from trigpos.exact import Enclosure
 from trigpos.gegenbauer import arg_bound_check
