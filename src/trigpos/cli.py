@@ -1,7 +1,7 @@
 """Command-line front end: named, scriptable verification cases.
 
     trigpos mustar RHO [--json]
-    trigpos verify CASE [--nmax N] [--rho RHO] [--lam LAM] [--json]
+    trigpos verify CASE [--nmax N] [--rho RHO] [--json]
 
 argparse parses every flag, its `type` guarding the range; CASES maps each
 CASE name to a runner of the parsed flags:
@@ -18,19 +18,18 @@ CASE name to a runner of the parsed flags:
                    point claim, including the one the theorem pipelines
                    cannot use (see sturm_case_plan)
     bounds:NAME    one composite bound (1, 2, 31, 32, 33 at --rho, master, or all)
-    gegenbauer     ultraspherical cross-checks: generating function,
-                   argument bound (n up to --nmax, capped at 50), Chebyshev
-                   specialization, and the Jacobi conversion in both
-                   normalizations
+    gegenbauer     ultraspherical cross-checks at fixed inputs: generating
+                   function, argument bound (lambda = 0.24, n <= 50),
+                   Chebyshev specialization, and the Jacobi conversion in
+                   both normalizations
 
 Exit status: 0 when every sub-check passes, 1 when any sub-check fails or is
 inconclusive, 2 for usage errors: an unknown case or flag, or any flag
 value, whether or not the case reads it, that does not parse or lies out of
-range (rho outside (0, 1], nmax outside 1..999998, lam not a finite number
-above 0).  A computation that cannot decide at all (an ArithmeticError, such
-as mu*(rho) below the search bracket [1/100, 1] for rho under about 1/150)
-is inconclusive too: it exits 1 with one "error:" line in place of the
-report.
+range (rho outside (0, 1], nmax outside 1..999998).  A computation that
+cannot decide at all (an ArithmeticError, such as mu*(rho) below the search
+bracket [1/100, 1] for rho under about 1/150) is inconclusive too: it exits
+1 with one "error:" line in place of the report.
 
 Every proof and bound check runs on one mu*(rho) enclosure per rho, of
 width mustar.PROOF_WIDTH, and `mustar` prints that enclosure.  Reports
@@ -105,7 +104,8 @@ MASTER_REFERENCE = "0.207809"
 MASTER_TOL = 1e-4
 MASTER_MIN = 0.2078  # the floor the master bound must clear
 GENFUNC_TOL = 1e-10
-_GEGENBAUER_NMAX = 50  # the argument-bound scan's largest n, whatever --nmax
+_GEGENBAUER_LAM = 0.24  # the argument-bound scan's exponent
+_GEGENBAUER_NMAX = 50  # and its largest n
 
 _TINY = Fraction(1, 10**12)
 _GRID_U = (Fraction(1, 1000), Fraction(math.pi) / 2 + _TINY)
@@ -507,11 +507,11 @@ def run_bounds_case(name: str, rho: Fraction) -> VerificationReport:
     )
 
 
-def run_gegenbauer(nmax: int, lam: float) -> VerificationReport:
+def run_gegenbauer() -> VerificationReport:
     from trigpos.gegenbauer import (arg_bound_check, check_jacobi_relation,
                                     gegenbauer_C, genfunc_check)
 
-    nmax, checks = min(nmax, _GEGENBAUER_NMAX), []
+    checks = []
 
     reps = [genfunc_check(lam_g, x, z, tol=GENFUNC_TOL / 100)
             for lam_g in (0.24, 0.5, 1.0, 1.7) for x in (-0.9, -0.3, 0.2, 0.8)
@@ -526,13 +526,13 @@ def run_gegenbauer(nmax: int, lam: float) -> VerificationReport:
         )
     )
 
-    rep = arg_bound_check(lam, n_max=nmax)
+    rep = arg_bound_check(_GEGENBAUER_LAM, n_max=_GEGENBAUER_NMAX)
     checks.append(
         CheckResult(
             "argument-bound",
             _status(rep.passed),
             value=f"max |arg| {rep.max_abs_arg:.6f}",
-            detail=f"sampled disk: lambda = {lam:g}, n <= {rep.n_max}, threshold pi/3 = "
+            detail=f"sampled disk: lambda = {rep.lam:g}, n <= {rep.n_max}, threshold pi/3 = "
             f"{rep.threshold:.6f}; worst at n={rep.worst_n}, x={rep.worst_x:g}",
         )
     )
@@ -567,7 +567,7 @@ def run_gegenbauer(nmax: int, lam: float) -> VerificationReport:
 
     return VerificationReport(
         case="gegenbauer",
-        inputs={"nmax": nmax, "lambda": f"{lam:g}"},
+        inputs={"nmax": _GEGENBAUER_NMAX, "lambda": f"{_GEGENBAUER_LAM:g}"},
         method="three-term recurrences against closed forms and sampling",
         reference="ultraspherical coefficient cross-checks",
         checks=checks,
@@ -594,16 +594,6 @@ def _parse_nmax(text) -> int:
     return int(nmax)
 
 
-def _parse_lam(text) -> float:
-    try:
-        lam = float(text)
-        if not math.isfinite(lam) or lam <= 0:
-            raise ValueError("the value must be finite and above 0")
-    except ValueError as exc:
-        raise UsageError(f"bad value {text!r} for lam: {exc}") from exc
-    return lam
-
-
 def _parse_rho(text) -> Fraction:
     rho = _parse_rational(text)
     if not 0 < rho <= 1:
@@ -620,7 +610,7 @@ CASES = {
        for name in STURM_NAMES + ("all",)},
     **{f"bounds:{name}": lambda a, name=name: run_bounds_case(name, a.rho)
        for name in BOUND_NAMES + ("all",)},
-    "gegenbauer": lambda a: run_gegenbauer(a.nmax, a.lam),
+    "gegenbauer": lambda a: run_gegenbauer(),
 }
 
 
@@ -643,12 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a named verification case")
     v.add_argument("case", help="thm-2-3 | thm-1-3 | sturm:<name> | bounds:<name> | gegenbauer")
     v.add_argument("--nmax", type=_parse_nmax, default="100",
-                   help="largest partial-sum index for grid cases; gegenbauer caps it at "
-                   f"{_GEGENBAUER_NMAX} (default %(default)s)")
+                   help="largest partial-sum index for grid cases (default %(default)s)")
     v.add_argument("--rho", type=_parse_rho, default="1/3",
                    help="rho for the region bounds of bounds:* (default %(default)s)")
-    v.add_argument("--lam", type=_parse_lam, default="0.24",
-                   help="exponent for the argument-bound scan (default %(default)s)")
     for p in (m, v):
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
     return ap

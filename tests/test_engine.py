@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from mpmath import iv, mp
+from mpmath.libmp import dps_to_prec
 
 from trigpos.engine import (
     GridCertificate,
@@ -25,6 +26,7 @@ from trigpos.engine import _MAX_TERMS, _MUL_ERR, _SEED_ERR, _Prefixes, _ratios, 
 from trigpos.exact import Enclosure
 from trigpos.gegenbauer import arg_bound_check
 from trigpos.mustar import mu_star
+from trigpos.precision import working_dps
 from trigpos.trigsums import TrigSum, TrigTerm, build_U_n, build_varsigma, pochhammer_coeff
 
 F = Fraction
@@ -303,6 +305,35 @@ def test_all_n_pass_refutes_above_the_critical_exponent():
         for n, cert in enumerate(certs[first_bad - 1:], first_bad):
             prefix = TrigSum(tsum.terms[:n + 1])
             assert prefix.eval_mp(mp.mpf(cert.witness)) < 0
+
+
+def _per_prefix_upper_bound(self, n, theta):
+    """upper_bound by a fresh fixed_point pass from k = 0 for every prefix."""
+    p, total = dps_to_prec(working_dps()) + 40, 0
+    for t, (x, e) in zip(self.terms[:n + 1], self.fixed_point(theta, n, p)):
+        c, big = t.coeff.hi if x > 0 else t.coeff.lo, max(-t.coeff.lo, t.coeff.hi)
+        total -= (-c.numerator * x) // c.denominator + (-big.numerator * e) // big.denominator
+    return total, p
+
+
+def test_refutations_share_one_fixed_point_pass_per_witness(monkeypatch):
+    # varsigma_n at nu*(1/3) + 1/100 is refuted for n >= 14, at a few dozen
+    # witnesses; each witness gets one pass, and every certificate equals
+    # the one a pass per prefix gives
+    nu = _critical(F(1, 3))
+    tsum = build_varsigma(200, F(1, 3), Enclosure(nu.lo + F(1, 100), nu.hi + F(1, 100)))
+    interval = (F(1, 1000), F(3141, 1000))
+    passes, fixed_point = [], _Prefixes.fixed_point
+    monkeypatch.setattr(_Prefixes, "fixed_point",
+                        lambda self, *args: passes.append(args) or fixed_point(self, *args))
+    certs = certify_partial_sums(tsum, interval)
+    refuted = [c for c in certs if c.status == "refuted"]
+    witnesses = {c.witness for c in refuted}
+    assert len(refuted) > 150 and len(passes) <= len(witnesses) < 50
+    monkeypatch.setattr(_Prefixes, "upper_bound", _per_prefix_upper_bound)
+    per_prefix = certify_partial_sums(tsum, interval)
+    assert [(c.status, c.witness, c.min_value) for c in certs] \
+        == [(c.status, c.witness, c.min_value) for c in per_prefix]
 
 
 def test_float_values_stay_within_the_float64_bound(monkeypatch):

@@ -150,7 +150,7 @@ def test_seeded_search_takes_few_integrals(monkeypatch, rho, width, most):
     ("1e-30", "2e-30", False, False),
     ("-1e-30", "2e-30", False, False),
     ("2e-30", "2e-30", False, False),  # 0 is the lower end of value +/- err
-    ("0.5", "1e-40", True, False),
+    ("0.5", "1e-40", True, True),  # the flag adds nothing to 0 outside value +/- err
 ])
 def test_verified_sign_needs_zero_outside_the_enclosure(monkeypatch, value, err, flagged, proven):
     res = QuadResult(mp.mpf(value), mp.mpf(err), flagged)
