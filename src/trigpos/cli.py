@@ -36,8 +36,9 @@ width mustar.PROOF_WIDTH, and `mustar` prints that enclosure.  Reports
 are deterministic: identical invocations at the same precision print
 byte-identical output apart from the wall-time figure.  The env var
 TRIGPOS_PRECISION (decimal digits, default 30, at least 20) sets the working
-precision.  The gates on the paper's printed figures (MASTER_MIN,
-MASTER_TOL, CHI_TOL) and GENFUNC_TOL are module constants, not settings.
+precision; a value that is not an integer is a usage error.  The gates on
+the paper's printed figures (MASTER_MIN, MASTER_TOL, CHI_TOL) and
+GENFUNC_TOL are module constants, not settings.
 """
 
 from __future__ import annotations
@@ -644,6 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        try:
+            working_dps()  # a malformed TRIGPOS_PRECISION stops before any case runs
+        except ValueError as exc:
+            raise UsageError(exc) from None
         start = time.perf_counter()
         if args.command == "mustar":
             report = run_mustar(args.rho)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from mpmath import iv, mp
 
@@ -70,19 +70,9 @@ def defect_integral(rho, mu) -> QuadResult:
     rho, mu = _as_fraction(rho), _as_fraction(mu)
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
-    dps = working_dps() + 15
-    eta, x = _limits(rho, dps)
-    with iv_dps(dps):
-        return fractional_osc_integral("sin", eta, _as_iv(mu), x)
-
-
-@lru_cache(maxsize=16)
-def _limits(rho: Fraction, dps: int):
-    """-rho pi and (rho + 1) pi enclosed in mpmath.iv at dps digits, once
-    for all the probes of mu_star at one rho."""
-    with iv_dps(dps):
+    with iv_dps(working_dps() + 15):
         rho_pi = _as_iv(rho) * iv.pi
-        return -rho_pi, rho_pi + iv.pi
+        return fractional_osc_integral("sin", -rho_pi, _as_iv(mu), rho_pi + iv.pi)
 
 
 def _verified_sign(rho: Fraction, mu: Fraction) -> mp.mpf:

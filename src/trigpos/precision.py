@@ -3,7 +3,8 @@
 All mpmath computations run at ``working_dps()`` significant digits.  The
 default of 30 keeps roughly 15 guard digits beyond the 10--13 digits the
 certified constants are quoted to; the ``TRIGPOS_PRECISION`` environment
-variable overrides it (floor of 20, the digits mustar.PROOF_WIDTH needs).
+variable overrides it (floor of 20, the digits mustar.PROOF_WIDTH needs); a
+value that is not an integer raises ValueError.
 """
 
 import os
@@ -16,14 +17,15 @@ _ENV_VAR = "TRIGPOS_PRECISION"
 
 
 def working_dps() -> int:
-    """Digits of working precision, from $TRIGPOS_PRECISION or the default."""
+    """Digits of working precision, from $TRIGPOS_PRECISION or the default;
+    ValueError when the variable is set but not an integer."""
     raw = os.environ.get(_ENV_VAR)
     if raw is None:
         return DEFAULT_DPS
     try:
         return max(20, int(raw))
     except ValueError:
-        return DEFAULT_DPS
+        raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 @contextmanager

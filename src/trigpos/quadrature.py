@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from mpmath import iv, mp
 
@@ -146,7 +146,7 @@ def _evaluate(kind: str, eta, mu, x):
             s, c = (iv.ldexp(iv.mpf([t - e, t + e]), -p)
                     for t, e in (_alternating_sum(k, m, xf, p, eps) for k in (1, 0)))
             # g(t + eta) = cos(eta) g(t) +/- sin(eta) g^(t), for every eta in an interval
-            cos_eta, sin_eta = _cos_sin(eta, dps)
+            cos_eta, sin_eta = iv.cos_sin(eta)
             enc = iv.mpf(x) ** iv.mpf(mu) * (
                 cos_eta * s + sin_eta * c if kind == "sin" else cos_eta * c - sin_eta * s)
         if d_mu or d_x:
@@ -169,14 +169,6 @@ def _estimate(eta: float, mu, x: float) -> float:
     xf, m = (int(math.ldexp(float(v), 96)) for v in (x, mu))
     s, c = (math.ldexp(_alternating_sum(k, m, xf, 96, 1 << 32)[0], -96) for k in (1, 0))
     return x ** float(mu) * (math.cos(eta) * s + math.sin(eta) * c)
-
-
-@lru_cache(maxsize=64)
-def _cos_sin(eta, dps: int):
-    """iv.cos_sin(eta) at dps digits, for an mpf or an iv interval eta: the
-    probes of mu_star at one rho share their phase."""
-    with iv_dps(dps):
-        return iv.cos_sin(eta)
 
 
 def fractional_osc_integral(kind: str, eta, mu, x) -> QuadResult:

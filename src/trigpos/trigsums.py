@@ -16,6 +16,7 @@ sums that share a mu share that work.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -52,11 +53,9 @@ _ONE = Enclosure(Fraction(1), Fraction(1))
 _ZERO = Enclosure(Fraction(0), Fraction(0))
 _MAX_TERMS = 10**6  # the grid certificate's float64 bounds hold below this many terms
 _MAX_TERM_LISTS = 32
-_TERM_LISTS: dict = {}  # _terms' key -> (coefficients, terms), least recently used first
+# _terms' key -> (_pochhammer generator, terms), least recently used first
+_TERM_LISTS: dict = {}
 _TERM_LOCK = threading.Lock()
-# T_0, T_1 and U_0, U_1; _chebyshev grows each list on first use of a higher order
-_CHEBYSHEV_T = [Polynomial([1]), Polynomial([0, 1])]
-_CHEBYSHEV_U = [Polynomial([1]), Polynomial([0, 2])]
 
 
 # ---------------------------------------------------------------------------
@@ -143,20 +142,16 @@ class TrigSum:
 # ---------------------------------------------------------------------------
 
 
-def _poch_table(mu: Enclosure, n: int, table: list[Enclosure] | None = None) -> list[Enclosure]:
-    """[pochhammer_coeff(mu, k) for k = 0..n], built in one pass; a table
-    of the first entries is extended in place, from its last entry on, with
-    the scaled integers each entry carries (see pochhammer_coeff)."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
+def _pochhammer(mu: Enclosure):
+    """Yield pochhammer_coeff(mu, k) for k = 0, 1, 2, ... in one pass; each
+    endpoint, once rounded, is carried as the integer L of L 2^-b."""
     exact = mu.is_exact()
     if not exact and mu.lo <= 0:
         raise ValueError("interval coefficients need mu > 0")
     bits = math.ceil((working_dps() + 20) * math.log2(10))  # the dyadic grain
-    table = [_ONE] if table is None else table
-    ends = [table[-1].lo, table[-1].hi]
-    scaled = list(table[-1].__dict__.get("_scaled", (None, None)))  # L, H once rounded
-    for k in range(len(table) - 1, n):
+    ends, scaled = [Fraction(1), Fraction(1)], [None, None]  # L, H once rounded
+    yield _ONE
+    for k in itertools.count():
         for i, m, s in ((0, mu.lo, 1),) if exact else ((0, mu.lo, 1), (1, mu.hi, -1)):
             num, den = m.numerator + k * m.denominator, m.denominator * (k + 1)
             if scaled[i] is not None:  # s = 1 floors lo, s = -1 ceils hi
@@ -167,9 +162,7 @@ def _poch_table(mu: Enclosure, n: int, table: list[Enclosure] | None = None) -> 
                     scaled[i] = s * ((s * v.numerator << bits) // v.denominator)
             if scaled[i] is not None:
                 ends[i] = Fraction(scaled[i], 1 << bits)
-        table.append(Enclosure(ends[0], ends[0] if exact else ends[1]))
-        table[-1].__dict__["_scaled"] = tuple(scaled)  # beside the fields, as a memo
-    return table
+        yield Enclosure(ends[0], ends[0] if exact else ends[1])
 
 
 def pochhammer_coeff(mu, k: int) -> Enclosure:
@@ -185,15 +178,13 @@ def pochhammer_coeff(mu, k: int) -> Enclosure:
     (fixed point: Brent and Zimmermann, Modern Computer Arithmetic, 4.4), so
     endpoints stay at about b bits.  Exact mu is never rounded.
     """
-    return _poch_table(_as_mu_enclosure(mu), k)[k]
+    if k < 0:
+        raise ValueError("order must be nonnegative")
+    return next(itertools.islice(_pochhammer(_as_mu_enclosure(mu)), k, None))
 
 
 def _as_mu_enclosure(mu) -> Enclosure:
-    if isinstance(mu, Enclosure):
-        return mu
-    if isinstance(mu, mp.mpf):
-        return Enclosure.exact(mu)
-    return Enclosure.exact(Fraction(mu))
+    return mu if isinstance(mu, Enclosure) else Enclosure.exact(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +197,18 @@ def _terms(mu, offset: Fraction, phase_pi: Fraction, kind: str, n: int) -> tuple
     d_k = (mu)_k / k!.  One list per (mu, precision, offset, phase, kind)
     is kept, the _MAX_TERM_LISTS most recently used, and grown on demand by
     resuming the recurrence from its last coefficient."""
+    if n < 0:
+        raise ValueError("order must be nonnegative")
     mu = _as_mu_enclosure(mu)
     key = (mu.lo, mu.hi, working_dps(), offset, phase_pi, kind)
     with _TERM_LOCK:  # two threads must not grow one list at once
-        coeffs, terms = _TERM_LISTS[key] = _TERM_LISTS.pop(key, None) or ([_ONE], [])
+        coeffs, terms = _TERM_LISTS.pop(key, None) or (_pochhammer(mu), [])
+        terms += (TrigTerm(next(coeffs), 2 * k + offset, phase_pi, kind)
+                  for k in range(len(terms), n + 1))
+        # (re)entered only once grown, so a mu the generator rejects keeps none
+        _TERM_LISTS[key] = coeffs, terms
         if len(_TERM_LISTS) > _MAX_TERM_LISTS:
             del _TERM_LISTS[next(iter(_TERM_LISTS))]
-        _poch_table(mu, n, coeffs)
-        terms += (TrigTerm(coeffs[k], 2 * k + offset, phase_pi, kind)
-                  for k in range(len(terms), n + 1))
         return tuple(terms[:n + 1])
 
 
@@ -238,25 +232,25 @@ def build_omega(n: int) -> TrigSum:
 # ---------------------------------------------------------------------------
 
 
-def _chebyshev(table: list[Polynomial], k: int) -> Polynomial:
-    """table[k], the table grown on integers by P_{j+1} = 2x P_j - P_{j-1}."""
+def _chebyshev(first: list[int], k: int) -> Polynomial:
+    """P_k from P_0 = 1 and P_1 = first by P_{j+1} = 2x P_j - P_{j-1}, on integers."""
     if k < 0:
         raise ValueError("negative order")
-    with _TERM_LOCK:  # two threads must not grow one table at once
-        while len(table) <= k:
-            following = [0] + [2 * c for c in table[-1].coeffs]
-            for j, c in enumerate(table[-2].coeffs):
-                following[j] -= c
-            table.append(Polynomial(following))
-    return table[k]
+    before, current = [1], first
+    for _ in range(k):
+        following = [0] + [2 * c for c in current]
+        for j, c in enumerate(before):
+            following[j] -= c
+        before, current = current, following
+    return Polynomial(before)
 
 
 def chebyshev_T(k: int) -> Polynomial:
-    return _chebyshev(_CHEBYSHEV_T, k)
+    return _chebyshev([0, 1], k)
 
 
 def chebyshev_U(k: int) -> Polynomial:
-    return _chebyshev(_CHEBYSHEV_U, k)
+    return _chebyshev([0, 2], k)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +274,8 @@ class Reduction:
 
     def exact_polynomial(self) -> Polynomial:
         if any(not c.is_exact() for c in self.coeffs):
-            raise ValueError("coefficients are genuine intervals; use envelopes()")
+            raise ValueError("coefficients are genuine intervals; use poly_with_interval_coeffs()")
         return Polynomial([c.lo for c in self.coeffs])
-
-    def envelopes(self, x_interval) -> tuple[Polynomial, Polynomial]:
-        return poly_with_interval_coeffs(self.coeffs, x_interval)
 
 
 def _chebyshev_sum(basis, pairs) -> tuple[Enclosure, ...]:
@@ -320,8 +311,8 @@ def case_P(mu) -> Reduction:
 
 def _sine_case(label: str, mu, orders: tuple[int, ...]) -> Reduction:
     """sum_k d_k sin(m_k t) = sin t * sum_k d_k U_(m_k - 1)(cos t)."""
-    d = _poch_table(_as_mu_enclosure(mu), len(orders) - 1)
-    return Reduction(label, _chebyshev_sum(chebyshev_U, zip(d, (m - 1 for m in orders))))
+    pairs = zip(_pochhammer(_as_mu_enclosure(mu)), (m - 1 for m in orders))
+    return Reduction(label, _chebyshev_sum(chebyshev_U, pairs))
 
 
 def case_Q(mu) -> Reduction:
@@ -396,7 +387,7 @@ class SturmTarget:
         """(lower, upper) envelopes, or the single exact polynomial."""
         if all(c.is_exact() for c in self.reduction.coeffs):
             return (self.reduction.exact_polynomial(),)
-        return self.reduction.envelopes(self.x_interval)
+        return poly_with_interval_coeffs(self.reduction.coeffs, self.x_interval)
 
 
 def sturm_case_plan(mu, names=None) -> list[SturmTarget]:
@@ -465,13 +456,7 @@ def run_sturm_target(target: SturmTarget) -> SturmOutcome:
 
     polys = target.polynomials()
     a, b = target.x_interval
-    # one chain per distinct polynomial, kept beside the reduction's fields:
-    # P-near-0 and P-mid share both envelopes, q3 and q3-derived share q3
-    chains = target.reduction.__dict__.setdefault("_chains", {})
-    for p in polys:
-        if p not in chains:
-            chains[p] = sturm_chain(p)
-    counts = tuple(count_roots_in(chains[p], a, b) for p in polys)
+    counts = tuple(count_roots_in(sturm_chain(p), a, b) for p in polys)
     # point positivity on the lower envelope holds for every admissible
     # coefficient choice (the lower envelope minorizes all of them)
     points = tuple(

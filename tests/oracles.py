@@ -32,7 +32,7 @@ Handscomb, Chebyshev Polynomials, 2003), with no recurrence:
 
 k = 0..floor(n/2), and T_0 = 1.
 
-rational_poch_table -- the (mu)_k / k! recurrence of trigsums._poch_table in
+rational_poch_table -- the (mu)_k / k! recurrence of trigsums._pochhammer in
 Fractions, every step exact and then rounded outward to a 2^-bits grain
 whenever its denominator reaches 2^bits; the production route carries an
 endpoint as an integer instead once it is first rounded.

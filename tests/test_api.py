@@ -84,3 +84,15 @@ def test_allowlist_is_current():
         assert qual in defined, f"{qual} is no longer defined"
         assert LOADS[defined[qual]] == 0, (
             f"{qual} now has a user in the package; drop it from the allowlist")
+
+
+def test_no_state_hides_in_an_instance_dict():
+    # a value written into an object's __dict__ sits beside its fields, where
+    # a frozen record's equality and hash do not see it; TrigTerm.float_bounds
+    # is a cached_property and touches no __dict__ in the source
+    found = [f"{module}.py:{node.lineno}" for module, tree in TREES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+             or isinstance(node, ast.Constant) and node.value == "__dict__"
+             or isinstance(node, ast.Name) and node.id == "vars"]
+    assert not found, f"instance dict access in trigpos: {found}"

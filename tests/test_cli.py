@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import trigpos
-from trigpos import cli, engine, exact, trigsums
+from trigpos import cli, engine, trigsums
 from trigpos.cli import main
 from trigpos.exact import Enclosure
 from trigpos.mustar import MuStarResult, mu_star
@@ -181,6 +181,18 @@ def test_lowest_precision_still_reaches_the_proof_width(capsys, monkeypatch, arg
     monkeypatch.setenv("TRIGPOS_PRECISION", "15")
     assert main(argv) == 0
     assert "status: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("raw", ["abc", "3.5", ""], ids=["abc", "3.5", "empty"])
+@pytest.mark.parametrize("argv", [["mustar", "2/3"], ["verify", "thm-2-3"]],
+                         ids=["mustar", "verify"])
+def test_malformed_precision_is_a_usage_error(capsys, monkeypatch, raw, argv):
+    # not read as the default: the CLI stops before any case runs
+    monkeypatch.setenv("TRIGPOS_PRECISION", raw)
+    _refuse_every_case(monkeypatch)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: TRIGPOS_PRECISION must be an integer, got {raw!r}\n")
 
 
 def test_bounds_all_report_is_pinned(capsys):
@@ -383,16 +395,6 @@ def test_parser_errors_return_2_and_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
     assert exc.value.code == 0
-
-
-@pytest.mark.parametrize("case, chains", [("thm-2-3", 6), ("thm-1-3", 3), ("sturm:all", 9)])
-def test_each_case_builds_one_chain_per_distinct_polynomial(capsys, monkeypatch, case, chains):
-    # P-near-0 and P-mid share both envelopes, q3 and q3-derived share q3
-    built = []
-    real = exact.sturm_chain
-    monkeypatch.setattr(exact, "sturm_chain", lambda p: built.append(p) or real(p))
-    main(["verify", case, "--nmax", "2", "--json"])
-    assert len(built) == len(set(built)) == chains
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Trig sums, Chebyshev polynomials, and the named case polynomials."""
 
+import itertools
 import json
 import math
 import random
@@ -310,7 +311,7 @@ def test_poch_table_equals_the_fraction_oracle_on_the_pinned_enclosures():
     assert len(pinned) == 4
     for name, (lo, hi) in pinned.items():
         lo, hi = F(lo), F(hi)
-        got = trigsums._poch_table(Enclosure(lo, hi), 1000)
+        got = list(itertools.islice(trigsums._pochhammer(Enclosure(lo, hi)), 1001))
         want = rational_poch_table(lo, hi, 1000, GRAIN_BITS)
         assert [(c.lo, c.hi) for c in got] == want, name
 
@@ -322,7 +323,7 @@ def test_poch_table_brackets_small_exact_endpoints():
     # after its first rounding now and then, which the integers round, so
     # the two tables are within a few grains, not equal
     lo, hi, grain = F(2, 5), F(1, 2), F(1, 2**GRAIN_BITS)
-    got = trigsums._poch_table(Enclosure(lo, hi), 1000)
+    got = list(itertools.islice(trigsums._pochhammer(Enclosure(lo, hi)), 1001))
     want = rational_poch_table(lo, hi, 1000, GRAIN_BITS)
     exact_lo = exact_hi = F(1)
     for k, (c, (w_lo, w_hi)) in enumerate(zip(got, want)):
@@ -416,6 +417,17 @@ def test_shared_term_lists_stay_within_their_bound():
     assert newest == _cold(lambda n: build_U_n(n, F(1, 3)), 5)
 
 
+def test_a_rejected_mu_leaves_no_term_list():
+    # an interval mu reaching 0 is refused on every call, and its key never
+    # enters the shared lists, so a later call cannot resume a dead generator
+    mu = Enclosure(F(-1, 2), F(1, 2))
+    trigsums._TERM_LISTS.clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="mu > 0"):
+            build_U_n(3, mu)
+        assert not any(key[:2] == (mu.lo, mu.hi) for key in trigsums._TERM_LISTS)
+
+
 def test_shared_term_lists_resume_the_recurrence(monkeypatch):
     # U_100, U_50, U_100 at one mu: 100 recurrence steps, where rebuilding
     # every table from k = 0 takes 250
@@ -462,13 +474,13 @@ def test_shared_term_lists_under_threads():
 
 
 def _fresh(terms):
-    """Equal terms that share no object, and so no memo, with the given ones."""
+    """Equal terms that share no object with the given ones."""
     return tuple(TrigTerm(Enclosure(t.coeff.lo, t.coeff.hi), F(t.freq), F(t.phase_pi), t.kind)
                  for t in terms)
 
 
 def _eval_direct(tsum, theta):
-    """TrigSum.eval_mp without the memo, each constant formed in place."""
+    """TrigSum.eval_mp written out, each constant formed in place."""
     with mp.workdps(working_dps()):
         th = mp.mpf(theta)
         total = mp.mpf(0)
@@ -481,7 +493,7 @@ def _eval_direct(tsum, theta):
         return total
 
 
-def test_memoised_eval_mp_is_bit_identical():
+def test_eval_mp_on_shared_terms_is_bit_identical():
     for build in SHARED_BUILDS.values():
         shared = build(40)
         fresh = TrigSum(_fresh(shared.terms), shared.label)
@@ -490,10 +502,10 @@ def test_memoised_eval_mp_is_bit_identical():
             values = {shared.eval_mp(theta), shared.eval_mp(theta), fresh.eval_mp(theta),
                       _eval_direct(shared, theta)}
             assert len(values) == 1, (shared.label, theta)
-        assert repr(shared.terms[3]) == repr(fresh.terms[3])  # the memo is no field
+        assert repr(shared.terms[3]) == repr(fresh.terms[3])
 
 
-def test_eval_mp_memo_follows_the_precision(monkeypatch):
+def test_eval_mp_follows_the_precision(monkeypatch):
     tsum = build_U_n(30, MU_ENC)
     monkeypatch.setenv("TRIGPOS_PRECISION", "30")
     at_30 = tsum.eval_mp("0.3")
