@@ -1,6 +1,6 @@
 """Certified positivity of trigonometric partial sums.
 
-The package splits into six layers:
+The package splits into seven layers:
 
 * :mod:`trigpos.exact` -- exact rational polynomials, Sturm root counts
   and rational enclosures;
@@ -13,12 +13,12 @@ The package splits into six layers:
   verified sign changes of its defining integral;
 * :mod:`trigpos.bounds` -- the wedge factor, the sampling-lemma panel
   constants and the composite region bounds;
-* :mod:`trigpos.engine` / :mod:`trigpos.gegenbauer` -- grid certification
-  on intervals, disk sampling of partial sums, and Gegenbauer spot checks;
-  the only layers that use numpy.
+* :mod:`trigpos.engine` -- grid certificates of positivity on intervals;
+* :mod:`trigpos.gegenbauer` -- sampled unit-disk estimates, none a proof.
 
 `trigpos.cli` exposes everything as a scriptable `trigpos` command.  Only
-its grid checks and its `gegenbauer` case import those two layers.
+its grid checks import the engine and only its `gegenbauer` case imports
+gegenbauer: the two layers that use numpy, neither importing the other.
 """
 
 from trigpos.precision import working_dps

@@ -1,4 +1,4 @@
-"""Grid certification of trig-sum positivity, plus unit-disk spot checks.
+"""Grid certification of trig-sum positivity.
 
 A trig sum sum_k c_k g(f_k theta + phi_k pi) is Re sum_k c_k P_k with
 P_k = exp(i(f_k theta + phi'_k pi)), g written as a cosine.  The grid pass
@@ -36,38 +36,29 @@ term and each term's coefficient endpoint chosen to maximise c_k Re P_k
 float assumption and no slack.  m_n - err_n <= 0 without a witness, or the
 node budget, ends "inconclusive".
 
-The disk checks sample partial sums s_n(z) = sum (mu)_k/k! z^k on circles
-|z| = r < 1 and compare the sector/half-plane conditions against their
-thresholds, a sampled estimate, not a proof; the rho = 2/3 variant
-cross-checks the boundary factorization Re((1-z)^(1/3) s_n(z)) =
-(2 sin phi)^(1/3) * (cosine-sum) at |z| = 1.
+A "certified" or "refuted" status is proven; "inconclusive" claims
+nothing.  The sampled unit-disk estimates live in trigpos.gegenbauer, and
+neither module imports the other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
 
 import numpy as np
-from mpmath import iv, mp
+from mpmath import iv
 from mpmath.libmp import dps_to_prec, mpf_shift, to_int
 
 from trigpos.exact import _as_fraction
 from trigpos.precision import iv_dps, working_dps
-from trigpos.trigsums import _MAX_TERMS, TrigSum, _up, build_U_n
+from trigpos.trigsums import _MAX_TERMS, TrigSum, _up
 
 __all__ = [
     "GridCertificate",
     "certify_positive_trig",
     "certify_partial_sums",
-    "partial_sum",
-    "DiskSample",
-    "SectorReport",
-    "WeakFormReport",
-    "subordination_sector_check",
-    "weak_conjecture_check",
 ]
 
 _U = 2.0**-53  # float64 unit roundoff
@@ -296,159 +287,3 @@ def certify_partial_sums(tsum: TrigSum, interval) -> list[GridCertificate]:
     over one grid; each equals certify_positive_trig on its prefix when the
     terms are sorted by frequency, as U_n and varsigma_n are."""
     return _Prefixes(tsum.terms, interval).certify(0, tsum.label or "trig-sum")
-
-
-# ---------------------------------------------------------------------------
-# Unit-disk partial sums
-# ---------------------------------------------------------------------------
-
-
-def _ratios(a):
-    """Yield (a)_k / k! for k = 0, 1, ... in the arithmetic of a (float, mpf
-    or Fraction; an int gives Fractions), by c_{k+1} = c_k (a + k) / (k + 1)."""
-    c = Fraction(1) if isinstance(a, int) else a - a + 1
-    for k in count():
-        yield c
-        c = c * (a + k) / (k + 1)
-
-
-def partial_sum(mu, n: int, z):
-    """s_n(z) = sum_{k=0}^n (mu)_k / k! * z^k by forward recurrence."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    z = mp.mpc(z)
-    total, power = mp.mpc(0), mp.mpc(1)
-    for coeff in islice(_ratios(mp.mpf(mu)), n + 1):
-        total += coeff * power
-        power *= z
-    return total
-
-
-@dataclass(frozen=True)
-class DiskSample:
-    n: int
-    r: float
-    theta: float
-    value: complex
-    arg: float
-
-
-@dataclass(frozen=True)
-class SectorReport:
-    rho: float
-    mu: float
-    n_max: int
-    r_values: tuple[float, ...]
-    threshold: float
-    max_abs_arg: float
-    worst: DiskSample
-    samples: int
-
-    @property
-    def passed(self) -> bool:
-        """max_abs_arg below threshold: a sampled estimate, not a proof."""
-        return self.max_abs_arg < self.threshold
-
-
-@dataclass(frozen=True)
-class WeakFormReport:
-    rho: float
-    mu: float
-    n_max: int
-    r_values: tuple[float, ...]
-    min_real: float
-    worst: DiskSample
-    samples: int
-    boundary_max_diff: float | None = None
-
-    @property
-    def passed(self) -> bool:
-        """min_real above 0: a sampled estimate, not a proof."""
-        return self.min_real > 0
-
-
-def _circle_sums(coeffs, exponent, r_values, thetas):
-    """Yield (n, r, w) for n = 1..len(coeffs) - 1 and r in r_values, with w =
-    (1 - z)^exponent s_n(z) at z = r e^(i thetas), s_n(z) = sum_{k<=n}
-    coeffs[k] z^k; coeffs[k] may be an array that broadcasts against thetas.
-    ValueError when the scan would take no samples."""
-    if len(coeffs) < 2 or not len(r_values) or not np.broadcast(coeffs[0], thetas).size:
-        raise ValueError("the disk scan takes no samples")
-    for r in r_values:
-        z = r * np.exp(1j * thetas)
-        pref = np.power(1 - z, exponent)
-        s, zk = 0, 1
-        for n, c in enumerate(coeffs):
-            s = s + c * zk
-            zk = zk * z
-            if n:
-                yield n, r, pref * s
-
-
-def _worst(mu: float, exponent: float, n_max: int, r_values, n_theta: int, score):
-    """(largest score, its DiskSample with arg = that score, samples) over
-    the _circle_sums of s_n(z) = sum (mu)_k/k! z^k at n_theta angles in
-    [1e-4, pi]; the first sample wins a tie."""
-    thetas = np.linspace(1e-4, math.pi, n_theta)
-    top, worst, samples = None, None, 0
-    for n, r, w in _circle_sums(list(islice(_ratios(mu), n_max + 1)), exponent, r_values,
-                                thetas):
-        scores = score(w)
-        i = int(np.argmax(scores))
-        samples += w.size
-        if top is None or scores[i] > top:
-            top = float(scores[i])
-            worst = DiskSample(n, float(r), float(thetas[i]), complex(w[i]), top)
-    return top, worst, samples
-
-
-def subordination_sector_check(
-    rho, mu, n_max: int = 30, r_values=(0.999, 1 - 1e-6), n_theta: int = 720
-) -> SectorReport:
-    """max |arg((1-z)^rho s_n(z))| over n <= n_max and sample circles: a
-    sampled estimate, not a proof.
-
-    Passing threshold is rho*pi/2: ((1+z)/(1-z))^rho maps the disk onto
-    the sector |arg w| < rho*pi/2.  Conjugation symmetry makes the upper
-    half-circle sufficient.
-    """
-    rho_f, mu_f = float(rho), float(mu)
-    max_arg, worst, samples = _worst(mu_f, rho_f, n_max, r_values, n_theta,
-                                     lambda w: np.abs(np.angle(w)))
-    return SectorReport(rho_f, mu_f, n_max, tuple(float(r) for r in r_values),
-                        rho_f * math.pi / 2, max_arg, worst, samples)
-
-
-def weak_conjecture_check(
-    rho, mu, n_max: int = 30, r_values=(1 - 1e-3, 1 - 1e-6), n_theta: int = 720
-) -> WeakFormReport:
-    """min Re((1-z)^(2 rho - 1) s_n(z)) over n <= n_max and sample circles:
-    a sampled estimate, not a proof.
-
-    For rho = 2/3 the boundary values factor through a cosine sum:
-    Re((1-z)^(1/3) s_n(z)) at z = e^(2 i phi) equals
-    (2 sin phi)^(1/3) * sum_k d_k cos((2k + 1/3) phi - pi/6); the report
-    carries the maximum discrepancy of that identity over a sample grid for
-    n <= 10 as an independent consistency figure.
-    """
-    rho_f, mu_f = float(rho), float(mu)
-    top, worst, samples = _worst(mu_f, 2 * rho_f - 1, n_max, r_values, n_theta,
-                                 lambda w: -w.real)
-    worst = replace(worst, arg=float(np.angle(worst.value)))  # the signed arg of w
-
-    boundary_diff = None
-    if _as_fraction(rho) == Fraction(2, 3):
-        boundary_diff = 0.0
-        with mp.workdps(working_dps()):
-            for n in range(1, min(n_max, 10) + 1):
-                cos_sum = build_U_n(n, mp.mpf(mu_f))
-                for j in range(1, 24):
-                    phi = mp.pi * j / 25
-                    z = mp.expjpi(2 * mp.mpf(j) / 25)
-                    lhs = mp.re(
-                        mp.power(1 - z, mp.mpf(1) / 3) * partial_sum(mu_f, n, z)
-                    )
-                    rhs = (2 * mp.sin(phi)) ** (mp.mpf(1) / 3) * cos_sum.eval_mp(phi)
-                    boundary_diff = max(boundary_diff, float(abs(lhs - rhs)))
-    return WeakFormReport(rho_f, mu_f, n_max, tuple(float(r) for r in r_values),
-                          -top, worst, samples, boundary_diff)

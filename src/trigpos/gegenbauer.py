@@ -1,39 +1,49 @@
-"""Gegenbauer / Jacobi partial-sum spot checks.
+"""Sampled unit-disk estimates, none of them a proof.
 
-Numerical companions to the disk checks in trigpos.engine: ultraspherical
-coefficient families inherit the sector property of the power-series
-partial sums, so the claims to verify are
+The proofs are the grid certificates of trigpos.engine, and neither module
+imports the other.  Every check here looks at finitely many points:
 
+* (1-z)^rho s_n(z), s_n(z) = sum_{k<=n} (mu)_k/k! z^k, in the sector
+  |arg w| < rho pi/2 that ((1+z)/(1-z))^rho maps the disk onto, and
+  Re (1-z)^(2 rho - 1) s_n(z) > 0, on circles |z| = r < 1; for rho = 2/3
+  also the boundary factorization of Re((1-z)^(1/3) s_n(z)) at |z| = 1;
 * |arg sum_{k<=n} C_k^lambda(x) z^k| < pi/3 for 0 < lambda <= 0.2483...,
-  x in (-1, 1), z in the unit disk (sampled);
-* the same partial sums do not vanish on the sampled disk;
-* consistency of the polynomial recurrence with the generating function
+  x in (-1, 1), z in the disk, and that these sums do not vanish there;
+* the Gegenbauer recurrence against the generating function
   (1 - 2xz + z^2)^(-lambda), with an explicit tail bound;
-* C_k^1 = Chebyshev-U_k exactly (rational arithmetic).
+* C_k^1 = Chebyshev-U_k, exactly in rational arithmetic.
 
-Both polynomial evaluators use plain three-term recurrences over whatever
-arithmetic the inputs carry (Fraction stays Fraction, mpf stays mpf), so
-exactness claims can be tested without a tolerance.  Two Gegenbauer<->
-Jacobi conversion formulas are implemented: relation_standard (the one
-consistent with the recurrences) and relation_printed (a circulating
-variant whose index bookkeeping is off by one half); check_jacobi_relation
-evaluates both against the direct recurrence and reports which agrees.
+The three disk scans share one circle scan (_circle_sums) and one search
+for the worst sample (_worst), in which a NaN is the worst.  The
+polynomial evaluators are three-term recurrences in the arithmetic of
+their inputs (Fraction stays Fraction, mpf stays mpf), so exactness claims
+are tested without a tolerance.  Of the two Gegenbauer<->Jacobi
+conversions, relation_standard is the one consistent with the recurrences
+and relation_printed a circulating variant off by one half in its index;
+check_jacobi_relation reports which agrees with the direct recurrence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import count, islice
 
 import numpy as np
 from mpmath import mp
 
-from trigpos.engine import _circle_sums, _ratios
+from trigpos.exact import _as_fraction
 from trigpos.precision import working_dps
+from trigpos.trigsums import build_U_n
 
 __all__ = [
+    "partial_sum",
+    "DiskSample",
+    "SectorReport",
+    "WeakFormReport",
+    "subordination_sector_check",
+    "weak_conjecture_check",
     "gegenbauer_C",
     "jacobi_P",
     "relation_standard",
@@ -45,6 +55,153 @@ __all__ = [
     "ArgBoundReport",
     "arg_bound_check",
 ]
+
+
+def _ratios(a):
+    """Yield (a)_k / k! for k = 0, 1, ... in the arithmetic of a (float, mpf
+    or Fraction; an int gives Fractions), by c_{k+1} = c_k (a + k) / (k + 1)."""
+    c = Fraction(1) if isinstance(a, int) else a - a + 1
+    for k in count():
+        yield c
+        c = c * (a + k) / (k + 1)
+
+
+def partial_sum(mu, n: int, z):
+    """s_n(z) = sum_{k=0}^n (mu)_k / k! * z^k by forward recurrence."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    z = mp.mpc(z)
+    total, power = mp.mpc(0), mp.mpc(1)
+    for coeff in islice(_ratios(mp.mpf(mu)), n + 1):
+        total += coeff * power
+        power *= z
+    return total
+
+
+@dataclass(frozen=True)
+class DiskSample:
+    n: int
+    r: float
+    theta: float
+    value: complex
+    arg: float
+
+
+@dataclass(frozen=True)
+class SectorReport:
+    rho: float
+    mu: float
+    n_max: int
+    r_values: tuple[float, ...]
+    threshold: float
+    max_abs_arg: float
+    worst: DiskSample
+    samples: int
+
+    @property
+    def passed(self) -> bool:
+        """max_abs_arg below threshold: a sampled estimate, not a proof."""
+        return self.max_abs_arg < self.threshold
+
+
+@dataclass(frozen=True)
+class WeakFormReport:
+    rho: float
+    mu: float
+    n_max: int
+    r_values: tuple[float, ...]
+    min_real: float
+    worst: DiskSample
+    samples: int
+    boundary_max_diff: float | None = None
+
+    @property
+    def passed(self) -> bool:
+        """min_real above 0: a sampled estimate, not a proof."""
+        return self.min_real > 0
+
+
+def _circle_sums(coeffs, exponent, r_values, thetas):
+    """Yield (n, r, w) for n = 1..len(coeffs) - 1 and r in r_values, with w =
+    (1 - z)^exponent s_n(z) at z = r e^(i thetas), s_n(z) = sum_{k<=n}
+    coeffs[k] z^k; coeffs[k] may be an array that broadcasts against thetas.
+    ValueError when the scan would take no samples."""
+    if len(coeffs) < 2 or not len(r_values) or not np.broadcast(coeffs[0], thetas).size:
+        raise ValueError("the disk scan takes no samples")
+    for r in r_values:
+        z = r * np.exp(1j * thetas)
+        pref = np.power(1 - z, exponent)
+        s, zk = 0, 1
+        for n, c in enumerate(coeffs):
+            s = s + c * zk
+            zk = zk * z
+            if n:
+                yield n, r, pref * s
+
+
+def _worst(coeffs, exponent, r_values, thetas, score):
+    """([the worst DiskSample of each coeffs row], samples) over _circle_sums:
+    the first sample in (r, n, theta) order with the largest score, a NaN
+    beating every number; that score becomes the sample's arg."""
+    worst, samples = None, 0
+    for n, r, w in _circle_sums(coeffs, exponent, r_values, thetas):
+        w = w.reshape(-1, len(thetas))  # one row per coeffs row
+        scores = score(w)
+        worst = worst or [None] * len(w)
+        samples += w.size
+        for i, j in enumerate(np.argmax(scores, axis=1)):  # the row's first NaN or largest
+            old = worst[i]
+            if old is None or not (math.isnan(old.arg) or scores[i, j] <= old.arg):
+                worst[i] = DiskSample(n, float(r), float(thetas[j]), complex(w[i, j]),
+                                      float(scores[i, j]))
+    return worst, samples
+
+
+def subordination_sector_check(
+    rho, mu, n_max: int = 30, r_values=(0.999, 1 - 1e-6), n_theta: int = 720
+) -> SectorReport:
+    """max |arg((1-z)^rho s_n(z))| over n <= n_max and sample circles, to
+    pass below rho*pi/2: a sampled estimate, not a proof.  Conjugation
+    symmetry makes the upper half-circle sufficient."""
+    rho_f, mu_f = float(rho), float(mu)
+    (worst,), samples = _worst(list(islice(_ratios(mu_f), n_max + 1)), rho_f, r_values,
+                               np.linspace(1e-4, math.pi, n_theta), lambda w: np.abs(np.angle(w)))
+    return SectorReport(rho_f, mu_f, n_max, tuple(float(r) for r in r_values),
+                        rho_f * math.pi / 2, worst.arg, worst, samples)
+
+
+def weak_conjecture_check(
+    rho, mu, n_max: int = 30, r_values=(1 - 1e-3, 1 - 1e-6), n_theta: int = 720
+) -> WeakFormReport:
+    """min Re((1-z)^(2 rho - 1) s_n(z)) over n <= n_max and sample circles:
+    a sampled estimate, not a proof.
+
+    For rho = 2/3 the boundary values factor through a cosine sum:
+    Re((1-z)^(1/3) s_n(z)) at z = e^(2 i phi) equals
+    (2 sin phi)^(1/3) * sum_k d_k cos((2k + 1/3) phi - pi/6); the report
+    carries the maximum discrepancy of that identity over a sample grid for
+    n <= 10 as an independent consistency figure.
+    """
+    rho_f, mu_f = float(rho), float(mu)
+    (worst,), samples = _worst(list(islice(_ratios(mu_f), n_max + 1)), 2 * rho_f - 1, r_values,
+                               np.linspace(1e-4, math.pi, n_theta), lambda w: -w.real)
+    min_real = -worst.arg
+    worst = replace(worst, arg=float(np.angle(worst.value)))  # the signed arg of w
+
+    boundary_diff = None
+    if _as_fraction(rho) == Fraction(2, 3):
+        boundary_diff = 0.0
+        with mp.workdps(working_dps()):
+            for n in range(1, min(n_max, 10) + 1):
+                cos_sum = build_U_n(n, mp.mpf(mu_f))
+                for j in range(1, 24):
+                    phi = mp.pi * j / 25
+                    z = mp.expjpi(2 * mp.mpf(j) / 25)
+                    lhs = mp.re(mp.power(1 - z, mp.mpf(1) / 3) * partial_sum(mu_f, n, z))
+                    rhs = (2 * mp.sin(phi)) ** (mp.mpf(1) / 3) * cos_sum.eval_mp(phi)
+                    boundary_diff = max(boundary_diff, float(abs(lhs - rhs)))
+    return WeakFormReport(rho_f, mu_f, n_max, tuple(float(r) for r in r_values),
+                          min_real, worst, samples, boundary_diff)
 
 
 def _nth(terms, n: int):
@@ -225,16 +382,11 @@ def arg_bound_check(
     # C_k^lambda(x), shaped (n_max + 1, len(x_values), 1) against the circle
     coeffs = np.array([list(islice(_gegenbauer_terms(lam_f, x), n_max + 1))
                        for x in x_values]).T[..., None]
-    top, at = np.full(len(x_values), -1.0), [(0, 0.0, 0)] * len(x_values)
-    min_abs, samples = math.inf, 0
-    for n, r, s in _circle_sums(coeffs, 0, r_values, thetas):
-        args = np.abs(np.angle(s))
-        samples += s.size
-        min_abs = min(min_abs, float(np.abs(s).min()))
-        for i, j in enumerate(np.argmax(args, axis=1)):  # per x, its first largest
-            if args[i, j] > top[i]:
-                top[i], at[i] = args[i, j], (n, r, j)
-    i = int(np.argmax(top))  # the first x with the largest, as in (x, r, n, theta) order
-    n, r, j = at[i]
-    return ArgBoundReport(lam_f, n_max, math.pi / 3, float(top[i]), min_abs, samples,
-                          n, x_values[i], complex(r * np.exp(1j * thetas[j])))
+    by_arg, samples = _worst(coeffs, 0, r_values, thetas, lambda s: np.abs(np.angle(s)))
+    by_abs, _ = _worst(coeffs, 0, r_values, thetas, lambda s: -np.abs(s))
+    # the first x with the largest |arg|, as in (x, r, n, theta) order; a NaN wins
+    i = int(np.argmax([w.arg for w in by_arg]))
+    worst = by_arg[i]
+    return ArgBoundReport(lam_f, n_max, math.pi / 3, worst.arg,
+                          -float(np.max([w.arg for w in by_abs])), samples, worst.n,
+                          x_values[i], complex(worst.r * np.exp(1j * worst.theta)))

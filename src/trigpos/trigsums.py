@@ -25,7 +25,8 @@ from fractions import Fraction
 
 from mpmath import iv, mp
 
-from trigpos.exact import Enclosure, Polynomial, _as_fraction, poly_with_interval_coeffs
+from trigpos.exact import (Enclosure, Polynomial, _as_fraction, count_roots_in,
+                           poly_with_interval_coeffs, sturm_chain)
 from trigpos.precision import iv_dps, working_dps
 
 __all__ = [
@@ -452,8 +453,6 @@ class SturmOutcome:
 
 def run_sturm_target(target: SturmTarget) -> SturmOutcome:
     """Run the exact root count (and point checks) for one obligation."""
-    from trigpos.exact import count_roots_in, sturm_chain
-
     polys = target.polynomials()
     a, b = target.x_interval
     counts = tuple(count_roots_in(sturm_chain(p), a, b) for p in polys)

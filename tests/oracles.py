@@ -46,7 +46,7 @@ and Stegun, Handbook of Mathematical Functions, 22.3.4), with no recurrence:
 k = 0..floor(n/2).
 
 closed_form_full_sum -- (1 - z)^(-mu) on the principal branch, the
-n -> infinity limit of the disk partial sums s_n(z) of engine.partial_sum.
+n -> infinity limit of the disk partial sums s_n(z) of gegenbauer.partial_sum.
 """
 
 from fractions import Fraction

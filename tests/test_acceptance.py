@@ -21,13 +21,15 @@ from oracles import osc_integral
 from trigpos import mustar
 from trigpos.bounds import L_region, two_thirds_master_bound
 from trigpos.cli import main as cli_main
-from trigpos.engine import (
-    certify_positive_trig,
+from trigpos.engine import certify_positive_trig
+from trigpos.exact import count_roots_in, sturm_chain, Polynomial
+from trigpos.gegenbauer import (
+    arg_bound_check,
+    gegenbauer_C,
+    genfunc_check,
     subordination_sector_check,
     weak_conjecture_check,
 )
-from trigpos.exact import count_roots_in, sturm_chain, Polynomial
-from trigpos.gegenbauer import arg_bound_check, gegenbauer_C, genfunc_check
 from trigpos.mustar import mu_star
 from trigpos.quadrature import chi_reference_integral, fractional_osc_integral
 from trigpos.trigsums import (

@@ -96,3 +96,23 @@ def test_no_state_hides_in_an_instance_dict():
              or isinstance(node, ast.Constant) and node.value == "__dict__"
              or isinstance(node, ast.Name) and node.id == "vars"]
     assert not found, f"instance dict access in trigpos: {found}"
+
+
+def _imported_modules(node) -> set[str]:
+    """The modules one import statement may bind: `from a import b` may
+    bind a submodule a.b."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
+    return set()
+
+
+def test_proofs_and_sampled_estimates_stay_apart():
+    # engine's grid certificates are proofs and gegenbauer's disk scans are
+    # sampled estimates: neither module imports anything from the other
+    found = [f"{module}.py:{node.lineno}"
+             for module, other in (("engine", "gegenbauer"), ("gegenbauer", "engine"))
+             for node in ast.walk(TREES[module])
+             if f"trigpos.{other}" in _imported_modules(node)]
+    assert not found, f"imports between engine and gegenbauer: {found}"

@@ -521,6 +521,7 @@ print(" ".join(m for m in ("numpy", "trigpos.engine", "trigpos.gegenbauer")
     (["verify", "bounds:2"], ""),
     (["mustar", "1/2"], ""),
     (["verify", "thm-1-3", "--nmax", "2"], "numpy trigpos.engine"),
+    (["verify", "gegenbauer"], "numpy trigpos.gegenbauer"),
 ])
 def test_only_grid_cases_load_numpy(argv, loaded):
     # a fresh process, so the imports of this test session hide nothing

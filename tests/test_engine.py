@@ -13,18 +13,17 @@ import pytest
 from mpmath import iv, mp
 from mpmath.libmp import dps_to_prec
 
-from trigpos.engine import (
-    GridCertificate,
-    certify_partial_sums,
-    certify_positive_trig,
+from trigpos.engine import GridCertificate, certify_partial_sums, certify_positive_trig
+from oracles import closed_form_full_sum, rising
+from trigpos.engine import _MAX_TERMS, _MUL_ERR, _SEED_ERR, _Prefixes, _up
+from trigpos.exact import Enclosure
+from trigpos.gegenbauer import (
+    _ratios,
+    arg_bound_check,
     partial_sum,
     subordination_sector_check,
     weak_conjecture_check,
 )
-from oracles import closed_form_full_sum, rising
-from trigpos.engine import _MAX_TERMS, _MUL_ERR, _SEED_ERR, _Prefixes, _ratios, _up
-from trigpos.exact import Enclosure
-from trigpos.gegenbauer import arg_bound_check
 from trigpos.mustar import mu_star
 from trigpos.precision import working_dps
 from trigpos.trigsums import TrigSum, TrigTerm, build_U_n, build_varsigma, pochhammer_coeff
@@ -186,6 +185,12 @@ def test_a_nan_exponent_never_passes_a_scan():
     # a NaN score is the first sample's and no later one beats it
     assert math.isnan(subordination_sector_check(F(1, 3), math.nan, n_max=3).max_abs_arg)
     assert not weak_conjecture_check(F(1, 2), math.nan, n_max=3).passed
+    # a NaN sample wins wherever it falls: in the only x, beside a finite x, or in r
+    for rep in (arg_bound_check(0.24, n_max=5, x_values=(math.nan,)),
+                arg_bound_check(0.24, n_max=5, x_values=(0.3, math.nan)),
+                arg_bound_check(0.24, n_max=5, r_values=(0.5, math.nan))):
+        assert not rep.passed
+        assert math.isnan(rep.max_abs_arg) and math.isnan(rep.min_abs_value)
 
 
 EXACT_FIELDS = {"worst.r", "worst.theta", "worst_x", "worst_z"}  # where the worst sample is
