@@ -67,12 +67,15 @@ from trigpos.bounds import (
     wedge_increasing,
 )
 from trigpos.exact import Enclosure
-from trigpos.mustar import PROOF_WIDTH, _verified_sign, mu_star
+from trigpos.mustar import BOUNDARY_PROBES, PROOF_WIDTH, _verified_sign, mu_star
 from trigpos.precision import iv_dps, working_dps
 from trigpos.quadrature import (
     QuadResult, _as_iv, _mid_rad, chi_reference_integral, min_over_upper_limit)
 from trigpos.trigsums import (
     _MAX_TERMS,
+    MU_STURM,
+    Q_STURM,
+    STURM_NAMES,
     TrigTerm,
     build_U_n,
     build_varsigma,
@@ -83,21 +86,7 @@ from trigpos.trigsums import (
 
 __all__ = ["CheckResult", "VerificationReport", "main"]
 
-_Q_STURM = ("q1", "q2", "q3", "q3-derived")  # rho = 1/3, no exponent
-_MU_STURM = ("P-near-0", "P-mid", "Q", "R")  # rho = 2/3, on the mu*(2/3) enclosure
-STURM_NAMES = _Q_STURM + _MU_STURM
 BOUND_NAMES = REGIONS + ("master",)
-
-# The one literal point claim in the Sturm plan that is false for every
-# admissible exponent, with the reason the theorem pipelines report it
-# ungated.  P-near-0 has no other anchor, so there its check certifies
-# root-freeness only; positivity of U_n on that range rests on the other
-# thm-2-3 checks (`grid-U` for n <= nmax).  `sturm:P-near-0` still gates on
-# the point and fails, by design.
-UNGATED_POINTS = {
-    "P(-pi/3)": "equals -mu(mu+1)/4; with 0 roots P < 0 on the whole "
-                "interval, so this certifies root-freeness only, no sign",
-}
 
 CHI_REFERENCE = "-0.3212698190821"
 CHI_TOL = 1e-10
@@ -207,7 +196,8 @@ def run_mustar(rho: Fraction) -> VerificationReport:
     enc = res.enclosure
     if rho == 1:
         signed, signs = True, "boundary root mu = 1"
-        how = "mu_star verified D(1, mu) < 0 at mu = 1/100, 1/2, 99/100; D(1, 1) = 1 + cos(pi) = 0"
+        how = (f"mu_star verified D(1, mu) < 0 at mu = {', '.join(map(str, BOUNDARY_PROBES))}; "
+               "D(1, 1) = 1 + cos(pi) = 0")
     else:
         how = "verified signs D(lo) < 0 < D(hi)"
         try:
@@ -247,25 +237,19 @@ def run_mustar(rho: Fraction) -> VerificationReport:
 
 def _sturm_check(target, gate_all_points: bool) -> CheckResult:
     out = run_sturm_target(target)
-    counts_ok = all(c == 0 for c in out.root_counts)
-    gated = [
-        ok for lbl, ok in out.point_results
-        if gate_all_points or lbl not in UNGATED_POINTS
-    ]
+    (label, positive), = out.point_results
     a, b = out.interval
-    parts = [f"0 roots in ({float(a):.10g}, {float(b):.10g}] expected"]
-    for lbl, ok in out.point_results:
-        mark = ">0" if ok else "<=0"
-        if not gate_all_points and lbl in UNGATED_POINTS:
-            parts.append(f"{lbl} {mark} [not gated: {UNGATED_POINTS[lbl]}]")
-        else:
-            parts.append(f"{lbl} {mark}")
-    return CheckResult(
-        f"sturm-{out.name}",
-        _status(counts_ok and all(gated)),
-        value=f"root counts {list(out.root_counts)}",
-        detail="; ".join(parts),
-    )
+    detail = (f"0 roots in ({float(a):.10g}, {float(b):.10g}] expected; "
+              f"{label} {'>0' if positive else '<=0'}")
+    status = _status(not any(out.root_counts) and positive)
+    if target.ungated and not gate_all_points:
+        detail += f" [not gated: {target.ungated}]"
+        status = _status(not any(out.root_counts))
+        if status == "pass" and max(out.anchor_signs) >= 0:  # root-free, sign not shown
+            status = "inconclusive"
+            detail += f"; inconclusive: not every envelope is < 0 at {label}"
+    return CheckResult(f"sturm-{out.name}", status,
+                       value=f"root counts {list(out.root_counts)}", detail=detail)
 
 
 def _grid_check(check_id: str, tsum, interval, var: str) -> CheckResult:
@@ -393,7 +377,7 @@ def run_thm_2_3(nmax: int) -> VerificationReport:
     rho = Fraction(2, 3)
     tight = mu_star(rho, width=PROOF_WIDTH).enclosure
     checks = [_check_u1(tight)]
-    for target in sturm_case_plan(tight, _MU_STURM):
+    for target in sturm_case_plan(tight, MU_STURM):
         checks.append(_sturm_check(target, gate_all_points=False))
     checks.extend(_check_prop_constants(tight))
     checks.append(_check_master())
@@ -435,7 +419,7 @@ def run_thm_1_3(nmax: int) -> VerificationReport:
     rho = Fraction(1, 3)
     tight = mu_star(rho, width=PROOF_WIDTH).enclosure
     checks = []
-    for target in sturm_case_plan(None, _Q_STURM):
+    for target in sturm_case_plan(None, Q_STURM):
         checks.append(_sturm_check(target, gate_all_points=True))
     # each region's bound at rho is the centre report of its scan
     scanned = [scan_neighborhood(region) for region in REGIONS]
@@ -476,7 +460,7 @@ def run_thm_1_3(nmax: int) -> VerificationReport:
 
 def run_sturm_case(name: str) -> VerificationReport:
     names = STURM_NAMES if name == "all" else (name,)
-    needs_mu = any(n in _MU_STURM for n in names)
+    needs_mu = any(n in MU_STURM for n in names)
     mu_enc = mu_star(Fraction(2, 3), width=PROOF_WIDTH).enclosure if needs_mu else None
     checks = [_sturm_check(t, gate_all_points=True) for t in sturm_case_plan(mu_enc, names)]
     inputs = {"target": name}
@@ -534,7 +518,7 @@ def run_gegenbauer() -> VerificationReport:
             _status(rep.passed),
             value=f"max |arg| {rep.max_abs_arg:.6f}",
             detail=f"sampled disk: lambda = {rep.lam:g}, n <= {rep.n_max}, threshold pi/3 = "
-            f"{rep.threshold:.6f}; worst at n={rep.worst_n}, x={rep.worst_x:g}",
+            f"{rep.threshold:.6f}; worst at n={rep.worst.n}, x={rep.worst_x:g}",
         )
     )
 

@@ -355,29 +355,17 @@ class Enclosure:
 # ---------------------------------------------------------------------------
 
 
-def poly_with_interval_coeffs(coeffs: Sequence[Enclosure | Fraction | int],
+def poly_with_interval_coeffs(coeffs: Sequence[Enclosure],
                               x_interval) -> tuple[Polynomial, Polynomial]:
-    """Lower/upper envelope polynomials for interval coefficients.
+    """(sum lo_k x^k, sum hi_k x^k) for coefficient enclosures [lo_k, hi_k].
 
-    For every choice of coefficients inside the enclosures and every x in the
-    stated interval, lower(x) <= p(x) <= upper(x).  The stated interval must
-    be sign-definite (entirely >= 0 or entirely <= 0): the envelope choice per
-    term depends on the sign of x^k, which is then determined by parity.
+    On an x interval in [0, inf) every x^k >= 0, so for every choice of
+    coefficients inside the enclosures lower(x) <= p(x) <= upper(x) there.
+    An interval that reaches below 0 is refused.
     """
     xlo, xhi = _as_fraction(x_interval[0]), _as_fraction(x_interval[1])
     if xlo > xhi:
         raise ValueError("empty x interval")
-    if xlo < 0 < xhi:
-        raise ValueError("x interval must not straddle 0 (envelopes are per-sign)")
-    encl = [c if isinstance(c, Enclosure) else Enclosure.exact(c) for c in coeffs]
-    lower, upper = [], []
-    nonneg_x = xlo >= 0
-    for k, c in enumerate(encl):
-        term_nonneg = nonneg_x or k % 2 == 0  # sign of x^k on the interval
-        if term_nonneg:
-            lower.append(c.lo)
-            upper.append(c.hi)
-        else:
-            lower.append(c.hi)
-            upper.append(c.lo)
-    return Polynomial(lower), Polynomial(upper)
+    if xlo < 0:
+        raise ValueError("envelopes need an x interval in [0, inf)")
+    return Polynomial(c.lo for c in coeffs), Polynomial(c.hi for c in coeffs)

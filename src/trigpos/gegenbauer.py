@@ -357,9 +357,8 @@ class ArgBoundReport:
     max_abs_arg: float
     min_abs_value: float
     samples: int
-    worst_n: int
+    worst: DiskSample
     worst_x: float
-    worst_z: complex
 
     @property
     def passed(self) -> bool:
@@ -388,5 +387,4 @@ def arg_bound_check(
     i = int(np.argmax([w.arg for w in by_arg]))
     worst = by_arg[i]
     return ArgBoundReport(lam_f, n_max, math.pi / 3, worst.arg,
-                          -float(np.max([w.arg for w in by_abs])), samples, worst.n,
-                          x_values[i], complex(worst.r * np.exp(1j * worst.theta)))
+                          -float(np.max([w.arg for w in by_abs])), samples, worst, x_values[i])

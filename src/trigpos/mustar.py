@@ -34,11 +34,12 @@ from trigpos.precision import iv_dps, working_dps
 from trigpos.quadrature import QuadResult, _as_iv, _estimate, fractional_osc_integral
 
 __all__ = ["MuStarResult", "defect_integral", "mu_star", "width_floor", "BRACKET_LO", "BRACKET_HI",
-           "PROOF_WIDTH"]
+           "PROOF_WIDTH", "BOUNDARY_PROBES"]
 
 BRACKET_LO = Fraction(1, 100)
 BRACKET_HI = Fraction(1)
 PROOF_WIDTH = Fraction(1, 10**20)  # the one enclosure width every proof and bound check runs on
+BOUNDARY_PROBES = (BRACKET_LO, Fraction(1, 2), Fraction(99, 100))  # where D(1, mu) < 0 is verified
 _ESTIMATE_WIDTH = Fraction(1, 10**12)  # float64 estimates of D err by about 1e-16
 
 _CACHE: dict = {}
@@ -116,10 +117,10 @@ def mu_star(rho, width=Fraction(1, 10**9)) -> MuStarResult:
     with mp.workdps(working_dps() + 10):
         if rho == 1:
             # boundary root: D(1, 1) = 0 exactly, D < 0 on [0.01, 1)
-            for probe in (BRACKET_LO, Fraction(1, 2), Fraction(99, 100)):
+            for probe in BOUNDARY_PROBES:
                 if _verified_sign(rho, probe) > 0:
                     raise ArithmeticError(f"defect unexpectedly positive at mu={probe} for rho=1")
-            enclosure, route, probes = Enclosure.exact(1), "boundary", 3
+            enclosure, route, probes = Enclosure.exact(1), "boundary", len(BOUNDARY_PROBES)
         else:
             enclosure, route, probes = _false_position(rho, width)
         residual = defect_integral(rho, enclosure.mid).value

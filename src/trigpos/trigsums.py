@@ -8,10 +8,14 @@ is  sum c_m T_m(x)  and a sum of c_m sin(m t) is  sin t * sum c_m U_(m-1)(x)
 (cos mt = T_m(cos t), sin(mt) = sin t * U_(m-1)(cos t)), with exact (or
 enclosure) coefficients.
 
-build_U_n, build_varsigma and build_omega share one growing term list per
-(mu, precision, family), which resumes the coefficient recurrence where it
+build_U_n and build_varsigma share one growing term list per (mu,
+precision, family), which resumes the coefficient recurrence where it
 stopped, and each term memoises the constants derived from it alone, so
 sums that share a mu share that work.
+
+sturm_case_plan owns every Sturm obligation of the proofs: its name
+(STURM_NAMES), interval, one anchor point and, where a proof may not gate
+on that anchor, the reason why.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ __all__ = [
     "pochhammer_coeff",
     "build_U_n",
     "build_varsigma",
-    "build_omega",
     "chebyshev_T",
     "chebyshev_U",
     "Reduction",
@@ -43,13 +46,15 @@ __all__ = [
     "case_Q",
     "case_R",
     "case_q",
+    "Q_STURM",
+    "MU_STURM",
+    "STURM_NAMES",
     "SturmTarget",
     "SturmOutcome",
     "sturm_case_plan",
     "run_sturm_target",
 ]
 
-HALF = Fraction(1, 2)
 _ONE = Enclosure(Fraction(1), Fraction(1))
 _ZERO = Enclosure(Fraction(0), Fraction(0))
 _MAX_TERMS = 10**6  # the grid certificate's float64 bounds hold below this many terms
@@ -223,11 +228,6 @@ def build_varsigma(n: int, rho, mu) -> TrigSum:
     return TrigSum(_terms(mu, Fraction(rho), Fraction(0), "sin", n), f"varsigma_{n}")
 
 
-def build_omega(n: int) -> TrigSum:
-    """sum_{k<=n} ((1/2)_k / k!) sin((2k + 1/3) theta) -- the mu = 1/2 sine sum."""
-    return TrigSum(_terms(HALF, Fraction(1, 3), Fraction(0), "sin", n), f"omega_{n}")
-
-
 # ---------------------------------------------------------------------------
 # Chebyshev polynomials (exact)
 # ---------------------------------------------------------------------------
@@ -331,13 +331,15 @@ def case_R(mu) -> Reduction:
 
 
 def case_q(n: int) -> Reduction:
-    """omega_n(theta) = sin(theta/3) * q_n(cos^2(theta/3)): returns q_n exactly.
+    """omega_n(theta) = sin(theta/3) * q_n(cos^2(theta/3)): returns q_n exactly,
+    for omega_n = build_varsigma(n, 1/3, 1/2), the sum with d_k = (1/2)_k / k!.
 
     At theta = 3t the k-th term of omega_n is d_k sin((6k + 1) t) =
     d_k sin t * U_6k(cos t), and U_6k is even, so q_n takes the even-index
     coefficients of sum d_k U_6k.
     """
-    pairs = ((term.coeff, 6 * k) for k, term in enumerate(build_omega(n).terms))
+    omega = build_varsigma(n, Fraction(1, 3), Fraction(1, 2))
+    pairs = ((term.coeff, 6 * k) for k, term in enumerate(omega.terms))
     return Reduction(f"q{n}", _chebyshev_sum(chebyshev_U, pairs)[::2])
 
 
@@ -358,31 +360,35 @@ def _outward(value_fn, below: bool) -> Fraction:
     return _as_fraction(mp.make_mpf(enc._mpi_[0 if below else 1]))
 
 
+Q_STURM = ("q1", "q2", "q3", "q3-derived")  # rho = 1/3: exact coefficients, no exponent
+MU_STURM = ("P-near-0", "P-mid", "Q", "R")  # rho = 2/3: on an enclosure of mu*(2/3)
+STURM_NAMES = Q_STURM + MU_STURM
+
+
 @dataclass(frozen=True)
 class SturmTarget:
     """One root-counting obligation: no roots of the case polynomial in
-    (interval[0], interval[1]], plus strict positivity at the listed
-    (label, point) pairs.
+    (x_interval[0], x_interval[1]], and strict positivity at the anchor, a
+    (label, point) pair in the closed interval (an anchor outside it says
+    nothing about the sign on it).
 
     For interval (enclosure) coefficients the obligation applies to both
-    envelope polynomials; point positivity is checked on the lower envelope,
-    which makes it valid for every admissible coefficient choice.  Every
-    point must lie in the closed interval: an anchor outside it says nothing
-    about the sign on it.
+    envelope polynomials.  ungated, when set, says why a proof may not gate
+    on the anchor; the obligation is then that every envelope is root-free
+    and negative at the anchor, so the case polynomial is negative on the
+    whole interval for every admissible coefficient choice.
     """
 
     name: str
     reduction: Reduction
     x_interval: tuple[Fraction, Fraction]
-    positive_points: tuple[tuple[str, Fraction], ...] = ()
+    anchor: tuple[str, Fraction]
+    ungated: str = ""
 
     def __post_init__(self):
-        a, b = self.x_interval
-        for label, x in self.positive_points:
-            if not a <= x <= b:
-                raise ValueError(
-                    f"{self.name}: anchor {label} at x = {x} lies outside "
-                    f"[{a}, {b}]")
+        (a, b), (label, x) = self.x_interval, self.anchor
+        if not a <= x <= b:
+            raise ValueError(f"{self.name}: anchor {label} at x = {x} lies outside [{a}, {b}]")
 
     def polynomials(self) -> tuple[Polynomial, ...]:
         """(lower, upper) envelopes, or the single exact polynomial."""
@@ -393,7 +399,7 @@ class SturmTarget:
 
 def sturm_case_plan(mu, names=None) -> list[SturmTarget]:
     """The root-freeness obligations behind the finite proof cases, in the
-    order of `names` (default: all of them, or the q_n ones when mu is None).
+    order of `names` (default: STURM_NAMES, or Q_STURM when mu is None).
     Only the reductions the named targets read are built.
 
     mu is the exponent enclosure used by the P/Q/R cases (the q_n cases have
@@ -404,7 +410,7 @@ def sturm_case_plan(mu, names=None) -> list[SturmTarget]:
     """
     q3_lo = Fraction(37059, 100000)
     derived_lo = _outward(lambda: iv.cos(7 * iv.pi / 24) ** 2, below=True)
-    plan = {  # name -> (case, x interval, anchor point)
+    plan = {  # name -> (case, x interval, anchor[, ungated reason])
         "q1": (1, (Fraction(0), Fraction(1)), ("q1(0)", Fraction(0))),
         "q2": (2, (Fraction(0), Fraction(1)), ("q2(0)", Fraction(0))),
         "q3": (3, (q3_lo, Fraction(1)), ("q3(0.37059)", q3_lo)),  # the stated interval
@@ -413,10 +419,13 @@ def sturm_case_plan(mu, names=None) -> list[SturmTarget]:
             3, (derived_lo, _outward(lambda: iv.cos(2 * iv.pi / 9) ** 2, below=False)),
             ("q3(cos^2(7pi/24))", derived_lo)),
         # t in (-pi/3, -7pi/27]; the anchor fails for every mu in (0, 1] (see
-        # case_P and cli.UNGATED_POINTS)
+        # case_P), so the proofs do not gate on it: positivity of U_n on that
+        # range rests on their other checks, and sturm:P-near-0 fails by design
         "P-near-0": (
             "P", (Fraction(1, 2), _outward(lambda: iv.cos(7 * iv.pi / 27), below=False)),
-            ("P(-pi/3)", Fraction(1, 2))),
+            ("P(-pi/3)", Fraction(1, 2)),
+            "equals -mu(mu+1)/4; with 0 roots P < 0 on the whole "
+            "interval, so this certifies root-freeness only, no sign"),
         # t in [-pi/5, 0]; P(0) = 2(1 - mu) at the endpoint x = 1
         "P-mid": (
             "P", (_outward(lambda: iv.cos(iv.pi / 5), below=True), Fraction(1)),
@@ -426,39 +435,43 @@ def sturm_case_plan(mu, names=None) -> list[SturmTarget]:
         "R": ("R", (Fraction(0), Fraction(1, 2)), ("R(pi/2)/sin", Fraction(0))),
     }
     if names is None:
-        names = [n for n in plan if mu is not None or n.startswith("q")]
+        names = Q_STURM if mu is None else STURM_NAMES
     reductions = {}  # one per case, shared by the targets that read it
     targets = []
     for name in names:
-        case, interval, anchor = plan[name]
+        case, *obligation = plan[name]
         if case not in reductions:
             if mu is None and not isinstance(case, int):
                 raise ValueError(f"target {name} needs an exponent mu")
             reductions[case] = (case_q(case) if isinstance(case, int) else
                                 {"P": case_P, "Q": case_Q, "R": case_R}[case](mu))
-        targets.append(SturmTarget(name, reductions[case], interval, (anchor,)))
+        targets.append(SturmTarget(name, reductions[case], *obligation))
     return targets
 
 
 @dataclass(frozen=True)
 class SturmOutcome:
-    """Result of running one SturmTarget: exact root counts per envelope
-    (a single entry for exact coefficients) and per-point positivity flags."""
+    """Result of running one SturmTarget: exact root counts and signs at the
+    anchor, one per envelope (lower first; a single entry for exact
+    coefficients)."""
 
     name: str
     interval: tuple[Fraction, Fraction]
     root_counts: tuple[int, ...]
-    point_results: tuple[tuple[str, bool], ...]
+    anchor: str
+    anchor_signs: tuple[int, ...]
+
+    @property
+    def point_results(self) -> tuple[tuple[str, bool], ...]:
+        """((anchor, positive),): positivity on the lower envelope, which
+        minorizes every admissible coefficient choice, holds for all of them."""
+        return ((self.anchor, self.anchor_signs[0] > 0),)
 
 
 def run_sturm_target(target: SturmTarget) -> SturmOutcome:
-    """Run the exact root count (and point checks) for one obligation."""
+    """Run the exact root counts and the anchor's signs for one obligation."""
     polys = target.polynomials()
-    a, b = target.x_interval
-    counts = tuple(count_roots_in(sturm_chain(p), a, b) for p in polys)
-    # point positivity on the lower envelope holds for every admissible
-    # coefficient choice (the lower envelope minorizes all of them)
-    points = tuple(
-        (label, polys[0].sign_at(x) > 0) for label, x in target.positive_points
-    )
-    return SturmOutcome(target.name, (a, b), counts, points)
+    (a, b), (label, x) = target.x_interval, target.anchor
+    return SturmOutcome(target.name, (a, b),
+                        tuple(count_roots_in(sturm_chain(p), a, b) for p in polys),
+                        label, tuple(p.sign_at(x) for p in polys))

@@ -4,14 +4,19 @@ A name in a module's `__all__`, a module-level function or a method (dunder
 methods aside, which operators and the runtime call) that nothing in
 `src/trigpos` reads is a second route kept alive by tests alone.  The
 allowlist names the few whose only users sit outside the package, each with
-its reason; methods are keyed as `Class.method`.
+its reason; methods are keyed as `Class.method`.  Two module boundaries are
+kept too: proofs apart from sampled estimates, and the Sturm plan the sole
+owner of its target names.
 """
 
 import ast
+import re
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import trigpos
+from trigpos.trigsums import sturm_case_plan
 
 PACKAGE = Path(trigpos.__file__).resolve().parent
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -116,3 +121,16 @@ def test_proofs_and_sampled_estimates_stay_apart():
              for node in ast.walk(TREES[module])
              if f"trigpos.{other}" in _imported_modules(node)]
     assert not found, f"imports between engine and gegenbauer: {found}"
+
+
+def test_the_sturm_plan_alone_names_its_targets():
+    # trigsums.sturm_case_plan owns the Sturm obligations: no other module
+    # spells a target name (trigsums.STURM_NAMES, the names of the full
+    # plan), and the plan points at no CLI name for a reason
+    names = {target.name for target in sturm_case_plan(Fraction(4, 5))}
+    found = [f"{module}.py:{node.lineno}" for module, tree in TREES.items() if module != "trigsums"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in names]
+    assert not found, f"Sturm target names outside trigsums: {found}"
+    source = (PACKAGE / "trigsums.py").read_text(encoding="utf-8")
+    assert not re.findall(r"\bcli\.\w+", source), "trigsums refers to the CLI"

@@ -90,6 +90,25 @@ def test_sturm_p_near_0_reports_failure(capsys):
     assert "status: FAIL" in out
 
 
+def test_ungated_p_near_0_needs_every_envelope_negative():
+    # "with 0 roots P < 0 on the whole interval" holds only when the upper
+    # envelope is negative too; over mu in [4/5, 9/10] it is positive at both
+    # ends of the interval, so the root-free envelopes show no sign
+    target, = trigsums.sturm_case_plan(Enclosure(Fraction(4, 5), Fraction(9, 10)),
+                                       ["P-near-0"])
+    check = cli._sturm_check(target, gate_all_points=False)
+    assert (check.status, check.value) == ("inconclusive", "root counts [0, 0]")
+    assert check.detail.endswith("; inconclusive: not every envelope is < 0 at P(-pi/3)")
+    # on the proofs' enclosure both envelopes are negative there, so it passes
+    tight = mu_star(Fraction(2, 3), width=Fraction(1, 10**20)).enclosure
+    target, = trigsums.sturm_case_plan(tight, ["P-near-0"])
+    assert cli._sturm_check(target, gate_all_points=False) == cli.CheckResult(
+        "sturm-P-near-0", "pass", "root counts [0, 0]",
+        detail="0 roots in (0.5, 0.6862416379] expected; P(-pi/3) <=0 [not gated: equals "
+        "-mu(mu+1)/4; with 0 roots P < 0 on the whole interval, so this certifies "
+        "root-freeness only, no sign]")
+
+
 # each check of `verify sturm:all` as (status, value, detail): the root
 # counts, the rational x intervals and the anchor signs of every case
 # polynomial, on the 1e-20 enclosure of mu*(2/3)

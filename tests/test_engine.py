@@ -1,11 +1,9 @@
-"""Grid certification and unit-disk scans."""
+"""Grid certification: the certificates, their float64 bounds and their refutations."""
 
 import json
 import math
 import random
 from fractions import Fraction
-from itertools import islice
-from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -14,19 +12,11 @@ from mpmath import iv, mp
 from mpmath.libmp import dps_to_prec
 
 from trigpos.engine import GridCertificate, certify_partial_sums, certify_positive_trig
-from oracles import closed_form_full_sum, rising
 from trigpos.engine import _MAX_TERMS, _MUL_ERR, _SEED_ERR, _Prefixes, _up
 from trigpos.exact import Enclosure
-from trigpos.gegenbauer import (
-    _ratios,
-    arg_bound_check,
-    partial_sum,
-    subordination_sector_check,
-    weak_conjecture_check,
-)
 from trigpos.mustar import mu_star
 from trigpos.precision import working_dps
-from trigpos.trigsums import TrigSum, TrigTerm, build_U_n, build_varsigma, pochhammer_coeff
+from trigpos.trigsums import TrigSum, TrigTerm, build_U_n, build_varsigma
 
 F = Fraction
 mp.dps = 30
@@ -110,136 +100,6 @@ def test_certified_sums_are_actually_positive():
         # independent spot check of the certified claim
         xs = [rng.uniform(0.1, 3.0) for _ in range(50)]
         assert all(s.eval_mp(mp.mpf(x)) > 0 for x in xs)
-
-
-def test_partial_sum_geometric_identity():
-    # mu = 1 collapses to the geometric partial sum, an exact closed form
-    for z in (mp.mpc("0.4", "0.1"), mp.mpc("-0.3", "0.55")):
-        for n in (0, 1, 7):
-            want = (1 - z ** (n + 1)) / (1 - z)
-            assert abs(partial_sum(1, n, z) - want) < mp.mpf("1e-25")
-
-
-def test_partial_sum_converges_to_closed_form():
-    for mu in (mp.mpf("0.3"), mp.mpf("0.8")):
-        for z in (mp.mpc("0.3", "0.2"), mp.mpc("-0.25", "0.4")):
-            err = abs(partial_sum(mu, 60, z) - closed_form_full_sum(mu, z))
-            assert err < mp.mpf("1e-20")
-
-
-def test_partial_sum_guard():
-    with pytest.raises(ValueError):
-        partial_sum(mp.mpf("0.5"), -1, 0.5)
-
-
-def test_sector_check_quick():
-    rep = subordination_sector_check(
-        F(1, 3), 0.49, n_max=8, r_values=(0.9,), n_theta=120
-    )
-    assert rep.passed
-    assert rep.threshold == pytest.approx(np.pi / 6)
-    assert rep.max_abs_arg < rep.threshold
-    assert rep.samples == 8 * 120
-    assert rep.worst.arg == rep.max_abs_arg
-    assert 0 < rep.worst.theta <= np.pi
-
-
-def test_weak_check_quick_and_boundary_identity():
-    rep = weak_conjecture_check(
-        F(2, 3), 0.85, n_max=6, r_values=(0.9,), n_theta=120
-    )
-    assert rep.passed
-    assert rep.min_real > 0
-    # the rho = 2/3 boundary factorization must hold to full precision
-    assert rep.boundary_max_diff is not None
-    assert rep.boundary_max_diff < 1e-25
-
-
-def test_weak_check_other_rho_has_no_boundary_figure():
-    rep = weak_conjecture_check(F(1, 2), 0.85, n_max=4, r_values=(0.9,), n_theta=60)
-    assert rep.boundary_max_diff is None
-    assert rep.passed
-
-
-@pytest.mark.parametrize("mu", [F(1, 3), F(1, 2), F(84685556829, 10**11)])
-def test_ratios_are_exact_pochhammer_ratios(mu):
-    got = list(islice(_ratios(mu), 41))
-    assert got == [pochhammer_coeff(mu, k).lo for k in range(41)]
-    assert got == [rising(mu, k) / factorial(k) for k in range(41)]
-
-
-@pytest.mark.parametrize("scan", [
-    lambda: subordination_sector_check(F(1, 3), 0.49, n_max=0),
-    lambda: subordination_sector_check(F(1, 3), 0.49, r_values=()),
-    lambda: weak_conjecture_check(F(1, 2), 0.85, n_max=0),
-    lambda: arg_bound_check(0.9, n_max=0),
-    lambda: arg_bound_check(0.9, x_values=()),
-    lambda: arg_bound_check(0.9, n_theta=0),
-], ids=["sector-n0", "sector-no-r", "weak-n0", "arg-n0", "arg-no-x", "arg-no-theta"])
-def test_a_scan_with_no_samples_is_an_error(scan):
-    with pytest.raises(ValueError, match="no samples"):
-        scan()
-
-
-def test_a_nan_exponent_never_passes_a_scan():
-    # a NaN score is the first sample's and no later one beats it
-    assert math.isnan(subordination_sector_check(F(1, 3), math.nan, n_max=3).max_abs_arg)
-    assert not weak_conjecture_check(F(1, 2), math.nan, n_max=3).passed
-    # a NaN sample wins wherever it falls: in the only x, beside a finite x, or in r
-    for rep in (arg_bound_check(0.24, n_max=5, x_values=(math.nan,)),
-                arg_bound_check(0.24, n_max=5, x_values=(0.3, math.nan)),
-                arg_bound_check(0.24, n_max=5, r_values=(0.5, math.nan))):
-        assert not rep.passed
-        assert math.isnan(rep.max_abs_arg) and math.isnan(rep.min_abs_value)
-
-
-EXACT_FIELDS = {"worst.r", "worst.theta", "worst_x", "worst_z"}  # where the worst sample is
-
-
-def assert_report_is(report, want):
-    """Every field of a disk-scan report against its pinned value: ints,
-    tuples and the worst sample's position exactly, every other float and
-    complex to a relative 1e-12."""
-    fields = dict(vars(report), type=type(report).__name__)
-    if "worst" in fields:
-        fields.update({f"worst.{k}": v for k, v in vars(fields.pop("worst")).items()})
-    assert set(fields) == set(want)
-    for name, value in want.items():
-        if isinstance(value, (float, complex)) and name not in EXACT_FIELDS:
-            assert fields[name] == pytest.approx(value, rel=1e-12, abs=0), name
-        else:
-            assert fields[name] == value, name
-
-
-def test_criterion_09_and_10_scan_reports_are_pinned():
-    # criterion 09's scans, with mu = 0.999 times the midpoint of the mu*
-    # enclosure at rho = 1/3 and rho = 2/3, as the floats the scans read
-    sector = subordination_sector_check(F(1, 3), 0.4961946737162157, n_max=30,
-                                        r_values=(0.999, 1 - 1e-6))
-    assert_report_is(sector, {
-        "type": "SectorReport", "rho": 1 / 3, "mu": 0.4961946737162157, "n_max": 30,
-        "r_values": (0.999, 0.999999), "threshold": math.pi / 6,
-        "max_abs_arg": 0.5212971456534469, "samples": 43200,
-        "worst.n": 1, "worst.r": 0.999999, "worst.theta": 0.004469252647551868,
-        "worst.value": 0.21371646813709747 - 0.12273426800671003j,
-        "worst.arg": 0.5212971456534469,
-    })
-    weak = weak_conjecture_check(F(2, 3), 0.8460087127212447, n_max=30,
-                                 r_values=(0.999, 1 - 1e-6))
-    assert_report_is(weak, {
-        "type": "WeakFormReport", "rho": 2 / 3, "mu": 0.8460087127212447, "n_max": 30,
-        "r_values": (0.999, 0.999999), "min_real": 0.0743508810723783, "samples": 43200,
-        "boundary_max_diff": 6.310887241768095e-30,
-        "worst.n": 1, "worst.r": 0.999999, "worst.theta": 0.0001,
-        "worst.value": 0.0743508810723783 - 0.04259052560391572j,
-        "worst.arg": -0.5202030559890847,  # the signed arg of w, not a score
-    })
-    # and criterion 10's argument-bound scan
-    assert_report_is(arg_bound_check(0.24, n_max=50), {
-        "type": "ArgBoundReport", "lam": 0.24, "n_max": 50, "threshold": math.pi / 3,
-        "max_abs_arg": 0.7211117953136131, "min_abs_value": 0.568432, "samples": 360000,
-        "worst_n": 49, "worst_x": -0.9, "worst_z": -0.8641469067738811 + 0.5012495621076722j,
-    })
 
 
 def test_hostile_sums_below_eval_err_are_never_certified():

@@ -153,12 +153,13 @@ def test_envelopes_bound_all_choices():
         assert lower(x) <= picked(x) <= upper(x)
 
 
-def test_envelopes_negative_interval_flips_odd_terms():
-    coeffs = [Enclosure(F(0), F(1)), Enclosure(F(2), F(3))]
-    lower, upper = poly_with_interval_coeffs(coeffs, (F(-1), F(0)))
-    # at x = -1: lower must use hi of the odd coefficient
-    assert lower(F(-1)) == F(0) - F(3)
-    assert upper(F(-1)) == F(1) - F(2)
+def test_envelopes_are_the_endpoint_polynomials_on_x_at_least_0():
+    coeffs = [Enclosure(F(0), F(1)), Enclosure(F(-3), F(2))]
+    assert poly_with_interval_coeffs(coeffs, (F(0), F(1))) == (
+        Polynomial([0, -3]), Polynomial([1, 2]))
+    # x^k < 0 for odd k below 0, where these would not bound
+    with pytest.raises(ValueError, match="in \\[0, inf\\)"):
+        poly_with_interval_coeffs(coeffs, (F(-1), F(0)))
 
 
 def test_envelopes_straddling_interval_rejected():

@@ -18,10 +18,12 @@ from trigpos.exact import Enclosure
 from trigpos.mustar import mu_star
 from trigpos.precision import working_dps
 from trigpos.trigsums import (
+    MU_STURM,
+    Q_STURM,
+    STURM_NAMES,
     SturmTarget,
     TrigSum,
     TrigTerm,
-    build_omega,
     build_U_n,
     build_varsigma,
     case_P,
@@ -108,7 +110,7 @@ def test_omega_reduction_in_squared_cosine():
     # omega_n = sin(theta/3) q_n(cos^2(theta/3)) for n = 1, 2
     for n in (1, 2, 3):
         qn = case_q(n).exact_polynomial()
-        om = build_omega(n)
+        om = build_varsigma(n, F(1, 3), F(1, 2))
         for j in range(1, 9):
             theta = 3 * mp.mpf(j) / 10
             x = mp.cos(theta / 3) ** 2
@@ -243,11 +245,23 @@ def test_sturm_plan_with_enclosure_mu_gives_envelope_pairs():
 
 def test_sturm_target_rejects_anchor_outside_interval():
     with pytest.raises(ValueError, match="outside"):
-        SturmTarget("P-near-0", case_P(F(4, 5)), (F(1, 2), F(7, 10)),
-                    (("P(0)", F(1)),))
+        SturmTarget("P-near-0", case_P(F(4, 5)), (F(1, 2), F(7, 10)), ("P(0)", F(1)))
     # both closed endpoints are admissible anchors
-    SturmTarget("P-mid", case_P(F(4, 5)), (F(4, 5), F(1)),
-                (("lo", F(4, 5)), ("P(0)", F(1))))
+    for anchor in (("lo", F(4, 5)), ("P(0)", F(1))):
+        SturmTarget("P-mid", case_P(F(4, 5)), (F(4, 5), F(1)), anchor)
+
+
+def test_the_plan_owns_names_anchors_and_the_one_ungated_reason():
+    assert STURM_NAMES == Q_STURM + MU_STURM
+    assert [t.name for t in sturm_case_plan(None)] == list(Q_STURM)
+    plan = sturm_case_plan(F(4, 5))
+    assert [t.name for t in plan] == list(STURM_NAMES)
+    assert [t.anchor[0] for t in plan] == [
+        "q1(0)", "q2(0)", "q3(0.37059)", "q3(cos^2(7pi/24))", "P(-pi/3)", "P(0)",
+        "Q(pi/2)/sin", "R(pi/2)/sin"]
+    assert {t.name for t in plan if t.ungated} == {"P-near-0"}
+    with pytest.raises(ValueError, match="needs an exponent"):
+        sturm_case_plan(None, ["Q"])
 
 
 def test_p_near_0_is_negative_on_its_interval():
@@ -371,7 +385,7 @@ SHARED_BUILDS = {
     "U exact": lambda n: build_U_n(n, MU_23),
     "varsigma interval": lambda n: build_varsigma(n, F(1, 3), NU_ENC),
     "varsigma exact": lambda n: build_varsigma(n, F(1, 3), F(3, 5)),
-    "omega": build_omega,
+    "omega": lambda n: build_varsigma(n, F(1, 3), F(1, 2)),
 }
 
 
