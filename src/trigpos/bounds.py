@@ -12,7 +12,7 @@ owns those closed forms:
   factors p, q and the n = 1 closed form u1_closed_form, with the
   interval proofs of their monotonicity;
 * the X/Y/Z panel constants of the sampling lemma, which make up the
-  tail block L3 of regions 1, 32 and 33;
+  tail block L3 of regions 1, 31, 32 and 33;
 * the five composite region bounds L^(1), L^(2), L^(31), L^(32), L^(33)
   for the rho = 1/3 family, and the single master bound for rho = 2/3.
 
@@ -240,10 +240,8 @@ def _region_3x(which: str, rho, nu):
     pi = iv.pi
     if which == "31":
         b, x, theta0 = pi / 12, pi, pi / 8
-        # explicit: the X/Y panels use a = pi/15, the Z panel a = pi/12
-        ratio = theta0 / iv.sin(theta0)
-        l3 = ((ratio / 12 + ratio**2 / 9) * (1 - nu) * (2 * pi / 5) ** (nu - 1)
-              + nu * (1 - nu) * pi * (2 * pi / 3) ** (nu - 2))
+        # the X/Y panels use a = pi/15, the Z panel a = pi/12
+        l3 = sum(lemma_XYZ(nu, 3, pi / 15, theta0)[:2]) + lemma_XYZ(nu, 3, pi / 12, theta0)[2]
     elif which == "32":
         b, x, theta0 = pi / 6, (1 + 5 * rho / 6) * pi, pi / 6
         l3 = sum(lemma_XYZ(nu, 4, pi / 10, theta0))

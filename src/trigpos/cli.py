@@ -68,9 +68,8 @@ from trigpos.bounds import (
 )
 from trigpos.exact import Enclosure
 from trigpos.mustar import BOUNDARY_PROBES, PROOF_WIDTH, _verified_sign, mu_star
-from trigpos.precision import iv_dps, working_dps
-from trigpos.quadrature import (
-    QuadResult, _as_iv, _mid_rad, chi_reference_integral, min_over_upper_limit)
+from trigpos.precision import _as_mpf, iv_dps, working_dps
+from trigpos.quadrature import QuadResult, _mid_rad, chi_reference_integral, min_over_upper_limit
 from trigpos.trigsums import (
     _MAX_TERMS,
     MU_STURM,
@@ -177,8 +176,7 @@ def _fmt(x, digits: int = 12) -> str:
 def _fmt_enclosure(enc: Enclosure) -> str:
     """[lo, hi] at 24 digits, which tell the ends of a PROOF_WIDTH enclosure apart."""
     with mp.workdps(max(working_dps(), 34)):
-        lo, hi = (mp.nstr(mp.mpf(f.numerator) / f.denominator, 24, strip_zeros=True)
-                  for f in (enc.lo, enc.hi))
+        lo, hi = (mp.nstr(_as_mpf(f), 24, strip_zeros=True) for f in (enc.lo, enc.hi))
     return f"[{lo}, {hi}]"
 
 
@@ -308,10 +306,9 @@ def _check_prop_constants(mu_enc: Enclosure) -> list[CheckResult]:
         # is -D(2/3, mu), as cos(t - pi/6) = -sin(t - 2pi/3), zero at mu*
         try:
             with iv_dps(working_dps() + 15):
-                mu = _as_iv(mu_enc)
-                arg1, m1 = min_over_upper_limit("cos", -iv.pi / 6, mu, mp.pi / 2)
-                arg2, m2 = min_over_upper_limit("cos", -iv.pi / 3, mu, mp.pi / 2)
-                chi = chi_reference_integral(mu)
+                arg1, m1 = min_over_upper_limit("cos", -iv.pi / 6, mu_enc, mp.pi / 2)
+                arg2, m2 = min_over_upper_limit("cos", -iv.pi / 3, mu_enc, mp.pi / 2)
+                chi = chi_reference_integral(mu_enc)
         except ValueError:  # an enclosure reaching mu = 0: no finite integrals, both fail
             arg1 = arg2 = mp.nan
             m1 = m2 = chi = QuadResult(mp.nan, mp.inf, True)

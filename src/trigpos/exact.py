@@ -35,18 +35,13 @@ __all__ = [
 
 
 def _as_fraction(x) -> Fraction:
+    """x as an exact rational: an mpmath mpf by its binary value, anything
+    else as Fraction() reads it (an int, a float by its binary value, a
+    string); an infinity or a NaN raises ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        # Exact binary value of the float; callers who care pass Fractions.
-        return Fraction(x)
     if hasattr(x, "_mpf_"):
-        # Exact binary value of an mpmath mpf.  int(): gmpy-backend fields
-        # are mpz and must not leak into Fraction arithmetic.
+        # int(): gmpy-backend fields are mpz and must not leak into Fraction arithmetic
         sign, man, exp, bc = x._mpf_
         man, exp = (-int(man) if sign else int(man)), int(exp)
         if man == 0:
@@ -54,7 +49,10 @@ def _as_fraction(x) -> Fraction:
                 raise ValueError(f"{x!r} has no exact rational value")
             return Fraction(0)
         return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    try:
+        return Fraction(x)
+    except OverflowError:  # a float infinity; a float NaN raises ValueError itself
+        raise ValueError(f"{x!r} has no exact rational value") from None
 
 
 # ---------------------------------------------------------------------------

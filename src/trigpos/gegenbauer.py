@@ -34,7 +34,7 @@ import numpy as np
 from mpmath import mp
 
 from trigpos.exact import _as_fraction
-from trigpos.precision import working_dps
+from trigpos.precision import _as_mpf, working_dps
 from trigpos.trigsums import build_U_n
 
 __all__ = [
@@ -72,7 +72,7 @@ def partial_sum(mu, n: int, z):
         raise ValueError("n must be >= 0")
     z = mp.mpc(z)
     total, power = mp.mpc(0), mp.mpc(1)
-    for coeff in islice(_ratios(mp.mpf(mu)), n + 1):
+    for coeff in islice(_ratios(_as_mpf(mu)), n + 1):
         total += coeff * power
         power *= z
     return total

@@ -49,7 +49,7 @@ _CACHE: dict = {}
 class MuStarResult:
     """Verified enclosure of mu*(rho).
 
-    enclosure endpoints are exact rationals; the true root lies strictly
+    enclosure endpoints are exact rationals; a root of D lies strictly
     inside (or equals the endpoint for the boundary case rho = 1).
     residual is the defect value at the enclosure midpoint, a direct
     quality check on the localization.  route ("estimate-seeded", "full
@@ -65,15 +65,15 @@ class MuStarResult:
 
 
 def defect_integral(rho, mu) -> QuadResult:
-    """D(rho, mu) = integral_0^((rho+1)*pi) sin(t - rho*pi) t^(mu-1) dt,
-    for exact rationals or mpfs rho and mu; the arguments are enclosed in
-    mpmath.iv, so the result encloses D at the exact rho and mu."""
-    rho, mu = _as_fraction(rho), _as_fraction(mu)
+    """D(rho, mu) = integral_0^((rho+1)*pi) sin(t - rho*pi) t^(mu-1) dt at
+    an exact rho in (0, 1] and every mu in a box fractional_osc_integral
+    reads (an Enclosure, an mpmath.iv interval, a Fraction, an mpf, ...)."""
+    rho = _as_fraction(rho)
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
     with iv_dps(working_dps() + 15):
         rho_pi = _as_iv(rho) * iv.pi
-        return fractional_osc_integral("sin", -rho_pi, _as_iv(mu), rho_pi + iv.pi)
+        return fractional_osc_integral("sin", -rho_pi, mu, rho_pi + iv.pi)
 
 
 def _verified_sign(rho: Fraction, mu: Fraction) -> mp.mpf:

@@ -4,13 +4,15 @@ All mpmath computations run at ``working_dps()`` significant digits.  The
 default of 30 keeps roughly 15 guard digits beyond the 10--13 digits the
 certified constants are quoted to; the ``TRIGPOS_PRECISION`` environment
 variable overrides it (floor of 20, the digits mustar.PROOF_WIDTH needs); a
-value that is not an integer raises ValueError.
+value that is not an integer raises ValueError.  _as_mpf is the one
+conversion of a point to an mpf for evaluation at the current precision.
 """
 
 import os
 from contextlib import contextmanager
+from fractions import Fraction
 
-from mpmath import iv
+from mpmath import iv, mp
 
 DEFAULT_DPS = 30
 _ENV_VAR = "TRIGPOS_PRECISION"
@@ -37,3 +39,9 @@ def iv_dps(dps: int):
         yield
     finally:
         iv.prec = saved
+
+
+def _as_mpf(v):
+    """v rounded once to an mpf at the current mp precision: a Fraction as
+    its quotient, anything else as mp.mpf reads it (mpf, int, float, str)."""
+    return mp.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else mp.mpf(v)

@@ -22,12 +22,13 @@ point (Brent & Zimmermann, Modern Computer Arithmetic, 2010, sec. 4.4):
 every rounding is a floor, and a carried integer bound counts what they
 lose.  mpmath.iv supplies x^mu, cos(eta) and sin(eta) and combines them with
 the sums, so err bounds the truncation and every rounding, assuming only
-that iv rounds outward.  eta, mu or x may be an iv interval, and the
-result then covers every value in it: cos and sin of an interval eta
-enclose them over it, and for mu and x the sums run at the midpoint and
-err grows by the radius times a bound on the partial derivative.  The
-composites below and the defect integral pass the phases and limits they
-form that way.  The tests check this route against mpmath.quad.
+that iv rounds outward.  eta, mu and x are read once by _as_iv as iv boxes
+(an iv interval, an Enclosure, a Fraction, an mpf, int, float or string; a
+point is a box of radius 0), and the result covers every value in them:
+cos and sin of eta enclose them over its box, and for mu and x the sums run
+at the midpoints and err grows by the radii times a bound on the partial
+derivatives.  The guards test box ends: 0 < x <= 8*pi, 0 < mu <= 1 and eta
+finite, or ValueError.  The tests check this route against mpmath.quad.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from mpmath import iv, mp
 
@@ -122,44 +122,40 @@ def _alternating_sum(offset: int, m: int, xf: int, p: int, eps: int):
 
 
 def _evaluate(kind: str, eta, mu, x):
-    """(value, error bound) of integral_0^x g(t + eta) t^(mu-1) dt; where an
-    argument is an mpmath.iv interval, a bound for every value in it."""
+    """(value, error bound) of integral_0^x g(t + eta) t^(mu-1) dt for every
+    eta, mu and x in their boxes; see the module docstring."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    with mp.workdps(working_dps() + 15):
-        # an interval mu or x is read as its midpoint and radius
-        (mu, d_mu), (x, d_x) = (_mid_rad(v) if hasattr(v, "_mpi_") else (v, 0) for v in (mu, x))
-        x_in = mp.mpf(x)
-        if not 0 < x_in <= 8 * mp.pi + mp.mpf("1e-12"):
+    dps = working_dps() + 15
+    with mp.workdps(dps), iv_dps(dps):
+        eta, mu_box, x_box = (_as_iv(v) for v in (eta, mu, x))
+        if not (0 < x_box.a and x_box.b <= 8 * mp.pi + mp.mpf("1e-12")):
             raise ValueError("series route requires 0 < x <= 8*pi")
-        dps = mp.dps + int(mp.ceil(x_in / mp.ln(10)))
-    with mp.workdps(dps):
-        mu, x = mp.mpf(mu), mp.mpf(x)
-        eta = eta if hasattr(eta, "_mpi_") else mp.mpf(eta)
-        if not 0 < mu - d_mu <= mu + d_mu <= 1:
+        if not (0 < mu_box.a and mu_box.b <= 1):
             raise ValueError("mu must lie in (0, 1]")
+        if not (-mp.inf < eta.a and eta.b < mp.inf):
+            raise ValueError("eta must be finite")
+        (mu, d_mu), (x, d_x) = _mid_rad(mu_box), _mid_rad(x_box)
+        dps += int(mp.ceil(x / mp.ln(10)))
+    with mp.workdps(dps), iv_dps(dps):
         # at p bits both shifts are non-negative: xf and m are x and mu exactly
         p = max(mp.prec + 8, -x._mpf_[2], -mu._mpf_[2])
         xf, m = (v._mpf_[1] << (v._mpf_[2] + p) for v in (x, mu))
         eps = (1 << p) // 10 ** (working_dps() + 12)
-        with iv_dps(dps):
-            s, c = (iv.ldexp(iv.mpf([t - e, t + e]), -p)
-                    for t, e in (_alternating_sum(k, m, xf, p, eps) for k in (1, 0)))
-            # g(t + eta) = cos(eta) g(t) +/- sin(eta) g^(t), for every eta in an interval
-            cos_eta, sin_eta = iv.cos_sin(eta)
-            enc = iv.mpf(x) ** iv.mpf(mu) * (
-                cos_eta * s + sin_eta * c if kind == "sin" else cos_eta * c - sin_eta * s)
+        s, c = (iv.ldexp(iv.mpf([t - e, t + e]), -p)
+                for t, e in (_alternating_sum(k, m, xf, p, eps) for k in (1, 0)))
+        # g(t + eta) = cos(eta) g(t) +/- sin(eta) g^(t), for every eta in its box
+        cos_eta, sin_eta = iv.cos_sin(eta)
+        enc = iv.mpf(x) ** iv.mpf(mu) * (
+            cos_eta * s + sin_eta * c if kind == "sin" else cos_eta * c - sin_eta * s)
         if d_mu or d_x:
             # moving mu and x moves F by at most |d mu| int_0^x t^(mu-1) |ln t| dt
-            # + |d x| x^(mu-1).  Over the box, with y = x + 1/x and mu <= 1,
+            # + |d x| x^(mu-1).  Over the boxes, with y = x + 1/x and mu <= 1,
             # x^(mu-1) <= y and the integral is at most 1/mu^2 + |ln x| x^mu / mu
-            # <= (1/mu + y^2) / mu; every operation below rounds the bound up
-            add, mul, div = (partial(f, rounding="u") for f in (mp.fadd, mp.fmul, mp.fdiv))
-            inv_mu = div(1, mp.fsub(mu, d_mu, rounding="d"))
-            y = add(add(x, d_x), div(1, mp.fsub(x, d_x, rounding="d")))
-            r = add(mul(d_x, y), mul(d_mu, mul(inv_mu, add(inv_mu, mul(y, y)))))
-            with iv_dps(dps):
-                enc += iv.mpf([-r, r])
+            # <= (1/mu + y^2) / mu
+            y, inv_mu = x_box + 1 / x_box, 1 / mu_box
+            r = (y * d_x + inv_mu * d_mu * (inv_mu + y * y)).b
+            enc += iv.mpf([-r, r])
         return _mid_rad(enc)
 
 
@@ -172,9 +168,11 @@ def _estimate(eta: float, mu, x: float) -> float:
 
 
 def fractional_osc_integral(kind: str, eta, mu, x) -> QuadResult:
-    """integral_0^x g(t + eta) t^(mu-1) dt, g = sin or cos.
+    """integral_0^x g(t + eta) t^(mu-1) dt, g = sin or cos, over the boxes
+    of eta, mu and x (any form _as_iv reads).
 
-    Requires 0 < mu <= 1 and 0 < x <= 8*pi; see QuadResult for the flag.
+    Requires 0 < mu <= 1, 0 < x <= 8*pi and a finite eta over the boxes, or
+    ValueError; see QuadResult for the flag.
     """
     value, err = _evaluate(kind, eta, mu, x)
     return QuadResult(value, err, err > mp.mpf(10) ** (-(working_dps() - 5)))
@@ -226,21 +224,21 @@ def min_over_upper_limit(kind: str, eta, mu, x_min):
     g(x+eta).  The factor t^(mu-1) is decreasing, which makes successive
     oscillation arches shrink in area; the minimum over [x_min, infinity)
     is therefore attained at x_min itself or at one of the zeros within the
-    first full period.  eta may be an mpmath.iv interval.  The candidates
-    are picked at the midpoint of eta, and each zero k*pi + offset - eta is
-    enclosed in mpmath.iv, so the QuadResult encloses F at the zero itself.
-    Returns (argmin as an mpf for display, QuadResult at argmin).
+    first full period.  eta, mu and x_min are any boxes _as_iv reads; an
+    x_min box reaching 0 raises ValueError.  The candidates are picked at
+    the midpoints, and each zero k*pi + offset - eta is enclosed in
+    mpmath.iv, so the QuadResult encloses F at the zero itself.  Returns
+    (argmin as an mpf for display, QuadResult at argmin).
     """
     with mp.workdps(working_dps() + 10), iv_dps(working_dps() + 15):
-        eta_iv = eta if hasattr(eta, "_mpi_") else iv.mpf(eta)
-        eta = _mid_rad(eta_iv)[0]
-        x_min = mp.mpf(x_min)
-        if x_min <= 0:
+        eta_iv, x_box = _as_iv(eta), _as_iv(x_min)
+        if not 0 < x_box.a:
             raise ValueError("x_min must be positive")
+        eta, x_min = _mid_rad(eta_iv)[0], _mid_rad(x_box)[0]
         # zeros of g(x + eta): sin -> k*pi - eta, cos -> (k + 1/2)*pi - eta
         offset, offset_iv = (0, 0) if kind == "sin" else (mp.pi / 2, iv.pi / 2)
         k = int(mp.ceil((x_min + eta - offset) / mp.pi))
-        candidates = [(x_min, x_min)]  # (shown, upper limit)
+        candidates = [(x_min, x_box)]  # (shown, upper limit)
         while (z := k * mp.pi + offset - eta) <= x_min + 2 * mp.pi + mp.mpf("1e-20"):
             if z > x_min:
                 candidates.append((z, k * iv.pi + offset_iv - eta_iv))

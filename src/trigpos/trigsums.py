@@ -31,7 +31,7 @@ from mpmath import iv, mp
 
 from trigpos.exact import (Enclosure, Polynomial, _as_fraction, count_roots_in,
                            poly_with_interval_coeffs, sturm_chain)
-from trigpos.precision import iv_dps, working_dps
+from trigpos.precision import _as_mpf, iv_dps, working_dps
 
 __all__ = [
     "TrigTerm",
@@ -120,14 +120,12 @@ class TrigSum:
     def eval_mp(self, theta):
         """Midpoint evaluation at working precision (mpf)."""
         with mp.workdps(working_dps()):
-            th = mp.mpf(theta) if not hasattr(theta, "_mpf_") else theta
+            th = _as_mpf(theta)
             total = mp.mpf(0)
             for t in self.terms:
                 g = mp.sin if t.kind == "sin" else mp.cos
-                arg = (mp.mpf(t.freq.numerator) / t.freq.denominator * th
-                       + mp.pi * t.phase_pi.numerator / t.phase_pi.denominator)
-                c = t.coeff.mid
-                total += mp.mpf(c.numerator) / c.denominator * g(arg)
+                arg = _as_mpf(t.freq) * th + mp.pi * t.phase_pi.numerator / t.phase_pi.denominator
+                total += _as_mpf(t.coeff.mid) * g(arg)
             return total
 
     def coeff_err(self) -> Fraction:

@@ -6,7 +6,8 @@ methods aside, which operators and the runtime call) that nothing in
 allowlist names the few whose only users sit outside the package, each with
 its reason; methods are keyed as `Class.method`.  Two module boundaries are
 kept too: proofs apart from sampled estimates, and the Sturm plan the sole
-owner of its target names.
+owner of its target names.  And one conversion route: no module branches on
+the type of an mpmath number by hand.
 """
 
 import ast
@@ -134,3 +135,27 @@ def test_the_sturm_plan_alone_names_its_targets():
     assert not found, f"Sturm target names outside trigsums: {found}"
     source = (PACKAGE / "trigsums.py").read_text(encoding="utf-8")
     assert not re.findall(r"\bcli\.\w+", source), "trigsums refers to the CLI"
+
+
+def _mpmath_type_branches(module: str, node, func: str = "") -> list[str]:
+    """`module.py:line` of every hasattr(v, "_mpi_") or hasattr(v, "_mpf_")
+    at or below node, outside exact._as_fraction."""
+    if isinstance(node, _DEFS):
+        func = node.name
+    hits = []
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "hasattr" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value in ("_mpi_", "_mpf_")
+            and (module, func) != ("exact", "_as_fraction")):
+        hits.append(f"{module}.py:{node.lineno}")
+    for child in ast.iter_child_nodes(node):
+        hits += _mpmath_type_branches(module, child, func)
+    return hits
+
+
+def test_one_conversion_route_for_mpmath_numbers():
+    # quadrature._as_iv reads every argument as an iv box and
+    # precision._as_mpf every point; exact._as_fraction alone reads an mpf's
+    # bits, as the exact layer imports no mpmath
+    found = [hit for module, tree in TREES.items() for hit in _mpmath_type_branches(module, tree)]
+    assert not found, f"hand-rolled mpmath type branches: {found}"

@@ -78,6 +78,10 @@ def test_certify_interval_guard():
         certify_positive_trig(s, (1, 1))
     with pytest.raises(ValueError):
         certify_positive_trig(_sum(), (0, 1))
+    # an infinite end is no rational: ValueError, as for an mpf infinity
+    for end in (float("inf"), mp.inf):
+        with pytest.raises(ValueError):
+            certify_positive_trig(s, (0.001, end))
 
 
 def test_certified_sums_are_actually_positive():

@@ -123,6 +123,17 @@ def test_as_fraction_reads_mpf_exactly():
             _as_fraction(special)
 
 
+def test_as_fraction_defers_to_fraction_for_non_mpf_numbers():
+    # int, float and str go through Fraction(): a float by its binary value
+    assert _as_fraction(3) == 3 and _as_fraction("-7/4") == F(-7, 4)
+    assert _as_fraction(0.1) == F(0.1) != F(1, 10)
+    for special in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            _as_fraction(special)
+    with pytest.raises(TypeError):
+        _as_fraction(None)
+
+
 def test_enclosure_sub_contains_difference():
     rng = random.Random(5)
     for _ in range(50):

@@ -158,6 +158,12 @@ def test_partial_sum_converges_to_closed_form():
             assert err < mp.mpf("1e-20")
 
 
+def test_partial_sum_reads_a_fraction_mu_as_its_quotient():
+    assert partial_sum(F(1, 2), 3, 0.5) == partial_sum(mp.mpf("0.5"), 3, 0.5)
+    z = mp.mpc("0.3", "0.2")
+    assert partial_sum(F(1, 3), 9, z) == partial_sum(mp.mpf(1) / 3, 9, z)
+
+
 def test_partial_sum_guard():
     with pytest.raises(ValueError):
         partial_sum(mp.mpf("0.5"), -1, 0.5)

@@ -8,11 +8,13 @@ assume the digits shown.
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 from oracles import ORACLE_DPS, osc_integral
 
 from trigpos import mustar
+from trigpos.exact import Enclosure
 from trigpos.mustar import BRACKET_HI, BRACKET_LO, MuStarResult, defect_integral, mu_star
+from trigpos.precision import iv_dps, working_dps
 from trigpos.quadrature import QuadResult
 
 F = Fraction
@@ -173,6 +175,26 @@ def test_defect_encloses_the_integral_at_exact_arguments():
             ref = osc_integral("sin", -r * mp.pi, m, (r + 1) * mp.pi, dps=50)
             assert res.value - res.err <= ref <= res.value + res.err, (rho, mu)
         assert res.err < mp.mpf("1e-40")
+
+
+def test_defect_reads_mu_as_a_box():
+    # rho alone is read exactly; mu goes to the series route as given: an
+    # mpf or float equal to a Fraction, or the iv hull of an Enclosure, gives
+    # the same result, and the box result covers D at both ends
+    rho = F(2, 3)
+    assert defect_integral(rho, F(1, 2)) == defect_integral(rho, mp.mpf("0.5")) == \
+        defect_integral(rho, 0.5)
+    enc = Enclosure(F(84685556828, 10**11), F(84685556830, 10**11))
+    with iv_dps(working_dps() + 15):
+        lo, hi = (iv.mpf(f.numerator) / f.denominator for f in (enc.lo, enc.hi))
+        hull = iv.mpf([lo.a, hi.b])
+    res = defect_integral(rho, enc)
+    assert res == defect_integral(rho, hull)
+    for end in (enc.lo, enc.hi):
+        with mp.workdps(80):
+            m = mp.mpf(end.numerator) / end.denominator
+            ref = osc_integral("sin", -2 * mp.pi / 3, m, 5 * mp.pi / 3, dps=50)
+            assert res.value - res.err <= ref <= res.value + res.err, end
 
 
 @pytest.mark.parametrize("rho", [F(1, 3), F(2, 3)])

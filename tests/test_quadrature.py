@@ -8,11 +8,13 @@ rounded to the digits shown.
 
 import itertools
 import random
+from fractions import Fraction as F
 
 import pytest
 from mpmath import iv, mp
 
 from oracles import osc_integral
+from trigpos.exact import Enclosure
 from trigpos.quadrature import (
     QuadResult,
     _alternating_sum,  # private: its carried bound is checked at coarse precision
@@ -207,6 +209,59 @@ def test_input_guards():
         frak_K(0, mp.pi, mp.mpf(1) / 3, NU0)
 
 
+def _box(*ends):
+    """[first, last] of Fractions, rounded outward at the precision the
+    series route reads its arguments at, working_dps() + 15 digits."""
+    lo, hi = ends[0], ends[-1]
+    with iv_dps(working_dps() + 15):
+        return iv.mpf([(iv.mpf(lo.numerator) / lo.denominator).a,
+                       (iv.mpf(hi.numerator) / hi.denominator).b])
+
+
+MU_ENC = Enclosure(F(84685556828, 10**11), F(84685556830, 10**11))
+
+
+def test_fraction_and_enclosure_arguments_give_the_equal_mpf_or_iv_result():
+    # a dyadic Fraction is its mpf exactly; another Fraction is its iv box
+    # and an Enclosure its hull, both at working_dps() + 15 digits
+    assert (fractional_osc_integral("sin", F(1, 4), F(1, 2), F(3, 2))
+            == fractional_osc_integral("sin", mp.mpf("0.25"), mp.mpf("0.5"), mp.mpf("1.5")))
+    assert series_reference("cos", F(1, 2), F(3, 2), F(-1, 8)) == series_reference(
+        "cos", mp.mpf("0.5"), mp.mpf("1.5"), mp.mpf("-0.125"))
+    enc = Enclosure(F(2, 7), F(3, 7))
+    assert (fractional_osc_integral("cos", enc, F(1, 3), F(7, 3))
+            == fractional_osc_integral("cos", _box(enc.lo, enc.hi), _box(F(1, 3)), _box(F(7, 3))))
+    mu = _box(MU_ENC.lo, MU_ENC.hi)
+    assert frak_K(mp.pi / 6, F(11, 5), F(1, 3), MU_ENC) == frak_K(mp.pi / 6, _box(F(11, 5)),
+                                                                  F(1, 3), mu)
+    assert chi_reference_integral(MU_ENC) == chi_reference_integral(mu)
+    assert (min_over_upper_limit("cos", Enclosure(F(-1, 10), F(-1, 10)), MU_ENC, F(22, 7))
+            == min_over_upper_limit("cos", _box(F(-1, 10)), mu, _box(F(22, 7))))
+
+
+def test_a_fraction_argument_is_enclosed_exactly():
+    res = fractional_osc_integral("sin", F(-1, 3), F(1, 3), F(7, 3))
+    with mp.workdps(80):
+        ref = osc_integral("sin", -mp.mpf(1) / 3, mp.mpf(1) / 3, mp.mpf(7) / 3, dps=50)
+    assert _contains(res, ref) and res.err < mp.mpf("1e-40")
+
+
+@pytest.mark.parametrize("eta, mu, x", [
+    (0, NU0, iv.mpf(["-0.5", "1"])),  # an x box reaching below 0
+    (0, iv.mpf(["0.4", "0.6"]), iv.mpf(["-0.1", "1.9"])),  # its midpoint is fine
+    (0, NU0, Enclosure(0, 1)),  # an x box reaching 0
+    (0, NU0, iv.mpf([8 * mp.pi - 1, 8 * mp.pi + 1])),  # past 8 pi, midpoint 8 pi
+    (0, iv.mpf(["0.9", "1.1"]), 1),  # a mu box past 1
+    (0, Enclosure(0, F(1, 2)), 1),  # a mu box reaching 0
+    (mp.nan, NU0, 1), (float("nan"), NU0, 1), (mp.inf, NU0, 1), (-mp.inf, NU0, 1),
+    (iv.mpf([0, mp.inf]), NU0, 1),
+], ids=["x-below-0", "x-below-0-mid-inside", "x-at-0", "x-past-8pi", "mu-past-1", "mu-at-0",
+        "eta-nan", "eta-float-nan", "eta-inf", "eta-minus-inf", "eta-box-to-inf"])
+def test_box_guards_test_the_ends(eta, mu, x):
+    with pytest.raises(ValueError):
+        fractional_osc_integral("sin", eta, mu, x)
+
+
 def test_frak_K_frozen_values():
     rho = mp.mpf(1) / 3
     k1 = frak_K(mp.pi / 12, mp.pi, rho, NU0)
@@ -317,8 +372,9 @@ def test_min_over_upper_limit_beats_samples():
 
 
 def test_min_over_upper_limit_guard():
-    with pytest.raises(ValueError):
-        min_over_upper_limit("sin", 0, NU0, 0)
+    for x_min in (0, F(0), iv.mpf([-1, 1])):
+        with pytest.raises(ValueError):
+            min_over_upper_limit("sin", 0, NU0, x_min)
     with pytest.raises(ValueError):
         min_over_upper_limit("cot", 0, NU0, 1)
 

@@ -519,6 +519,14 @@ def test_eval_mp_on_shared_terms_is_bit_identical():
         assert repr(shared.terms[3]) == repr(fresh.terms[3])
 
 
+def test_eval_mp_reads_a_fraction_as_its_quotient_at_working_precision():
+    tsum = build_U_n(3, F(1, 2))
+    with mp.workdps(working_dps()):
+        third = mp.mpf(1) / 3
+    assert tsum.eval_mp(F(1, 3)) == tsum.eval_mp(third)
+    assert tsum.eval_mp(F(1, 2)) == tsum.eval_mp(mp.mpf("0.5")) == tsum.eval_mp(0.5)
+
+
 def test_eval_mp_follows_the_precision(monkeypatch):
     tsum = build_U_n(30, MU_ENC)
     monkeypatch.setenv("TRIGPOS_PRECISION", "30")
