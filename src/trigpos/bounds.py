@@ -94,23 +94,25 @@ def wedge(theta, mu):
     return (1 - (sin / theta) ** (1 - mu)) / sin
 
 
-def lemma_XYZ(mu, n: int, a, b):
-    """The three panel constants of the sampling lemma on [a, b]:
+def lemma_XYZ(mu, n: int, a, b, a_z=None):
+    """The three panel constants of the sampling lemma on [a, b], with the
+    Z panel starting at a_z (default a):
 
         X = (b/sin b)   * (1-mu)/(4n) * (2 a n)^(mu-1)
         Y = (b/sin b)^2 * (1-mu)/(3n) * (2 a n)^(mu-1)
-        Z = pi mu (1-mu) * (2 a (n+1))^(mu-2)
+        Z = pi mu (1-mu) * (2 a_z (n+1))^(mu-2)
 
-    Interval a and b must satisfy 0 < a < b <= pi/2 at every point.
+    Interval a, a_z and b must satisfy 0 < a, a_z < b <= pi/2 at every point.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     mu, a, b = (_as_iv(v) for v in (mu, a, b))
-    if not (0 < a.a and a.b < b.a and b.b <= iv.pi / 2 + mp.mpf("1e-12")):
-        raise ValueError("need 0 < a < b <= pi/2")
+    a_z = a if a_z is None else _as_iv(a_z)
+    if not (0 < min(a.a, a_z.a) and max(a.b, a_z.b) < b.a and b.b <= iv.pi / 2 + mp.mpf("1e-12")):
+        raise ValueError("need 0 < a, a_z < b <= pi/2")
     ratio = b / iv.sin(b)
     core = (1 - mu) * (2 * a * n) ** (mu - 1) / n
-    z = iv.pi * mu * (1 - mu) * (2 * a * (n + 1)) ** (mu - 2)
+    z = iv.pi * mu * (1 - mu) * (2 * a_z * (n + 1)) ** (mu - 2)
     return ratio * core / 4, ratio**2 * core / 3, z
 
 
@@ -240,8 +242,7 @@ def _region_3x(which: str, rho, nu):
     pi = iv.pi
     if which == "31":
         b, x, theta0 = pi / 12, pi, pi / 8
-        # the X/Y panels use a = pi/15, the Z panel a = pi/12
-        l3 = sum(lemma_XYZ(nu, 3, pi / 15, theta0)[:2]) + lemma_XYZ(nu, 3, pi / 12, theta0)[2]
+        l3 = sum(lemma_XYZ(nu, 3, pi / 15, theta0, a_z=pi / 12))
     elif which == "32":
         b, x, theta0 = pi / 6, (1 + 5 * rho / 6) * pi, pi / 6
         l3 = sum(lemma_XYZ(nu, 4, pi / 10, theta0))

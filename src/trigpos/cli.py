@@ -67,7 +67,7 @@ from trigpos.bounds import (
     wedge_increasing,
 )
 from trigpos.exact import Enclosure
-from trigpos.mustar import BOUNDARY_PROBES, PROOF_WIDTH, _verified_sign, mu_star
+from trigpos.mustar import BOUNDARY_PROBES, PROOF_WIDTH, _verified_sign, defect_integral, mu_star
 from trigpos.precision import _as_mpf, iv_dps, working_dps
 from trigpos.quadrature import QuadResult, _mid_rad, chi_reference_integral, min_over_upper_limit
 from trigpos.trigsums import (
@@ -215,7 +215,7 @@ def run_mustar(rho: Fraction) -> VerificationReport:
             "sign-change",
             _status(signed),
             value=signs,
-            detail=f"{how}; defect at midpoint {_fmt(res.residual, 6)}; "
+            detail=f"{how}; defect at midpoint {_fmt(defect_integral(rho, enc.mid).value, 6)}; "
             f"{res.route} search, {res.probes} verified probes",
         ),
     ]

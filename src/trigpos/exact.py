@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "Polynomial",
@@ -30,7 +30,6 @@ __all__ = [
     "Enclosure",
     "sturm_chain",
     "count_roots_in",
-    "poly_with_interval_coeffs",
 ]
 
 
@@ -318,7 +317,7 @@ class Enclosure:
         vf = _as_fraction(v)
         return self.lo <= vf <= self.hi
 
-    # interval arithmetic (only the operations the reductions need)
+    # interval arithmetic (only the operations the case polynomials need)
 
     def __add__(self, other) -> "Enclosure":
         o = other if isinstance(other, Enclosure) else Enclosure.exact(other)
@@ -347,23 +346,3 @@ class Enclosure:
 
     __rmul__ = __mul__
 
-
-# ---------------------------------------------------------------------------
-# Envelope polynomials for interval coefficients
-# ---------------------------------------------------------------------------
-
-
-def poly_with_interval_coeffs(coeffs: Sequence[Enclosure],
-                              x_interval) -> tuple[Polynomial, Polynomial]:
-    """(sum lo_k x^k, sum hi_k x^k) for coefficient enclosures [lo_k, hi_k].
-
-    On an x interval in [0, inf) every x^k >= 0, so for every choice of
-    coefficients inside the enclosures lower(x) <= p(x) <= upper(x) there.
-    An interval that reaches below 0 is refused.
-    """
-    xlo, xhi = _as_fraction(x_interval[0]), _as_fraction(x_interval[1])
-    if xlo > xhi:
-        raise ValueError("empty x interval")
-    if xlo < 0:
-        raise ValueError("envelopes need an x interval in [0, inf)")
-    return Polynomial(c.lo for c in coeffs), Polynomial(c.hi for c in coeffs)

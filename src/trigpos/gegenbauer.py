@@ -70,7 +70,7 @@ def partial_sum(mu, n: int, z):
     """s_n(z) = sum_{k=0}^n (mu)_k / k! * z^k by forward recurrence."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    z = mp.mpc(z)
+    z = mp.mpc(_as_mpf(z.real), _as_mpf(z.imag))
     total, power = mp.mpc(0), mp.mpc(1)
     for coeff in islice(_ratios(_as_mpf(mu)), n + 1):
         total += coeff * power

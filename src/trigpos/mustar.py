@@ -50,16 +50,14 @@ class MuStarResult:
     """Verified enclosure of mu*(rho).
 
     enclosure endpoints are exact rationals; a root of D lies strictly
-    inside (or equals the endpoint for the boundary case rho = 1).
-    residual is the defect value at the enclosure midpoint, a direct
-    quality check on the localization.  route ("estimate-seeded", "full
-    bracket", or "boundary" at rho = 1) and probes, the verified signs of D
-    taken besides the residual, say how it was found; empty when hand-built.
+    inside (or equals the endpoint for the boundary case rho = 1).  route
+    ("estimate-seeded", "full bracket", or "boundary" at rho = 1) and
+    probes, the verified signs of D taken, say how it was found; empty when
+    hand-built.
     """
 
     rho: Fraction
     enclosure: Enclosure
-    residual: mp.mpf
     route: str = ""
     probes: int = 0
 
@@ -123,8 +121,7 @@ def mu_star(rho, width=Fraction(1, 10**9)) -> MuStarResult:
             enclosure, route, probes = Enclosure.exact(1), "boundary", len(BOUNDARY_PROBES)
         else:
             enclosure, route, probes = _false_position(rho, width)
-        residual = defect_integral(rho, enclosure.mid).value
-    result = MuStarResult(rho, enclosure, residual, route, probes)
+    result = MuStarResult(rho, enclosure, route, probes)
     _CACHE[key] = result
     return result
 

@@ -234,18 +234,16 @@ def min_over_upper_limit(kind: str, eta, mu, x_min):
         eta_iv, x_box = _as_iv(eta), _as_iv(x_min)
         if not 0 < x_box.a:
             raise ValueError("x_min must be positive")
-        eta, x_min = _mid_rad(eta_iv)[0], _mid_rad(x_box)[0]
+        # x_min first: its integral guards eta and mu before the zeros are sought
+        x_min, best = _mid_rad(x_box)[0], fractional_osc_integral(kind, eta_iv, mu, x_box)
+        best_x, eta = x_min, _mid_rad(eta_iv)[0]
         # zeros of g(x + eta): sin -> k*pi - eta, cos -> (k + 1/2)*pi - eta
         offset, offset_iv = (0, 0) if kind == "sin" else (mp.pi / 2, iv.pi / 2)
         k = int(mp.ceil((x_min + eta - offset) / mp.pi))
-        candidates = [(x_min, x_box)]  # (shown, upper limit)
         while (z := k * mp.pi + offset - eta) <= x_min + 2 * mp.pi + mp.mpf("1e-20"):
             if z > x_min:
-                candidates.append((z, k * iv.pi + offset_iv - eta_iv))
+                res = fractional_osc_integral(kind, eta_iv, mu, k * iv.pi + offset_iv - eta_iv)
+                if res.value < best.value:
+                    best, best_x = res, z
             k += 1
-        best_x = best = None
-        for cand, x in candidates:
-            res = fractional_osc_integral(kind, eta_iv, mu, x)
-            if best is None or res.value < best.value:
-                best, best_x = res, cand
         return best_x, best

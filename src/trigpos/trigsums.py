@@ -29,8 +29,7 @@ from fractions import Fraction
 
 from mpmath import iv, mp
 
-from trigpos.exact import (Enclosure, Polynomial, _as_fraction, count_roots_in,
-                           poly_with_interval_coeffs, sturm_chain)
+from trigpos.exact import Enclosure, Polynomial, _as_fraction, count_roots_in, sturm_chain
 from trigpos.precision import _as_mpf, iv_dps, working_dps
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "build_varsigma",
     "chebyshev_T",
     "chebyshev_U",
-    "Reduction",
     "case_P",
     "case_Q",
     "case_R",
@@ -257,24 +255,8 @@ def chebyshev_U(k: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 #
 # The certification targets are fixed trigonometric expressions in a shifted
-# angle t; each constructor writes its polynomial in x = cos t (or cos^2 t)
-# directly as a Chebyshev sum, so the case is reproducible by label.
-
-
-@dataclass(frozen=True)
-class Reduction:
-    """A case polynomial, coeffs[k] multiplying x^k.
-
-    coeffs are Enclosures (degenerate when the input coefficients were exact).
-    """
-
-    label: str
-    coeffs: tuple[Enclosure, ...]
-
-    def exact_polynomial(self) -> Polynomial:
-        if any(not c.is_exact() for c in self.coeffs):
-            raise ValueError("coefficients are genuine intervals; use poly_with_interval_coeffs()")
-        return Polynomial([c.lo for c in self.coeffs])
+# angle t; each constructor writes its polynomial in x = cos t (or cos^2 t) as
+# a Chebyshev sum and returns its coefficient Enclosures, coeffs[k] of x^k.
 
 
 def _chebyshev_sum(basis, pairs) -> tuple[Enclosure, ...]:
@@ -290,7 +272,7 @@ def _chebyshev_sum(basis, pairs) -> tuple[Enclosure, ...]:
     return tuple(out)
 
 
-def case_P(mu) -> Reduction:
+def case_P(mu) -> tuple[Enclosure, ...]:
     """-d2 + cos t + (1 - d1) cos 2t + (d2 - d1) cos 5t, in x = cos t:
     -d2 + T_1 + (1 - d1) T_2 + (d2 - d1) T_5.
 
@@ -304,31 +286,30 @@ def case_P(mu) -> Reduction:
     mu = _as_mu_enclosure(mu)
     d1 = pochhammer_coeff(mu, 1)
     d2 = pochhammer_coeff(mu, 2)
-    return Reduction("P", _chebyshev_sum(
-        chebyshev_T, ((-d2, 0), (1, 1), (1 - d1, 2), (d2 - d1, 5))))
+    return _chebyshev_sum(chebyshev_T, ((-d2, 0), (1, 1), (1 - d1, 2), (d2 - d1, 5)))
 
 
-def _sine_case(label: str, mu, orders: tuple[int, ...]) -> Reduction:
+def _sine_case(mu, orders) -> tuple[Enclosure, ...]:
     """sum_k d_k sin(m_k t) = sin t * sum_k d_k U_(m_k - 1)(cos t)."""
     pairs = zip(_pochhammer(_as_mu_enclosure(mu)), (m - 1 for m in orders))
-    return Reduction(label, _chebyshev_sum(chebyshev_U, pairs))
+    return _chebyshev_sum(chebyshev_U, pairs)
 
 
-def case_Q(mu) -> Reduction:
+def case_Q(mu) -> tuple[Enclosure, ...]:
     """sin t + d1 sin 7t + d2 sin 13t  (equals U_2(phi) at t = (phi + pi)/3).
 
     Reduced as sin(t) * poly(cos t); root-free target t in (pi/3, pi/2],
     i.e. x = cos t in [0, 1/2).
     """
-    return _sine_case("Q", mu, (1, 7, 13))
+    return _sine_case(mu, (1, 7, 13))
 
 
-def case_R(mu) -> Reduction:
+def case_R(mu) -> tuple[Enclosure, ...]:
     """sin t + d1 sin 7t + d2 sin 13t + d3 sin 19t  (U_3 under the same map)."""
-    return _sine_case("R", mu, (1, 7, 13, 19))
+    return _sine_case(mu, (1, 7, 13, 19))
 
 
-def case_q(n: int) -> Reduction:
+def case_q(n: int) -> tuple[Enclosure, ...]:
     """omega_n(theta) = sin(theta/3) * q_n(cos^2(theta/3)): returns q_n exactly,
     for omega_n = build_varsigma(n, 1/3, 1/2), the sum with d_k = (1/2)_k / k!.
 
@@ -336,9 +317,9 @@ def case_q(n: int) -> Reduction:
     d_k sin t * U_6k(cos t), and U_6k is even, so q_n takes the even-index
     coefficients of sum d_k U_6k.
     """
-    omega = build_varsigma(n, Fraction(1, 3), Fraction(1, 2))
-    pairs = ((term.coeff, 6 * k) for k, term in enumerate(omega.terms))
-    return Reduction(f"q{n}", _chebyshev_sum(chebyshev_U, pairs)[::2])
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    return _sine_case(Fraction(1, 2), range(1, 6 * n + 2, 6))[::2]
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +351,16 @@ class SturmTarget:
     (label, point) pair in the closed interval (an anchor outside it says
     nothing about the sign on it).
 
-    For interval (enclosure) coefficients the obligation applies to both
-    envelope polynomials.  ungated, when set, says why a proof may not gate
-    on the anchor; the obligation is then that every envelope is root-free
-    and negative at the anchor, so the case polynomial is negative on the
-    whole interval for every admissible coefficient choice.
+    coeffs[k], an Enclosure, multiplies x^k.  For interval coefficients the
+    obligation applies to both envelope polynomials, on an x interval in
+    [0, inf).  ungated, when set, says why a proof may not gate on the
+    anchor; the obligation is then that every envelope is root-free and
+    negative at the anchor, so the case polynomial is negative on the whole
+    interval for every admissible coefficient choice.
     """
 
     name: str
-    reduction: Reduction
+    coeffs: tuple[Enclosure, ...]
     x_interval: tuple[Fraction, Fraction]
     anchor: tuple[str, Fraction]
     ungated: str = ""
@@ -387,18 +369,22 @@ class SturmTarget:
         (a, b), (label, x) = self.x_interval, self.anchor
         if not a <= x <= b:
             raise ValueError(f"{self.name}: anchor {label} at x = {x} lies outside [{a}, {b}]")
+        if a < 0 and not all(c.is_exact() for c in self.coeffs):
+            raise ValueError(f"{self.name}: envelopes need an x interval in [0, inf)")
 
     def polynomials(self) -> tuple[Polynomial, ...]:
-        """(lower, upper) envelopes, or the single exact polynomial."""
-        if all(c.is_exact() for c in self.reduction.coeffs):
-            return (self.reduction.exact_polynomial(),)
-        return poly_with_interval_coeffs(self.reduction.coeffs, self.x_interval)
+        """(sum lo_k x^k, sum hi_k x^k) for coeffs [lo_k, hi_k], or the one
+        polynomial when the two are equal.  At x >= 0 every x^k >= 0, so
+        lower(x) <= p(x) <= upper(x) for every p with coefficients in coeffs.
+        """
+        lower, upper = Polynomial(c.lo for c in self.coeffs), Polynomial(c.hi for c in self.coeffs)
+        return (lower,) if lower == upper else (lower, upper)
 
 
 def sturm_case_plan(mu, names=None) -> list[SturmTarget]:
     """The root-freeness obligations behind the finite proof cases, in the
     order of `names` (default: STURM_NAMES, or Q_STURM when mu is None).
-    Only the reductions the named targets read are built.
+    Only the case polynomials the named targets read are built.
 
     mu is the exponent enclosure used by the P/Q/R cases (the q_n cases have
     exact half-integer coefficients and ignore it).  Interval endpoints that
@@ -434,16 +420,16 @@ def sturm_case_plan(mu, names=None) -> list[SturmTarget]:
     }
     if names is None:
         names = Q_STURM if mu is None else STURM_NAMES
-    reductions = {}  # one per case, shared by the targets that read it
+    coeffs = {}  # one tuple per case, shared by the targets that read it
     targets = []
     for name in names:
         case, *obligation = plan[name]
-        if case not in reductions:
+        if case not in coeffs:
             if mu is None and not isinstance(case, int):
                 raise ValueError(f"target {name} needs an exponent mu")
-            reductions[case] = (case_q(case) if isinstance(case, int) else
-                                {"P": case_P, "Q": case_Q, "R": case_R}[case](mu))
-        targets.append(SturmTarget(name, reductions[case], *obligation))
+            coeffs[case] = (case_q(case) if isinstance(case, int) else
+                            {"P": case_P, "Q": case_Q, "R": case_R}[case](mu))
+        targets.append(SturmTarget(name, coeffs[case], *obligation))
     return targets
 
 

@@ -73,6 +73,12 @@ def test_lemma_XYZ():
         lemma_XYZ(NU0, 7, mp.pi / 3, mp.pi / 8)  # a >= b
     with pytest.raises(ValueError):
         lemma_XYZ(NU0, 0, mp.pi / 8, mp.pi / 3)
+    # a_z moves the Z panel alone, and is guarded as a is
+    x, y, z = lemma_XYZ(NU0, 7, mp.pi / 8, mp.pi / 3, a_z=mp.pi / 6)
+    assert (x, y) == (x7, y7) and z == lemma_XYZ(NU0, 7, mp.pi / 6, mp.pi / 3)[2]
+    for a_z in (0, -mp.pi / 8, mp.pi / 3, iv.mpf([0.5, 1.1])):
+        with pytest.raises(ValueError):
+            lemma_XYZ(NU0, 7, mp.pi / 8, mp.pi / 3, a_z=a_z)
 
 
 def test_p_q_factors():
@@ -195,10 +201,11 @@ def _wedge_mp(theta, nu):
     return (1 - (mp.sin(theta) / theta) ** (1 - nu)) / mp.sin(theta)
 
 
-def _xyz_mp(nu, n, a, b):
+def _xyz_mp(nu, n, a, b, a_z=None):
+    a_z = a if a_z is None else a_z
     ratio = b / mp.sin(b)
     core = (1 - nu) * (2 * a * n) ** (nu - 1) / n
-    return ratio * core / 4 + ratio**2 * core / 3 + mp.pi * nu * (1 - nu) * (2 * a * (n + 1)) ** (nu - 2)
+    return ratio * core / 4 + ratio**2 * core / 3 + mp.pi * nu * (1 - nu) * (2 * a_z * (n + 1)) ** (nu - 2)
 
 
 def _L1_mp(nu):
@@ -210,13 +217,30 @@ def _L1_mp(nu):
     return mp.cos(rho * b) / mp.sin(b) * s + rho * c + l2 - _xyz_mp(nu, 3, mp.pi / 4, b)
 
 
-def _L32_mp(nu):
-    rho, b = mp.mpf(1) / 3, mp.pi / 6
+def _L3x_mp(nu, b, x, theta0, l3):
+    """Region 3x at rho = 1/3: the kernel on (b, x), the bracket frozen at
+    theta0, less the tail block l3."""
+    rho = mp.mpf(1) / 3
     eta = rho * b - (rho - mp.mpf(1) / 2) * mp.pi
-    kernel = osc_integral("cos", eta, nu, (1 + 5 * rho / 6) * mp.pi, dps=50) / mp.sin(b)
-    r = mp.cos(nu * (mp.pi - 2 * b) / 2 + rho * b + (mp.mpf(1) / 2 - rho) * mp.pi)
-    l2 = mp.gamma(nu) * (nu * mp.cos(nu * mp.pi / 2 - rho * mp.pi) - r * _wedge_mp(b, nu))
-    return kernel + l2 - _xyz_mp(nu, 4, mp.pi / 10, b)
+    kernel = osc_integral("cos", eta, nu, x, dps=50) / mp.sin(b)
+    r = mp.cos(nu * (mp.pi - 2 * theta0) / 2 + rho * theta0 + (mp.mpf(1) / 2 - rho) * mp.pi)
+    l2 = mp.gamma(nu) * (nu * mp.cos(nu * mp.pi / 2 - rho * mp.pi) - r * _wedge_mp(theta0, nu))
+    return kernel + l2 - l3
+
+
+def _L31_mp(nu):
+    # X and Y on panels from pi/15, Z from pi/12
+    l3 = _xyz_mp(nu, 3, mp.pi / 15, mp.pi / 8, a_z=mp.pi / 12)
+    return _L3x_mp(nu, mp.pi / 12, mp.pi, mp.pi / 8, l3)
+
+
+def _L32_mp(nu):
+    x = (1 + 5 * (mp.mpf(1) / 3) / 6) * mp.pi
+    return _L3x_mp(nu, mp.pi / 6, x, mp.pi / 6, _xyz_mp(nu, 4, mp.pi / 10, mp.pi / 6))
+
+
+def _L33_mp(nu):
+    return _L3x_mp(nu, mp.pi / 3, 3 * mp.pi / 2, mp.pi / 3, _xyz_mp(nu, 4, mp.pi / 6, mp.pi / 3))
 
 
 def _master_mp(mu):
@@ -229,9 +253,11 @@ def _master_mp(mu):
 
 @pytest.mark.parametrize("mid, report, formula", [
     (F(49669136508, 10**11), lambda enc: L_region("1", nu=enc), _L1_mp),
+    (F(49669136508, 10**11), lambda enc: L_region("31", nu=enc), _L31_mp),
     (F(49669136508, 10**11), lambda enc: L_region("32", nu=enc), _L32_mp),
+    (F(49669136508, 10**11), lambda enc: L_region("33", nu=enc), _L33_mp),
     (F(84685556829, 10**11), lambda enc: two_thirds_master_bound(mu=enc), _master_mp),
-], ids=["L1", "L32", "master"])
+], ids=["L1", "L31", "L32", "L33", "master"])
 def test_report_contains_the_formula_across_the_enclosure(mid, report, formula):
     enc = Enclosure(mid - F(1, 2 * 10**6), mid + F(1, 2 * 10**6))
     rep = report(enc)

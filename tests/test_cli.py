@@ -40,7 +40,7 @@ def test_mustar_shifted_enclosure_fails(monkeypatch, capsys):
     def shifted(rho, width):
         res = mu_star(rho, width=width)
         enc = Enclosure(res.enclosure.lo + width, res.enclosure.hi + width)
-        return MuStarResult(res.rho, enc, res.residual)
+        return MuStarResult(res.rho, enc)
 
     monkeypatch.setattr(cli, "mu_star", shifted)
     assert main(["mustar", "2/3"]) == 1
@@ -140,6 +140,11 @@ def _json_report(capsys, argv, code):
     return data
 
 
+def _check(check_id, value, detail):
+    return {"check_id": check_id, "status": "pass", "value": value, "error": "",
+            "detail": detail}
+
+
 def test_sturm_all_report_is_pinned(capsys):
     payload = _json_report(capsys, ["sturm:all"], 1)  # P-near-0's anchor, by design
     assert payload["inputs"]["mu"] == ("[0.846855568289528699862039, "
@@ -218,6 +223,90 @@ def test_bounds_all_report_is_pinned(capsys):
     assert _json_report(capsys, ["bounds:all"], 0) == BOUNDS_ALL
 
 
+def _sturm_all_check(check_id):
+    status, value, detail = STURM_ALL[check_id]
+    return {"check_id": check_id, "status": status, "value": value, "error": "",
+            "detail": detail}
+
+
+# the two proofs' reports: their Sturm checks are those of `verify sturm:all`
+# (P-near-0 passes, ungated), their bound checks those of `verify bounds:all`
+THM_2_3_NMAX_90 = {
+    "case": "thm-2-3",
+    "inputs": {"interval": "[0.001, 1.5708]",
+               "mu": "[0.846855568289528699862039, 0.846855568289528699872039]",
+               "nmax": 90, "rho": "2/3"},
+    "method": "closed form + exact Sturm counts + singular quadrature + grid certificates",
+    "reference": "positivity of the cosine sums U_n at rho = 2/3",
+    "status": "pass",
+    "checks": [
+        _check("closed-form-n1", "lower bound 0.132627",
+               "U_1 = (1 - mu) sin(phi/3 + pi/3) + 2 mu sin(4phi/3 + pi/3) cos(phi), termwise "
+               "nonnegative on [0, pi/2]; proved over the mu enclosure by one mpmath.iv "
+               "evaluation on that box"),
+        _check("sturm-P-near-0", "root counts [0, 0]",
+               "0 roots in (0.5, 0.6862416379] expected; P(-pi/3) <=0 [not gated: equals "
+               "-mu(mu+1)/4; with 0 roots P < 0 on the whole interval, so this certifies "
+               "root-freeness only, no sign]"),
+        *map(_sturm_all_check, ["sturm-P-mid", "sturm-Q", "sturm-R"]),
+        {**_check("small-angle-constant", "0.594114395824",
+                  "mu cos(2pi/3 - mu pi/2) - wedge(pi/5) in mpmath.iv over the mu enclosure; "
+                  "wedge(pi/5) = 0.01728617"), "error": "8.77e-21"},
+        _check("wedge-monotone", "",
+               "wedge positive and increasing on (0, pi/5]: for every mu in (0, 1) and t in "
+               "(0, pi/2], with a = 1 - mu and s = sin t/t, the numerator of wedge' is at least "
+               "a s^(a-1) t^2 (12 - t^2)/72 > 0; proved over the mu enclosure when it lies in "
+               "(0, 1)"),
+        _check("pq-factors-decreasing", "",
+               "sin(phi/3 + pi/6)/sin(phi) and sin(phi)/sin(phi/3) positive, decreasing on "
+               "(0, pi/5]: q' = -(4/3) sin(2phi/3) < 0, and p' has the sign of cos(phi/3 + "
+               "pi/6) sin(phi)/3 - sin(phi/3 + pi/6) cos(phi) < 0 in one mpmath.iv box; "
+               "neither depends on mu, so proved over the mu enclosure; p alone turns "
+               "increasing again before pi/2"),
+        _check("cosine-integral-minima",
+               "-D(2/3, mu) = -2.279e-23 +/- 1.81e-19 at x=5.2359878; 0.309812 at x=5.7595865",
+               "min over upper limits of the two shifted integrals, over the mu enclosure in "
+               "mpmath.iv; global, since t^(mu-1) decreases and later arches shrink (the lemma "
+               "in quadrature.min_over_upper_limit); the first is -D(2/3, mu), zero at mu* by "
+               "definition"),
+        {**_check("chi-integral", "-0.32126981902369",
+                  "over the mu enclosure in mpmath.iv; reference -0.3212698190821, diff "
+                  "5.84e-11"), "error": "2.86e-19"},
+        BOUNDS_ALL["checks"][5],  # master-bound
+        _check("grid-U", "90/90 certified",
+               "n = 1..90, phi in [0.001, 1.5708]; slimmest certified margin 1.868e-03 (grid "
+               "min - M2 h^2/8 - eval error), grids of up to 2049 nodes"),
+    ],
+}
+THM_1_3_NMAX_10 = {
+    "case": "thm-1-3",
+    "inputs": {"interval": "[0.001, 3.14059]", "nmax": 10,
+               "nu": "[0.49669136508129942615829, 0.49669136508129942616829]",
+               "rho": "1/3"},
+    "method": "exact Sturm counts + composite oscillatory bounds + grid certificates",
+    "reference": "positivity of the sine sums varsigma_n at rho = 1/3",
+    "status": "pass",
+    "checks": [
+        *map(_sturm_all_check, ["sturm-q1", "sturm-q2", "sturm-q3", "sturm-q3-derived"]),
+        *BOUNDS_ALL["checks"][:5],  # bound-1 .. bound-33
+        _check("neighborhood-scan", "25 bounds positive",
+               "sampled at rho = 97/300, 197/600, 1/3, 203/600, 103/300 only, nothing between "
+               "them proved; worst margin 0.000892566 at L(32), rho = 103/300"),
+        _check("grid-varsigma", "10/10 certified",
+               "n = 1..10, theta in [0.001, 3.14059]; slimmest certified margin 1.489e-03 "
+               "(grid min - M2 h^2/8 - eval error), grids of up to 1025 nodes"),
+    ],
+}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["thm-2-3", "--nmax", "90"], THM_2_3_NMAX_90),
+    (["thm-1-3", "--nmax", "10"], THM_1_3_NMAX_10),
+], ids=["thm-2-3", "thm-1-3"])
+def test_proof_report_is_pinned(capsys, argv, want):
+    assert _json_report(capsys, argv, 0) == want
+
+
 def test_bounds_cases_match_the_proof_checks(capsys):
     # one mu* enclosure per rho: each bound prints what the proof prints
     def checks(argv):
@@ -271,11 +360,6 @@ def test_thm_2_3_passes_every_check(capsys):
     assert [c["check_id"] for c in first["checks"]] == THM_2_3_CHECKS
     assert all(c["status"] == "pass" for c in first["checks"])
     assert _json_report(capsys, argv, 0) == first
-
-
-def _check(check_id, value, detail):
-    return {"check_id": check_id, "status": "pass", "value": value, "error": "",
-            "detail": detail}
 
 
 GEGENBAUER = {

@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic, Sturm chains, enclosures, envelopes."""
+"""Exact polynomial arithmetic, Sturm chains, enclosures."""
 
 import random
 from fractions import Fraction
@@ -13,7 +13,6 @@ from trigpos.exact import (
     Polynomial,
     _as_fraction,
     count_roots_in,
-    poly_with_interval_coeffs,
     sturm_chain,
 )
 
@@ -145,37 +144,6 @@ def test_enclosure_sub_contains_difference():
         # every pointwise difference must land inside
         for x, y in ((a.lo, b.lo), (a.lo, b.hi), (a.hi, b.lo), (a.hi, b.hi)):
             assert d.lo <= x - y <= d.hi
-
-
-def test_envelopes_bound_all_choices():
-    rng = random.Random(11)
-    coeffs = [
-        Enclosure(F(1, 3), F(1, 2)),
-        Enclosure(F(-2), F(-1)),
-        Enclosure(F(0), F(1, 5)),
-        Enclosure(F(3), F(3)),
-    ]
-    lower, upper = poly_with_interval_coeffs(coeffs, (F(0), F(2)))
-    for _ in range(80):
-        x = F(rng.randint(0, 200), 100)
-        picked = Polynomial([
-            c.lo + (c.hi - c.lo) * F(rng.randint(0, 16), 16) for c in coeffs
-        ])
-        assert lower(x) <= picked(x) <= upper(x)
-
-
-def test_envelopes_are_the_endpoint_polynomials_on_x_at_least_0():
-    coeffs = [Enclosure(F(0), F(1)), Enclosure(F(-3), F(2))]
-    assert poly_with_interval_coeffs(coeffs, (F(0), F(1))) == (
-        Polynomial([0, -3]), Polynomial([1, 2]))
-    # x^k < 0 for odd k below 0, where these would not bound
-    with pytest.raises(ValueError, match="in \\[0, inf\\)"):
-        poly_with_interval_coeffs(coeffs, (F(-1), F(0)))
-
-
-def test_envelopes_straddling_interval_rejected():
-    with pytest.raises(ValueError):
-        poly_with_interval_coeffs([Enclosure(F(0), F(1))], (F(-1), F(1)))
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,11 @@ def test_partial_sum_reads_a_fraction_mu_as_its_quotient():
     assert partial_sum(F(1, 3), 9, z) == partial_sum(mp.mpf(1) / 3, 9, z)
 
 
+def test_partial_sum_reads_a_fraction_z_as_its_quotient():
+    assert partial_sum(F(1, 2), 3, F(1, 2)) == partial_sum(F(1, 2), 3, 0.5)
+    assert partial_sum(F(1, 3), 9, F(-3, 4)) == partial_sum(F(1, 3), 9, -0.75)
+
+
 def test_partial_sum_guard():
     with pytest.raises(ValueError):
         partial_sum(mp.mpf("0.5"), -1, 0.5)

@@ -379,6 +379,14 @@ def test_min_over_upper_limit_guard():
         min_over_upper_limit("cot", 0, NU0, 1)
 
 
+@pytest.mark.parametrize("eta", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "minus-inf"])
+def test_min_over_upper_limit_refuses_a_non_finite_eta(eta):
+    # the integral at x_min runs first, so the series route's guard names eta
+    with pytest.raises(ValueError, match="eta must be finite"):
+        min_over_upper_limit("sin", eta, 0.5, 1)
+
+
 def test_estimate_is_close_to_the_enclosure():
     # an estimate with no error bound: float64 x^mu, cos and sin leave about
     # 1e-16 times the size of the sums

@@ -14,7 +14,7 @@ import pytest
 from mpmath import iv, mp
 
 from oracles import chebyshev_T_coeffs, chebyshev_U_coeffs, poly_add, poly_mul, rational_poch_table
-from trigpos.exact import Enclosure
+from trigpos.exact import Enclosure, Polynomial
 from trigpos.mustar import mu_star
 from trigpos.precision import working_dps
 from trigpos.trigsums import (
@@ -109,7 +109,7 @@ def test_build_U_n_matches_direct_sum():
 def test_omega_reduction_in_squared_cosine():
     # omega_n = sin(theta/3) q_n(cos^2(theta/3)) for n = 1, 2
     for n in (1, 2, 3):
-        qn = case_q(n).exact_polynomial()
+        qn = Polynomial(c.lo for c in case_q(n))
         om = build_varsigma(n, F(1, 3), F(1, 2))
         for j in range(1, 9):
             theta = 3 * mp.mpf(j) / 10
@@ -121,22 +121,21 @@ def test_omega_reduction_in_squared_cosine():
 def test_case_P_at_special_point_is_negative_identity():
     # P at t = -pi/3 (x = 1/2) collapses to -d2/2 = -mu(mu+1)/4 exactly
     for mu in (F(1, 2), F(4, 5), F(9, 10), F(123, 1000)):
-        red = case_P(mu)
-        poly = red.exact_polynomial()
+        poly = Polynomial(c.lo for c in case_P(mu))
         assert poly(F(1, 2)) == -mu * (mu + 1) / 4
 
 
 def test_case_P_at_zero():
     # P at t = 0 (x = 1): all cosines are 1, so P(0) = 2 - 2 d1 = 2(1 - mu)
     for mu in (F(1, 2), F(4, 5)):
-        poly = case_P(mu).exact_polynomial()
+        poly = Polynomial(c.lo for c in case_P(mu))
         assert poly(F(1)) == 2 - 2 * mu
 
 
 def test_case_Q_R_match_their_sums():
     mu = F(4, 5)
-    for red, orders in ((case_Q(mu), (1, 7, 13)), (case_R(mu), (1, 7, 13, 19))):
-        poly = red.exact_polynomial()
+    for coeffs, orders in ((case_Q(mu), (1, 7, 13)), (case_R(mu), (1, 7, 13, 19))):
+        poly = Polynomial(c.lo for c in coeffs)
         for j in range(1, 7):
             t = mp.mpf(j) / 5
             x = mp.cos(t)
@@ -170,17 +169,17 @@ CASES = {"P": case_P, "Q": case_Q, "R": case_R}
 @pytest.mark.parametrize("name", CASES)
 def test_case_polynomials_equal_the_binomial_oracle(name):
     for mu in (F(1, 2), F(4, 5), MU_23):
-        red = CASES[name](mu)
-        assert all(c.is_exact() for c in red.coeffs)
-        assert [c.lo for c in red.coeffs] == _oracle_case(name, mu), mu
+        coeffs = CASES[name](mu)
+        assert all(c.is_exact() for c in coeffs)
+        assert [c.lo for c in coeffs] == _oracle_case(name, mu), mu
     # over the proof's enclosure every coefficient interval holds the exact
     # coefficients at both of its ends
     enc = mu_star(F(2, 3), width=F(1, 10**20)).enclosure
-    red = CASES[name](enc)
+    coeffs = CASES[name](enc)
     for end in (enc.lo, enc.hi):
         want = _oracle_case(name, end)
-        assert len(want) == len(red.coeffs)
-        assert all(w in c for w, c in zip(want, red.coeffs)), end
+        assert len(want) == len(coeffs)
+        assert all(w in c for w, c in zip(want, coeffs)), end
 
 
 def test_q_polynomials_equal_the_binomial_oracle():
@@ -189,14 +188,16 @@ def test_q_polynomials_equal_the_binomial_oracle():
     for n in range(1, 7):
         d = [_direct_poch(F(1, 2), k) for k in range(n + 1)]
         want = _oracle_sum(chebyshev_U_coeffs, ((d[k], 6 * k) for k in range(n + 1)))
-        assert [c.lo for c in case_q(n).coeffs] == want[::2], n
+        assert [c.lo for c in case_q(n)] == want[::2], n
         assert all(w == 0 for w in want[1::2]), n
+    with pytest.raises(ValueError):
+        case_q(-1)
 
 
 def test_case_P_matches_its_cosine_sum():
     rng = random.Random(11)
     for mu in (F(1, 2), F(4, 5), MU_23):
-        poly = case_P(mu).exact_polynomial()
+        poly = Polynomial(c.lo for c in case_P(mu))
         d1, d2 = _direct_poch(mu, 1), _direct_poch(mu, 2)
         terms = ((-d2, 0), (F(1), 1), (1 - d1, 2), (d2 - d1, 5))  # c cos(m t)
         for _ in range(12):
@@ -262,6 +263,42 @@ def test_the_plan_owns_names_anchors_and_the_one_ungated_reason():
     assert {t.name for t in plan if t.ungated} == {"P-near-0"}
     with pytest.raises(ValueError, match="needs an exponent"):
         sturm_case_plan(None, ["Q"])
+
+
+def _target(coeffs, x_interval):
+    """A SturmTarget on coeffs and x_interval, anchored at its left end."""
+    return SturmTarget("t", tuple(coeffs), x_interval, ("lo", x_interval[0]))
+
+
+def test_envelopes_bound_all_choices():
+    rng = random.Random(11)
+    coeffs = [
+        Enclosure(F(1, 3), F(1, 2)),
+        Enclosure(F(-2), F(-1)),
+        Enclosure(F(0), F(1, 5)),
+        Enclosure(F(3), F(3)),
+    ]
+    lower, upper = _target(coeffs, (F(0), F(2))).polynomials()
+    for _ in range(80):
+        x = F(rng.randint(0, 200), 100)
+        picked = Polynomial([
+            c.lo + (c.hi - c.lo) * F(rng.randint(0, 16), 16) for c in coeffs
+        ])
+        assert lower(x) <= picked(x) <= upper(x)
+
+
+def test_envelopes_are_the_endpoint_polynomials_on_x_at_least_0():
+    coeffs = [Enclosure(F(0), F(1)), Enclosure(F(-3), F(2))]
+    assert _target(coeffs, (F(0), F(1))).polynomials() == (
+        Polynomial([0, -3]), Polynomial([1, 2]))
+    # x^k < 0 for odd k below 0, where these would not bound
+    with pytest.raises(ValueError, match="in \\[0, inf\\)"):
+        _target(coeffs, (F(-1), F(0)))
+
+
+def test_envelopes_straddling_interval_rejected():
+    with pytest.raises(ValueError):
+        _target([Enclosure(F(0), F(1))], (F(-1), F(1)))
 
 
 def test_p_near_0_is_negative_on_its_interval():
