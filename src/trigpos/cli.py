@@ -236,7 +236,7 @@ def run_mustar(rho: Fraction) -> VerificationReport:
 def _sturm_check(target, gate_all_points: bool) -> CheckResult:
     out = run_sturm_target(target)
     (label, positive), = out.point_results
-    a, b = out.interval
+    a, b = target.x_interval
     detail = (f"0 roots in ({float(a):.10g}, {float(b):.10g}] expected; "
               f"{label} {'>0' if positive else '<=0'}")
     status = _status(not any(out.root_counts) and positive)
@@ -246,7 +246,7 @@ def _sturm_check(target, gate_all_points: bool) -> CheckResult:
         if status == "pass" and max(out.anchor_signs) >= 0:  # root-free, sign not shown
             status = "inconclusive"
             detail += f"; inconclusive: not every envelope is < 0 at {label}"
-    return CheckResult(f"sturm-{out.name}", status,
+    return CheckResult(f"sturm-{target.name}", status,
                        value=f"root counts {list(out.root_counts)}", detail=detail)
 
 

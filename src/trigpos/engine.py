@@ -81,8 +81,6 @@ class GridCertificate:
     where the fixed-point bound proves the sum negative, with no float
     assumption; "inconclusive" guarantees nothing."""
 
-    label: str
-    interval: tuple[float, float]
     nodes: int
     h: float
     curvature: float
@@ -174,7 +172,7 @@ class _Prefixes:
             acc += self.coeffs[k] * p.real
             yield k, acc
 
-    def certify(self, n_min: int, label: str) -> list[GridCertificate]:
+    def certify(self, n_min: int) -> list[GridCertificate]:
         """Certificates for the prefixes n_min..len(terms)-1, on one grid."""
         last = len(self.terms) - 1
         todo = set(range(n_min, last + 1))
@@ -197,10 +195,8 @@ class _Prefixes:
                 status, m, witness, detail = self._decide(
                     n, nodes, mins[n], float(where[n]), h, 2 * nodes - 1 > _MAX_NODES)
                 if status:
-                    done[n] = GridCertificate(
-                        label if n == last else f"{label}, partial sum {n}",
-                        (float(self.a), float(self.b)), nodes, h, float(self.m2[n]), m,
-                        float(self.err[n]), status, witness, detail)
+                    done[n] = GridCertificate(nodes, h, float(self.m2[n]), m,
+                                              float(self.err[n]), status, witness, detail)
                     todo.discard(n)
             nodes, first, stride = 2 * nodes - 1, 1, 2
         return [done[n] for n in range(n_min, last + 1)]
@@ -274,16 +270,16 @@ class _Prefixes:
         return c, s, ch - c + sh - s
 
 
-def certify_positive_trig(tsum: TrigSum, interval, label: str | None = None) -> GridCertificate:
+def certify_positive_trig(tsum: TrigSum, interval) -> GridCertificate:
     """Certify (or refute) positivity of tsum on the closed interval, whose
     ends (floats, Fractions or strings) are read exactly.  The terms are
     sorted by frequency, so the steps between them stay few."""
     terms = sorted(tsum.terms, key=lambda t: t.freq)
-    return _Prefixes(terms, interval).certify(len(terms) - 1, label or tsum.label or "trig-sum")[0]
+    return _Prefixes(terms, interval).certify(len(terms) - 1)[0]
 
 
 def certify_partial_sums(tsum: TrigSum, interval) -> list[GridCertificate]:
     """Certificates for every partial sum tsum.terms[:n + 1], from one pass
     over one grid; each equals certify_positive_trig on its prefix when the
     terms are sorted by frequency, as U_n and varsigma_n are."""
-    return _Prefixes(tsum.terms, interval).certify(0, tsum.label or "trig-sum")
+    return _Prefixes(tsum.terms, interval).certify(0)

@@ -89,9 +89,6 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
 
@@ -323,8 +320,6 @@ class Enclosure:
         o = other if isinstance(other, Enclosure) else Enclosure.exact(other)
         return Enclosure(self.lo + o.lo, self.hi + o.hi)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Enclosure":
         return Enclosure(-self.hi, -self.lo)
 
@@ -343,6 +338,4 @@ class Enclosure:
         products = [self.lo * other.lo, self.lo * other.hi,
                     self.hi * other.lo, self.hi * other.hi]
         return Enclosure(min(products), max(products))
-
-    __rmul__ = __mul__
 

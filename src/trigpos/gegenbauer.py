@@ -56,6 +56,8 @@ __all__ = [
     "arg_bound_check",
 ]
 
+_RELATION_TOL = 1e-12  # relative agreement of a conversion with the recurrence
+
 
 def _ratios(a):
     """Yield (a)_k / k! for k = 0, 1, ... in the arithmetic of a (float, mpf
@@ -274,18 +276,17 @@ class RelationReport:
     direct: float
     standard: float
     printed: float
-    tol: float
 
     @property
     def standard_agrees(self) -> bool:
-        return abs(self.direct - self.standard) <= self.tol * (1 + abs(self.direct))
+        return abs(self.direct - self.standard) <= _RELATION_TOL * (1 + abs(self.direct))
 
     @property
     def printed_agrees(self) -> bool:
-        return abs(self.direct - self.printed) <= self.tol * (1 + abs(self.direct))
+        return abs(self.direct - self.printed) <= _RELATION_TOL * (1 + abs(self.direct))
 
 
-def check_jacobi_relation(n: int, lam, x, tol: float = 1e-12) -> RelationReport:
+def check_jacobi_relation(n: int, lam, x) -> RelationReport:
     """Evaluate both conversion formulas against the direct recurrence."""
     with mp.workdps(working_dps()):
         lam_mp = mp.mpf(lam)
@@ -293,8 +294,7 @@ def check_jacobi_relation(n: int, lam, x, tol: float = 1e-12) -> RelationReport:
         direct = gegenbauer_C(n, lam_mp, x_mp)
         std = relation_standard(n, lam_mp, x_mp)
         printed = relation_printed(n, lam_mp, x_mp)
-    return RelationReport(n, float(lam), float(x), float(direct), float(std),
-                          float(printed), tol)
+    return RelationReport(n, float(lam), float(x), float(direct), float(std), float(printed))
 
 
 @dataclass(frozen=True)
@@ -315,7 +315,7 @@ class GenFuncReport:
 def genfunc_check(lam, x, z, tol: float = 1e-14) -> GenFuncReport:
     """Compare sum C_k^lambda(x) z^k against (1 - 2xz + z^2)^(-lambda).
 
-    Requires lam > 0, x in [-1, 1] and |z| < 1 strictly: then
+    Requires a finite lam > 0, x in [-1, 1] and |z| < 1 strictly: then
     |C_k(x)| <= C_k(1) = (2 lam)_k / k!, whose term ratio tends to 1, so
     the tail past index k is dominated by a geometric series.  The series
     is truncated once that proven tail drops below tol.
@@ -325,11 +325,12 @@ def genfunc_check(lam, x, z, tol: float = 1e-14) -> GenFuncReport:
         x_mp = mp.mpf(x)
         z_mp = mp.mpc(z)
         r = abs(z_mp)
-        if r >= 1:
+        # each guard negates what it requires, so a NaN fails it
+        if not r < 1:
             raise ValueError("|z| must be < 1")
-        if lam_mp <= 0:
-            raise ValueError("lam must be positive")
-        if abs(x_mp) > 1:
+        if not (mp.isfinite(lam_mp) and lam_mp > 0):
+            raise ValueError("lam must be finite and positive")
+        if not abs(x_mp) <= 1:
             raise ValueError("x must lie in [-1, 1]")
         closed = mp.power(1 - 2 * x_mp * z_mp + z_mp * z_mp, -lam_mp)
         total, zk, tail = mp.mpc(0), mp.mpc(1), mp.inf

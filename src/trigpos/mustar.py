@@ -56,7 +56,6 @@ class MuStarResult:
     hand-built.
     """
 
-    rho: Fraction
     enclosure: Enclosure
     route: str = ""
     probes: int = 0
@@ -121,7 +120,7 @@ def mu_star(rho, width=Fraction(1, 10**9)) -> MuStarResult:
             enclosure, route, probes = Enclosure.exact(1), "boundary", len(BOUNDARY_PROBES)
         else:
             enclosure, route, probes = _false_position(rho, width)
-    result = MuStarResult(rho, enclosure, route, probes)
+    result = MuStarResult(enclosure, route, probes)
     _CACHE[key] = result
     return result
 

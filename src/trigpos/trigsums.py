@@ -35,7 +35,6 @@ from trigpos.precision import _as_mpf, iv_dps, working_dps
 __all__ = [
     "TrigTerm",
     "TrigSum",
-    "pochhammer_coeff",
     "build_U_n",
     "build_varsigma",
     "chebyshev_T",
@@ -113,7 +112,6 @@ class TrigTerm:
 @dataclass(frozen=True)
 class TrigSum:
     terms: tuple[TrigTerm, ...]
-    label: str = ""
 
     def eval_mp(self, theta):
         """Midpoint evaluation at working precision (mpf)."""
@@ -144,9 +142,21 @@ class TrigSum:
 # ---------------------------------------------------------------------------
 
 
-def _pochhammer(mu: Enclosure):
-    """Yield pochhammer_coeff(mu, k) for k = 0, 1, 2, ... in one pass; each
-    endpoint, once rounded, is carried as the integer L of L 2^-b."""
+def _pochhammer(mu):
+    """Yield enclosures of (mu)_k / k! for k = 0, 1, 2, ... in one pass;
+    exact (degenerate) for exact rational mu.
+
+    Built by the recurrence d_{k+1} = d_k (mu+k)/(k+1) on both endpoints of
+    mu.  For interval mu (mu.lo > 0 required) every factor is positive and
+    increasing in mu, so a lower (upper) bound times the lower (upper)
+    factor stays a lower (upper) bound.  That still holds when an endpoint
+    whose denominator outgrows 2^b, b = ceil((working_dps() + 20) log2 10),
+    is rounded outward (lo down, hi up) to a multiple L 2^-b and from then
+    on carried as the integer L, with floor (lo) or ceiling (hi) division
+    (fixed point: Brent and Zimmermann, Modern Computer Arithmetic, 4.4), so
+    endpoints stay at about b bits.  Exact mu is never rounded.
+    """
+    mu = _as_mu_enclosure(mu)
     exact = mu.is_exact()
     if not exact and mu.lo <= 0:
         raise ValueError("interval coefficients need mu > 0")
@@ -165,24 +175,6 @@ def _pochhammer(mu: Enclosure):
             if scaled[i] is not None:
                 ends[i] = Fraction(scaled[i], 1 << bits)
         yield Enclosure(ends[0], ends[0] if exact else ends[1])
-
-
-def pochhammer_coeff(mu, k: int) -> Enclosure:
-    """Enclosure of (mu)_k / k!; exact (degenerate) for exact rational mu.
-
-    Built by the recurrence d_{k+1} = d_k (mu+k)/(k+1) on both endpoints of
-    mu.  For interval mu (mu.lo > 0 required) every factor is positive and
-    increasing in mu, so a lower (upper) bound times the lower (upper)
-    factor stays a lower (upper) bound.  That still holds when an endpoint
-    whose denominator outgrows 2^b, b = ceil((working_dps() + 20) log2 10),
-    is rounded outward (lo down, hi up) to a multiple L 2^-b and from then
-    on carried as the integer L, with floor (lo) or ceiling (hi) division
-    (fixed point: Brent and Zimmermann, Modern Computer Arithmetic, 4.4), so
-    endpoints stay at about b bits.  Exact mu is never rounded.
-    """
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    return next(itertools.islice(_pochhammer(_as_mu_enclosure(mu)), k, None))
 
 
 def _as_mu_enclosure(mu) -> Enclosure:
@@ -216,12 +208,12 @@ def _terms(mu, offset: Fraction, phase_pi: Fraction, kind: str, n: int) -> tuple
 
 def build_U_n(n: int, mu) -> TrigSum:
     """sum_{k<=n} d_k cos((2k + 1/3) phi - pi/6) with d_k = (mu)_k / k!."""
-    return TrigSum(_terms(mu, Fraction(1, 3), Fraction(-1, 6), "cos", n), f"U_{n}")
+    return TrigSum(_terms(mu, Fraction(1, 3), Fraction(-1, 6), "cos", n))
 
 
 def build_varsigma(n: int, rho, mu) -> TrigSum:
     """sum_{k<=n} d_k sin((2k + rho) theta)."""
-    return TrigSum(_terms(mu, Fraction(rho), Fraction(0), "sin", n), f"varsigma_{n}")
+    return TrigSum(_terms(mu, Fraction(rho), Fraction(0), "sin", n))
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +275,13 @@ def case_P(mu) -> tuple[Enclosure, ...]:
     (1/2, cos(7pi/27)] and root-free between, so it is negative on that whole
     range and gives no positivity there.
     """
-    mu = _as_mu_enclosure(mu)
-    d1 = pochhammer_coeff(mu, 1)
-    d2 = pochhammer_coeff(mu, 2)
+    _, d1, d2 = itertools.islice(_pochhammer(mu), 3)
     return _chebyshev_sum(chebyshev_T, ((-d2, 0), (1, 1), (1 - d1, 2), (d2 - d1, 5)))
 
 
 def _sine_case(mu, orders) -> tuple[Enclosure, ...]:
     """sum_k d_k sin(m_k t) = sin t * sum_k d_k U_(m_k - 1)(cos t)."""
-    pairs = zip(_pochhammer(_as_mu_enclosure(mu)), (m - 1 for m in orders))
+    pairs = zip(_pochhammer(mu), (m - 1 for m in orders))
     return _chebyshev_sum(chebyshev_U, pairs)
 
 
@@ -439,8 +429,6 @@ class SturmOutcome:
     anchor, one per envelope (lower first; a single entry for exact
     coefficients)."""
 
-    name: str
-    interval: tuple[Fraction, Fraction]
     root_counts: tuple[int, ...]
     anchor: str
     anchor_signs: tuple[int, ...]
@@ -456,6 +444,5 @@ def run_sturm_target(target: SturmTarget) -> SturmOutcome:
     """Run the exact root counts and the anchor's signs for one obligation."""
     polys = target.polynomials()
     (a, b), (label, x) = target.x_interval, target.anchor
-    return SturmOutcome(target.name, (a, b),
-                        tuple(count_roots_in(sturm_chain(p), a, b) for p in polys),
+    return SturmOutcome(tuple(count_roots_in(sturm_chain(p), a, b) for p in polys),
                         label, tuple(p.sign_at(x) for p in polys))

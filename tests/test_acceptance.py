@@ -187,15 +187,13 @@ def test_criterion_07_grid_certification():
     v_interval = (F(1, 1000), F(math.pi) - F(1, 1000) + tiny)
     worst = None
     for n in range(1, 101):
-        cert = certify_positive_trig(build_U_n(n, enc23), u_interval,
-                                     label=f"U_{n}")
+        cert = certify_positive_trig(build_U_n(n, enc23), u_interval)
         assert cert.certified, f"U_{n}: {cert.status} {cert.detail}"
         assert cert.min_value > 0
         if worst is None or cert.min_value < worst[1]:
             worst = (f"U_{n}", cert.min_value)
     for n in range(1, 101):
-        cert = certify_positive_trig(build_varsigma(n, F(1, 3), enc13),
-                                     v_interval, label=f"vs_{n}")
+        cert = certify_positive_trig(build_varsigma(n, F(1, 3), enc13), v_interval)
         assert cert.certified, f"vs_{n}: {cert.status} {cert.detail}"
         assert cert.min_value > 0
         if cert.min_value < worst[1]:

@@ -1,22 +1,27 @@
 """Public surface: every name the package defines has a user inside it.
 
-A name in a module's `__all__`, a module-level function or a method (dunder
-methods aside, which operators and the runtime call) that nothing in
-`src/trigpos` reads is a second route kept alive by tests alone.  The
-allowlist names the few whose only users sit outside the package, each with
-its reason; methods are keyed as `Class.method`.  Two module boundaries are
+A name in a module's `__all__`, a module-level function or a method that
+nothing in `src/trigpos` reads is a second route kept alive by tests alone;
+a method counts as read only where an attribute of its name is, so a local
+variable of the same name hides nothing.  The allowlist names the few whose
+only users sit outside the package, each with its reason; methods are keyed
+as `Class.method`.  Dunder methods, which operators and the runtime call,
+must each be called by one of the CLI's cases.  Two module boundaries are
 kept too: proofs apart from sampled estimates, and the Sturm plan the sole
 owner of its target names.  And one conversion route: no module branches on
 the type of an mpmath number by hand.
 """
 
 import ast
+import functools
+import importlib
 import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import trigpos
+from trigpos import cli, mustar, trigsums
 from trigpos.trigsums import sturm_case_plan
 
 PACKAGE = Path(trigpos.__file__).resolve().parent
@@ -31,6 +36,7 @@ ALLOWED_UNUSED = {
     "TrigSum.lipschitz": "perfbench's tracer wraps it by name; delete after ROADMAP item 1",
     "TrigSum.coeff_err": "perfbench's tracer wraps it by name; delete after ROADMAP item 1",
     "Polynomial.degree": "perfbench's tracer reads chain.p0.degree for its exact.degree_max counter",
+    "SturmChain.p0": "perfbench's tracer reads chain.p0.degree; delete after ROADMAP item 1",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -57,30 +63,36 @@ def _defined(tree) -> dict[str, str]:
     return names
 
 
-def _count_loads(node, enclosing: frozenset, counts: Counter) -> Counter:
-    """Loads of each name (bare or as an attribute) outside a definition of
-    that name; import statements and the `__all__` strings do not count."""
+def _count_loads(node, enclosing: frozenset, names: Counter, attrs: Counter):
+    """Loads of each name, bare (names) and as an attribute (attrs), outside
+    a definition of that name; import statements and the `__all__` strings
+    do not count."""
     if isinstance(node, (*_DEFS, ast.ClassDef)):
         enclosing = enclosing | {node.name}
-    if isinstance(getattr(node, "ctx", None), ast.Load):
-        name = getattr(node, "id", None) or getattr(node, "attr", None)
-        if name is not None and name not in enclosing:
-            counts[name] += 1
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in enclosing:
+        names[node.id] += 1
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+            and node.attr not in enclosing:
+        attrs[node.attr] += 1
     for child in ast.iter_child_nodes(node):
-        _count_loads(child, enclosing, counts)
-    return counts
+        _count_loads(child, enclosing, names, attrs)
 
 
-LOADS = Counter()
+NAME_LOADS, ATTR_LOADS = Counter(), Counter()
 for _tree in TREES.values():
-    _count_loads(_tree, frozenset(), LOADS)
+    _count_loads(_tree, frozenset(), NAME_LOADS, ATTR_LOADS)
 DEFINED = {f"{module}.{qual}": (qual, name) for module, tree in TREES.items()
            for qual, name in _defined(tree).items()}
 
 
+def _reads(qual: str, name: str) -> int:
+    """Reads of a definition: a method (`Class.method`) only as an attribute."""
+    return ATTR_LOADS[name] + (0 if "." in qual else NAME_LOADS[name])
+
+
 def test_every_export_is_used_in_the_package():
     unused = [key for key, (qual, name) in DEFINED.items()
-              if LOADS[name] == 0 and qual not in ALLOWED_UNUSED]
+              if _reads(qual, name) == 0 and qual not in ALLOWED_UNUSED]
     assert not unused, f"defined but unused inside trigpos: {unused}"
 
 
@@ -88,8 +100,74 @@ def test_allowlist_is_current():
     defined = {qual: name for qual, name in DEFINED.values()}
     for qual in ALLOWED_UNUSED:
         assert qual in defined, f"{qual} is no longer defined"
-        assert LOADS[defined[qual]] == 0, (
+        assert _reads(qual, defined[qual]) == 0, (
             f"{qual} now has a user in the package; drop it from the allowlist")
+
+
+# construction and repr run these, not an operator
+_RUNTIME_DUNDERS = {"__init__", "__post_init__", "__repr__"}
+ALLOWED_UNCALLED = {
+    "Enclosure.__contains__": "acceptance criteria 01 and 02 test membership with `in`",
+}
+CLI_CASES = (
+    (["verify", "thm-2-3", "--nmax", "20"], 0),
+    (["verify", "thm-1-3", "--nmax", "5"], 0),
+    (["verify", "sturm:all"], 1),  # sturm:P-near-0 fails by design
+    (["verify", "bounds:all"], 0),
+    (["verify", "gegenbauer"], 0),
+    (["mustar", "2/3"], 0),
+    (["mustar", "1"], 0),
+)
+
+
+def _class_dunders():
+    """(module, class, dunder) for every dunder method a class body in the
+    package defines or binds to another, the runtime's own dunders aside."""
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for sub in node.body:
+                if isinstance(sub, _DEFS):
+                    bound = [sub.name]
+                elif isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Name):
+                    bound = [t.id for t in sub.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                for name in bound:
+                    if name.startswith("__") and name.endswith("__") \
+                            and name not in _RUNTIME_DUNDERS:
+                        yield module, node.name, name
+
+
+def test_every_operator_has_a_caller_in_the_cli_cases(monkeypatch, capsys):
+    # wrap every dunder, run the CLI's cases in this process from cold
+    # caches, and count the calls: an operator that none of them applies
+    # is kept alive by tests alone
+    calls = Counter()
+
+    def counted(key, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    dunders = list(_class_dunders())
+    assert dunders, "no dunder found to wrap"
+    for module, cls_name, name in dunders:
+        cls = getattr(importlib.import_module(f"trigpos.{module}"), cls_name)
+        monkeypatch.setattr(cls, name, counted(f"{cls_name}.{name}", getattr(cls, name)))
+    monkeypatch.setattr(mustar, "_CACHE", {})
+    monkeypatch.setattr(trigsums, "_TERM_LISTS", {})
+    for argv, code in CLI_CASES:
+        assert cli.main(argv) == code, argv
+    capsys.readouterr()
+    keys = {f"{cls_name}.{name}" for _, cls_name, name in dunders}
+    uncalled = sorted(key for key in keys - set(ALLOWED_UNCALLED) if not calls[key])
+    assert not uncalled, f"dunders no CLI case calls: {uncalled}"
+    stale = sorted(key for key in ALLOWED_UNCALLED if key not in keys or calls[key])
+    assert not stale, f"undefined or called by a CLI case; drop from ALLOWED_UNCALLED: {stale}"
 
 
 def test_no_state_hides_in_an_instance_dict():

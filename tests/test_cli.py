@@ -40,7 +40,7 @@ def test_mustar_shifted_enclosure_fails(monkeypatch, capsys):
     def shifted(rho, width):
         res = mu_star(rho, width=width)
         enc = Enclosure(res.enclosure.lo + width, res.enclosure.hi + width)
-        return MuStarResult(res.rho, enc)
+        return MuStarResult(enc)
 
     monkeypatch.setattr(cli, "mu_star", shifted)
     assert main(["mustar", "2/3"]) == 1
@@ -412,7 +412,7 @@ def test_closed_form_n1_refuses_another_u1(monkeypatch, change):
 
     def altered(n, mu):
         first, second = real(n, mu).terms
-        return TrigSum((first, dataclasses.replace(second, **change)), f"U_{n}")
+        return TrigSum((first, dataclasses.replace(second, **change)))
 
     monkeypatch.setattr(cli, "build_U_n", altered)
     assert cli._check_u1(_mu_2_3()).status == "fail"

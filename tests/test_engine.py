@@ -12,7 +12,7 @@ from mpmath import iv, mp
 from mpmath.libmp import dps_to_prec
 
 from trigpos.engine import GridCertificate, certify_partial_sums, certify_positive_trig
-from trigpos.engine import _MAX_TERMS, _MUL_ERR, _SEED_ERR, _Prefixes, _up
+from trigpos.engine import _MAX_TERMS, _Prefixes, _up
 from trigpos.exact import Enclosure
 from trigpos.mustar import mu_star
 from trigpos.precision import working_dps
@@ -22,8 +22,8 @@ F = Fraction
 mp.dps = 30
 
 
-def _sum(*terms, label=""):
-    return TrigSum(tuple(terms), label)
+def _sum(*terms):
+    return TrigSum(tuple(terms))
 
 
 def _term(c, freq, phase_pi=F(0), kind="cos"):
@@ -32,7 +32,7 @@ def _term(c, freq, phase_pi=F(0), kind="cos"):
 
 def test_certify_obviously_positive():
     # 2 + cos(3 theta) >= 1 everywhere
-    s = _sum(_term(2, 0), _term(1, 3), label="offset-cos")
+    s = _sum(_term(2, 0), _term(1, 3))
     cert = certify_positive_trig(s, (F(1, 10), 3))
     assert isinstance(cert, GridCertificate)
     assert cert.certified and cert.status == "certified"
@@ -98,7 +98,7 @@ def test_certified_sums_are_actually_positive():
         # constant offset dominates, so positivity is guaranteed and the
         # certifier must agree
         terms.append(_term(weight + 1, 0))
-        s = _sum(*terms, label=f"random-{trial}")
+        s = _sum(*terms)
         cert = certify_positive_trig(s, (F(1, 10), 3))
         assert cert.certified, trial
         # independent spot check of the certified claim
@@ -112,7 +112,7 @@ def test_hostile_sums_below_eval_err_are_never_certified():
     # the curvature term keeps +1e-14 uncertified until the node budget runs
     # out (inconclusive); -1e-14 is refuted at its witness
     for shift in (F(0), F(1, 10**14), F(-1, 10**14)):
-        s = _sum(_term(1 + shift, 0), _term(-1, 1), label=f"1+({shift})-cos")
+        s = _sum(_term(1 + shift, 0), _term(-1, 1))
         cert = certify_positive_trig(s, (F(-1, 2), F(1, 2)))
         assert cert.status != "certified", shift
         if shift > 0:
@@ -124,8 +124,7 @@ def test_tangency_inside_a_cell():
     # nodes of every dyadic grid on [0, 1]: it must never be certified,
     # while a shift of 1e-6 either way is decided
     def shifted(c):
-        return _sum(_term(1 + c, 0), _term(-1, 1, phase_pi=F(-1, 7)),
-                    label=f"1+({c})-cos(theta-pi/7)")
+        return _sum(_term(1 + c, 0), _term(-1, 1, phase_pi=F(-1, 7)))
 
     tangent = certify_positive_trig(shifted(F(0)), (0, 1))
     assert tangent.status != "certified"
@@ -148,29 +147,29 @@ VS_INTERVAL = (F(1, 1000), F(np.pi) - F(1, 1000) + F(1, 10**12))
 
 def test_all_n_pass_matches_per_n_certificates():
     families = (
-        (build_U_n(100, _critical(F(2, 3))), U_INTERVAL,
+        ("U", build_U_n(100, _critical(F(2, 3))), U_INTERVAL,
          lambda n: build_U_n(n, _critical(F(2, 3)))),
-        (build_varsigma(100, F(1, 3), _critical(F(1, 3))), VS_INTERVAL,
+        ("varsigma", build_varsigma(100, F(1, 3), _critical(F(1, 3))), VS_INTERVAL,
          lambda n: build_varsigma(n, F(1, 3), _critical(F(1, 3)))),
     )
-    for tsum, interval, build in families:
+    for family, tsum, interval, build in families:
         certs = certify_partial_sums(tsum, interval)[1:]
         assert len(certs) == 100
         for n, cert in enumerate(certs, 1):
             one = certify_positive_trig(build(n), interval)
-            assert cert.status == one.status == "certified", (tsum.label, n)
+            assert cert.status == one.status == "certified", (family, n)
             assert (cert.nodes, cert.min_value) == (one.nodes, one.min_value)
 
 
 def test_all_n_pass_refutes_above_the_critical_exponent():
-    for tsum, interval, first_bad in (
-        (build_U_n(100, F(9, 10)), U_INTERVAL, 6),
-        (build_varsigma(100, F(1, 3), F(3, 5)), VS_INTERVAL, 2),
+    for family, tsum, interval, first_bad in (
+        ("U", build_U_n(100, F(9, 10)), U_INTERVAL, 6),
+        ("varsigma", build_varsigma(100, F(1, 3), F(3, 5)), VS_INTERVAL, 2),
     ):
         certs = certify_partial_sums(tsum, interval)[1:]
         statuses = [c.status for c in certs]
         assert statuses == ["certified"] * (first_bad - 1) \
-            + ["refuted"] * (101 - first_bad), tsum.label
+            + ["refuted"] * (101 - first_bad), family
         for n, cert in enumerate(certs[first_bad - 1:], first_bad):
             prefix = TrigSum(tsum.terms[:n + 1])
             assert prefix.eval_mp(mp.mpf(cert.witness)) < 0
@@ -241,8 +240,14 @@ def test_up_is_the_least_float_above():
 def _exact_prefix_bounds(prefixes):
     """M2_n, float_err_n and err_n of the documented bound, summed in exact
     Fractions: the three sums over the coefficients, and the standard-model
-    float64 term with the engine's float constants read exactly."""
+    float64 term with its constants spelt from their derivations, not read
+    from the engine: a seed is off by 8u, as sin and cos are each within 4
+    ulp, and a complex product adds sqrt(2) gamma_2 = sqrt(2) 2u / (1 - 2u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.5),
+    with sqrt(2) rounded down to 100 bits."""
     u = F(1, 2**53)
+    seed_err = 8 * u
+    mul = F(math.isqrt(2 << 200), 1 << 100) * 2 * u / (1 - 2 * u)
     big = F(prefixes.theta_max)
     m2 = half = rounding = s1 = s2 = s3 = F(0)
     e = F(0)
@@ -259,9 +264,8 @@ def _exact_prefix_bounds(prefixes):
         f_prev, ph_prev = t.freq, ph
         if step != (0, 0):
             g, d = float(step[0]), float(step[1]) * math.pi
-            es = F(_SEED_ERR) + abs(F(g) - step[0]) * big \
+            es = seed_err + abs(F(g) - step[0]) * big \
                 + F(2.01) * u * abs(F(g)) * big + 5 * u * abs(F(d))
-            mul = F(_MUL_ERR)
             e = es if k == 0 else e + (1 + e) * (es + mul + es * mul)
         a = c * (1 + e) * (1 + u)  # term k passes n - k + 1 additions
         s1, s2, s3 = s1 + a, s2 + k * a, s3 + c * (e + u * (1 + e))
@@ -318,6 +322,27 @@ def test_prefix_steps_from_integer_keys():
             assert want <= F(bound) <= want * (1 + F(1, 10**8)), n
 
 
+def test_cells_between_float_nodes_are_at_most_h(monkeypatch):
+    # theta = lo + j step is rounded to a float, so near theta = 3 two
+    # neighbouring nodes can lie further apart than step; the cell bound h
+    # that the curvature term uses must cover every gap the grid really has
+    nodes = []
+    true_values = _Prefixes.values
+
+    def recording(self, theta, n_hi):
+        nodes.append(theta.copy())
+        yield from true_values(self, theta, n_hi)
+
+    monkeypatch.setattr(_Prefixes, "values", recording)
+    a, b = F(3), F(31, 10)
+    cert = certify_positive_trig(_sum(_term(2, 0), _term(1, 1)), (a, b))
+    assert cert.certified and cert.nodes == 1025
+    grid = np.unique(np.concatenate(nodes))
+    assert len(grid) == cert.nodes
+    assert F(grid[0]) <= a and F(grid[-1]) >= b
+    assert np.diff(grid).max() <= cert.h
+
+
 def test_prefixes_refuse_a_million_terms():
     # the float sums' slack holds below 10^6 terms; the guard fires before
     # any per-term work, so a list of one repeated term is enough
@@ -330,17 +355,17 @@ def test_prefixes_refuse_a_million_terms():
 def test_prefixes_from_memoised_terms_equal_fresh_ones():
     # the per-term float bounds memoised on shared terms give the very
     # arrays that equal terms without a memo give
-    for tsum, interval in (
+    for case, (tsum, interval) in enumerate((
         (build_U_n(100, _critical(F(2, 3))), U_INTERVAL),
         (build_varsigma(100, F(1, 3), _critical(F(1, 3))), VS_INTERVAL),
         (build_U_n(100, F(9, 10)), U_INTERVAL),
-    ):
+    )):
         certify_partial_sums(tsum, interval)  # fills the memos
         fresh = tuple(TrigTerm(Enclosure(t.coeff.lo, t.coeff.hi), F(t.freq), F(t.phase_pi),
                                t.kind) for t in tsum.terms)
         a, b = _Prefixes(tsum.terms, interval), _Prefixes(fresh, interval)
         for name in ("coeffs", "m2", "float_err", "err"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), (tsum.label, name)
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (case, name)
         assert (a.seed_of, a.seeds) == (b.seed_of, b.seeds)
 
 
@@ -367,7 +392,7 @@ def _recheck_cases():
 def test_fixed_point_bound_brackets_the_oracle():
     # B 2^-p against sum_k max(lo_k Re P_k, hi_k Re P_k) at 60 digits: never
     # below it, and within 1e-25 above it
-    for tsum, interval in _recheck_cases():
+    for case, (tsum, interval) in enumerate(_recheck_cases()):
         prefixes = _Prefixes(tsum.terms, interval)
         for theta in (0.001, 0.0123, 0.5, 1.1, 1.5707963):
             for n in (1, 37, 100):
@@ -377,7 +402,7 @@ def test_fixed_point_bound_brackets_the_oracle():
                                   for t in tsum.terms[:n + 1]
                                   for v in [_exact_P(t, theta)])
                     got = mp.mpf(bound) / 2**p
-                    assert ref <= got <= ref + mp.mpf("1e-25"), (tsum.label, theta, n)
+                    assert ref <= got <= ref + mp.mpf("1e-25"), (case, theta, n)
 
 
 def test_seed_boxes_enclose_the_true_seed():
@@ -399,7 +424,7 @@ def _assert_terms_within_their_errors(tsum, interval, thetas):
     for theta in thetas:
         for t, (x, e) in zip(tsum.terms, prefixes.fixed_point(theta, n, p)):
             with mp.workdps(80):
-                assert abs(x - 2**p * _exact_P(t, theta)) <= e, (tsum.label, theta)
+                assert abs(x - 2**p * _exact_P(t, theta)) <= e, (t, theta)
 
 
 def test_fixed_point_errors_cover_the_true_terms():
@@ -435,13 +460,13 @@ def test_a_lying_float_grid_refutes_nothing(monkeypatch):
             yield k, acc - 1
 
     monkeypatch.setattr(_Prefixes, "values", lying)
-    for tsum, interval in (
+    for case, (tsum, interval) in enumerate((
         (_sum(_term(F(11, 10), 0), _term(-1, 1)), (F(-1, 2), F(1, 2))),
         (build_U_n(40, _critical(F(2, 3))), U_INTERVAL),
         (build_varsigma(40, F(1, 3), _critical(F(1, 3))), VS_INTERVAL),
-    ):
+    )):
         cert = certify_positive_trig(tsum, interval)
-        assert cert.status == "inconclusive", tsum.label
+        assert cert.status == "inconclusive", case
         assert all(c.status != "refuted" for c in certify_partial_sums(tsum, interval))
 
 
@@ -462,8 +487,8 @@ def test_pinned_grid_sweep_verdicts(monkeypatch):
             cert = certify_positive_trig(tsum, U_INTERVAL if family == "U" else VS_INTERVAL)
             assert cert.status[0] == want, (key, n, cert.status)
             if cert.status == "refuted":
-                refuted.append((tsum, cert.witness))
+                refuted.append((key, n, tsum, cert.witness))
     assert len(refuted) == sum(v.count("r") for v in pinned["verdicts"].values()) > 0
     monkeypatch.setenv("TRIGPOS_PRECISION", "50")
-    for tsum, witness in refuted:
-        assert tsum.eval_mp(mp.mpf(witness)) < 0, (tsum.label, witness)
+    for key, n, tsum, witness in refuted:
+        assert tsum.eval_mp(mp.mpf(witness)) < 0, (key, n, witness)

@@ -24,7 +24,7 @@ from trigpos.gegenbauer import (
     subordination_sector_check,
     weak_conjecture_check,
 )
-from trigpos.trigsums import chebyshev_U, pochhammer_coeff
+from trigpos.trigsums import _pochhammer, chebyshev_U
 
 F = Fraction
 mp.dps = 30
@@ -109,6 +109,11 @@ def test_genfunc_guards():
         genfunc_check(0, 0.5, 0.5)  # lam not positive
     with pytest.raises(ValueError):
         genfunc_check(0.24, 1.5, 0.5)  # x outside [-1, 1]
+    # a NaN fails every comparison, so each guard must negate its requirement
+    for lam, x, z in ((math.nan, 0.5, 0.5), (math.inf, 0.5, 0.5),
+                      (0.24, math.nan, 0.5), (0.24, 0.5, complex(math.nan, 0))):
+        with pytest.raises(ValueError):
+            genfunc_check(lam, x, z)
 
 
 QUICK_SCAN = dict(
@@ -206,7 +211,7 @@ def test_weak_check_other_rho_has_no_boundary_figure():
 @pytest.mark.parametrize("mu", [F(1, 3), F(1, 2), F(84685556829, 10**11)])
 def test_ratios_are_exact_pochhammer_ratios(mu):
     got = list(islice(_ratios(mu), 41))
-    assert got == [pochhammer_coeff(mu, k).lo for k in range(41)]
+    assert got == [c.lo for c in islice(_pochhammer(mu), 41)]
     assert got == [rising(mu, k) / factorial(k) for k in range(41)]
 
 

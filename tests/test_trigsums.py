@@ -32,12 +32,12 @@ from trigpos.trigsums import (
     case_R,
     chebyshev_T,
     chebyshev_U,
-    pochhammer_coeff,
     run_sturm_target,
     sturm_case_plan,
 )
 from trigpos import trigsums
 from trigpos.trigsums import _outward  # private: checked against 80 digits
+from trigpos.trigsums import _pochhammer  # private: the one coefficient route
 
 F = Fraction
 mp.dps = 30
@@ -54,27 +54,32 @@ def _poly_mp(poly, x):
     return acc
 
 
+def _poch(mu, k: int) -> Enclosure:
+    """Term k of a fresh _pochhammer pass: the enclosure of (mu)_k / k!."""
+    return next(itertools.islice(_pochhammer(mu), k, None))
+
+
 def test_pochhammer_exact_values():
     mu = F(1, 2)
-    assert pochhammer_coeff(mu, 0).lo == 1
-    assert pochhammer_coeff(mu, 1).lo == F(1, 2)
-    assert pochhammer_coeff(mu, 2).lo == F(1, 2) * F(3, 2) / 2
-    assert pochhammer_coeff(mu, 3).lo == F(1, 2) * F(3, 2) * F(5, 2) / 6
+    assert _poch(mu, 0).lo == 1
+    assert _poch(mu, 1).lo == F(1, 2)
+    assert _poch(mu, 2).lo == F(1, 2) * F(3, 2) / 2
+    assert _poch(mu, 3).lo == F(1, 2) * F(3, 2) * F(5, 2) / 6
 
 
 def test_pochhammer_interval_is_monotone_envelope():
     enc = Enclosure(F(2, 5), F(1, 2))
     for k in range(6):
-        c = pochhammer_coeff(enc, k)
-        lo_val = pochhammer_coeff(F(2, 5), k).lo
-        hi_val = pochhammer_coeff(F(1, 2), k).lo
+        c = _poch(enc, k)
+        lo_val = _poch(F(2, 5), k).lo
+        hi_val = _poch(F(1, 2), k).lo
         assert c.lo == lo_val and c.hi == hi_val
         assert c.lo <= c.hi
 
 
 def test_pochhammer_rejects_nonpositive_interval():
     with pytest.raises(ValueError):
-        pochhammer_coeff(Enclosure(F(-1, 2), F(1, 2)), 2)
+        next(_pochhammer(Enclosure(F(-1, 2), F(1, 2))))
 
 
 def test_chebyshev_identities_at_random_angles():
@@ -212,20 +217,20 @@ def test_sturm_plan_counts_are_all_zero():
     assert set(outcomes) == {
         "q1", "q2", "q3", "q3-derived", "P-near-0", "P-mid", "Q", "R",
     }
-    for out in outcomes.values():
-        assert all(c == 0 for c in out.root_counts), out.name
+    for name, out in outcomes.items():
+        assert all(c == 0 for c in out.root_counts), name
 
 
 def test_sturm_plan_point_results():
     plan = sturm_case_plan(F(4, 5))
     outcomes = {t.name: run_sturm_target(t) for t in plan}
     # every labeled point passes except the one that is negative identically
-    for out in outcomes.values():
+    for name, out in outcomes.items():
         for label, ok in out.point_results:
             if label == "P(-pi/3)":
                 assert not ok
             else:
-                assert ok, (out.name, label)
+                assert ok, (name, label)
     # at mu = 4/5, P crosses zero once near 0 and is negative at its anchor;
     # P-mid and q3 have no root and are positive at their anchors
     assert outcomes["P-near-0"].root_counts == (1,)
@@ -340,7 +345,7 @@ def test_interval_coefficients_enclose_the_direct_product():
     # and stays at the dyadic grain instead of growing with k
     enc = mu_star(F(2, 3), width=F(1, 10**20)).enclosure
     table = [t.coeff for t in build_U_n(100, enc).terms]
-    assert pochhammer_coeff(enc, 100) == table[100]
+    assert _poch(enc, 100) == table[100]
     limit = math.ceil((working_dps() + 20) * math.log2(10)) + 2  # grain + 2
     for k, c in enumerate(table):
         lo, hi = _direct_poch(enc.lo, k), _direct_poch(enc.hi, k)
@@ -545,14 +550,14 @@ def _eval_direct(tsum, theta):
 
 
 def test_eval_mp_on_shared_terms_is_bit_identical():
-    for build in SHARED_BUILDS.values():
+    for name, build in SHARED_BUILDS.items():
         shared = build(40)
-        fresh = TrigSum(_fresh(shared.terms), shared.label)
+        fresh = TrigSum(_fresh(shared.terms))
         assert fresh == shared and hash(fresh.terms) == hash(shared.terms)
         for theta in ("0.001", "0.7", "1.5707963", "3.1"):
             values = {shared.eval_mp(theta), shared.eval_mp(theta), fresh.eval_mp(theta),
                       _eval_direct(shared, theta)}
-            assert len(values) == 1, (shared.label, theta)
+            assert len(values) == 1, (name, theta)
         assert repr(shared.terms[3]) == repr(fresh.terms[3])
 
 
