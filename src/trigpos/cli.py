@@ -311,7 +311,7 @@ def _check_prop_constants(mu_enc: Enclosure) -> list[CheckResult]:
                 chi = chi_reference_integral(mu_enc)
         except ValueError:  # an enclosure reaching mu = 0: no finite integrals, both fail
             arg1 = arg2 = mp.nan
-            m1 = m2 = chi = QuadResult(mp.nan, mp.inf, True)
+            m1 = m2 = chi = QuadResult(mp.nan, mp.inf)
         minima_ok = (mp.almosteq(arg1, 5 * mp.pi / 3) and abs(m1.value) <= m1.err
                      and m2.value - m2.err > 0)
         diff = abs(chi.value - mp.mpf(CHI_REFERENCE))

@@ -57,23 +57,19 @@ _KINDS = ("sin", "cos")
 @dataclass(frozen=True)
 class QuadResult:
     """Value + error bound for one integral: value is the midpoint of an
-    mpmath.iv enclosure and err its radius, rounded up.  flagged is True when
-    err exceeds 10^-(working_dps() - 5), a little under the working
-    precision.  err also carries the spread of an interval argument, so an
-    integral over a wider interval is flagged as well.  No check reads the
-    flag: a sign or bound is proven by value and err alone.
+    mpmath.iv enclosure and err its radius, rounded up.  err also carries
+    the spread of an interval argument.  A sign or bound is proven by value
+    and err alone.
     """
 
     value: mp.mpf
     err: mp.mpf
-    flagged: bool
 
-    def scaled(self, factor) -> "QuadResult":
-        """This result times factor, a real or an mpmath.iv interval; the
-        product is formed in iv, so err stays an enclosure radius."""
-        dps = working_dps() + 15
-        with mp.workdps(dps), iv_dps(dps):
-            return QuadResult(*_mid_rad(_as_iv(self) * factor), self.flagged)
+    @property
+    def flagged(self) -> bool:
+        """err > 10^-(working_dps() - 5), a little under the working
+        precision; derived from err, and read by no check."""
+        return self.err > mp.mpf(10) ** (-(working_dps() - 5))
 
 
 def _as_iv(v):
@@ -172,10 +168,9 @@ def fractional_osc_integral(kind: str, eta, mu, x) -> QuadResult:
     of eta, mu and x (any form _as_iv reads).
 
     Requires 0 < mu <= 1, 0 < x <= 8*pi and a finite eta over the boxes, or
-    ValueError; see QuadResult for the flag.
+    ValueError.
     """
-    value, err = _evaluate(kind, eta, mu, x)
-    return QuadResult(value, err, err > mp.mpf(10) ** (-(working_dps() - 5)))
+    return QuadResult(*_evaluate(kind, eta, mu, x))
 
 
 def series_reference(kind: str, mu, x, eta=0):
@@ -192,8 +187,9 @@ def frak_K(b, x, rho, mu) -> QuadResult:
     """(1/sin b) * integral_0^x cos(t + rho*b - (rho - 1/2)*pi) t^(mu-1) dt.
 
     Requires 0 < b <= pi/2; b and rho may be mpmath.iv intervals, and an
-    interval b must lie wholly inside that range.  The phase is enclosed in
-    mpmath.iv, so the result encloses the integral at every b and rho given.
+    interval b must lie wholly inside that range.  The phase and the product
+    with 1/sin b are enclosed in mpmath.iv, so value +/- err encloses the
+    integral at every b and rho given.
     """
     dps = working_dps() + 15
     with mp.workdps(dps), iv_dps(dps):
@@ -201,7 +197,8 @@ def frak_K(b, x, rho, mu) -> QuadResult:
         if not (0 < b.a and b.b <= iv.pi / 2 + mp.mpf("1e-12")):
             raise ValueError("b must lie in (0, pi/2]")
         eta = rho * b - (rho - iv.mpf(1) / 2) * iv.pi
-        return fractional_osc_integral("cos", eta, mu, x).scaled(1 / iv.sin(b))
+        base = fractional_osc_integral("cos", eta, mu, x)
+        return QuadResult(*_mid_rad(_as_iv(base) * (1 / iv.sin(b))))
 
 
 def chi_reference_integral(mu) -> QuadResult:
@@ -210,11 +207,13 @@ def chi_reference_integral(mu) -> QuadResult:
     The upper limit 8pi/5 is the unique stationary point of the integral
     (as a function of its upper limit) at or beyond pi, hence the minimum
     over that range; see min_over_upper_limit for the generic search.
-    The phase and the upper limit are enclosed in mpmath.iv.
+    The phase, the upper limit and the product with 1/sin(pi/5) are
+    enclosed in mpmath.iv, so value +/- err encloses the integral.
     """
-    with iv_dps(working_dps() + 15):
+    dps = working_dps() + 15
+    with mp.workdps(dps), iv_dps(dps):
         base = fractional_osc_integral("cos", -iv.pi / 10, mu, 8 * iv.pi / 5)
-        return base.scaled(1 / iv.sin(iv.pi / 5))
+        return QuadResult(*_mid_rad(_as_iv(base) * (1 / iv.sin(iv.pi / 5))))
 
 
 def min_over_upper_limit(kind: str, eta, mu, x_min):

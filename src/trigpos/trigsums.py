@@ -120,7 +120,7 @@ class TrigSum:
             total = mp.mpf(0)
             for t in self.terms:
                 g = mp.sin if t.kind == "sin" else mp.cos
-                arg = _as_mpf(t.freq) * th + mp.pi * t.phase_pi.numerator / t.phase_pi.denominator
+                arg = _as_mpf(t.freq) * th + mp.pi * _as_mpf(t.phase_pi)
                 total += _as_mpf(t.coeff.mid) * g(arg)
             return total
 

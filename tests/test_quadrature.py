@@ -6,6 +6,7 @@ Frozen constants below were produced by the series route at mp.dps = 50 and
 rounded to the digits shown.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from mpmath import iv, mp
 
 from oracles import osc_integral
 from trigpos.exact import Enclosure
+from trigpos.mustar import mu_star
 from trigpos.quadrature import (
     QuadResult,
     _alternating_sum,  # private: its carried bound is checked at coarse precision
@@ -169,25 +171,43 @@ def test_mu_one_elementary_antiderivative():
             assert abs(c.value - (mp.sin(x + eta) - mp.sin(eta))) < mp.mpf("1e-24")
 
 
-def test_quadresult_scaled():
-    r = QuadResult(mp.mpf(2), mp.mpf("0.5"), False)
-    s = r.scaled(-3)
-    assert s.value == -6 and s.err == mp.mpf("1.5") and s.flagged is False
+@pytest.fixture(scope="module")
+def mu23_box():
+    return mu_star(F(2, 3), width=F(1, 10**20)).enclosure
+
+
+@pytest.mark.parametrize("dps", ["30", "40"])
+def test_quadresult_is_value_and_err_with_a_derived_flag(monkeypatch, mu23_box, dps):
+    assert [f.name for f in dataclasses.fields(QuadResult)] == ["value", "err"]
+    assert not hasattr(QuadResult, "scaled")
+    monkeypatch.setenv("TRIGPOS_PRECISION", dps)
+    point = fractional_osc_integral("cos", 0, MU23, mp.pi)
+    # the 1e-20 box widens err by |d mu| times the mu-derivative bound
+    chi = chi_reference_integral(mu23_box)
+    assert (point.flagged, chi.flagged) == (False, True)
+    for res in (point, chi):
+        assert res.flagged == (res.err > mp.mpf(10) ** (5 - int(dps)))
+    assert mp.mpf("1e-19") < chi.err < mp.mpf("1e-18")
 
 
 def test_scaled_encloses_the_exact_product():
-    # the factor 1/sin(pi/5) and the product are rounded: err must cover
-    # both, also for an exact input with err = 0
-    base = fractional_osc_integral("cos", -mp.pi / 10, MU23, 8 * mp.pi / 5)
+    # chi_reference_integral and frak_K round the factor 1/sin b and the
+    # product: err must cover both ends of the unscaled integral times the
+    # exact factor
+    b, rho = mp.pi / 6, F(1, 3)
     with iv_dps(working_dps() + 15):
-        inverse = 1 / iv.sin(iv.pi / 5)
-    for r in (base, QuadResult(mp.mpf(1) / 3, mp.mpf(0), False)):
-        s = r.scaled(inverse)
-        with mp.workdps(100):
-            exact = 1 / mp.sin(mp.pi / 5)
+        rho_iv = iv.mpf(1) / 3
+        eta = rho_iv * b - (rho_iv - iv.mpf(1) / 2) * iv.pi
+        cases = (
+            (chi_reference_integral(MU23),
+             fractional_osc_integral("cos", -iv.pi / 10, MU23, 8 * iv.pi / 5)),
+            (frak_K(b, mp.pi, rho, NU0), fractional_osc_integral("cos", eta, NU0, mp.pi)),
+        )
+    with mp.workdps(100):
+        for (s, r), exact in zip(cases, (1 / mp.sin(mp.pi / 5), 1 / mp.sin(b))):
             for end in (r.value - r.err, r.value + r.err):
                 assert s.value - s.err <= end * exact <= s.value + s.err
-    assert 0 < s.err < mp.mpf("1e-40")
+            assert 0 < s.err < mp.mpf("1e-40")
 
 
 def test_input_guards():
