@@ -71,13 +71,15 @@ MUTANTS = (
     Mutant("seed-error-zero", ENGINE,
            "_SEED_ERR = 8 * _U",
            "_SEED_ERR = 0",
-           ("tests/test_engine.py::test_prefix_bounds_cover_their_exact_sums",
-            "tests/test_engine.py::test_prefix_steps_from_integer_keys")),
+           ("tests/test_engine.py::test_prefix_bounds_cover_their_exact_sums",)),
     Mutant("product-error-zero", ENGINE,
            "_MUL_ERR = math.sqrt(2) * 2 * _U / (1 - 2 * _U)",
            "_MUL_ERR = 0",
-           ("tests/test_engine.py::test_prefix_bounds_cover_their_exact_sums",
-            "tests/test_engine.py::test_prefix_steps_from_integer_keys")),
+           ("tests/test_engine.py::test_prefix_bounds_cover_their_exact_sums",)),
+    Mutant("progression-without-phase-check", ENGINE,
+           "t.kind != t0.kind or t.phase_pi != t0.phase_pi",
+           "t.kind != t0.kind",
+           ("tests/test_engine.py::test_grid_takes_one_progression",)),
     Mutant("cell-width-without-node-rounding", ENGINE,
            "h = (step + 8 * _U * self.theta_max) * _SLACK",
            "h = step",

@@ -1,11 +1,12 @@
 """Grid certification of trig-sum positivity.
 
-A trig sum sum_k c_k g(f_k theta + phi_k pi) is Re sum_k c_k P_k with
-P_k = exp(i(f_k theta + phi'_k pi)), g written as a cosine.  The grid pass
-builds P_k = P_{k-1} s_k from one seed array per distinct step between
-terms (U_n and varsigma_n have one, of gap 2), so it makes no trig call per
-term; it accumulates the partial sums S_n in place and records each one's
-grid minimum m_n, so one pass over one grid decides every prefix n.
+The grid takes one progression sum_k c_k g((f_0 + k gap) theta + phi pi),
+g = cos or sin, as U_n and varsigma_n are; any other sum raises ValueError.
+With g written as a cosine it is Re sum_k c_k P_k, and the grid pass takes
+P_0 from one seed array, the first term's, and P_k = P_{k-1} s from one
+more, the gap's, so it makes no trig call per term; it accumulates the
+partial sums S_n in place and records each one's grid minimum m_n, so one
+pass over one grid decides every prefix n.
 
 Certificate.  |S_n''| <= M2_n = sum_{k<=n} max|c_k| f_k^2, and on a cell
 of width h a C^2 function lies above its linear interpolant minus
@@ -100,8 +101,8 @@ class GridCertificate:
 
 
 class _Prefixes:
-    """The terms of one sum in the order their partial sums are taken, with
-    M2_n, err_n and float_err (the float64 part of err_n) for every n."""
+    """The terms of one progression, in partial-sum order, with M2_n, err_n
+    and float_err (the float64 part of err_n) for every n."""
 
     def __init__(self, terms, interval):
         self.a, self.b = _as_fraction(interval[0]), _as_fraction(interval[1])
@@ -111,41 +112,29 @@ class _Prefixes:
             raise ValueError("empty trig sum")
         if len(terms) >= _MAX_TERMS:
             raise ValueError(f"the float64 bounds hold below {_MAX_TERMS} terms")
+        t0 = terms[0]
+        gap = terms[1].freq - t0.freq if len(terms) > 1 else Fraction(0)
+        (f0, d0), (g, gd) = t0.freq.as_integer_ratio(), gap.as_integer_ratio()
+        for k, t in enumerate(terms):  # freq_k = f_0 + k gap, decided on integers
+            fn, fd = t.freq.as_integer_ratio()
+            if t.kind != t0.kind or t.phase_pi != t0.phase_pi \
+                    or fn * d0 * gd != (f0 * gd + k * g * d0) * fd:
+                raise ValueError("not one progression sum_k c_k g((f_0 + k gap) theta + phase pi)")
         self.terms = terms
         self.passes = {}  # (theta, p) -> (bounds of S_0, S_1, ... so far, their pass)
         self.lo, self.hi = -_up(-self.a), _up(self.b)  # floats around [a, b]
-        self.theta_max = big = max(abs(self.lo), abs(self.hi))
+        self.theta_max = max(abs(self.lo), abs(self.hi))
         # per term: the float midpoint and upper bounds on max|c_k| f_k^2,
         # the half-width and |float midpoint - midpoint| (TrigTerm.float_bounds)
         self.coeffs, m2, half, rounding = np.array([t.float_bounds for t in terms]).T
-        self.seed_of, self.seeds, grow, seen = [], [], {}, {}
-        rel, e = [], 0.0  # E_k, relative error of P_k
-        prev = (0, 1, 0, 1)  # frequency and phase (as a cosine) of the last term
-        for k, t in enumerate(terms):
-            (fn, fd), (pn, pd) = t.freq.as_integer_ratio(), t.phase_pi.as_integer_ratio()
-            cur = (fn, fd, 2 * pn - pd, 2 * pd) if t.kind == "sin" else (fn, fd, pn, pd)
-            # the step from the last term as unreduced integer ratios: equal
-            # keys are equal steps, so the Fractions are formed once per key
-            key = (fn * prev[1] - prev[0] * fd, fd * prev[1],
-                   cur[2] * prev[3] - prev[2] * cur[3], cur[3] * prev[3])
-            prev, hit = cur, seen.get(key, False)
-            if hit is False:
-                step = (Fraction(key[0], key[1]),
-                        0 if key[2] == 0 else (Fraction(key[2], key[3]) + 1) % 2 - 1)
-                if step != (0, 0) and step not in grow:  # each distinct step's seed error, once
-                    g, d = float(step[0]), float(step[1]) * math.pi
-                    es = _SEED_ERR + _up(abs(Fraction(g) - step[0])) * big \
-                        + 2.01 * _U * abs(g) * big + 5 * _U * abs(d)
-                    grow[step] = len(self.seeds), es, es + _MUL_ERR + es * _MUL_ERR
-                    self.seeds.append(step)
-                hit = seen[key] = grow.get(step)
-            sid = -1
-            if hit is not None:
-                sid, es, g_k = hit
-                e = es if k == 0 else e + (1 + e) * g_k
-            self.seed_of.append(sid)
-            rel.append(e)
-        rel = np.array(rel)
+        phase = t0.phase_pi - Fraction(1, 2) if t0.kind == "sin" else t0.phase_pi
+        # P_0's and each step's (frequency, phase as a cosine); a (0, 0) seed is 1: None
+        self.seeds = tuple(None if s == (0, 0) else s for s in ((t0.freq, phase), (gap, 0)))
+        e, es = (self._seed_err(s) if s else 0.0 for s in self.seeds)
+        grow = es + _MUL_ERR + es * _MUL_ERR if self.seeds[1] else 0.0
+        rel = np.empty(len(terms))  # E_k, relative error of P_k
+        for k in range(len(terms)):
+            rel[k], e = e, e + (1 + e) * grow
         c = np.abs(self.coeffs)
         adds = _U / (1 - np.arange(1, len(c) + 1) * _U)
         fp = np.cumsum(np.cumsum(c * (1 + rel) * (1 + _U))) * adds \
@@ -157,20 +146,23 @@ class _Prefixes:
 
     def values(self, theta, n_hi: int):
         """Yield (k, float S_k at theta) for k = 0..n_hi; S_k is overwritten."""
-        seeds = [None] * len(self.seeds)
-        p = np.ones(len(theta), complex)
+        p, s = np.ones((2, len(theta)), complex)  # P_0 and the step; a None seed is 1
+        for seed, out in zip(self.seeds, (p, s)):
+            if seed:
+                x = float(seed[0]) * theta + float(seed[1]) * math.pi
+                out.real, out.imag = np.cos(x), np.sin(x)
         acc = np.zeros(len(theta))
         for k in range(n_hi + 1):
-            sid = self.seed_of[k]
-            if sid >= 0:
-                s = seeds[sid]
-                if s is None:
-                    x = float(self.seeds[sid][0]) * theta + float(self.seeds[sid][1]) * math.pi
-                    s = seeds[sid] = np.empty(len(theta), complex)
-                    s.real, s.imag = np.cos(x), np.sin(x)
-                p = s.copy() if k == 0 else np.multiply(p, s, out=p)
+            if k:
+                np.multiply(p, s, out=p)
             acc += self.coeffs[k] * p.real
             yield k, acc
+
+    def _seed_err(self, seed) -> float:
+        """Relative error bound of a float seed (f, phase): 8u and its argument's rounding."""
+        g, d = float(seed[0]), float(seed[1]) * math.pi
+        return _SEED_ERR + _up(abs(Fraction(g) - seed[0])) * self.theta_max \
+            + 2.01 * _U * abs(g) * self.theta_max + 5 * _U * abs(d)
 
     def certify(self, n_min: int) -> list[GridCertificate]:
         """Certificates for the prefixes n_min..len(terms)-1, on one grid."""
@@ -246,21 +238,21 @@ class _Prefixes:
         within r of 2^p s (_seed_box); a product floors both parts (error
         below 2) and scales the earlier error by |seed| <= 2^p + r, so
         E_k = E_(k-1) + ceil(E_(k-1) r 2^-p) + r + 2."""
-        boxes = [self._seed_box(step, theta, p) for step in self.seeds]
+        first, step = (self._seed_box(seed, theta, p) if seed else None for seed in self.seeds)
         x, y, e = 1 << p, 0, 0
-        for k in range(n + 1):
-            if self.seed_of[k] >= 0:
-                c, s, r = boxes[self.seed_of[k]]
+        for box in [first] + [step] * n:
+            if box:
+                c, s, r = box
                 x, y = (x * c - y * s) >> p, (x * s + y * c) >> p
                 e += (e * r >> p) + r + 3
             yield x, e
 
     @staticmethod
-    def _seed_box(step, theta: float, p: int) -> tuple[int, int, int]:
+    def _seed_box(seed, theta: float, p: int) -> tuple[int, int, int]:
         """(C, S, r) with |C + iS - 2^p exp(i(f theta + phase pi))| <= r for
-        the step (f, phase): one iv.cos_sin finer than 2^-p, its endpoints
+        the seed (f, phase): one iv.cos_sin finer than 2^-p, its endpoints
         read exactly and rounded outward to integers."""
-        f, phase = step
+        f, phase = seed
         with iv_dps(working_dps() + 15):
             arg = iv.mpf(theta) * f.numerator / f.denominator \
                 + iv.pi * phase.numerator / phase.denominator
@@ -272,14 +264,14 @@ class _Prefixes:
 
 def certify_positive_trig(tsum: TrigSum, interval) -> GridCertificate:
     """Certify (or refute) positivity of tsum on the closed interval, whose
-    ends (floats, Fractions or strings) are read exactly.  The terms are
-    sorted by frequency, so the steps between them stay few."""
-    terms = sorted(tsum.terms, key=lambda t: t.freq)
-    return _Prefixes(terms, interval).certify(len(terms) - 1)[0]
+    ends (floats, Fractions or strings) are read exactly.  tsum must be one
+    progression sum_k c_k g((f_0 + k gap) theta + phase pi), gap of either
+    sign, or ValueError."""
+    return _Prefixes(tsum.terms, interval).certify(len(tsum.terms) - 1)[0]
 
 
 def certify_partial_sums(tsum: TrigSum, interval) -> list[GridCertificate]:
     """Certificates for every partial sum tsum.terms[:n + 1], from one pass
-    over one grid; each equals certify_positive_trig on its prefix when the
-    terms are sorted by frequency, as U_n and varsigma_n are."""
+    over one grid; each equals certify_positive_trig on its prefix.  tsum
+    must be one progression, as for certify_positive_trig, or ValueError."""
     return _Prefixes(tsum.terms, interval).certify(0)

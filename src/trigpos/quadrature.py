@@ -207,13 +207,11 @@ def chi_reference_integral(mu) -> QuadResult:
     The upper limit 8pi/5 is the unique stationary point of the integral
     (as a function of its upper limit) at or beyond pi, hence the minimum
     over that range; see min_over_upper_limit for the generic search.
-    The phase, the upper limit and the product with 1/sin(pi/5) are
-    enclosed in mpmath.iv, so value +/- err encloses the integral.
+    It is frak_K at b = pi/5, x = 8pi/5 and rho = 3/4, whose phase
+    3pi/20 - pi/4 is -pi/10, so value +/- err encloses the integral.
     """
-    dps = working_dps() + 15
-    with mp.workdps(dps), iv_dps(dps):
-        base = fractional_osc_integral("cos", -iv.pi / 10, mu, 8 * iv.pi / 5)
-        return QuadResult(*_mid_rad(_as_iv(base) * (1 / iv.sin(iv.pi / 5))))
+    with iv_dps(working_dps() + 15):
+        return frak_K(iv.pi / 5, 8 * iv.pi / 5, Fraction(3, 4), mu)
 
 
 def min_over_upper_limit(kind: str, eta, mu, x_min):

@@ -42,8 +42,8 @@ def test_certify_obviously_positive():
 
 
 def test_certify_refutes_with_witness():
-    # sin(theta) - 3/5 dips negative near the interval ends
-    s = _sum(_term(1, 1, kind="sin"), _term(F(-3, 5), 0))
+    # cos(theta) - 3/5 dips negative beyond theta = 0.93
+    s = _sum(_term(F(-3, 5), 0), _term(1, 1))
     cert = certify_positive_trig(s, (F(1, 10), 3))
     assert cert.status == "refuted"
     assert cert.witness is not None
@@ -72,6 +72,26 @@ def test_certify_reports_its_grid():
         cert.min_value - cert.curvature * cert.h**2 / 8 - cert.eval_err)
 
 
+def test_grid_takes_one_progression():
+    # one kind, one phase and one gap, or ValueError before any grid work
+    for terms in (
+        (_term(2, 0), _term(1, 1, kind="sin")),
+        (_term(2, 0), _term(1, 1, phase_pi=F(1, 3))),
+        (_term(3, 0), _term(1, 1), _term(1, 3)),
+    ):
+        for certify in (certify_positive_trig, certify_partial_sums):
+            with pytest.raises(ValueError, match="one progression"):
+                certify(_sum(*terms), (F(1, 10), 3))
+    # a progression read backwards has gap -2 and keeps the forward status
+    for tsum, status in ((build_U_n(20, _critical(F(2, 3))), "certified"),
+                         (build_U_n(9, F(9, 10)), "refuted")):
+        backwards = TrigSum(tsum.terms[::-1])
+        cert = certify_positive_trig(backwards, U_INTERVAL)
+        assert cert.status == certify_positive_trig(tsum, U_INTERVAL).status == status
+        if status == "refuted":
+            assert tsum.eval_mp(mp.mpf(cert.witness)) < 0
+
+
 def test_certify_interval_guard():
     s = _sum(_term(2, 0))
     with pytest.raises(ValueError):
@@ -85,20 +105,16 @@ def test_certify_interval_guard():
 
 
 def test_certified_sums_are_actually_positive():
+    # random progressions from frequency 0, cosines at phase 0 or sines at
+    # phase 1/2; the constant term dominates, so positivity is guaranteed
+    # and the certifier must agree
     rng = random.Random(17)
     for trial in range(6):
-        terms = []
-        weight = F(0)
-        for _ in range(rng.randint(2, 5)):
-            c = F(rng.randint(-9, 9), rng.randint(1, 7))
-            f = F(rng.randint(1, 6))
-            kind = rng.choice(("sin", "cos"))
-            terms.append(_term(c, f, kind=kind))
-            weight += abs(c)
-        # constant offset dominates, so positivity is guaranteed and the
-        # certifier must agree
-        terms.append(_term(weight + 1, 0))
-        s = _sum(*terms)
+        kind, phase = rng.choice((("cos", F(0)), ("sin", F(1, 2))))
+        gap = rng.randint(1, 6)
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(2, 5))]
+        coeffs.insert(0, sum(map(abs, coeffs)) + 1)
+        s = _sum(*(_term(c, k * gap, phase, kind) for k, c in enumerate(coeffs)))
         cert = certify_positive_trig(s, (F(1, 10), 3))
         assert cert.certified, trial
         # independent spot check of the certified claim
@@ -120,21 +136,22 @@ def test_hostile_sums_below_eval_err_are_never_certified():
 
 
 def test_tangency_inside_a_cell():
-    # 1 - cos(theta - pi/7) has a double zero at pi/7, strictly between the
-    # nodes of every dyadic grid on [0, 1]: it must never be certified,
-    # while a shift of 1e-6 either way is decided
+    # 1 - cos(theta) has a double zero at 0, strictly between the nodes of
+    # every dyadic grid on [-3/7, 4/7]: it must never be certified, while a
+    # shift of 1e-6 either way is decided
     def shifted(c):
-        return _sum(_term(1 + c, 0), _term(-1, 1, phase_pi=F(-1, 7)))
+        return _sum(_term(1 + c, 0), _term(-1, 1))
 
-    tangent = certify_positive_trig(shifted(F(0)), (0, 1))
+    interval = (F(-3, 7), F(4, 7))
+    tangent = certify_positive_trig(shifted(F(0)), interval)
     assert tangent.status != "certified"
-    up = certify_positive_trig(shifted(F(1, 10**6)), (0, 1))
+    up = certify_positive_trig(shifted(F(1, 10**6)), interval)
     assert up.status == "certified"
-    down = certify_positive_trig(shifted(F(-1, 10**6)), (0, 1))
+    down = certify_positive_trig(shifted(F(-1, 10**6)), interval)
     assert down.status == "refuted"
     with mp.workdps(40):
         assert shifted(F(-1, 10**6)).eval_mp(mp.mpf(down.witness)) < 0
-        assert 0 <= down.witness <= 1
+        assert interval[0] <= down.witness <= interval[1]
 
 
 def _critical(rho):
@@ -260,7 +277,7 @@ def _exact_prefix_bounds(prefixes):
         half += t.coeff.width / 2
         rounding += abs(F(float(t.coeff.mid)) - t.coeff.mid)
         ph = t.phase_pi - (F(1, 2) if t.kind == "sin" else 0)
-        step = (t.freq - f_prev, (ph - ph_prev + 1) % 2 - 1)
+        step = (t.freq - f_prev, ph - ph_prev)
         f_prev, ph_prev = t.freq, ph
         if step != (0, 0):
             g, d = float(step[0]), float(step[1]) * math.pi
@@ -277,15 +294,12 @@ def _exact_prefix_bounds(prefixes):
 def test_prefix_bounds_cover_their_exact_sums():
     # the float64 sums of per-term upper bounds against the same sums in
     # Fractions: never below, and at most 1e-8 above in relative terms
-    mixed = (  # steps: none, then (1, -3/10) twice, (2, 0) twice, two more
-        _term(F(1, 3), 0),
-        TrigTerm(Enclosure(F(-7, 10), F(-2, 3)), F(1), F(1, 5), "sin"),
-        _term(F(-5, 7), 2, phase_pi=F(-3, 5)),
-        _term(F(2, 9), 4, phase_pi=F(-3, 5)),
-        TrigTerm(Enclosure(F(1, 10**9), F(3, 10**9) + F(1, 7)), F(6), F(-3, 5), "cos"),
-        _term(F(-1, 11), 6, phase_pi=F(1, 3)),
-        _term(F(3, 13), 9, phase_pi=F(1, 5), kind="sin"),
-    )
+    # sines at phase 1/5 and frequencies 1/3 + 2k/3, neither of them a
+    # float, with mixed signs and exact and interval coefficients
+    mixed = tuple(TrigTerm(c, F(1, 3) + F(2, 3) * k, F(1, 5), "sin") for k, c in enumerate((
+        Enclosure.exact(F(1, 3)), Enclosure(F(-7, 10), F(-2, 3)), Enclosure.exact(F(-5, 7)),
+        Enclosure.exact(F(2, 9)), Enclosure(F(1, 10**9), F(3, 10**9) + F(1, 7)),
+        Enclosure.exact(F(-1, 11)), Enclosure.exact(F(3, 13)))))
     cases = (
         (build_U_n(100, _critical(F(2, 3))).terms, U_INTERVAL),
         (build_varsigma(100, F(1, 3), F(3, 5)).terms, VS_INTERVAL),
@@ -298,28 +312,7 @@ def test_prefix_bounds_cover_their_exact_sums():
             got = (prefixes.m2[n], prefixes.float_err[n], prefixes.err[n])
             for name, bound, want in zip(("m2", "float_err", "err"), got, exact):
                 assert want <= F(bound) <= want * slack, (n, name, float(want), bound)
-    assert len(_Prefixes(mixed, (0, 1)).seeds) == 4
-
-
-def test_prefix_steps_from_integer_keys():
-    # a full turn of phase at one frequency is no step; one step written
-    # over different denominators (a sine's phase is shifted by -1/2) keeps
-    # one seed; the bounds still match the exact Fraction sums
-    terms = (
-        _term(F(1, 3), 1, phase_pi=F(1, 5), kind="sin"),
-        _term(F(1, 5), 1, phase_pi=F(11, 5), kind="sin"),  # + 2: no step
-        _term(F(1, 7), 2, phase_pi=F(1), kind="sin"),      # step (1, 4/5)
-        _term(F(1, 9), 3, phase_pi=F(0)),                  # step (1, -1/2)
-        _term(F(1, 11), 4, phase_pi=F(1, 2), kind="sin"),  # step (1, 0)
-        _term(F(1, 13), 5, phase_pi=F(-1, 2)),             # step (1, -1/2)
-    )
-    prefixes = _Prefixes(terms, (F(-1, 3), F(22, 7)))
-    assert prefixes.seed_of[1] == -1 and prefixes.seed_of[3] == prefixes.seed_of[5]
-    assert len(prefixes.seeds) == 4
-    for n, exact in enumerate(_exact_prefix_bounds(prefixes)):
-        got = (prefixes.m2[n], prefixes.float_err[n], prefixes.err[n])
-        for bound, want in zip(got, exact):
-            assert want <= F(bound) <= want * (1 + F(1, 10**8)), n
+    assert _Prefixes(mixed, (0, 1)).seeds == ((F(1, 3), F(-3, 10)), (F(2, 3), 0))
 
 
 def test_cells_between_float_nodes_are_at_most_h(monkeypatch):
@@ -366,7 +359,7 @@ def test_prefixes_from_memoised_terms_equal_fresh_ones():
         a, b = _Prefixes(tsum.terms, interval), _Prefixes(fresh, interval)
         for name in ("coeffs", "m2", "float_err", "err"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), (case, name)
-        assert (a.seed_of, a.seeds) == (b.seed_of, b.seeds)
+        assert a.seeds == b.seeds
 
 
 # ---------------------------------------------------------------------------
