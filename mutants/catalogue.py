@@ -76,10 +76,17 @@ MUTANTS = (
            "_MUL_ERR = math.sqrt(2) * 2 * _U / (1 - 2 * _U)",
            "_MUL_ERR = 0",
            ("tests/test_engine.py::test_prefix_bounds_cover_their_exact_sums",)),
-    Mutant("progression-without-phase-check", ENGINE,
-           "t.kind != t0.kind or t.phase_pi != t0.phase_pi",
-           "t.kind != t0.kind",
-           ("tests/test_engine.py::test_grid_takes_one_progression",)),
+    Mutant("seed-phase-without-sine-fold", ENGINE,
+           "first = (tsum.alpha, tsum.beta - Fraction(1, 2))",
+           "first = (tsum.alpha, tsum.beta)",
+           ("tests/test_engine.py::test_fixed_point_errors_cover_the_true_terms",
+            "tests/test_engine.py::test_float_values_stay_within_the_float64_bound")),
+    Mutant("sum-without-progression-check", TRIGSUMS,
+           "t.freq.as_integer_ratio() != (a + 2 * k * d, d)",
+           "False",
+           ("tests/test_engine.py::test_grid_takes_one_progression",
+            "tests/test_trigsums.py::"
+            "test_sums_refuse_negative_alpha_nan_rho_and_terms_off_the_progression")),
     Mutant("cell-width-without-node-rounding", ENGINE,
            "h = (step + 8 * _U * self.theta_max) * _SLACK",
            "h = step",

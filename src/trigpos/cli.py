@@ -75,7 +75,6 @@ from trigpos.trigsums import (
     MU_STURM,
     Q_STURM,
     STURM_NAMES,
-    TrigTerm,
     build_U_n,
     build_varsigma,
     chebyshev_U,
@@ -276,13 +275,12 @@ def _grid_check(check_id: str, tsum, interval, var: str) -> CheckResult:
 
 
 def _check_u1(mu_enc: Enclosure) -> CheckResult:
-    # U_1 must be cos(phi/3 - pi/6) + d_1 cos(7 phi/3 - pi/6) with d_1
+    # U_1 must be sin(phi/3 + pi/3) + d_1 sin(7 phi/3 + pi/3) with d_1
     # enclosing mu; that sum is u1_closed_form(d_1, phi) exactly
-    first, second = build_U_n(1, mu_enc).terms
-    d1 = second.coeff
-    terms_ok = (first == TrigTerm(Enclosure.exact(1), Fraction(1, 3), Fraction(-1, 6), "cos")
-                and second == TrigTerm(d1, Fraction(7, 3), Fraction(-1, 6), "cos")
-                and d1.lo <= mu_enc.lo and mu_enc.hi <= d1.hi)
+    u1 = build_U_n(1, mu_enc)
+    d0, d1 = (t.coeff for t in u1.terms)
+    terms_ok = ((u1.alpha, u1.beta) == (Fraction(1, 3), Fraction(1, 3))
+                and d0 == Enclosure.exact(1) and d1.lo <= mu_enc.lo and mu_enc.hi <= d1.hi)
     with iv_dps(working_dps()):
         low = u1_closed_form(d1, iv.mpf([0, 1]) * iv.pi / 2).a
     return CheckResult(

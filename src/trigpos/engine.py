@@ -1,12 +1,11 @@
 """Grid certification of trig-sum positivity.
 
-The grid takes one progression sum_k c_k g((f_0 + k gap) theta + phi pi),
-g = cos or sin, as U_n and varsigma_n are; any other sum raises ValueError.
-With g written as a cosine it is Re sum_k c_k P_k, and the grid pass takes
-P_0 from one seed array, the first term's, and P_k = P_{k-1} s from one
-more, the gap's, so it makes no trig call per term; it accumulates the
-partial sums S_n in place and records each one's grid minimum m_n, so one
-pass over one grid decides every prefix n.
+The grid takes a TrigSum, sum_k c_k sin((alpha + 2k) theta + beta pi), as
+the cosines Re sum_k c_k P_k with P_k = exp(i((alpha + 2k) theta +
+(beta - 1/2) pi)).  The grid pass takes P_0 from one seed array and
+P_k = P_{k-1} s from one more, exp(2 i theta), so it makes no trig call per
+term; it accumulates the partial sums S_n in place and records each one's
+grid minimum m_n, so one pass over one grid decides every prefix n.
 
 Certificate.  |S_n''| <= M2_n = sum_{k<=n} max|c_k| f_k^2, and on a cell
 of width h a C^2 function lies above its linear interpolant minus
@@ -101,25 +100,18 @@ class GridCertificate:
 
 
 class _Prefixes:
-    """The terms of one progression, in partial-sum order, with M2_n, err_n
-    and float_err (the float64 part of err_n) for every n."""
+    """The terms of one TrigSum, in partial-sum order, with M2_n, err_n and
+    float_err (the float64 part of err_n) for every n."""
 
-    def __init__(self, terms, interval):
+    def __init__(self, tsum, interval):
         self.a, self.b = _as_fraction(interval[0]), _as_fraction(interval[1])
         if not self.a < self.b:
             raise ValueError("interval must satisfy a < b")
+        terms = tsum.terms
         if not terms:
             raise ValueError("empty trig sum")
         if len(terms) >= _MAX_TERMS:
             raise ValueError(f"the float64 bounds hold below {_MAX_TERMS} terms")
-        t0 = terms[0]
-        gap = terms[1].freq - t0.freq if len(terms) > 1 else Fraction(0)
-        (f0, d0), (g, gd) = t0.freq.as_integer_ratio(), gap.as_integer_ratio()
-        for k, t in enumerate(terms):  # freq_k = f_0 + k gap, decided on integers
-            fn, fd = t.freq.as_integer_ratio()
-            if t.kind != t0.kind or t.phase_pi != t0.phase_pi \
-                    or fn * d0 * gd != (f0 * gd + k * g * d0) * fd:
-                raise ValueError("not one progression sum_k c_k g((f_0 + k gap) theta + phase pi)")
         self.terms = terms
         self.passes = {}  # (theta, p) -> (bounds of S_0, S_1, ... so far, their pass)
         self.lo, self.hi = -_up(-self.a), _up(self.b)  # floats around [a, b]
@@ -127,11 +119,11 @@ class _Prefixes:
         # per term: the float midpoint and upper bounds on max|c_k| f_k^2,
         # the half-width and |float midpoint - midpoint| (TrigTerm.float_bounds)
         self.coeffs, m2, half, rounding = np.array([t.float_bounds for t in terms]).T
-        phase = t0.phase_pi - Fraction(1, 2) if t0.kind == "sin" else t0.phase_pi
-        # P_0's and each step's (frequency, phase as a cosine); a (0, 0) seed is 1: None
-        self.seeds = tuple(None if s == (0, 0) else s for s in ((t0.freq, phase), (gap, 0)))
+        # P_0's (frequency, phase of the cosine) and each step's; a (0, 0) seed is 1: None
+        first = (tsum.alpha, tsum.beta - Fraction(1, 2))
+        self.seeds = (None if first == (0, 0) else first, (2, 0))
         e, es = (self._seed_err(s) if s else 0.0 for s in self.seeds)
-        grow = es + _MUL_ERR + es * _MUL_ERR if self.seeds[1] else 0.0
+        grow = es + _MUL_ERR + es * _MUL_ERR
         rel = np.empty(len(terms))  # E_k, relative error of P_k
         for k in range(len(terms)):
             rel[k], e = e, e + (1 + e) * grow
@@ -264,14 +256,11 @@ class _Prefixes:
 
 def certify_positive_trig(tsum: TrigSum, interval) -> GridCertificate:
     """Certify (or refute) positivity of tsum on the closed interval, whose
-    ends (floats, Fractions or strings) are read exactly.  tsum must be one
-    progression sum_k c_k g((f_0 + k gap) theta + phase pi), gap of either
-    sign, or ValueError."""
-    return _Prefixes(tsum.terms, interval).certify(len(tsum.terms) - 1)[0]
+    ends (floats, Fractions or strings) are read exactly."""
+    return _Prefixes(tsum, interval).certify(len(tsum.terms) - 1)[0]
 
 
 def certify_partial_sums(tsum: TrigSum, interval) -> list[GridCertificate]:
     """Certificates for every partial sum tsum.terms[:n + 1], from one pass
-    over one grid; each equals certify_positive_trig on its prefix.  tsum
-    must be one progression, as for certify_positive_trig, or ValueError."""
-    return _Prefixes(tsum.terms, interval).certify(0)
+    over one grid; each equals certify_positive_trig on its prefix."""
+    return _Prefixes(tsum, interval).certify(0)

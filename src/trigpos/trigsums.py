@@ -1,15 +1,16 @@
 """The trigonometric sums under study and the case polynomials of the proofs.
 
-A `TrigSum` is a finite sum  sum_k  c_k * g(freq_k * theta + phase_k * pi)
-with g in {sin, cos}, rational frequencies and phases, and coefficients kept
-as rational enclosures.  The case polynomials that the Sturm root counts take
+A `TrigSum` is a sine progression  sum_k  c_k sin((alpha + 2k) theta + beta pi)
+with rational alpha >= 0 and beta and coefficients kept as rational
+enclosures: U_n at (alpha, beta) = (1/3, 1/3) and varsigma_n at (rho, 0).
+The case polynomials that the Sturm root counts take
 are written directly as Chebyshev sums in x = cos t: a sum of c_m cos(m t)
 is  sum c_m T_m(x)  and a sum of c_m sin(m t) is  sin t * sum c_m U_(m-1)(x)
 (cos mt = T_m(cos t), sin(mt) = sin t * U_(m-1)(cos t)), with exact (or
 enclosure) coefficients.
 
 build_U_n and build_varsigma share one growing term list per (mu,
-precision, family), which resumes the coefficient recurrence where it
+precision, alpha), which resumes the coefficient recurrence where it
 stopped, and each term memoises the constants derived from it alone, so
 sums that share a mu share that work.
 
@@ -77,7 +78,7 @@ def _up(x, d: int = 1) -> float:
 
 @dataclass(frozen=True)
 class TrigTerm:
-    """coeff * kind(freq * theta + phase_pi * pi), all parameters rational.
+    """One coefficient of a TrigSum and the frequency it multiplies.
 
     float_bounds, the constants the grid certificate derives from a term
     alone, is memoised on it (outside the fields, so equality and hashing
@@ -86,14 +87,6 @@ class TrigTerm:
 
     coeff: Enclosure
     freq: Fraction
-    phase_pi: Fraction
-    kind: str  # "sin" | "cos"
-
-    def __post_init__(self):
-        if self.kind not in ("sin", "cos"):
-            raise ValueError(f"bad kind {self.kind!r}")
-        if self.freq < 0:
-            raise ValueError("negative frequency")
 
     @cached_property
     def float_bounds(self) -> tuple[float, float, float, float]:
@@ -111,17 +104,29 @@ class TrigTerm:
 
 @dataclass(frozen=True)
 class TrigSum:
+    """sum_k terms[k].coeff sin((alpha + 2k) theta + beta pi): alpha < 0 or
+    a term whose freq is not alpha + 2k raises ValueError."""
+
+    alpha: Fraction
+    beta: Fraction
     terms: tuple[TrigTerm, ...]
 
+    def __post_init__(self):
+        if self.alpha < 0:
+            raise ValueError("negative alpha")
+        a, d = self.alpha.as_integer_ratio()  # alpha + 2k = (a + 2kd)/d in lowest terms
+        if any(t.freq.as_integer_ratio() != (a + 2 * k * d, d) for k, t in enumerate(self.terms)):
+            raise ValueError("not one progression sum_k c_k sin((alpha + 2k) theta + beta pi)")
+
     def eval_mp(self, theta):
-        """Midpoint evaluation at working precision (mpf)."""
+        """Midpoint evaluation at working precision (mpf), as the cosines
+        cos((alpha + 2k) theta + (beta - 1/2) pi) that the grid evaluates."""
         with mp.workdps(working_dps()):
             th = _as_mpf(theta)
+            phase = mp.pi * _as_mpf(self.beta - Fraction(1, 2))
             total = mp.mpf(0)
             for t in self.terms:
-                g = mp.sin if t.kind == "sin" else mp.cos
-                arg = _as_mpf(t.freq) * th + mp.pi * _as_mpf(t.phase_pi)
-                total += _as_mpf(t.coeff.mid) * g(arg)
+                total += _as_mpf(t.coeff.mid) * mp.cos(_as_mpf(t.freq) * th + phase)
             return total
 
     def coeff_err(self) -> Fraction:
@@ -186,19 +191,18 @@ def _as_mu_enclosure(mu) -> Enclosure:
 # ---------------------------------------------------------------------------
 
 
-def _terms(mu, offset: Fraction, phase_pi: Fraction, kind: str, n: int) -> tuple[TrigTerm, ...]:
-    """The terms d_k kind((2k + offset) theta + phase_pi pi), k = 0..n, with
-    d_k = (mu)_k / k!.  One list per (mu, precision, offset, phase, kind)
-    is kept, the _MAX_TERM_LISTS most recently used, and grown on demand by
-    resuming the recurrence from its last coefficient."""
+def _terms(mu, alpha: Fraction, n: int) -> tuple[TrigTerm, ...]:
+    """The terms d_k at frequency 2k + alpha, k = 0..n, with d_k = (mu)_k / k!.
+    One list per (mu, precision, alpha) is kept, the _MAX_TERM_LISTS most
+    recently used, and grown on demand by resuming the recurrence from its
+    last coefficient."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     mu = _as_mu_enclosure(mu)
-    key = (mu.lo, mu.hi, working_dps(), offset, phase_pi, kind)
+    key = (mu.lo, mu.hi, working_dps(), alpha)
     with _TERM_LOCK:  # two threads must not grow one list at once
         coeffs, terms = _TERM_LISTS.pop(key, None) or (_pochhammer(mu), [])
-        terms += (TrigTerm(next(coeffs), 2 * k + offset, phase_pi, kind)
-                  for k in range(len(terms), n + 1))
+        terms += (TrigTerm(next(coeffs), 2 * k + alpha) for k in range(len(terms), n + 1))
         # (re)entered only once grown, so a mu the generator rejects keeps none
         _TERM_LISTS[key] = coeffs, terms
         if len(_TERM_LISTS) > _MAX_TERM_LISTS:
@@ -207,13 +211,15 @@ def _terms(mu, offset: Fraction, phase_pi: Fraction, kind: str, n: int) -> tuple
 
 
 def build_U_n(n: int, mu) -> TrigSum:
-    """sum_{k<=n} d_k cos((2k + 1/3) phi - pi/6) with d_k = (mu)_k / k!."""
-    return TrigSum(_terms(mu, Fraction(1, 3), Fraction(-1, 6), "cos", n))
+    """sum_{k<=n} d_k cos((2k + 1/3) phi - pi/6) with d_k = (mu)_k / k!,
+    that is (alpha, beta) = (1/3, 1/3)."""
+    return TrigSum(Fraction(1, 3), Fraction(1, 3), _terms(mu, Fraction(1, 3), n))
 
 
 def build_varsigma(n: int, rho, mu) -> TrigSum:
-    """sum_{k<=n} d_k sin((2k + rho) theta)."""
-    return TrigSum(_terms(mu, Fraction(rho), Fraction(0), "sin", n))
+    """sum_{k<=n} d_k sin((2k + rho) theta): (alpha, beta) = (rho, 0)."""
+    rho = Fraction(rho)
+    return TrigSum(rho, Fraction(0), _terms(mu, rho, n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, JSON shape, flag handling."""
 
-import dataclasses
 import json
 import os
 import re
@@ -8,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +16,7 @@ from trigpos import cli, engine, trigsums
 from trigpos.cli import main
 from trigpos.exact import Enclosure
 from trigpos.mustar import MuStarResult, mu_star
-from trigpos.trigsums import TrigSum
+from trigpos.trigsums import TrigSum, TrigTerm
 
 REPORT_KEYS = {"case", "inputs", "method", "status", "checks", "reference",
                "wall_time_s"}
@@ -403,16 +403,19 @@ def test_closed_form_n1_refuses_mu_reaching_1():
 
 
 @pytest.mark.parametrize("change", [
-    {"phase_pi": Fraction(1, 6)},
-    {"freq": Fraction(5, 3)},
+    {"beta": Fraction(2, 3)},  # cos(... + pi/6)
+    {"alpha": Fraction(1, 6)},
     {"coeff": Enclosure(Fraction(2, 5), Fraction(2, 5))},
 ])
 def test_closed_form_n1_refuses_another_u1(monkeypatch, change):
     real = cli.build_U_n
 
     def altered(n, mu):
-        first, second = real(n, mu).terms
-        return TrigSum((first, dataclasses.replace(second, **change)))
+        u1 = real(n, mu)
+        alpha = change.get("alpha", u1.alpha)
+        coeffs = (u1.terms[0].coeff, change.get("coeff", u1.terms[1].coeff))
+        return TrigSum(alpha, change.get("beta", u1.beta),
+                       tuple(TrigTerm(c, alpha + 2 * k) for k, c in enumerate(coeffs)))
 
     monkeypatch.setattr(cli, "build_U_n", altered)
     assert cli._check_u1(_mu_2_3()).status == "fail"
@@ -568,11 +571,14 @@ def test_nmax_cap_is_the_grid_term_cap(capsys, monkeypatch):
     assert main(["verify", "thm-2-3", "--nmax", str(cap - 2)]) == 0
     capsys.readouterr()
     assert accepted == [cap - 2]
+    def stand_in(size):  # a sum of placeholder terms, which no TrigSum takes
+        return SimpleNamespace(alpha=Fraction(1, 3), beta=Fraction(1, 3), terms=[None] * size)
+
     with pytest.raises(ValueError, match="below"):
-        engine._Prefixes([None] * cap, (0, 1))
+        engine._Prefixes(stand_in(cap), (0, 1))
     # nmax + 1 placeholders pass the cap and fail only on their first use
     with pytest.raises(AttributeError):
-        engine._Prefixes([None] * (accepted[0] + 1), (0, 1))
+        engine._Prefixes(stand_in(accepted[0] + 1), (0, 1))
 
 
 def _fresh_env() -> dict:

@@ -32,6 +32,9 @@ CASES = {
     "thm-2-3": ["cli", "--trace", "verify", "thm-2-3", "--nmax", "5", "--json"],
     "sweep": ["sweep", "--trace"],
 }
+# what the tracer reads off the built sums (tsum.terms[i].coeff): the terms
+# the wrapped builders return and the largest coefficient endpoint, in bits
+SUM_COUNTS = {"thm-1-3": (4, 168), "thm-2-3": (8, 168), "sweep": (9, 168)}
 
 
 def _aggregate():
@@ -57,6 +60,7 @@ def test_traced_child_yields_every_per_layer_metric(case):
         assert out["exit"] == 0, out["stdout"]
     metrics = _aggregate()([out["spans"]], traced_wall_s=1.0, untraced_wall_s=1.0, cpu_s=0.0)
     assert [name for name in PER_LAYER if name not in metrics] == []
+    assert (metrics["trigsums.terms"], metrics["trigsums.coeff_bits_max"]) == SUM_COUNTS[case]
     if case == "sweep":
         assert metrics["engine.sums"] == len(SWEEP["requests"])
     else:

@@ -325,12 +325,25 @@ def test_exact_mu_gives_single_polynomial():
 
 def test_coeff_err_and_lipschitz():
     enc = Enclosure(F(1, 2), F(3, 5))
-    s = TrigSum((
-        TrigTerm(enc, F(7), F(0), "sin"),
-        TrigTerm(Enclosure.exact(F(-1, 4)), F(2), F(1, 2), "cos"),
+    s = TrigSum(F(5), F(1, 2), (
+        TrigTerm(Enclosure.exact(F(-1, 4)), F(5)),
+        TrigTerm(enc, F(7)),
     ))
     assert s.coeff_err() == (F(3, 5) - F(1, 2)) / 2
-    assert s.lipschitz() == F(3, 5) * 7 + F(1, 4) * 2
+    assert s.lipschitz() == F(1, 4) * 5 + F(3, 5) * 7
+
+
+def test_sums_refuse_negative_alpha_nan_rho_and_terms_off_the_progression():
+    # each is refused where the sum is built, so no grid ever sees it
+    with pytest.raises(ValueError, match="negative alpha"):
+        build_varsigma(3, -1 / 3, F(1, 2))
+    with pytest.raises(ValueError):
+        build_varsigma(3, float("nan"), F(1, 2))
+    u3 = build_U_n(3, F(1, 2))
+    shifted = TrigTerm(u3.terms[2].coeff, u3.terms[2].freq + F(1, 3))
+    with pytest.raises(ValueError, match="one progression"):
+        TrigSum(u3.alpha, u3.beta, (*u3.terms[:2], shifted, u3.terms[3]))
+    assert TrigSum(u3.alpha, u3.beta, u3.terms) == u3
 
 
 def _direct_poch(mu: Fraction, k: int) -> Fraction:
@@ -529,30 +542,32 @@ def test_shared_term_lists_under_threads():
     assert all(tsum == cold[n] for n, tsum in results)
 
 
-def _fresh(terms):
-    """Equal terms that share no object with the given ones."""
-    return tuple(TrigTerm(Enclosure(t.coeff.lo, t.coeff.hi), F(t.freq), F(t.phase_pi), t.kind)
-                 for t in terms)
+def _fresh(tsum):
+    """An equal sum that shares no object with the given one."""
+    return TrigSum(F(tsum.alpha), F(tsum.beta), tuple(
+        TrigTerm(Enclosure(t.coeff.lo, t.coeff.hi), F(t.freq)) for t in tsum.terms))
 
 
 def _eval_direct(tsum, theta):
-    """TrigSum.eval_mp written out, each constant formed in place."""
+    """TrigSum.eval_mp written out, each constant formed in place: the
+    cosines cos((alpha + 2k) theta + (beta - 1/2) pi)."""
     with mp.workdps(working_dps()):
         th = mp.mpf(theta)
+        phase = tsum.beta - F(1, 2)
         total = mp.mpf(0)
-        for t in tsum.terms:
-            g = mp.sin if t.kind == "sin" else mp.cos
-            arg = mp.mpf(t.freq.numerator) / t.freq.denominator * th \
-                + mp.pi * t.phase_pi.numerator / t.phase_pi.denominator
+        for k, t in enumerate(tsum.terms):
+            freq = tsum.alpha + 2 * k
+            arg = mp.mpf(freq.numerator) / freq.denominator * th \
+                + mp.pi * phase.numerator / phase.denominator
             c = t.coeff.mid
-            total += mp.mpf(c.numerator) / c.denominator * g(arg)
+            total += mp.mpf(c.numerator) / c.denominator * mp.cos(arg)
         return total
 
 
 def test_eval_mp_on_shared_terms_is_bit_identical():
     for name, build in SHARED_BUILDS.items():
         shared = build(40)
-        fresh = TrigSum(_fresh(shared.terms))
+        fresh = _fresh(shared)
         assert fresh == shared and hash(fresh.terms) == hash(shared.terms)
         for theta in ("0.001", "0.7", "1.5707963", "3.1"):
             values = {shared.eval_mp(theta), shared.eval_mp(theta), fresh.eval_mp(theta),
@@ -575,6 +590,6 @@ def test_eval_mp_follows_the_precision(monkeypatch):
     at_30 = tsum.eval_mp("0.3")
     monkeypatch.setenv("TRIGPOS_PRECISION", "40")
     at_40 = tsum.eval_mp("0.3")
-    assert at_40 == TrigSum(_fresh(tsum.terms)).eval_mp("0.3") == _eval_direct(tsum, "0.3")
+    assert at_40 == _fresh(tsum).eval_mp("0.3") == _eval_direct(tsum, "0.3")
     with mp.workdps(40):
         assert at_40 != at_30 and abs(at_40 - at_30) < mp.mpf("1e-28")
