@@ -19,17 +19,16 @@ CASE name to a runner of the parsed flags:
                    cannot use (see sturm_case_plan)
     bounds:NAME    one composite bound (1, 2, 31, 32, 33 at --rho, master, or all)
     gegenbauer     ultraspherical cross-checks at fixed inputs: generating
-                   function, argument bound (lambda = 0.24, n <= 50),
-                   Chebyshev specialization, and the Jacobi conversion in
-                   both normalizations
+                   function, argument bound (lambda = 0.24, n <= 50) and
+                   Chebyshev specialization
 
 Exit status: 0 when every sub-check passes, 1 when any sub-check fails or is
 inconclusive, 2 for usage errors: an unknown case or flag, or any flag
 value, whether or not the case reads it, that does not parse or lies out of
 range (rho outside (0, 1], nmax outside 1..999998).  A computation that
 cannot decide at all (an ArithmeticError, such as mu*(rho) below the search
-bracket [1/100, 1] for rho under about 1/150) is inconclusive too: it exits
-1 with one "error:" line in place of the report.
+bracket [1/100, 1] for rho <= 1/170) is inconclusive too: it exits 1 with
+one "error:" line in place of the report.
 
 Every proof and bound check runs on one mu*(rho) enclosure per rho, of
 width mustar.PROOF_WIDTH, and `mustar` prints that enclosure.  Reports
@@ -488,8 +487,7 @@ def run_bounds_case(name: str, rho: Fraction) -> VerificationReport:
 
 
 def run_gegenbauer() -> VerificationReport:
-    from trigpos.gegenbauer import (arg_bound_check, check_jacobi_relation,
-                                    gegenbauer_C, genfunc_check)
+    from trigpos.gegenbauer import arg_bound_check, gegenbauer_C, genfunc_check
 
     checks = []
 
@@ -527,21 +525,6 @@ def run_gegenbauer() -> VerificationReport:
             _status(cheb_ok),
             detail="C_n^1 equals the degree-n second-kind Chebyshev polynomial "
             f"exactly at {len(xs)} sampled rational inputs, n <= 12",
-        )
-    )
-
-    rels = [check_jacobi_relation(n, lam_j, x) for n in (1, 2, 3, 5, 8)
-            for lam_j in (0.24, 0.75, 1.5) for x in (-0.6, 0.3, 0.9)]
-    total = len(rels)
-    std_bad = sum(not rel.standard_agrees for rel in rels)
-    printed_ok = sum(rel.printed_agrees for rel in rels)
-    checks.append(
-        CheckResult(
-            "jacobi-relation",
-            _status(std_bad == 0),
-            value=f"{total - std_bad}/{total} agree",
-            detail=f"sampled: {total} (n, lambda, x), ratio-normalized; the alternative "
-            f"normalization agrees on {printed_ok}/{total} (it reproduces C^(lambda+1/2))",
         )
     )
 

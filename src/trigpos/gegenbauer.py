@@ -15,12 +15,9 @@ imports the other.  Every check here looks at finitely many points:
 
 The three disk scans share one circle scan (_circle_sums) and one search
 for the worst sample (_worst), in which a NaN is the worst.  The
-polynomial evaluators are three-term recurrences in the arithmetic of
+Gegenbauer recurrence and the (a)_k / k! ratios run in the arithmetic of
 their inputs (Fraction stays Fraction, mpf stays mpf), so exactness claims
-are tested without a tolerance.  Of the two Gegenbauer<->Jacobi
-conversions, relation_standard is the one consistent with the recurrences
-and relation_printed a circulating variant off by one half in its index;
-check_jacobi_relation reports which agrees with the direct recurrence.
+are tested without a tolerance.
 """
 
 from __future__ import annotations
@@ -45,24 +42,17 @@ __all__ = [
     "subordination_sector_check",
     "weak_conjecture_check",
     "gegenbauer_C",
-    "jacobi_P",
-    "relation_standard",
-    "relation_printed",
-    "RelationReport",
-    "check_jacobi_relation",
     "genfunc_check",
     "GenFuncReport",
     "ArgBoundReport",
     "arg_bound_check",
 ]
 
-_RELATION_TOL = 1e-12  # relative agreement of a conversion with the recurrence
-
 
 def _ratios(a):
     """Yield (a)_k / k! for k = 0, 1, ... in the arithmetic of a (float, mpf
-    or Fraction; an int gives Fractions), by c_{k+1} = c_k (a + k) / (k + 1)."""
-    c = Fraction(1) if isinstance(a, int) else a - a + 1
+    or Fraction), by c_{k+1} = c_k (a + k) / (k + 1)."""
+    c = a - a + 1
     for k in count():
         yield c
         c = c * (a + k) / (k + 1)
@@ -206,10 +196,6 @@ def weak_conjecture_check(
                           min_real, worst, samples, boundary_diff)
 
 
-def _nth(terms, n: int):
-    return next(islice(terms, n, None))
-
-
 def _gegenbauer_terms(lam, x):
     """Yield C_0^lambda(x), C_1^lambda(x), ... by the three-term recurrence,
     in the arithmetic of the inputs."""
@@ -227,74 +213,7 @@ def gegenbauer_C(n: int, lam, x):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _nth(_gegenbauer_terms(lam, x), n)
-
-
-def jacobi_P(n: int, a, b, x):
-    """P_n^(a,b)(x) by its own three-term recurrence (independent of
-    gegenbauer_C, so the conversion formulas are genuine cross-checks)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    one = x - x + 1
-    if n == 0:
-        return one
-    prev = one
-    cur = (a + 1) * one + (a + b + 2) * (x - 1) / 2
-    for k in range(2, n + 1):
-        s = 2 * k + a + b
-        c1 = 2 * k * (k + a + b) * (s - 2)
-        c2 = (s - 1) * (a * a - b * b)
-        c3 = (s - 1) * s * (s - 2)
-        c4 = 2 * (k + a - 1) * (k + b - 1) * s
-        prev, cur = cur, ((c2 + c3 * x) * cur - c4 * prev) / c1
-    return cur
-
-
-def relation_standard(n: int, lam, x):
-    """C_n^lambda(x) = ((2 lam)_n / (lam + 1/2)_n) * P_n^(lam-1/2, lam-1/2)(x)."""
-    half = Fraction(1, 2) if isinstance(lam, (int, Fraction)) else type(lam)(0.5)
-    return _nth(_ratios(2 * lam), n) / _nth(_ratios(lam + half), n) * jacobi_P(
-        n, lam - half, lam - half, x)
-
-
-def relation_printed(n: int, lam, x):
-    """((2 lam + 1)_n / n!) * P_n^(lam, lam)(x) / P_n^(lam, lam)(1).
-
-    As written this reproduces C_n^(lam + 1/2), not C_n^lambda; it is kept
-    so the discrepancy can be demonstrated rather than asserted.
-    """
-    num = jacobi_P(n, lam, lam, x)
-    den = jacobi_P(n, lam, lam, x - x + 1)
-    return _nth(_ratios(2 * lam + 1), n) * num / den
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    n: int
-    lam: float
-    x: float
-    direct: float
-    standard: float
-    printed: float
-
-    @property
-    def standard_agrees(self) -> bool:
-        return abs(self.direct - self.standard) <= _RELATION_TOL * (1 + abs(self.direct))
-
-    @property
-    def printed_agrees(self) -> bool:
-        return abs(self.direct - self.printed) <= _RELATION_TOL * (1 + abs(self.direct))
-
-
-def check_jacobi_relation(n: int, lam, x) -> RelationReport:
-    """Evaluate both conversion formulas against the direct recurrence."""
-    with mp.workdps(working_dps()):
-        lam_mp = mp.mpf(lam)
-        x_mp = mp.mpf(x)
-        direct = gegenbauer_C(n, lam_mp, x_mp)
-        std = relation_standard(n, lam_mp, x_mp)
-        printed = relation_printed(n, lam_mp, x_mp)
-    return RelationReport(n, float(lam), float(x), float(direct), float(std), float(printed))
+    return next(islice(_gegenbauer_terms(lam, x), n, None))
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ _ONE = Enclosure(Fraction(1), Fraction(1))
 _ZERO = Enclosure(Fraction(0), Fraction(0))
 _MAX_TERMS = 10**6  # the grid certificate's float64 bounds hold below this many terms
 _MAX_TERM_LISTS = 32
-# _terms' key -> (_pochhammer generator, terms), least recently used first
+# _sum's key -> (_pochhammer generator, terms), least recently used first
 _TERM_LISTS: dict = {}
 _TERM_LOCK = threading.Lock()
 
@@ -191,13 +191,14 @@ def _as_mu_enclosure(mu) -> Enclosure:
 # ---------------------------------------------------------------------------
 
 
-def _terms(mu, alpha: Fraction, n: int) -> tuple[TrigTerm, ...]:
-    """The terms d_k at frequency 2k + alpha, k = 0..n, with d_k = (mu)_k / k!.
-    One list per (mu, precision, alpha) is kept, the _MAX_TERM_LISTS most
-    recently used, and grown on demand by resuming the recurrence from its
-    last coefficient."""
+def _sum(alpha: Fraction, beta: Fraction, mu, n: int) -> TrigSum:
+    """The TrigSum (alpha, beta) of the terms d_k at frequency 2k + alpha,
+    k = 0..n, with d_k = (mu)_k / k!.  One term list per (mu, precision,
+    alpha) is kept, the _MAX_TERM_LISTS most recently used, and grown on
+    demand by resuming the recurrence from its last coefficient."""
     if n < 0:
         raise ValueError("order must be nonnegative")
+    TrigSum(alpha, beta, ())  # the type refuses alpha before a term list grows
     mu = _as_mu_enclosure(mu)
     key = (mu.lo, mu.hi, working_dps(), alpha)
     with _TERM_LOCK:  # two threads must not grow one list at once
@@ -207,19 +208,19 @@ def _terms(mu, alpha: Fraction, n: int) -> tuple[TrigTerm, ...]:
         _TERM_LISTS[key] = coeffs, terms
         if len(_TERM_LISTS) > _MAX_TERM_LISTS:
             del _TERM_LISTS[next(iter(_TERM_LISTS))]
-        return tuple(terms[:n + 1])
+        head = tuple(terms[:n + 1])
+    return TrigSum(alpha, beta, head)
 
 
 def build_U_n(n: int, mu) -> TrigSum:
     """sum_{k<=n} d_k cos((2k + 1/3) phi - pi/6) with d_k = (mu)_k / k!,
     that is (alpha, beta) = (1/3, 1/3)."""
-    return TrigSum(Fraction(1, 3), Fraction(1, 3), _terms(mu, Fraction(1, 3), n))
+    return _sum(Fraction(1, 3), Fraction(1, 3), mu, n)
 
 
 def build_varsigma(n: int, rho, mu) -> TrigSum:
     """sum_{k<=n} d_k sin((2k + rho) theta): (alpha, beta) = (rho, 0)."""
-    rho = Fraction(rho)
-    return TrigSum(rho, Fraction(0), _terms(mu, rho, n))
+    return _sum(Fraction(rho), Fraction(0), mu, n)
 
 
 # ---------------------------------------------------------------------------

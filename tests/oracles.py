@@ -45,6 +45,17 @@ and Stegun, Handbook of Mathematical Functions, 22.3.4), with no recurrence:
 
 k = 0..floor(n/2).
 
+jacobi_P_explicit, relation_standard, relation_printed -- the Jacobi
+polynomials from their terminating hypergeometric sum (DLMF 18.5.7), with
+no recurrence,
+
+    P_n^(a,b)(x) = ((a+1)_n / n!) sum_m (-n)_m (n+a+b+1)_m / ((a+1)_m m!) ((1-x)/2)^m,
+
+m = 0..n, and two Gegenbauer->Jacobi conversions built on it: the standard
+one (DLMF 18.7.1), C_n^lam = ((2 lam)_n / (lam + 1/2)_n) P_n^(lam-1/2, lam-1/2),
+and a printed variant, ((2 lam + 1)_n / n!) P_n^(lam,lam)(x) / P_n^(lam,lam)(1),
+which reproduces C_n^(lam + 1/2), not C_n^lam.  Both read an int lam exactly.
+
 closed_form_full_sum -- (1 - z)^(-mu) on the principal branch, the
 n -> infinity limit of the disk partial sums s_n(z) of gegenbauer.partial_sum.
 """
@@ -189,6 +200,24 @@ def rising(a, k):
 def gegenbauer_C_explicit(n, lam, x):
     return sum((-1) ** k * rising(lam, n - k) / (factorial(k) * factorial(n - 2 * k))
                * (2 * x) ** (n - 2 * k) for k in range(n // 2 + 1))
+
+
+def jacobi_P_explicit(n, a, b, x):
+    y = (1 - Fraction(x)) / 2
+    return rising(a + 1, n) / factorial(n) * sum(
+        rising(-n, m) * rising(n + a + b + 1, m) / (rising(a + 1, m) * factorial(m)) * y ** m
+        for m in range(n + 1))
+
+
+def relation_standard(n, lam, x):
+    half = Fraction(1, 2)
+    return rising(2 * lam, n) / rising(lam + half, n) * jacobi_P_explicit(
+        n, lam - half, lam - half, x)
+
+
+def relation_printed(n, lam, x):
+    return (rising(2 * lam + 1, n) / factorial(n) * jacobi_P_explicit(n, lam, lam, x)
+            / jacobi_P_explicit(n, lam, lam, 1))
 
 
 def closed_form_full_sum(mu, z):

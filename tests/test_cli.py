@@ -334,6 +334,16 @@ def test_mu_star_below_the_bracket_is_inconclusive(capsys, argv):
     assert "rho = 1/200" in err and "[1/100, 1]" in err
 
 
+def test_the_bracket_ends_between_rho_1_169_and_1_170(capsys):
+    # mu*(1/169) = 0.01001... still lies in [1/100, 1]; mu*(1/170) does not
+    assert main(["mustar", "1/169"]) == 0
+    out, err = capsys.readouterr()
+    assert "status: PASS" in out and err == ""
+    assert main(["mustar", "1/170"]) == 1
+    assert capsys.readouterr() == ("", "error: cannot enclose mu*(rho) at rho = 1/170: "
+                                   "[1/100, 1] does not straddle a sign change\n")
+
+
 def test_bounds_master_json_shape(capsys):
     assert main(["verify", "bounds:master", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -376,9 +386,6 @@ GEGENBAUER = {
         _check("chebyshev-specialization", "",
                "C_n^1 equals the degree-n second-kind Chebyshev polynomial exactly "
                "at 7 sampled rational inputs, n <= 12"),
-        _check("jacobi-relation", "45/45 agree",
-               "sampled: 45 (n, lambda, x), ratio-normalized; the alternative "
-               "normalization agrees on 0/45 (it reproduces C^(lambda+1/2))"),
     ],
 }
 

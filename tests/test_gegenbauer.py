@@ -1,4 +1,4 @@
-"""Ultraspherical recurrences, conversion formulas, sampled disk scans."""
+"""Ultraspherical recurrences against exact oracles, sampled disk scans."""
 
 import math
 from fractions import Fraction
@@ -9,18 +9,21 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from oracles import closed_form_full_sum, gegenbauer_C_explicit, rising
+from oracles import (
+    closed_form_full_sum,
+    gegenbauer_C_explicit,
+    jacobi_P_explicit,
+    relation_printed,
+    relation_standard,
+    rising,
+)
 from trigpos.gegenbauer import (
     _gegenbauer_terms,
     _ratios,
     arg_bound_check,
-    check_jacobi_relation,
     gegenbauer_C,
     genfunc_check,
-    jacobi_P,
     partial_sum,
-    relation_printed,
-    relation_standard,
     subordination_sector_check,
     weak_conjecture_check,
 )
@@ -50,7 +53,7 @@ def test_lambda_half_is_legendre_exactly():
     # C_n^(1/2) = P_n = P_n^(0,0); both sides in exact rational arithmetic
     for n in range(11):
         for x in XS:
-            assert gegenbauer_C(n, F(1, 2), x) == jacobi_P(n, F(0), F(0), x)
+            assert gegenbauer_C(n, F(1, 2), x) == jacobi_P_explicit(n, F(0), F(0), x)
 
 
 def test_standard_relation_exact():
@@ -71,18 +74,9 @@ def test_printed_relation_is_lambda_plus_half():
         assert got != gegenbauer_C(n, lam, x)
 
 
-def test_check_jacobi_relation_report():
-    rep = check_jacobi_relation(4, 0.75, 0.3)
-    assert rep.standard_agrees
-    assert not rep.printed_agrees
-    assert rep.n == 4 and rep.lam == 0.75 and rep.x == 0.3
-
-
 def test_recurrence_guards():
     with pytest.raises(ValueError):
         gegenbauer_C(-1, F(1), F(0))
-    with pytest.raises(ValueError):
-        jacobi_P(-2, F(0), F(0), F(0))
 
 
 def test_genfunc_agreement_and_tail():

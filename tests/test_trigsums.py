@@ -334,9 +334,12 @@ def test_coeff_err_and_lipschitz():
 
 
 def test_sums_refuse_negative_alpha_nan_rho_and_terms_off_the_progression():
-    # each is refused where the sum is built, so no grid ever sees it
+    # each is refused where the sum is built, so no grid ever sees it, and
+    # before a term list grows or is kept for it
+    before = list(trigsums._TERM_LISTS)
     with pytest.raises(ValueError, match="negative alpha"):
         build_varsigma(3, -1 / 3, F(1, 2))
+    assert list(trigsums._TERM_LISTS) == before
     with pytest.raises(ValueError):
         build_varsigma(3, float("nan"), F(1, 2))
     u3 = build_U_n(3, F(1, 2))
