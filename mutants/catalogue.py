@@ -24,6 +24,7 @@ ENGINE = "src/trigpos/engine.py"
 QUADRATURE = "src/trigpos/quadrature.py"
 TRIGSUMS = "src/trigpos/trigsums.py"
 MUSTAR = "src/trigpos/mustar.py"
+PRECISION = "src/trigpos/precision.py"
 
 MUTANTS = (
     Mutant("coefficient-half-width", ENGINE,
@@ -97,4 +98,9 @@ MUTANTS = (
            (), pins=("tests/test_cli.py::test_bounds_all_report_is_pinned",
                      "tests/test_cli.py::test_proof_report_is_pinned[thm-1-3]"),
            expect="pinned only"),
+    Mutant("iv-ends-rounded-to-mp", PRECISION,
+           "return tuple(mp.make_mpf(end) for end in x._mpi_)",
+           "return mp.mpf(x.a), mp.mpf(x.b)",
+           ("tests/test_trigsums.py::test_iv_ends_are_exact_at_any_mp_precision",
+            "tests/test_trigsums.py::test_outward_bounds_lie_on_their_side")),
 )

@@ -510,8 +510,8 @@ def run_gegenbauer() -> VerificationReport:
             "argument-bound",
             _status(rep.passed),
             value=f"max |arg| {rep.max_abs_arg:.6f}",
-            detail=f"sampled disk: lambda = {rep.lam:g}, n <= {rep.n_max}, threshold pi/3 = "
-            f"{rep.threshold:.6f}; worst at n={rep.worst.n}, x={rep.worst_x:g}",
+            detail=f"sampled disk: lambda = {_GEGENBAUER_LAM:g}, n <= {_GEGENBAUER_NMAX}, "
+            f"threshold pi/3 = {rep.threshold:.6f}; worst at n={rep.worst.n}, x={rep.worst_x:g}",
         )
     )
 

@@ -49,10 +49,10 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import iv
-from mpmath.libmp import dps_to_prec, mpf_shift, to_int
+from mpmath.libmp import dps_to_prec
 
 from trigpos.exact import _as_fraction
-from trigpos.precision import iv_dps, working_dps
+from trigpos.precision import _iv_ends, iv_dps, working_dps
 from trigpos.trigsums import _MAX_TERMS, TrigSum, _up
 
 __all__ = [
@@ -119,10 +119,10 @@ class _Prefixes:
         # per term: the float midpoint and upper bounds on max|c_k| f_k^2,
         # the half-width and |float midpoint - midpoint| (TrigTerm.float_bounds)
         self.coeffs, m2, half, rounding = np.array([t.float_bounds for t in terms]).T
-        # P_0's (frequency, phase of the cosine) and each step's; a (0, 0) seed is 1: None
+        # P_0's (frequency, phase of the cosine) and each step's
         first = (tsum.alpha, tsum.beta - Fraction(1, 2))
-        self.seeds = (None if first == (0, 0) else first, (2, 0))
-        e, es = (self._seed_err(s) if s else 0.0 for s in self.seeds)
+        self.seeds = (first, (2, 0))
+        e, es = map(self._seed_err, self.seeds)
         grow = es + _MUL_ERR + es * _MUL_ERR
         rel = np.empty(len(terms))  # E_k, relative error of P_k
         for k in range(len(terms)):
@@ -138,11 +138,10 @@ class _Prefixes:
 
     def values(self, theta, n_hi: int):
         """Yield (k, float S_k at theta) for k = 0..n_hi; S_k is overwritten."""
-        p, s = np.ones((2, len(theta)), complex)  # P_0 and the step; a None seed is 1
-        for seed, out in zip(self.seeds, (p, s)):
-            if seed:
-                x = float(seed[0]) * theta + float(seed[1]) * math.pi
-                out.real, out.imag = np.cos(x), np.sin(x)
+        p, s = np.empty((2, len(theta)), complex)  # P_0 and the step
+        for (f, phase), out in zip(self.seeds, (p, s)):
+            x = float(f) * theta + float(phase) * math.pi
+            out.real, out.imag = np.cos(x), np.sin(x)
         acc = np.zeros(len(theta))
         for k in range(n_hi + 1):
             if k:
@@ -230,13 +229,11 @@ class _Prefixes:
         within r of 2^p s (_seed_box); a product floors both parts (error
         below 2) and scales the earlier error by |seed| <= 2^p + r, so
         E_k = E_(k-1) + ceil(E_(k-1) r 2^-p) + r + 2."""
-        first, step = (self._seed_box(seed, theta, p) if seed else None for seed in self.seeds)
+        first, step = (self._seed_box(seed, theta, p) for seed in self.seeds)
         x, y, e = 1 << p, 0, 0
-        for box in [first] + [step] * n:
-            if box:
-                c, s, r = box
-                x, y = (x * c - y * s) >> p, (x * s + y * c) >> p
-                e += (e * r >> p) + r + 3
+        for c, s, r in [first] + [step] * n:
+            x, y = (x * c - y * s) >> p, (x * s + y * c) >> p
+            e += (e * r >> p) + r + 3
             yield x, e
 
     @staticmethod
@@ -248,8 +245,8 @@ class _Prefixes:
         with iv_dps(working_dps() + 15):
             arg = iv.mpf(theta) * f.numerator / f.denominator \
                 + iv.pi * phase.numerator / phase.denominator
-            (cl, ch), (sl, sh) = ([int(to_int(mpf_shift(end, p), rnd))
-                                   for end, rnd in zip(v._mpi_, "fc")] for v in iv.cos_sin(arg))
+            ends = [[_as_fraction(end) * 2**p for end in _iv_ends(v)] for v in iv.cos_sin(arg)]
+        (cl, ch), (sl, sh) = ((math.floor(lo), math.ceil(hi)) for lo, hi in ends)
         c, s = (cl + ch) >> 1, (sl + sh) >> 1
         return c, s, ch - c + sh - s
 

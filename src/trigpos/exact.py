@@ -2,8 +2,9 @@
 
 Everything here is exact: coefficients are integers or `fractions.Fraction`,
 sign evaluations go through integer arithmetic, and a root count is the true
-count of distinct real roots -- there is no floating point anywhere in this
-module.
+count of distinct real roots.  No arithmetic here is floating point: a float
+or an mpmath mpf input is read by its binary value, through _as_fraction,
+the package's one reader of an mpf's bits.
 
 Sturm chains, gcds and squarefree parts run on integer coefficient lists,
 along Collins' primitive polynomial remainder sequence.  A polynomial is
@@ -331,11 +332,9 @@ class Enclosure:
         return (-self) + other
 
     def __mul__(self, other) -> "Enclosure":
-        if not isinstance(other, Enclosure):  # an exact scalar: two products
-            s = other if isinstance(other, (int, Fraction)) else _as_fraction(other)
-            lo, hi = self.lo * s, self.hi * s
-            return Enclosure(lo, hi) if s >= 0 else Enclosure(hi, lo)
-        products = [self.lo * other.lo, self.lo * other.hi,
-                    self.hi * other.lo, self.hi * other.hi]
-        return Enclosure(min(products), max(products))
+        """self times an exact scalar; an Enclosure raises TypeError
+        (_as_fraction reads no Enclosure)."""
+        s = other if isinstance(other, (int, Fraction)) else _as_fraction(other)
+        lo, hi = self.lo * s, self.hi * s
+        return Enclosure(lo, hi) if s >= 0 else Enclosure(hi, lo)
 

@@ -81,10 +81,6 @@ class DiskSample:
 
 @dataclass(frozen=True)
 class SectorReport:
-    rho: float
-    mu: float
-    n_max: int
-    r_values: tuple[float, ...]
     threshold: float
     max_abs_arg: float
     worst: DiskSample
@@ -98,10 +94,6 @@ class SectorReport:
 
 @dataclass(frozen=True)
 class WeakFormReport:
-    rho: float
-    mu: float
-    n_max: int
-    r_values: tuple[float, ...]
     min_real: float
     worst: DiskSample
     samples: int
@@ -158,8 +150,7 @@ def subordination_sector_check(
     rho_f, mu_f = float(rho), float(mu)
     (worst,), samples = _worst(list(islice(_ratios(mu_f), n_max + 1)), rho_f, r_values,
                                np.linspace(1e-4, math.pi, n_theta), lambda w: np.abs(np.angle(w)))
-    return SectorReport(rho_f, mu_f, n_max, tuple(float(r) for r in r_values),
-                        rho_f * math.pi / 2, worst.arg, worst, samples)
+    return SectorReport(rho_f * math.pi / 2, worst.arg, worst, samples)
 
 
 def weak_conjecture_check(
@@ -192,8 +183,7 @@ def weak_conjecture_check(
                     lhs = mp.re(mp.power(1 - z, mp.mpf(1) / 3) * partial_sum(mu_f, n, z))
                     rhs = (2 * mp.sin(phi)) ** (mp.mpf(1) / 3) * cos_sum.eval_mp(phi)
                     boundary_diff = max(boundary_diff, float(abs(lhs - rhs)))
-    return WeakFormReport(rho_f, mu_f, n_max, tuple(float(r) for r in r_values),
-                          min_real, worst, samples, boundary_diff)
+    return WeakFormReport(min_real, worst, samples, boundary_diff)
 
 
 def _gegenbauer_terms(lam, x):
@@ -218,9 +208,6 @@ def gegenbauer_C(n: int, lam, x):
 
 @dataclass(frozen=True)
 class GenFuncReport:
-    lam: float
-    x: float
-    z: complex
     series: complex
     closed: complex
     tail_bound: float
@@ -265,14 +252,11 @@ def genfunc_check(lam, x, z, tol: float = 1e-14) -> GenFuncReport:
                 if tail < tol:
                     break
             zk *= z_mp
-        return GenFuncReport(float(lam), float(x), complex(z_mp), complex(total),
-                             complex(closed), float(tail), k + 1)
+        return GenFuncReport(complex(total), complex(closed), float(tail), k + 1)
 
 
 @dataclass(frozen=True)
 class ArgBoundReport:
-    lam: float
-    n_max: int
     threshold: float
     max_abs_arg: float
     min_abs_value: float
@@ -306,5 +290,5 @@ def arg_bound_check(
     # the first x with the largest |arg|, as in (x, r, n, theta) order; a NaN wins
     i = int(np.argmax([w.arg for w in by_arg]))
     worst = by_arg[i]
-    return ArgBoundReport(lam_f, n_max, math.pi / 3, worst.arg,
+    return ArgBoundReport(math.pi / 3, worst.arg,
                           -float(np.max([w.arg for w in by_abs])), samples, worst, x_values[i])

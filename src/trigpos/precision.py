@@ -5,7 +5,8 @@ default of 30 keeps roughly 15 guard digits beyond the 10--13 digits the
 certified constants are quoted to; the ``TRIGPOS_PRECISION`` environment
 variable overrides it (floor of 20, the digits mustar.PROOF_WIDTH needs); a
 value that is not an integer raises ValueError.  _as_mpf is the one
-conversion of a point to an mpf for evaluation at the current precision.
+conversion of a point to an mpf for evaluation at the current precision,
+and _iv_ends the one reader of an mpmath.iv interval's exact endpoints.
 """
 
 import os
@@ -45,3 +46,9 @@ def _as_mpf(v):
     """v rounded once to an mpf at the current mp precision: a Fraction as
     its quotient, anything else as mp.mpf reads it (mpf, int, float, str)."""
     return mp.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else mp.mpf(v)
+
+
+def _iv_ends(x):
+    """(lo, hi), the exact endpoints of the mpmath.iv interval x as mpfs,
+    not rounded to the current mp precision."""
+    return tuple(mp.make_mpf(end) for end in x._mpi_)

@@ -39,8 +39,8 @@ from fractions import Fraction
 
 from mpmath import iv, mp
 
-from trigpos.exact import Enclosure
-from trigpos.precision import iv_dps, working_dps
+from trigpos.exact import Enclosure, _as_fraction
+from trigpos.precision import _iv_ends, iv_dps, working_dps
 
 __all__ = [
     "QuadResult",
@@ -88,7 +88,7 @@ def _as_iv(v):
 
 def _mid_rad(enc):
     """(midpoint, radius rounded up) of an mpmath.iv interval."""
-    lo, hi = (mp.make_mpf(end) for end in enc._mpi_)
+    lo, hi = _iv_ends(enc)
     value = (lo + hi) / 2
     return value, max(mp.fsub(hi, value, rounding="u"), mp.fsub(value, lo, rounding="u"))
 
@@ -134,9 +134,11 @@ def _evaluate(kind: str, eta, mu, x):
         (mu, d_mu), (x, d_x) = _mid_rad(mu_box), _mid_rad(x_box)
         dps += int(mp.ceil(x / mp.ln(10)))
     with mp.workdps(dps), iv_dps(dps):
-        # at p bits both shifts are non-negative: xf and m are x and mu exactly
-        p = max(mp.prec + 8, -x._mpf_[2], -mu._mpf_[2])
-        xf, m = (v._mpf_[1] << (v._mpf_[2] + p) for v in (x, mu))
+        # x and mu are binary fractions, over 2^k with k the bit length of the
+        # denominator less 1, so at p >= k bits xf and m are x and mu exactly
+        xq, mq = _as_fraction(x), _as_fraction(mu)
+        p = max(mp.prec + 8, *(v.denominator.bit_length() - 1 for v in (xq, mq)))
+        xf, m = (int(v * 2**p) for v in (xq, mq))
         eps = (1 << p) // 10 ** (working_dps() + 12)
         s, c = (iv.ldexp(iv.mpf([t - e, t + e]), -p)
                 for t, e in (_alternating_sum(k, m, xf, p, eps) for k in (1, 0)))

@@ -31,7 +31,7 @@ from fractions import Fraction
 from mpmath import iv, mp
 
 from trigpos.exact import Enclosure, Polynomial, _as_fraction, count_roots_in, sturm_chain
-from trigpos.precision import _as_mpf, iv_dps, working_dps
+from trigpos.precision import _as_mpf, _iv_ends, iv_dps, working_dps
 
 __all__ = [
     "TrigTerm",
@@ -333,7 +333,7 @@ def _outward(value_fn, below: bool) -> Fraction:
     """
     with iv_dps(working_dps() + 15):
         enc = value_fn()
-    return _as_fraction(mp.make_mpf(enc._mpi_[0 if below else 1]))
+    return _as_fraction(_iv_ends(enc)[0 if below else 1])
 
 
 Q_STURM = ("q1", "q2", "q3", "q3-derived")  # rho = 1/3: exact coefficients, no exponent

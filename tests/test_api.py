@@ -8,8 +8,10 @@ only users sit outside the package, each with its reason; methods are keyed
 as `Class.method`.  Dunder methods, which operators and the runtime call,
 must each be called by one of the CLI's cases.  Two module boundaries are
 kept too: proofs apart from sampled estimates, and the Sturm plan the sole
-owner of its target names.  And one conversion route: no module branches on
-the type of an mpmath number by hand.
+owner of its target names.  And one reader per mpmath number format:
+exact._as_fraction alone reads an mpf's bits, precision._iv_ends alone an
+iv interval's ends, and no module branches on the type of an mpmath number
+by hand.
 """
 
 import ast
@@ -217,25 +219,42 @@ def test_the_sturm_plan_alone_names_its_targets():
     assert not re.findall(r"\bcli\.\w+", source), "trigsums refers to the CLI"
 
 
-def _mpmath_type_branches(module: str, node, func: str = "") -> list[str]:
-    """`module.py:line` of every hasattr(v, "_mpi_") or hasattr(v, "_mpf_")
-    at or below node, outside exact._as_fraction."""
+# each part of an mpmath number's raw format and the one function that may
+# read it, (module, function), or None where none may
+FORMAT_READERS = {
+    "_mpf_": ("exact", "_as_fraction"),
+    "_mpi_": ("precision", "_iv_ends"),
+    "make_mpf": ("precision", "_iv_ends"),
+    "mpf_shift": None,
+    "to_int": None,
+}
+
+
+def _format_reads(module: str, node, func: str = "") -> list[str]:
+    """`module.py:line` of every name, attribute, string or imported name at
+    or below node that reads an mpmath number's raw format outside its one
+    reader (FORMAT_READERS), and of every use of mpmath.libmp but the import
+    of dps_to_prec."""
     if isinstance(node, _DEFS):
         func = node.name
-    hits = []
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "hasattr" and len(node.args) == 2
-            and isinstance(node.args[1], ast.Constant) and node.args[1].value in ("_mpi_", "_mpf_")
-            and (module, func) != ("exact", "_as_fraction")):
-        hits.append(f"{module}.py:{node.lineno}")
+    word = (node.attr if isinstance(node, ast.Attribute) else
+            node.id if isinstance(node, ast.Name) else
+            node.name if isinstance(node, ast.alias) else
+            node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else "")
+    libmp = word == "libmp" or word.startswith("mpmath.libmp") or (
+        isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mpmath.libmp")
+        and (node.module, [a.name for a in node.names]) != ("mpmath.libmp", ["dps_to_prec"]))
+    hits = [f"{module}.py:{node.lineno}"] if libmp or (
+        word in FORMAT_READERS and FORMAT_READERS[word] != (module, func)) else []
     for child in ast.iter_child_nodes(node):
-        hits += _mpmath_type_branches(module, child, func)
+        hits += _format_reads(module, child, func)
     return hits
 
 
 def test_one_conversion_route_for_mpmath_numbers():
     # quadrature._as_iv reads every argument as an iv box and
     # precision._as_mpf every point; exact._as_fraction alone reads an mpf's
-    # bits, as the exact layer imports no mpmath
-    found = [hit for module, tree in TREES.items() for hit in _mpmath_type_branches(module, tree)]
-    assert not found, f"hand-rolled mpmath type branches: {found}"
+    # bits, as the exact layer imports no mpmath, and precision._iv_ends
+    # alone an iv interval's ends
+    found = sorted({hit for module, tree in TREES.items() for hit in _format_reads(module, tree)})
+    assert not found, f"mpmath formats read outside their one reader: {found}"

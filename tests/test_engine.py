@@ -122,9 +122,10 @@ def test_certified_sums_are_actually_positive():
 
 def test_hostile_sums_below_eval_err_are_never_certified():
     # 1 - cos(2 theta) has a double zero on the grid node theta = 0.  The
-    # proven eval_err there is 1.9e-15, so a shift of 1e-14 is above it, but
+    # proven eval_err there is 3.7e-15, so a shift of 1e-14 is above it, but
     # the curvature term keeps +1e-14 uncertified until the node budget runs
-    # out (inconclusive); -1e-14 is refuted at its witness
+    # out (inconclusive); -1e-14 lies above the refutation gate -4 eval_err,
+    # so it ends inconclusive too
     for shift in (F(0), F(1, 10**14), F(-1, 10**14)):
         s = _sum(1 + shift, -1)
         cert = certify_positive_trig(s, (F(-1, 4), F(1, 4)))
@@ -276,11 +277,10 @@ def _exact_prefix_bounds(tsum, prefixes):
         ph = tsum.beta - F(1, 2)  # the sine as a cosine
         step = (t.freq - f_prev, ph - ph_prev)
         f_prev, ph_prev = t.freq, ph
-        if step != (0, 0):
-            g, d = float(step[0]), float(step[1]) * math.pi
-            es = seed_err + abs(F(g) - step[0]) * big \
-                + F(2.01) * u * abs(F(g)) * big + 5 * u * abs(F(d))
-            e = es if k == 0 else e + (1 + e) * (es + mul + es * mul)
+        g, d = float(step[0]), float(step[1]) * math.pi
+        es = seed_err + abs(F(g) - step[0]) * big \
+            + F(2.01) * u * abs(F(g)) * big + 5 * u * abs(F(d))
+        e = es if k == 0 else e + (1 + e) * (es + mul + es * mul)
         a = c * (1 + e) * (1 + u)  # term k passes n - k + 1 additions
         s1, s2, s3 = s1 + a, s2 + k * a, s3 + c * (e + u * (1 + e))
         fp = ((k + 1) * s1 - s2) * u / (1 - (k + 1) * u) + s3

@@ -14,9 +14,9 @@ import pytest
 from mpmath import iv, mp
 
 from oracles import chebyshev_T_coeffs, chebyshev_U_coeffs, poly_add, poly_mul, rational_poch_table
-from trigpos.exact import Enclosure, Polynomial
+from trigpos.exact import Enclosure, Polynomial, _as_fraction
 from trigpos.mustar import mu_star
-from trigpos.precision import working_dps
+from trigpos.precision import _iv_ends, iv_dps, working_dps
 from trigpos.trigsums import (
     MU_STURM,
     Q_STURM,
@@ -417,19 +417,32 @@ def test_exact_mu_coefficients_are_never_rounded():
 
 
 def test_outward_bounds_lie_on_their_side():
-    with mp.workdps(80):
-        for fn, exact, below in (
-            (lambda: iv.cos(7 * iv.pi / 24) ** 2, mp.cos(7 * mp.pi / 24) ** 2, True),
-            (lambda: iv.cos(2 * iv.pi / 9) ** 2, mp.cos(2 * mp.pi / 9) ** 2, False),
-            (lambda: iv.cos(7 * iv.pi / 27), mp.cos(7 * mp.pi / 27), False),
-            (lambda: iv.cos(iv.pi / 5), mp.cos(mp.pi / 5), True),
-        ):
-            saved = iv.prec
+    # _outward runs at mpmath's default 15 digits, as the CLI's Sturm plan
+    # does, so a reader that rounds iv's ends to mp's precision shows; the
+    # true values are taken at 80
+    for fn, exact, below in (
+        (lambda: iv.cos(7 * iv.pi / 24) ** 2, lambda: mp.cos(7 * mp.pi / 24) ** 2, True),
+        (lambda: iv.cos(2 * iv.pi / 9) ** 2, lambda: mp.cos(2 * mp.pi / 9) ** 2, False),
+        (lambda: iv.cos(7 * iv.pi / 27), lambda: mp.cos(7 * mp.pi / 27), False),
+        (lambda: iv.cos(iv.pi / 5), lambda: mp.cos(mp.pi / 5), True),
+    ):
+        saved = iv.prec
+        with mp.workdps(15):
             bound = _outward(fn, below)
-            assert iv.prec == saved
-            gap = mp.mpf(bound.numerator) / bound.denominator - exact
+        assert iv.prec == saved
+        with mp.workdps(80):
+            gap = mp.mpf(bound.numerator) / bound.denominator - exact()
             assert (gap < 0) if below else (gap > 0)
             assert abs(gap) < mp.mpf("1e-40")
+
+
+def test_iv_ends_are_exact_at_any_mp_precision():
+    # a 1e-50 wide interval at 60 iv digits keeps two ends at mp's 15 digits
+    with iv_dps(60):
+        x = iv.mpf(1) / 3 + iv.mpf([0, mp.mpf("1e-50")])
+    with mp.workdps(15):
+        lo, hi = map(_as_fraction, _iv_ends(x))
+    assert lo <= F(1, 3) < hi < lo + F(2, 10**50)
 
 
 # ---------------------------------------------------------------------------
