@@ -69,6 +69,11 @@ MUTANTS = (
            "if abs(res.value) > res.err:",
            "if res.value != 0:",
            ("tests/test_mustar.py::test_verified_sign_needs_zero_outside_the_enclosure",)),
+    Mutant("narrow-without-straddle-check", MUSTAR,
+           "if not vals[0] < 0 < vals[1]:",
+           "if False:",
+           ("tests/test_mustar.py::test_a_wrong_estimate_falls_back_to_the_full_bracket",
+            "tests/test_cli.py::test_the_bracket_ends_between_rho_1_169_and_1_170")),
     Mutant("seed-error-zero", ENGINE,
            "_SEED_ERR = 8 * _U",
            "_SEED_ERR = 0",

@@ -63,13 +63,14 @@ __all__ = [
     "small_angle_constant",
     "L_region",
     "two_thirds_master_bound",
-    "scan_neighborhood",
     "REGIONS",
+    "SCAN_RHOS",
 ]
 
 REGIONS = ("1", "2", "31", "32", "33")
-# the rho scan_neighborhood samples: 1/3 + k/200 for k = -2..2
-_SCAN_RHOS = tuple(Fraction(1, 3) + Fraction(k, 200) for k in range(-2, 3))
+# the rho of the region-bound scan, 1/3 + k/200 for k = -2..2: it samples the
+# bounds' continuity in rho at five points and proves nothing between them
+SCAN_RHOS = tuple(Fraction(1, 3) + Fraction(k, 200) for k in range(-2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +313,3 @@ def two_thirds_master_bound(mu=None) -> BoundReport:
                  - comps["tau_tail"] - comps["delta_tail"])
         return _report("master(2/3)", rho, total, comps)
 
-
-def scan_neighborhood(region) -> list[BoundReport]:
-    """L_region at each rho of _SCAN_RHOS, in ascending rho.
-
-    Samples the continuity-in-rho behaviour of the composite bounds at five
-    points and proves nothing between them.  Each point gets L_region's
-    default exponent, its own critical-exponent enclosure at PROOF_WIDTH,
-    so the middle report is L_region(region) at rho = 1/3.
-    """
-    return [L_region(region, rho=rho) for rho in _SCAN_RHOS]

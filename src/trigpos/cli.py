@@ -55,10 +55,10 @@ from mpmath import iv, mp
 
 from trigpos.bounds import (
     REGIONS,
+    SCAN_RHOS,
     L_region,
     p_decreasing,
     q_decreasing,
-    scan_neighborhood,
     small_angle_constant,
     two_thirds_master_bound,
     u1_closed_form,
@@ -352,8 +352,8 @@ def _check_prop_constants(mu_enc: Enclosure) -> list[CheckResult]:
         ]
 
 
-def _check_master() -> CheckResult:
-    rep = two_thirds_master_bound()  # on the PROOF_WIDTH enclosure of mu*(2/3)
+def _check_master(mu_enc: Enclosure) -> CheckResult:
+    rep = two_thirds_master_bound(mu_enc)  # on the PROOF_WIDTH enclosure of mu*(2/3)
     with mp.workdps(working_dps()):
         diff = abs(rep.value - mp.mpf(MASTER_REFERENCE))
         ok = rep.positive and rep.value - rep.err > MASTER_MIN and diff <= MASTER_TOL
@@ -374,7 +374,7 @@ def run_thm_2_3(nmax: int) -> VerificationReport:
     for target in sturm_case_plan(tight, MU_STURM):
         checks.append(_sturm_check(target, gate_all_points=False))
     checks.extend(_check_prop_constants(tight))
-    checks.append(_check_master())
+    checks.append(_check_master(tight))
     checks.append(_grid_check("grid-U", build_U_n(nmax, tight), _GRID_U, "phi"))
     return VerificationReport(
         case="thm-2-3",
@@ -411,12 +411,13 @@ def _bound_check(check_id: str, rep) -> CheckResult:
 
 def run_thm_1_3(nmax: int) -> VerificationReport:
     rho = Fraction(1, 3)
-    tight = mu_star(rho, width=PROOF_WIDTH).enclosure
+    nus = {r: mu_star(r, width=PROOF_WIDTH).enclosure for r in SCAN_RHOS}
+    tight = nus[rho]
     checks = []
     for target in sturm_case_plan(None, Q_STURM):
         checks.append(_sturm_check(target, gate_all_points=True))
     # each region's bound at rho is the centre report of its scan
-    scanned = [scan_neighborhood(region) for region in REGIONS]
+    scanned = [[L_region(region, rho=r, nu=nus[r]) for r in SCAN_RHOS] for region in REGIONS]
     for region, reports in zip(REGIONS, scanned):
         checks.append(_bound_check(f"bound-{region}", reports[len(reports) // 2]))
 
@@ -472,11 +473,14 @@ def run_sturm_case(name: str) -> VerificationReport:
 def run_bounds_case(name: str, rho: Fraction) -> VerificationReport:
     checks = []
     names = BOUND_NAMES if name == "all" else (name,)
-    for n in names:
+    # the regions run at --rho and master at 2/3: one enclosure per distinct rho
+    rhos = [Fraction(2, 3) if n == "master" else rho for n in names]
+    nus = {r: mu_star(r, width=PROOF_WIDTH).enclosure for r in dict.fromkeys(rhos)}
+    for n, r in zip(names, rhos):
         if n == "master":
-            checks.append(_check_master())
+            checks.append(_check_master(nus[r]))
         else:
-            checks.append(_bound_check(f"bound-{n}", L_region(n, rho=rho)))
+            checks.append(_bound_check(f"bound-{n}", L_region(n, rho=r, nu=nus[r])))
     return VerificationReport(
         case=f"bounds:{name}",
         inputs={"region": name, "rho": str(rho)},

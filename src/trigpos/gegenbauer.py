@@ -227,8 +227,7 @@ def genfunc_check(lam, x, z, tol: float = 1e-14) -> GenFuncReport:
     is truncated once that proven tail drops below tol.
     """
     with mp.workdps(working_dps() + 10):
-        lam_mp = mp.mpf(lam)
-        x_mp = mp.mpf(x)
+        lam_mp, x_mp = _as_mpf(lam), _as_mpf(x)
         z_mp = mp.mpc(z)
         r = abs(z_mp)
         # each guard negates what it requires, so a NaN fails it

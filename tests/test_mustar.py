@@ -88,15 +88,6 @@ def test_invalid_inputs():
         defect_integral(F(-1, 3), mp.mpf("0.5"))
 
 
-def test_cache_returns_identical_object():
-    mustar._CACHE.clear()
-    a = mu_star(F(2, 3), width=F(1, 10**6))
-    b = mu_star(F(2, 3), width=F(1, 10**6))
-    assert a is b
-    c = mu_star(F(2, 3), width=F(1, 10**7))
-    assert c is not a and c.enclosure.width <= F(1, 10**7)
-
-
 ORACLE_RHOS = [F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(97, 300), F(103, 300)]
 
 
@@ -123,13 +114,12 @@ def test_enclosure_straddles_the_oracle_sign_change(rho, width):
 ], ids=["far-off-root", "nan", "no-sign-change"])
 @pytest.mark.parametrize("width", [F(1, 10**9), F(1, 10**20)])
 def test_a_wrong_estimate_falls_back_to_the_full_bracket(monkeypatch, estimate, width):
-    # the seeded bracket is kept only when both its ends have verified signs
-    monkeypatch.setattr(mustar, "_CACHE", {})
+    # the name keeps the retry from [1/100, 1] that the search once fell back
+    # to; the seeded bracket is now the one route, kept only when both its
+    # ends have verified signs, so a wrong estimate fails the search
     monkeypatch.setattr(mustar, "_estimate", estimate)
-    res = mu_star(F(2, 3), width=width)
-    assert res.route == "full bracket"
-    assert res.enclosure.width <= width
-    assert_straddles_the_oracle(F(2, 3), res.enclosure)
+    with pytest.raises(ArithmeticError, match=r"^cannot enclose mu\*\(rho\) at rho = 2/3: "):
+        mu_star(F(2, 3), width=width)
 
 
 # the ids keep the names from when each search also took the midpoint defect,
@@ -140,15 +130,13 @@ def test_a_wrong_estimate_falls_back_to_the_full_bracket(monkeypatch, estimate, 
 ])
 @pytest.mark.parametrize("rho", ORACLE_RHOS)
 def test_seeded_search_takes_few_integrals(monkeypatch, rho, width, most):
-    # the verified ends of the seeded bracket and any probes between them;
-    # the full bracket takes 12 or 13
+    # the verified ends of the seeded bracket and any probes between them
     calls = []
 
     def counted(*args):
         calls.append(args)
         return defect_integral(*args)
 
-    monkeypatch.setattr(mustar, "_CACHE", {})
     monkeypatch.setattr(mustar, "defect_integral", counted)
     res = mu_star(rho, width=width)
     assert res.route == "estimate-seeded"
@@ -210,15 +198,14 @@ def test_defect_reads_mu_as_a_box():
 
 @pytest.mark.parametrize("rho", [F(1, 3), F(2, 3)])
 def test_false_position_evaluation_count(monkeypatch, rho):
-    # plain bisection to width 1e-20 takes over 70 integrals; the loop from
-    # the full bracket 12 or 13, from the seeded bracket about 5
+    # plain bisection to width 1e-20 takes over 70 integrals; false position
+    # from the seeded bracket about 5
     calls = []
 
     def counted(*args):
         calls.append(args)
         return defect_integral(*args)
 
-    monkeypatch.setattr(mustar, "_CACHE", {})
     monkeypatch.setattr(mustar, "defect_integral", counted)
     mu_star(rho, width=F(1, 10**20))
     assert len(calls) <= 20
@@ -232,12 +219,11 @@ def test_enclosure_stays_inside_the_bracket(rho, width):
     assert enc.width <= width
 
 
-def test_enclosure_ignores_the_callers_precision(monkeypatch):
-    # the cache key holds the working precision only, so mp.dps must not
-    # steer the probes
+def test_enclosure_ignores_the_callers_precision():
+    # mu_star reads the working precision only, so mp.dps must not steer
+    # the probes
     enclosures = []
     for dps in (15, 30):
-        monkeypatch.setattr(mustar, "_CACHE", {})
         with mp.workdps(dps):
             enclosures.append(mu_star(F(2, 3), width=F(1, 10**20)).enclosure)
     assert enclosures[0] == enclosures[1]
