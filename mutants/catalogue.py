@@ -69,6 +69,11 @@ MUTANTS = (
            "if abs(res.value) > res.err:",
            "if res.value != 0:",
            ("tests/test_mustar.py::test_verified_sign_needs_zero_outside_the_enclosure",)),
+    Mutant("rho-box-upper-end", MUSTAR,
+           "if not (0 < rho.a and rho.b <= 1):",
+           "if not (0 < rho.a and rho.a <= 1):",
+           ("tests/test_mustar.py::test_defect_refuses_a_rho_box_leaving_the_range[past-1]",
+            "tests/test_mustar.py::test_defect_refuses_a_rho_box_leaving_the_range[iv-past-1]")),
     Mutant("narrow-without-straddle-check", MUSTAR,
            "if not vals[0] < 0 < vals[1]:",
            "if False:",

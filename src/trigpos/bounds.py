@@ -16,16 +16,16 @@ owns those closed forms:
 * the five composite region bounds L^(1), L^(2), L^(31), L^(32), L^(33)
   for the rho = 1/3 family, and the single master bound for rho = 2/3.
 
-Every formula is written once, in mpmath.iv, and accepts numbers or iv
-intervals; the elementary factors run at the caller's iv precision and the
-composites at working_dps() + 15 digits.  A composite bound is evaluated once on the enclosure of the
-critical exponent, with rho, the kernel angles and the panel limits
-enclosed too and each oscillatory integral entering as its value +/- its
-error bound: the natural interval extension of the formula (Moore, Kearfott
-& Cloud, Introduction to Interval Analysis, SIAM 2009).  Its interval
-contains the bound at every exponent in the enclosure, assuming only that
-iv rounds outward, so `positive` means positive for every admissible
-exponent value, not just the midpoint.
+Every formula is written once, in mpmath.iv, and accepts numbers, iv
+intervals or Enclosures; the elementary factors run at the caller's iv
+precision and the composites at working_dps() + 15 digits.  A composite
+takes its exponent from the caller and is evaluated once over the rho and
+exponent boxes, with the kernel angles and the panel limits enclosed too
+and each oscillatory integral entering as its value +/- its error bound:
+the natural interval extension of the formula (Moore, Kearfott & Cloud,
+Introduction to Interval Analysis, SIAM 2009).  Its interval contains the
+bound at every rho and exponent in the boxes, assuming only that iv rounds
+outward, so `positive` means positive for every admissible value.
 
 Convention notes (resolved against the working derivation and pinned by
 the exact agreement of two of the five composite values):
@@ -39,13 +39,11 @@ the exact agreement of two of the five composite values):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv, mp
 
-from trigpos.exact import _as_fraction
-from trigpos.mustar import PROOF_WIDTH, mu_star
 from trigpos.precision import iv_dps, working_dps
 from trigpos.quadrature import (_as_iv, _mid_rad, chi_reference_integral,
                                 fractional_osc_integral, frak_K)
@@ -83,8 +81,9 @@ def wedge(theta, mu):
 
     Positive and increasing on (0, pi) for 0 < mu < 1, proven in
     wedge_increasing.  An interval theta must lie wholly inside (0, pi),
-    checked against pi rounded down at the working precision, so that
-    mp.pi itself is refused.
+    checked against pi rounded down at the working precision, so a theta
+    at or above that is refused: mp.pi at 30 digits, but not at mpmath's
+    default 15, where mp.pi rounds below pi.
     """
     theta, mu = _as_iv(theta), _as_iv(mu)
     with iv_dps(working_dps()):
@@ -192,31 +191,23 @@ class BoundReport:
     """One evaluated composite bound.
 
     value/err: the midpoint and the upward-rounded radius of the bound's
-    mpmath.iv interval over the exponent enclosure, which covers the error
-    bounds of its integrals.  components holds the named sub-terms, each
-    the midpoint of its own interval, for display and cross-checks.
+    mpmath.iv interval over the caller's rho and exponent boxes, covering
+    the error bounds of its integrals.  components holds the named sub-terms,
+    each the midpoint of its own interval, for display and cross-checks.
     """
 
-    label: str
-    rho: Fraction
     value: mp.mpf
     err: mp.mpf
-    components: dict = field(default_factory=dict)
+    components: dict
 
     @property
     def positive(self) -> bool:
         return self.value - self.err > 0
 
 
-def _report(label: str, rho: Fraction, total, comps: dict) -> BoundReport:
+def _report(total, comps: dict) -> BoundReport:
     value, err = _mid_rad(total)
-    return BoundReport(label, rho, value, err, {k: _mid_rad(v)[0] for k, v in comps.items()})
-
-
-def _exponent(rho: Fraction, nu):
-    """nu as an mpmath.iv interval; None stands for the critical-exponent
-    enclosure for rho at PROOF_WIDTH, the one the proofs run on."""
-    return _as_iv(mu_star(rho, width=PROOF_WIDTH).enclosure if nu is None else nu)
+    return BoundReport(value, err, {k: _mid_rad(v)[0] for k, v in comps.items()})
 
 
 def _r_shifted(g, nu, theta, eta):
@@ -259,34 +250,33 @@ def _region_3x(which: str, rho, nu):
         "q0": q0, "r_theta0": r_theta0, "wedge_theta0": wedge_theta0}
 
 
-def L_region(region, rho=Fraction(1, 3), nu=None) -> BoundReport:
-    """Composite lower bound L^(region) at the given rho.
+def L_region(region, rho=Fraction(1, 3), *, nu) -> BoundReport:
+    """Composite lower bound L^(region) over the rho and exponent boxes.
 
-    region is one of "1", "2", "31", "32", "33".  nu defaults to the
-    critical-exponent enclosure for rho at PROOF_WIDTH (computed on demand);
-    pass an Enclosure, an mpmath.iv interval or an exact number to override.
+    region is one of "1", "2", "31", "32", "33"; rho and nu are each an
+    Enclosure, an mpmath.iv interval or a number, nu usually the
+    critical-exponent enclosure at rho.
     """
     region = str(region)
     if region not in REGIONS:
         raise ValueError(f"region must be one of {REGIONS}, got {region!r}")
-    rho = _as_fraction(rho)
     dps = working_dps() + 15
     with mp.workdps(dps), iv_dps(dps):
-        rho_iv, nu = _as_iv(rho), _exponent(rho, nu)
+        rho, nu = _as_iv(rho), _as_iv(nu)
         if region == "2":  # closed form, no quadrature
-            main = (2 * iv.sin(2 * iv.pi / 3)) ** (-nu) * iv.sin(iv.pi / 6 * (4 * rho_iv - nu))
+            main = (2 * iv.sin(2 * iv.pi / 3)) ** (-nu) * iv.sin(iv.pi / 6 * (4 * rho - nu))
             tail = nu * (nu + 1) * (nu + 2) * (nu + 3) / (24 * iv.sin(iv.pi / 3))
-            return _report("L(2)", rho, main - tail, {"main": main, "tail": tail})
+            return _report(main - tail, {"main": main, "tail": tail})
         if region == "1":
-            l1, l2, l3, terms = _region_1(rho_iv, nu)
+            l1, l2, l3, terms = _region_1(rho, nu)
         else:
-            l1, l2, l3, terms = _region_3x(region, rho_iv, nu)
+            l1, l2, l3, terms = _region_3x(region, rho, nu)
         total = l1 + l2 - l3
-        return _report(f"L({region})", rho, total, {
+        return _report(total, {
             "L1": l1, "L2": l2, "L3": l3, **terms, "L_minus_L3": total, "L_plus_L3": l1 + l2 + l3})
 
 
-def two_thirds_master_bound(mu=None) -> BoundReport:
+def two_thirds_master_bound(mu) -> BoundReport:
     """The single composite bound for the rho = 2/3 middle range:
 
         Gamma(mu) (mu cos(2pi/3 - mu pi/2) - wedge(pi/5))
@@ -294,13 +284,12 @@ def two_thirds_master_bound(mu=None) -> BoundReport:
         - (1-mu)/300 * (pi/sin(pi/5))^2 - mu(1-mu) pi^(mu-1)
 
     with chi the minimized oscillatory integral from
-    chi_reference_integral.  mu defaults to the critical-exponent
-    enclosure at rho = 2/3 and PROOF_WIDTH.
+    chi_reference_integral, over the exponent box mu (an Enclosure, an
+    mpmath.iv interval or a number), usually the enclosure of mu*(2/3).
     """
-    rho = Fraction(2, 3)
     dps = working_dps() + 15
     with mp.workdps(dps), iv_dps(dps):
-        mu = _exponent(rho, mu)
+        mu = _as_iv(mu)
         s_ratio = iv.pi / iv.sin(iv.pi / 5)
         comps = {
             "prop_term": iv.gamma(mu) * small_angle_constant(mu),
@@ -311,5 +300,5 @@ def two_thirds_master_bound(mu=None) -> BoundReport:
         }
         total = (comps["prop_term"] + comps["chi"] - comps["sigma_tail"]
                  - comps["tau_tail"] - comps["delta_tail"])
-        return _report("master(2/3)", rho, total, comps)
+        return _report(total, comps)
 

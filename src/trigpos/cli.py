@@ -395,9 +395,9 @@ def run_thm_2_3(nmax: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _bound_check(check_id: str, rep) -> CheckResult:
+def _bound_check(check_id: str, rho: Fraction, rep) -> CheckResult:
     comps = ", ".join(f"{k}={_fmt(v, 8)}" for k, v in rep.components.items())
-    detail = f"rho = {rep.rho}; margin {_fmt(rep.value - rep.err, 6)}"
+    detail = f"rho = {rho}; margin {_fmt(rep.value - rep.err, 6)}"
     if comps:
         detail += f"; {comps}"
     return CheckResult(
@@ -416,21 +416,19 @@ def run_thm_1_3(nmax: int) -> VerificationReport:
     checks = []
     for target in sturm_case_plan(None, Q_STURM):
         checks.append(_sturm_check(target, gate_all_points=True))
-    # each region's bound at rho is the centre report of its scan
-    scanned = [[L_region(region, rho=r, nu=nus[r]) for r in SCAN_RHOS] for region in REGIONS]
-    for region, reports in zip(REGIONS, scanned):
-        checks.append(_bound_check(f"bound-{region}", reports[len(reports) // 2]))
-
-    scans = [r for reports in scanned for r in reports]
-    worst = min(scans, key=lambda r: r.value - r.err)
-    bad = sum(not r.positive for r in scans)
+    # every region's bound at every scanned rho; its check is the one at rho
+    scans = {(region, r): L_region(region, rho=r, nu=nus[r])
+             for region in REGIONS for r in SCAN_RHOS}
+    checks.extend(_bound_check(f"bound-{region}", rho, scans[region, rho]) for region in REGIONS)
+    (worst_region, worst_rho), worst = min(scans.items(), key=lambda kv: kv[1].value - kv[1].err)
+    bad = sum(not rep.positive for rep in scans.values())
     checks.append(CheckResult(
         "neighborhood-scan",
         _status(bad == 0),
         value=f"{bad} of {len(scans)} not positive" if bad else f"{len(scans)} bounds positive",
-        detail=f"sampled at rho = {', '.join(str(r.rho) for r in scanned[0])} only, "
+        detail=f"sampled at rho = {', '.join(map(str, SCAN_RHOS))} only, "
         f"nothing between them proved; worst margin "
-        f"{_fmt(worst.value - worst.err, 6)} at {worst.label}, rho = {worst.rho}",
+        f"{_fmt(worst.value - worst.err, 6)} at L({worst_region}), rho = {worst_rho}",
     ))
     checks.append(_grid_check("grid-varsigma", build_varsigma(nmax, rho, tight),
                               _GRID_VARSIGMA, "theta"))
@@ -480,7 +478,7 @@ def run_bounds_case(name: str, rho: Fraction) -> VerificationReport:
         if n == "master":
             checks.append(_check_master(nus[r]))
         else:
-            checks.append(_bound_check(f"bound-{n}", L_region(n, rho=r, nu=nus[r])))
+            checks.append(_bound_check(f"bound-{n}", r, L_region(n, rho=r, nu=nus[r])))
     return VerificationReport(
         case=f"bounds:{name}",
         inputs={"region": name, "rho": str(rho)},

@@ -59,14 +59,14 @@ class MuStarResult:
 
 
 def defect_integral(rho, mu) -> QuadResult:
-    """D(rho, mu) = integral_0^((rho+1)*pi) sin(t - rho*pi) t^(mu-1) dt at
-    an exact rho in (0, 1] and every mu in a box fractional_osc_integral
-    reads (an Enclosure, an mpmath.iv interval, a Fraction, an mpf, ...)."""
-    rho = _as_fraction(rho)
-    if not 0 < rho <= 1:
-        raise ValueError("rho must lie in (0, 1]")
+    """D(rho, mu) = integral_0^((rho+1)*pi) sin(t - rho*pi) t^(mu-1) dt over
+    a rho box inside (0, 1] and a mu box, each in a form _as_iv reads (an
+    Enclosure, an mpmath.iv interval, a Fraction, an mpf, ...)."""
     with iv_dps(working_dps() + 15):
-        rho_pi = _as_iv(rho) * iv.pi
+        rho = _as_iv(rho)
+        if not (0 < rho.a and rho.b <= 1):
+            raise ValueError("rho must lie in (0, 1]")
+        rho_pi = rho * iv.pi
         return fractional_osc_integral("sin", -rho_pi, mu, rho_pi + iv.pi)
 
 

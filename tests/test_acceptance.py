@@ -30,7 +30,7 @@ from trigpos.gegenbauer import (
     subordination_sector_check,
     weak_conjecture_check,
 )
-from trigpos.mustar import mu_star
+from trigpos.mustar import PROOF_WIDTH, mu_star
 from trigpos.quadrature import chi_reference_integral, fractional_osc_integral
 from trigpos.trigsums import (
     build_U_n,
@@ -42,7 +42,6 @@ from trigpos.trigsums import (
 )
 
 F = Fraction
-mp.dps = 30
 
 TIGHT = F(1, 10**20)
 
@@ -104,7 +103,7 @@ def test_criterion_03_chi_reference():
 
 
 def test_criterion_04_master_bound():
-    rep = two_thirds_master_bound()
+    rep = two_thirds_master_bound(mu_star(F(2, 3), width=PROOF_WIDTH).enclosure)
     ok = (
         rep.value - rep.err > mp.mpf("0.2078")
         and abs(rep.value - mp.mpf("0.207809")) < mp.mpf("1e-4")
@@ -123,8 +122,9 @@ def test_criterion_05_L_region_values():
         "33": (mp.mpf("0.123105"), mp.mpf("1e-5")),
     }
     failures = []
+    nu = mu_star(F(1, 3), width=PROOF_WIDTH).enclosure
     for region, (want, tol) in stated.items():
-        rep = L_region(region)
+        rep = L_region(region, nu=nu)
         if not rep.value - rep.err > 0:
             failures.append(f"L({region}) not positive beyond error")
         if abs(rep.value - want) > tol:

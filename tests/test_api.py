@@ -37,7 +37,7 @@ TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
 
 @pytest.fixture(autouse=True)
 def _cli_precision():
-    # other test modules set mp.dps = 30 at import; each test here runs the
+    # the suite runs at mp.dps = 30 (conftest.py); each test here runs the
     # CLI's cases at mpmath's default 15 digits, mp and iv, as a user's process does
     with mp.workdps(15), iv_dps(15):
         yield
@@ -216,6 +216,15 @@ def test_proofs_and_sampled_estimates_stay_apart():
              for node in ast.walk(TREES[module])
              if f"trigpos.{other}" in _imported_modules(node)]
     assert not found, f"imports between engine and gegenbauer: {found}"
+
+
+def test_formula_layers_never_search_for_mu_star():
+    # bounds and quadrature evaluate formulas on the boxes their callers
+    # pass; the mu* search lives in mustar, and neither imports from it
+    found = [f"{module}.py:{node.lineno}" for module in ("bounds", "quadrature")
+             for node in ast.walk(TREES[module])
+             if "trigpos.mustar" in _imported_modules(node)]
+    assert not found, f"imports of trigpos.mustar in a formula layer: {found}"
 
 
 def test_the_sturm_plan_alone_names_its_targets():

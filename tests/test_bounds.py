@@ -1,8 +1,8 @@
 """Composite lower bounds and their ingredients.
 
 Frozen values were computed once with a critical-exponent enclosure at
-mp.dps = 30 and are pinned to the digits shown, which the default enclosure
-(width mustar.PROOF_WIDTH) reproduces; the tests re-derive them from scratch.
+mp.dps = 30 and are pinned to the digits shown, which the enclosure of
+width mustar.PROOF_WIDTH reproduces; the tests re-derive them from scratch.
 """
 
 from fractions import Fraction
@@ -28,21 +28,23 @@ from trigpos.bounds import (
     wedge_increasing,
 )
 from trigpos.exact import Enclosure
+from trigpos.mustar import PROOF_WIDTH, mu_star
+from trigpos.precision import iv_dps
 from trigpos.quadrature import frak_K
 from trigpos.trigsums import build_U_n
 
 F = Fraction
-mp.dps = 30
 
-NU0 = mp.mpf("0.49669136508129942616")
+with mp.workdps(30):  # formed at import, at the suite's precision
+    NU0 = mp.mpf("0.49669136508129942616")
 
-FROZEN_L = {
-    "1": mp.mpf("0.259448166766"),
-    "2": mp.mpf("0.0106516529274"),
-    "31": mp.mpf("0.764115524304"),
-    "32": mp.mpf("0.00620342326761"),
-    "33": mp.mpf("0.123104696089"),
-}
+    FROZEN_L = {
+        "1": mp.mpf("0.259448166766"),
+        "2": mp.mpf("0.0106516529274"),
+        "31": mp.mpf("0.764115524304"),
+        "32": mp.mpf("0.00620342326761"),
+        "33": mp.mpf("0.123104696089"),
+    }
 
 
 def test_wedge_frozen_and_monotone():
@@ -60,6 +62,22 @@ def test_wedge_frozen_and_monotone():
         wedge(mp.pi, NU0)
     with pytest.raises(ValueError):
         wedge(0, NU0)
+
+
+def test_wedge_refuses_pi_rounded_down_at_the_working_precision():
+    # mp.pi at 30 digits reaches pi rounded down at the working precision
+    # and is refused; at mpmath's default 15 it rounds below pi, a point
+    # inside (0, pi), and wedge encloses the factor there
+    with mp.workdps(30), pytest.raises(ValueError):
+        wedge(mp.pi, F(1, 2))
+    with mp.workdps(15), iv_dps(15):
+        theta = +mp.pi
+        enc = wedge(theta, F(1, 2))
+    with mp.workdps(50):
+        assert theta < mp.pi
+        exact = (1 - mp.sqrt(mp.sin(theta) / theta)) / mp.sin(theta)
+    assert enc.a <= exact <= enc.b
+    assert (enc.a, enc.b) == (8165619625615359, 8165619625615363)
 
 
 def test_lemma_XYZ():
@@ -123,11 +141,16 @@ def test_u1_closed_form_is_U_1():
     assert 0 < low <= mp.mpf(2) / 7 * mp.sin(mp.pi / 3)
 
 
-def test_L_regions_frozen_positive():
+@pytest.fixture(scope="module")
+def scan_nus():
+    """rho -> the PROOF_WIDTH enclosure of mu*(rho), for each scanned rho."""
+    return {rho: mu_star(rho, width=PROOF_WIDTH).enclosure for rho in SCAN_RHOS}
+
+
+def test_L_regions_frozen_positive(scan_nus):
     for region in REGIONS:
-        rep = L_region(region)
+        rep = L_region(region, nu=scan_nus[F(1, 3)])
         assert isinstance(rep, BoundReport)
-        assert rep.rho == F(1, 3)
         assert abs(rep.value - FROZEN_L[region]) < mp.mpf("1e-10"), region
         assert rep.err < mp.mpf("1e-10")
         assert rep.positive
@@ -135,7 +158,7 @@ def test_L_regions_frozen_positive():
 
 def test_L_region_guard():
     with pytest.raises(ValueError):
-        L_region("4")
+        L_region("4", nu=NU0)
 
 
 def test_L_region_sensitivity_grows_with_enclosure_width():
@@ -147,7 +170,7 @@ def test_L_region_sensitivity_grows_with_enclosure_width():
 
 
 def test_master_bound():
-    rep = two_thirds_master_bound()
+    rep = two_thirds_master_bound(mu_star(F(2, 3), width=PROOF_WIDTH).enclosure)
     assert abs(rep.value - mp.mpf("0.207808570447002")) < mp.mpf("1e-11")
     assert rep.err < mp.mpf("1e-10")
     assert rep.positive
@@ -171,13 +194,26 @@ def test_master_bound_with_exact_mu_override():
     assert abs(rep.value - mp.mpf("0.207808570447002")) < mp.mpf("1e-9")
 
 
-def test_scan_neighborhood_shape():
+def test_scan_neighborhood_shape(scan_nus):
     # five fixed points, 1/3 + k/200 for k = -2..2, ascending: the middle one
     # is 1/3, the report thm-1-3 prints; L(32) is positive at each, on the
-    # default enclosure of its own rho
+    # PROOF_WIDTH enclosure of its own rho
     assert SCAN_RHOS == (F(97, 300), F(197, 600), F(1, 3), F(203, 600), F(103, 300))
     assert SCAN_RHOS[len(SCAN_RHOS) // 2] == F(1, 3)
-    assert all(L_region("32", rho=rho).positive for rho in SCAN_RHOS)
+    assert all(L_region("32", rho=rho, nu=scan_nus[rho]).positive for rho in SCAN_RHOS)
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_L_region_over_a_rho_box_contains_each_point_report(scan_nus, region):
+    # one evaluation over the scan's rho box and the hull of its five nu
+    # enclosures holds every point report of the scan, value +/- err
+    box = Enclosure(SCAN_RHOS[0], SCAN_RHOS[-1])
+    hull = Enclosure(min(e.lo for e in scan_nus.values()), max(e.hi for e in scan_nus.values()))
+    over = L_region(region, rho=box, nu=hull)
+    for rho in SCAN_RHOS:
+        point = L_region(region, rho=rho, nu=scan_nus[rho])
+        assert over.value - over.err <= point.value - point.err, rho
+        assert point.value + point.err <= over.value + over.err, rho
 
 
 def test_interval_arguments_outside_the_domain_are_refused():

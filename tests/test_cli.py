@@ -13,7 +13,7 @@ import pytest
 from mpmath import mp
 
 import trigpos
-from trigpos import bounds, cli, engine, trigsums
+from trigpos import cli, engine, trigsums
 from trigpos.cli import main
 from trigpos.exact import Enclosure
 from trigpos.mustar import MuStarResult, mu_star
@@ -31,7 +31,7 @@ THM_2_3_CHECKS = [
 
 @pytest.fixture(autouse=True)
 def _cli_precision():
-    # other test modules set mp.dps = 30 at import; each test here drives
+    # the suite runs at mp.dps = 30 (conftest.py); each test here drives
     # the CLI at mpmath's default 15 digits, mp and iv, as a user's process does
     with mp.workdps(15), iv_dps(15):
         yield
@@ -348,7 +348,6 @@ def test_each_case_encloses_each_rho_once(capsys, monkeypatch, argv, code, calls
         return mu_star(rho, width=width)
 
     monkeypatch.setattr(cli, "mu_star", counted)
-    monkeypatch.setattr(bounds, "mu_star", counted)
     assert main(["verify", *argv]) == code
     capsys.readouterr()
     assert len(seen) == len(set(seen)) == calls, seen

@@ -20,7 +20,6 @@ from trigpos.precision import working_dps
 from trigpos.trigsums import TrigSum, TrigTerm, build_U_n, build_varsigma
 
 F = Fraction
-mp.dps = 30
 
 
 def _sum(*coeffs, alpha=F(0), beta=F(1, 2)):

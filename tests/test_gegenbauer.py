@@ -30,7 +30,6 @@ from trigpos.gegenbauer import (
 from trigpos.trigsums import _pochhammer, chebyshev_U
 
 F = Fraction
-mp.dps = 30
 
 XS = (F(0), F(1, 2), F(-1, 2), F(3, 7), F(-2, 5), F(1), F(-1))
 

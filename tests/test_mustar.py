@@ -12,19 +12,21 @@ from mpmath import iv, mp
 from oracles import ORACLE_DPS, osc_integral
 
 from trigpos import mustar
+from trigpos.bounds import SCAN_RHOS
 from trigpos.exact import Enclosure
-from trigpos.mustar import BRACKET_HI, BRACKET_LO, MuStarResult, defect_integral, mu_star
+from trigpos.mustar import (BRACKET_HI, BRACKET_LO, PROOF_WIDTH, MuStarResult, defect_integral,
+                            mu_star)
 from trigpos.precision import iv_dps, working_dps
 from trigpos.quadrature import QuadResult
 
 F = Fraction
-mp.dps = 30
 
-# rho -> 20-digit decimal of mu*(rho)
-KNOWN_ROOTS = {
-    F(2, 3): mp.mpf("0.84685556828952869987"),
-    F(1, 3): mp.mpf("0.49669136508129942616"),
-}
+# rho -> 20-digit decimal of mu*(rho), formed at the suite's 30 digits
+with mp.workdps(30):
+    KNOWN_ROOTS = {
+        F(2, 3): mp.mpf("0.84685556828952869987"),
+        F(1, 3): mp.mpf("0.49669136508129942616"),
+    }
 
 
 def test_known_roots_are_enclosed():
@@ -177,9 +179,9 @@ def test_defect_encloses_the_integral_at_exact_arguments():
 
 
 def test_defect_reads_mu_as_a_box():
-    # rho alone is read exactly; mu goes to the series route as given: an
-    # mpf or float equal to a Fraction, or the iv hull of an Enclosure, gives
-    # the same result, and the box result covers D at both ends
+    # mu goes to the series route as given: an mpf or float equal to a
+    # Fraction, or the iv hull of an Enclosure, gives the same result, and
+    # the box result covers D at both ends
     rho = F(2, 3)
     assert defect_integral(rho, F(1, 2)) == defect_integral(rho, mp.mpf("0.5")) == \
         defect_integral(rho, 0.5)
@@ -194,6 +196,30 @@ def test_defect_reads_mu_as_a_box():
             m = mp.mpf(end.numerator) / end.denominator
             ref = osc_integral("sin", -2 * mp.pi / 3, m, 5 * mp.pi / 3, dps=50)
             assert res.value - res.err <= ref <= res.value + res.err, end
+
+
+def test_defect_over_a_rho_box_contains_each_point_value():
+    # one evaluation over the scan's rho box [97/300, 103/300] and the hull
+    # of its five mu* enclosures holds D, by mpmath.quad, at both ends and
+    # at 1/3, each at the middle of its own enclosure
+    nus = {rho: mu_star(rho, width=PROOF_WIDTH).enclosure for rho in SCAN_RHOS}
+    hull = Enclosure(min(e.lo for e in nus.values()), max(e.hi for e in nus.values()))
+    res = defect_integral(Enclosure(SCAN_RHOS[0], SCAN_RHOS[-1]), hull)
+    for rho in (F(97, 300), F(1, 3), F(103, 300)):
+        with mp.workdps(80):
+            r, m = (mp.mpf(v.numerator) / v.denominator for v in (rho, nus[rho].mid))
+            ref = osc_integral("sin", -r * mp.pi, m, (r + 1) * mp.pi, dps=50)
+            assert res.value - res.err <= ref <= res.value + res.err, rho
+
+
+@pytest.mark.parametrize("rho", [
+    Enclosure(F(1, 2), F(11, 10)), Enclosure(0, F(1, 2)), iv.mpf(["0.5", "1.1"]),
+    iv.mpf(["-0.1", "0.5"]),
+], ids=["past-1", "reaching-0", "iv-past-1", "iv-below-0"])
+def test_defect_refuses_a_rho_box_leaving_the_range(rho):
+    # the guard tests both ends of the rho box against (0, 1]
+    with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\]"):
+        defect_integral(rho, F(1, 2))
 
 
 @pytest.mark.parametrize("rho", [F(1, 3), F(2, 3)])

@@ -29,20 +29,20 @@ from trigpos.quadrature import (
 )
 from trigpos.precision import iv_dps, working_dps
 
-mp.dps = 30
+with mp.workdps(30):  # formed at import, at the suite's precision
+    NU0 = mp.mpf("0.49669136508129942616")
+    MU23 = mp.mpf("0.84685556828952869987")
 
-NU0 = mp.mpf("0.49669136508129942616")
-MU23 = mp.mpf("0.84685556828952869987")
-
-# frozen reference values for integral_0^x g(t) t^(mu-1) dt
-FROZEN = [
-    ("sin", NU0, 2 * mp.pi, mp.mpf("0.864878993147")),
-    ("cos", NU0, 7 * mp.pi / 4, mp.mpf("0.949336332076")),
-    ("sin", NU0, mp.pi, mp.mpf("1.78904140403")),
-    ("cos", NU0, mp.pi, mp.mpf("1.34063338747")),
-    ("sin", MU23, mp.pi, mp.mpf("1.91201322772")),
-    ("cos", MU23, mp.pi, mp.mpf("0.300957342747")),
-]
+    # frozen reference values for integral_0^x g(t) t^(mu-1) dt
+    FROZEN = [
+        ("sin", NU0, 2 * mp.pi, mp.mpf("0.864878993147")),
+        ("cos", NU0, 7 * mp.pi / 4, mp.mpf("0.949336332076")),
+        ("sin", NU0, mp.pi, mp.mpf("1.78904140403")),
+        ("cos", NU0, mp.pi, mp.mpf("1.34063338747")),
+        ("sin", MU23, mp.pi, mp.mpf("1.91201322772")),
+        ("cos", MU23, mp.pi, mp.mpf("0.300957342747")),
+    ]
+    X_PAST_8PI = iv.mpf([8 * mp.pi - 1, 8 * mp.pi + 1])
 
 
 def test_dual_route_agreement_zero_phase():
@@ -270,7 +270,7 @@ def test_a_fraction_argument_is_enclosed_exactly():
     (0, NU0, iv.mpf(["-0.5", "1"])),  # an x box reaching below 0
     (0, iv.mpf(["0.4", "0.6"]), iv.mpf(["-0.1", "1.9"])),  # its midpoint is fine
     (0, NU0, Enclosure(0, 1)),  # an x box reaching 0
-    (0, NU0, iv.mpf([8 * mp.pi - 1, 8 * mp.pi + 1])),  # past 8 pi, midpoint 8 pi
+    (0, NU0, X_PAST_8PI),  # past 8 pi, midpoint 8 pi
     (0, iv.mpf(["0.9", "1.1"]), 1),  # a mu box past 1
     (0, Enclosure(0, F(1, 2)), 1),  # a mu box reaching 0
     (mp.nan, NU0, 1), (float("nan"), NU0, 1), (mp.inf, NU0, 1), (-mp.inf, NU0, 1),

@@ -40,7 +40,6 @@ from trigpos.trigsums import _outward  # private: checked against 80 digits
 from trigpos.trigsums import _pochhammer  # private: the one coefficient route
 
 F = Fraction
-mp.dps = 30
 
 # rational stand-in for the rho = 2/3 critical exponent; the P/Q/R root-count
 # claims hold at (and near) this value, not for generic mu
