@@ -77,8 +77,16 @@ MUTANTS = (
     Mutant("narrow-without-straddle-check", MUSTAR,
            "if not vals[0] < 0 < vals[1]:",
            "if False:",
-           ("tests/test_mustar.py::test_a_wrong_estimate_falls_back_to_the_full_bracket",
-            "tests/test_cli.py::test_the_bracket_ends_between_rho_1_169_and_1_170")),
+           ("tests/test_mustar.py::test_narrow_refuses_ends_without_a_sign_change",
+            "tests/test_mustar.py::test_mu_star_refuses_a_bracket_that_does_not_straddle")),
+    Mutant("bracket-upper-end-3-halves", MUSTAR,
+           "bracket = (rho, min(Fraction(1), 2 * rho))",
+           "bracket = (rho, min(Fraction(1), 3 * rho / 2))",
+           ("tests/test_mustar.py::test_small_rho_enclosure_straddles_the_oracle_sign_change[rho2]",)),
+    Mutant("curvature-margin-minus-err", ENGINE,
+           "h * h / 8 + err",
+           "h * h / 8 - err",
+           ("tests/test_engine.py::test_decide_certifies_only_above_curvature_plus_error",)),
     Mutant("seed-error-zero", ENGINE,
            "_SEED_ERR = 8 * _U",
            "_SEED_ERR = 0",

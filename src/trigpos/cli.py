@@ -26,8 +26,8 @@ Exit status: 0 when every sub-check passes, 1 when any sub-check fails or is
 inconclusive, 2 for usage errors: an unknown case or flag, or any flag
 value, whether or not the case reads it, that does not parse or lies out of
 range (rho outside (0, 1], nmax outside 1..999998).  A computation that
-cannot decide at all (an ArithmeticError, such as mu*(rho) below the search
-bracket [1/100, 1] for rho <= 1/170) is inconclusive too: it exits 1 with
+cannot decide at all (an ArithmeticError, such as a defect sign the series
+route cannot resolve at rho = 1e-50) is inconclusive too: it exits 1 with
 one "error:" line in place of the report.
 
 Every proof and bound check runs on one mu*(rho) enclosure per rho, of

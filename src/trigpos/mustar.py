@@ -7,17 +7,18 @@ For rho in (0, 1], define
 As a function of mu on (0, 1], D is negative for small mu (the weight
 t^(mu-1) concentrates mass near t = 0 where the sine factor is negative)
 and D(rho, 1) = 1 + cos(rho*pi) >= 0, with equality exactly at rho = 1.
-mu*(rho) is the root.  For rho < 1 it is interior, and false position with
-the Anderson-Bjorck correction (Anderson & Bjorck, BIT 13, 1973) narrows a
-bracket of it: first on a float64 estimate of D (no error bound) down to
-1e-12, then, from that bracket padded, on verified signs, where the series
-enclosure value +/- err of D (see trigpos.quadrature) excludes 0.  An end
-is only ever replaced by a probe with a verified sign (Rump, Acta Numerica
-19, 2010); when the estimate finds no sign change or the padded bracket
-does not verify, the search fails with ArithmeticError.
+mu*(rho) is the root.  For rho < 1 it lies in the bracket
+[rho, min(1, 2*rho)]: as rho -> 0, D(rho, mu) ~ Si(pi) - rho*pi/mu, so
+mu*/rho -> pi/Si(pi) = 1.696.  False position with the Anderson-Bjorck
+correction (Anderson & Bjorck, BIT 13, 1973) narrows that bracket on
+verified signs only, where the series enclosure value +/- err of D (see
+trigpos.quadrature) excludes 0.  Both ends of the bracket are sign-checked
+first, and an end is only ever replaced by a probe with a verified sign
+(Rump, Acta Numerica 19, 2010); when a sign does not verify or the bracket
+does not straddle a sign change, the search fails with ArithmeticError.
 
-rho = 1 is the boundary case: there is no sign change inside (0.01, 1],
-D < 0 on [0.01, 1), and the root sits exactly at mu = 1.
+rho = 1 is the boundary case: D(1, mu) < 0 is verified at BOUNDARY_PROBES
+inside (0, 1), and the root sits exactly at mu = 1.
 """
 
 from __future__ import annotations
@@ -25,22 +26,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from mpmath import iv, mp
 
 from trigpos.exact import Enclosure, _as_fraction
 from trigpos.precision import iv_dps, working_dps
-from trigpos.quadrature import QuadResult, _as_iv, _estimate, fractional_osc_integral
+from trigpos.quadrature import QuadResult, _as_iv, fractional_osc_integral
 
-__all__ = ["MuStarResult", "defect_integral", "mu_star", "width_floor", "BRACKET_LO", "BRACKET_HI",
-           "PROOF_WIDTH", "BOUNDARY_PROBES"]
+__all__ = ["MuStarResult", "defect_integral", "mu_star", "width_floor", "PROOF_WIDTH",
+           "BOUNDARY_PROBES"]
 
-BRACKET_LO = Fraction(1, 100)
-BRACKET_HI = Fraction(1)
 PROOF_WIDTH = Fraction(1, 10**20)  # the one enclosure width every proof and bound check runs on
-BOUNDARY_PROBES = (BRACKET_LO, Fraction(1, 2), Fraction(99, 100))  # where D(1, mu) < 0 is verified
-_ESTIMATE_WIDTH = Fraction(1, 10**12)  # float64 estimates of D err by about 1e-16
+BOUNDARY_PROBES = (Fraction(1, 100), Fraction(1, 2), Fraction(99, 100))  # where D(1, mu) < 0 is verified
 
 
 @dataclass(frozen=True)
@@ -49,8 +46,8 @@ class MuStarResult:
 
     enclosure endpoints are exact rationals; a root of D lies strictly
     inside (or equals the endpoint for the boundary case rho = 1).  route
-    ("estimate-seeded", or "boundary" at rho = 1) and probes, the verified
-    signs of D taken, say how it was found; empty when hand-built.
+    ("verified", or "boundary" at rho = 1) and probes, the verified signs
+    of D taken, say how it was found; empty when hand-built.
     """
 
     enclosure: Enclosure
@@ -91,10 +88,12 @@ def mu_star(rho, width=Fraction(1, 10**9)) -> MuStarResult:
     """Enclose mu*(rho) to the requested width.
 
     width is an exact rational (or anything Fraction() accepts) of at least
-    width_floor().  The bracket is narrowed to width/4, then re-centered,
-    padded out to the full width and clipped to [BRACKET_LO, BRACKET_HI]:
-    the root sits near the middle, so the enclosure also contains its
-    correctly-rounded decimal abbreviations.
+    width_floor().  The bracket [rho, min(1, 2*rho)] is narrowed to
+    width/4, then re-centered, padded out to the full width and clipped to
+    the bracket: the root sits near the middle, so the enclosure also
+    contains its correctly-rounded decimal abbreviations.  A bracket already
+    narrower than width/4 (rho tiny) is returned whole, its ends' signs
+    verified.
     """
     rho = _as_fraction(rho)
     width = _as_fraction(width)
@@ -106,7 +105,7 @@ def mu_star(rho, width=Fraction(1, 10**9)) -> MuStarResult:
     # the probes and sign tests run at one precision, whatever the caller's
     with mp.workdps(working_dps() + 10):
         if rho == 1:
-            # boundary root: D(1, 1) = 0 exactly, D < 0 on [0.01, 1)
+            # boundary root: D(1, 1) = 0 exactly, D(1, mu) < 0 below it
             for probe in BOUNDARY_PROBES:
                 if _verified_sign(rho, probe) > 0:
                     raise ArithmeticError(f"defect unexpectedly positive at mu={probe} for rho=1")
@@ -117,27 +116,19 @@ def mu_star(rho, width=Fraction(1, 10**9)) -> MuStarResult:
 def _false_position(rho: Fraction, width: Fraction):
     """(enclosure at most `width` wide, route, verified probes), rho < 1."""
     target, probes = width / 4, []
+    bracket = (rho, min(Fraction(1), 2 * rho))
 
     def verified(mu):
         probes.append(mu)
         return _verified_sign(rho, mu)
 
     try:
-        lo, hi = _narrow(verified, _seeded_bracket(rho, target), target)
+        lo, hi = _narrow(verified, bracket, target)
     except ArithmeticError as exc:
         raise ArithmeticError(f"cannot enclose mu*(rho) at rho = {rho}: {exc}") from None
     center, half = (lo + hi) / 2, width / 2
-    return Enclosure(max(BRACKET_LO, min(lo, center - half)),
-                     min(BRACKET_HI, max(hi, center + half))), "estimate-seeded", len(probes)
-
-
-def _seeded_bracket(rho: Fraction, target: Fraction) -> list:
-    """[lo, hi] around mu*(rho), unverified: the bracket of the estimate of
-    D, padded by _ESTIMATE_WIDTH, or out to target when that is wider."""
-    estimate = partial(_estimate, -float(rho) * math.pi, x=(float(rho) + 1) * math.pi)
-    lo, hi = _narrow(estimate, [BRACKET_LO, BRACKET_HI], _ESTIMATE_WIDTH)
-    pad = max(_ESTIMATE_WIDTH, (target - (hi - lo)) / 2)
-    return [max(BRACKET_LO, lo - pad), min(BRACKET_HI, hi + pad)]
+    return Enclosure(max(bracket[0], min(lo, center - half)),
+                     min(bracket[1], max(hi, center + half))), "verified", len(probes)
 
 
 def _narrow(sign, ends: list, target: Fraction) -> list:

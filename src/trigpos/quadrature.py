@@ -33,7 +33,6 @@ finite, or ValueError.  The tests check this route against mpmath.quad.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,14 +154,6 @@ def _evaluate(kind: str, eta, mu, x):
             r = (y * d_x + inv_mu * d_mu * (inv_mu + y * y)).b
             enc += iv.mpf([-r, r])
         return _mid_rad(enc)
-
-
-def _estimate(eta: float, mu, x: float) -> float:
-    """integral_0^x sin(t + eta) t^(mu-1) dt: an estimate, no error bound.  The
-    sums of _evaluate run at 96 bits, x^mu, cos(eta) and sin(eta) in float64."""
-    xf, m = (int(math.ldexp(float(v), 96)) for v in (x, mu))
-    s, c = (math.ldexp(_alternating_sum(k, m, xf, 96, 1 << 32)[0], -96) for k in (1, 0))
-    return x ** float(mu) * (math.cos(eta) * s + math.sin(eta) * c)
 
 
 def fractional_osc_integral(kind: str, eta, mu, x) -> QuadResult:

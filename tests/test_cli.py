@@ -59,7 +59,7 @@ def test_mustar_shifted_enclosure_fails(monkeypatch, capsys):
 
 def test_mustar_reports_its_search(capsys):
     assert main(["mustar", "2/3"]) == 0
-    assert "estimate-seeded search, 4 verified probes" in capsys.readouterr().out
+    assert "verified search, 8 verified probes" in capsys.readouterr().out
     assert main(["mustar", "1"]) == 0
     assert "boundary search, 3 verified probes" in capsys.readouterr().out
 
@@ -157,8 +157,8 @@ def _check(check_id, value, detail):
 
 def test_sturm_all_report_is_pinned(capsys):
     payload = _json_report(capsys, ["sturm:all"], 1)  # P-near-0's anchor, by design
-    assert payload["inputs"]["mu"] == ("[0.846855568289528699862039, "
-                                       "0.846855568289528699872039]")
+    assert payload["inputs"]["mu"] == ("[0.846855568289528699862079, "
+                                       "0.846855568289528699872079]")
     assert {c["check_id"]: (c["status"], c["value"], c["detail"])
             for c in payload["checks"]} == STURM_ALL
     assert [c["check_id"] for c in payload["checks"]] == list(STURM_ALL)
@@ -244,7 +244,7 @@ def _sturm_all_check(check_id):
 THM_2_3_NMAX_90 = {
     "case": "thm-2-3",
     "inputs": {"interval": "[0.001, 1.5708]",
-               "mu": "[0.846855568289528699862039, 0.846855568289528699872039]",
+               "mu": "[0.846855568289528699862079, 0.846855568289528699872079]",
                "nmax": 90, "rho": "2/3"},
     "method": "closed form + exact Sturm counts + singular quadrature + grid certificates",
     "reference": "positivity of the cosine sums U_n at rho = 2/3",
@@ -274,7 +274,7 @@ THM_2_3_NMAX_90 = {
                "neither depends on mu, so proved over the mu enclosure; p alone turns "
                "increasing again before pi/2"),
         _check("cosine-integral-minima",
-               "-D(2/3, mu) = -2.279e-23 +/- 1.81e-19 at x=5.2359878; 0.309812 at x=5.7595865",
+               "-D(2/3, mu) = -1.514e-22 +/- 1.81e-19 at x=5.2359878; 0.309812 at x=5.7595865",
                "min over upper limits of the two shifted integrals, over the mu enclosure in "
                "mpmath.iv; global, since t^(mu-1) decreases and later arches shrink (the lemma "
                "in quadrature.min_over_upper_limit); the first is -D(2/3, mu), zero at mu* by "
@@ -357,24 +357,44 @@ def test_each_case_encloses_each_rho_once(capsys, monkeypatch, argv, code, calls
     ["mustar", "0.005"],
     ["verify", "bounds:1", "--rho", "0.005"],
     ["verify", "bounds:2", "--rho", "0.005"],
+    ["mustar", "1/169"],
+    ["mustar", "1/170"],
+    ["mustar", "1/1000"],
+    ["mustar", "1/1000000"],
+    ["verify", "bounds:all", "--rho", "0.001"],
 ])
-def test_mu_star_below_the_bracket_is_inconclusive(capsys, argv):
-    # mu*(1/200) lies under BRACKET_LO = 1/100: no report, one error line
-    assert main(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "rho = 1/200" in err and "[1/100, 1]" in err
-
-
-def test_the_bracket_ends_between_rho_1_169_and_1_170(capsys):
-    # mu*(1/169) = 0.01001... still lies in [1/100, 1]; mu*(1/170) does not
-    assert main(["mustar", "1/169"]) == 0
+def test_small_rho_is_enclosed(capsys, argv):
+    # mu*(rho) < 1/100 for rho <= 1/170: the bracket [rho, 2 rho] holds it
+    assert main(argv) == 0
     out, err = capsys.readouterr()
     assert "status: PASS" in out and err == ""
-    assert main(["mustar", "1/170"]) == 1
-    assert capsys.readouterr() == ("", "error: cannot enclose mu*(rho) at rho = 1/170: "
-                                   "[1/100, 1] does not straddle a sign change\n")
+
+
+def test_hostile_rho_ends_in_no_wrong_pass(capsys):
+    # rho = 1e-40: the bracket [rho, 2 rho] is narrower than PROOF_WIDTH, so
+    # it is the enclosure, both ends' signs verified.  As rho -> 0,
+    # D(rho, mu) ~ Si(pi) - rho pi/mu, which is Si(pi) - pi < 0 at mu = rho and
+    # Si(pi) - pi/2 > 0 at mu = 2 rho
+    assert main(["mustar", "1e-40", "--json"]) == 0
+    width, signs = json.loads(capsys.readouterr().out)["checks"]
+    assert width["value"] == "[1.0e-40, 2.0e-40]"
+    assert signs["status"] == "pass"
+    assert signs["detail"].endswith("verified search, 2 verified probes")
+    d_lo, d_hi = map(float, re.fullmatch(r"D\(lo\) = (\S+), D\(hi\) = (\S+)",
+                                         signs["value"]).groups())
+    assert d_lo == pytest.approx(float(mp.si(mp.pi) - mp.pi), abs=0.01)
+    assert d_hi == pytest.approx(float(mp.si(mp.pi) - mp.pi / 2), abs=0.01)
+    # further down the series route cannot sign D: one error line, exit 1
+    assert main(["mustar", "1e-50"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: cannot enclose mu*(rho) at rho = 1/10")
+    # rho = 0.999999: D(rho, 1) = 1 + cos(rho pi) is about 5e-12, and the root
+    # lies below 1, not at the boundary
+    assert main(["mustar", "0.999999", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    hi = Fraction(payload["checks"][0]["value"].strip("[]").split(", ")[1])
+    assert payload["status"] == "pass" and hi < 1
 
 
 def test_bounds_master_json_shape(capsys):

@@ -152,6 +152,19 @@ def test_tangency_inside_a_cell():
         assert interval[0] <= down.witness <= interval[1]
 
 
+@pytest.mark.parametrize("final", [False, True], ids=["refine", "final"])
+def test_decide_certifies_only_above_curvature_plus_error(final):
+    # a grid minimum m proves positivity only above M2 h^2/8 + err: the
+    # curvature term bounds the dip inside a cell and err the evaluation
+    m2, h, err = 2.0, 1e-3, 1e-9
+    curvature = m2 * h * h / 8  # 2.5e-7, far above err
+    prefixes = SimpleNamespace(m2=[m2], err=[err])
+    for m in (curvature - err / 2, curvature, curvature + err / 2):
+        assert _Prefixes._decide(prefixes, 0, 9, m, 0.5, h, final)[0] != "certified", m
+    m = (curvature + err) * (1 + 1e-12)
+    assert _Prefixes._decide(prefixes, 0, 9, m, 0.5, h, final)[0] == "certified"
+
+
 def _critical(rho):
     return mu_star(rho, width=F(1, 10**20)).enclosure
 

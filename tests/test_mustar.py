@@ -14,8 +14,7 @@ from oracles import ORACLE_DPS, osc_integral
 from trigpos import mustar
 from trigpos.bounds import SCAN_RHOS
 from trigpos.exact import Enclosure
-from trigpos.mustar import (BRACKET_HI, BRACKET_LO, PROOF_WIDTH, MuStarResult, defect_integral,
-                            mu_star)
+from trigpos.mustar import PROOF_WIDTH, MuStarResult, defect_integral, mu_star
 from trigpos.precision import iv_dps, working_dps
 from trigpos.quadrature import QuadResult
 
@@ -109,30 +108,45 @@ def test_enclosure_straddles_the_oracle_sign_change(rho, width):
     assert_straddles_the_oracle(rho, mu_star(rho, width=width).enclosure)
 
 
-@pytest.mark.parametrize("estimate", [
-    lambda eta, mu, x: float(mu) - 0.3,  # a root far from mu*
-    lambda eta, mu, x: float("nan"),
-    lambda eta, mu, x: 1.0,  # no sign change
-], ids=["far-off-root", "nan", "no-sign-change"])
-@pytest.mark.parametrize("width", [F(1, 10**9), F(1, 10**20)])
-def test_a_wrong_estimate_falls_back_to_the_full_bracket(monkeypatch, estimate, width):
-    # the name keeps the retry from [1/100, 1] that the search once fell back
-    # to; the seeded bracket is now the one route, kept only when both its
-    # ends have verified signs, so a wrong estimate fails the search
-    monkeypatch.setattr(mustar, "_estimate", estimate)
-    with pytest.raises(ArithmeticError, match=r"^cannot enclose mu\*\(rho\) at rho = 2/3: "):
-        mu_star(F(2, 3), width=width)
+@pytest.mark.parametrize("rho", [F(1, 200), F(1, 1000), F(1, 10**6)])
+def test_small_rho_enclosure_straddles_the_oracle_sign_change(rho):
+    # mu*(rho) < 1/100 for rho <= 1/170; the bracket [rho, 2 rho] holds it
+    assert_straddles_the_oracle(rho, mu_star(rho, width=PROOF_WIDTH).enclosure)
 
 
-# the ids keep the names from when each search also took the midpoint defect,
-# one integral more
+def test_mu_star_over_rho_tends_to_pi_over_si_pi():
+    # D(rho, mu) ~ Si(pi) - rho pi/mu as rho -> 0, so mu*/rho -> pi/Si(pi)
+    rho = F(1, 10**6)
+    ratio = mu_star(rho, width=PROOF_WIDTH).enclosure.mid / rho
+    assert round(float(ratio), 3) == round(float(mp.pi / mp.si(mp.pi)), 3) == 1.696
+
+
+def test_narrow_refuses_ends_without_a_sign_change():
+    # a sign function positive on the whole bracket: no narrowing at all
+    with pytest.raises(ArithmeticError, match="does not straddle"):
+        mustar._narrow(lambda mu: mu + 1, [F(0), F(1)], F(1, 100))
+
+
+def test_mu_star_refuses_a_bracket_that_does_not_straddle(monkeypatch):
+    # D(rho, rho) > 0 (a lie): both ends of [rho, 2 rho] are positive, so the
+    # search stops before its first probe
+    def lying(rho, mu):
+        return QuadResult(mp.mpf(1), mp.mpf(0)) if mu == rho else defect_integral(rho, mu)
+
+    monkeypatch.setattr(mustar, "defect_integral", lying)
+    with pytest.raises(ArithmeticError, match=r"^cannot enclose mu\*\(rho\) at rho = 1/3: "
+                       r"\[1/3, 2/3\] does not straddle a sign change$"):
+        mu_star(F(1, 3))
+
+
+# the name and ids stay as the suite has printed them; the bounds are 9 and 10
 @pytest.mark.parametrize("width, most", [
-    pytest.param(F(1, 10**9), 2, id="width0-3"),
-    pytest.param(F(1, 10**20), 5, id="width1-6"),
+    pytest.param(F(1, 10**9), 9, id="width0-3"),
+    pytest.param(F(1, 10**20), 10, id="width1-6"),
 ])
 @pytest.mark.parametrize("rho", ORACLE_RHOS)
 def test_seeded_search_takes_few_integrals(monkeypatch, rho, width, most):
-    # the verified ends of the seeded bracket and any probes between them
+    # the verified ends of the bracket and the probes between them
     calls = []
 
     def counted(*args):
@@ -141,7 +155,7 @@ def test_seeded_search_takes_few_integrals(monkeypatch, rho, width, most):
 
     monkeypatch.setattr(mustar, "defect_integral", counted)
     res = mu_star(rho, width=width)
-    assert res.route == "estimate-seeded"
+    assert res.route == "verified"
     assert len(calls) <= most
     assert res.probes == len(calls)
 
@@ -169,7 +183,7 @@ def test_defect_encloses_the_integral_at_exact_arguments():
     # rho, mu and the limits -rho pi and (rho + 1) pi are enclosed in iv:
     # D contains a 50-digit mpmath.quad value at the exact rationals
     for rho, mu in ((F(2, 3), F(84685556829, 10**11)), (F(1, 3), F(1, 2)),
-                    (F(103, 300), BRACKET_LO)):
+                    (F(103, 300), F(1, 100))):
         res = defect_integral(rho, mu)
         with mp.workdps(80):
             r, m = (mp.mpf(v.numerator) / v.denominator for v in (rho, mu))
@@ -225,7 +239,7 @@ def test_defect_refuses_a_rho_box_leaving_the_range(rho):
 @pytest.mark.parametrize("rho", [F(1, 3), F(2, 3)])
 def test_false_position_evaluation_count(monkeypatch, rho):
     # plain bisection to width 1e-20 takes over 70 integrals; false position
-    # from the seeded bracket about 5
+    # from the bracket [rho, min(1, 2 rho)] about 10
     calls = []
 
     def counted(*args):
@@ -241,7 +255,7 @@ def test_false_position_evaluation_count(monkeypatch, rho):
 @pytest.mark.parametrize("rho", [F(1, 10), F(2, 3), F(99, 100), F(1)])
 def test_enclosure_stays_inside_the_bracket(rho, width):
     enc = mu_star(rho, width=width).enclosure
-    assert BRACKET_LO <= enc.lo <= enc.hi <= BRACKET_HI
+    assert rho <= enc.lo <= enc.hi <= min(1, 2 * rho)
     assert enc.width <= width
 
 

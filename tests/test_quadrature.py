@@ -20,7 +20,6 @@ from trigpos.mustar import mu_star
 from trigpos.quadrature import (
     QuadResult,
     _alternating_sum,  # private: its carried bound is checked at coarse precision
-    _estimate,  # private: mu_star's unverified seed
     chi_reference_integral,
     fractional_osc_integral,
     frak_K,
@@ -405,13 +404,3 @@ def test_min_over_upper_limit_refuses_a_non_finite_eta(eta):
     # the integral at x_min runs first, so the series route's guard names eta
     with pytest.raises(ValueError, match="eta must be finite"):
         min_over_upper_limit("sin", eta, 0.5, 1)
-
-
-def test_estimate_is_close_to_the_enclosure():
-    # an estimate with no error bound: float64 x^mu, cos and sin leave about
-    # 1e-16 times the size of the sums
-    rng = random.Random(11)
-    for _ in range(40):
-        eta, mu, x = rng.uniform(-3, 3), rng.uniform(0.01, 1), rng.uniform(0.1, 2 * 3.14159)
-        res = fractional_osc_integral("sin", eta, mu, x)
-        assert abs(_estimate(eta, mu, x) - res.value) < 1e-13 * max(1, abs(res.value))
