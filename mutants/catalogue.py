@@ -80,9 +80,13 @@ MUTANTS = (
            ("tests/test_mustar.py::test_narrow_refuses_ends_without_a_sign_change",
             "tests/test_mustar.py::test_mu_star_refuses_a_bracket_that_does_not_straddle")),
     Mutant("bracket-upper-end-3-halves", MUSTAR,
-           "bracket = (rho, min(Fraction(1), 2 * rho))",
-           "bracket = (rho, min(Fraction(1), 3 * rho / 2))",
+           "math.floor(min(1, 2 * rho) / ulp)",
+           "math.floor(min(1, 3 * rho / 2) / ulp)",
            ("tests/test_mustar.py::test_small_rho_enclosure_straddles_the_oracle_sign_change[rho2]",)),
+    Mutant("bracket-lower-end-rounded-down", MUSTAR,
+           "math.ceil(rho / ulp)",
+           "math.floor(rho / ulp)",
+           ("tests/test_mustar.py::test_enclosure_stays_inside_the_bracket[rho0-width0]",)),
     Mutant("curvature-margin-minus-err", ENGINE,
            "h * h / 8 + err",
            "h * h / 8 - err",
@@ -116,6 +120,11 @@ MUTANTS = (
            (), pins=("tests/test_cli.py::test_bounds_all_report_is_pinned",
                      "tests/test_cli.py::test_proof_report_is_pinned[thm-1-3]"),
            expect="pinned only"),
+    Mutant("proof-precision-without-guard-digits", PRECISION,
+           "working_dps() + 15 if dps is None else dps",
+           "working_dps() if dps is None else dps",
+           ("tests/test_mustar.py::test_defect_encloses_the_integral_at_exact_arguments",
+            "tests/test_engine.py::test_seed_boxes_enclose_the_true_seed")),
     Mutant("iv-ends-rounded-to-mp", PRECISION,
            "return tuple(mp.make_mpf(end) for end in x._mpi_)",
            "return mp.mpf(x.a), mp.mpf(x.b)",

@@ -18,7 +18,7 @@ owns those closed forms:
 
 Every formula is written once, in mpmath.iv, and accepts numbers, iv
 intervals or Enclosures; the elementary factors run at the caller's iv
-precision and the composites at working_dps() + 15 digits.  A composite
+precision and the composites at the proof precision (workdps).  A composite
 takes its exponent from the caller and is evaluated once over the rho and
 exponent boxes, with the kernel angles and the panel limits enclosed too
 and each oscillatory integral entering as its value +/- its error bound:
@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from mpmath import iv, mp
 
-from trigpos.precision import iv_dps, working_dps
+from trigpos.precision import workdps, working_dps
 from trigpos.quadrature import (_as_iv, _mid_rad, chi_reference_integral,
                                 fractional_osc_integral, frak_K)
 
@@ -86,7 +86,7 @@ def wedge(theta, mu):
     default 15, where mp.pi rounds below pi.
     """
     theta, mu = _as_iv(theta), _as_iv(mu)
-    with iv_dps(working_dps()):
+    with workdps(working_dps()):
         pi_down = iv.pi.a
     if not (0 < theta.a and theta.b < pi_down):
         raise ValueError("theta must lie in (0, pi)")
@@ -260,8 +260,7 @@ def L_region(region, rho=Fraction(1, 3), *, nu) -> BoundReport:
     region = str(region)
     if region not in REGIONS:
         raise ValueError(f"region must be one of {REGIONS}, got {region!r}")
-    dps = working_dps() + 15
-    with mp.workdps(dps), iv_dps(dps):
+    with workdps():
         rho, nu = _as_iv(rho), _as_iv(nu)
         if region == "2":  # closed form, no quadrature
             main = (2 * iv.sin(2 * iv.pi / 3)) ** (-nu) * iv.sin(iv.pi / 6 * (4 * rho - nu))
@@ -287,8 +286,7 @@ def two_thirds_master_bound(mu) -> BoundReport:
     chi_reference_integral, over the exponent box mu (an Enclosure, an
     mpmath.iv interval or a number), usually the enclosure of mu*(2/3).
     """
-    dps = working_dps() + 15
-    with mp.workdps(dps), iv_dps(dps):
+    with workdps():
         mu = _as_iv(mu)
         s_ratio = iv.pi / iv.sin(iv.pi / 5)
         comps = {

@@ -67,7 +67,7 @@ from trigpos.bounds import (
 )
 from trigpos.exact import Enclosure
 from trigpos.mustar import BOUNDARY_PROBES, PROOF_WIDTH, _verified_sign, defect_integral, mu_star
-from trigpos.precision import _as_mpf, iv_dps, working_dps
+from trigpos.precision import _as_mpf, workdps, working_dps
 from trigpos.quadrature import QuadResult, _mid_rad, chi_reference_integral, min_over_upper_limit
 from trigpos.trigsums import (
     _MAX_TERMS,
@@ -280,7 +280,7 @@ def _check_u1(mu_enc: Enclosure) -> CheckResult:
     d0, d1 = (t.coeff for t in u1.terms)
     terms_ok = ((u1.alpha, u1.beta) == (Fraction(1, 3), Fraction(1, 3))
                 and d0 == Enclosure.exact(1) and d1.lo <= mu_enc.lo and mu_enc.hi <= d1.hi)
-    with iv_dps(working_dps()):
+    with workdps():
         low = u1_closed_form(d1, iv.mpf([0, 1]) * iv.pi / 2).a
     return CheckResult(
         "closed-form-n1",
@@ -293,7 +293,7 @@ def _check_u1(mu_enc: Enclosure) -> CheckResult:
 
 
 def _check_prop_constants(mu_enc: Enclosure) -> list[CheckResult]:
-    with mp.workdps(working_dps()), iv_dps(working_dps()):
+    with workdps():
         const = small_angle_constant(mu_enc)
         value, rad = _mid_rad(const)
         w = _mid_rad(wedge(iv.pi / 5, mu_enc))[0]
@@ -302,10 +302,9 @@ def _check_prop_constants(mu_enc: Enclosure) -> list[CheckResult]:
         # minima over the upper limit, over the mu enclosure: the first (x = 5pi/3)
         # is -D(2/3, mu), as cos(t - pi/6) = -sin(t - 2pi/3), zero at mu*
         try:
-            with iv_dps(working_dps() + 15):
-                arg1, m1 = min_over_upper_limit("cos", -iv.pi / 6, mu_enc, mp.pi / 2)
-                arg2, m2 = min_over_upper_limit("cos", -iv.pi / 3, mu_enc, mp.pi / 2)
-                chi = chi_reference_integral(mu_enc)
+            arg1, m1 = min_over_upper_limit("cos", -iv.pi / 6, mu_enc, mp.pi / 2)
+            arg2, m2 = min_over_upper_limit("cos", -iv.pi / 3, mu_enc, mp.pi / 2)
+            chi = chi_reference_integral(mu_enc)
         except ValueError:  # an enclosure reaching mu = 0: no finite integrals, both fail
             arg1 = arg2 = mp.nan
             m1 = m2 = chi = QuadResult(mp.nan, mp.inf)
@@ -354,7 +353,7 @@ def _check_prop_constants(mu_enc: Enclosure) -> list[CheckResult]:
 
 def _check_master(mu_enc: Enclosure) -> CheckResult:
     rep = two_thirds_master_bound(mu_enc)  # on the PROOF_WIDTH enclosure of mu*(2/3)
-    with mp.workdps(working_dps()):
+    with workdps():
         diff = abs(rep.value - mp.mpf(MASTER_REFERENCE))
         ok = rep.positive and rep.value - rep.err > MASTER_MIN and diff <= MASTER_TOL
         comps = ", ".join(f"{k}={_fmt(v, 8)}" for k, v in rep.components.items())

@@ -52,7 +52,7 @@ from mpmath import iv
 from mpmath.libmp import dps_to_prec
 
 from trigpos.exact import _as_fraction
-from trigpos.precision import _iv_ends, iv_dps, working_dps
+from trigpos.precision import _iv_ends, workdps, working_dps
 from trigpos.trigsums import _MAX_TERMS, TrigSum, _up
 
 __all__ = [
@@ -242,7 +242,7 @@ class _Prefixes:
         the seed (f, phase): one iv.cos_sin finer than 2^-p, its endpoints
         read exactly and rounded outward to integers."""
         f, phase = seed
-        with iv_dps(working_dps() + 15):
+        with workdps():
             arg = iv.mpf(theta) * f.numerator / f.denominator \
                 + iv.pi * phase.numerator / phase.denominator
             ends = [[_as_fraction(end) * 2**p for end in _iv_ends(v)] for v in iv.cos_sin(arg)]

@@ -30,7 +30,7 @@ from fractions import Fraction
 from mpmath import iv, mp
 
 from trigpos.exact import Enclosure, _as_fraction
-from trigpos.precision import iv_dps, working_dps
+from trigpos.precision import workdps, working_dps
 from trigpos.quadrature import QuadResult, _as_iv, fractional_osc_integral
 
 __all__ = ["MuStarResult", "defect_integral", "mu_star", "width_floor", "PROOF_WIDTH",
@@ -59,7 +59,7 @@ def defect_integral(rho, mu) -> QuadResult:
     """D(rho, mu) = integral_0^((rho+1)*pi) sin(t - rho*pi) t^(mu-1) dt over
     a rho box inside (0, 1] and a mu box, each in a form _as_iv reads (an
     Enclosure, an mpmath.iv interval, a Fraction, an mpf, ...)."""
-    with iv_dps(working_dps() + 15):
+    with workdps():
         rho = _as_iv(rho)
         if not (0 < rho.a and rho.b <= 1):
             raise ValueError("rho must lie in (0, 1]")
@@ -78,9 +78,9 @@ def _verified_sign(rho: Fraction, mu: Fraction) -> mp.mpf:
 
 
 def width_floor() -> Fraction:
-    """Smallest width mu_star accepts, 10^-working_dps(): D's error radius is
-    below 10^-(working_dps() + 10) and |D'| ~ 1 near the root, so a probe a
-    grain (width/256) or more from it has a sign _verified_sign proves."""
+    """Smallest width mu_star accepts, 10^-working_dps(): at the proof
+    precision D's err is below 10^-(working_dps() + 10) and |D'| ~ 1 near
+    the root, so a probe a grain (width/256) or more away has a proven sign."""
     return Fraction(1, 10 ** working_dps())
 
 
@@ -88,12 +88,13 @@ def mu_star(rho, width=Fraction(1, 10**9)) -> MuStarResult:
     """Enclose mu*(rho) to the requested width.
 
     width is an exact rational (or anything Fraction() accepts) of at least
-    width_floor().  The bracket [rho, min(1, 2*rho)] is narrowed to
-    width/4, then re-centered, padded out to the full width and clipped to
-    the bracket: the root sits near the middle, so the enclosure also
-    contains its correctly-rounded decimal abbreviations.  A bracket already
-    narrower than width/4 (rho tiny) is returned whole, its ends' signs
-    verified.
+    width_floor().  The bracket [rho, min(1, 2*rho)] is rounded inward to
+    about 100 significant bits, so each probe is a binary fraction that the
+    series reads as a point at any rho, and narrowed to width/4, then
+    re-centered, padded out to the full width and clipped to the bracket:
+    the root sits near the middle, so the enclosure also contains its
+    correctly-rounded decimal abbreviations.  A bracket already narrower
+    than width/4 (rho tiny) is returned whole, its ends' signs verified.
     """
     rho = _as_fraction(rho)
     width = _as_fraction(width)
@@ -103,7 +104,7 @@ def mu_star(rho, width=Fraction(1, 10**9)) -> MuStarResult:
         raise ValueError(f"width must be at least 1e-{working_dps()}")
 
     # the probes and sign tests run at one precision, whatever the caller's
-    with mp.workdps(working_dps() + 10):
+    with workdps():
         if rho == 1:
             # boundary root: D(1, 1) = 0 exactly, D(1, mu) < 0 below it
             for probe in BOUNDARY_PROBES:
@@ -116,7 +117,8 @@ def mu_star(rho, width=Fraction(1, 10**9)) -> MuStarResult:
 def _false_position(rho: Fraction, width: Fraction):
     """(enclosure at most `width` wide, route, verified probes), rho < 1."""
     target, probes = width / 4, []
-    bracket = (rho, min(Fraction(1), 2 * rho))
+    ulp = Fraction(1, 2 ** (100 - rho.numerator.bit_length() + rho.denominator.bit_length()))
+    bracket = (math.ceil(rho / ulp) * ulp, math.floor(min(1, 2 * rho) / ulp) * ulp)
 
     def verified(mu):
         probes.append(mu)

@@ -1,12 +1,12 @@
 """Working-precision policy for the numeric layers.
 
-All mpmath computations run at ``working_dps()`` significant digits.  The
-default of 30 keeps roughly 15 guard digits beyond the 10--13 digits the
-certified constants are quoted to; the ``TRIGPOS_PRECISION`` environment
-variable overrides it (floor of 20, the digits mustar.PROOF_WIDTH needs); a
-value that is not an integer raises ValueError.  _as_mpf is the one
-conversion of a point to an mpf for evaluation at the current precision,
-and _iv_ends the one reader of an mpmath.iv interval's exact endpoints.
+working_dps() is the working precision in digits: 30 by default, roughly 15
+guard digits beyond the 10--13 digits the certified constants are quoted
+to, or $TRIGPOS_PRECISION (floor of 20, the digits mustar.PROOF_WIDTH
+needs; a non-integer raises ValueError).  Every proof computes inside
+workdps(), mp and mpmath.iv at working_dps() + 15 digits whatever the
+caller's.  _as_mpf is the one conversion of a point to an mpf at the
+current precision, and _iv_ends the one reader of an iv interval's ends.
 """
 
 import os
@@ -32,12 +32,14 @@ def working_dps() -> int:
 
 
 @contextmanager
-def iv_dps(dps: int):
-    """mpmath.iv at dps digits inside the block, the caller's precision after."""
-    saved = iv.prec
+def workdps(dps: int | None = None):
+    """mp and mpmath.iv both at dps digits inside the block, by default the
+    proof precision working_dps() + 15; the caller's precisions after."""
+    dps, saved = working_dps() + 15 if dps is None else dps, iv.prec
     iv.dps = dps
     try:
-        yield
+        with mp.workdps(dps):
+            yield
     finally:
         iv.prec = saved
 

@@ -14,8 +14,8 @@ A nonzero phase is folded in exactly through
 g(t + eta) = cos(eta) g(t) +/- sin(eta) g^(t).  Both series alternate, and
 their terms decrease from the first k = 2j (+1) with x^2 < (k+1)(k+2) on, so
 stopping at such a term below eps leaves a remainder below eps.  The terms
-grow to about e^x before they decay, so the sums run at
-working_dps() + 15 + ceil(x / ln 10) digits, which absorbs the cancellation.
+grow to about e^x before they decay, so the sums run ceil(x / ln 10) digits
+above the proof precision (workdps), which absorbs the cancellation.
 
 The series without its factor x^mu is summed in Python integers, in fixed
 point (Brent & Zimmermann, Modern Computer Arithmetic, 2010, sec. 4.4):
@@ -39,7 +39,7 @@ from fractions import Fraction
 from mpmath import iv, mp
 
 from trigpos.exact import Enclosure, _as_fraction
-from trigpos.precision import _iv_ends, iv_dps, working_dps
+from trigpos.precision import _iv_ends, workdps, working_dps
 
 __all__ = [
     "QuadResult",
@@ -121,8 +121,7 @@ def _evaluate(kind: str, eta, mu, x):
     eta, mu and x in their boxes; see the module docstring."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    dps = working_dps() + 15
-    with mp.workdps(dps), iv_dps(dps):
+    with workdps():
         eta, mu_box, x_box = (_as_iv(v) for v in (eta, mu, x))
         if not (0 < x_box.a and x_box.b <= 8 * mp.pi + mp.mpf("1e-12")):
             raise ValueError("series route requires 0 < x <= 8*pi")
@@ -131,8 +130,8 @@ def _evaluate(kind: str, eta, mu, x):
         if not (-mp.inf < eta.a and eta.b < mp.inf):
             raise ValueError("eta must be finite")
         (mu, d_mu), (x, d_x) = _mid_rad(mu_box), _mid_rad(x_box)
-        dps += int(mp.ceil(x / mp.ln(10)))
-    with mp.workdps(dps), iv_dps(dps):
+        dps = mp.dps + int(mp.ceil(x / mp.ln(10)))
+    with workdps(dps):
         # x and mu are binary fractions, over 2^k with k the bit length of the
         # denominator less 1, so at p >= k bits xf and m are x and mu exactly
         xq, mq = _as_fraction(x), _as_fraction(mu)
@@ -184,8 +183,7 @@ def frak_K(b, x, rho, mu) -> QuadResult:
     with 1/sin b are enclosed in mpmath.iv, so value +/- err encloses the
     integral at every b and rho given.
     """
-    dps = working_dps() + 15
-    with mp.workdps(dps), iv_dps(dps):
+    with workdps():
         b, rho = _as_iv(b), _as_iv(rho)
         if not (0 < b.a and b.b <= iv.pi / 2 + mp.mpf("1e-12")):
             raise ValueError("b must lie in (0, pi/2]")
@@ -203,7 +201,7 @@ def chi_reference_integral(mu) -> QuadResult:
     It is frak_K at b = pi/5, x = 8pi/5 and rho = 3/4, whose phase
     3pi/20 - pi/4 is -pi/10, so value +/- err encloses the integral.
     """
-    with iv_dps(working_dps() + 15):
+    with workdps():
         return frak_K(iv.pi / 5, 8 * iv.pi / 5, Fraction(3, 4), mu)
 
 
@@ -220,7 +218,7 @@ def min_over_upper_limit(kind: str, eta, mu, x_min):
     mpmath.iv, so the QuadResult encloses F at the zero itself.  Returns
     (argmin as an mpf for display, QuadResult at argmin).
     """
-    with mp.workdps(working_dps() + 10), iv_dps(working_dps() + 15):
+    with workdps():
         eta_iv, x_box = _as_iv(eta), _as_iv(x_min)
         if not 0 < x_box.a:
             raise ValueError("x_min must be positive")

@@ -31,7 +31,7 @@ from fractions import Fraction
 from mpmath import iv, mp
 
 from trigpos.exact import Enclosure, Polynomial, _as_fraction, count_roots_in, sturm_chain
-from trigpos.precision import _as_mpf, _iv_ends, iv_dps, working_dps
+from trigpos.precision import _as_mpf, _iv_ends, workdps, working_dps
 
 __all__ = [
     "TrigTerm",
@@ -327,11 +327,11 @@ def case_q(n: int) -> tuple[Enclosure, ...]:
 def _outward(value_fn, below: bool) -> Fraction:
     """Rational bound below/above a real that value_fn encloses in mpmath.iv.
 
-    value_fn runs with iv at working_dps() + 15 digits; interval arithmetic
-    rounds every operation outward, so the lower (upper) endpoint of its
-    result, read exactly, lies below (above) the true value.
+    value_fn runs at the proof precision (precision.workdps); interval
+    arithmetic rounds every operation outward, so the lower (upper) endpoint
+    of its result, read exactly, lies below (above) the true value.
     """
-    with iv_dps(working_dps() + 15):
+    with workdps():
         enc = value_fn()
     return _as_fraction(_iv_ends(enc)[0 if below else 1])
 

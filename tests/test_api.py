@@ -11,7 +11,8 @@ kept too: proofs apart from sampled estimates, and the Sturm plan the sole
 owner of its target names.  And one reader per mpmath number format:
 exact._as_fraction alone reads an mpf's bits, precision._iv_ends alone an
 iv interval's ends, and no module branches on the type of an mpmath number
-by hand.
+by hand.  And one owner of the proof precision: precision.workdps alone sets
+iv's precision and writes working_dps() + 15.
 """
 
 import ast
@@ -27,7 +28,7 @@ from mpmath import mp
 
 import trigpos
 from trigpos import cli, trigsums
-from trigpos.precision import iv_dps
+from trigpos.precision import workdps
 from trigpos.trigsums import sturm_case_plan
 
 PACKAGE = Path(trigpos.__file__).resolve().parent
@@ -39,7 +40,7 @@ TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
 def _cli_precision():
     # the suite runs at mp.dps = 30 (conftest.py); each test here runs the
     # CLI's cases at mpmath's default 15 digits, mp and iv, as a user's process does
-    with mp.workdps(15), iv_dps(15):
+    with workdps(15):
         yield
 
 
@@ -279,3 +280,51 @@ def test_one_conversion_route_for_mpmath_numbers():
     # alone an iv interval's ends
     found = sorted({hit for module, tree in TREES.items() for hit in _format_reads(module, tree)})
     assert not found, f"mpmath formats read outside their one reader: {found}"
+
+
+# mpmath's precision setters; mp's are left only where a number is rendered
+# or estimated, which proves nothing: (module, function), None for any
+PRECISION_SETTERS = ("workdps", "workprec", "extradps", "extraprec")
+MP_PRECISION_SITES = {("precision", "workdps"), ("cli", "_fmt"), ("cli", "_fmt_enclosure"),
+                      ("trigsums", "TrigSum.eval_mp"), ("gegenbauer", None)}
+
+
+def _scoped(node, scope: str = ""):
+    """(qualified name of the enclosing definition, node) for node and every
+    node below it."""
+    if isinstance(node, (*_DEFS, ast.ClassDef)):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    yield scope, node
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped(child, scope)
+
+
+def _precision_breaches(module: str, tree) -> list[str]:
+    """`module.py:line` of every setting of iv's precision outside
+    precision.workdps, of mp's outside MP_PRECISION_SITES, and of every
+    working_dps() + 15 outside the precision module."""
+    hits = []
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in ("iv", "mp") and (node.attr in PRECISION_SETTERS or (
+                    node.attr in ("dps", "prec") and not isinstance(node.ctx, ast.Load))):
+            sites = {("precision", "workdps")} if node.value.id == "iv" else MP_PRECISION_SITES
+            if (module, scope) not in sites and (module, None) not in sites:
+                hits.append(f"{module}.py:{node.lineno} {node.value.id}.{node.attr}")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and module != "precision":
+            ends = {ast.dump(end) for end in (node.left, node.right)}
+            if ends == {ast.dump(ast.parse("working_dps()", mode="eval").body),
+                        ast.dump(ast.Constant(15))}:
+                hits.append(f"{module}.py:{node.lineno} working_dps() + 15")
+    return hits
+
+
+def test_one_owner_of_the_proof_precision():
+    # every proof computes inside precision.workdps, mp and iv together at
+    # working_dps() + 15: no other function sets iv's precision or spells
+    # those guard digits, and mp.workdps stays only where numbers are
+    # rendered (cli._fmt, cli._fmt_enclosure) or estimated
+    # (TrigSum.eval_mp, the gegenbauer module)
+    found = sorted(hit for module, tree in TREES.items()
+                   for hit in _precision_breaches(module, tree))
+    assert not found, f"precision set outside its one owner: {found}"

@@ -29,7 +29,7 @@ from trigpos.bounds import (
 )
 from trigpos.exact import Enclosure
 from trigpos.mustar import PROOF_WIDTH, mu_star
-from trigpos.precision import iv_dps
+from trigpos.precision import workdps
 from trigpos.quadrature import frak_K
 from trigpos.trigsums import build_U_n
 
@@ -70,7 +70,7 @@ def test_wedge_refuses_pi_rounded_down_at_the_working_precision():
     # inside (0, pi), and wedge encloses the factor there
     with mp.workdps(30), pytest.raises(ValueError):
         wedge(mp.pi, F(1, 2))
-    with mp.workdps(15), iv_dps(15):
+    with workdps(15):
         theta = +mp.pi
         enc = wedge(theta, F(1, 2))
     with mp.workdps(50):

@@ -13,11 +13,12 @@ import pytest
 from mpmath import mp
 
 import trigpos
-from trigpos import cli, engine, trigsums
+from trigpos import cli, engine, mustar, trigsums
 from trigpos.cli import main
 from trigpos.exact import Enclosure
 from trigpos.mustar import MuStarResult, mu_star
-from trigpos.precision import iv_dps
+from trigpos.precision import workdps
+from trigpos.quadrature import QuadResult
 from trigpos.trigsums import TrigSum, TrigTerm
 
 REPORT_KEYS = {"case", "inputs", "method", "status", "checks", "reference",
@@ -33,7 +34,7 @@ THM_2_3_CHECKS = [
 def _cli_precision():
     # the suite runs at mp.dps = 30 (conftest.py); each test here drives
     # the CLI at mpmath's default 15 digits, mp and iv, as a user's process does
-    with mp.workdps(15), iv_dps(15):
+    with workdps(15):
         yield
 
 
@@ -370,31 +371,38 @@ def test_small_rho_is_enclosed(capsys, argv):
     assert "status: PASS" in out and err == ""
 
 
-def test_hostile_rho_ends_in_no_wrong_pass(capsys):
-    # rho = 1e-40: the bracket [rho, 2 rho] is narrower than PROOF_WIDTH, so
-    # it is the enclosure, both ends' signs verified.  As rho -> 0,
+@pytest.mark.parametrize("rho", ["1e-40", "1e-50", "1e-300"])
+def test_tiny_rho_is_enclosed_by_its_bracket(capsys, rho):
+    # the bracket [rho, 2 rho] is narrower than PROOF_WIDTH, so it is the
+    # enclosure, both ends' signs verified.  As rho -> 0,
     # D(rho, mu) ~ Si(pi) - rho pi/mu, which is Si(pi) - pi < 0 at mu = rho and
-    # Si(pi) - pi/2 > 0 at mu = 2 rho
-    assert main(["mustar", "1e-40", "--json"]) == 0
+    # Si(pi) - pi/2 > 0 at mu = 2 rho; the ends are binary fractions, which
+    # the series reads as points, so no radius of mu ~ rho widens D
+    assert main(["mustar", rho, "--json"]) == 0
     width, signs = json.loads(capsys.readouterr().out)["checks"]
-    assert width["value"] == "[1.0e-40, 2.0e-40]"
+    assert width["value"] == f"[1.0{rho[1:]}, 2.0{rho[1:]}]"
     assert signs["status"] == "pass"
     assert signs["detail"].endswith("verified search, 2 verified probes")
     d_lo, d_hi = map(float, re.fullmatch(r"D\(lo\) = (\S+), D\(hi\) = (\S+)",
                                          signs["value"]).groups())
     assert d_lo == pytest.approx(float(mp.si(mp.pi) - mp.pi), abs=0.01)
     assert d_hi == pytest.approx(float(mp.si(mp.pi) - mp.pi / 2), abs=0.01)
-    # further down the series route cannot sign D: one error line, exit 1
-    assert main(["mustar", "1e-50"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1
-    assert err.startswith("error: cannot enclose mu*(rho) at rho = 1/10")
+
+
+def test_hostile_rho_ends_in_no_wrong_pass(capsys, monkeypatch):
     # rho = 0.999999: D(rho, 1) = 1 + cos(rho pi) is about 5e-12, and the root
     # lies below 1, not at the boundary
     assert main(["mustar", "0.999999", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     hi = Fraction(payload["checks"][0]["value"].strip("[]").split(", ")[1])
     assert payload["status"] == "pass" and hi < 1
+    # a defect whose sign never verifies: one error line, exit 1
+    monkeypatch.setattr(mustar, "defect_integral",
+                        lambda rho, mu: QuadResult(mp.mpf(0), mp.mpf(1)))
+    assert main(["mustar", "1e-50"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: cannot enclose mu*(rho) at rho = 1/10")
 
 
 def test_bounds_master_json_shape(capsys):

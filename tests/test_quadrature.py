@@ -26,7 +26,7 @@ from trigpos.quadrature import (
     min_over_upper_limit,
     series_reference,
 )
-from trigpos.precision import iv_dps, working_dps
+from trigpos.precision import workdps
 
 with mp.workdps(30):  # formed at import, at the suite's precision
     NU0 = mp.mpf("0.49669136508129942616")
@@ -194,7 +194,7 @@ def test_scaled_encloses_the_exact_product():
     # product: err must cover both ends of the unscaled integral times the
     # exact factor
     b, rho = mp.pi / 6, F(1, 3)
-    with iv_dps(working_dps() + 15):
+    with workdps():
         rho_iv = iv.mpf(1) / 3
         eta = rho_iv * b - (rho_iv - iv.mpf(1) / 2) * iv.pi
         cases = (
@@ -230,9 +230,9 @@ def test_input_guards():
 
 def _box(*ends):
     """[first, last] of Fractions, rounded outward at the precision the
-    series route reads its arguments at, working_dps() + 15 digits."""
+    series route reads its arguments at, the proof precision (workdps)."""
     lo, hi = ends[0], ends[-1]
-    with iv_dps(working_dps() + 15):
+    with workdps():
         return iv.mpf([(iv.mpf(lo.numerator) / lo.denominator).a,
                        (iv.mpf(hi.numerator) / hi.denominator).b])
 
@@ -242,7 +242,7 @@ MU_ENC = Enclosure(F(84685556828, 10**11), F(84685556830, 10**11))
 
 def test_fraction_and_enclosure_arguments_give_the_equal_mpf_or_iv_result():
     # a dyadic Fraction is its mpf exactly; another Fraction is its iv box
-    # and an Enclosure its hull, both at working_dps() + 15 digits
+    # and an Enclosure its hull, both at the proof precision
     assert (fractional_osc_integral("sin", F(1, 4), F(1, 2), F(3, 2))
             == fractional_osc_integral("sin", mp.mpf("0.25"), mp.mpf("0.5"), mp.mpf("1.5")))
     assert series_reference("cos", F(1, 2), F(3, 2), F(-1, 8)) == series_reference(
@@ -325,7 +325,7 @@ def test_composites_enclose_the_integral_at_exact_arguments():
     assert _contains(chi_reference_integral(MU23), ref)
     # region 1's limits 2 pi and 7 pi / 4, passed as iv intervals
     for kind, x in (("sin", 2), ("cos", mp.mpf(7) / 4)):
-        with iv_dps(working_dps() + 15):
+        with workdps():
             res = fractional_osc_integral(kind, 0, NU0, iv.pi * x)
         with mp.workdps(80):
             ref = osc_integral(kind, 0, NU0, mp.pi * x, dps=50)
@@ -334,14 +334,14 @@ def test_composites_enclose_the_integral_at_exact_arguments():
 
 def test_interval_arguments_widen_by_the_derivative_bounds():
     # a wide eta, mu and x: the result covers the integral at their ends
-    with iv_dps(working_dps() + 15):
+    with workdps():
         eta, mu, x = iv.mpf(["0.3", "0.3001"]), iv.mpf(["0.6", "0.6001"]), iv.mpf(["2", "2.001"])
         res = fractional_osc_integral("sin", eta, mu, x)
     for e, m, y in itertools.product(("0.3", "0.3001"), ("0.6", "0.6001"), ("2", "2.001")):
         assert _contains(res, osc_integral("sin", e, m, y)), (e, m, y)
     assert res.err < mp.mpf("1e-2")
     # an interval phase alone: cos and sin are enclosed over it
-    with iv_dps(working_dps() + 15):
+    with workdps():
         res = fractional_osc_integral("cos", iv.mpf(["0.3", "0.31"]), NU0, mp.mpf(2))
     for e in ("0.3", "0.31"):
         assert _contains(res, osc_integral("cos", e, NU0, 2)), e
@@ -367,7 +367,7 @@ def test_chi_argmin_is_eight_pi_fifths():
 def test_min_over_upper_limit_encloses_the_exact_zero():
     # the minimum for eta = -pi/6 sits at the zero 5pi/3 of cos(x - pi/6);
     # the result encloses F there, not at an upper limit rounded to mp
-    with iv_dps(working_dps() + 15):
+    with workdps():
         argmin, best = min_over_upper_limit("cos", -iv.pi / 6, MU23, mp.pi / 2)
     assert abs(argmin - 5 * mp.pi / 3) < mp.mpf("1e-25")
     with mp.workdps(50):

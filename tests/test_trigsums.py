@@ -16,7 +16,7 @@ from mpmath import iv, mp
 from oracles import chebyshev_T_coeffs, chebyshev_U_coeffs, poly_add, poly_mul, rational_poch_table
 from trigpos.exact import Enclosure, Polynomial, _as_fraction
 from trigpos.mustar import mu_star
-from trigpos.precision import _iv_ends, iv_dps, working_dps
+from trigpos.precision import _iv_ends, workdps, working_dps
 from trigpos.trigsums import (
     MU_STURM,
     Q_STURM,
@@ -437,7 +437,7 @@ def test_outward_bounds_lie_on_their_side():
 
 def test_iv_ends_are_exact_at_any_mp_precision():
     # a 1e-50 wide interval at 60 iv digits keeps two ends at mp's 15 digits
-    with iv_dps(60):
+    with workdps(60):
         x = iv.mpf(1) / 3 + iv.mpf([0, mp.mpf("1e-50")])
     with mp.workdps(15):
         lo, hi = map(_as_fraction, _iv_ends(x))
