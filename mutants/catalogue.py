@@ -104,12 +104,10 @@ MUTANTS = (
            "first = (tsum.alpha, tsum.beta)",
            ("tests/test_engine.py::test_fixed_point_errors_cover_the_true_terms",
             "tests/test_engine.py::test_float_values_stay_within_the_float64_bound")),
-    Mutant("sum-without-progression-check", TRIGSUMS,
-           "t.freq.as_integer_ratio() != (a + 2 * k * d, d)",
-           "False",
-           ("tests/test_engine.py::test_grid_takes_one_progression",
-            "tests/test_trigsums.py::"
-            "test_sums_refuse_negative_alpha_nan_rho_and_terms_off_the_progression")),
+    Mutant("curvature-weight-linear-in-frequency", ENGINE,
+           "cmax * f * f",
+           "cmax * f",
+           ("tests/test_engine.py::test_prefix_bounds_cover_their_exact_sums",)),
     Mutant("cell-width-without-node-rounding", ENGINE,
            "h = (step + 8 * _U * self.theta_max) * _SLACK",
            "h = step",

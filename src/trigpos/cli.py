@@ -233,7 +233,8 @@ def run_mustar(rho: Fraction) -> VerificationReport:
 
 def _sturm_check(target, gate_all_points: bool) -> CheckResult:
     out = run_sturm_target(target)
-    (label, positive), = out.point_results
+    # positive on the lower envelope, which minorizes every admissible coefficient choice
+    label, positive = target.anchor[0], out.anchor_signs[0] > 0
     a, b = target.x_interval
     detail = (f"0 roots in ({float(a):.10g}, {float(b):.10g}] expected; "
               f"{label} {'>0' if positive else '<=0'}")

@@ -17,13 +17,16 @@ Stability of Numerical Algorithms, 2nd ed., ch. 3), u = 2^-53: a seed is
 off by 8u plus its argument's rounding, a complex product adds
 sqrt(2) gamma_2 (Lemma 3.5), so 1 + E_k = (1 + E_{k-1})(1 + e_seed)
 (1 + sqrt(2) gamma_2) bounds P_k's relative error; c_k Re P_k adds u, and
-term k passes n - k + 1 additions, gamma_{n-k+1}.  M2_n, the half-widths and
-the rounding are float64 sums of per-term upper bounds (each the least float
-above its exact value) times 1 + 1e-9, which covers the sums' own rounding
-below 10^6 terms; the per-term bounds are memoised on the terms
-(TrigTerm.float_bounds).  The one assumption is that numpy's sin and cos of
-the seed arguments are within 4 ulp of the true values (SVML builds are);
-it covers certification only.
+term k passes n - k + 1 additions, gamma_{n-k+1}.  The half-widths and the
+rounding add per-term upper bounds, each the least float above its exact
+value, memoised on the term (TrigTerm.float_bounds); M2_n adds cmax f f, one
+float64 vector of the memoised bound cmax on max|c_k| and f = float(alpha)
++ 2k, whose conversion, addition and two products round once each, so each
+of its terms is at least (1 - u)^6 times an upper bound.  Every float64 sum
+is multiplied by 1 + 1e-9, which covers that 6u and the sum's own rounding,
+n u < 1.2e-10 below 10^6 terms, in float64's normal range.  The one
+assumption is that numpy's sin and cos of the seed arguments are within 4
+ulp of the true values (SVML builds are); it covers certification only.
 
 The grid starts at 1,025 nodes and doubles, keeping the old nodes and
 evaluating the new ones in fixed-size chunks, until every n is decided.  A
@@ -64,7 +67,7 @@ __all__ = [
 _U = 2.0**-53  # float64 unit roundoff
 _SEED_ERR = 8 * _U  # cos and sin within 4 ulp, so |computed - exact| <= 8u
 _MUL_ERR = math.sqrt(2) * 2 * _U / (1 - 2 * _U)  # complex product, Higham 3.5
-_SLACK = 1 + 1e-9  # rounding in the bound's own float sums, below _MAX_TERMS terms
+_SLACK = 1 + 1e-9  # M2's 6u per term and the bounds' own float sums, below _MAX_TERMS terms
 _INITIAL_NODES = 1025
 _MAX_NODES = (1 << 20) + 1  # node budget before "inconclusive"
 _CHUNK = 1 << 14  # nodes per evaluation chunk
@@ -116,9 +119,10 @@ class _Prefixes:
         self.passes = {}  # (theta, p) -> (bounds of S_0, S_1, ... so far, their pass)
         self.lo, self.hi = -_up(-self.a), _up(self.b)  # floats around [a, b]
         self.theta_max = max(abs(self.lo), abs(self.hi))
-        # per term: the float midpoint and upper bounds on max|c_k| f_k^2,
-        # the half-width and |float midpoint - midpoint| (TrigTerm.float_bounds)
-        self.coeffs, m2, half, rounding = np.array([t.float_bounds for t in terms]).T
+        # per term: the float midpoint and upper bounds on max|c_k|, the
+        # half-width and |float midpoint - midpoint| (TrigTerm.float_bounds)
+        self.coeffs, cmax, half, rounding = np.array([t.float_bounds for t in terms]).T
+        f = float(tsum.alpha) + 2 * np.arange(len(terms))  # f_k, within 2u
         # P_0's (frequency, phase of the cosine) and each step's
         first = (tsum.alpha, tsum.beta - Fraction(1, 2))
         self.seeds = (first, (2, 0))
@@ -131,8 +135,8 @@ class _Prefixes:
         adds = _U / (1 - np.arange(1, len(c) + 1) * _U)
         fp = np.cumsum(np.cumsum(c * (1 + rel) * (1 + _U))) * adds \
             + np.cumsum(c * (rel + _U * (1 + rel)))
-        # float sums of nonnegative upper bounds, their rounding under _SLACK
-        self.m2, half, rounding = (np.cumsum(x) * _SLACK for x in (m2, half, rounding))
+        # float sums of nonnegative upper bounds (M2's within 6u), under _SLACK
+        self.m2, half, rounding = (np.cumsum(x) * _SLACK for x in (cmax * f * f, half, rounding))
         self.float_err = (fp + rounding) * _SLACK
         self.err = (self.float_err + half) * _SLACK
 

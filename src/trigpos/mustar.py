@@ -30,7 +30,7 @@ from fractions import Fraction
 from mpmath import iv, mp
 
 from trigpos.exact import Enclosure, _as_fraction
-from trigpos.precision import workdps, working_dps
+from trigpos.precision import _as_mpf, workdps, working_dps
 from trigpos.quadrature import QuadResult, _as_iv, fractional_osc_integral
 
 __all__ = ["MuStarResult", "defect_integral", "mu_star", "width_floor", "PROOF_WIDTH",
@@ -67,13 +67,18 @@ def defect_integral(rho, mu) -> QuadResult:
         return fractional_osc_integral("sin", -rho_pi, mu, rho_pi + iv.pi)
 
 
+def _dec(x) -> str:
+    """x in 25 significant digits, for messages: a probe's fraction runs to ~100."""
+    return mp.nstr(_as_mpf(x), 25)
+
+
 def _verified_sign(rho: Fraction, mu: Fraction) -> mp.mpf:
     """D(rho, mu), returned only when its sign is proven, 0 outside
     [value - err, value + err]; otherwise this raises."""
     res = defect_integral(rho, mu)
     if abs(res.value) > res.err:
         return res.value
-    raise ArithmeticError(f"cannot resolve sign of defect at mu={mu}: value "
+    raise ArithmeticError(f"cannot resolve sign of defect at mu={_dec(mu)}: value "
                           f"{mp.nstr(res.value, 8)} vs err {mp.nstr(res.err, 3)}")
 
 
@@ -127,7 +132,7 @@ def _false_position(rho: Fraction, width: Fraction):
     try:
         lo, hi = _narrow(verified, bracket, target)
     except ArithmeticError as exc:
-        raise ArithmeticError(f"cannot enclose mu*(rho) at rho = {rho}: {exc}") from None
+        raise ArithmeticError(f"cannot enclose mu*(rho) at rho = {_dec(rho)}: {exc}") from None
     center, half = (lo + hi) / 2, width / 2
     return Enclosure(max(bracket[0], min(lo, center - half)),
                      min(bracket[1], max(hi, center + half))), "verified", len(probes)
@@ -140,7 +145,8 @@ def _narrow(sign, ends: list, target: Fraction) -> list:
     tell."""
     ends, vals = list(ends), [sign(mu) for mu in ends]
     if not vals[0] < 0 < vals[1]:
-        raise ArithmeticError(f"[{ends[0]}, {ends[1]}] does not straddle a sign change")
+        raise ArithmeticError(
+            f"[{_dec(ends[0])}, {_dec(ends[1])}] does not straddle a sign change")
     # probes sit on multiples of a power of two below target/64, which
     # keeps their denominators small; the bracket exceeds 64 grains, so a
     # probe clamped one grain inside it is interior
@@ -168,4 +174,4 @@ def _narrow(sign, ends: list, target: Fraction) -> list:
             m = 1 - val_c / vals[side]
             vals[1 - side] *= m if m > 0 else 0.5
         ends[side], vals[side], last = c, val_c, side
-    raise ArithmeticError(f"bracket not within {target} after 100 probes")
+    raise ArithmeticError(f"bracket not within {_dec(target)} after 100 probes")

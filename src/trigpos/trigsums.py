@@ -10,9 +10,9 @@ is  sum c_m T_m(x)  and a sum of c_m sin(m t) is  sin t * sum c_m U_(m-1)(x)
 enclosure) coefficients.
 
 build_U_n and build_varsigma share one growing term list per (mu,
-precision, alpha), which resumes the coefficient recurrence where it
-stopped, and each term memoises the constants derived from it alone, so
-sums that share a mu share that work.
+precision), the (mu)_k / k! table that resumes the recurrence where it
+stopped, and each term memoises the constants derived from its coefficient
+alone, so sums that share a mu, at any alpha, share that work.
 
 sturm_case_plan owns every Sturm obligation of the proofs: its name
 (STURM_NAMES), interval, one anchor point and, where a proof may not gate
@@ -78,34 +78,32 @@ def _up(x, d: int = 1) -> float:
 
 @dataclass(frozen=True)
 class TrigTerm:
-    """One coefficient of a TrigSum and the frequency it multiplies.
+    """One coefficient of a TrigSum; the sum's alpha and the term's index k
+    fix the frequency it multiplies, alpha + 2k.
 
-    float_bounds, the constants the grid certificate derives from a term
-    alone, is memoised on it (outside the fields, so equality and hashing
-    see only the fields).
+    float_bounds, the constants the grid certificate derives from a
+    coefficient alone, is memoised on it (outside the fields, so equality
+    and hashing see only the coefficient).
     """
 
     coeff: Enclosure
-    freq: Fraction
 
     @cached_property
     def float_bounds(self) -> tuple[float, float, float, float]:
-        """The float midpoint of coeff and upper bounds on max|c| freq^2, the
+        """The float midpoint of coeff and upper bounds on max|c|, the
         half-width and |float midpoint - midpoint|, each the least float
         above its exact value, decided on integers."""
         (ln, ld), (hn, hd) = self.coeff.lo.as_integer_ratio(), self.coeff.hi.as_integer_ratio()
         den, num = 2 * ld * hd, ln * hd + hn * ld  # midpoint num / den
         mid = num / den
         a, b = mid.as_integer_ratio()
-        fn, fd = self.freq.as_integer_ratio()
-        return (mid, _up(max(abs(ln) * hd, abs(hn) * ld) * fn * fn, ld * hd * fd * fd),
+        return (mid, _up(max(abs(ln) * hd, abs(hn) * ld), ld * hd),
                 _up(hn * ld - ln * hd, den), _up(abs(a * den - num * b), b * den))
 
 
 @dataclass(frozen=True)
 class TrigSum:
-    """sum_k terms[k].coeff sin((alpha + 2k) theta + beta pi): alpha < 0 or
-    a term whose freq is not alpha + 2k raises ValueError."""
+    """sum_k terms[k].coeff sin((alpha + 2k) theta + beta pi); alpha < 0 raises ValueError."""
 
     alpha: Fraction
     beta: Fraction
@@ -114,9 +112,6 @@ class TrigSum:
     def __post_init__(self):
         if self.alpha < 0:
             raise ValueError("negative alpha")
-        a, d = self.alpha.as_integer_ratio()  # alpha + 2k = (a + 2kd)/d in lowest terms
-        if any(t.freq.as_integer_ratio() != (a + 2 * k * d, d) for k, t in enumerate(self.terms)):
-            raise ValueError("not one progression sum_k c_k sin((alpha + 2k) theta + beta pi)")
 
     def eval_mp(self, theta):
         """Midpoint evaluation at working precision (mpf), as the cosines
@@ -125,8 +120,8 @@ class TrigSum:
             th = _as_mpf(theta)
             phase = mp.pi * _as_mpf(self.beta - Fraction(1, 2))
             total = mp.mpf(0)
-            for t in self.terms:
-                total += _as_mpf(t.coeff.mid) * mp.cos(_as_mpf(t.freq) * th + phase)
+            for k, t in enumerate(self.terms):
+                total += _as_mpf(t.coeff.mid) * mp.cos(_as_mpf(self.alpha + 2 * k) * th + phase)
             return total
 
     def coeff_err(self) -> Fraction:
@@ -134,12 +129,9 @@ class TrigSum:
         return sum((t.coeff.width / 2 for t in self.terms), Fraction(0))
 
     def lipschitz(self) -> Fraction:
-        """Exact bound on |d/dtheta|: sum of |coeff|_max * freq."""
-        total = Fraction(0)
-        for t in self.terms:
-            cmax = max(abs(t.coeff.lo), abs(t.coeff.hi))
-            total += cmax * t.freq
-        return total
+        """Exact bound on |d/dtheta|: sum of |coeff|_max * (alpha + 2k)."""
+        return sum((max(abs(t.coeff.lo), abs(t.coeff.hi)) * (self.alpha + 2 * k)
+                    for k, t in enumerate(self.terms)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +184,17 @@ def _as_mu_enclosure(mu) -> Enclosure:
 
 
 def _sum(alpha: Fraction, beta: Fraction, mu, n: int) -> TrigSum:
-    """The TrigSum (alpha, beta) of the terms d_k at frequency 2k + alpha,
-    k = 0..n, with d_k = (mu)_k / k!.  One term list per (mu, precision,
-    alpha) is kept, the _MAX_TERM_LISTS most recently used, and grown on
-    demand by resuming the recurrence from its last coefficient."""
+    """The TrigSum (alpha, beta) of the terms d_k = (mu)_k / k!, k = 0..n.
+    One term list per (mu, precision) is kept, the _MAX_TERM_LISTS most
+    recently used, and grown on demand by resuming the recurrence from its
+    last coefficient."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    TrigSum(alpha, beta, ())  # the type refuses alpha before a term list grows
     mu = _as_mu_enclosure(mu)
-    key = (mu.lo, mu.hi, working_dps(), alpha)
+    key = (mu.lo, mu.hi, working_dps())
     with _TERM_LOCK:  # two threads must not grow one list at once
         coeffs, terms = _TERM_LISTS.pop(key, None) or (_pochhammer(mu), [])
-        terms += (TrigTerm(next(coeffs), 2 * k + alpha) for k in range(len(terms), n + 1))
+        terms += (TrigTerm(next(coeffs)) for _ in range(len(terms), n + 1))
         # (re)entered only once grown, so a mu the generator rejects keeps none
         _TERM_LISTS[key] = coeffs, terms
         if len(_TERM_LISTS) > _MAX_TERM_LISTS:
@@ -437,19 +428,12 @@ class SturmOutcome:
     coefficients)."""
 
     root_counts: tuple[int, ...]
-    anchor: str
     anchor_signs: tuple[int, ...]
-
-    @property
-    def point_results(self) -> tuple[tuple[str, bool], ...]:
-        """((anchor, positive),): positivity on the lower envelope, which
-        minorizes every admissible coefficient choice, holds for all of them."""
-        return ((self.anchor, self.anchor_signs[0] > 0),)
 
 
 def run_sturm_target(target: SturmTarget) -> SturmOutcome:
     """Run the exact root counts and the anchor's signs for one obligation."""
     polys = target.polynomials()
-    (a, b), (label, x) = target.x_interval, target.anchor
+    (a, b), (_, x) = target.x_interval, target.anchor
     return SturmOutcome(tuple(count_roots_in(sturm_chain(p), a, b) for p in polys),
-                        label, tuple(p.sign_at(x) for p in polys))
+                        tuple(p.sign_at(x) for p in polys))

@@ -143,7 +143,9 @@ def test_criterion_05_L_region_values():
 def test_criterion_06_sturm_certifications():
     start = time.perf_counter()
     enc = mu_star(F(2, 3), width=TIGHT).enclosure
-    outcomes = {t.name: run_sturm_target(t) for t in sturm_case_plan(enc)}
+    plan = sturm_case_plan(enc)
+    outcomes = {t.name: run_sturm_target(t) for t in plan}
+    anchors = {t.name: t.anchor[0] for t in plan}
     failures = []
     for name in ("q1", "q2", "q3", "P-near-0", "P-mid", "Q", "R"):
         out = outcomes[name]
@@ -157,8 +159,8 @@ def test_criterion_06_sturm_certifications():
         ("Q", "Q(pi/2)/sin"),
         ("R", "R(pi/2)/sin"),
     ):
-        flags = dict(outcomes[name].point_results)
-        if not flags[label]:
+        # the lower envelope minorizes every coefficient choice in the enclosure
+        if anchors[name] != label or not outcomes[name].anchor_signs[0] > 0:
             failures.append(f"{label} not positive")
     # P minorizes 2 sin(phi) U_n(phi), which vanishes at t = -pi/3 (phi = 0),
     # so P cannot be positive there: it equals -mu(mu+1)/4 exactly, checked
@@ -167,7 +169,7 @@ def test_criterion_06_sturm_certifications():
         value = Polynomial(c.lo for c in case_P(mu))(F(1, 2))
         if value != -mu * (mu + 1) / 4:
             failures.append(f"P(-pi/3) = {float(value)} is not -mu(mu+1)/4")
-    if dict(outcomes["P-near-0"].point_results)["P(-pi/3)"]:
+    if anchors["P-near-0"] != "P(-pi/3)" or outcomes["P-near-0"].anchor_signs[0] > 0:
         failures.append("P(-pi/3) reported positive")
     elapsed = time.perf_counter() - start
     if elapsed >= 30.0:

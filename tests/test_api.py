@@ -12,10 +12,12 @@ owner of its target names.  And one reader per mpmath number format:
 exact._as_fraction alone reads an mpf's bits, precision._iv_ends alone an
 iv interval's ends, and no module branches on the type of an mpmath number
 by hand.  And one owner of the proof precision: precision.workdps alone sets
-iv's precision and writes working_dps() + 15.
+iv's precision and writes working_dps() + 15.  And a term is its
+coefficient: a TrigTerm has no frequency field, and nothing reads one.
 """
 
 import ast
+import dataclasses
 import functools
 import importlib
 import re
@@ -226,6 +228,16 @@ def test_formula_layers_never_search_for_mu_star():
              for node in ast.walk(TREES[module])
              if "trigpos.mustar" in _imported_modules(node)]
     assert not found, f"imports of trigpos.mustar in a formula layer: {found}"
+
+
+def test_a_term_is_its_coefficient():
+    # a sum's alpha and a term's index k fix the term's frequency, alpha +
+    # 2k: TrigTerm stores its coefficient alone, and no module reads a
+    # frequency off a term
+    found = [f"{module}.py:{node.lineno}" for module, tree in TREES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "freq"]
+    assert not found, f"frequencies read off a term: {found}"
+    assert [field.name for field in dataclasses.fields(trigsums.TrigTerm)] == ["coeff"]
 
 
 def test_the_sturm_plan_alone_names_its_targets():

@@ -402,7 +402,9 @@ def test_hostile_rho_ends_in_no_wrong_pass(capsys, monkeypatch):
     assert main(["mustar", "1e-50"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert err.startswith("error: cannot enclose mu*(rho) at rho = 1/10")
+    assert err.startswith("error: cannot enclose mu*(rho) at rho = 1.0e-50: ")
+    # rho and mu print as decimals, not as fractions of about 100 digits
+    assert not re.search(r"\d{20}", err), err
 
 
 def test_bounds_master_json_shape(capsys):
@@ -483,7 +485,7 @@ def test_closed_form_n1_refuses_another_u1(monkeypatch, change):
         alpha = change.get("alpha", u1.alpha)
         coeffs = (u1.terms[0].coeff, change.get("coeff", u1.terms[1].coeff))
         return TrigSum(alpha, change.get("beta", u1.beta),
-                       tuple(TrigTerm(c, alpha + 2 * k) for k, c in enumerate(coeffs)))
+                       tuple(TrigTerm(c) for c in coeffs))
 
     monkeypatch.setattr(cli, "build_U_n", altered)
     assert cli._check_u1(_mu_2_3()).status == "fail"

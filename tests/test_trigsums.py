@@ -224,20 +224,21 @@ def test_sturm_plan_point_results():
     plan = sturm_case_plan(F(4, 5))
     outcomes = {t.name: run_sturm_target(t) for t in plan}
     # every labeled point passes except the one that is negative identically
-    for name, out in outcomes.items():
-        for label, ok in out.point_results:
-            if label == "P(-pi/3)":
-                assert not ok
-            else:
-                assert ok, (name, label)
+    for target in plan:
+        label, ok = target.anchor[0], outcomes[target.name].anchor_signs[0] > 0
+        if label == "P(-pi/3)":
+            assert not ok
+        else:
+            assert ok, (target.name, label)
     # at mu = 4/5, P crosses zero once near 0 and is negative at its anchor;
     # P-mid and q3 have no root and are positive at their anchors
+    anchors = {t.name: t.anchor[0] for t in plan}
     assert outcomes["P-near-0"].root_counts == (1,)
-    assert outcomes["P-near-0"].point_results == (("P(-pi/3)", False),)
+    assert anchors["P-near-0"] == "P(-pi/3)" and outcomes["P-near-0"].anchor_signs == (-1,)
     assert outcomes["P-mid"].root_counts == (0,)
-    assert all(ok for _, ok in outcomes["P-mid"].point_results)
+    assert outcomes["P-mid"].anchor_signs[0] > 0
     assert outcomes["q3"].root_counts == (0,)
-    assert all(ok for _, ok in outcomes["q3"].point_results)
+    assert outcomes["q3"].anchor_signs[0] > 0
 
 
 def test_sturm_plan_with_enclosure_mu_gives_envelope_pairs():
@@ -325,26 +326,20 @@ def test_exact_mu_gives_single_polynomial():
 def test_coeff_err_and_lipschitz():
     enc = Enclosure(F(1, 2), F(3, 5))
     s = TrigSum(F(5), F(1, 2), (
-        TrigTerm(Enclosure.exact(F(-1, 4)), F(5)),
-        TrigTerm(enc, F(7)),
+        TrigTerm(Enclosure.exact(F(-1, 4))),
+        TrigTerm(enc),
     ))
     assert s.coeff_err() == (F(3, 5) - F(1, 2)) / 2
     assert s.lipschitz() == F(1, 4) * 5 + F(3, 5) * 7
 
 
-def test_sums_refuse_negative_alpha_nan_rho_and_terms_off_the_progression():
-    # each is refused where the sum is built, so no grid ever sees it, and
-    # before a term list grows or is kept for it
-    before = list(trigsums._TERM_LISTS)
+def test_sums_refuse_negative_alpha_and_nan_rho():
+    # each is refused where the sum is built, so no grid ever sees it
     with pytest.raises(ValueError, match="negative alpha"):
         build_varsigma(3, -1 / 3, F(1, 2))
-    assert list(trigsums._TERM_LISTS) == before
     with pytest.raises(ValueError):
         build_varsigma(3, float("nan"), F(1, 2))
     u3 = build_U_n(3, F(1, 2))
-    shifted = TrigTerm(u3.terms[2].coeff, u3.terms[2].freq + F(1, 3))
-    with pytest.raises(ValueError, match="one progression"):
-        TrigSum(u3.alpha, u3.beta, (*u3.terms[:2], shifted, u3.terms[3]))
     assert TrigSum(u3.alpha, u3.beta, u3.terms) == u3
 
 
@@ -529,6 +524,14 @@ def test_shared_term_lists_resume_the_recurrence(monkeypatch):
     sums = [build_U_n(n, mu) for n in (100, 50, 100)]
     assert len(steps) == 100
     assert sums[1].terms == sums[0].terms[:51] and sums[2] == sums[0]
+    # U_100, varsigma_100 at rho = 1/3 and at rho = 2/3 on one mu read one
+    # table: 100 steps, where a table per alpha takes 300
+    trigsums._TERM_LISTS.clear()
+    steps.clear()
+    sums = [build_U_n(100, mu), *(build_varsigma(100, rho, mu) for rho in (F(1, 3), F(2, 3)))]
+    assert len(steps) == 100
+    assert sums[0].terms == sums[1].terms == sums[2].terms
+    assert [s.alpha for s in sums] == [F(1, 3), F(1, 3), F(2, 3)]
 
 
 def test_shared_term_lists_under_threads():
@@ -560,7 +563,7 @@ def test_shared_term_lists_under_threads():
 def _fresh(tsum):
     """An equal sum that shares no object with the given one."""
     return TrigSum(F(tsum.alpha), F(tsum.beta), tuple(
-        TrigTerm(Enclosure(t.coeff.lo, t.coeff.hi), F(t.freq)) for t in tsum.terms))
+        TrigTerm(Enclosure(t.coeff.lo, t.coeff.hi)) for t in tsum.terms))
 
 
 def _eval_direct(tsum, theta):
