@@ -25,6 +25,7 @@ QUADRATURE = "src/trigpos/quadrature.py"
 TRIGSUMS = "src/trigpos/trigsums.py"
 MUSTAR = "src/trigpos/mustar.py"
 PRECISION = "src/trigpos/precision.py"
+GEGENBAUER = "src/trigpos/gegenbauer.py"
 
 MUTANTS = (
     Mutant("coefficient-half-width", ENGINE,
@@ -61,8 +62,13 @@ MUTANTS = (
             "tests/test_bounds.py::test_report_contains_the_formula_across_the_enclosure"),
            pins=("tests/test_cli.py::test_bounds_all_report_is_pinned",)),
     Mutant("pochhammer-upper-end-rounded-down", TRIGSUMS,
-           "scaled[i] = s * (s * scaled[i] * num // den)",
-           "scaled[i] = scaled[i] * num // den",
+           "-(-hi * (b + k * e) // (e * (k + 1)))",
+           "hi * (b + k * e) // (e * (k + 1))",
+           ("tests/test_trigsums.py::test_interval_coefficients_enclose_the_direct_product",
+            "tests/test_trigsums.py::test_poch_table_brackets_small_exact_endpoints")),
+    Mutant("pochhammer-lower-end-rounded-up", TRIGSUMS,
+           "lo * (a + k * d) // (d * (k + 1))",
+           "-(-lo * (a + k * d) // (d * (k + 1)))",
            ("tests/test_trigsums.py::test_interval_coefficients_enclose_the_direct_product",
             "tests/test_trigsums.py::test_poch_table_brackets_small_exact_endpoints")),
     Mutant("verified-sign-without-err", MUSTAR,
@@ -74,6 +80,15 @@ MUTANTS = (
            "if not (0 < rho.a and rho.a <= 1):",
            ("tests/test_mustar.py::test_defect_refuses_a_rho_box_leaving_the_range[past-1]",
             "tests/test_mustar.py::test_defect_refuses_a_rho_box_leaving_the_range[iv-past-1]")),
+    Mutant("narrow-without-quarter-point-retry", MUSTAR,
+           "c = (3 * lo + hi) / 4 if c - lo > hi - c else (lo + 3 * hi) / 4",
+           "raise",
+           ("tests/test_mustar.py::"
+            "test_a_probe_without_a_verified_sign_retries_at_a_quarter_point",)),
+    Mutant("narrow-halving-for-anderson-bjorck", MUSTAR,
+           "vals[1 - side] *= m if m > 0 else 0.5",
+           "vals[1 - side] *= 0.5",
+           ("tests/test_mustar.py::test_seeded_search_takes_few_integrals[rho1-width1-6]",)),
     Mutant("narrow-without-straddle-check", MUSTAR,
            "if not vals[0] < 0 < vals[1]:",
            "if False:",
@@ -112,6 +127,14 @@ MUTANTS = (
            "h = (step + 8 * _U * self.theta_max) * _SLACK",
            "h = step",
            ("tests/test_engine.py::test_cells_between_float_nodes_are_at_most_h",)),
+    Mutant("grid-outside-normal-range", ENGINE,
+           "_TINY = 2.0**-969",
+           "_TINY = 0.0",
+           ("tests/test_engine.py::test_no_certificate_outside_float64s_normal_range",)),
+    Mutant("arg-bound-passes-a-vanishing-sum", GEGENBAUER,
+           "self.max_abs_arg < self.threshold and self.min_abs_value > 0",
+           "self.max_abs_arg < self.threshold",
+           ("tests/test_gegenbauer.py::test_a_vanishing_sample_never_passes_the_arg_bound",)),
     Mutant("halved-quadrature-widening", QUADRATURE,
            "enc += iv.mpf([-r, r])",
            "enc += iv.mpf([-r, r]) / 2",

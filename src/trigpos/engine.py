@@ -24,9 +24,13 @@ float64 vector of the memoised bound cmax on max|c_k| and f = float(alpha)
 + 2k, whose conversion, addition and two products round once each, so each
 of its terms is at least (1 - u)^6 times an upper bound.  Every float64 sum
 is multiplied by 1 + 1e-9, which covers that 6u and the sum's own rounding,
-n u < 1.2e-10 below 10^6 terms, in float64's normal range.  The one
-assumption is that numpy's sin and cos of the seed arguments are within 4
-ulp of the true values (SVML builds are); it covers certification only.
+n u < 1.2e-10 below 10^6 terms.  These bounds need float64's normal range:
+err_n is infinite, and S_n undecided, unless every nonzero midpoint and
+bound max|c_k| is at least 2^-969 = 2^-1022/u and every positive curvature
+weight at least 2^-1022; then err_n >= 2^-1022 (or all c_k are 0), so the
+factor 1 + 8u on M2_n h^2/8 + err_n covers a subnormal M2_n h^2/8.  The one
+assumption, numpy's sin and cos of the seed arguments within 4 ulp of the
+true values (SVML builds are), covers certification only.
 
 The grid starts at 1,025 nodes and doubles, keeping the old nodes and
 evaluating the new ones in fixed-size chunks, until every n is decided.  A
@@ -68,6 +72,7 @@ _U = 2.0**-53  # float64 unit roundoff
 _SEED_ERR = 8 * _U  # cos and sin within 4 ulp, so |computed - exact| <= 8u
 _MUL_ERR = math.sqrt(2) * 2 * _U / (1 - 2 * _U)  # complex product, Higham 3.5
 _SLACK = 1 + 1e-9  # M2's 6u per term and the bounds' own float sums, below _MAX_TERMS terms
+_TINY = 2.0**-969  # 2^-1022 / u: the least nonzero |c| whose error terms u |c| are normal
 _INITIAL_NODES = 1025
 _MAX_NODES = (1 << 20) + 1  # node budget before "inconclusive"
 _CHUNK = 1 << 14  # nodes per evaluation chunk
@@ -139,6 +144,10 @@ class _Prefixes:
         self.m2, half, rounding = (np.cumsum(x) * _SLACK for x in (cmax * f * f, half, rounding))
         self.float_err = (fp + rounding) * _SLACK
         self.err = (self.float_err + half) * _SLACK
+        # err_n is unbounded from the first term outside float64's normal range on
+        small = (0 < c) & (c < _TINY) | (0 < cmax) & (cmax < _TINY)
+        small[0] |= bool(tsum.alpha and cmax[0] and cmax[0] * f[0] * f[0] < _TINY * _U)
+        self.err[np.logical_or.accumulate(small)] = np.inf
 
     def values(self, theta, n_hi: int):
         """Yield (k, float S_k at theta) for k = 0..n_hi; S_k is overwritten."""
@@ -191,8 +200,9 @@ class _Prefixes:
     def _decide(self, n, nodes, m, theta, h, final):
         """(status, min value, witness, detail); status None means refine."""
         err = self.err[n]
-        if not math.isfinite(m):
-            return "inconclusive", m, None, "non-finite grid values"
+        if not (math.isfinite(m) and err < math.inf):  # err is infinite outside the normal range
+            return "inconclusive", m, None, "non-finite grid values" if err < math.inf \
+                else "coefficient bounds outside float64's normal range"
         if m > (self.m2[n] * h * h / 8 + err) * (1 + 8 * _U):
             return "certified", m, None, f"curvature bound on {nodes} nodes"
         if m - err > 0:

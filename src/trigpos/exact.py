@@ -297,8 +297,7 @@ class Enclosure:
 
     @classmethod
     def exact(cls, v) -> "Enclosure":
-        vf = _as_fraction(v)
-        return cls(vf, vf)
+        return cls(v, v)
 
     @property
     def width(self) -> Fraction:
@@ -325,8 +324,7 @@ class Enclosure:
         return Enclosure(-self.hi, -self.lo)
 
     def __sub__(self, other) -> "Enclosure":
-        o = other if isinstance(other, Enclosure) else Enclosure.exact(other)
-        return self + (-o)
+        return -(-self + other)
 
     def __rsub__(self, other) -> "Enclosure":
         return (-self) + other

@@ -265,7 +265,7 @@ class ArgBoundReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_abs_arg < self.threshold
+        return self.max_abs_arg < self.threshold and self.min_abs_value > 0
 
 
 def arg_bound_check(

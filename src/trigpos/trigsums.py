@@ -10,9 +10,9 @@ is  sum c_m T_m(x)  and a sum of c_m sin(m t) is  sin t * sum c_m U_(m-1)(x)
 enclosure) coefficients.
 
 build_U_n and build_varsigma share one growing term list per (mu,
-precision), the (mu)_k / k! table that resumes the recurrence where it
-stopped, and each term memoises the constants derived from its coefficient
-alone, so sums that share a mu, at any alpha, share that work.
+precision), the (mu)_k / k! table (integers over 2^b for interval mu) that
+resumes the recurrence where it stopped; each term memoises the constants
+of its coefficient alone, so sums that share a mu, at any alpha, share them.
 
 sturm_case_plan owns every Sturm obligation of the proofs: its name
 (STURM_NAMES), interval, one anchor point and, where a proof may not gate
@@ -140,38 +140,29 @@ class TrigSum:
 
 
 def _pochhammer(mu):
-    """Yield enclosures of (mu)_k / k! for k = 0, 1, 2, ... in one pass;
-    exact (degenerate) for exact rational mu.
+    """Yield enclosures of (mu)_k / k!, k = 0, 1, 2, ..., by the recurrence
+    d_{k+1} = d_k (mu + k)/(k + 1): exact (degenerate) for exact rational mu.
 
-    Built by the recurrence d_{k+1} = d_k (mu+k)/(k+1) on both endpoints of
-    mu.  For interval mu (mu.lo > 0 required) every factor is positive and
-    increasing in mu, so a lower (upper) bound times the lower (upper)
-    factor stays a lower (upper) bound.  That still holds when an endpoint
-    whose denominator outgrows 2^b, b = ceil((working_dps() + 20) log2 10),
-    is rounded outward (lo down, hi up) to a multiple L 2^-b and from then
-    on carried as the integer L, with floor (lo) or ceiling (hi) division
-    (fixed point: Brent and Zimmermann, Modern Computer Arithmetic, 4.4), so
-    endpoints stay at about b bits.  Exact mu is never rounded.
+    For interval mu (mu.lo > 0 required) the ends are L/2^b and H/2^b,
+    b = ceil((working_dps() + 20) log2 10), from L = H = 2^b, each step
+    flooring L (mu.lo + k)/(k + 1) and ceiling H (mu.hi + k)/(k + 1) (fixed
+    point: Brent and Zimmermann, Modern Computer Arithmetic, 4.4); every
+    factor is positive and increasing in mu, so they stay outer bounds.
     """
     mu = _as_mu_enclosure(mu)
-    exact = mu.is_exact()
-    if not exact and mu.lo <= 0:
+    if not mu.is_exact() and mu.lo <= 0:
         raise ValueError("interval coefficients need mu > 0")
-    bits = math.ceil((working_dps() + 20) * math.log2(10))  # the dyadic grain
-    ends, scaled = [Fraction(1), Fraction(1)], [None, None]  # L, H once rounded
+    (a, d), (b, e) = mu.lo.as_integer_ratio(), mu.hi.as_integer_ratio()
     yield _ONE
+    if mu.is_exact():
+        v = Fraction(1)
+        for k in itertools.count():
+            v = Fraction(v.numerator * (a + k * d), v.denominator * d * (k + 1))
+            yield Enclosure(v, v)
+    lo = hi = one = 1 << math.ceil((working_dps() + 20) * math.log2(10))  # 2^b
     for k in itertools.count():
-        for i, m, s in ((0, mu.lo, 1),) if exact else ((0, mu.lo, 1), (1, mu.hi, -1)):
-            num, den = m.numerator + k * m.denominator, m.denominator * (k + 1)
-            if scaled[i] is not None:  # s = 1 floors lo, s = -1 ceils hi
-                scaled[i] = s * (s * scaled[i] * num // den)
-            else:  # exact until the denominator reaches 2^b; exact mu is never rounded
-                v = ends[i] = Fraction(ends[i].numerator * num, ends[i].denominator * den)
-                if not exact and v.denominator >> bits:
-                    scaled[i] = s * ((s * v.numerator << bits) // v.denominator)
-            if scaled[i] is not None:
-                ends[i] = Fraction(scaled[i], 1 << bits)
-        yield Enclosure(ends[0], ends[0] if exact else ends[1])
+        lo, hi = lo * (a + k * d) // (d * (k + 1)), -(-hi * (b + k * e) // (e * (k + 1)))
+        yield Enclosure(Fraction(lo, one), Fraction(hi, one))
 
 
 def _as_mu_enclosure(mu) -> Enclosure:

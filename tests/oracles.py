@@ -33,9 +33,9 @@ Handscomb, Chebyshev Polynomials, 2003), with no recurrence:
 k = 0..floor(n/2), and T_0 = 1.
 
 rational_poch_table -- the (mu)_k / k! recurrence of trigsums._pochhammer in
-Fractions, every step exact and then rounded outward to a 2^-bits grain
-whenever its denominator reaches 2^bits; the production route carries an
-endpoint as an integer instead once it is first rounded.
+Fractions, every step of an interval mu taken exactly and then rounded
+outward to a multiple of 2^-bits by Fraction floor and ceiling; the
+production route carries each endpoint as an integer over 2^bits instead.
 
 rising, gegenbauer_C_explicit -- the Pochhammer symbol (a)_k as a plain
 product, and the Gegenbauer polynomials from their explicit sum (Abramowitz
@@ -61,7 +61,7 @@ n -> infinity limit of the disk partial sums s_n(z) of gegenbauer.partial_sum.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import ceil, comb, factorial, floor
 
 from mpmath import mp
 
@@ -173,19 +173,17 @@ def chebyshev_T_coeffs(n):
 
 def rational_poch_table(lo, hi, n, bits):
     """[(lo_k, hi_k)] for k = 0..n: (mu)_k / k! on both ends of [lo, hi] by
-    d_(k+1) = d_k (mu + k) / (k + 1) in Fractions, an endpoint whose
-    denominator reaches 2^bits rounded outward (lo down, hi up) to a
-    multiple of 2^-bits; exact mu (lo == hi) is never rounded."""
+    d_(k+1) = d_k (mu + k) / (k + 1) in Fractions, for lo < hi every step
+    rounded outward (lo down, hi up) to a multiple of 2^-bits; exact mu
+    (lo == hi) is never rounded."""
+    grain = Fraction(1, 1 << bits)
     table = [(Fraction(1), Fraction(1))]
     a, b = table[0]
     for k in range(n):
         a = a * (lo + k) / (k + 1)
         b = a if lo == hi else b * (hi + k) / (k + 1)
         if lo != hi:
-            if a.denominator >> bits:
-                a = Fraction((a.numerator << bits) // a.denominator, 1 << bits)
-            if b.denominator >> bits:
-                b = Fraction(-((-b.numerator << bits) // b.denominator), 1 << bits)
+            a, b = floor(a / grain) * grain, ceil(b / grain) * grain
         table.append((a, b))
     return table
 

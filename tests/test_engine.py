@@ -157,6 +157,39 @@ def test_decide_certifies_only_above_curvature_plus_error(final):
     assert _Prefixes._decide(prefixes, 0, 9, m, 0.5, h, final)[0] == "certified"
 
 
+def test_no_certificate_outside_float64s_normal_range():
+    # sum c_k cos(2k theta) with c = (-8, -9, -9, 0, 1) 2^-1074 is -0.195 2^-1074
+    # at theta*, yet every error term u |c_k| underflows to 0, so the float
+    # grid alone would certify it; scaled by 2^1074 it is refuted there
+    theta = F(0.7022745752136418)
+    interval = (theta - F(1, 10**7), theta + F(1, 10**7))
+    coeffs = (-8, -9, -9, 0, 1)
+    with mp.workdps(50):
+        assert _sum(*coeffs).eval_mp(theta) < mp.mpf("-0.19")
+    tiny = certify_positive_trig(_sum(*(F(c, 2**1074) for c in coeffs)), interval)
+    assert tiny.status == "inconclusive" and "normal range" in tiny.detail
+    assert certify_positive_trig(_sum(*coeffs), interval).status == "refuted"
+
+
+@pytest.mark.parametrize("coeffs, alpha, decided", [
+    ((F(1, 2**969),), F(0), (True,)),
+    ((F(1, 2**970),), F(0), (False,)),
+    ((1, F(1, 2**970)), F(0), (True, False)),  # from the first small term on
+    ((1, Enclosure(F(-1, 2**970), F(1, 2**970))), F(0), (True, False)),  # max|c_k|
+    ((1,), F(1, 2**511), (True,)),  # curvature weight 2^-1022
+    ((1,), F(1, 2**512), (False,)),
+], ids=["c-2^-969", "c-2^-970", "second-term", "centred", "weight-2^-1022", "weight-2^-1024"])
+def test_prefixes_are_decided_in_float64s_normal_range_only(coeffs, alpha, decided):
+    # each sum is positive on [0, 1]: a decided prefix is certified, and one
+    # with a nonzero coefficient bound below 2^-969 = 2^-1022/u or a positive
+    # curvature weight below 2^-1022 ends inconclusive with an infinite err
+    certs = certify_partial_sums(_sum(*coeffs, alpha=alpha), (F(0), F(1)))
+    assert [c.status == "certified" for c in certs] == list(decided)
+    for cert in certs:
+        assert cert.certified or (cert.status == "inconclusive" and cert.eval_err == math.inf
+                                  and "normal range" in cert.detail)
+
+
 def _critical(rho):
     return mu_star(rho, width=F(1, 10**20)).enclosure
 

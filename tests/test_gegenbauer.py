@@ -18,6 +18,8 @@ from oracles import (
     rising,
 )
 from trigpos.gegenbauer import (
+    ArgBoundReport,
+    DiskSample,
     _gegenbauer_terms,
     _ratios,
     arg_bound_check,
@@ -145,6 +147,13 @@ def test_arg_bound_fails_above_threshold():
 def test_nonvanishing_on_sampled_disk():
     rep = arg_bound_check(0.24, **QUICK_SCAN)
     assert rep.min_abs_value > 0.1
+
+
+def test_a_vanishing_sample_never_passes_the_arg_bound():
+    # np.angle(0) = 0, so a sum that vanishes at a sample has |arg| 0 there
+    zero = DiskSample(n=3, r=0.5, theta=1.0, value=0j, arg=0.0)
+    assert not ArgBoundReport(math.pi / 3, 0.0, 0.0, 1, zero, 0.1).passed
+    assert ArgBoundReport(math.pi / 3, 0.0, 1e-300, 1, zero, 0.1).passed
 
 
 def test_partial_sum_geometric_identity():

@@ -177,6 +177,35 @@ def test_seeded_search_takes_few_integrals(monkeypatch, rho, width, most):
     assert res.probes == len(calls)
 
 
+def test_a_probe_without_a_verified_sign_retries_at_a_quarter_point(monkeypatch):
+    # D is 0 +/- 1 at the first probe, the third integral: the search moves
+    # that probe to a quarter point, counts both and still encloses the root
+    calls = []
+
+    def unsure_at_the_first_probe(rho, mu):
+        calls.append(mu)
+        return QuadResult(mp.mpf(0), mp.mpf(1)) if len(calls) == 3 else defect_integral(rho, mu)
+
+    monkeypatch.setattr(mustar, "defect_integral", unsure_at_the_first_probe)
+    res = mu_star(F(1, 3), width=F(1, 10**20))
+    assert_straddles_the_oracle(F(1, 3), res.enclosure)
+    assert res.probes == len(calls) == 11
+
+
+def test_a_stalling_search_stops_after_100_probes(monkeypatch):
+    # D jumps from -1 to 10^40 at a root off every probe grain: each probe
+    # lands one grain above the lower end, which halves the upper value from
+    # the second probe on, far too slowly to reach the root in 100
+    root = F(1, 2) + F(1, 3**40)
+
+    def lopsided(rho, mu):
+        return QuadResult(mp.mpf(-1) if mu < root else mp.mpf(10) ** 40, mp.mpf(0))
+
+    monkeypatch.setattr(mustar, "defect_integral", lopsided)
+    with pytest.raises(ArithmeticError, match="after 100 probes$"):
+        mu_star(F(1, 3), width=F(1, 10**20))
+
+
 @pytest.mark.parametrize("value, err, flagged, proven", [
     ("3e-30", "2e-30", False, True),
     ("-3e-30", "2e-30", False, True),

@@ -44,6 +44,7 @@ F = Fraction
 # rational stand-in for the rho = 2/3 critical exponent; the P/Q/R root-count
 # claims hold at (and near) this value, not for generic mu
 MU_23 = F(84685556829, 10**11)
+GRAIN_BITS = math.ceil((working_dps() + 20) * math.log2(10))  # the dyadic grain of _pochhammer
 
 
 def _poly_mp(poly, x):
@@ -67,13 +68,13 @@ def test_pochhammer_exact_values():
 
 
 def test_pochhammer_interval_is_monotone_envelope():
-    enc = Enclosure(F(2, 5), F(1, 2))
-    for k in range(6):
-        c = _poch(enc, k)
-        lo_val = _poch(F(2, 5), k).lo
-        hi_val = _poch(F(1, 2), k).lo
-        assert c.lo == lo_val and c.hi == hi_val
-        assert c.lo <= c.hi
+    # over 1,001 entries the table on [2/5, 1/2] brackets the exact tables of
+    # its two endpoints and equals the Fraction oracle entry for entry
+    lo, hi = F(2, 5), F(1, 2)
+    got = list(itertools.islice(_pochhammer(Enclosure(lo, hi)), 1001))
+    for k, (c, a, b) in enumerate(zip(got, _pochhammer(lo), _pochhammer(hi))):
+        assert c.lo <= a.lo <= b.lo <= c.hi and a.is_exact() and b.is_exact(), k
+    assert [(c.lo, c.hi) for c in got] == rational_poch_table(lo, hi, 1000, GRAIN_BITS)
 
 
 def test_pochhammer_rejects_nonpositive_interval():
@@ -367,7 +368,6 @@ def test_interval_coefficients_enclose_the_direct_product():
 
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
-GRAIN_BITS = math.ceil((working_dps() + 20) * math.log2(10))
 
 
 def test_poch_table_equals_the_fraction_oracle_on_the_pinned_enclosures():
@@ -383,24 +383,21 @@ def test_poch_table_equals_the_fraction_oracle_on_the_pinned_enclosures():
 
 
 def test_poch_table_brackets_small_exact_endpoints():
-    # on [2/5, 1/2] every entry brackets the exact endpoint values and is one
+    # on [2/5, 1/2] every entry brackets the exact endpoint values, is one
     # outward rounding, within one 2^-b grain, of the exact step from the
-    # entry before it; the Fraction oracle keeps a small exact denominator
-    # after its first rounding now and then, which the integers round, so
-    # the two tables are within a few grains, not equal
+    # entry before it, and equals the Fraction oracle: both ends are rounded
+    # from the first step on, though their denominators start small
     lo, hi, grain = F(2, 5), F(1, 2), F(1, 2**GRAIN_BITS)
     got = list(itertools.islice(trigsums._pochhammer(Enclosure(lo, hi)), 1001))
-    want = rational_poch_table(lo, hi, 1000, GRAIN_BITS)
     exact_lo = exact_hi = F(1)
-    for k, (c, (w_lo, w_hi)) in enumerate(zip(got, want)):
+    for k, c in enumerate(got):
         assert c.lo <= exact_lo and exact_hi <= c.hi, k
-        assert abs(c.lo - w_lo) <= 4 * grain and abs(c.hi - w_hi) <= 4 * grain, k
         if k:
             step_lo = got[k - 1].lo * (lo + k - 1) / k
             step_hi = got[k - 1].hi * (hi + k - 1) / k
             assert c.lo <= step_lo < c.lo + grain and c.hi - grain < step_hi <= c.hi, k
         exact_lo, exact_hi = exact_lo * (lo + k) / (k + 1), exact_hi * (hi + k) / (k + 1)
-    assert got[:60] == [Enclosure(a, b) for a, b in want[:60]]
+    assert got == [Enclosure(a, b) for a, b in rational_poch_table(lo, hi, 1000, GRAIN_BITS)]
 
 
 def test_exact_mu_coefficients_are_never_rounded():
