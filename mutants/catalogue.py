@@ -102,6 +102,10 @@ MUTANTS = (
            "math.ceil(rho / ulp)",
            "math.floor(rho / ulp)",
            ("tests/test_mustar.py::test_enclosure_stays_inside_the_bracket[rho0-width0]",)),
+    Mutant("boundary-root-below-one", MUSTAR,
+           'MuStarResult(Enclosure.exact(1), "boundary", 0)',
+           'MuStarResult(Enclosure(1 - PROOF_WIDTH, 1), "boundary", 0)',
+           ("tests/test_mustar.py::test_boundary_rho_one",)),
     Mutant("curvature-margin-minus-err", ENGINE,
            "h * h / 8 + err",
            "h * h / 8 - err",
@@ -135,6 +139,10 @@ MUTANTS = (
            "self.max_abs_arg < self.threshold and self.min_abs_value > 0",
            "self.max_abs_arg < self.threshold",
            ("tests/test_gegenbauer.py::test_a_vanishing_sample_never_passes_the_arg_bound",)),
+    Mutant("arg-bound-least-value-from-largest", GEGENBAUER,
+           "least = np.minimum(least, np.abs(w).min())",
+           "least = np.minimum(least, np.abs(w).max())",
+           ("tests/test_gegenbauer.py::test_criterion_09_and_10_scan_reports_are_pinned",)),
     Mutant("halved-quadrature-widening", QUADRATURE,
            "enc += iv.mpf([-r, r])",
            "enc += iv.mpf([-r, r]) / 2",

@@ -31,7 +31,10 @@ route cannot resolve at rho = 1e-50) is inconclusive too: it exits 1 with
 one "error:" line in place of the report.
 
 Every proof and bound check runs on one mu*(rho) enclosure per rho, of
-width mustar.PROOF_WIDTH, and `mustar` prints that enclosure.  Reports
+width mustar.PROOF_WIDTH, and `mustar` prints that enclosure (at rho = 1
+the exact root [1, 1], its sign check citing the uniqueness of D's zero).
+The `trigpos` script and `python -m trigpos.cli` run entry_point: main(),
+then gc.freeze(); tests call main() in process.  Reports
 are deterministic: identical invocations at the same precision print
 byte-identical output apart from the wall-time figure.  The env var
 TRIGPOS_PRECISION (decimal digits, default 30, at least 20) sets the working
@@ -43,6 +46,7 @@ GENFUNC_TOL are module constants, not settings.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -66,7 +70,7 @@ from trigpos.bounds import (
     wedge_increasing,
 )
 from trigpos.exact import Enclosure
-from trigpos.mustar import BOUNDARY_PROBES, PROOF_WIDTH, _verified_sign, defect_integral, mu_star
+from trigpos.mustar import PROOF_WIDTH, _verified_sign, defect_integral, mu_star
 from trigpos.precision import _as_mpf, workdps, working_dps
 from trigpos.quadrature import QuadResult, _mid_rad, chi_reference_integral, min_over_upper_limit
 from trigpos.trigsums import (
@@ -192,8 +196,8 @@ def run_mustar(rho: Fraction) -> VerificationReport:
     enc = res.enclosure
     if rho == 1:
         signed, signs = True, "boundary root mu = 1"
-        how = (f"mu_star verified D(1, mu) < 0 at mu = {', '.join(map(str, BOUNDARY_PROBES))}; "
-               "D(1, 1) = 1 + cos(pi) = 0")
+        how = ("D(1, 1) = 1 + cos(pi) = 0, and pi^-mu D(1, mu) increases in mu, "
+               "so D(1, mu) < 0 for every mu < 1")
     else:
         how = "verified signs D(lo) < 0 < D(hi)"
         try:
@@ -638,5 +642,12 @@ def main(argv=None) -> int:
     return 0 if report.passed else 1
 
 
+def entry_point() -> int:
+    """main(), then gc.freeze(): the exit skips the collector's last walk."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

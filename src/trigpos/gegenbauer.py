@@ -124,21 +124,22 @@ def _circle_sums(coeffs, exponent, r_values, thetas):
 
 
 def _worst(coeffs, exponent, r_values, thetas, score):
-    """([the worst DiskSample of each coeffs row], samples) over _circle_sums:
-    the first sample in (r, n, theta) order with the largest score, a NaN
-    beating every number; that score becomes the sample's arg."""
-    worst, samples = None, 0
+    """([the worst DiskSample of each coeffs row], samples, least |w| or a NaN)
+    over _circle_sums: the first sample in (r, n, theta) order with the largest
+    score, a NaN beating every number; that score becomes the sample's arg."""
+    worst, samples, least = None, 0, math.inf
     for n, r, w in _circle_sums(coeffs, exponent, r_values, thetas):
         w = w.reshape(-1, len(thetas))  # one row per coeffs row
         scores = score(w)
         worst = worst or [None] * len(w)
         samples += w.size
+        least = np.minimum(least, np.abs(w).min())  # np.minimum keeps a NaN
         for i, j in enumerate(np.argmax(scores, axis=1)):  # the row's first NaN or largest
             old = worst[i]
             if old is None or not (math.isnan(old.arg) or scores[i, j] <= old.arg):
                 worst[i] = DiskSample(n, float(r), float(thetas[j]), complex(w[i, j]),
                                       float(scores[i, j]))
-    return worst, samples
+    return worst, samples, float(least)
 
 
 def subordination_sector_check(
@@ -148,8 +149,9 @@ def subordination_sector_check(
     pass below rho*pi/2: a sampled estimate, not a proof.  Conjugation
     symmetry makes the upper half-circle sufficient."""
     rho_f, mu_f = float(rho), float(mu)
-    (worst,), samples = _worst(list(islice(_ratios(mu_f), n_max + 1)), rho_f, r_values,
-                               np.linspace(1e-4, math.pi, n_theta), lambda w: np.abs(np.angle(w)))
+    (worst,), samples, _ = _worst(list(islice(_ratios(mu_f), n_max + 1)), rho_f, r_values,
+                                  np.linspace(1e-4, math.pi, n_theta),
+                                  lambda w: np.abs(np.angle(w)))
     return SectorReport(rho_f * math.pi / 2, worst.arg, worst, samples)
 
 
@@ -166,8 +168,8 @@ def weak_conjecture_check(
     n <= 10 as an independent consistency figure.
     """
     rho_f, mu_f = float(rho), float(mu)
-    (worst,), samples = _worst(list(islice(_ratios(mu_f), n_max + 1)), 2 * rho_f - 1, r_values,
-                               np.linspace(1e-4, math.pi, n_theta), lambda w: -w.real)
+    (worst,), samples, _ = _worst(list(islice(_ratios(mu_f), n_max + 1)), 2 * rho_f - 1,
+                                  r_values, np.linspace(1e-4, math.pi, n_theta), lambda w: -w.real)
     min_real = -worst.arg
     worst = replace(worst, arg=float(np.angle(worst.value)))  # the signed arg of w
 
@@ -284,10 +286,7 @@ def arg_bound_check(
     # C_k^lambda(x), shaped (n_max + 1, len(x_values), 1) against the circle
     coeffs = np.array([list(islice(_gegenbauer_terms(lam_f, x), n_max + 1))
                        for x in x_values]).T[..., None]
-    by_arg, samples = _worst(coeffs, 0, r_values, thetas, lambda s: np.abs(np.angle(s)))
-    by_abs, _ = _worst(coeffs, 0, r_values, thetas, lambda s: -np.abs(s))
+    by_arg, samples, least = _worst(coeffs, 0, r_values, thetas, lambda s: np.abs(np.angle(s)))
     # the first x with the largest |arg|, as in (x, r, n, theta) order; a NaN wins
     i = int(np.argmax([w.arg for w in by_arg]))
-    worst = by_arg[i]
-    return ArgBoundReport(math.pi / 3, worst.arg,
-                          -float(np.max([w.arg for w in by_abs])), samples, worst, x_values[i])
+    return ArgBoundReport(math.pi / 3, by_arg[i].arg, least, samples, by_arg[i], x_values[i])

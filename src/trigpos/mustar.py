@@ -1,24 +1,24 @@
-"""Critical exponent mu*(rho): the sign-change point of a defect integral.
+"""Critical exponent mu*(rho): the unique zero of a defect integral.
 
-For rho in (0, 1], define
+For rho in (0, 1] and c = rho*pi, D(rho, mu) = integral_0^(c+pi) sin(t - c)
+t^(mu-1) dt has exactly one zero mu*(rho) in mu > 0, with D < 0 below it and
+D > 0 above it: H(mu) = c^(-mu) D(rho, mu) has the mu-derivative
 
-    D(rho, mu) = integral_0^((rho+1)*pi) sin(t - rho*pi) t^(mu-1) dt.
+    integral_0^(c+pi) sin(t - c) ln(t/c) t^(-1) (t/c)^mu dt > 0,
 
-As a function of mu on (0, 1], D is negative for small mu (the weight
-t^(mu-1) concentrates mass near t = 0 where the sine factor is negative)
-and D(rho, 1) = 1 + cos(rho*pi) >= 0, with equality exactly at rho = 1.
-mu*(rho) is the root.  For rho < 1 it lies in the bracket
-[rho, min(1, 2*rho)]: as rho -> 0, D(rho, mu) ~ Si(pi) - rho*pi/mu, so
-mu*/rho -> pi/Si(pi) = 1.696.  False position with the Anderson-Bjorck
-correction (Anderson & Bjorck, BIT 13, 1973) narrows that bracket on
-verified signs only, where the series enclosure value +/- err of D (see
-trigpos.quadrature) excludes 0.  Both ends of the bracket are sign-checked
-first, and an end is only ever replaced by a probe with a verified sign
-(Rump, Acta Numerica 19, 2010); when a sign does not verify or the bracket
-does not straddle a sign change, the search fails with ArithmeticError.
-
-rho = 1 is the boundary case: D(1, mu) < 0 is verified at BOUNDARY_PROBES
-inside (0, 1), and the root sits exactly at mu = 1.
+since sin(t - c) and ln(t/c) change sign together at t = c (Polya & Szego,
+Problems and Theorems in Analysis II, Part V; Karlin, Total Positivity,
+1968).  At rho = 1, D(1, 1) = 1 + cos(pi) = 0, so mu*(1) = 1 exactly.  For
+rho < 1 the root lies in the bracket [rho, min(1, 2*rho)]: as rho -> 0,
+D(rho, mu) ~ Si(pi) - rho*pi/mu, so mu*/rho -> pi/Si(pi) = 1.696.  False
+position with the Anderson-Bjorck correction (Anderson & Bjorck, BIT 13,
+1973) narrows that bracket on verified signs only, where the series
+enclosure value +/- err of D (see trigpos.quadrature) excludes 0.  Both
+ends of the bracket are sign-checked first, and an end is only ever
+replaced by a probe with a verified sign (Rump, Acta Numerica 19, 2010);
+when a sign does not verify or the bracket does not straddle a sign
+change, the search fails with ArithmeticError.  Uniqueness makes the
+bracket's root the root; it replaces none of these verified signs.
 """
 
 from __future__ import annotations
@@ -33,21 +33,19 @@ from trigpos.exact import Enclosure, _as_fraction
 from trigpos.precision import _as_mpf, workdps, working_dps
 from trigpos.quadrature import QuadResult, _as_iv, fractional_osc_integral
 
-__all__ = ["MuStarResult", "defect_integral", "mu_star", "width_floor", "PROOF_WIDTH",
-           "BOUNDARY_PROBES"]
+__all__ = ["MuStarResult", "defect_integral", "mu_star", "width_floor", "PROOF_WIDTH"]
 
 PROOF_WIDTH = Fraction(1, 10**20)  # the one enclosure width every proof and bound check runs on
-BOUNDARY_PROBES = (Fraction(1, 100), Fraction(1, 2), Fraction(99, 100))  # where D(1, mu) < 0 is verified
 
 
 @dataclass(frozen=True)
 class MuStarResult:
     """Verified enclosure of mu*(rho).
 
-    enclosure endpoints are exact rationals; a root of D lies strictly
-    inside (or equals the endpoint for the boundary case rho = 1).  route
-    ("verified", or "boundary" at rho = 1) and probes, the verified signs
-    of D taken, say how it was found; empty when hand-built.
+    enclosure endpoints are exact rationals; D's only zero in mu > 0 (see
+    the module docstring) lies strictly inside, or is the exact [1, 1] at
+    rho = 1.  route ("verified", or "boundary" at rho = 1) and probes, the
+    verified signs of D taken, say how it was found; empty when hand-built.
     """
 
     enclosure: Enclosure
@@ -108,19 +106,8 @@ def mu_star(rho, width=Fraction(1, 10**9)) -> MuStarResult:
     if width < width_floor():
         raise ValueError(f"width must be at least 1e-{working_dps()}")
 
-    # the probes and sign tests run at one precision, whatever the caller's
-    with workdps():
-        if rho == 1:
-            # boundary root: D(1, 1) = 0 exactly, D(1, mu) < 0 below it
-            for probe in BOUNDARY_PROBES:
-                if _verified_sign(rho, probe) > 0:
-                    raise ArithmeticError(f"defect unexpectedly positive at mu={probe} for rho=1")
-            return MuStarResult(Enclosure.exact(1), "boundary", len(BOUNDARY_PROBES))
-        return MuStarResult(*_false_position(rho, width))
-
-
-def _false_position(rho: Fraction, width: Fraction):
-    """(enclosure at most `width` wide, route, verified probes), rho < 1."""
+    if rho == 1:  # D(1, 1) = 0 exactly, and D's zero is unique
+        return MuStarResult(Enclosure.exact(1), "boundary", 0)
     target, probes = width / 4, []
     ulp = Fraction(1, 2 ** (100 - rho.numerator.bit_length() + rho.denominator.bit_length()))
     bracket = (math.ceil(rho / ulp) * ulp, math.floor(min(1, 2 * rho) / ulp) * ulp)
@@ -129,13 +116,15 @@ def _false_position(rho: Fraction, width: Fraction):
         probes.append(mu)
         return _verified_sign(rho, mu)
 
-    try:
-        lo, hi = _narrow(verified, bracket, target)
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"cannot enclose mu*(rho) at rho = {_dec(rho)}: {exc}") from None
+    with workdps():  # the probes and sign tests run at one precision, whatever the caller's
+        try:
+            lo, hi = _narrow(verified, bracket, target)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"cannot enclose mu*(rho) at rho = {_dec(rho)}: {exc}") from None
     center, half = (lo + hi) / 2, width / 2
-    return Enclosure(max(bracket[0], min(lo, center - half)),
-                     min(bracket[1], max(hi, center + half))), "verified", len(probes)
+    enc = Enclosure(max(bracket[0], min(lo, center - half)),
+                    min(bracket[1], max(hi, center + half)))
+    return MuStarResult(enc, "verified", len(probes))
 
 
 def _narrow(sign, ends: list, target: Fraction) -> list:

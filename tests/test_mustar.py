@@ -38,12 +38,37 @@ def test_known_roots_are_enclosed():
         assert lo < root < hi
 
 
-def test_boundary_rho_one():
+def test_boundary_rho_one(monkeypatch):
+    # D(1, 1) = 0 exactly and D's zero is unique: the root is exact, found
+    # with no probe and no integral
+    def no_integral(rho, mu):
+        raise AssertionError("mu_star(1) evaluated D")
+
+    monkeypatch.setattr(mustar, "defect_integral", no_integral)
     res = mu_star(F(1))
-    assert F(1) in res.enclosure
-    # the defect stays negative strictly inside the unit interval
+    assert (res.enclosure.lo, res.enclosure.hi) == (1, 1)
+    assert (res.route, res.probes) == ("boundary", 0)
+    # the defect stays negative strictly inside the unit interval (mpmath.quad)
     for mu in ("0.01", "0.35", "0.99"):
-        assert defect_integral(F(1), mp.mpf(mu)).value < 0
+        assert osc_integral("sin", -mp.pi, mp.mpf(mu), 2 * mp.pi) < 0
+
+
+# rho across (0, 1], and mu from near 0 to past 1, where the series route
+# that mu_star uses stops
+UNIQUENESS_RHOS = [F(1, 1000), F(1, 100), F(1, 10), F(1, 4), F(1, 3), F(1, 2), F(2, 3),
+                   F(9, 10), F(99, 100), F(1)]
+UNIQUENESS_MUS = ["0.02", "0.1", "0.3", "0.5", "0.8", "1", "2", "5"]
+
+
+@pytest.mark.parametrize("rho", UNIQUENESS_RHOS)
+def test_scaled_defect_increases_in_mu(rho):
+    # the uniqueness proof of mu*: H(mu) = (rho pi)^-mu D(rho, mu) increases
+    # in mu, here by mpmath.quad at consecutive grid points
+    with mp.workdps(ORACLE_DPS):
+        c = mp.mpf(rho.numerator) / rho.denominator * mp.pi
+        h = [c ** -mp.mpf(mu) * osc_integral("sin", -c, mp.mpf(mu), c + mp.pi)
+             for mu in UNIQUENESS_MUS]
+        assert all(h1 < h2 for h1, h2 in zip(h, h[1:])), h
 
 
 def _residual(rho, res):
