@@ -7,7 +7,8 @@ The case polynomials that the Sturm root counts take
 are written directly as Chebyshev sums in x = cos t: a sum of c_m cos(m t)
 is  sum c_m T_m(x)  and a sum of c_m sin(m t) is  sin t * sum c_m U_(m-1)(x)
 (cos mt = T_m(cos t), sin(mt) = sin t * U_(m-1)(cos t)), with exact (or
-enclosure) coefficients.
+enclosure) coefficients read off the terms of the sum each case reduces
+(build_U_n for P, Q and R, build_varsigma for q_n).
 
 build_U_n and build_varsigma share one growing term list per (mu,
 precision), the (mu)_k / k! table (integers over 2^b for interval mu) that
@@ -253,9 +254,17 @@ def _chebyshev_sum(basis, pairs) -> tuple[Enclosure, ...]:
     return tuple(out)
 
 
+def _sine_form(tsum: TrigSum) -> tuple[Enclosure, ...]:
+    """The coefficients of sum_k d_k U_6k(x), read off the terms d_k of a
+    sum at alpha = 1/3: at theta = 3t (beta = 0, varsigma_n) or phi = 3t - pi
+    (beta = 1/3, U_n) its k-th term is d_k sin((6k + 1) t) =
+    d_k sin t * U_6k(cos t)."""
+    return _chebyshev_sum(chebyshev_U, ((t.coeff, 6 * k) for k, t in enumerate(tsum.terms)))
+
+
 def case_P(mu) -> tuple[Enclosure, ...]:
     """-d2 + cos t + (1 - d1) cos 2t + (d2 - d1) cos 5t, in x = cos t:
-    -d2 + T_1 + (1 - d1) T_2 + (d2 - d1) T_5.
+    -d2 + T_1 + (1 - d1) T_2 + (d2 - d1) T_5, d1 and d2 from build_U_n(2, mu).
 
     Lower bound for 2 sin(phi) * U_n(phi) under t = (2 phi - pi)/3; relevant
     t ranges: (-pi/3, -7pi/27] and [-pi/5, 0], i.e. x in (1/2, cos(7pi/27)]
@@ -264,41 +273,31 @@ def case_P(mu) -> tuple[Enclosure, ...]:
     (1/2, cos(7pi/27)] and root-free between, so it is negative on that whole
     range and gives no positivity there.
     """
-    _, d1, d2 = itertools.islice(_pochhammer(mu), 3)
+    _, d1, d2 = (t.coeff for t in build_U_n(2, mu).terms)
     return _chebyshev_sum(chebyshev_T, ((-d2, 0), (1, 1), (1 - d1, 2), (d2 - d1, 5)))
 
 
-def _sine_case(mu, orders) -> tuple[Enclosure, ...]:
-    """sum_k d_k sin(m_k t) = sin t * sum_k d_k U_(m_k - 1)(cos t)."""
-    pairs = zip(_pochhammer(mu), (m - 1 for m in orders))
-    return _chebyshev_sum(chebyshev_U, pairs)
-
-
 def case_Q(mu) -> tuple[Enclosure, ...]:
-    """sin t + d1 sin 7t + d2 sin 13t  (equals U_2(phi) at t = (phi + pi)/3).
-
-    Reduced as sin(t) * poly(cos t); root-free target t in (pi/3, pi/2],
-    i.e. x = cos t in [0, 1/2).
+    """sin t + d1 sin 7t + d2 sin 13t: U_2(phi) = build_U_n(2, mu) at
+    phi = 3t - pi, reduced as sin(t) * poly(cos t) by _sine_form; root-free
+    target t in (pi/3, pi/2], i.e. x = cos t in [0, 1/2).
     """
-    return _sine_case(mu, (1, 7, 13))
+    return _sine_form(build_U_n(2, mu))
 
 
 def case_R(mu) -> tuple[Enclosure, ...]:
     """sin t + d1 sin 7t + d2 sin 13t + d3 sin 19t  (U_3 under the same map)."""
-    return _sine_case(mu, (1, 7, 13, 19))
+    return _sine_form(build_U_n(3, mu))
 
 
 def case_q(n: int) -> tuple[Enclosure, ...]:
     """omega_n(theta) = sin(theta/3) * q_n(cos^2(theta/3)): returns q_n exactly,
     for omega_n = build_varsigma(n, 1/3, 1/2), the sum with d_k = (1/2)_k / k!.
 
-    At theta = 3t the k-th term of omega_n is d_k sin((6k + 1) t) =
-    d_k sin t * U_6k(cos t), and U_6k is even, so q_n takes the even-index
-    coefficients of sum d_k U_6k.
+    At theta = 3t omega_n is sin t * sum_k d_k U_6k(cos t) (_sine_form), and
+    U_6k is even, so q_n takes the even-index coefficients.
     """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    return _sine_case(Fraction(1, 2), range(1, 6 * n + 2, 6))[::2]
+    return _sine_form(build_varsigma(n, Fraction(1, 3), Fraction(1, 2)))[::2]
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +361,9 @@ class SturmTarget:
 
 def sturm_case_plan(mu, names=None) -> list[SturmTarget]:
     """The root-freeness obligations behind the finite proof cases, in the
-    order of `names` (default: STURM_NAMES, or Q_STURM when mu is None).
-    Only the case polynomials the named targets read are built.
+    order of `names` (default: STURM_NAMES, or Q_STURM when mu is None); a
+    bare str or a name outside STURM_NAMES raises ValueError.  Only the case
+    polynomials the named targets read are built.
 
     mu is the exponent enclosure used by the P/Q/R cases (the q_n cases have
     exact half-integer coefficients and ignore it).  Interval endpoints that
@@ -373,42 +373,39 @@ def sturm_case_plan(mu, names=None) -> list[SturmTarget]:
     """
     q3_lo = Fraction(37059, 100000)
     derived_lo = _outward(lambda: iv.cos(7 * iv.pi / 24) ** 2, below=True)
-    plan = {  # name -> (case, x interval, anchor[, ungated reason])
-        "q1": (1, (Fraction(0), Fraction(1)), ("q1(0)", Fraction(0))),
-        "q2": (2, (Fraction(0), Fraction(1)), ("q2(0)", Fraction(0))),
-        "q3": (3, (q3_lo, Fraction(1)), ("q3(0.37059)", q3_lo)),  # the stated interval
+    plan = {  # name -> (case builder, x interval, anchor[, ungated reason])
+        "q1": (lambda: case_q(1), (Fraction(0), Fraction(1)), ("q1(0)", Fraction(0))),
+        "q2": (lambda: case_q(2), (Fraction(0), Fraction(1)), ("q2(0)", Fraction(0))),
+        "q3": (lambda: case_q(3), (q3_lo, Fraction(1)), ("q3(0.37059)", q3_lo)),  # stated interval
         # the interval that theta in [2pi/3, 7pi/8] induces
-        "q3-derived": (
-            3, (derived_lo, _outward(lambda: iv.cos(2 * iv.pi / 9) ** 2, below=False)),
-            ("q3(cos^2(7pi/24))", derived_lo)),
+        "q3-derived": (lambda: case_q(3),
+                       (derived_lo, _outward(lambda: iv.cos(2 * iv.pi / 9) ** 2, below=False)),
+                       ("q3(cos^2(7pi/24))", derived_lo)),
         # t in (-pi/3, -7pi/27]; the anchor fails for every mu in (0, 1] (see
         # case_P), so the proofs do not gate on it: positivity of U_n on that
         # range rests on their other checks, and sturm:P-near-0 fails by design
-        "P-near-0": (
-            "P", (Fraction(1, 2), _outward(lambda: iv.cos(7 * iv.pi / 27), below=False)),
-            ("P(-pi/3)", Fraction(1, 2)),
-            "equals -mu(mu+1)/4; with 0 roots P < 0 on the whole "
-            "interval, so this certifies root-freeness only, no sign"),
+        "P-near-0": (lambda: case_P(mu),
+                     (Fraction(1, 2), _outward(lambda: iv.cos(7 * iv.pi / 27), below=False)),
+                     ("P(-pi/3)", Fraction(1, 2)),
+                     "equals -mu(mu+1)/4; with 0 roots P < 0 on the whole "
+                     "interval, so this certifies root-freeness only, no sign"),
         # t in [-pi/5, 0]; P(0) = 2(1 - mu) at the endpoint x = 1
         "P-mid": (
-            "P", (_outward(lambda: iv.cos(iv.pi / 5), below=True), Fraction(1)),
+            lambda: case_P(mu), (_outward(lambda: iv.cos(iv.pi / 5), below=True), Fraction(1)),
             ("P(0)", Fraction(1))),
         # t in (pi/3, pi/2]; x = 0 is Q(pi/2) and R(pi/2) up to the positive sin t
-        "Q": ("Q", (Fraction(0), Fraction(1, 2)), ("Q(pi/2)/sin", Fraction(0))),
-        "R": ("R", (Fraction(0), Fraction(1, 2)), ("R(pi/2)/sin", Fraction(0))),
+        "Q": (lambda: case_Q(mu), (Fraction(0), Fraction(1, 2)), ("Q(pi/2)/sin", Fraction(0))),
+        "R": (lambda: case_R(mu), (Fraction(0), Fraction(1, 2)), ("R(pi/2)/sin", Fraction(0))),
     }
-    if names is None:
-        names = Q_STURM if mu is None else STURM_NAMES
-    coeffs = {}  # one tuple per case, shared by the targets that read it
+    names = (Q_STURM if mu is None else STURM_NAMES) if names is None else names
+    if isinstance(names, str) or not set(names) <= plan.keys():
+        raise ValueError(f"names must be a sequence of the targets {STURM_NAMES}, not {names!r}")
     targets = []
     for name in names:
-        case, *obligation = plan[name]
-        if case not in coeffs:
-            if mu is None and not isinstance(case, int):
-                raise ValueError(f"target {name} needs an exponent mu")
-            coeffs[case] = (case_q(case) if isinstance(case, int) else
-                            {"P": case_P, "Q": case_Q, "R": case_R}[case](mu))
-        targets.append(SturmTarget(name, coeffs[case], *obligation))
+        if mu is None and name in MU_STURM:
+            raise ValueError(f"target {name} needs an exponent mu")
+        build, *obligation = plan[name]
+        targets.append(SturmTarget(name, build(), *obligation))
     return targets
 
 

@@ -13,7 +13,8 @@ exact._as_fraction alone reads an mpf's bits, precision._iv_ends alone an
 iv interval's ends, and no module branches on the type of an mpmath number
 by hand.  And one owner of the proof precision: precision.workdps alone sets
 iv's precision and writes working_dps() + 15.  And a term is its
-coefficient: a TrigTerm has no frequency field, and nothing reads one.
+coefficient: a TrigTerm has no frequency field, and nothing reads one.  And
+one coefficient route: trigsums._sum alone reads the (mu)_k / k! generator.
 """
 
 import ast
@@ -238,6 +239,24 @@ def test_a_term_is_its_coefficient():
              for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "freq"]
     assert not found, f"frequencies read off a term: {found}"
     assert [field.name for field in dataclasses.fields(trigsums.TrigTerm)] == ["coeff"]
+
+
+def _name_reads(module: str, tree, name: str) -> list[str]:
+    """`module.py:line` of every use of the bare name at or below tree."""
+    return [f"{module}.py:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == name]
+
+
+def test_one_coefficient_route():
+    # the (mu)_k / k! recurrence trigsums._pochhammer has one reader, the
+    # shared term lists of trigsums._sum; every case polynomial reads its d_k
+    # off the sum it reduces (build_U_n, build_varsigma), never off the generator
+    sum_def, = (node for node in ast.walk(TREES["trigsums"])
+                if isinstance(node, _DEFS) and node.name == "_sum")
+    in_sum = _name_reads("trigsums", sum_def, "_pochhammer")
+    found = [use for module, tree in TREES.items()
+             for use in _name_reads(module, tree, "_pochhammer")]
+    assert len(in_sum) == 1 and found == in_sum, f"_pochhammer read outside _sum: {found}"
 
 
 def test_the_sturm_plan_alone_names_its_targets():

@@ -34,7 +34,7 @@ CASES = {
 }
 # what the tracer reads off the built sums (tsum.terms[i].coeff): the terms
 # the wrapped builders return and the largest coefficient endpoint, in bits
-SUM_COUNTS = {"thm-1-3": (4, 168), "thm-2-3": (8, 168), "sweep": (9, 168)}
+SUM_COUNTS = {"thm-1-3": (17, 168), "thm-2-3": (21, 168), "sweep": (9, 168)}
 
 
 def _aggregate():

@@ -271,6 +271,14 @@ def test_the_plan_owns_names_anchors_and_the_one_ungated_reason():
         sturm_case_plan(None, ["Q"])
 
 
+@pytest.mark.parametrize("names", [["nope"], ["q1", "nope"], "q1"])
+def test_the_plan_refuses_unknown_names_and_a_bare_string(names):
+    # a bare str is not walked letter by letter, and an unknown name is not
+    # a KeyError: both are refused with the names the plan knows
+    with pytest.raises(ValueError, match="q3-derived"):
+        sturm_case_plan(None, names)
+
+
 def _target(coeffs, x_interval):
     """A SturmTarget on coeffs and x_interval, anchored at its left end."""
     return SturmTarget("t", tuple(coeffs), x_interval, ("lo", x_interval[0]))
