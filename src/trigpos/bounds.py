@@ -254,14 +254,16 @@ def L_region(region, rho=Fraction(1, 3), *, nu) -> BoundReport:
     """Composite lower bound L^(region) over the rho and exponent boxes.
 
     region is one of "1", "2", "31", "32", "33"; rho and nu are each an
-    Enclosure, an mpmath.iv interval or a number, nu usually the
-    critical-exponent enclosure at rho.
+    Enclosure, an mpmath.iv interval or a number inside (0, 1] (else
+    ValueError), nu usually the critical-exponent enclosure at rho.
     """
     region = str(region)
     if region not in REGIONS:
         raise ValueError(f"region must be one of {REGIONS}, got {region!r}")
     with workdps():
         rho, nu = _as_iv(rho), _as_iv(nu)
+        if not (0 < rho.a and rho.b <= 1 and 0 < nu.a and nu.b <= 1):
+            raise ValueError("rho and nu must lie in (0, 1]")
         if region == "2":  # closed form, no quadrature
             main = (2 * iv.sin(2 * iv.pi / 3)) ** (-nu) * iv.sin(iv.pi / 6 * (4 * rho - nu))
             tail = nu * (nu + 1) * (nu + 2) * (nu + 3) / (24 * iv.sin(iv.pi / 3))

@@ -32,7 +32,7 @@ one "error:" line in place of the report.
 
 Every proof and bound check runs on one mu*(rho) enclosure per rho, of
 width mustar.PROOF_WIDTH, and `mustar` prints that enclosure (at rho = 1
-the exact root [1, 1], its sign check citing the uniqueness of D's zero).
+the exact root [1, 1], which D's one zero proves: an enclosure missing 1 fails).
 The `trigpos` script and `python -m trigpos.cli` run entry_point: main(),
 then gc.freeze(); tests call main() in process.  Reports
 are deterministic: identical invocations at the same precision print
@@ -170,9 +170,9 @@ class VerificationReport:
 
 
 def _fmt(x, digits: int = 12) -> str:
-    """Deterministic decimal rendering of a number at fixed precision."""
+    """Deterministic decimal rendering of a number, a Fraction exactly, at fixed precision."""
     with mp.workdps(working_dps() + 10):
-        return mp.nstr(mp.mpf(x), digits, strip_zeros=True)
+        return mp.nstr(_as_mpf(x), digits, strip_zeros=True)
 
 
 def _fmt_enclosure(enc: Enclosure) -> str:
@@ -195,7 +195,7 @@ def run_mustar(rho: Fraction) -> VerificationReport:
     res = mu_star(rho, width=PROOF_WIDTH)
     enc = res.enclosure
     if rho == 1:
-        signed, signs = True, "boundary root mu = 1"
+        signed, signs = enc.lo <= 1 <= enc.hi, "boundary root mu = 1"
         how = ("D(1, 1) = 1 + cos(pi) = 0, and pi^-mu D(1, mu) increases in mu, "
                "so D(1, mu) < 0 for every mu < 1")
     else:
@@ -210,8 +210,7 @@ def run_mustar(rho: Fraction) -> VerificationReport:
             "enclosure-width",
             _status(enc.width <= PROOF_WIDTH),
             value=_fmt_enclosure(enc),
-            detail=f"width {_fmt(float(enc.width), 3)} <= PROOF_WIDTH "
-            f"{_fmt(float(PROOF_WIDTH), 3)}",
+            detail=f"width {_fmt(enc.width, 3)} <= PROOF_WIDTH {_fmt(PROOF_WIDTH, 3)}",
         ),
         CheckResult(
             "sign-change",
@@ -223,7 +222,7 @@ def run_mustar(rho: Fraction) -> VerificationReport:
     ]
     return VerificationReport(
         case="mustar",
-        inputs={"rho": str(rho), "width": _fmt(float(PROOF_WIDTH), 3)},
+        inputs={"rho": str(rho), "width": _fmt(PROOF_WIDTH, 3)},
         method="verified-sign false position (Anderson-Bjorck) on the oscillatory defect integral",
         reference="critical exponent mu*(rho)",
         checks=checks,

@@ -14,10 +14,10 @@ imports the other.  Every check here looks at finitely many points:
 * C_k^1 = Chebyshev-U_k, exactly in rational arithmetic.
 
 The three disk scans share one circle scan (_circle_sums) and one search
-for the worst sample (_worst), in which a NaN is the worst.  The
-Gegenbauer recurrence and the (a)_k / k! ratios run in the arithmetic of
-their inputs (Fraction stays Fraction, mpf stays mpf), so exactness claims
-are tested without a tolerance.
+for the worst sample (_worst), in which a NaN is the worst.  The Gegenbauer
+recurrence and trigsums._ratios, the one (a)_k / k! recurrence, run in the
+arithmetic of their inputs (Fraction stays Fraction, mpf stays mpf), so
+exactness claims are tested without a tolerance.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from mpmath import mp
 
 from trigpos.exact import _as_fraction
 from trigpos.precision import _as_mpf, working_dps
-from trigpos.trigsums import build_U_n
+from trigpos.trigsums import _ratios, build_U_n
 
 __all__ = [
     "partial_sum",
@@ -47,15 +47,6 @@ __all__ = [
     "ArgBoundReport",
     "arg_bound_check",
 ]
-
-
-def _ratios(a):
-    """Yield (a)_k / k! for k = 0, 1, ... in the arithmetic of a (float, mpf
-    or Fraction), by c_{k+1} = c_k (a + k) / (k + 1)."""
-    c = a - a + 1
-    for k in count():
-        yield c
-        c = c * (a + k) / (k + 1)
 
 
 def partial_sum(mu, n: int, z):

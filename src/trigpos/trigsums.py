@@ -14,6 +14,7 @@ build_U_n and build_varsigma share one growing term list per (mu,
 precision), the (mu)_k / k! table (integers over 2^b for interval mu) that
 resumes the recurrence where it stopped; each term memoises the constants
 of its coefficient alone, so sums that share a mu, at any alpha, share them.
+_ratios, the one (a)_k / k! recurrence, runs in Fraction here, in float or mpf in gegenbauer.
 
 sturm_case_plan owns every Sturm obligation of the proofs: its name
 (STURM_NAMES), interval, one anchor point and, where a proof may not gate
@@ -140,9 +141,18 @@ class TrigSum:
 # ---------------------------------------------------------------------------
 
 
+def _ratios(a):
+    """Yield (a)_k / k! for k = 0, 1, ... in the arithmetic of a (float, mpf
+    or Fraction), by c_{k+1} = c_k (a + k) / (k + 1)."""
+    c = a - a + 1
+    for k in itertools.count():
+        yield c
+        c = c * (a + k) / (k + 1)
+
+
 def _pochhammer(mu):
-    """Yield enclosures of (mu)_k / k!, k = 0, 1, 2, ..., by the recurrence
-    d_{k+1} = d_k (mu + k)/(k + 1): exact (degenerate) for exact rational mu.
+    """Yield enclosures of (mu)_k / k!, k = 0, 1, 2, ...: for exact rational
+    mu the degenerate enclosures of _ratios(mu), in Fraction.
 
     For interval mu (mu.lo > 0 required) the ends are L/2^b and H/2^b,
     b = ceil((working_dps() + 20) log2 10), from L = H = 2^b, each step
@@ -151,15 +161,12 @@ def _pochhammer(mu):
     factor is positive and increasing in mu, so they stay outer bounds.
     """
     mu = _as_mu_enclosure(mu)
-    if not mu.is_exact() and mu.lo <= 0:
+    if mu.is_exact():
+        yield from (Enclosure(v, v) for v in _ratios(mu.lo))
+    if mu.lo <= 0:
         raise ValueError("interval coefficients need mu > 0")
     (a, d), (b, e) = mu.lo.as_integer_ratio(), mu.hi.as_integer_ratio()
     yield _ONE
-    if mu.is_exact():
-        v = Fraction(1)
-        for k in itertools.count():
-            v = Fraction(v.numerator * (a + k * d), v.denominator * d * (k + 1))
-            yield Enclosure(v, v)
     lo = hi = one = 1 << math.ceil((working_dps() + 20) * math.log2(10))  # 2^b
     for k in itertools.count():
         lo, hi = lo * (a + k * d) // (d * (k + 1)), -(-hi * (b + k * e) // (e * (k + 1)))

@@ -14,7 +14,9 @@ iv interval's ends, and no module branches on the type of an mpmath number
 by hand.  And one owner of the proof precision: precision.workdps alone sets
 iv's precision and writes working_dps() + 15.  And a term is its
 coefficient: a TrigTerm has no frequency field, and nothing reads one.  And
-one coefficient route: trigsums._sum alone reads the (mu)_k / k! generator.
+one coefficient route: trigsums._sum alone reads the (mu)_k / k! generator,
+and one (a)_k / k! recurrence in every arithmetic, trigsums._ratios, which
+that generator's exact tables and gegenbauer's disk scans both read.
 """
 
 import ast
@@ -257,6 +259,32 @@ def test_one_coefficient_route():
     found = [use for module, tree in TREES.items()
              for use in _name_reads(module, tree, "_pochhammer")]
     assert len(in_sum) == 1 and found == in_sum, f"_pochhammer read outside _sum: {found}"
+
+
+def _ratio_steps(module: str, tree) -> list[str]:
+    """`module.py:line` of every true division by a name plus 1 at or below
+    tree: the step c (a + k) / (k + 1) of an (a)_k / k! recurrence."""
+    return [f"{module}.py:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Add)
+            and isinstance(node.right.left, ast.Name)
+            and isinstance(node.right.right, ast.Constant) and node.right.right.value == 1]
+
+
+def test_one_pochhammer_recurrence():
+    # (a)_k / k! has one recurrence in every arithmetic, trigsums._ratios:
+    # _pochhammer's exact tables read it, gegenbauer's float and mpf disk
+    # scans import it, and no other function takes its step
+    defs = [(module, node) for module, tree in TREES.items()
+            for node in ast.walk(tree) if isinstance(node, _DEFS) and node.name == "_ratios"]
+    modules = [module for module, _ in defs]
+    assert modules == ["trigsums"], f"_ratios defined in {modules}"
+    poch, = (node for node in ast.walk(TREES["trigsums"])
+             if isinstance(node, _DEFS) and node.name == "_pochhammer")
+    assert _name_reads("trigsums", poch, "_ratios"), "_pochhammer computes its own ratios"
+    in_ratios = _ratio_steps("trigsums", defs[0][1])
+    found = [step for module, tree in TREES.items() for step in _ratio_steps(module, tree)]
+    assert len(in_ratios) == 1 and found == in_ratios, f"(a)_k / k! steps outside _ratios: {found}"
 
 
 def test_the_sturm_plan_alone_names_its_targets():

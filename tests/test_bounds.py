@@ -161,6 +161,21 @@ def test_L_region_guard():
         L_region("4", nu=NU0)
 
 
+@pytest.mark.parametrize("regions, rho, nu", [
+    (("1",), 5, F(1, 2)),
+    (("31",), -1, F(1, 2)),
+    (("1",), 0, F(1, 2)),
+    (("2",), F(1, 3), 0),
+    (("1", "2", "31"), Enclosure(F(9, 10), F(11, 10)), F(1, 2)),
+], ids=["rho-5", "rho-minus-1", "rho-0", "nu-0", "rho-box-past-1"])
+def test_L_region_refuses_boxes_outside_the_unit_interval(regions, rho, nu):
+    # each of these once read positive: region 2 has no integral to refuse
+    # a bad nu, and no integral of any region reads rho's range
+    for region in regions:
+        with pytest.raises(ValueError, match=r"^rho and nu must lie in \(0, 1\]$"):
+            L_region(region, rho=rho, nu=nu)
+
+
 def test_L_region_sensitivity_grows_with_enclosure_width():
     mid = F(49669136508, 10**11)
     tight = L_region("31", nu=Enclosure(mid - F(1, 10**11), mid + F(1, 10**11)))

@@ -58,6 +58,16 @@ def test_mustar_shifted_enclosure_fails(monkeypatch, capsys):
     assert "[FAIL] sign-change" in capsys.readouterr().out
 
 
+def test_mustar_one_fails_an_enclosure_that_misses_one(monkeypatch, capsys):
+    # at rho = 1 the sign check rests on D's one zero being mu = 1, so it
+    # passes only an enclosure that contains 1
+    near_half = Enclosure(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**21))
+    monkeypatch.setattr(cli, "mu_star", lambda rho, width: MuStarResult(near_half))
+    assert main(["mustar", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "status: FAIL" in out and "[FAIL] sign-change" in out
+
+
 def test_mustar_reports_its_search(capsys):
     assert main(["mustar", "2/3"]) == 0
     assert "verified search, 8 verified probes" in capsys.readouterr().out
@@ -371,16 +381,18 @@ def test_small_rho_is_enclosed(capsys, argv):
     assert "status: PASS" in out and err == ""
 
 
-@pytest.mark.parametrize("rho", ["1e-40", "1e-50", "1e-300"])
+@pytest.mark.parametrize("rho", ["1e-40", "1e-50", "1e-300", "1e-400"])
 def test_tiny_rho_is_enclosed_by_its_bracket(capsys, rho):
     # the bracket [rho, 2 rho] is narrower than PROOF_WIDTH, so it is the
     # enclosure, both ends' signs verified.  As rho -> 0,
     # D(rho, mu) ~ Si(pi) - rho pi/mu, which is Si(pi) - pi < 0 at mu = rho and
     # Si(pi) - pi/2 > 0 at mu = 2 rho; the ends are binary fractions, which
-    # the series reads as points, so no radius of mu ~ rho widens D
+    # the series reads as points, so no radius of mu ~ rho widens D.  The
+    # width, about rho, prints exactly, also below float64's range
     assert main(["mustar", rho, "--json"]) == 0
     width, signs = json.loads(capsys.readouterr().out)["checks"]
     assert width["value"] == f"[1.0{rho[1:]}, 2.0{rho[1:]}]"
+    assert width["detail"] == f"width 1.0{rho[1:]} <= PROOF_WIDTH 1.0e-20"
     assert signs["status"] == "pass"
     assert signs["detail"].endswith("verified search, 2 verified probes")
     d_lo, d_hi = map(float, re.fullmatch(r"D\(lo\) = (\S+), D\(hi\) = (\S+)",

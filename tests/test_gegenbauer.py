@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 from itertools import islice
-from math import factorial
 
 import numpy as np
 import pytest
@@ -15,13 +14,11 @@ from oracles import (
     jacobi_P_explicit,
     relation_printed,
     relation_standard,
-    rising,
 )
 from trigpos.gegenbauer import (
     ArgBoundReport,
     DiskSample,
     _gegenbauer_terms,
-    _ratios,
     arg_bound_check,
     gegenbauer_C,
     genfunc_check,
@@ -29,7 +26,7 @@ from trigpos.gegenbauer import (
     subordination_sector_check,
     weak_conjecture_check,
 )
-from trigpos.trigsums import _pochhammer, chebyshev_U
+from trigpos.trigsums import chebyshev_U
 
 F = Fraction
 
@@ -214,13 +211,6 @@ def test_weak_check_other_rho_has_no_boundary_figure():
     rep = weak_conjecture_check(F(1, 2), 0.85, n_max=4, r_values=(0.9,), n_theta=60)
     assert rep.boundary_max_diff is None
     assert rep.passed
-
-
-@pytest.mark.parametrize("mu", [F(1, 3), F(1, 2), F(84685556829, 10**11)])
-def test_ratios_are_exact_pochhammer_ratios(mu):
-    got = list(islice(_ratios(mu), 41))
-    assert got == [c.lo for c in islice(_pochhammer(mu), 41)]
-    assert got == [rising(mu, k) / factorial(k) for k in range(41)]
 
 
 @pytest.mark.parametrize("scan", [

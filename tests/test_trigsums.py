@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from mpmath import iv, mp
 
-from oracles import chebyshev_T_coeffs, chebyshev_U_coeffs, poly_add, poly_mul, rational_poch_table
+from oracles import (chebyshev_T_coeffs, chebyshev_U_coeffs, poly_add, poly_mul,
+                     rational_poch_table, rising)
 from trigpos.exact import Enclosure, Polynomial, _as_fraction
 from trigpos.mustar import mu_star
 from trigpos.precision import _iv_ends, workdps, working_dps
@@ -38,6 +39,7 @@ from trigpos.trigsums import (
 from trigpos import trigsums
 from trigpos.trigsums import _outward  # private: checked against 80 digits
 from trigpos.trigsums import _pochhammer  # private: the one coefficient route
+from trigpos.trigsums import _ratios  # private: the one (a)_k / k! recurrence
 
 F = Fraction
 
@@ -65,6 +67,13 @@ def test_pochhammer_exact_values():
     assert _poch(mu, 1).lo == F(1, 2)
     assert _poch(mu, 2).lo == F(1, 2) * F(3, 2) / 2
     assert _poch(mu, 3).lo == F(1, 2) * F(3, 2) * F(5, 2) / 6
+
+
+@pytest.mark.parametrize("mu", [F(1, 3), F(1, 2), F(84685556829, 10**11)])
+def test_ratios_are_exact_pochhammer_ratios(mu):
+    got = list(itertools.islice(_ratios(mu), 41))
+    assert got == [c.lo for c in itertools.islice(_pochhammer(mu), 41)]
+    assert got == [rising(mu, k) / math.factorial(k) for k in range(41)]
 
 
 def test_pochhammer_interval_is_monotone_envelope():
