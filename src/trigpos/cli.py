@@ -30,17 +30,18 @@ cannot decide at all (an ArithmeticError, such as a defect sign the series
 route cannot resolve at rho = 1e-50) is inconclusive too: it exits 1 with
 one "error:" line in place of the report.
 
-Every proof and bound check runs on one mu*(rho) enclosure per rho, of
-width mustar.PROOF_WIDTH, and `mustar` prints that enclosure (at rho = 1
-the exact root [1, 1], which D's one zero proves: an enclosure missing 1 fails).
-The `trigpos` script and `python -m trigpos.cli` run entry_point: main(),
-then gc.freeze(); tests call main() in process.  Reports
-are deterministic: identical invocations at the same precision print
-byte-identical output apart from the wall-time figure.  The env var
-TRIGPOS_PRECISION (decimal digits, default 30, at least 20) sets the working
-precision; a value that is not an integer is a usage error.  The gates on
-the paper's printed figures (MASTER_MIN, MASTER_TOL, CHI_TOL) and
-GENFUNC_TOL are module constants, not settings.
+Every proof and bound check runs on one mu*(rho) enclosure per rho, of width
+mustar.PROOF_WIDTH, and `mustar` prints that enclosure (at rho = 1 the exact
+root [1, 1], which D's one zero proves: an enclosure missing 1 fails and says
+so).  The grids run from 1/1000 to pi/2 (U_n) and to pi - 1/1000 (varsigma_n),
+each end bounded outward by trigsums._outward as the case runs.  The `trigpos`
+script and `python -m trigpos.cli` run entry_point: main(), then gc.freeze();
+tests call main() in process.  Reports are deterministic: identical invocations
+at the same precision print byte-identical output apart from the wall-time
+figure.  The env var TRIGPOS_PRECISION (decimal digits, default 30, at least
+20) sets the working precision; a value that is not an integer is a usage
+error.  The gates on the paper's printed figures (MASTER_MIN, MASTER_TOL,
+CHI_TOL) and GENFUNC_TOL are module constants, not settings.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import sys
 import time
@@ -78,6 +78,7 @@ from trigpos.trigsums import (
     MU_STURM,
     Q_STURM,
     STURM_NAMES,
+    _outward,
     build_U_n,
     build_varsigma,
     chebyshev_U,
@@ -97,10 +98,6 @@ MASTER_MIN = 0.2078  # the floor the master bound must clear
 GENFUNC_TOL = 1e-10
 _GEGENBAUER_LAM = 0.24  # the argument-bound scan's exponent
 _GEGENBAUER_NMAX = 50  # and its largest n
-
-_TINY = Fraction(1, 10**12)
-_GRID_U = (Fraction(1, 1000), Fraction(math.pi) / 2 + _TINY)
-_GRID_VARSIGMA = (Fraction(1, 1000), Fraction(math.pi) - Fraction(1, 1000) + _TINY)
 
 
 class UsageError(Exception):
@@ -182,6 +179,10 @@ def _fmt_enclosure(enc: Enclosure) -> str:
     return f"[{lo}, {hi}]"
 
 
+def _fmt_range(interval) -> str:
+    return "[" + ", ".join(f"{float(end):.6g}" for end in interval) + "]"
+
+
 def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
 
@@ -195,7 +196,8 @@ def run_mustar(rho: Fraction) -> VerificationReport:
     res = mu_star(rho, width=PROOF_WIDTH)
     enc = res.enclosure
     if rho == 1:
-        signed, signs = enc.lo <= 1 <= enc.hi, "boundary root mu = 1"
+        signed = enc.lo <= 1 <= enc.hi
+        signs = "boundary root mu = 1" if signed else "enclosure misses the boundary root mu = 1"
         how = ("D(1, 1) = 1 + cos(pi) = 0, and pi^-mu D(1, mu) increases in mu, "
                "so D(1, mu) < 0 for every mu < 1")
     else:
@@ -258,8 +260,7 @@ def _grid_check(check_id: str, tsum, interval, var: str) -> CheckResult:
 
     certs = certify_partial_sums(tsum, interval)[1:]
     bad = [(n, c.status) for n, c in enumerate(certs, 1) if not c.certified]
-    a, b = float(interval[0]), float(interval[1])
-    detail = f"n = 1..{len(certs)}, {var} in [{a:.6g}, {b:.6g}]"
+    detail = f"n = 1..{len(certs)}, {var} in {_fmt_range(interval)}"
     if bad:
         detail += "; failed: " + ", ".join(f"n={n} {s}" for n, s in bad[:5])
         status = "fail" if any(s == "refuted" for _, s in bad) else "inconclusive"
@@ -378,14 +379,15 @@ def run_thm_2_3(nmax: int) -> VerificationReport:
         checks.append(_sturm_check(target, gate_all_points=False))
     checks.extend(_check_prop_constants(tight))
     checks.append(_check_master(tight))
-    checks.append(_grid_check("grid-U", build_U_n(nmax, tight), _GRID_U, "phi"))
+    grid = (Fraction(1, 1000), _outward(lambda: iv.pi / 2, below=False))
+    checks.append(_grid_check("grid-U", build_U_n(nmax, tight), grid, "phi"))
     return VerificationReport(
         case="thm-2-3",
         inputs={
             "rho": "2/3",
             "mu": _fmt_enclosure(tight),
             "nmax": nmax,
-            "interval": f"[{float(_GRID_U[0]):.6g}, {float(_GRID_U[1]):.6g}]",
+            "interval": _fmt_range(grid),
         },
         method="closed form + exact Sturm counts + singular quadrature + grid certificates",
         reference="positivity of the cosine sums U_n at rho = 2/3",
@@ -433,15 +435,15 @@ def run_thm_1_3(nmax: int) -> VerificationReport:
         f"nothing between them proved; worst margin "
         f"{_fmt(worst.value - worst.err, 6)} at L({worst_region}), rho = {worst_rho}",
     ))
-    checks.append(_grid_check("grid-varsigma", build_varsigma(nmax, rho, tight),
-                              _GRID_VARSIGMA, "theta"))
+    grid = (Fraction(1, 1000), _outward(lambda: iv.pi - iv.mpf(1) / 1000, below=False))
+    checks.append(_grid_check("grid-varsigma", build_varsigma(nmax, rho, tight), grid, "theta"))
     return VerificationReport(
         case="thm-1-3",
         inputs={
             "rho": str(rho),
             "nu": _fmt_enclosure(tight),
             "nmax": nmax,
-            "interval": f"[{float(_GRID_VARSIGMA[0]):.6g}, {float(_GRID_VARSIGMA[1]):.6g}]",
+            "interval": _fmt_range(grid),
         },
         method="exact Sturm counts + composite oscillatory bounds + grid certificates",
         reference="positivity of the sine sums varsigma_n at rho = 1/3",

@@ -13,11 +13,13 @@ imports the other.  Every check here looks at finitely many points:
   (1 - 2xz + z^2)^(-lambda), with an explicit tail bound;
 * C_k^1 = Chebyshev-U_k, exactly in rational arithmetic.
 
-The three disk scans share one circle scan (_circle_sums) and one search
-for the worst sample (_worst), in which a NaN is the worst.  The Gegenbauer
-recurrence and trigsums._ratios, the one (a)_k / k! recurrence, run in the
-arithmetic of their inputs (Fraction stays Fraction, mpf stays mpf), so
-exactness claims are tested without a tolerance.
+The three disk scans sample fixed grids, module constants and not settings
+(the sector and weak-form scans 2 circles x 720 angles, the argument-bound
+scan 10 x, 3 circles and 240 angles), through one circle scan (_circle_sums)
+and one search for the worst sample (_worst), where a NaN is the worst.  The
+Gegenbauer recurrence and trigsums._ratios, the one (a)_k / k! recurrence,
+run in the arithmetic of their inputs (Fraction stays Fraction, mpf stays
+mpf), so exactness claims are tested without a tolerance.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ __all__ = [
     "ArgBoundReport",
     "arg_bound_check",
 ]
+
+_DISK_R = (0.999, 1 - 1e-6)  # the sector and weak-form scans
+_DISK_THETAS = np.linspace(1e-4, math.pi, 720)
+_ARG_X = tuple(v / 10 for v in range(-9, 10, 2))  # the argument-bound scan
+_ARG_R = (0.5, 0.9, 0.999)
+_ARG_THETAS = np.linspace(1e-3, math.pi, 240)
 
 
 def partial_sum(mu, n: int, z):
@@ -100,8 +108,8 @@ def _circle_sums(coeffs, exponent, r_values, thetas):
     """Yield (n, r, w) for n = 1..len(coeffs) - 1 and r in r_values, with w =
     (1 - z)^exponent s_n(z) at z = r e^(i thetas), s_n(z) = sum_{k<=n}
     coeffs[k] z^k; coeffs[k] may be an array that broadcasts against thetas.
-    ValueError when the scan would take no samples."""
-    if len(coeffs) < 2 or not len(r_values) or not np.broadcast(coeffs[0], thetas).size:
+    ValueError when the scan would take no samples: no n >= 1."""
+    if len(coeffs) < 2:
         raise ValueError("the disk scan takes no samples")
     for r in r_values:
         z = r * np.exp(1j * thetas)
@@ -133,24 +141,19 @@ def _worst(coeffs, exponent, r_values, thetas, score):
     return worst, samples, float(least)
 
 
-def subordination_sector_check(
-    rho, mu, n_max: int = 30, r_values=(0.999, 1 - 1e-6), n_theta: int = 720
-) -> SectorReport:
-    """max |arg((1-z)^rho s_n(z))| over n <= n_max and sample circles, to
+def subordination_sector_check(rho, mu, n_max: int = 30) -> SectorReport:
+    """max |arg((1-z)^rho s_n(z))| over n <= n_max and the _DISK_R circles, to
     pass below rho*pi/2: a sampled estimate, not a proof.  Conjugation
     symmetry makes the upper half-circle sufficient."""
     rho_f, mu_f = float(rho), float(mu)
-    (worst,), samples, _ = _worst(list(islice(_ratios(mu_f), n_max + 1)), rho_f, r_values,
-                                  np.linspace(1e-4, math.pi, n_theta),
-                                  lambda w: np.abs(np.angle(w)))
+    (worst,), samples, _ = _worst(list(islice(_ratios(mu_f), n_max + 1)), rho_f, _DISK_R,
+                                  _DISK_THETAS, lambda w: np.abs(np.angle(w)))
     return SectorReport(rho_f * math.pi / 2, worst.arg, worst, samples)
 
 
-def weak_conjecture_check(
-    rho, mu, n_max: int = 30, r_values=(1 - 1e-3, 1 - 1e-6), n_theta: int = 720
-) -> WeakFormReport:
-    """min Re((1-z)^(2 rho - 1) s_n(z)) over n <= n_max and sample circles:
-    a sampled estimate, not a proof.
+def weak_conjecture_check(rho, mu, n_max: int = 30) -> WeakFormReport:
+    """min Re((1-z)^(2 rho - 1) s_n(z)) over n <= n_max and the _DISK_R
+    circles: a sampled estimate, not a proof.
 
     For rho = 2/3 the boundary values factor through a cosine sum:
     Re((1-z)^(1/3) s_n(z)) at z = e^(2 i phi) equals
@@ -160,7 +163,7 @@ def weak_conjecture_check(
     """
     rho_f, mu_f = float(rho), float(mu)
     (worst,), samples, _ = _worst(list(islice(_ratios(mu_f), n_max + 1)), 2 * rho_f - 1,
-                                  r_values, np.linspace(1e-4, math.pi, n_theta), lambda w: -w.real)
+                                  _DISK_R, _DISK_THETAS, lambda w: -w.real)
     min_real = -worst.arg
     worst = replace(worst, arg=float(np.angle(worst.value)))  # the signed arg of w
 
@@ -261,23 +264,17 @@ class ArgBoundReport:
         return self.max_abs_arg < self.threshold and self.min_abs_value > 0
 
 
-def arg_bound_check(
-    lam,
-    n_max: int = 50,
-    x_values=tuple(v / 10 for v in range(-9, 10, 2)),
-    r_values=(0.5, 0.9, 0.999),
-    n_theta: int = 240,
-) -> ArgBoundReport:
+def arg_bound_check(lam, n_max: int = 50) -> ArgBoundReport:
     """Sampled check of |arg sum_{k<=n} C_k^lambda(x) z^k| < pi/3 for a
-    finite lam > 0: a sampled estimate, not a proof."""
+    finite lam > 0 over x in _ARG_X and the _ARG_R circles: a sampled
+    estimate, not a proof."""
     lam_f = float(lam)
     if not (math.isfinite(lam_f) and lam_f > 0):
         raise ValueError("lam must be finite and positive")
-    thetas = np.linspace(1e-3, math.pi, n_theta)
-    # C_k^lambda(x), shaped (n_max + 1, len(x_values), 1) against the circle
+    # C_k^lambda(x), shaped (n_max + 1, len(_ARG_X), 1) against the circle
     coeffs = np.array([list(islice(_gegenbauer_terms(lam_f, x), n_max + 1))
-                       for x in x_values]).T[..., None]
-    by_arg, samples, least = _worst(coeffs, 0, r_values, thetas, lambda s: np.abs(np.angle(s)))
+                       for x in _ARG_X]).T[..., None]
+    by_arg, samples, least = _worst(coeffs, 0, _ARG_R, _ARG_THETAS, lambda s: np.abs(np.angle(s)))
     # the first x with the largest |arg|, as in (x, r, n, theta) order; a NaN wins
     i = int(np.argmax([w.arg for w in by_arg]))
-    return ArgBoundReport(math.pi / 3, by_arg[i].arg, least, samples, by_arg[i], x_values[i])
+    return ArgBoundReport(math.pi / 3, by_arg[i].arg, least, samples, by_arg[i], _ARG_X[i])

@@ -16,7 +16,8 @@ iv's precision and writes working_dps() + 15.  And a term is its
 coefficient: a TrigTerm has no frequency field, and nothing reads one.  And
 one coefficient route: trigsums._sum alone reads the (mu)_k / k! generator,
 and one (a)_k / k! recurrence in every arithmetic, trigsums._ratios, which
-that generator's exact tables and gegenbauer's disk scans both read.
+that generator's exact tables and gegenbauer's disk scans both read.  And
+one route for an irrational interval end: trigsums._outward, never a float pi.
 """
 
 import ast
@@ -285,6 +286,21 @@ def test_one_pochhammer_recurrence():
     in_ratios = _ratio_steps("trigsums", defs[0][1])
     found = [step for module, tree in TREES.items() for step in _ratio_steps(module, tree)]
     assert len(in_ratios) == 1 and found == in_ratios, f"(a)_k / k! steps outside _ratios: {found}"
+
+
+def test_one_route_for_irrational_interval_ends():
+    # trigsums._outward bounds every irrational end of a proof interval, an
+    # mpmath.iv enclosure read outward: cli imports no math, turns no pi
+    # into a Fraction, and bounds both grid ends through _outward
+    tree = TREES["cli"]
+    found = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+             if "math" in _imported_modules(node)
+             or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "Fraction"
+                 and any(isinstance(sub, ast.Attribute) and sub.attr == "pi"
+                         for sub in ast.walk(node)))]
+    assert not found, f"interval ends from a float pi: {found}"
+    assert len(_name_reads("cli", tree, "_outward")) == 2
 
 
 def test_the_sturm_plan_alone_names_its_targets():

@@ -65,7 +65,9 @@ def test_mustar_one_fails_an_enclosure_that_misses_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "mu_star", lambda rho, width: MuStarResult(near_half))
     assert main(["mustar", "1"]) == 1
     out = capsys.readouterr().out
-    assert "status: FAIL" in out and "[FAIL] sign-change" in out
+    assert "status: FAIL" in out
+    # and the failing check does not state the root it found missing
+    assert "[FAIL] sign-change  value=enclosure misses the boundary root mu = 1  (" in out
 
 
 def test_mustar_reports_its_search(capsys):
@@ -326,6 +328,29 @@ THM_1_3_NMAX_10 = {
 ], ids=["thm-2-3", "thm-1-3"])
 def test_proof_report_is_pinned(capsys, argv, want):
     assert _json_report(capsys, argv, 0) == want
+
+
+@pytest.mark.parametrize("case, end", [
+    ("thm-2-3", lambda: mp.pi / 2),
+    ("thm-1-3", lambda: mp.pi - mp.mpf(1) / 1000),
+], ids=["thm-2-3", "thm-1-3"])
+def test_proof_grids_end_at_an_outward_bound(capsys, monkeypatch, case, end):
+    # each grid runs from 1/1000 to a rational bound on its irrational end,
+    # rounded outward: at or past the end, and within 1e-30 of it
+    seen = []
+
+    def recorded(check_id, tsum, interval, var, grid_check=cli._grid_check):
+        seen.append(interval)
+        return grid_check(check_id, tsum, interval, var)
+
+    monkeypatch.setattr(cli, "_grid_check", recorded)
+    assert main(["verify", case, "--nmax", "5"]) == 0
+    capsys.readouterr()
+    ((lo, hi),) = seen
+    assert lo == Fraction(1, 1000)
+    with mp.workdps(60):
+        gap = mp.mpf(hi.numerator) / hi.denominator - end()
+        assert 0 <= gap < mp.mpf("1e-30"), gap
 
 
 def test_bounds_cases_match_the_proof_checks(capsys):

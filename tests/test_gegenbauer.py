@@ -15,6 +15,7 @@ from oracles import (
     relation_printed,
     relation_standard,
 )
+from trigpos import gegenbauer
 from trigpos.gegenbauer import (
     ArgBoundReport,
     DiskSample,
@@ -114,9 +115,7 @@ def test_genfunc_reads_exact_lam_and_x():
     assert genfunc_check(F(1, 2), F(1, 2), 0.5) == genfunc_check(0.5, 0.5, 0.5)
 
 
-QUICK_SCAN = dict(
-    n_max=40, x_values=(-0.9, -0.5, 0.1, 0.7), r_values=(0.9, 0.999), n_theta=160
-)
+QUICK_SCAN = dict(n_max=40)
 
 
 def test_arg_bound_holds_below_threshold():
@@ -185,21 +184,17 @@ def test_partial_sum_guard():
 
 
 def test_sector_check_quick():
-    rep = subordination_sector_check(
-        F(1, 3), 0.49, n_max=8, r_values=(0.9,), n_theta=120
-    )
+    rep = subordination_sector_check(F(1, 3), 0.49, n_max=8)
     assert rep.passed
     assert rep.threshold == pytest.approx(np.pi / 6)
     assert rep.max_abs_arg < rep.threshold
-    assert rep.samples == 8 * 120
+    assert rep.samples == 8 * 2 * 720
     assert rep.worst.arg == rep.max_abs_arg
     assert 0 < rep.worst.theta <= np.pi
 
 
 def test_weak_check_quick_and_boundary_identity():
-    rep = weak_conjecture_check(
-        F(2, 3), 0.85, n_max=6, r_values=(0.9,), n_theta=120
-    )
+    rep = weak_conjecture_check(F(2, 3), 0.85, n_max=6)
     assert rep.passed
     assert rep.min_real > 0
     # the rho = 2/3 boundary factorization must hold to full precision
@@ -208,32 +203,34 @@ def test_weak_check_quick_and_boundary_identity():
 
 
 def test_weak_check_other_rho_has_no_boundary_figure():
-    rep = weak_conjecture_check(F(1, 2), 0.85, n_max=4, r_values=(0.9,), n_theta=60)
+    # mu = 0.6 lies below mu*(1/2) = 0.69155...
+    rep = weak_conjecture_check(F(1, 2), 0.6, n_max=4)
     assert rep.boundary_max_diff is None
     assert rep.passed
+    # and mu = 0.85 above it, where the circle r = 1 - 1e-6 sees Re s_4 < 0
+    assert not weak_conjecture_check(F(1, 2), 0.85, n_max=4).passed
 
 
 @pytest.mark.parametrize("scan", [
     lambda: subordination_sector_check(F(1, 3), 0.49, n_max=0),
-    lambda: subordination_sector_check(F(1, 3), 0.49, r_values=()),
     lambda: weak_conjecture_check(F(1, 2), 0.85, n_max=0),
     lambda: arg_bound_check(0.9, n_max=0),
-    lambda: arg_bound_check(0.9, x_values=()),
-    lambda: arg_bound_check(0.9, n_theta=0),
-], ids=["sector-n0", "sector-no-r", "weak-n0", "arg-n0", "arg-no-x", "arg-no-theta"])
+], ids=["sector-n0", "weak-n0", "arg-n0"])
 def test_a_scan_with_no_samples_is_an_error(scan):
     with pytest.raises(ValueError, match="no samples"):
         scan()
 
 
-def test_a_nan_exponent_never_passes_a_scan():
+def test_a_nan_exponent_never_passes_a_scan(monkeypatch):
     # a NaN score is the first sample's and no later one beats it
     assert math.isnan(subordination_sector_check(F(1, 3), math.nan, n_max=3).max_abs_arg)
     assert not weak_conjecture_check(F(1, 2), math.nan, n_max=3).passed
     # a NaN sample wins wherever it falls: in the only x, beside a finite x, or in r
-    for rep in (arg_bound_check(0.24, n_max=5, x_values=(math.nan,)),
-                arg_bound_check(0.24, n_max=5, x_values=(0.3, math.nan)),
-                arg_bound_check(0.24, n_max=5, r_values=(0.5, math.nan))):
+    for grid, values in (("_ARG_X", (math.nan,)), ("_ARG_X", (0.3, math.nan)),
+                         ("_ARG_R", (0.5, math.nan))):
+        with monkeypatch.context() as patch:
+            patch.setattr(gegenbauer, grid, values)
+            rep = arg_bound_check(0.24, n_max=5)
         assert not rep.passed
         assert math.isnan(rep.max_abs_arg) and math.isnan(rep.min_abs_value)
 
@@ -259,8 +256,7 @@ def assert_report_is(report, want):
 def test_criterion_09_and_10_scan_reports_are_pinned():
     # criterion 09's scans, with mu = 0.999 times the midpoint of the mu*
     # enclosure at rho = 1/3 and rho = 2/3, as the floats the scans read
-    sector = subordination_sector_check(F(1, 3), 0.4961946737162157, n_max=30,
-                                        r_values=(0.999, 1 - 1e-6))
+    sector = subordination_sector_check(F(1, 3), 0.4961946737162157, n_max=30)
     assert_report_is(sector, {
         "type": "SectorReport", "threshold": math.pi / 6,
         "max_abs_arg": 0.5212971456534469, "samples": 43200,
@@ -268,8 +264,7 @@ def test_criterion_09_and_10_scan_reports_are_pinned():
         "worst.value": 0.21371646813709747 - 0.12273426800671003j,
         "worst.arg": 0.5212971456534469,
     })
-    weak = weak_conjecture_check(F(2, 3), 0.8460087127212447, n_max=30,
-                                 r_values=(0.999, 1 - 1e-6))
+    weak = weak_conjecture_check(F(2, 3), 0.8460087127212447, n_max=30)
     assert_report_is(weak, {
         "type": "WeakFormReport", "min_real": 0.0743508810723783, "samples": 43200,
         "boundary_max_diff": 6.310887241768095e-30,
